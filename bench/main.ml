@@ -286,11 +286,6 @@ let double_fault =
              ignore
                (Metric.evaluate_pairs ~exhaustive:true ~fault_sample:16
                   u226_ft)));
-      Test.make ~name:"pairs_scalar_u226_s16"
-        (Staged.stage (fun () ->
-             ignore
-               (Metric.evaluate_pairs ~exhaustive:true ~lanes:false
-                  ~fault_sample:16 u226)));
       Test.make ~name:"pairs_reduced_u226_full"
         (Staged.stage (fun () ->
              ignore (Metric.evaluate_pairs ~exhaustive:true u226)));
@@ -305,8 +300,8 @@ let double_fault =
    amortized cost of one (primary, secondary) verdict.  The
    stacked_scalar_per_pair_* rows run [Engine.analyze_delta_on] over the
    SAME batched secondaries one at a time — the pre-lane cost of exactly
-   the same verdicts, so lane/scalar is the per-pair speedup the
-   end-to-end pairs_scalar_u226_s16 ablation shows at sweep scale. *)
+   the same verdicts, so lane/scalar is the per-pair speedup of the
+   lane sweep. *)
 let stacked_pair_inputs net ctx =
   let base = Engine.baseline ctx in
   let classes = Array.of_list (Fault.collapse net (Fault.universe net)) in
@@ -432,25 +427,15 @@ let php_checked () =
   if not (Checker.contradiction chk) then
     failwith "checker did not certify the refutation"
 
-(* CDCL core: pure-SAT workloads isolating the solver inner loop, with a
-   per-feature ablation leg for each switchable feature — learnt-clause
-   minimization, LBD-tiered database reduction and phase saving.  (The
+(* CDCL core: pure-SAT workloads isolating the solver inner loop.  (The
    blocker-literal watcher vectors and binary specialization have no off
    switch; their effect is the BENCH_3 -> BENCH_4 delta on these same
    workloads.)  PHP(6,5) is a learning-heavy pure refutation; the random
    3-SAT batch sits near the phase-transition ratio m/n ~ 4.26 on fixed
-   seeds; the session legs re-run the bmc_incremental universes with
-   features ablated, quantifying what each contributes to the BMC
-   sweeps. *)
-let config_solver ?(phase = true) ?(inprocess = true) ~minimize ~lbd s =
-  Solver.set_minimize s minimize;
-  Solver.set_lbd_tiers s lbd;
-  Solver.set_phase_saving s phase;
-  Solver.set_inprocess s inprocess
-
-let php65 ?phase ?(preprocess = false) ~minimize ~lbd () =
+   seeds; the session leg re-runs a bmc_incremental universe with
+   inprocessing off. *)
+let php65 ?(preprocess = false) () =
   let s = Solver.create () in
-  config_solver ?phase ~minimize ~lbd s;
   let v p h = (p * 5) + h + 1 in
   for p = 0 to 5 do
     Solver.add_clause s [ v p 0; v p 1; v p 2; v p 3; v p 4 ]
@@ -480,75 +465,38 @@ let rand3sat_instances =
                 if Random.State.bool st then v else -v)))
       [ 11; 22; 33; 44; 55 ] )
 
-let rand3sat ?phase ?(preprocess = false) ~minimize ~lbd () =
+let rand3sat ?(preprocess = false) () =
   let n, instances = rand3sat_instances in
   List.iter
     (fun clauses ->
       let s = Solver.create () in
-      config_solver ?phase ~minimize ~lbd s;
       Solver.ensure_vars s n;
       List.iter (Solver.add_clause s) clauses;
       if preprocess then Solver.inprocess s;
       ignore (Solver.solve s))
     instances
 
-let sweep_session_cfg ?phase ?inprocess ~minimize ~lbd net faults =
-  let sess = Bmc.Session.create (Bmc.create net) in
-  config_solver ?phase ?inprocess ~minimize ~lbd (Bmc.Session.solver sess);
-  ignore (Bmc.Session.check_faults sess ~target:0 faults)
-
 let sat_core =
   Test.make_grouped ~name:"sat_core"
     [
-      Test.make ~name:"php65"
-        (Staged.stage (fun () -> php65 ~minimize:true ~lbd:true ()));
-      Test.make ~name:"php65_no_minimize"
-        (Staged.stage (fun () -> php65 ~minimize:false ~lbd:true ()));
-      Test.make ~name:"php65_no_lbd"
-        (Staged.stage (fun () -> php65 ~minimize:true ~lbd:false ()));
-      Test.make ~name:"php65_no_phase_saving"
-        (Staged.stage (fun () -> php65 ~phase:false ~minimize:true ~lbd:true ()));
+      Test.make ~name:"php65" (Staged.stage (fun () -> php65 ()));
       Test.make ~name:"rand3sat_near_threshold"
-        (Staged.stage (fun () -> rand3sat ~minimize:true ~lbd:true ()));
-      Test.make ~name:"rand3sat_no_minimize"
-        (Staged.stage (fun () -> rand3sat ~minimize:false ~lbd:true ()));
-      Test.make ~name:"rand3sat_no_lbd"
-        (Staged.stage (fun () -> rand3sat ~minimize:true ~lbd:false ()));
-      Test.make ~name:"rand3sat_no_phase_saving"
-        (Staged.stage (fun () -> rand3sat ~phase:false ~minimize:true ~lbd:true ()));
+        (Staged.stage (fun () -> rand3sat ()));
       (* Inprocessing ablation.  The one-shot legs pay an explicit
          SatELite-style preprocessing pass before solving (what
          [Dimacs.solve] now does); the session leg disables the
          between-batch schedule — on this quiet sweep the conflict gap
          never fires, so any delta is pure scheduling overhead. *)
       Test.make ~name:"php65_preprocessed"
-        (Staged.stage (fun () ->
-             php65 ~preprocess:true ~minimize:true ~lbd:true ()));
+        (Staged.stage (fun () -> php65 ~preprocess:true ()));
       Test.make ~name:"rand3sat_preprocessed"
-        (Staged.stage (fun () ->
-             rand3sat ~preprocess:true ~minimize:true ~lbd:true ()));
+        (Staged.stage (fun () -> rand3sat ~preprocess:true ()));
       Test.make ~name:"session_u226_no_inprocess"
         (Staged.stage (fun () ->
-             sweep_session_cfg ~inprocess:false ~minimize:true ~lbd:true u226
-               u226_universe_sample));
-      Test.make ~name:"session_small_no_minimize"
-        (Staged.stage (fun () ->
-             sweep_session_cfg ~minimize:false ~lbd:true small small_universe));
-      Test.make ~name:"session_small_no_lbd"
-        (Staged.stage (fun () ->
-             sweep_session_cfg ~minimize:true ~lbd:false small small_universe));
-      Test.make ~name:"session_u226_no_minimize"
-        (Staged.stage (fun () ->
-             sweep_session_cfg ~minimize:false ~lbd:true u226
-               u226_universe_sample));
-      Test.make ~name:"session_u226_no_lbd"
-        (Staged.stage (fun () ->
-             sweep_session_cfg ~minimize:true ~lbd:false u226
-               u226_universe_sample));
-      Test.make ~name:"session_u226_no_phase_saving"
-        (Staged.stage (fun () ->
-             sweep_session_cfg ~phase:false ~minimize:true ~lbd:true u226
-               u226_universe_sample));
+             let sess = Bmc.Session.create (Bmc.create u226) in
+             Solver.set_inprocess (Bmc.Session.solver sess) false;
+             ignore
+               (Bmc.Session.check_faults sess ~target:0 u226_universe_sample)));
     ]
 
 let proof_logging =
@@ -902,15 +850,6 @@ let smoke () =
       ()
   | Some _ -> failwith "smoke: pair dispatch stats do not cover all pairs"
   | None -> failwith "smoke: exhaustive pair sweep reported no stats");
-  (* the lane-parallel stacked path and its scalar ablation agree with
-     each other (and, transitively, with the brute enumeration above) *)
-  let psc = Metric.evaluate_pairs ~exhaustive:true ~lanes:false small in
-  if
-    pr.Metric.worst_segments <> psc.Metric.worst_segments
-    || pr.Metric.avg_segments <> psc.Metric.avg_segments
-    || pr.Metric.worst_bits <> psc.Metric.worst_bits
-    || pr.Metric.avg_bits <> psc.Metric.avg_bits
-  then failwith "smoke: lane pair sweep disagrees with scalar stacked path";
   (match Metric.evaluate_pairs ~model:Fault.Transient small with
   | exception Metric.Unsupported _ -> ()
   | _ -> failwith "smoke: transient pairs must raise Metric.Unsupported");
@@ -939,16 +878,12 @@ let smoke () =
     c.Metric.worst_segments <> p.Metric.worst_segments
     || c.Metric.avg_bits <> p.Metric.avg_bits
   then failwith "smoke: certified BMC metric disagrees with plain BMC";
-  (* sat_core group: each ablation leg must run, and a certified session
-     with a forced learnt limit of 0 must push minimized lemmas AND
-     LBD-tier deletions through the checker (Certification_failed would
-     raise on any rejected step). *)
-  php65 ~minimize:true ~lbd:true ();
-  php65 ~minimize:false ~lbd:true ();
-  php65 ~minimize:true ~lbd:false ();
-  php65 ~phase:false ~minimize:true ~lbd:true ();
-  rand3sat ~minimize:true ~lbd:true ();
-  rand3sat ~phase:false ~minimize:true ~lbd:true ();
+  (* sat_core group: each leg must run, and a certified session with a
+     forced learnt limit of 0 must push minimized lemmas AND LBD-tier
+     deletions through the checker (Certification_failed would raise on
+     any rejected step). *)
+  php65 ();
+  rand3sat ();
   let csess = Bmc.Session.create ~certify:true (Bmc.create small) in
   Solver.set_learnt_limit (Bmc.Session.solver csess) (Some 0);
   ignore (Bmc.Session.check_faults csess ~target:0 small_universe);
@@ -958,9 +893,9 @@ let smoke () =
     when cc.Bmc.Session.cert_unsat > 0 && cc.Bmc.Session.cert_lemmas > 0 ->
       ()
   | _ -> failwith "smoke: forced-reduction certified session certified nothing");
-  if cst.Bmc.Session.learnt_lits = 0 then
+  if cst.Bmc.Session.search.Solver.st_learnt_lits = 0 then
     failwith "smoke: certified session learnt nothing";
-  if cst.Bmc.Session.reductions = 0 then
+  if cst.Bmc.Session.search.Solver.st_reductions = 0 then
     failwith "smoke: forced learnt limit did not trigger DB reductions";
   (* Checker acceptance with simplification active: a checker-mirrored
      PHP(6,5) refutation behind an explicit preprocessing pass.  The
@@ -1024,7 +959,7 @@ let smoke () =
   if iv1 <> pv1 || iv2 <> pv2 then
     failwith "smoke: certified verdicts changed under forced inprocessing";
   let ist = Bmc.Session.stats isess in
-  if ist.Bmc.Session.simp_passes < 1 then
+  if ist.Bmc.Session.search.Solver.st_simp_passes < 1 then
     failwith "smoke: mid-session inprocessing pass did not run";
   (match ist.Bmc.Session.cert with
   | Some cc when cc.Bmc.Session.cert_unsat > 0 -> ()
@@ -1098,7 +1033,7 @@ let () =
      clauses emitted, %d nodes reused, %d conflicts\n"
     (List.length small_universe)
     st.Bmc.Session.queries st.Bmc.Session.clauses_emitted
-    st.Bmc.Session.nodes_reused st.Bmc.Session.conflicts;
+    st.Bmc.Session.nodes_reused st.Bmc.Session.search.Solver.st_conflicts;
   Printf.printf "clauses emitted per query:";
   List.iter
     (fun q -> Printf.printf " %d" q.Bmc.Session.q_emitted)

@@ -40,11 +40,11 @@ let net_of spec =
       prerr_endline msg;
       exit 1
 
-(* Runs one metric-class query; certification failures abort the run
-   with the documented exit code. *)
+(* Runs one metric-class query and returns its payload; certification
+   failures abort the run with the documented exit code. *)
 let metric_query q =
   match Exec.run (Lazy.force pool) q with
-  | Response.Metric_r m -> Response.result_of_metric_r m
+  | Response.Metric_r m -> m
   | Response.Error_r (Response.Cert_failed, msg) ->
       Printf.eprintf "certification: FAILED: %s\n" msg;
       exit 3
@@ -113,7 +113,8 @@ let characteristics socs =
         (Netlist.total_bits net))
     socs
 
-let metric_row name m =
+let metric_row name r =
+  let m = Response.result_of_metric_r r in
   let red =
     match m.Metric.reduction with
     | None -> ""
@@ -200,69 +201,12 @@ let access_sweep ?sample ~certify ~inprocess ~ft socs =
       (soc.Itc02.soc_name, m))
     socs
 
-(* One machine-readable row per SoC: the Table I accessibility numbers
-   plus the reduction and lane-batch counters of the structural sweep
-   that produced them (absent under --certify, which runs the BMC
-   engine and has no lane batches). *)
-let json_access_row (name, m) =
-  let base =
-    [
-      ("soc", Json.Str name);
-      ("worst_bits", Json.Float m.Metric.worst_bits);
-      ("avg_bits", Json.Float m.Metric.avg_bits);
-      ("worst_segments", Json.Float m.Metric.worst_segments);
-      ("avg_segments", Json.Float m.Metric.avg_segments);
-      ("faults", Json.Int m.Metric.faults);
-      ("weight", Json.Int m.Metric.total_weight);
-    ]
-  in
-  let reduction =
-    match m.Metric.reduction with
-    | None -> []
-    | Some r ->
-        [
-          ( "reduction",
-            Json.Obj
-              [
-                ("universe", Json.Int r.Metric.r_universe);
-                ("classes", Json.Int r.Metric.r_classes);
-                ("benign", Json.Int r.Metric.r_benign);
-              ] );
-        ]
-  in
-  let lanes =
-    match m.Metric.lanes with
-    | None -> []
-    | Some l ->
-        [
-          ( "lanes",
-            Json.Obj
-              [
-                ("batches", Json.Int l.Engine.ls_batches);
-                ("lanes", Json.Int l.Engine.ls_lanes);
-                ("masked", Json.Int l.Engine.ls_masked);
-                ("fast", Json.Int l.Engine.ls_fast);
-                ("rounds", Json.Int l.Engine.ls_rounds);
-              ] );
-        ]
-  in
-  let simp =
-    match m.Metric.solver with
-    | Some s when s.Metric.s_simp_passes > 0 ->
-        [
-          ( "simp",
-            Json.Obj
-              [
-                ("passes", Json.Int s.Metric.s_simp_passes);
-                ("subsumed", Json.Int s.Metric.s_subsumed);
-                ("strengthened", Json.Int s.Metric.s_strengthened_lits);
-                ("eliminated", Json.Int s.Metric.s_eliminated_vars);
-                ("vivified", Json.Int s.Metric.s_vivified_lits);
-              ] );
-        ]
-    | _ -> []
-  in
-  Json.Obj (base @ reduction @ lanes @ simp)
+(* One machine-readable row: the "data" object of the wire response to
+   the row's query (with its stats block), prefixed by the row keys. *)
+let json_row keys m =
+  Json.Obj
+    (keys
+    @ Json.to_obj (Json.get "data" (Response.encode (Response.Metric_r m))))
 
 let sib_access ?sample ?(certify = false) ?(inprocess = true) socs =
   access_header ();
@@ -422,7 +366,6 @@ let double_fault_sweep ?sample socs =
                  pq_engine = `Structural;
                  pq_reduce = true;
                  pq_inprocess = true;
-                 pq_lanes = true;
                  pq_model = Fault.Stuck;
                  pq_with_stats = true;
                })
@@ -436,7 +379,8 @@ let double_faults ?sample socs =
   Printf.printf "%-9s %9s %8s %12s %11s %12s %11s\n" "SoC" "network" "mode"
     "segs-worst" "segs-avg" "bits-worst" "bits-avg";
   List.iter
-    (fun (soc_name, name, exact, m) ->
+    (fun (soc_name, name, exact, r) ->
+      let m = Response.result_of_metric_r r in
       Printf.printf "%-9s %9s %8s %12.3f %11.4f %12.3f %11.4f\n%!" soc_name
         name
         (if exact then "exact" else "sampled")
@@ -480,18 +424,19 @@ let fault_models ?sample socs =
         List.iter
           (fun model ->
             let m =
-              metric_query
-                (Query.Metric
-                   {
-                     Query.mq_net = spec;
-                     mq_sample = sample;
-                     mq_domains = 1;
-                     mq_engine = `Structural;
-                     mq_reduce = true;
-                     mq_inprocess = true;
-                     mq_model = model;
-                     mq_with_stats = true;
-                   })
+              Response.result_of_metric_r
+                (metric_query
+                   (Query.Metric
+                      {
+                        Query.mq_net = spec;
+                        mq_sample = sample;
+                        mq_domains = 1;
+                        mq_engine = `Structural;
+                        mq_reduce = true;
+                        mq_inprocess = true;
+                        mq_model = model;
+                        mq_with_stats = true;
+                      }))
             in
             let universe, classes =
               match m.Metric.reduction with
@@ -537,65 +482,24 @@ let coverage socs =
         n)
     socs
 
-(* One machine-readable row per (SoC, network) of the double-fault
-   sweep: the metric values plus the pair-dispatch and pair-lane
-   counters (the latter mirror [json_access_row]'s "lanes" object, but
-   count the lane batches rooted at stacked secondary baselines). *)
-let json_double_fault_row (soc, name, exact, m) =
-  let base =
-    [
-      ("soc", Json.Str soc);
-      ("network", Json.Str name);
-      ("mode", Json.Str (if exact then "exact" else "sampled"));
-      ("worst_bits", Json.Float m.Metric.worst_bits);
-      ("avg_bits", Json.Float m.Metric.avg_bits);
-      ("worst_segments", Json.Float m.Metric.worst_segments);
-      ("avg_segments", Json.Float m.Metric.avg_segments);
-      ("faults", Json.Int m.Metric.faults);
-      ("weight", Json.Int m.Metric.total_weight);
-    ]
-  in
-  let pairs =
-    match m.Metric.pairs with
-    | None -> []
-    | Some p ->
-        [
-          ( "pairs",
-            Json.Obj
-              [
-                ("classes", Json.Int p.Metric.p_classes);
-                ("class_pairs", Json.Int p.Metric.p_class_pairs);
-                ("diagonal", Json.Int p.Metric.p_diagonal);
-                ("disjoint", Json.Int p.Metric.p_disjoint);
-                ("stacked", Json.Int p.Metric.p_stacked);
-              ] );
-        ]
-  in
-  let pair_lanes =
-    match m.Metric.pair_lanes with
-    | None -> []
-    | Some l ->
-        [
-          ( "pair_lanes",
-            Json.Obj
-              [
-                ("batches", Json.Int l.Engine.ls_batches);
-                ("lanes", Json.Int l.Engine.ls_lanes);
-                ("masked", Json.Int l.Engine.ls_masked);
-                ("fast", Json.Int l.Engine.ls_fast);
-                ("rounds", Json.Int l.Engine.ls_rounds);
-              ] );
-        ]
-  in
-  Json.Obj (base @ pairs @ pair_lanes)
-
 (* --json output: one object, one array of per-SoC rows per access part
    (or per double-fault sweep).  Only these parts have a
    machine-readable form — they are what CI and EXPERIMENTS.md consume;
    the other parts stay human. *)
 let run_json part socs sample certify inprocess =
   if part = Double_faults then begin
-    let rows = List.map json_double_fault_row (double_fault_sweep ?sample socs) in
+    let rows =
+      List.map
+        (fun (soc, name, exact, m) ->
+          json_row
+            [
+              ("soc", Json.Str soc);
+              ("network", Json.Str name);
+              ("mode", Json.Str (if exact then "exact" else "sampled"));
+            ]
+            m)
+        (double_fault_sweep ?sample socs)
+    in
     print_endline
       (Json.to_string (Json.Obj [ ("double_faults", Json.List rows) ]))
   end
@@ -615,7 +519,8 @@ let run_json part socs sample certify inprocess =
         (fun (key, ft) ->
           ( key,
             Json.List
-              (List.map json_access_row
+              (List.map
+                 (fun (name, m) -> json_row [ ("soc", Json.Str name) ] m)
                  (access_sweep ?sample ~certify ~inprocess ~ft socs))
           ))
         parts
@@ -712,7 +617,7 @@ let () =
     Arg.(value & flag & info [ "no-inprocess" ] ~doc:"Disable SAT inprocessing (subsumption, vivification, bounded variable elimination) on the BMC sessions of certified sweeps; verdicts are identical, only slower.")
   in
   let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the accessibility sweeps (sib-access, ft-access) or the double-fault sweep as one JSON object instead of tables; each per-SoC row carries the metric values plus the reduction and lane-batch counters of the structural sweep (pair-dispatch and pair-lane counters for double-faults).  Only valid with --part sib-access, ft-access, double-faults or all.")
+    Arg.(value & flag & info [ "json" ] ~doc:"Emit the accessibility sweeps (sib-access, ft-access) or the double-fault sweep as one JSON object instead of tables; each row is the \"data\" object of the wire response to that SoC's query, stats block included (\"stats\" holds the lane, pair-lane and solver counters), plus the row keys \"soc\" (and \"network\", \"mode\" for double-faults).  Only valid with --part sib-access, ft-access, double-faults or all.")
   in
   let cmd =
     Cmd.v

@@ -545,19 +545,7 @@ module Session = struct
     queries : int;
     clauses_emitted : int;
     nodes_reused : int;
-    conflicts : int;
-    decisions : int;
-    propagations : int;
-    restarts : int;
-    learnt_lits : int;
-    minimized_lits : int;
-    reductions : int;
-    learnt_db : int;
-    subsumed : int;
-    strengthened_lits : int;
-    eliminated_vars : int;
-    vivified_lits : int;
-    simp_passes : int;
+    search : Solver.search_stats;
     per_query : query_stat list;
     cert : cert_stats option;
   }
@@ -1020,24 +1008,11 @@ module Session = struct
 
   let stats sess =
     let em, ru = Cnf.emitter_stats sess.em in
-    let ss = Solver.search_stats sess.solver in
     {
       queries = sess.queries;
       clauses_emitted = em;
       nodes_reused = ru;
-      conflicts = ss.Solver.st_conflicts;
-      decisions = ss.Solver.st_decisions;
-      propagations = ss.Solver.st_propagations;
-      restarts = ss.Solver.st_restarts;
-      learnt_lits = ss.Solver.st_learnt_lits;
-      minimized_lits = ss.Solver.st_minimized_lits;
-      reductions = ss.Solver.st_reductions;
-      learnt_db = ss.Solver.st_learnt_db;
-      subsumed = ss.Solver.st_subsumed;
-      strengthened_lits = ss.Solver.st_strengthened_lits;
-      eliminated_vars = ss.Solver.st_eliminated_vars;
-      vivified_lits = ss.Solver.st_vivified_lits;
-      simp_passes = ss.Solver.st_simp_passes;
+      search = Solver.search_stats sess.solver;
       per_query =
         List.rev_map
           (fun (e, r, cf, sat) ->

@@ -157,19 +157,8 @@ module Session : sig
     queries : int;
     clauses_emitted : int;  (** cumulative, whole session *)
     nodes_reused : int;     (** cumulative emitter memo hits *)
-    conflicts : int;
-    decisions : int;
-    propagations : int;
-    restarts : int;
-    learnt_lits : int;      (** learnt literals before minimization *)
-    minimized_lits : int;   (** literals removed by minimization *)
-    reductions : int;       (** learnt-DB reduction passes *)
-    learnt_db : int;        (** live learnt clauses (after reductions) *)
-    subsumed : int;         (** clauses deleted by subsumption *)
-    strengthened_lits : int;  (** literals removed by strengthening *)
-    eliminated_vars : int;  (** variables eliminated by BVE *)
-    vivified_lits : int;    (** literals removed by vivification *)
-    simp_passes : int;      (** completed inprocessing passes *)
+    search : Ftrsn_sat.Solver.search_stats;
+        (** cumulative counters of the session's solver *)
     per_query : query_stat list;  (** chronological *)
     cert : cert_stats option;  (** [Some] iff the session is certified *)
   }

@@ -95,64 +95,10 @@ let merge_solver a b =
           s_cert_time = x.s_cert_time +. y.s_cert_time;
         }
 
-let merge_reduction a b =
-  match (a, b) with
-  | None, r | r, None -> r
-  | Some x, Some y ->
-      Some
-        {
-          r_universe = x.r_universe + y.r_universe;
-          r_classes = x.r_classes + y.r_classes;
-          r_benign = x.r_benign + y.r_benign;
-          r_cone_sum = x.r_cone_sum + y.r_cone_sum;
-          r_cone_max = max x.r_cone_max y.r_cone_max;
-        }
-
 let merge_lanes a b =
   match (a, b) with
   | None, l | l, None -> l
   | Some x, Some y -> Some (Engine.lane_stats_add x y)
-
-let merge_pairs a b =
-  match (a, b) with
-  | None, p | p, None -> p
-  | Some x, Some y ->
-      Some
-        {
-          p_classes = x.p_classes + y.p_classes;
-          p_class_pairs = x.p_class_pairs + y.p_class_pairs;
-          p_diagonal = x.p_diagonal + y.p_diagonal;
-          p_disjoint = x.p_disjoint + y.p_disjoint;
-          p_stacked = x.p_stacked + y.p_stacked;
-          p_stacks = x.p_stacks + y.p_stacks;
-        }
-
-(* Merge two partial results (weighted sums are kept internally as
-   averages times weight, so recombine carefully).  The evaluation paths
-   below merge their integer accumulators instead, which is exact; this
-   float-level recombination is kept for callers composing finished
-   results. *)
-let merge a b =
-  {
-    worst_segments = min a.worst_segments b.worst_segments;
-    avg_segments =
-      ((a.avg_segments *. float_of_int a.total_weight)
-      +. (b.avg_segments *. float_of_int b.total_weight))
-      /. float_of_int (a.total_weight + b.total_weight);
-    worst_bits = min a.worst_bits b.worst_bits;
-    avg_bits =
-      ((a.avg_bits *. float_of_int a.total_weight)
-      +. (b.avg_bits *. float_of_int b.total_weight))
-      /. float_of_int (a.total_weight + b.total_weight);
-    faults = a.faults + b.faults;
-    total_weight = a.total_weight + b.total_weight;
-    steals = a.steals + b.steals;
-    solver = merge_solver a.solver b.solver;
-    reduction = merge_reduction a.reduction b.reduction;
-    lanes = merge_lanes a.lanes b.lanes;
-    pairs = merge_pairs a.pairs b.pairs;
-    pair_lanes = merge_lanes a.pair_lanes b.pair_lanes;
-  }
 
 (* Integer accumulation of per-fault accessible counts.  All fields are
    exact integers folded with commutative operations (min / sum), so the
@@ -272,8 +218,8 @@ let count_bmc net vs =
     vs;
   (!segs, !bits)
 
-let solver_of_session sess =
-  let st = Bmc.Session.stats sess in
+let solver_stats_of_session (st : Bmc.Session.stats) =
+  let ss = st.Bmc.Session.search in
   let cu, cl, cd, ct =
     match st.Bmc.Session.cert with
     | None -> (0, 0, 0, 0.0)
@@ -281,28 +227,30 @@ let solver_of_session sess =
         ( c.Bmc.Session.cert_unsat, c.Bmc.Session.cert_lemmas,
           c.Bmc.Session.cert_deletes, c.Bmc.Session.cert_time )
   in
-  Some
-    {
-      s_conflicts = st.Bmc.Session.conflicts;
-      s_decisions = st.Bmc.Session.decisions;
-      s_propagations = st.Bmc.Session.propagations;
-      s_restarts = st.Bmc.Session.restarts;
-      s_learnt_lits = st.Bmc.Session.learnt_lits;
-      s_minimized_lits = st.Bmc.Session.minimized_lits;
-      s_reductions = st.Bmc.Session.reductions;
-      s_learnt_db = st.Bmc.Session.learnt_db;
-      s_clauses_emitted = st.Bmc.Session.clauses_emitted;
-      s_nodes_reused = st.Bmc.Session.nodes_reused;
-      s_subsumed = st.Bmc.Session.subsumed;
-      s_strengthened_lits = st.Bmc.Session.strengthened_lits;
-      s_eliminated_vars = st.Bmc.Session.eliminated_vars;
-      s_vivified_lits = st.Bmc.Session.vivified_lits;
-      s_simp_passes = st.Bmc.Session.simp_passes;
-      s_cert_unsat = cu;
-      s_cert_lemmas = cl;
-      s_cert_deletes = cd;
-      s_cert_time = ct;
-    }
+  {
+    s_conflicts = ss.Solver.st_conflicts;
+    s_decisions = ss.Solver.st_decisions;
+    s_propagations = ss.Solver.st_propagations;
+    s_restarts = ss.Solver.st_restarts;
+    s_learnt_lits = ss.Solver.st_learnt_lits;
+    s_minimized_lits = ss.Solver.st_minimized_lits;
+    s_reductions = ss.Solver.st_reductions;
+    s_learnt_db = ss.Solver.st_learnt_db;
+    s_clauses_emitted = st.Bmc.Session.clauses_emitted;
+    s_nodes_reused = st.Bmc.Session.nodes_reused;
+    s_subsumed = ss.Solver.st_subsumed;
+    s_strengthened_lits = ss.Solver.st_strengthened_lits;
+    s_eliminated_vars = ss.Solver.st_eliminated_vars;
+    s_vivified_lits = ss.Solver.st_vivified_lits;
+    s_simp_passes = ss.Solver.st_simp_passes;
+    s_cert_unsat = cu;
+    s_cert_lemmas = cl;
+    s_cert_deletes = cd;
+    s_cert_time = ct;
+  }
+
+let solver_of_session sess =
+  Some (solver_stats_of_session (Bmc.Session.stats sess))
 
 (* Per-class data shared by both exhaustive pair engines (filled by their
    phase 1; the full definition is documented at the pair sweep below).
@@ -1178,8 +1126,7 @@ let pair_stacks_of warm ~full ~model =
               sc)
   | _ -> stack_cache ()
 
-let evaluate_pairs_reduced_structural ~domains ?warm ~full ~lanes ~model net
-    faults =
+let evaluate_pairs_reduced_structural ~domains ?warm ~full ~model net faults =
   let ctx = ctx_of warm net in
   let base = base_of warm ctx in
   (* The phase-1 probe tables are a deterministic function of the netlist
@@ -1244,117 +1191,87 @@ let evaluate_pairs_reduced_structural ~domains ?warm ~full ~lanes ~model net
         (classes, pq, prep_steals)
   in
   let nc = Array.length classes in
-  if not lanes then begin
-    (* Scalar ablation path (--no-pair-lanes): the pre-lane scheduler —
-       row-granular sweep over first classes, each row lazily building
-       its secondary baseline the first time it meets an interacting
-       partner.  Kept verbatim as the oracle the lane path is
-       property-tested (and benched) against. *)
-    let partials =
-      steal_map ~domains (Array.init nc Fun.id)
-        ~init:(fun _ -> pair_state ())
-        ~step:(fun ps i ->
-          let stk = ref None in
-          pair_row pq ps i ~interact:(fun j ->
-              let s =
-                match !stk with
-                | Some s -> s
-                | None ->
-                    let s = Engine.stack ctx base pq.pq_sms.(i) in
-                    ps.ps_stacks <- ps.ps_stacks + 1;
-                    stk := Some s;
-                    s
-              in
-              let v, _ = Engine.analyze_delta_on ctx s pq.pq_sms.(j) in
-              count_verdict net v))
-        ~finish:(fun ps -> (ps, None))
-    in
-    let r = finish_pair_partials ~net ~nclasses:nc partials in
-    { r with steals = r.steals + prep_steals }
-  end
-  else begin
-    (* Phase 2a: discovery — run the disjointness gates and the pure
-       counting (diagonal + disjoint) once per row, deferring the
-       interacting columns.  Rows write disjoint slots of [inter], so
-       the domains share the array. *)
-    let inter = Array.make nc [||] in
-    let partials_a =
-      steal_map ~domains (Array.init nc Fun.id)
-        ~init:(fun _ -> pair_state ())
-        ~step:(fun ps i ->
-          let defer = ref [] in
-          pair_row_defer pq ps i ~defer:(fun j -> defer := j :: !defer);
-          if !defer <> [] then inter.(i) <- Array.of_list (List.rev !defer))
-        ~finish:(fun ps -> (ps, None))
-    in
-    (* Phase 2b: lane-batch-granular steal units.  Per interacting row,
-       [Engine.lane_plan] shape-groups the partner summaries (fast
-       classes aside, dead-port batches apart) and every batch becomes
-       one item; the row's secondary baseline is built once, on first
-       use, by whichever domain gets there first. *)
-    let items =
-      let acc = ref [] in
-      for i = 0 to nc - 1 do
-        let js = inter.(i) in
-        if Array.length js > 0 then begin
-          let sms = Array.map (fun j -> pq.pq_sms.(j)) js in
-          let fast, batches = Engine.lane_plan base sms in
-          if fast <> [] then
-            acc :=
-              Pi_scalar (i, Array.of_list (List.map (Array.get js) fast))
-              :: !acc;
-          List.iter
-            (fun idxs -> acc := Pi_batch (i, Array.map (Array.get js) idxs) :: !acc)
-            batches
-        end
-      done;
-      Array.of_list (List.rev !acc)
-    in
-    let sc = pair_stacks_of warm ~full ~model in
-    let partials_b =
-      steal_map ~domains items
-        ~init:(fun _ -> pair_state ())
-        ~step:(fun ps item ->
-          let stack_for i =
-            let s, built =
-              stack_cached sc
-                (fun i -> Engine.stack ctx base pq.pq_sms.(i))
-                i
-            in
-            if built then ps.ps_stacks <- ps.ps_stacks + 1;
-            s
+  (* Phase 2a: discovery — run the disjointness gates and the pure
+     counting (diagonal + disjoint) once per row, deferring the
+     interacting columns.  Rows write disjoint slots of [inter], so
+     the domains share the array. *)
+  let inter = Array.make nc [||] in
+  let partials_a =
+    steal_map ~domains (Array.init nc Fun.id)
+      ~init:(fun _ -> pair_state ())
+      ~step:(fun ps i ->
+        let defer = ref [] in
+        pair_row_defer pq ps i ~defer:(fun j -> defer := j :: !defer);
+        if !defer <> [] then inter.(i) <- Array.of_list (List.rev !defer))
+      ~finish:(fun ps -> (ps, None))
+  in
+  (* Phase 2b: lane-batch-granular steal units.  Per interacting row,
+     [Engine.lane_plan] shape-groups the partner summaries (fast
+     classes aside, dead-port batches apart) and every batch becomes
+     one item; the row's secondary baseline is built once, on first
+     use, by whichever domain gets there first. *)
+  let items =
+    let acc = ref [] in
+    for i = 0 to nc - 1 do
+      let js = inter.(i) in
+      if Array.length js > 0 then begin
+        let sms = Array.map (fun j -> pq.pq_sms.(j)) js in
+        let fast, batches = Engine.lane_plan base sms in
+        if fast <> [] then
+          acc :=
+            Pi_scalar (i, Array.of_list (List.map (Array.get js) fast))
+            :: !acc;
+        List.iter
+          (fun idxs -> acc := Pi_batch (i, Array.map (Array.get js) idxs) :: !acc)
+          batches
+      end
+    done;
+    Array.of_list (List.rev !acc)
+  in
+  let sc = pair_stacks_of warm ~full ~model in
+  let partials_b =
+    steal_map ~domains items
+      ~init:(fun _ -> pair_state ())
+      ~step:(fun ps item ->
+        let stack_for i =
+          let s, built =
+            stack_cached sc
+              (fun i -> Engine.stack ctx base pq.pq_sms.(i))
+              i
           in
-          match item with
-          | Pi_scalar (i, js) ->
-              let stk = stack_for i in
-              Array.iter
-                (fun j ->
-                  let v, _ = Engine.analyze_delta_on ctx stk pq.pq_sms.(j) in
-                  let segs, bits = count_verdict net v in
-                  pair_interact_add pq ps i j ~segs ~bits)
-                js;
-              ps.ps_lanes <-
-                merge_lanes ps.ps_lanes
-                  (Some
-                     {
-                       Engine.lane_stats_zero with
-                       Engine.ls_fast = Array.length js;
-                     })
-          | Pi_batch (i, js) ->
-              let stk = stack_for i in
-              let batch = Array.map (fun j -> pq.pq_sms.(j)) js in
-              let vs, st = Engine.analyze_lane_batch_on ctx stk batch in
-              ps.ps_lanes <- merge_lanes ps.ps_lanes (Some st);
-              Array.iteri
-                (fun l j ->
-                  let segs, bits = count_verdict net (fst vs.(l)) in
-                  pair_interact_add pq ps i j ~segs ~bits)
-                js)
-        ~finish:(fun ps -> (ps, None))
-    in
-    let r = finish_pair_partials ~net ~nclasses:nc (partials_a @ partials_b) in
-    { r with steals = r.steals + prep_steals }
-  end
+          if built then ps.ps_stacks <- ps.ps_stacks + 1;
+          s
+        in
+        match item with
+        | Pi_scalar (i, js) ->
+            let stk = stack_for i in
+            Array.iter
+              (fun j ->
+                let v, _ = Engine.analyze_delta_on ctx stk pq.pq_sms.(j) in
+                let segs, bits = count_verdict net v in
+                pair_interact_add pq ps i j ~segs ~bits)
+              js;
+            ps.ps_lanes <-
+              merge_lanes ps.ps_lanes
+                (Some
+                   {
+                     Engine.lane_stats_zero with
+                     Engine.ls_fast = Array.length js;
+                   })
+        | Pi_batch (i, js) ->
+            let stk = stack_for i in
+            let batch = Array.map (fun j -> pq.pq_sms.(j)) js in
+            let vs, st = Engine.analyze_lane_batch_on ctx stk batch in
+            ps.ps_lanes <- merge_lanes ps.ps_lanes (Some st);
+            Array.iteri
+              (fun l j ->
+                let segs, bits = count_verdict net (fst vs.(l)) in
+                pair_interact_add pq ps i j ~segs ~bits)
+              js)
+      ~finish:(fun ps -> (ps, None))
+  in
+  let r = finish_pair_partials ~net ~nclasses:nc (partials_a @ partials_b) in
+  { r with steals = r.steals + prep_steals }
 
 let evaluate_pairs_reduced_bmc ~domains ~certify ~inprocess ?warm ~full
     ~model net faults =
@@ -1467,8 +1384,7 @@ let evaluate_pairs_reduced_bmc ~domains ~certify ~inprocess ?warm ~full
 
 let evaluate_pairs ?(sample = 37) ?fault_sample ?(domains = 1)
     ?(engine = `Structural) ?(exhaustive = false) ?(reduce = true)
-    ?(certify = false) ?(inprocess = true) ?(lanes = true)
-    ?(model = Fault.Stuck) ?warm net =
+    ?(certify = false) ?(inprocess = true) ?(model = Fault.Stuck) ?warm net =
   if certify && engine <> `Bmc then
     invalid_arg "Metric.evaluate_pairs: ~certify:true requires ~engine:`Bmc";
   if model = Fault.Transient then
@@ -1482,8 +1398,8 @@ let evaluate_pairs ?(sample = 37) ?fault_sample ?(domains = 1)
   if exhaustive && reduce then
     match engine with
     | `Structural ->
-        evaluate_pairs_reduced_structural ~domains ?warm ~full ~lanes ~model
-          net faults
+        evaluate_pairs_reduced_structural ~domains ?warm ~full ~model net
+          faults
     | `Bmc ->
         evaluate_pairs_reduced_bmc ~domains ~certify ~inprocess ?warm ~full
           ~model net faults

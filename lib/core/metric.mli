@@ -18,9 +18,14 @@
       weight and member count, so the aggregates are unchanged);
     - each class verdict is computed as a cone-of-influence delta against
       the fault-free baseline — only segments the fault can disturb are
-      re-analyzed ({!Ftrsn_access.Engine.analyze_delta}, or
-      [Bmc.Session.check_targets ~only] for the BMC engine), the
-      fault-free verdict is spliced in for the rest.
+      re-analyzed, the fault-free verdict is spliced in for the rest.  On
+      the structural engine the classes sweep in lane batches of up to
+      {!Ftrsn_access.Engine.lane_width} per fixpoint
+      ({!Ftrsn_access.Engine.analyze_lane_batch}); only the fast-path
+      classes {!Ftrsn_access.Engine.lane_plan} sets aside take one
+      {!Ftrsn_access.Engine.analyze_delta} each.  The BMC engine
+      restricts its SAT sweep to the cone
+      ([Bmc.Session.check_targets ~only]).
 
     Both reductions are exact: the reduced result is bit-identical to the
     brute-force one ([~reduce:false]) in every [result] field.  All
@@ -55,8 +60,8 @@ type solver_stats = {
       (** CPU seconds spent RUP-verifying (lemma checks + UNSAT
           certifications; cheap mirror/delete events are untimed) *)
 }
-(** Cumulative SAT statistics over every session the evaluation used;
-    merging partial results sums them. *)
+(** Cumulative SAT statistics over every session the evaluation used
+    (summed over the per-domain sessions). *)
 
 type reduction_stats = {
   r_universe : int;  (** faults in the (sampled) universe *)
@@ -116,8 +121,8 @@ type result = {
       (** [Some] iff the exhaustive reduced pair sweep produced the result *)
   pair_lanes : Ftrsn_access.Engine.lane_stats option;
       (** [Some] iff the lane-parallel stacked pair path produced the
-          interacting-pair verdicts (structural exhaustive sweep with
-          [lanes = true]): one entry per secondary-baseline batch swept
+          interacting-pair verdicts (structural exhaustive sweep): one
+          entry per secondary-baseline batch swept
           by {!Ftrsn_access.Engine.analyze_lane_batch_on}, plus the
           fast-path partner deltas in [ls_fast].  Deterministic — a
           function of the class universe and the disjointness gates, not
@@ -176,6 +181,11 @@ val warm_session_stats :
   warm -> (bool * Ftrsn_bmc.Bmc.Session.stats) list
 (** [(certified, stats)] of each currently idle session — the service
     [stats] query's per-session solver health. *)
+
+val solver_stats_of_session : Ftrsn_bmc.Bmc.Session.stats -> solver_stats
+(** One session's counters as a {!solver_stats} (the [s_cert_*] fields
+    are zero for an uncertified session) — the only conversion from
+    session counters, used by the evaluators and the service pool. *)
 
 val evaluate :
   ?sample:int ->
@@ -242,7 +252,6 @@ val evaluate_pairs :
   ?reduce:bool ->
   ?certify:bool ->
   ?inprocess:bool ->
-  ?lanes:bool ->
   ?model:Ftrsn_fault.Fault.model ->
   ?warm:warm ->
   Ftrsn_rsn.Netlist.t ->
@@ -263,20 +272,19 @@ val evaluate_pairs :
     answered arithmetically from the two single-fault verdicts, whose
     pointwise AND the pair verdict provably equals; only the remaining
     interacting pairs run an engine.  On the structural engine the
-    interacting pairs are lane-parallel by default ([lanes], default
-    [true]): pairs are grouped by first class, each group's secondary
-    baseline is built once (memoized in an LRU-bounded stack cache,
-    shared with the warm state's phase-1 pair tables on full sweeps)
-    and up to {!Ftrsn_access.Engine.lane_width} second classes sweep
-    against it per fixpoint
-    ({!Ftrsn_access.Engine.analyze_lane_batch_on}); [lanes:false] is the
-    scalar ablation (one {!Ftrsn_access.Engine.analyze_delta_on} per
-    pair).  The BMC engine runs a cone-restricted SAT sweep of each
-    merged summary.  The result is bit-identical to the brute pair
-    enumeration ([reduce:false]) — and across [lanes] — in every field,
-    sequentially and for any [domains]; [result.pairs] reports the
-    dispatch statistics and [result.pair_lanes] the stacked-batch lane
-    statistics.
+    interacting pairs are lane-parallel: pairs are grouped by first
+    class, each group's secondary baseline is built once (memoized in an
+    LRU-bounded stack cache, shared with the warm state's phase-1 pair
+    tables on full sweeps) and up to {!Ftrsn_access.Engine.lane_width}
+    second classes sweep against it per fixpoint
+    ({!Ftrsn_access.Engine.analyze_lane_batch_on}); only the fast-path
+    partners {!Ftrsn_access.Engine.lane_plan} sets aside take one
+    {!Ftrsn_access.Engine.analyze_delta_on} each.  The BMC engine runs
+    a cone-restricted SAT sweep of each merged summary.  The result is
+    bit-identical to the brute pair enumeration ([reduce:false]) in
+    every field, sequentially and for any [domains]; [result.pairs]
+    reports the dispatch statistics and [result.pair_lanes] the
+    stacked-batch lane statistics.
 
     Without [exhaustive] the quadratic universe is subsampled: [sample]
     (default 37) keeps every k-th pair of a deterministic enumeration —
@@ -290,8 +298,7 @@ val evaluate_pairs :
     the discovery pass (gates + pure counting) steals first-class rows,
     then each secondary-baseline lane batch is one steal unit — so
     stealing never shreds a batch, and a heavy row's batches spread
-    across domains instead of serializing on one ([lanes:false] falls
-    back to row granularity).  Pair costs are highly skewed (port and
+    across domains instead of serializing on one.  Pair costs are highly skewed (port and
     trunk faults force whole-graph re-analysis), which used to leave
     the statically-chunked first domain the straggler.
 
@@ -314,13 +321,6 @@ val steal_map :
     spawning).  Exact whenever the fold is commutative — the evaluators
     use integer accumulators so their results are bit-identical to the
     sequential fold. *)
-
-val merge : result -> result -> result
-(** Recombination of two partial results (min of worsts, weighted mean of
-    averages, sums of counts, solver and reduction stats).  The averages
-    recombine through floats, so prefer a single [evaluate] call when
-    bit-exactness matters — the internal accumulators are integers and
-    need no such recombination. *)
 
 val pp : Format.formatter -> result -> unit
 

@@ -167,14 +167,8 @@ type t = {
          disqualifies the variable from BVE for good. *)
   mutable elim_stack : elim list;    (* newest first *)
   mutable proof_sink : (proof_event -> unit) option;
-  (* feature switches (bench ablation / test hooks) *)
-  mutable cfg_minimize : bool;
-  mutable cfg_lbd_tiers : bool;
+  (* feature switches (test hooks, inprocessing ablation) *)
   mutable cfg_learnt_limit : int option;
-  mutable cfg_phase_saving : bool;
-      (* When off, decisions ignore [polarity] and always pick the
-         default (false) phase.  [cancel_until] keeps writing [polarity]
-         regardless: the model contract of [value] depends on it. *)
   mutable cfg_inprocess : bool;
       (* When off, [inprocess] is a no-op — callers schedule passes
          unconditionally and this switch is the single ablation point. *)
@@ -231,10 +225,7 @@ let create () =
     revived = Array.make 16 false;
     elim_stack = [];
     proof_sink = None;
-    cfg_minimize = true;
-    cfg_lbd_tiers = true;
     cfg_learnt_limit = None;
-    cfg_phase_saving = true;
     cfg_inprocess = true;
   }
 
@@ -275,10 +266,7 @@ let search_stats s =
     st_simp_passes = s.simp_passes;
   }
 
-let set_minimize s b = s.cfg_minimize <- b
-let set_lbd_tiers s b = s.cfg_lbd_tiers <- b
 let set_learnt_limit s n = s.cfg_learnt_limit <- n
-let set_phase_saving s b = s.cfg_phase_saving <- b
 let set_inprocess s b = s.cfg_inprocess <- b
 let set_proof_sink s sink = s.proof_sink <- sink
 
@@ -864,19 +852,16 @@ let analyze s confl =
   done;
   s.learnt_lits <- s.learnt_lits + List.length !learnt + 1;
   let kept =
-    if not s.cfg_minimize then !learnt
-    else begin
-      let abstract_levels =
-        List.fold_left
-          (fun m q -> m lor abstract_level s (lit_var q))
-          0 !learnt
-      in
-      List.filter
-        (fun q ->
-          s.reason.(lit_var q) == dummy_clause
-          || not (lit_redundant s abstract_levels q to_clear))
-        !learnt
-    end
+    let abstract_levels =
+      List.fold_left
+        (fun m q -> m lor abstract_level s (lit_var q))
+        0 !learnt
+    in
+    List.filter
+      (fun q ->
+        s.reason.(lit_var q) == dummy_clause
+        || not (lit_redundant s abstract_levels q to_clear))
+      !learnt
   in
   s.minimized_lits <-
     s.minimized_lits + (List.length !learnt - List.length kept);
@@ -923,8 +908,7 @@ let locked s c =
 
 (* Glucose-style two-tier reduction: glue clauses (LBD <= 2), binaries and
    locked clauses are kept; the rest sort worst-first (highest LBD, then
-   lowest activity) and the worse half is deleted.  With [cfg_lbd_tiers]
-   off the candidate set and order degrade to the activity-only policy. *)
+   lowest activity) and the worse half is deleted. *)
 let reduce_db s =
   compact_learnts s;
   let cand = ref [] and ncand = ref 0 in
@@ -933,7 +917,7 @@ let reduce_db s =
     if
       Array.length c.lits > 2
       && (not (locked s c))
-      && ((not s.cfg_lbd_tiers) || c.lbd > 2)
+      && c.lbd > 2
     then begin
       cand := c :: !cand;
       incr ncand
@@ -942,7 +926,7 @@ let reduce_db s =
   let arr = Array.of_list !cand in
   Array.sort
     (fun a b ->
-      if s.cfg_lbd_tiers && a.lbd <> b.lbd then Int.compare b.lbd a.lbd
+      if a.lbd <> b.lbd then Int.compare b.lbd a.lbd
       else Float.compare a.act b.act)
     arr;
   for i = 0 to (!ncand / 2) - 1 do
@@ -1621,7 +1605,7 @@ let solve ?(assumptions = []) s =
                   push_level s;
                   enqueue s
                     ((2 * v)
-                    + if s.cfg_phase_saving && s.polarity.(v) then 0 else 1)
+                    + if s.polarity.(v) then 0 else 1)
                     dummy_clause
                 end
               end

@@ -145,17 +145,9 @@ val search_stats : t -> search_stats
 
 (** {2 Feature switches}
 
-    Test and benchmark-ablation hooks; the defaults are the fast
+    Test hooks and the inprocessing ablation; the defaults are the fast
     configuration and there is no reason to change them in normal use.
-    All four are sound to flip at any point between [solve] calls. *)
-
-val set_minimize : t -> bool -> unit
-(** Enables/disables learnt-clause minimization (default [true]).
-    Minimized clauses remain RUP, so proof logging is unaffected. *)
-
-val set_lbd_tiers : t -> bool -> unit
-(** Enables/disables the LBD-tiered reduction policy (default [true]);
-    disabled, [reduce_db] falls back to activity-only ranking. *)
+    Both are sound to flip at any point between [solve] calls. *)
 
 val set_learnt_limit : t -> int option -> unit
 (** Overrides the learnt-database size that triggers a reduction
@@ -163,19 +155,10 @@ val set_learnt_limit : t -> int option -> unit
     [2 * problem clauses + 1000].  [Some 0] forces a reduction after
     every root-level return — useful to exercise reduction in tests. *)
 
-val set_phase_saving : t -> bool -> unit
-(** Enables/disables phase saving (default [true]).  Disabled, every
-    decision picks the default (negative) phase instead of the variable's
-    last assigned value.  Answers and proofs stay sound either way — only
-    the search trajectory changes.  Models of unconstrained variables
-    still report the saved phase; the save itself is never switched off
-    (the {!value} contract depends on it). *)
-
 val set_inprocess : t -> bool -> unit
 (** Enables/disables inprocessing (default [true]).  Disabled,
     {!inprocess} is a no-op — callers schedule passes unconditionally and
-    this switch is the single ablation point, mirroring the phase-saving
-    hook. *)
+    this switch is the single ablation point. *)
 
 (** {2 DRUP proof logging}
 

@@ -311,6 +311,7 @@ let get_opt k v =
 
 let to_str = function Str s -> s | _ -> fail "expected a string"
 let to_list = function List l -> l | _ -> fail "expected an array"
+let to_obj = function Obj l -> l | _ -> fail "expected an object"
 
 let to_float = function
   | Int i -> float_of_int i

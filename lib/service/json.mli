@@ -54,3 +54,4 @@ val to_float : t -> float
 
 val to_str : t -> string
 val to_list : t -> t list
+val to_obj : t -> (string * t) list

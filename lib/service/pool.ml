@@ -286,34 +286,6 @@ let session_stats t =
                Response.se_net = e.e_key;
                se_certified = cert;
                se_queries = st.Ftrsn_bmc.Bmc.Session.queries;
-               se_solver =
-                 Response.solver_r_of_stats
-                   {
-                     Metric.s_conflicts = st.Ftrsn_bmc.Bmc.Session.conflicts;
-                     s_decisions = st.decisions;
-                     s_propagations = st.propagations;
-                     s_restarts = st.restarts;
-                     s_learnt_lits = st.learnt_lits;
-                     s_minimized_lits = st.minimized_lits;
-                     s_reductions = st.reductions;
-                     s_learnt_db = st.learnt_db;
-                     s_clauses_emitted = st.clauses_emitted;
-                     s_nodes_reused = st.nodes_reused;
-                     s_subsumed = st.subsumed;
-                     s_strengthened_lits = st.strengthened_lits;
-                     s_eliminated_vars = st.eliminated_vars;
-                     s_vivified_lits = st.vivified_lits;
-                     s_simp_passes = st.simp_passes;
-                     s_cert_unsat =
-                       (match st.cert with Some c -> c.cert_unsat | None -> 0);
-                     s_cert_lemmas =
-                       (match st.cert with Some c -> c.cert_lemmas | None -> 0);
-                     s_cert_deletes =
-                       (match st.cert with
-                       | Some c -> c.cert_deletes
-                       | None -> 0);
-                     s_cert_time =
-                       (match st.cert with Some c -> c.cert_time | None -> 0.0);
-                   };
+               se_solver = Metric.solver_stats_of_session st;
              })
            (Metric.warm_session_stats e.e_warm))

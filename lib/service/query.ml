@@ -43,7 +43,6 @@ type pairs_q = {
   pq_engine : engine;
   pq_reduce : bool;
   pq_inprocess : bool;
-  pq_lanes : bool;
   pq_model : Fault.model;
   pq_with_stats : bool;
 }
@@ -127,11 +126,6 @@ let encode = function
             ("engine", Json.Str (engine_str q.pq_engine));
             ("reduce", Json.Bool q.pq_reduce);
             ("inprocess", Json.Bool q.pq_inprocess);
-          ]
-        (* default-true: emitted only when disabled, keeping the wire
-           form of pre-lane queries unchanged *)
-        @ (if q.pq_lanes then [] else [ ("pair_lanes", Json.Bool false) ])
-        @ [
             model_field q.pq_model;
             ("with_stats", Json.Bool q.pq_with_stats);
           ])
@@ -247,7 +241,6 @@ let decode v =
           pq_engine = decode_engine v;
           pq_reduce = Json.get_bool_default "reduce" true v;
           pq_inprocess = Json.get_bool_default "inprocess" true v;
-          pq_lanes = Json.get_bool_default "pair_lanes" true v;
           pq_model = decode_model v;
           pq_with_stats = Json.get_bool_default "with_stats" false v;
         }

@@ -53,11 +53,6 @@ type pairs_q = {
   pq_engine : engine;
   pq_reduce : bool;
   pq_inprocess : bool;
-  pq_lanes : bool;
-      (** lane-parallel interacting-pair sweep (wire field
-          ["pair_lanes"], default true; emitted only when disabled).
-          [false] forces the scalar stacked path — same results,
-          ablation/debug only *)
   pq_model : Ftrsn_fault.Fault.model;
       (** as [mq_model]; [Transient] is rejected with the
           [unsupported] error (pairs undefined) *)

@@ -1,4 +1,5 @@
 module Metric = Ftrsn_core.Metric
+module Engine = Ftrsn_access.Engine
 
 type error_code =
   | Bad_request
@@ -8,58 +9,11 @@ type error_code =
   | Internal
   | Unsupported
 
-type solver_r = {
-  so_conflicts : int;
-  so_decisions : int;
-  so_propagations : int;
-  so_restarts : int;
-  so_learnt_lits : int;
-  so_minimized_lits : int;
-  so_reductions : int;
-  so_learnt_db : int;
-  so_clauses_emitted : int;
-  so_nodes_reused : int;
-  so_subsumed : int;
-  so_strengthened : int;
-  so_eliminated : int;
-  so_vivified : int;
-  so_simp_passes : int;
-  so_cert_unsat : int;
-  so_cert_lemmas : int;
-  so_cert_deletes : int;
-  so_cert_time : float;
-}
-
-type reduction_r = {
-  rd_universe : int;
-  rd_classes : int;
-  rd_benign : int;
-  rd_cone_sum : int;
-  rd_cone_max : int;
-}
-
-type pairdisp_r = {
-  pd_classes : int;
-  pd_class_pairs : int;
-  pd_diagonal : int;
-  pd_disjoint : int;
-  pd_stacked : int;
-}
-
-type lanes_r = {
-  la_batches : int;
-  la_lanes : int;
-  la_masked : int;
-  la_fast : int;
-  la_rounds : int;
-}
-
 type metric_stats_r = {
   ms_steals : int;
-  ms_stacks : int option;
-  ms_solver : solver_r option;
-  ms_lanes : lanes_r option;
-  ms_pair_lanes : lanes_r option;
+  ms_solver : Metric.solver_stats option;
+  ms_lanes : Engine.lane_stats option;
+  ms_pair_lanes : Engine.lane_stats option;
 }
 
 type metric_r = {
@@ -69,74 +23,10 @@ type metric_r = {
   mr_avg_bits : float;
   mr_faults : int;
   mr_weight : int;
-  mr_reduction : reduction_r option;
-  mr_pairs : pairdisp_r option;
+  mr_reduction : Metric.reduction_stats option;
+  mr_pairs : Metric.pair_stats option;
   mr_stats : metric_stats_r option;
 }
-
-let solver_r_of_stats (s : Metric.solver_stats) =
-  {
-    so_conflicts = s.Metric.s_conflicts;
-    so_decisions = s.Metric.s_decisions;
-    so_propagations = s.Metric.s_propagations;
-    so_restarts = s.Metric.s_restarts;
-    so_learnt_lits = s.Metric.s_learnt_lits;
-    so_minimized_lits = s.Metric.s_minimized_lits;
-    so_reductions = s.Metric.s_reductions;
-    so_learnt_db = s.Metric.s_learnt_db;
-    so_clauses_emitted = s.Metric.s_clauses_emitted;
-    so_nodes_reused = s.Metric.s_nodes_reused;
-    so_subsumed = s.Metric.s_subsumed;
-    so_strengthened = s.Metric.s_strengthened_lits;
-    so_eliminated = s.Metric.s_eliminated_vars;
-    so_vivified = s.Metric.s_vivified_lits;
-    so_simp_passes = s.Metric.s_simp_passes;
-    so_cert_unsat = s.Metric.s_cert_unsat;
-    so_cert_lemmas = s.Metric.s_cert_lemmas;
-    so_cert_deletes = s.Metric.s_cert_deletes;
-    so_cert_time = s.Metric.s_cert_time;
-  }
-
-let stats_of_solver_r s =
-  {
-    Metric.s_conflicts = s.so_conflicts;
-    s_decisions = s.so_decisions;
-    s_propagations = s.so_propagations;
-    s_restarts = s.so_restarts;
-    s_learnt_lits = s.so_learnt_lits;
-    s_minimized_lits = s.so_minimized_lits;
-    s_reductions = s.so_reductions;
-    s_learnt_db = s.so_learnt_db;
-    s_clauses_emitted = s.so_clauses_emitted;
-    s_nodes_reused = s.so_nodes_reused;
-    s_subsumed = s.so_subsumed;
-    s_strengthened_lits = s.so_strengthened;
-    s_eliminated_vars = s.so_eliminated;
-    s_vivified_lits = s.so_vivified;
-    s_simp_passes = s.so_simp_passes;
-    s_cert_unsat = s.so_cert_unsat;
-    s_cert_lemmas = s.so_cert_lemmas;
-    s_cert_deletes = s.so_cert_deletes;
-    s_cert_time = s.so_cert_time;
-  }
-
-let lanes_r_of_stats (l : Ftrsn_access.Engine.lane_stats) =
-  {
-    la_batches = l.Ftrsn_access.Engine.ls_batches;
-    la_lanes = l.Ftrsn_access.Engine.ls_lanes;
-    la_masked = l.Ftrsn_access.Engine.ls_masked;
-    la_fast = l.Ftrsn_access.Engine.ls_fast;
-    la_rounds = l.Ftrsn_access.Engine.ls_rounds;
-  }
-
-let stats_of_lanes_r l =
-  {
-    Ftrsn_access.Engine.ls_batches = l.la_batches;
-    ls_lanes = l.la_lanes;
-    ls_masked = l.la_masked;
-    ls_fast = l.la_fast;
-    ls_rounds = l.la_rounds;
-  }
 
 let metric_r_of_result ~with_stats (r : Metric.result) =
   {
@@ -146,44 +36,25 @@ let metric_r_of_result ~with_stats (r : Metric.result) =
     mr_avg_bits = r.Metric.avg_bits;
     mr_faults = r.Metric.faults;
     mr_weight = r.Metric.total_weight;
-    mr_reduction =
-      Option.map
-        (fun (red : Metric.reduction_stats) ->
-          {
-            rd_universe = red.Metric.r_universe;
-            rd_classes = red.Metric.r_classes;
-            rd_benign = red.Metric.r_benign;
-            rd_cone_sum = red.Metric.r_cone_sum;
-            rd_cone_max = red.Metric.r_cone_max;
-          })
-        r.Metric.reduction;
+    mr_reduction = r.Metric.reduction;
     mr_pairs =
-      Option.map
-        (fun (p : Metric.pair_stats) ->
-          {
-            pd_classes = p.Metric.p_classes;
-            pd_class_pairs = p.Metric.p_class_pairs;
-            pd_diagonal = p.Metric.p_diagonal;
-            pd_disjoint = p.Metric.p_disjoint;
-            pd_stacked = p.Metric.p_stacked;
-          })
-        r.Metric.pairs;
+      (if with_stats then r.Metric.pairs
+       else
+         Option.map (fun p -> { p with Metric.p_stacks = 0 }) r.Metric.pairs);
     mr_stats =
       (if not with_stats then None
        else
          Some
            {
              ms_steals = r.Metric.steals;
-             ms_stacks =
-               Option.map (fun (p : Metric.pair_stats) -> p.Metric.p_stacks)
-                 r.Metric.pairs;
-             ms_solver = Option.map solver_r_of_stats r.Metric.solver;
-             ms_lanes = Option.map lanes_r_of_stats r.Metric.lanes;
-             ms_pair_lanes = Option.map lanes_r_of_stats r.Metric.pair_lanes;
+             ms_solver = r.Metric.solver;
+             ms_lanes = r.Metric.lanes;
+             ms_pair_lanes = r.Metric.pair_lanes;
            });
   }
 
 let result_of_metric_r m =
+  let stat f = Option.bind m.mr_stats f in
   {
     Metric.worst_segments = m.mr_worst_segments;
     avg_segments = m.mr_avg_segments;
@@ -192,44 +63,11 @@ let result_of_metric_r m =
     faults = m.mr_faults;
     total_weight = m.mr_weight;
     steals = (match m.mr_stats with Some s -> s.ms_steals | None -> 0);
-    solver =
-      (match m.mr_stats with
-      | Some { ms_solver = Some s; _ } -> Some (stats_of_solver_r s)
-      | _ -> None);
-    lanes =
-      (match m.mr_stats with
-      | Some { ms_lanes = Some l; _ } -> Some (stats_of_lanes_r l)
-      | _ -> None);
-    pair_lanes =
-      (match m.mr_stats with
-      | Some { ms_pair_lanes = Some l; _ } -> Some (stats_of_lanes_r l)
-      | _ -> None);
-    reduction =
-      Option.map
-        (fun rd ->
-          {
-            Metric.r_universe = rd.rd_universe;
-            r_classes = rd.rd_classes;
-            r_benign = rd.rd_benign;
-            r_cone_sum = rd.rd_cone_sum;
-            r_cone_max = rd.rd_cone_max;
-          })
-        m.mr_reduction;
-    pairs =
-      Option.map
-        (fun pd ->
-          {
-            Metric.p_classes = pd.pd_classes;
-            p_class_pairs = pd.pd_class_pairs;
-            p_diagonal = pd.pd_diagonal;
-            p_disjoint = pd.pd_disjoint;
-            p_stacked = pd.pd_stacked;
-            p_stacks =
-              (match m.mr_stats with
-              | Some { ms_stacks = Some s; _ } -> s
-              | _ -> 0);
-          })
-        m.mr_pairs;
+    solver = stat (fun s -> s.ms_solver);
+    lanes = stat (fun s -> s.ms_lanes);
+    pair_lanes = stat (fun s -> s.ms_pair_lanes);
+    reduction = m.mr_reduction;
+    pairs = m.mr_pairs;
   }
 
 type plan_r = {
@@ -275,7 +113,7 @@ type session_r = {
   se_net : string;
   se_certified : bool;
   se_queries : int;
-  se_solver : solver_r;
+  se_solver : Metric.solver_stats;
 }
 
 type stats_r = { st_pool : pool_r; st_sessions : session_r list }
@@ -322,142 +160,122 @@ let code_of_str = function
   | "internal" -> Internal
   | s -> raise (Json.Parse_error (Printf.sprintf "unknown error code %S" s))
 
-let enc_solver s =
+let enc_solver (s : Metric.solver_stats) =
   Json.Obj
     [
-      ("conflicts", Json.Int s.so_conflicts);
-      ("decisions", Json.Int s.so_decisions);
-      ("propagations", Json.Int s.so_propagations);
-      ("restarts", Json.Int s.so_restarts);
-      ("learnt_lits", Json.Int s.so_learnt_lits);
-      ("minimized_lits", Json.Int s.so_minimized_lits);
-      ("reductions", Json.Int s.so_reductions);
-      ("learnt_db", Json.Int s.so_learnt_db);
-      ("clauses_emitted", Json.Int s.so_clauses_emitted);
-      ("nodes_reused", Json.Int s.so_nodes_reused);
-      ("subsumed", Json.Int s.so_subsumed);
-      ("strengthened", Json.Int s.so_strengthened);
-      ("eliminated", Json.Int s.so_eliminated);
-      ("vivified", Json.Int s.so_vivified);
-      ("simp_passes", Json.Int s.so_simp_passes);
-      ("cert_unsat", Json.Int s.so_cert_unsat);
-      ("cert_lemmas", Json.Int s.so_cert_lemmas);
-      ("cert_deletes", Json.Int s.so_cert_deletes);
-      ("cert_time", Json.Float s.so_cert_time);
+      ("conflicts", Json.Int s.s_conflicts);
+      ("decisions", Json.Int s.s_decisions);
+      ("propagations", Json.Int s.s_propagations);
+      ("restarts", Json.Int s.s_restarts);
+      ("learnt_lits", Json.Int s.s_learnt_lits);
+      ("minimized_lits", Json.Int s.s_minimized_lits);
+      ("reductions", Json.Int s.s_reductions);
+      ("learnt_db", Json.Int s.s_learnt_db);
+      ("clauses_emitted", Json.Int s.s_clauses_emitted);
+      ("nodes_reused", Json.Int s.s_nodes_reused);
+      ("subsumed", Json.Int s.s_subsumed);
+      ("strengthened", Json.Int s.s_strengthened_lits);
+      ("eliminated", Json.Int s.s_eliminated_vars);
+      ("vivified", Json.Int s.s_vivified_lits);
+      ("simp_passes", Json.Int s.s_simp_passes);
+      ("cert_unsat", Json.Int s.s_cert_unsat);
+      ("cert_lemmas", Json.Int s.s_cert_lemmas);
+      ("cert_deletes", Json.Int s.s_cert_deletes);
+      ("cert_time", Json.Float s.s_cert_time);
     ]
 
 let dec_solver v =
   {
-    so_conflicts = Json.get_int "conflicts" v;
-    so_decisions = Json.get_int "decisions" v;
-    so_propagations = Json.get_int "propagations" v;
-    so_restarts = Json.get_int "restarts" v;
-    so_learnt_lits = Json.get_int "learnt_lits" v;
-    so_minimized_lits = Json.get_int "minimized_lits" v;
-    so_reductions = Json.get_int "reductions" v;
-    so_learnt_db = Json.get_int "learnt_db" v;
-    so_clauses_emitted = Json.get_int "clauses_emitted" v;
-    so_nodes_reused = Json.get_int "nodes_reused" v;
-    so_subsumed = Json.get_int "subsumed" v;
-    so_strengthened = Json.get_int "strengthened" v;
-    so_eliminated = Json.get_int "eliminated" v;
-    so_vivified = Json.get_int "vivified" v;
-    so_simp_passes = Json.get_int "simp_passes" v;
-    so_cert_unsat = Json.get_int "cert_unsat" v;
-    so_cert_lemmas = Json.get_int "cert_lemmas" v;
-    so_cert_deletes = Json.get_int "cert_deletes" v;
-    so_cert_time = Json.to_float (Json.get "cert_time" v);
+    Metric.s_conflicts = Json.get_int "conflicts" v;
+    s_decisions = Json.get_int "decisions" v;
+    s_propagations = Json.get_int "propagations" v;
+    s_restarts = Json.get_int "restarts" v;
+    s_learnt_lits = Json.get_int "learnt_lits" v;
+    s_minimized_lits = Json.get_int "minimized_lits" v;
+    s_reductions = Json.get_int "reductions" v;
+    s_learnt_db = Json.get_int "learnt_db" v;
+    s_clauses_emitted = Json.get_int "clauses_emitted" v;
+    s_nodes_reused = Json.get_int "nodes_reused" v;
+    s_subsumed = Json.get_int "subsumed" v;
+    s_strengthened_lits = Json.get_int "strengthened" v;
+    s_eliminated_vars = Json.get_int "eliminated" v;
+    s_vivified_lits = Json.get_int "vivified" v;
+    s_simp_passes = Json.get_int "simp_passes" v;
+    s_cert_unsat = Json.get_int "cert_unsat" v;
+    s_cert_lemmas = Json.get_int "cert_lemmas" v;
+    s_cert_deletes = Json.get_int "cert_deletes" v;
+    s_cert_time = Json.to_float (Json.get "cert_time" v);
   }
 
-let enc_lanes l =
+let enc_lanes (l : Engine.lane_stats) =
   Json.Obj
     [
-      ("batches", Json.Int l.la_batches);
-      ("lanes", Json.Int l.la_lanes);
-      ("masked", Json.Int l.la_masked);
-      ("fast", Json.Int l.la_fast);
-      ("rounds", Json.Int l.la_rounds);
+      ("batches", Json.Int l.ls_batches);
+      ("lanes", Json.Int l.ls_lanes);
+      ("masked", Json.Int l.ls_masked);
+      ("fast", Json.Int l.ls_fast);
+      ("rounds", Json.Int l.ls_rounds);
     ]
 
 let dec_lanes l =
   {
-    la_batches = Json.get_int "batches" l;
-    la_lanes = Json.get_int "lanes" l;
-    la_masked = Json.get_int "masked" l;
-    la_fast = Json.get_int "fast" l;
-    la_rounds = Json.get_int "rounds" l;
+    Engine.ls_batches = Json.get_int "batches" l;
+    ls_lanes = Json.get_int "lanes" l;
+    ls_masked = Json.get_int "masked" l;
+    ls_fast = Json.get_int "fast" l;
+    ls_rounds = Json.get_int "rounds" l;
   }
 
+let opt_field k enc = function None -> [] | Some v -> [ (k, enc v) ]
+
+(* [p_stacks] depends on the domain split, so it is encoded only in the
+   volatile "stats" block; the deterministic "pairs" object omits it. *)
 let enc_metric m =
-  let base =
-    [
-      ("worst_segments", Json.Float m.mr_worst_segments);
-      ("avg_segments", Json.Float m.mr_avg_segments);
-      ("worst_bits", Json.Float m.mr_worst_bits);
-      ("avg_bits", Json.Float m.mr_avg_bits);
-      ("faults", Json.Int m.mr_faults);
-      ("weight", Json.Int m.mr_weight);
-    ]
-  in
-  let reduction =
-    match m.mr_reduction with
-    | None -> []
-    | Some r ->
-        [
-          ( "reduction",
-            Json.Obj
-              [
-                ("universe", Json.Int r.rd_universe);
-                ("classes", Json.Int r.rd_classes);
-                ("benign", Json.Int r.rd_benign);
-                ("cone_sum", Json.Int r.rd_cone_sum);
-                ("cone_max", Json.Int r.rd_cone_max);
-              ] );
-        ]
-  in
-  let pairs =
-    match m.mr_pairs with
-    | None -> []
-    | Some p ->
-        [
-          ( "pairs",
-            Json.Obj
-              [
-                ("classes", Json.Int p.pd_classes);
-                ("class_pairs", Json.Int p.pd_class_pairs);
-                ("diagonal", Json.Int p.pd_diagonal);
-                ("disjoint", Json.Int p.pd_disjoint);
-                ("stacked", Json.Int p.pd_stacked);
-              ] );
-        ]
-  in
-  let stats =
-    match m.mr_stats with
-    | None -> []
-    | Some s ->
-        [
-          ( "stats",
-            Json.Obj
-              (("steals", Json.Int s.ms_steals)
-               ::
-               (match s.ms_stacks with
-               | None -> []
-               | Some st -> [ ("stacks", Json.Int st) ])
-              @ (match s.ms_solver with
-                | None -> []
-                | Some so -> [ ("solver", enc_solver so) ])
-              @ (match s.ms_lanes with
-                | None -> []
-                | Some l -> [ ("lanes", enc_lanes l) ])
-              @
-              match s.ms_pair_lanes with
-              | None -> []
-              | Some l -> [ ("pair_lanes", enc_lanes l) ]) );
-        ]
-  in
-  Json.Obj (base @ reduction @ pairs @ stats)
+  Json.Obj
+    ([
+       ("worst_segments", Json.Float m.mr_worst_segments);
+       ("avg_segments", Json.Float m.mr_avg_segments);
+       ("worst_bits", Json.Float m.mr_worst_bits);
+       ("avg_bits", Json.Float m.mr_avg_bits);
+       ("faults", Json.Int m.mr_faults);
+       ("weight", Json.Int m.mr_weight);
+     ]
+    @ opt_field "reduction"
+        (fun (r : Metric.reduction_stats) ->
+          Json.Obj
+            [
+              ("universe", Json.Int r.r_universe);
+              ("classes", Json.Int r.r_classes);
+              ("benign", Json.Int r.r_benign);
+              ("cone_sum", Json.Int r.r_cone_sum);
+              ("cone_max", Json.Int r.r_cone_max);
+            ])
+        m.mr_reduction
+    @ opt_field "pairs"
+        (fun (p : Metric.pair_stats) ->
+          Json.Obj
+            [
+              ("classes", Json.Int p.p_classes);
+              ("class_pairs", Json.Int p.p_class_pairs);
+              ("diagonal", Json.Int p.p_diagonal);
+              ("disjoint", Json.Int p.p_disjoint);
+              ("stacked", Json.Int p.p_stacked);
+            ])
+        m.mr_pairs
+    @ opt_field "stats"
+        (fun s ->
+          Json.Obj
+            ((("steals", Json.Int s.ms_steals)
+             :: opt_field "stacks"
+                  (fun (p : Metric.pair_stats) -> Json.Int p.p_stacks)
+                  m.mr_pairs)
+            @ opt_field "solver" enc_solver s.ms_solver
+            @ opt_field "lanes" enc_lanes s.ms_lanes
+            @ opt_field "pair_lanes" enc_lanes s.ms_pair_lanes))
+        m.mr_stats)
 
 let dec_metric v =
+  let stats = Json.get_opt "stats" v in
   {
     mr_worst_segments = Json.to_float (Json.get "worst_segments" v);
     mr_avg_segments = Json.to_float (Json.get "avg_segments" v);
@@ -469,22 +287,25 @@ let dec_metric v =
       Option.map
         (fun r ->
           {
-            rd_universe = Json.get_int "universe" r;
-            rd_classes = Json.get_int "classes" r;
-            rd_benign = Json.get_int "benign" r;
-            rd_cone_sum = Json.get_int "cone_sum" r;
-            rd_cone_max = Json.get_int "cone_max" r;
+            Metric.r_universe = Json.get_int "universe" r;
+            r_classes = Json.get_int "classes" r;
+            r_benign = Json.get_int "benign" r;
+            r_cone_sum = Json.get_int "cone_sum" r;
+            r_cone_max = Json.get_int "cone_max" r;
           })
         (Json.get_opt "reduction" v);
     mr_pairs =
       Option.map
         (fun p ->
           {
-            pd_classes = Json.get_int "classes" p;
-            pd_class_pairs = Json.get_int "class_pairs" p;
-            pd_diagonal = Json.get_int "diagonal" p;
-            pd_disjoint = Json.get_int "disjoint" p;
-            pd_stacked = Json.get_int "stacked" p;
+            Metric.p_classes = Json.get_int "classes" p;
+            p_class_pairs = Json.get_int "class_pairs" p;
+            p_diagonal = Json.get_int "diagonal" p;
+            p_disjoint = Json.get_int "disjoint" p;
+            p_stacked = Json.get_int "stacked" p;
+            p_stacks =
+              Option.value ~default:0
+                (Option.bind stats (Json.get_int_opt "stacks"));
           })
         (Json.get_opt "pairs" v);
     mr_stats =
@@ -492,13 +313,12 @@ let dec_metric v =
         (fun s ->
           {
             ms_steals = Json.get_int "steals" s;
-            ms_stacks = Json.get_int_opt "stacks" s;
             ms_solver = Option.map dec_solver (Json.get_opt "solver" s);
             ms_lanes = Option.map dec_lanes (Json.get_opt "lanes" s);
             ms_pair_lanes =
               Option.map dec_lanes (Json.get_opt "pair_lanes" s);
           })
-        (Json.get_opt "stats" v);
+        stats;
   }
 
 let enc_plan p =

@@ -25,70 +25,16 @@ type error_code =
                         (e.g. transient double faults, whose composition
                         is not a set-wise union of summaries) *)
 
-type solver_r = {
-  so_conflicts : int;
-  so_decisions : int;
-  so_propagations : int;
-  so_restarts : int;
-  so_learnt_lits : int;
-  so_minimized_lits : int;
-  so_reductions : int;
-  so_learnt_db : int;
-  so_clauses_emitted : int;
-  so_nodes_reused : int;
-  so_subsumed : int;
-  so_strengthened : int;
-  so_eliminated : int;
-  so_vivified : int;
-  so_simp_passes : int;
-  so_cert_unsat : int;
-  so_cert_lemmas : int;
-  so_cert_deletes : int;
-  so_cert_time : float;
-}
-(** Mirror of {!Ftrsn_core.Metric.solver_stats} (volatile: a pooled
-    session's counters accumulate over every query it served). *)
-
-val solver_r_of_stats : Ftrsn_core.Metric.solver_stats -> solver_r
-
-type reduction_r = {
-  rd_universe : int;
-  rd_classes : int;
-  rd_benign : int;
-  rd_cone_sum : int;
-  rd_cone_max : int;
-}
-(** Deterministic: the collapse is a function of the netlist. *)
-
-type pairdisp_r = {
-  pd_classes : int;
-  pd_class_pairs : int;
-  pd_diagonal : int;
-  pd_disjoint : int;
-  pd_stacked : int;
-}
-(** Deterministic pair-dispatch counts.  The secondary-baseline count
-    ([p_stacks]) depends on the domain split and is reported in
-    {!metric_stats_r} instead. *)
-
-type lanes_r = {
-  la_batches : int;
-  la_lanes : int;
-  la_masked : int;
-  la_fast : int;
-  la_rounds : int;
-}
-(** Mirror of {!Ftrsn_access.Engine.lane_stats}: lane-parallel batch
-    counters of the structural engine.  Deterministic — a function of
-    the class universe, not of scheduling — but reported under
-    [with_stats] alongside the other engine internals. *)
-
 type metric_stats_r = {
   ms_steals : int;
-  ms_stacks : int option;  (** secondary baselines built (pair sweeps) *)
-  ms_solver : solver_r option;
-  ms_lanes : lanes_r option;  (** lane batches (structural engine only) *)
-  ms_pair_lanes : lanes_r option;
+  ms_solver : Ftrsn_core.Metric.solver_stats option;
+      (** volatile: a pooled session's counters accumulate over every
+          query it served *)
+  ms_lanes : Ftrsn_access.Engine.lane_stats option;
+      (** lane batches (structural engine only); deterministic — a
+          function of the class universe, not of scheduling — but
+          reported here alongside the other engine internals *)
+  ms_pair_lanes : Ftrsn_access.Engine.lane_stats option;
       (** lane batches rooted at stacked baselines (interacting-pair
           sweep); deterministic like [ms_lanes] *)
 }
@@ -100,10 +46,17 @@ type metric_r = {
   mr_avg_bits : float;
   mr_faults : int;
   mr_weight : int;
-  mr_reduction : reduction_r option;
-  mr_pairs : pairdisp_r option;
+  mr_reduction : Ftrsn_core.Metric.reduction_stats option;
+      (** deterministic: the collapse is a function of the netlist *)
+  mr_pairs : Ftrsn_core.Metric.pair_stats option;
+      (** deterministic pair-dispatch counts, except [p_stacks]: the
+          secondary-baseline count depends on the domain split, so it is
+          encoded only in the ["stats"] block and is 0 when [mr_stats]
+          is [None] *)
   mr_stats : metric_stats_r option;  (** [Some] iff [with_stats] *)
 }
+(** The metric payload carries {!Ftrsn_core.Metric}'s own counter
+    records; {!encode} is their only JSON form. *)
 
 val metric_r_of_result :
   with_stats:bool -> Ftrsn_core.Metric.result -> metric_r
@@ -157,7 +110,7 @@ type session_r = {
   se_net : string;     (** pool key of the owning entry *)
   se_certified : bool;
   se_queries : int;
-  se_solver : solver_r;
+  se_solver : Ftrsn_core.Metric.solver_stats;
 }
 
 type stats_r = { st_pool : pool_r; st_sessions : session_r list }

@@ -487,9 +487,7 @@ let prop_pairs_exhaustive_exact_structural =
       let red = Metric.evaluate_pairs ~exhaustive:true net in
       let brute = Metric.evaluate_pairs ~exhaustive:true ~reduce:false net in
       let par = Metric.evaluate_pairs ~exhaustive:true ~domains:3 net in
-      let scalar = Metric.evaluate_pairs ~exhaustive:true ~lanes:false net in
-      same_result red brute && same_result red par
-      && same_result red scalar)
+      same_result red brute && same_result red par)
 
 let prop_pairs_exhaustive_exact_bmc =
   QCheck.Test.make
@@ -521,14 +519,6 @@ let test_pairs_exhaustive_u226 () =
     Metric.evaluate_pairs ~exhaustive:true ~fault_sample:16 ~domains:3 net
   in
   check bool_t "parallel exhaustive identical" true (same_result red par);
-  (* the scalar stacked ablation reproduces the lane sweep bit for bit,
-     and only the lane sweep reports pair-lane counters *)
-  let scalar =
-    Metric.evaluate_pairs ~exhaustive:true ~fault_sample:16 ~lanes:false net
-  in
-  check bool_t "scalar ablation identical" true (same_result red scalar);
-  check bool_t "scalar ablation has no pair-lane stats" true
-    (scalar.Metric.pair_lanes = None);
   (match red.Metric.pair_lanes with
   | None -> Alcotest.fail "lane sweep must report pair-lane stats"
   | Some l ->

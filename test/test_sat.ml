@@ -656,38 +656,6 @@ let prop_fuzz_certified_incremental =
               && not (brute_force_sat n (!sofar @ units)))
         steps)
 
-(* All four feature configurations (minimization x LBD tiers) must agree
-   with brute force and stay certified; the learnt limit is forced to 0
-   either way, so disabled-tier runs exercise the activity-only fallback
-   reduction path too. *)
-let prop_fuzz_ablations =
-  QCheck.Test.make
-    ~name:"fuzz: minimize/LBD-tier ablations agree with brute force"
-    ~count:150 arb_cnf_assumptions (fun (n, raw, araw) ->
-      let clauses = norm_clauses n raw in
-      let assumptions = List.filter_map (norm_lit n) araw in
-      let units = List.map (fun l -> [ l ]) assumptions in
-      let expect = brute_force_sat n (clauses @ units) in
-      List.for_all
-        (fun (minimize, tiers) ->
-          let s, chk, bad = certified_solver () in
-          Solver.set_minimize s minimize;
-          Solver.set_lbd_tiers s tiers;
-          Solver.ensure_vars s n;
-          List.iter (Solver.add_clause s) clauses;
-          let verdict = Solver.solve ~assumptions s in
-          !bad = None
-          &&
-          match verdict with
-          | Solver.Sat ->
-              expect && model_satisfies s clauses && model_satisfies s units
-          | Solver.Unsat ->
-              let failed = Solver.failed_assumptions s in
-              (not expect)
-              && List.for_all (fun l -> List.mem l assumptions) failed
-              && Checker.check_rup chk (List.map (fun l -> -l) failed))
-        [ (true, true); (true, false); (false, true); (false, false) ])
-
 (* --- inprocessing: subsumption, vivification, variable elimination --- *)
 
 (* Forcing a full inprocessing pass before the solve and at every
@@ -1088,7 +1056,6 @@ let suite =
     Testseed.to_alcotest prop_fuzz_certified_cnf;
     Testseed.to_alcotest prop_fuzz_certified_assumptions;
     Testseed.to_alcotest prop_fuzz_certified_incremental;
-    Testseed.to_alcotest prop_fuzz_ablations;
     Testseed.to_alcotest prop_fuzz_inprocess;
     Testseed.to_alcotest prop_fuzz_inprocess_incremental;
     Testseed.to_alcotest prop_drat_roundtrip;

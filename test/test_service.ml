@@ -6,6 +6,8 @@
 module Sib = Ftrsn_rsn.Sib
 module Text = Ftrsn_rsn.Text
 module Fault = Ftrsn_fault.Fault
+module Metric = Ftrsn_core.Metric
+module Engine = Ftrsn_access.Engine
 module Json = Ftrsn_service.Json
 module Query = Ftrsn_service.Query
 module Response = Ftrsn_service.Response
@@ -135,7 +137,6 @@ let sample_queries () =
         pq_model = Fault.Select;
         pq_reduce = true;
         pq_inprocess = true;
-        pq_lanes = true;
         pq_with_stats = false;
       };
     Query.Pairs
@@ -148,7 +149,6 @@ let sample_queries () =
         pq_model = Fault.Stuck;
         pq_reduce = false;
         pq_inprocess = false;
-        pq_lanes = false;
         pq_with_stats = true;
       };
     Query.Certify
@@ -197,29 +197,36 @@ let test_query_roundtrip () =
       let q' = Query.decode (Json.of_string s) in
       check bool_t (Printf.sprintf "decode . encode = id on %s" s) true (q = q');
       check string_t "stable reencoding" s (Query.to_string q'))
-    (sample_queries ())
+    (sample_queries ());
+  (* the retired "pair_lanes" key of older clients is ignored like any
+     unknown key *)
+  match
+    Query.decode_line "{\"op\":\"pairs\",\"net\":\"u.icl\",\"pair_lanes\":false}"
+  with
+  | Ok (Query.Pairs _, None) -> ()
+  | _ -> Alcotest.fail "legacy pair_lanes key rejected"
 
 let sample_solver =
   {
-    Response.so_conflicts = 10;
-    so_decisions = 20;
-    so_propagations = 30;
-    so_restarts = 1;
-    so_learnt_lits = 100;
-    so_minimized_lits = 40;
-    so_reductions = 2;
-    so_learnt_db = 9;
-    so_clauses_emitted = 500;
-    so_nodes_reused = 123;
-    so_subsumed = 11;
-    so_strengthened = 17;
-    so_eliminated = 5;
-    so_vivified = 13;
-    so_simp_passes = 2;
-    so_cert_unsat = 7;
-    so_cert_lemmas = 77;
-    so_cert_deletes = 3;
-    so_cert_time = 0.25;
+    Metric.s_conflicts = 10;
+    s_decisions = 20;
+    s_propagations = 30;
+    s_restarts = 1;
+    s_learnt_lits = 100;
+    s_minimized_lits = 40;
+    s_reductions = 2;
+    s_learnt_db = 9;
+    s_clauses_emitted = 500;
+    s_nodes_reused = 123;
+    s_subsumed = 11;
+    s_strengthened_lits = 17;
+    s_eliminated_vars = 5;
+    s_vivified_lits = 13;
+    s_simp_passes = 2;
+    s_cert_unsat = 7;
+    s_cert_lemmas = 77;
+    s_cert_deletes = 3;
+    s_cert_time = 0.25;
   }
 
 let sample_responses () =
@@ -235,44 +242,44 @@ let sample_responses () =
         mr_reduction =
           Some
             {
-              Response.rd_universe = 1402;
-              rd_classes = 800;
-              rd_benign = 227;
-              rd_cone_sum = 63279;
-              rd_cone_max = 89;
+              Metric.r_universe = 1402;
+              r_classes = 800;
+              r_benign = 227;
+              r_cone_sum = 63279;
+              r_cone_max = 89;
             };
         mr_pairs =
           Some
             {
-              Response.pd_classes = 800;
-              pd_class_pairs = 320400;
-              pd_diagonal = 800;
-              pd_disjoint = 247786;
-              pd_stacked = 71814;
+              Metric.p_classes = 800;
+              p_class_pairs = 320400;
+              p_diagonal = 800;
+              p_disjoint = 247786;
+              p_stacked = 71814;
+              p_stacks = 17;
             };
         mr_stats =
           Some
             {
               Response.ms_steals = 5;
-              ms_stacks = Some 17;
               ms_solver = Some sample_solver;
               ms_lanes =
                 Some
                   {
-                    Response.la_batches = 13;
-                    la_lanes = 710;
-                    la_masked = 4;
-                    la_fast = 90;
-                    la_rounds = 56;
+                    Engine.ls_batches = 13;
+                    ls_lanes = 710;
+                    ls_masked = 4;
+                    ls_fast = 90;
+                    ls_rounds = 56;
                   };
               ms_pair_lanes =
                 Some
                   {
-                    Response.la_batches = 7;
-                    la_lanes = 301;
-                    la_masked = 2;
-                    la_fast = 44;
-                    la_rounds = 29;
+                    Engine.ls_batches = 7;
+                    ls_lanes = 301;
+                    ls_masked = 2;
+                    ls_fast = 44;
+                    ls_rounds = 29;
                   };
             };
       };
@@ -369,6 +376,31 @@ let test_response_roundtrip () =
       let r'', id' = Response.decode (Json.of_string s_id) in
       check bool_t "id echoed" true (r = r'' && id' = Some (Json.Int 7)))
     (sample_responses ())
+
+(* The exact wire bytes of the two stats-heavy samples.  The round-trip
+   test above passes for any self-consistent encoding; this one fails on
+   any drift in key names, key order or number formatting. *)
+let pinned_wire =
+  [
+    "{\"ok\":true,\"type\":\"metric\",\"data\":{\"worst_segments\":0.0,\"avg_segments\":0.9283936855379904,\"worst_bits\":0.5,\"avg_bits\":0.75,\"faults\":1402,\"weight\":1402,\"reduction\":{\"universe\":1402,\"classes\":800,\"benign\":227,\"cone_sum\":63279,\"cone_max\":89},\"pairs\":{\"classes\":800,\"class_pairs\":320400,\"diagonal\":800,\"disjoint\":247786,\"stacked\":71814},\"stats\":{\"steals\":5,\"stacks\":17,\"solver\":{\"conflicts\":10,\"decisions\":20,\"propagations\":30,\"restarts\":1,\"learnt_lits\":100,\"minimized_lits\":40,\"reductions\":2,\"learnt_db\":9,\"clauses_emitted\":500,\"nodes_reused\":123,\"subsumed\":11,\"strengthened\":17,\"eliminated\":5,\"vivified\":13,\"simp_passes\":2,\"cert_unsat\":7,\"cert_lemmas\":77,\"cert_deletes\":3,\"cert_time\":0.25},\"lanes\":{\"batches\":13,\"lanes\":710,\"masked\":4,\"fast\":90,\"rounds\":56},\"pair_lanes\":{\"batches\":7,\"lanes\":301,\"masked\":2,\"fast\":44,\"rounds\":29}}}}";
+    "{\"ok\":true,\"type\":\"stats\",\"data\":{\"pool\":{\"entries\":2,\"bytes\":12345,\"budget\":268435456,\"hits\":10,\"misses\":2,\"evictions\":1},\"sessions\":[{\"net\":\"itc02\\u0000u226\",\"certified\":true,\"queries\":9,\"solver\":{\"conflicts\":10,\"decisions\":20,\"propagations\":30,\"restarts\":1,\"learnt_lits\":100,\"minimized_lits\":40,\"reductions\":2,\"learnt_db\":9,\"clauses_emitted\":500,\"nodes_reused\":123,\"subsumed\":11,\"strengthened\":17,\"eliminated\":5,\"vivified\":13,\"simp_passes\":2,\"cert_unsat\":7,\"cert_lemmas\":77,\"cert_deletes\":3,\"cert_time\":0.25}}]}}";
+  ]
+
+let test_response_wire_pinned () =
+  let stats_heavy =
+    List.filter
+      (function
+        | Response.Metric_r { Response.mr_stats = Some _; _ }
+        | Response.Stats_r _ ->
+            true
+        | _ -> false)
+      (sample_responses ())
+  in
+  check int_t "one pin per stats-heavy sample" (List.length pinned_wire)
+    (List.length stats_heavy);
+  List.iter2
+    (fun expect r -> check string_t "wire bytes" expect (Response.to_string r))
+    pinned_wire stats_heavy
 
 let test_exit_codes () =
   check int_t "ok" 0 (Response.exit_code (Response.Svf_r ""));
@@ -518,20 +550,6 @@ let test_warm_equals_cold () =
           pq_model = Fault.Stuck;
           pq_reduce = true;
           pq_inprocess = true;
-          pq_lanes = true;
-          pq_with_stats = false;
-        };
-      Query.Pairs
-        {
-          Query.pq_net = Lazy.force tiny_spec;
-          pq_fault_sample = None;
-          pq_pair_sample = None;
-          pq_domains = 1;
-          pq_engine = `Structural;
-          pq_model = Fault.Stuck;
-          pq_reduce = true;
-          pq_inprocess = true;
-          pq_lanes = false;
           pq_with_stats = false;
         };
       Query.Certify
@@ -643,7 +661,6 @@ let prop_concurrent_interleaving =
              pq_model = Fault.Stuck;
              pq_reduce = true;
              pq_inprocess = true;
-             pq_lanes = true;
              pq_with_stats = false;
            };
          Query.Probe
@@ -776,7 +793,6 @@ let test_serve_transient_pairs_unsupported () =
         pq_model = Fault.Transient;
         pq_reduce = true;
         pq_inprocess = true;
-        pq_lanes = true;
         pq_with_stats = false;
       }
   in
@@ -836,6 +852,54 @@ let test_serve_threaded_ids () =
       | None -> Alcotest.fail (Printf.sprintf "missing response id %d" id))
     qs
 
+(* ------------------------------------------------------------------ *)
+(* Table I of the paper, small SoCs                                    *)
+
+(* Per SoC, as printed by [reproduce]: SIB-based and fault-tolerant
+   accessibility (bits-worst %.2f, bits-avg / segs-worst / segs-avg
+   %.3f, fault count) and the synthesized area ratio (%.2f). *)
+let table1_small =
+  [
+    ("u226", ("0.00", "0.879", "0.000", "0.883", 1402),
+      ("0.96", "0.997", "0.989", "0.997", 4478), "1.67");
+    ("d281", ("0.00", "0.888", "0.000", "0.892", 1680),
+      ("0.97", "0.997", "0.991", "0.997", 5396), "1.32");
+    ("x1331", ("0.00", "0.846", "0.000", "0.859", 886),
+      ("0.93", "0.995", "0.982", "0.995", 2822), "1.16");
+    ("q12710", ("0.00", "0.822", "0.000", "0.836", 722),
+      ("0.90", "0.994", "0.978", "0.993", 2306), "1.02");
+  ]
+
+let test_table1_small () =
+  let pool = Pool.create () in
+  let access soc ~ft (bw, ba, sw, sa, faults) =
+    let spec = { Query.ns_source = `Itc02 soc; ns_ft = ft } in
+    match Exec.run pool (metric_q spec) with
+    | Response.Metric_r m ->
+        let row = Printf.sprintf "%s %s" soc (if ft then "ft" else "sib") in
+        check string_t (row ^ " bits-worst") bw
+          (Printf.sprintf "%.2f" m.Response.mr_worst_bits);
+        check string_t (row ^ " bits-avg") ba
+          (Printf.sprintf "%.3f" m.Response.mr_avg_bits);
+        check string_t (row ^ " segs-worst") sw
+          (Printf.sprintf "%.3f" m.Response.mr_worst_segments);
+        check string_t (row ^ " segs-avg") sa
+          (Printf.sprintf "%.3f" m.Response.mr_avg_segments);
+        check int_t (row ^ " faults") faults m.Response.mr_faults
+    | r -> Alcotest.fail (Response.to_string r)
+  in
+  List.iter
+    (fun (soc, sib, ft, area) ->
+      access soc ~ft:false sib;
+      access soc ~ft:true ft;
+      let spec = { Query.ns_source = `Itc02 soc; ns_ft = false } in
+      match Exec.run pool (Query.Synthesize { Query.sq_net = spec; sq_emit = false }) with
+      | Response.Synth_r s ->
+          check string_t (soc ^ " area") area
+            (Printf.sprintf "%.2f" s.Response.sy_area_ratio)
+      | r -> Alcotest.fail (Response.to_string r))
+    table1_small
+
 let suite =
   [
     Alcotest.test_case "json: roundtrip" `Quick test_json_roundtrip;
@@ -843,6 +907,8 @@ let suite =
     Alcotest.test_case "query: golden roundtrips" `Quick test_query_roundtrip;
     Alcotest.test_case "response: golden roundtrips" `Quick
       test_response_roundtrip;
+    Alcotest.test_case "response: wire bytes pinned" `Quick
+      test_response_wire_pinned;
     Alcotest.test_case "response: exit codes" `Quick test_exit_codes;
     Alcotest.test_case "query: decode_line errors" `Quick
       test_decode_line_errors;
@@ -863,4 +929,5 @@ let suite =
       `Quick test_serve_transient_pairs_unsupported;
     Alcotest.test_case "serve: threaded mode answers every id" `Quick
       test_serve_threaded_ids;
+    Alcotest.test_case "table I: small SoCs pinned" `Quick test_table1_small;
   ]
