@@ -556,8 +556,10 @@ let access_path ctx fault s =
 
 type baseline = {
   b_verdict : verdict;           (* fault-free analyze *)
-  b_reach : Bitset.t array;      (* per vertex v: vertices reachable from v *)
-  b_coreach : Bitset.t array;    (* per vertex v: vertices reaching v *)
+  b_reach : Bitset.t array;
+  b_coreach : Bitset.t array;
+      (* per vertex v: the vertices reachable from v (reaching v), closed
+         under the writability cascade — see [baseline] *)
   b_host_edges_all : int list array;
       (* per segment: edges with a shadow steering requirement hosted in
          the segment (any reset polarity) *)
@@ -609,35 +611,6 @@ let baseline_verdict b = b.b_verdict
 let baseline ctx =
   let b_verdict = analyze ctx None in
   let nv = ctx.nv in
-  let g =
-    Digraph.of_edges ~n:nv
-      (Array.to_list (Array.map (fun e -> (e.e_src, e.e_dst)) ctx.edges))
-  in
-  let b_reach = Array.init nv (fun _ -> Bitset.create nv) in
-  let b_coreach = Array.init nv (fun _ -> Bitset.create nv) in
-  let order_opt = Order.sort g in
-  (match order_opt with
-  | Some order ->
-      (* Successors first for reach, predecessors first for co-reach. *)
-      for idx = nv - 1 downto 0 do
-        let v = order.(idx) in
-        Bitset.add b_reach.(v) v;
-        List.iter
-          (fun w -> Bitset.union_into b_reach.(v) b_reach.(w))
-          (Digraph.succ g v)
-      done;
-      for idx = 0 to nv - 1 do
-        let v = order.(idx) in
-        Bitset.add b_coreach.(v) v;
-        List.iter
-          (fun u -> Bitset.union_into b_coreach.(v) b_coreach.(u))
-          (Digraph.pred g v)
-      done
-  | None ->
-      (* Cyclic dataflow (never produced by the synthesizer, but stay
-         sound): every cone degenerates to the full network. *)
-      Array.iter Bitset.fill b_reach;
-      Array.iter Bitset.fill b_coreach);
   let b_host_edges_all = Array.make ctx.nsegs [] in
   let b_host_edges_nonreset = Array.make ctx.nsegs [] in
   let b_mux_edges = Array.make (Netlist.num_muxes ctx.net) [] in
@@ -664,6 +637,77 @@ let baseline ctx =
           end)
         e.e_muxes)
     ctx.edges;
+  (* Cone tables.  The coarse cone of a fault (see [coarse_cone]) is the
+     reach ∪ co-reach of its disturbed vertices, closed under the
+     writability cascade: a cone segment i may change writability, which
+     re-steers every edge e hosting a not-reset-matching requirement in
+     i, so reach(dst e) ∪ co-reach(src e) joins the cone.  The rule fires
+     per element, so the closure of a union is the union of the
+     closures, and the closures of the per-vertex tables are the least
+     solution of
+       R*(v) = {v} ∪ K(v) ∪ ⋃ R*(succ v)
+       C*(v) = {v} ∪ K(v) ∪ ⋃ C*(pred v)
+       K(i)  = ⋃ over e hosted non-reset in i of R*(dst e) ∪ C*(src e).
+     Kleene iteration from the plain reach tables: each pass unions K
+     into the host vertices, then re-runs the topological DPs, until the
+     total cardinality stops growing. *)
+  let g =
+    Digraph.of_edges ~n:nv
+      (Array.to_list (Array.map (fun e -> (e.e_src, e.e_dst)) ctx.edges))
+  in
+  let b_reach = Array.init nv (fun _ -> Bitset.create nv) in
+  let b_coreach = Array.init nv (fun _ -> Bitset.create nv) in
+  let order_opt = Order.sort g in
+  (match order_opt with
+  | Some order ->
+      (* Successors first for reach, predecessors first for co-reach. *)
+      let dp () =
+        for idx = nv - 1 downto 0 do
+          let v = order.(idx) in
+          Bitset.add b_reach.(v) v;
+          List.iter
+            (fun w -> Bitset.union_into b_reach.(v) b_reach.(w))
+            (Digraph.succ g v)
+        done;
+        for idx = 0 to nv - 1 do
+          let v = order.(idx) in
+          Bitset.add b_coreach.(v) v;
+          List.iter
+            (fun u -> Bitset.union_into b_coreach.(v) b_coreach.(u))
+            (Digraph.pred g v)
+        done
+      in
+      let size () =
+        Array.fold_left (fun n s -> n + Bitset.cardinal s) 0 b_reach
+        + Array.fold_left (fun n s -> n + Bitset.cardinal s) 0 b_coreach
+      in
+      let k = Bitset.create nv in
+      let rec close n =
+        Array.iteri
+          (fun i hosted ->
+            if hosted <> [] then begin
+              Bitset.clear k;
+              List.iter
+                (fun ei ->
+                  let e = ctx.edges.(ei) in
+                  Bitset.union_into k b_reach.(e.e_dst);
+                  Bitset.union_into k b_coreach.(e.e_src))
+                hosted;
+              Bitset.union_into b_reach.(v_of_seg i) k;
+              Bitset.union_into b_coreach.(v_of_seg i) k
+            end)
+          b_host_edges_nonreset;
+        dp ();
+        let n' = size () in
+        if n' > n then close n'
+      in
+      dp ();
+      close (size ())
+  | None ->
+      (* Cyclic dataflow (never produced by the synthesizer, but stay
+         sound): every cone degenerates to the full network. *)
+      Array.iter Bitset.fill b_reach;
+      Array.iter Bitset.fill b_coreach);
   let eff0 = no_effects ctx in
   let b_steer =
     Array.map (edge_steerable ctx eff0 b_verdict.writable) ctx.edges
@@ -800,96 +844,89 @@ let local_kill_write base (sm : Fault.summary) =
        (fun i -> base.b_host_edges_nonreset.(i) = [])
        sm.Fault.sm_kill_write
 
-(* Coarse static cone: data/steering damage at a vertex or edge taints
-   everything downstream (reach) and upstream (co-reach); local interface
-   damage (kill_write / kill_read) taints only the segment itself, plus —
-   through the cascade — any edge steered by a not-reset-matching bit
-   hosted in a tainted segment, because that segment's writability may
-   have changed.  A sound over-approximation under ANY base state (the
+(* Coarse static cone, as a set of dataflow vertices: data/steering
+   damage at a vertex or edge taints everything downstream (reach) and
+   upstream (co-reach); local interface damage (kill_write / kill_read)
+   taints only the segment itself.  Through the writability cascade any
+   edge steered by a not-reset-matching bit hosted in a tainted segment
+   is damage too, because that segment's writability may have changed;
+   the baseline tables are already closed under the cascade, so each
+   contribution is a union of closed tables and the cone needs no
+   iteration.  A sound over-approximation under ANY base state (the
    tables are static), which the tight probe below is not; kept as the
    fallback for the summaries the probe refuses. *)
-let probe_coarse ctx base (sm : Fault.summary) =
+let coarse_cone ctx base (sm : Fault.summary) =
   let cv = Bitset.create ctx.nv in
+  if sm.Fault.sm_pi_dead || sm.Fault.sm_po_dead then Bitset.fill cv
+  else begin
+    let add_edge ei =
+      let e = ctx.edges.(ei) in
+      Bitset.union_into cv base.b_reach.(e.e_dst);
+      Bitset.union_into cv base.b_coreach.(e.e_src)
+    in
+    let through i =
+      Bitset.union_into cv base.b_reach.(v_of_seg i);
+      Bitset.union_into cv base.b_coreach.(v_of_seg i)
+    in
+    let local i =
+      Bitset.add cv (v_of_seg i);
+      List.iter add_edge base.b_host_edges_nonreset.(i)
+    in
+    List.iter through sm.Fault.sm_hard_block;
+    List.iter through sm.Fault.sm_corrupt_vertex;
+    List.iter through sm.Fault.sm_corrupt_in;
+    List.iter through sm.Fault.sm_corrupt_out;
+    List.iter local sm.Fault.sm_kill_write;
+    List.iter local sm.Fault.sm_kill_read;
+    let mux_edges m = List.iter add_edge base.b_mux_edges.(m) in
+    List.iter mux_edges sm.Fault.sm_mux_out;
+    List.iter (fun (m, _) -> mux_edges m) sm.Fault.sm_mux_in;
+    List.iter (fun (m, _, _) -> mux_edges m) sm.Fault.sm_locked_addr;
+    List.iter
+      (fun (i, _, _) -> List.iter add_edge base.b_host_edges_all.(i))
+      sm.Fault.sm_stuck_shadow
+  end;
+  cv
+
+(* The coarse cone plus the edges whose predicates the delta traversals
+   must re-evaluate (and only those): the edges adjacent to data-corrupting
+   segments, the edges the damaged muxes and pinned bits steer, and every
+   not-reset-matching hosted edge of a cone segment (the cascade). *)
+let probe_coarse ctx base (sm : Fault.summary) =
+  let cv = coarse_cone ctx base sm in
   let nedges = Array.length ctx.edges in
   let affected = Array.make nedges false in
   let aff_list = ref [] in
-  (* Data corruption lives on the edges adjacent to the disturbed
-     segments; mark them so the delta traversals re-evaluate the edge
-     predicates there (and only there). *)
   let mark ei =
     if not affected.(ei) then begin
       affected.(ei) <- true;
       aff_list := ei :: !aff_list
     end
   in
-  if sm.Fault.sm_pi_dead || sm.Fault.sm_po_dead then begin
-    Bitset.fill cv;
+  if sm.Fault.sm_pi_dead || sm.Fault.sm_po_dead then
     for ei = nedges - 1 downto 0 do
       mark ei
     done
-  end
   else begin
-    let add_v v =
-      Bitset.union_into cv base.b_reach.(v);
-      Bitset.union_into cv base.b_coreach.(v)
-    in
-    let add_edge ei =
-      mark ei;
-      let e = ctx.edges.(ei) in
-      Bitset.union_into cv base.b_reach.(e.e_dst);
-      Bitset.union_into cv base.b_coreach.(e.e_src)
-    in
-    let through i = add_v (v_of_seg i) in
-    let local i = Bitset.add cv (v_of_seg i) in
-    List.iter through sm.Fault.sm_hard_block;
-    List.iter through sm.Fault.sm_corrupt_vertex;
     List.iter
-      (fun i ->
-        through i;
-        List.iter mark ctx.in_edges.(v_of_seg i))
+      (fun i -> List.iter mark ctx.in_edges.(v_of_seg i))
       sm.Fault.sm_corrupt_in;
     List.iter
-      (fun i ->
-        through i;
-        List.iter mark ctx.out_edges.(v_of_seg i))
+      (fun i -> List.iter mark ctx.out_edges.(v_of_seg i))
       sm.Fault.sm_corrupt_out;
-    List.iter local sm.Fault.sm_kill_write;
-    List.iter local sm.Fault.sm_kill_read;
+    let mux_edges m = List.iter mark base.b_mux_edges.(m) in
+    List.iter mux_edges sm.Fault.sm_mux_out;
+    List.iter (fun (m, _) -> mux_edges m) sm.Fault.sm_mux_in;
+    List.iter (fun (m, _, _) -> mux_edges m) sm.Fault.sm_locked_addr;
     List.iter
-      (fun m -> List.iter add_edge base.b_mux_edges.(m))
-      sm.Fault.sm_mux_out;
-    List.iter
-      (fun (m, _) -> List.iter add_edge base.b_mux_edges.(m))
-      sm.Fault.sm_mux_in;
-    List.iter
-      (fun (m, _, _) -> List.iter add_edge base.b_mux_edges.(m))
-      sm.Fault.sm_locked_addr;
-    List.iter
-      (fun (i, _, _) -> List.iter add_edge base.b_host_edges_all.(i))
+      (fun (i, _, _) -> List.iter mark base.b_host_edges_all.(i))
       sm.Fault.sm_stuck_shadow;
-    (* Writability cascade: a tainted segment's writability may change,
-       which re-steers every edge with a hosted not-reset-matching
-       requirement; their endpoints' cones join until stable. *)
-    let applied = Array.make ctx.nsegs false in
-    let continue_ = ref true in
-    while !continue_ do
-      continue_ := false;
-      for i = 0 to ctx.nsegs - 1 do
-        if
-          (not applied.(i))
-          && base.b_host_edges_nonreset.(i) <> []
-          && Bitset.mem cv (v_of_seg i)
-        then begin
-          applied.(i) <- true;
-          List.iter add_edge base.b_host_edges_nonreset.(i);
-          continue_ := true
-        end
-      done
-    done
+    Bitset.iter
+      (fun v ->
+        if v >= 2 then List.iter mark base.b_host_edges_nonreset.(seg_of_v v))
+      cv
   end;
-  (cv, affected, !aff_list)
-
-let cone_vertices = probe_coarse
+  (cv, !aff_list)
 
 let cone_seg_list ctx cv =
   let acc = ref [] in
@@ -949,7 +986,7 @@ let of_baseline base =
    next secondary baseline). *)
 let delta_full ctx stk (cone_sm : Fault.summary) eff =
   let base = stk.s_base in
-  let cv, _, aff_list = cone_vertices ctx base cone_sm in
+  let cv, aff_list = probe_coarse ctx base cone_sm in
   let cone_list = cone_seg_list ctx cv in
     (* Seeded fixpoint: outside the cone the combined least fixpoint
        equals the stacked one, so seeding with (stacked minus cone) starts
@@ -1237,7 +1274,7 @@ let analyze_delta ctx base sm = analyze_delta_on ctx (of_baseline base) sm
      per-(edge, requirement) table materialized only for the edges the
      batch actually touches;
    - each lane's writability is seeded with the baseline writable set
-     minus the lane's coarse cone ([probe_coarse] — the same cone
+     minus the lane's coarse cone ([coarse_cone] — the same cone
      [analyze_delta] restricts its fixpoint to).  Outside the cone the
      faulty least fixpoint provably equals the baseline, so each seed
      starts at or below its lane's least fixpoint, and the monotone
@@ -1317,7 +1354,7 @@ let lane_plan base (sms : Fault.summary array) =
    the same shadow bit) — and each lane's writability seed is the
    STACKED writable set minus the cone of the UNION of the stacked and
    delta summaries, exactly the cone [analyze_delta_on] restricts its
-   seeded fixpoint to.  [probe_coarse] is sound under any base state
+   seeded fixpoint to.  [coarse_cone] is sound under any base state
    (its tables are static over-approximations of dependency), so
    outside the union cone the combined least fixpoint equals the
    stacked one: each seed starts at or below its lane's combined least
@@ -1435,7 +1472,7 @@ let analyze_lane_batch_on ctx stk (sms : Fault.summary array) =
   (match stk.s_sm with None -> () | Some s0 -> fold_summary occ s0);
   Array.iteri (fun l sm -> fold_summary (1 lsl l) sm) sms;
   (* Writability seeds: stacked writable everywhere, each lane's
-     union-cone cleared.  [probe_coarse] over the union summary is the
+     union-cone cleared.  [coarse_cone] over the union summary is the
      same cone [analyze_delta_on] restricts its fixpoint to, so each
      seed is at or below its lane's combined least fixpoint. *)
   let writable_w = Array.make nsegs 0 in
@@ -1446,16 +1483,22 @@ let analyze_lane_batch_on ctx stk (sms : Fault.summary array) =
   let cone_lens = Array.make k 0 in
   Array.iteri
     (fun l sm ->
-      let bit = 1 lsl l in
+      let clear = lnot (1 lsl l) in
       let cone_sm =
         match stk.s_sm with
         | None -> sm
         | Some s0 -> Fault.summary_union s0 sm
       in
-      let cv, _, _ = probe_coarse ctx base cone_sm in
-      let cl = cone_seg_list ctx cv in
-      cone_lens.(l) <- List.length cl;
-      List.iter (fun i -> writable_w.(i) <- writable_w.(i) land lnot bit) cl)
+      let n = ref 0 in
+      Bitset.iter
+        (fun v ->
+          if v >= 2 then begin
+            let i = seg_of_v v in
+            writable_w.(i) <- writable_w.(i) land clear;
+            incr n
+          end)
+        (coarse_cone ctx base cone_sm);
+      cone_lens.(l) <- !n)
     sms;
   (* [edge_steerable] lane-wise, under the current writability words. *)
   let steer = Array.make nedges 0 in
@@ -1704,24 +1747,11 @@ let analyze_lanes_on ctx stk (sms : Fault.summary array) =
 
 let analyze_lanes_stats ctx ?base (classes : Fault.clas array) =
   let base = match base with Some b -> b | None -> baseline ctx in
-  let sms = Array.map (fun c -> c.Fault.cls_summary) classes in
-  let fast, batches = lane_plan base sms in
-  let out = Array.make (Array.length classes) base.b_verdict in
-  let stats = ref lane_stats_zero in
-  List.iter
-    (fun i ->
-      let v, _ = analyze_delta ctx base sms.(i) in
-      out.(i) <- v;
-      stats := { !stats with ls_fast = !stats.ls_fast + 1 })
-    fast;
-  List.iter
-    (fun idxs ->
-      let batch = Array.map (fun i -> sms.(i)) idxs in
-      let vs, st = analyze_lane_batch ctx base batch in
-      Array.iteri (fun j i -> out.(i) <- fst vs.(j)) idxs;
-      stats := lane_stats_add !stats st)
-    batches;
-  (out, !stats)
+  let out, stats =
+    analyze_lanes_on ctx (of_baseline base)
+      (Array.map (fun c -> c.Fault.cls_summary) classes)
+  in
+  (Array.map fst out, stats)
 
 let analyze_lanes ctx ?base classes =
   fst (analyze_lanes_stats ctx ?base classes)
@@ -1835,8 +1865,58 @@ type probe = {
 
 let seg_bitset ctx cv =
   let cs = Bitset.create ctx.nsegs in
-  List.iter (Bitset.add cs) (cone_seg_list ctx cv);
+  Bitset.iter (fun v -> if v >= 2 then Bitset.add cs (seg_of_v v)) cv;
   cs
+
+(* The exact taint: segments whose verdict differs from the baseline's. *)
+let verdict_diff ctx base v =
+  let cs = Bitset.create ctx.nsegs in
+  let v0 = base.b_verdict in
+  for i = 0 to ctx.nsegs - 1 do
+    if v.writable.(i) <> v0.writable.(i) || v.readable.(i) <> v0.readable.(i)
+    then Bitset.add cs i
+  done;
+  cs
+
+(* Steering-gain detection: a pin or lock matching a required address
+   value whose hosting segment is NOT baseline-writable can turn a
+   baseline-dead edge live, voiding the whole no-gain reasoning. *)
+let steering_gain ctx base (sm : Fault.summary) =
+  let writable0 = base.b_verdict.writable in
+  let gain = ref false in
+  List.iter
+    (fun (s, b, v) ->
+      if not writable0.(s) then
+        List.iter
+          (fun ei ->
+            Array.iter
+              (fun (_, cseg, cbit, required, reset_matches) ->
+                if cseg = s && cbit = b && required = v && not reset_matches
+                then gain := true)
+              ctx.edges.(ei).e_shadow_reqs)
+          base.b_host_edges_all.(s))
+    sm.Fault.sm_stuck_shadow;
+  List.iter
+    (fun (m, b, v) ->
+      List.iter
+        (fun ei ->
+          Array.iter
+            (fun (port, cseg, _, required, reset_matches) ->
+              if
+                port = (m, b) && required = v && (not reset_matches)
+                && not writable0.(cseg)
+              then gain := true)
+            ctx.edges.(ei).e_shadow_reqs)
+        base.b_mux_edges.(m))
+    sm.Fault.sm_locked_addr;
+  !gain
+
+(* The summaries whose probe falls back to the coarse cone (dead scan
+   ports, cyclic dataflow, steering gains); glitch summaries are routed
+   before this check. *)
+let probe_refused ctx base (sm : Fault.summary) =
+  sm.Fault.sm_pi_dead || sm.Fault.sm_po_dead || base.b_cyclic
+  || steering_gain ctx base sm
 
 let probe ctx base (sm : Fault.summary) =
   let local segs =
@@ -1859,9 +1939,8 @@ let probe ctx base (sm : Fault.summary) =
   in
   let coarse () =
     let v, _ = analyze_delta ctx base sm in
-    let cv, _, _ = probe_coarse ctx base sm in
     let full n = let b = Bitset.create n in Bitset.fill b; b in
-    { pr_verdict = v; pr_cone = seg_bitset ctx cv;
+    { pr_verdict = v; pr_cone = seg_bitset ctx (coarse_cone ctx base sm);
       pr_region = full ctx.nv; pr_fragile = full ctx.nsegs;
       pr_supp = full ctx.nv;
       pr_supp_edges = full (Array.length ctx.edges);
@@ -1891,18 +1970,12 @@ let probe ctx base (sm : Fault.summary) =
        the no-gain certificate reasoning below assumes away.  Pair sweeps
        reject the transient model anyway ([Metric.evaluate_pairs]). *)
     let v, _ = analyze_delta ctx base sm in
-    let cs = Bitset.create ctx.nsegs in
-    let v0 = base.b_verdict in
-    for i = 0 to ctx.nsegs - 1 do
-      if v.writable.(i) <> v0.writable.(i) || v.readable.(i) <> v0.readable.(i)
-      then Bitset.add cs i
-    done;
     let full n =
       let b = Bitset.create n in
       Bitset.fill b;
       b
     in
-    { pr_verdict = v; pr_cone = cs;
+    { pr_verdict = v; pr_cone = verdict_diff ctx base v;
       pr_region = full ctx.nv; pr_fragile = full ctx.nsegs;
       pr_supp = full ctx.nv;
       pr_supp_edges = full (Array.length ctx.edges);
@@ -1913,188 +1986,322 @@ let probe ctx base (sm : Fault.summary) =
   end
   else if only_kill_read sm then local sm.Fault.sm_kill_read
   else if local_kill_write base sm then local sm.Fault.sm_kill_write
-  else if sm.Fault.sm_pi_dead || sm.Fault.sm_po_dead || base.b_cyclic then
-    coarse ()
+  else if probe_refused ctx base sm then coarse ()
   else begin
-    let writable0 = base.b_verdict.writable in
-    (* Steering-gain detection: a pin or lock matching a required address
-       value whose hosting segment is NOT baseline-writable can turn a
-       baseline-dead edge live, voiding the whole no-gain reasoning. *)
-    let gain = ref false in
+    let eff = add_summary_effects (no_effects ctx) sm in
+    let v, _, steer, corrupt = delta_full ctx (of_baseline base) sm eff in
+    let nedges = Array.length ctx.edges in
+    let cs = verdict_diff ctx base v in
+    (* The four access traversals under the settled faulty state. *)
+    let traverse ~fwd ~clean =
+      let root = if fwd then v_pi else v_po in
+      let stop = if fwd then v_po else v_pi in
+      let ok = Array.make ctx.nv false in
+      ok.(root) <- true;
+      let stack = ref [ root ] in
+      while !stack <> [] do
+        match !stack with
+        | [] -> ()
+        | u :: rest ->
+            stack := rest;
+            if fwd && clean && not (u = v_pi || clean_through eff u) then ()
+            else
+              List.iter
+                (fun ei ->
+                  if steer.(ei) && not (clean && corrupt.(ei)) then begin
+                    let e = ctx.edges.(ei) in
+                    let w = if fwd then e.e_dst else e.e_src in
+                    if
+                      (not ok.(w))
+                      && w <> stop
+                      && ((not clean) || shiftable eff w)
+                      && not ((not fwd) && clean && not (clean_through eff w))
+                    then begin
+                      ok.(w) <- true;
+                      stack := w :: !stack
+                    end
+                  end)
+                (if fwd then ctx.out_edges.(u) else ctx.in_edges.(u))
+      done;
+      ok
+    in
+    let rw = traverse ~fwd:true ~clean:true in
+    let r_any = traverse ~fwd:true ~clean:false in
+    let s_clean = traverse ~fwd:false ~clean:true in
+    let s_any = traverse ~fwd:false ~clean:false in
+    let region = Bitset.create ctx.nv in
+    let add_ei ei =
+      let e = ctx.edges.(ei) in
+      Bitset.add region e.e_src;
+      Bitset.add region e.e_dst
+    in
+    (* Killed or corrupted live edges — [steer] is the exact faulty
+       steerability, so writability-cascade deaths are included.
+       [dead_edges] keeps the edge-granular set for the partner's
+       re-route check. *)
+    let dead_edges = Bitset.create nedges in
+    for ei = 0 to nedges - 1 do
+      if base.b_steer.(ei) && ((not steer.(ei)) || corrupt.(ei)) then begin
+        Bitset.add dead_edges ei;
+        add_ei ei
+      end
+    done;
+    let dmg = Bitset.create ctx.nv in
+    let vertex_damage w =
+      Bitset.add region w;
+      Bitset.add dmg w;
+      List.iter
+        (fun ei -> Bitset.add region ctx.edges.(ei).e_src)
+        base.b_live_in.(w);
+      List.iter
+        (fun ei -> Bitset.add region ctx.edges.(ei).e_dst)
+        base.b_live_out.(w)
+    in
+    List.iter (fun i -> vertex_damage (v_of_seg i)) sm.Fault.sm_hard_block;
     List.iter
-      (fun (s, b, v) ->
-        if not writable0.(s) then
-          List.iter
-            (fun ei ->
-              Array.iter
-                (fun (_, cseg, cbit, required, reset_matches) ->
-                  if cseg = s && cbit = b && required = v && not reset_matches
-                  then gain := true)
-                ctx.edges.(ei).e_shadow_reqs)
-            base.b_host_edges_all.(s))
-      sm.Fault.sm_stuck_shadow;
+      (fun i -> vertex_damage (v_of_seg i))
+      sm.Fault.sm_corrupt_vertex;
+    (* Traversal boundaries: surviving vertices adjacent (along a live
+       edge) to a vertex that lost the traversal. *)
+    for ei = 0 to nedges - 1 do
+      if base.b_steer.(ei) then begin
+        let e = ctx.edges.(ei) in
+        let u = e.e_src and w = e.e_dst in
+        if base.b_live_reach.(u) && w <> v_po then begin
+          if (not rw.(u)) && rw.(w) then Bitset.add region w;
+          if (not r_any.(u)) && r_any.(w) then Bitset.add region w
+        end;
+        if base.b_live_coreach.(w) && u <> v_pi then begin
+          if (not s_any.(w)) && s_any.(u) then Bitset.add region u;
+          if (not s_clean.(w)) && s_clean.(u) then Bitset.add region u
+        end
+      end
+    done;
+    (* Pinned-right steering requirements on live edges (see above). *)
     List.iter
-      (fun (m, b, v) ->
+      (fun (s, b, vv) ->
         List.iter
           (fun ei ->
-            Array.iter
-              (fun (port, cseg, _, required, reset_matches) ->
-                if
-                  port = (m, b) && required = v && (not reset_matches)
-                  && not writable0.(cseg)
-                then gain := true)
-              ctx.edges.(ei).e_shadow_reqs)
+            if base.b_steer.(ei) then begin
+              let keep = ref false in
+              Array.iter
+                (fun (_, cseg, cbit, required, reset_matches) ->
+                  if
+                    cseg = s && cbit = b && required = vv
+                    && not reset_matches
+                  then keep := true)
+                ctx.edges.(ei).e_shadow_reqs;
+              if !keep then add_ei ei
+            end)
+          base.b_host_edges_all.(s))
+      sm.Fault.sm_stuck_shadow;
+    List.iter
+      (fun (m, b, vv) ->
+        List.iter
+          (fun ei ->
+            if base.b_steer.(ei) then begin
+              let keep = ref false in
+              Array.iter
+                (fun (port, _, _, required, reset_matches) ->
+                  if port = (m, b) && required = vv && not reset_matches
+                  then keep := true)
+                ctx.edges.(ei).e_shadow_reqs;
+              if !keep then add_ei ei
+            end)
           base.b_mux_edges.(m))
       sm.Fault.sm_locked_addr;
-    if !gain then coarse ()
-    else begin
-      let eff = add_summary_effects (no_effects ctx) sm in
-      let v, _, steer, corrupt = delta_full ctx (of_baseline base) sm eff in
-      let nedges = Array.length ctx.edges in
-      (* Exact taint: the verdict diff. *)
-      let cs = Bitset.create ctx.nsegs in
-      let v0 = base.b_verdict in
-      for i = 0 to ctx.nsegs - 1 do
-        if
-          v.writable.(i) <> v0.writable.(i)
-          || v.readable.(i) <> v0.readable.(i)
-        then Bitset.add cs i
+    (* Fragility: which segments keep their CANONICAL baseline
+       certificate under the fault?  Replay the founded forest in round
+       order.  [all_w] neutralizes [edge_steerable]'s host-writability
+       fallback so the call checks only the syntactic conditions (dead
+       edge, wrong pins, wrong locks); hosted not-reset-matching
+       requirements are then handled by [hosts_ok] through the founded
+       recursion — the host's own certificate must have survived
+       ([pclass]), unless the fault itself pins or locks the bit to its
+       required value (any pin on the bit is necessarily right here:
+       wrong pins already failed the syntactic check). *)
+    let all_w = Array.make ctx.nsegs true in
+    let pclass = Array.make ctx.nsegs false in
+    let hosts_ok e =
+      let ok = ref true in
+      Array.iter
+        (fun (port, cseg, cbit, required, reset_matches) ->
+          if (not reset_matches) && not pclass.(cseg) then begin
+            let exempt =
+              List.exists
+                (fun (m, b, vv) -> (m, b) = port && vv = required)
+                eff.locked_addr
+              || List.exists
+                   (fun (s', b', _) -> s' = cseg && b' = cbit)
+                   eff.stuck_shadow
+            in
+            if not exempt then ok := false
+          end)
+        e.e_shadow_reqs;
+      !ok
+    in
+    let pre_memo = Array.make ctx.nv 0 (* 0 unknown / 1 ok / 2 bad *) in
+    let suf_memo = Array.make ctx.nv 0 in
+    (* Iterative tree walk (certificate paths can be as long as the
+       longest scan chain): ascend to the first memoized ancestor, then
+       settle the collected chain root-side first. *)
+    let walk memo parent next_v root edge_ok v0 =
+      let chain = ref [] in
+      let v = ref v0 in
+      let known = ref None in
+      while !known = None do
+        if !v = root then known := Some true
+        else if memo.(!v) = 1 then known := Some true
+        else if memo.(!v) = 2 then known := Some false
+        else begin
+          chain := !v :: !chain;
+          v := next_v parent.(!v)
+        end
       done;
-      (* The four access traversals under the settled faulty state. *)
-      let traverse ~fwd ~clean =
-        let root = if fwd then v_pi else v_po in
-        let stop = if fwd then v_po else v_pi in
-        let ok = Array.make ctx.nv false in
-        ok.(root) <- true;
-        let stack = ref [ root ] in
+      let ok = ref (!known = Some true) in
+      List.iter
+        (fun u ->
+          if !ok then ok := edge_ok u parent.(u);
+          memo.(u) <- (if !ok then 1 else 2))
+        !chain;
+      !ok
+    in
+    let nrounds = Array.length base.b_cert_rounds in
+    for round = 0 to nrounds - 1 do
+      Array.fill pre_memo 0 ctx.nv 0;
+      Array.fill suf_memo 0 ctx.nv 0;
+      let pre_tree, suf_tree = base.b_cert_rounds.(round) in
+      (* Prefix edges carry clean data into the target: steerable,
+         uncorrupted, destination shiftable, source passing clean. *)
+      let pre_edge_ok u ei =
+        let e = ctx.edges.(ei) in
+        edge_steerable ctx eff all_w e
+        && hosts_ok e
+        && (not corrupt.(ei))
+        && shiftable eff u
+        && (e.e_src = v_pi || clean_through eff e.e_src)
+      in
+      (* Suffix edges only need to exist topologically: steerable. *)
+      let suf_edge_ok _u ei =
+        let e = ctx.edges.(ei) in
+        edge_steerable ctx eff all_w e && hosts_ok e
+      in
+      for s = 0 to ctx.nsegs - 1 do
+        if
+          base.b_cert_round_of.(s) = round
+          && (not eff.kill_write.(s))
+          && walk pre_memo pre_tree
+               (fun ei -> ctx.edges.(ei).e_src)
+               v_pi pre_edge_ok (v_of_seg s)
+          && walk suf_memo suf_tree
+               (fun ei -> ctx.edges.(ei).e_dst)
+               v_po suf_edge_ok (v_of_seg s)
+        then pclass.(s) <- true
+      done
+    done;
+    let fragile = Bitset.create ctx.nsegs in
+    for s = 0 to ctx.nsegs - 1 do
+      if v.writable.(s) && not pclass.(s) then Bitset.add fragile s
+    done;
+    (* Re-routed certificates: a fragile segment is still writable, so
+       the FAULTY fixpoint owns a founded certificate for it.
+       Materialize one (round-stratified replay of the faulty fixpoint,
+       exactly like the baseline forest but under [eff] and the settled
+       corruption cache) and expose its vertex and edge footprints
+       [supp] / [supp_edges] plus the steering hosts [rhosts] it rests
+       on.  A partner fault whose exact damage (dead_edges, dmg)
+       avoids the footprint and under which every such host keeps both
+       its writability and its canonical certificate cannot disturb
+       the re-route — the pair gate in Metric checks exactly that,
+       instead of pessimistically refusing every fragile class. *)
+    let supp = Bitset.create ctx.nv in
+    let supp_edges = Bitset.create nedges in
+    let rhosts = Bitset.create ctx.nsegs in
+    if not (Bitset.is_empty fragile) then begin
+      let wf = Array.make ctx.nsegs false in
+      let frounds = ref [] in
+      let fround_of = Array.make ctx.nsegs (-1) in
+      let progress = ref true in
+      while !progress do
+        progress := false;
+        let enabled =
+          Array.init nedges (fun ei ->
+              edge_steerable ctx eff wf ctx.edges.(ei))
+        in
+        (* Clean forward tree from scan-in under the fault (the entry /
+           extension conditions of [reach_from_pi ~clean:true]). *)
+        let pre = Array.make ctx.nv (-1) in
+        let seenp = Array.make ctx.nv false in
+        seenp.(v_pi) <- true;
+        let stack = ref [ v_pi ] in
         while !stack <> [] do
           match !stack with
           | [] -> ()
           | u :: rest ->
               stack := rest;
-              if fwd && clean && not (u = v_pi || clean_through eff u) then ()
-              else
+              if u = v_pi || clean_through eff u then
                 List.iter
                   (fun ei ->
-                    if steer.(ei) && not (clean && corrupt.(ei)) then begin
-                      let e = ctx.edges.(ei) in
-                      let w = if fwd then e.e_dst else e.e_src in
-                      if
-                        (not ok.(w))
-                        && w <> stop
-                        && ((not clean) || shiftable eff w)
-                        && not ((not fwd) && clean && not (clean_through eff w))
+                    if enabled.(ei) && not corrupt.(ei) then begin
+                      let w = ctx.edges.(ei).e_dst in
+                      if (not seenp.(w)) && w <> v_po && shiftable eff w
                       then begin
-                        ok.(w) <- true;
+                        seenp.(w) <- true;
+                        pre.(w) <- ei;
                         stack := w :: !stack
                       end
                     end)
-                  (if fwd then ctx.out_edges.(u) else ctx.in_edges.(u))
+                  ctx.out_edges.(u)
         done;
-        ok
-      in
-      let rw = traverse ~fwd:true ~clean:true in
-      let r_any = traverse ~fwd:true ~clean:false in
-      let s_clean = traverse ~fwd:false ~clean:true in
-      let s_any = traverse ~fwd:false ~clean:false in
-      let region = Bitset.create ctx.nv in
-      let add_ei ei =
-        let e = ctx.edges.(ei) in
-        Bitset.add region e.e_src;
-        Bitset.add region e.e_dst
-      in
-      (* Killed or corrupted live edges — [steer] is the exact faulty
-         steerability, so writability-cascade deaths are included.
-         [dead_edges] keeps the edge-granular set for the partner's
-         re-route check. *)
-      let dead_edges = Bitset.create nedges in
-      for ei = 0 to nedges - 1 do
-        if base.b_steer.(ei) && ((not steer.(ei)) || corrupt.(ei)) then begin
-          Bitset.add dead_edges ei;
-          add_ei ei
-        end
-      done;
-      let dmg = Bitset.create ctx.nv in
-      let vertex_damage w =
-        Bitset.add region w;
-        Bitset.add dmg w;
-        List.iter
-          (fun ei -> Bitset.add region ctx.edges.(ei).e_src)
-          base.b_live_in.(w);
-        List.iter
-          (fun ei -> Bitset.add region ctx.edges.(ei).e_dst)
-          base.b_live_out.(w)
-      in
-      List.iter (fun i -> vertex_damage (v_of_seg i)) sm.Fault.sm_hard_block;
-      List.iter
-        (fun i -> vertex_damage (v_of_seg i))
-        sm.Fault.sm_corrupt_vertex;
-      (* Traversal boundaries: surviving vertices adjacent (along a live
-         edge) to a vertex that lost the traversal. *)
-      for ei = 0 to nedges - 1 do
-        if base.b_steer.(ei) then begin
-          let e = ctx.edges.(ei) in
-          let u = e.e_src and w = e.e_dst in
-          if base.b_live_reach.(u) && w <> v_po then begin
-            if (not rw.(u)) && rw.(w) then Bitset.add region w;
-            if (not r_any.(u)) && r_any.(w) then Bitset.add region w
-          end;
-          if base.b_live_coreach.(w) && u <> v_pi then begin
-            if (not s_any.(w)) && s_any.(u) then Bitset.add region u;
-            if (not s_clean.(w)) && s_clean.(u) then Bitset.add region u
+        (* Any-data backward tree to scan-out. *)
+        let suf = Array.make ctx.nv (-1) in
+        let seens = Array.make ctx.nv false in
+        seens.(v_po) <- true;
+        let stack = ref [ v_po ] in
+        while !stack <> [] do
+          match !stack with
+          | [] -> ()
+          | w :: rest ->
+              stack := rest;
+              List.iter
+                (fun ei ->
+                  if enabled.(ei) then begin
+                    let u = ctx.edges.(ei).e_src in
+                    if (not seens.(u)) && u <> v_pi then begin
+                      seens.(u) <- true;
+                      suf.(u) <- ei;
+                      stack := u :: !stack
+                    end
+                  end)
+                ctx.in_edges.(w)
+        done;
+        let round = List.length !frounds in
+        let promoted = ref false in
+        for s = 0 to ctx.nsegs - 1 do
+          if
+            (not wf.(s))
+            && (not eff.kill_write.(s))
+            && pre.(v_of_seg s) >= 0
+            && suf.(v_of_seg s) >= 0
+          then begin
+            wf.(s) <- true;
+            fround_of.(s) <- round;
+            promoted := true
           end
+        done;
+        if !promoted then begin
+          frounds := (pre, suf) :: !frounds;
+          progress := true
         end
       done;
-      (* Pinned-right steering requirements on live edges (see above). *)
-      List.iter
-        (fun (s, b, vv) ->
-          List.iter
-            (fun ei ->
-              if base.b_steer.(ei) then begin
-                let keep = ref false in
-                Array.iter
-                  (fun (_, cseg, cbit, required, reset_matches) ->
-                    if
-                      cseg = s && cbit = b && required = vv
-                      && not reset_matches
-                    then keep := true)
-                  ctx.edges.(ei).e_shadow_reqs;
-                if !keep then add_ei ei
-              end)
-            base.b_host_edges_all.(s))
-        sm.Fault.sm_stuck_shadow;
-      List.iter
-        (fun (m, b, vv) ->
-          List.iter
-            (fun ei ->
-              if base.b_steer.(ei) then begin
-                let keep = ref false in
-                Array.iter
-                  (fun (port, _, _, required, reset_matches) ->
-                    if port = (m, b) && required = vv && not reset_matches
-                    then keep := true)
-                  ctx.edges.(ei).e_shadow_reqs;
-                if !keep then add_ei ei
-              end)
-            base.b_mux_edges.(m))
-        sm.Fault.sm_locked_addr;
-      (* Fragility: which segments keep their CANONICAL baseline
-         certificate under the fault?  Replay the founded forest in round
-         order.  [all_w] neutralizes [edge_steerable]'s host-writability
-         fallback so the call checks only the syntactic conditions (dead
-         edge, wrong pins, wrong locks); hosted not-reset-matching
-         requirements are then handled by [hosts_ok] through the founded
-         recursion — the host's own certificate must have survived
-         ([pclass]), unless the fault itself pins or locks the bit to its
-         required value (any pin on the bit is necessarily right here:
-         wrong pins already failed the syntactic check). *)
-      let all_w = Array.make ctx.nsegs true in
-      let pclass = Array.make ctx.nsegs false in
-      let hosts_ok e =
-        let ok = ref true in
+      assert (wf = v.writable);
+      let frounds = Array.of_list (List.rev !frounds) in
+      let host_edge ei =
         Array.iter
           (fun (port, cseg, cbit, required, reset_matches) ->
-            if (not reset_matches) && not pclass.(cseg) then begin
+            if not reset_matches then begin
+              (* A pin on the bit is necessarily to the required value:
+                 the certificate edge is steerable under the fault. *)
               let exempt =
                 List.exists
                   (fun (m, b, vv) -> (m, b) = port && vv = required)
@@ -2103,230 +2310,58 @@ let probe ctx base (sm : Fault.summary) =
                      (fun (s', b', _) -> s' = cseg && b' = cbit)
                      eff.stuck_shadow
               in
-              if not exempt then ok := false
+              if not exempt then Bitset.add rhosts cseg
             end)
-          e.e_shadow_reqs;
-        !ok
+          ctx.edges.(ei).e_shadow_reqs
       in
-      let pre_memo = Array.make ctx.nv 0 (* 0 unknown / 1 ok / 2 bad *) in
-      let suf_memo = Array.make ctx.nv 0 in
-      (* Iterative tree walk (certificate paths can be as long as the
-         longest scan chain): ascend to the first memoized ancestor, then
-         settle the collected chain root-side first. *)
-      let walk memo parent next_v root edge_ok v0 =
-        let chain = ref [] in
-        let v = ref v0 in
-        let known = ref None in
-        while !known = None do
-          if !v = root then known := Some true
-          else if memo.(!v) = 1 then known := Some true
-          else if memo.(!v) = 2 then known := Some false
-          else begin
-            chain := !v :: !chain;
-            v := next_v parent.(!v)
-          end
-        done;
-        let ok = ref (!known = Some true) in
-        List.iter
-          (fun u ->
-            if !ok then ok := edge_ok u parent.(u);
-            memo.(u) <- (if !ok then 1 else 2))
-          !chain;
-        !ok
-      in
-      let nrounds = Array.length base.b_cert_rounds in
-      for round = 0 to nrounds - 1 do
-        Array.fill pre_memo 0 ctx.nv 0;
-        Array.fill suf_memo 0 ctx.nv 0;
-        let pre_tree, suf_tree = base.b_cert_rounds.(round) in
-        (* Prefix edges carry clean data into the target: steerable,
-           uncorrupted, destination shiftable, source passing clean. *)
-        let pre_edge_ok u ei =
-          let e = ctx.edges.(ei) in
-          edge_steerable ctx eff all_w e
-          && hosts_ok e
-          && (not corrupt.(ei))
-          && shiftable eff u
-          && (e.e_src = v_pi || clean_through eff e.e_src)
-        in
-        (* Suffix edges only need to exist topologically: steerable. *)
-        let suf_edge_ok _u ei =
-          let e = ctx.edges.(ei) in
-          edge_steerable ctx eff all_w e && hosts_ok e
-        in
-        for s = 0 to ctx.nsegs - 1 do
-          if
-            base.b_cert_round_of.(s) = round
-            && (not eff.kill_write.(s))
-            && walk pre_memo pre_tree
-                 (fun ei -> ctx.edges.(ei).e_src)
-                 v_pi pre_edge_ok (v_of_seg s)
-            && walk suf_memo suf_tree
-                 (fun ei -> ctx.edges.(ei).e_dst)
-                 v_po suf_edge_ok (v_of_seg s)
-          then pclass.(s) <- true
-        done
-      done;
-      let fragile = Bitset.create ctx.nsegs in
-      for s = 0 to ctx.nsegs - 1 do
-        if v.writable.(s) && not pclass.(s) then Bitset.add fragile s
-      done;
-      (* Re-routed certificates: a fragile segment is still writable, so
-         the FAULTY fixpoint owns a founded certificate for it.
-         Materialize one (round-stratified replay of the faulty fixpoint,
-         exactly like the baseline forest but under [eff] and the settled
-         corruption cache) and expose its vertex and edge footprints
-         [supp] / [supp_edges] plus the steering hosts [rhosts] it rests
-         on.  A partner fault whose exact damage (dead_edges, dmg)
-         avoids the footprint and under which every such host keeps both
-         its writability and its canonical certificate cannot disturb
-         the re-route — the pair gate in Metric checks exactly that,
-         instead of pessimistically refusing every fragile class. *)
-      let supp = Bitset.create ctx.nv in
-      let supp_edges = Bitset.create nedges in
-      let rhosts = Bitset.create ctx.nsegs in
-      if not (Bitset.is_empty fragile) then begin
-        let wf = Array.make ctx.nsegs false in
-        let frounds = ref [] in
-        let fround_of = Array.make ctx.nsegs (-1) in
-        let progress = ref true in
-        while !progress do
-          progress := false;
-          let enabled =
-            Array.init nedges (fun ei ->
-                edge_steerable ctx eff wf ctx.edges.(ei))
-          in
-          (* Clean forward tree from scan-in under the fault (the entry /
-             extension conditions of [reach_from_pi ~clean:true]). *)
-          let pre = Array.make ctx.nv (-1) in
-          let seenp = Array.make ctx.nv false in
-          seenp.(v_pi) <- true;
-          let stack = ref [ v_pi ] in
-          while !stack <> [] do
-            match !stack with
-            | [] -> ()
-            | u :: rest ->
-                stack := rest;
-                if u = v_pi || clean_through eff u then
-                  List.iter
-                    (fun ei ->
-                      if enabled.(ei) && not corrupt.(ei) then begin
-                        let w = ctx.edges.(ei).e_dst in
-                        if (not seenp.(w)) && w <> v_po && shiftable eff w
-                        then begin
-                          seenp.(w) <- true;
-                          pre.(w) <- ei;
-                          stack := w :: !stack
-                        end
-                      end)
-                    ctx.out_edges.(u)
-          done;
-          (* Any-data backward tree to scan-out. *)
-          let suf = Array.make ctx.nv (-1) in
-          let seens = Array.make ctx.nv false in
-          seens.(v_po) <- true;
-          let stack = ref [ v_po ] in
-          while !stack <> [] do
-            match !stack with
-            | [] -> ()
-            | w :: rest ->
-                stack := rest;
-                List.iter
-                  (fun ei ->
-                    if enabled.(ei) then begin
-                      let u = ctx.edges.(ei).e_src in
-                      if (not seens.(u)) && u <> v_pi then begin
-                        seens.(u) <- true;
-                        suf.(u) <- ei;
-                        stack := u :: !stack
-                      end
-                    end)
-                  ctx.in_edges.(w)
-          done;
-          let round = List.length !frounds in
-          let promoted = ref false in
-          for s = 0 to ctx.nsegs - 1 do
-            if
-              (not wf.(s))
-              && (not eff.kill_write.(s))
-              && pre.(v_of_seg s) >= 0
-              && suf.(v_of_seg s) >= 0
-            then begin
-              wf.(s) <- true;
-              fround_of.(s) <- round;
-              promoted := true
-            end
-          done;
-          if !promoted then begin
-            frounds := (pre, suf) :: !frounds;
-            progress := true
-          end
-        done;
-        assert (wf = v.writable);
-        let frounds = Array.of_list (List.rev !frounds) in
-        let host_edge ei =
-          Array.iter
-            (fun (port, cseg, cbit, required, reset_matches) ->
-              if not reset_matches then begin
-                (* A pin on the bit is necessarily to the required value:
-                   the certificate edge is steerable under the fault. *)
-                let exempt =
-                  List.exists
-                    (fun (m, b, vv) -> (m, b) = port && vv = required)
-                    eff.locked_addr
-                  || List.exists
-                       (fun (s', b', _) -> s' = cseg && b' = cbit)
-                       eff.stuck_shadow
-                in
-                if not exempt then Bitset.add rhosts cseg
-              end)
-            ctx.edges.(ei).e_shadow_reqs
-        in
-        let pre_done = Array.make ctx.nv false in
-        let suf_done = Array.make ctx.nv false in
-        for round = 0 to Array.length frounds - 1 do
-          Array.fill pre_done 0 ctx.nv false;
-          Array.fill suf_done 0 ctx.nv false;
-          let pre, suf = frounds.(round) in
-          Bitset.iter
-            (fun s ->
-              if fround_of.(s) = round then begin
-                let u = ref (v_of_seg s) in
-                while !u <> v_pi && not pre_done.(!u) do
-                  pre_done.(!u) <- true;
-                  Bitset.add supp !u;
-                  let ei = pre.(!u) in
-                  Bitset.add supp_edges ei;
-                  host_edge ei;
-                  u := ctx.edges.(ei).e_src
-                done;
-                let u = ref (v_of_seg s) in
-                while !u <> v_po && not suf_done.(!u) do
-                  suf_done.(!u) <- true;
-                  Bitset.add supp !u;
-                  let ei = suf.(!u) in
-                  Bitset.add supp_edges ei;
-                  host_edge ei;
-                  u := ctx.edges.(ei).e_dst
-                done
-              end)
-            fragile
-        done
-      end;
-      { pr_verdict = v; pr_cone = cs; pr_region = region;
-        pr_fragile = fragile; pr_supp = supp; pr_supp_edges = supp_edges;
-        pr_rhosts = rhosts; pr_dead_edges = dead_edges; pr_dmg = dmg;
-        pr_coarse = false }
-    end
+      let pre_done = Array.make ctx.nv false in
+      let suf_done = Array.make ctx.nv false in
+      for round = 0 to Array.length frounds - 1 do
+        Array.fill pre_done 0 ctx.nv false;
+        Array.fill suf_done 0 ctx.nv false;
+        let pre, suf = frounds.(round) in
+        Bitset.iter
+          (fun s ->
+            if fround_of.(s) = round then begin
+              let u = ref (v_of_seg s) in
+              while !u <> v_pi && not pre_done.(!u) do
+                pre_done.(!u) <- true;
+                Bitset.add supp !u;
+                let ei = pre.(!u) in
+                Bitset.add supp_edges ei;
+                host_edge ei;
+                u := ctx.edges.(ei).e_src
+              done;
+              let u = ref (v_of_seg s) in
+              while !u <> v_po && not suf_done.(!u) do
+                suf_done.(!u) <- true;
+                Bitset.add supp !u;
+                let ei = suf.(!u) in
+                Bitset.add supp_edges ei;
+                host_edge ei;
+                u := ctx.edges.(ei).e_dst
+              done
+            end)
+          fragile
+      done
+    end;
+    { pr_verdict = v; pr_cone = cs; pr_region = region;
+      pr_fragile = fragile; pr_supp = supp; pr_supp_edges = supp_edges;
+      pr_rhosts = rhosts; pr_dead_edges = dead_edges; pr_dmg = dmg;
+      pr_coarse = false }
   end
 
+(* [probe]'s cone, case for case, without the interaction region the
+   BMC path never reads. *)
 let cone ctx base (sm : Fault.summary) =
   if Fault.summary_benign sm then None
   else if only_kill_read sm then
     Some (Bitset.of_list ctx.nsegs sm.Fault.sm_kill_read)
   else if local_kill_write base sm then
     Some (Bitset.of_list ctx.nsegs sm.Fault.sm_kill_write)
-  else Some (probe ctx base sm).pr_cone
+  else if sm.Fault.sm_glitch_shadow = [] && probe_refused ctx base sm then
+    Some (seg_bitset ctx (coarse_cone ctx base sm))
+  else Some (verdict_diff ctx base (fst (analyze_delta ctx base sm)))
 
 (* Secondary baseline under [sm]: the stacked state all of [sm]'s pairs
    share.  The steer/corruption caches must reflect [sm] even when the

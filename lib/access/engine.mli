@@ -65,11 +65,23 @@ val accessible_bits : ctx -> verdict -> int
     one — it is just computed faster. *)
 
 type baseline
-(** Fault-free verdict plus per-vertex reach/co-reach bitsets and
-    per-segment / per-mux edge dependency tables for one {!ctx}.
-    Immutable once built; safe to share across domains. *)
+(** Fault-free verdict plus per-vertex cone tables and per-segment /
+    per-mux edge dependency tables for one {!ctx}.  Immutable once
+    built; safe to share across domains. *)
 
 val baseline : ctx -> baseline
+(** Builds the baseline.  The cone tables are the reach and co-reach
+    bitsets of every dataflow vertex, closed under the writability
+    cascade: whenever a segment is in a table, so is the reach of the
+    head and the co-reach of the tail of every edge whose steering
+    depends on that segment's writability (a requirement hosted in the
+    segment whose reset value does not match).  The cascade adds
+    vertices one at a time, so the closure of a union is the union of
+    the closures; a fault's coarse cone is therefore a handful of
+    unions of these tables, exactly the cone the per-fault cascade
+    would reach.  The closure is a Kleene iteration of the topological
+    reach/co-reach DPs; on cyclic dataflow every table is the full
+    vertex set. *)
 
 val baseline_verdict : baseline -> verdict
 (** The fault-free verdict ({!analyze}[ ctx None]). *)
@@ -87,7 +99,7 @@ type probe = {
   pr_cone : Ftrsn_topo.Bitset.t;
       (** segment indices whose verdict differs from the fault-free
           baseline — EXACT (the verdict diff) unless [pr_coarse], then
-          the static reach/co-reach over-approximation *)
+          the coarse cone over the closed tables of {!baseline} *)
   pr_region : Ftrsn_topo.Bitset.t;
       (** dataflow-vertex interaction region: endpoints of every live
           edge the fault killed, corrupted, or pinned into its required

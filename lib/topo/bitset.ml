@@ -66,10 +66,15 @@ let andn_into dst src =
   Array.iteri (fun i w -> dst.words.(i) <- dst.words.(i) land lnot w) src.words
 
 let iter f s =
-  for i = 0 to s.n - 1 do
-    if s.words.(i / bits_per_word) land (1 lsl (i mod bits_per_word)) <> 0
-    then f i
-  done
+  Array.iteri
+    (fun wi w ->
+      let w = ref w and i = ref (wi * bits_per_word) in
+      while !w <> 0 do
+        if !w land 1 <> 0 then f !i;
+        w := !w lsr 1;
+        incr i
+      done)
+    s.words
 
 let elements s =
   let acc = ref [] in

@@ -643,6 +643,36 @@ let prop_lanes_on_equal_delta_on =
       done;
       !ok)
 
+(* [Engine.cone] derives the class cone without the probe's interaction
+   region; it must still be the probe's cone, on every path the probe
+   takes (exact diff, coarse refusal, glitch, local kills).  The
+   fault-tolerant rework has the hosted steering requirements the coarse
+   cone's cascade closure is about. *)
+let test_cone_is_probe_cone () =
+  let net =
+    (Ftrsn_core.Pipeline.synthesize
+       (Ftrsn_itc02.Itc02.rsn (Option.get (Ftrsn_itc02.Itc02.find "u226"))))
+      .Ftrsn_core.Pipeline.ft
+  in
+  let ctx = Engine.make_ctx net in
+  let base = Engine.baseline ctx in
+  List.iter
+    (fun model ->
+      List.iter
+        (fun c ->
+          let sm = c.Fault.cls_summary in
+          let p = (Engine.probe ctx base sm).Engine.pr_cone in
+          let same =
+            match Engine.cone ctx base sm with
+            | None -> Ftrsn_topo.Bitset.is_empty p
+            | Some cs -> Ftrsn_topo.Bitset.equal cs p
+          in
+          if not same then
+            Alcotest.failf "%s: cone differs from the probe's"
+              (Fault.to_string net c.Fault.cls_rep))
+        (Fault.collapse net (Fault.universe ~model net)))
+    [ Fault.Stuck; Fault.Transient ]
+
 let suite =
   [
     Alcotest.test_case "fault-free: all accessible" `Quick
@@ -706,4 +736,6 @@ let suite =
       test_vectors_roundtrip_consistent;
     Testseed.to_alcotest prop_lanes_equal_scalar;
     Testseed.to_alcotest prop_lanes_on_equal_delta_on;
+    Alcotest.test_case "cone = probe cone (u226 FT rework)" `Quick
+      test_cone_is_probe_cone;
   ]

@@ -5,6 +5,8 @@
 
 module Sib = Ftrsn_rsn.Sib
 module Text = Ftrsn_rsn.Text
+module Netlist = Ftrsn_rsn.Netlist
+module Itc02 = Ftrsn_itc02.Itc02
 module Fault = Ftrsn_fault.Fault
 module Metric = Ftrsn_core.Metric
 module Engine = Ftrsn_access.Engine
@@ -855,23 +857,46 @@ let test_serve_threaded_ids () =
 (* ------------------------------------------------------------------ *)
 (* Table I of the paper, small SoCs                                    *)
 
-(* Per SoC, as printed by [reproduce]: SIB-based and fault-tolerant
+(* Per SoC, as printed by [reproduce]: the characteristics (modules,
+   levels, muxes, segments, scan bits), SIB-based and fault-tolerant
    accessibility (bits-worst %.2f, bits-avg / segs-worst / segs-avg
    %.3f, fault count) and the synthesized area ratio (%.2f). *)
 let table1_small =
   [
-    ("u226", ("0.00", "0.879", "0.000", "0.883", 1402),
+    ("u226", (10, 2, 49, 89, 1465),
+      ("0.00", "0.879", "0.000", "0.883", 1402),
       ("0.96", "0.997", "0.989", "0.997", 4478), "1.67");
-    ("d281", ("0.00", "0.888", "0.000", "0.892", 1680),
+    ("d281", (9, 2, 58, 108, 3871),
+      ("0.00", "0.888", "0.000", "0.892", 1680),
       ("0.97", "0.997", "0.991", "0.997", 5396), "1.32");
-    ("x1331", ("0.00", "0.846", "0.000", "0.859", 886),
+    ("h953", (9, 2, 54, 100, 5640),
+      ("0.00", "0.886", "0.000", "0.889", 1560),
+      ("0.96", "0.997", "0.990", "0.997", 5004), "1.20");
+    ("x1331", (7, 4, 31, 56, 4023),
+      ("0.00", "0.846", "0.000", "0.859", 886),
       ("0.93", "0.995", "0.982", "0.995", 2822), "1.16");
-    ("q12710", ("0.00", "0.822", "0.000", "0.836", 722),
+    ("f2126", (5, 2, 40, 76, 15829),
+      ("0.00", "0.850", "0.000", "0.857", 1172),
+      ("0.95", "0.996", "0.987", "0.996", 3776), "1.06");
+    ("q12710", (5, 2, 25, 46, 26183),
+      ("0.00", "0.822", "0.000", "0.836", 722),
       ("0.90", "0.994", "0.978", "0.993", 2306), "1.02");
+    ("a586710", (8, 3, 39, 71, 41674),
+      ("0.00", "0.870", "0.000", "0.877", 1118),
+      ("0.95", "0.996", "0.986", "0.996", 3570), "1.02");
   ]
 
 let test_table1_small () =
   let pool = Pool.create () in
+  let characteristics soc (modules, levels, mux, segments, bits) =
+    let s = Option.get (Itc02.find soc) in
+    let net = Itc02.rsn s in
+    check int_t (soc ^ " modules") modules s.Itc02.soc_modules;
+    check int_t (soc ^ " levels") levels (Netlist.max_hier net);
+    check int_t (soc ^ " mux") mux (Netlist.num_muxes net);
+    check int_t (soc ^ " segments") segments (Netlist.num_segments net);
+    check int_t (soc ^ " bits") bits (Netlist.total_bits net)
+  in
   let access soc ~ft (bw, ba, sw, sa, faults) =
     let spec = { Query.ns_source = `Itc02 soc; ns_ft = ft } in
     match Exec.run pool (metric_q spec) with
@@ -889,7 +914,8 @@ let test_table1_small () =
     | r -> Alcotest.fail (Response.to_string r)
   in
   List.iter
-    (fun (soc, sib, ft, area) ->
+    (fun (soc, chars, sib, ft, area) ->
+      characteristics soc chars;
       access soc ~ft:false sib;
       access soc ~ft:true ft;
       let spec = { Query.ns_source = `Itc02 soc; ns_ft = false } in
@@ -899,6 +925,43 @@ let test_table1_small () =
             (Printf.sprintf "%.2f" s.Response.sy_area_ratio)
       | r -> Alcotest.fail (Response.to_string r))
     table1_small
+
+(* Coarse cones on fault-tolerant reworks, the only networks where the
+   writability cascade grows a cone beyond its reach/co-reach seed.  A
+   cone looser or tighter than the cascade's moves these counters even
+   when every verdict stays right. *)
+let test_ft_cones_pinned () =
+  let pool = Pool.create () in
+  let ft soc = { Query.ns_source = `Itc02 soc; ns_ft = true } in
+  List.iter
+    (fun (soc, cone_sum, cone_max) ->
+      match Exec.run pool (metric_q ~with_stats:true (ft soc)) with
+      | Response.Metric_r { Response.mr_reduction = Some r; _ } ->
+          check int_t (soc ^ "-ft cone_sum") cone_sum r.Metric.r_cone_sum;
+          check int_t (soc ^ "-ft cone_max") cone_max r.Metric.r_cone_max
+      | r -> Alcotest.fail (Response.to_string r))
+    [ ("u226", 120239, 89); ("d281", 176256, 108) ];
+  let pairs =
+    Query.Pairs
+      {
+        Query.pq_net = ft "u226";
+        pq_fault_sample = None;
+        pq_pair_sample = None;
+        pq_domains = 2;
+        pq_engine = `Structural;
+        pq_model = Fault.Stuck;
+        pq_reduce = true;
+        pq_inprocess = true;
+        pq_with_stats = true;
+      }
+  in
+  match Exec.run pool pairs with
+  | Response.Metric_r
+      { Response.mr_stats = Some { Response.ms_pair_lanes = Some l; _ }; _ } ->
+      check int_t "u226-ft pair-lane batches" 6452 l.Engine.ls_batches;
+      check int_t "u226-ft pair-lane rounds" 21718 l.Engine.ls_rounds;
+      check int_t "u226-ft pair-lane masked" 62 l.Engine.ls_masked
+  | r -> Alcotest.fail (Response.to_string r)
 
 let suite =
   [
@@ -930,4 +993,6 @@ let suite =
     Alcotest.test_case "serve: threaded mode answers every id" `Quick
       test_serve_threaded_ids;
     Alcotest.test_case "table I: small SoCs pinned" `Quick test_table1_small;
+    Alcotest.test_case "engine: FT cones and pair lanes pinned" `Quick
+      test_ft_cones_pinned;
   ]
