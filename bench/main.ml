@@ -297,11 +297,7 @@ let double_fault =
    batches, all rooted at ONE prebuilt stacked baseline (the first
    non-benign class plays the primary); a refill pays one shared
    union-cone fixpoint for a whole batch, so the OLS slope is the honest
-   amortized cost of one (primary, secondary) verdict.  The
-   stacked_scalar_per_pair_* rows run [Engine.analyze_delta_on] over the
-   SAME batched secondaries one at a time — the pre-lane cost of exactly
-   the same verdicts, so lane/scalar is the per-pair speedup of the
-   lane sweep. *)
+   amortized cost of one (primary, secondary) verdict. *)
 let stacked_pair_inputs net ctx =
   let base = Engine.baseline ctx in
   let classes = Array.of_list (Fault.collapse net (Fault.universe net)) in
@@ -332,31 +328,15 @@ let stacked_lane_per_pair net ctx =
       end;
       decr pending
 
-let stacked_scalar_per_pair net ctx =
-  let stk, batches = stacked_pair_inputs net ctx in
-  let sms = Array.concat (Array.to_list batches) in
-  if Array.length sms = 0 then fun () -> ()
-  else
-    let i = ref 0 in
-    fun () ->
-      ignore (Engine.analyze_delta_on ctx stk sms.(!i));
-      i := (!i + 1) mod Array.length sms
-
 let double_fault_lanes =
   Test.make_grouped ~name:"double_fault_lanes"
     [
       Test.make ~name:"stacked_lane_per_pair_small"
         (Staged.stage (stacked_lane_per_pair small small_ctx));
-      Test.make ~name:"stacked_scalar_per_pair_small"
-        (Staged.stage (stacked_scalar_per_pair small small_ctx));
       Test.make ~name:"stacked_lane_per_pair_u226"
         (Staged.stage (stacked_lane_per_pair u226 u226_ctx));
-      Test.make ~name:"stacked_scalar_per_pair_u226"
-        (Staged.stage (stacked_scalar_per_pair u226 u226_ctx));
       Test.make ~name:"stacked_lane_per_pair_u226_ft"
         (Staged.stage (stacked_lane_per_pair u226_ft u226_ft_ctx));
-      Test.make ~name:"stacked_scalar_per_pair_u226_ft"
-        (Staged.stage (stacked_scalar_per_pair u226_ft u226_ft_ctx));
     ]
 
 (* Non-stuck fault universes through the same reduction machinery: what

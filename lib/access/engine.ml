@@ -149,26 +149,6 @@ let no_effects ctx =
     po_dead = false;
   }
 
-(* Snapshot of an effects record: the bool arrays are copied (folding a
-   further summary into the copy must not disturb the original), the lists
-   and flags are immutable values and shared. *)
-let effects_copy e =
-  {
-    hard_block = Array.copy e.hard_block;
-    corrupt_vertex = Array.copy e.corrupt_vertex;
-    corrupt_in = Array.copy e.corrupt_in;
-    corrupt_out = Array.copy e.corrupt_out;
-    kill_write = Array.copy e.kill_write;
-    kill_read = Array.copy e.kill_read;
-    mux_out_bad = Array.copy e.mux_out_bad;
-    mux_in_bad = e.mux_in_bad;
-    locked_addr = e.locked_addr;
-    stuck_shadow = e.stuck_shadow;
-    glitch_shadow = e.glitch_shadow;
-    pi_dead = e.pi_dead;
-    po_dead = e.po_dead;
-  }
-
 (* With duplicated scan ports (§III-E-4), the secondary scan-in is wired to
    the input of every successor of the primary scan-in, and every
    predecessor of the primary scan-out is wired to the secondary scan-out.
@@ -548,11 +528,11 @@ let access_path ctx fault s =
    context, and most faults disturb only a small cone of the dataflow
    graph.  [baseline] precomputes the fault-free verdict plus the static
    reachability and dependency tables from which each fault's cone is
-   derived; [analyze_delta] re-runs the fixpoint only inside the cone and
-   splices the fault-free verdict everywhere else.  Exactness, not
-   approximation: outside the cone the faulty least fixpoint provably
-   coincides with the fault-free one, so the spliced verdict is
-   bit-identical to [analyze]'s. *)
+   derived; the lane kernel below seeds its fixpoint with the fault-free
+   writable set minus the cone.  Exactness, not approximation: outside
+   the cone the faulty least fixpoint provably coincides with the
+   fault-free one, so the seeded verdict is bit-identical to
+   [analyze]'s. *)
 
 type baseline = {
   b_verdict : verdict;           (* fault-free analyze *)
@@ -570,14 +550,7 @@ type baseline = {
   b_mux_edges : int list array;  (* per mux: edges routed through it *)
   b_steer : bool array;
       (* per edge: steerability in the fault-free network under the final
-         fault-free writability.  Valid for any edge not affected by the
-         fault, at every delta iteration: such an edge consults only
-         non-cone hosts, whose writability never leaves its baseline
-         value. *)
-  b_corrupt : bool array;
-      (* per edge: data corruption in the fault-free network — identically
-         false, kept as the shared root of the stacked-delta corruption
-         caches.  Never mutated. *)
+         fault-free writability — the "live" edges *)
   b_cyclic : bool;
       (* dataflow graph has a cycle: every tight analysis falls back to
          the coarse static cone *)
@@ -607,6 +580,81 @@ type baseline = {
 }
 
 let baseline_verdict b = b.b_verdict
+
+(* Founded certificate forest of the writability fixpoint under [eff]:
+   re-run the fixpoint in rounds, recording for each round a concrete
+   clean scan-in prefix tree and an any-data scan-out suffix tree (per
+   vertex, the tree edge into / out of it; -1 off-tree) over the edges
+   the PREVIOUS rounds enable.  Every hosted not-reset-matching
+   requirement on a round-k tree edge is therefore hosted by a segment
+   certified at a round < k — the recursion the pair probe's fragility
+   check relies on is well founded by construction.  [corrupt] is the
+   per-edge data corruption under [eff].  Returns the rounds, each
+   segment's round (-1 if never writable) and the final writable set,
+   which is the least fixpoint's. *)
+let cert_forest ctx eff corrupt =
+  let nv = ctx.nv in
+  let round_of = Array.make ctx.nsegs (-1) in
+  let rounds = ref [] in
+  let w = Array.make ctx.nsegs false in
+  let progress = ref true in
+  while !progress do
+    progress := false;
+    let enabled = Array.map (edge_steerable ctx eff w) ctx.edges in
+    (* The entry / extension conditions of [reach_from_pi ~clean:true]
+       forward and of [coreach_to_po ~clean:false] backward. *)
+    let tree ~fwd =
+      let root, skip = if fwd then (v_pi, v_po) else (v_po, v_pi) in
+      let parent = Array.make nv (-1) in
+      let seen = Array.make nv false in
+      seen.(root) <- true;
+      let stack = ref [ root ] in
+      while !stack <> [] do
+        match !stack with
+        | [] -> ()
+        | u :: rest ->
+            stack := rest;
+            if (not fwd) || u = v_pi || clean_through eff u then
+              List.iter
+                (fun ei ->
+                  if enabled.(ei) && not (fwd && corrupt.(ei)) then begin
+                    let e = ctx.edges.(ei) in
+                    let v = if fwd then e.e_dst else e.e_src in
+                    if
+                      (not seen.(v)) && v <> skip
+                      && ((not fwd) || shiftable eff v)
+                    then begin
+                      seen.(v) <- true;
+                      parent.(v) <- ei;
+                      stack := v :: !stack
+                    end
+                  end)
+                (if fwd then ctx.out_edges.(u) else ctx.in_edges.(u))
+      done;
+      parent
+    in
+    let pre = tree ~fwd:true in
+    let suf = tree ~fwd:false in
+    let round = List.length !rounds in
+    let promoted = ref false in
+    for s = 0 to ctx.nsegs - 1 do
+      if
+        (not w.(s))
+        && (not eff.kill_write.(s))
+        && pre.(v_of_seg s) >= 0
+        && suf.(v_of_seg s) >= 0
+      then begin
+        w.(s) <- true;
+        round_of.(s) <- round;
+        promoted := true
+      end
+    done;
+    if !promoted then begin
+      rounds := (pre, suf) :: !rounds;
+      progress := true
+    end
+  done;
+  (Array.of_list (List.rev !rounds), round_of, w)
 
 let baseline ctx =
   let b_verdict = analyze ctx None in
@@ -747,68 +795,12 @@ let baseline ctx =
   in
   let b_live_reach = bfs b_live_out ~root:v_pi ~skip:v_po in
   let b_live_coreach = bfs b_live_in ~root:v_po ~skip:v_pi in
-  (* Founded canonical certificate forest: re-run the writability fixpoint
-     in rounds, recording for each round a concrete scan-in prefix tree
-     and scan-out suffix tree over the edges the PREVIOUS rounds enable.
-     Every hosted not-reset-matching requirement on a round-k certificate
-     edge is therefore certified at a round < k — the recursion the pair
-     probe's fragility check relies on is well founded by construction.
-     The fault-free network has no corruption or blocking, so the clean
-     forward and any-data backward traversals are both plain BFS over the
-     enabled edges, and the final writable set coincides with
-     [b_verdict.writable]. *)
-  let nedges = Array.length ctx.edges in
-  let b_cert_round_of = Array.make ctx.nsegs (-1) in
-  let cert_rounds = ref [] in
-  let w = Array.make ctx.nsegs false in
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    let enabled =
-      Array.init nedges (fun ei -> edge_steerable ctx eff0 w ctx.edges.(ei))
-    in
-    let tree ~fwd ~root ~skip =
-      let parent = Array.make nv (-1) in
-      let seen = Array.make nv false in
-      seen.(root) <- true;
-      let stack = ref [ root ] in
-      while !stack <> [] do
-        match !stack with
-        | [] -> ()
-        | u :: rest ->
-            stack := rest;
-            List.iter
-              (fun ei ->
-                if enabled.(ei) then begin
-                  let e = ctx.edges.(ei) in
-                  let v = if fwd then e.e_dst else e.e_src in
-                  if (not seen.(v)) && v <> skip then begin
-                    seen.(v) <- true;
-                    parent.(v) <- ei;
-                    stack := v :: !stack
-                  end
-                end)
-              (if fwd then ctx.out_edges.(u) else ctx.in_edges.(u))
-      done;
-      parent
-    in
-    let pre = tree ~fwd:true ~root:v_pi ~skip:v_po in
-    let suf = tree ~fwd:false ~root:v_po ~skip:v_pi in
-    let round = List.length !cert_rounds in
-    let promoted = ref false in
-    for s = 0 to ctx.nsegs - 1 do
-      if (not w.(s)) && pre.(v_of_seg s) >= 0 && suf.(v_of_seg s) >= 0
-      then begin
-        w.(s) <- true;
-        b_cert_round_of.(s) <- round;
-        promoted := true
-      end
-    done;
-    if !promoted then begin
-      cert_rounds := (pre, suf) :: !cert_rounds;
-      progress := true
-    end
-  done;
+  (* The fault-free network has no corruption, blocking or killed
+     interfaces, so its certificate forest's final writable set
+     coincides with [b_verdict.writable]. *)
+  let b_cert_rounds, b_cert_round_of, w =
+    cert_forest ctx eff0 (Array.make (Array.length ctx.edges) false)
+  in
   assert (w = b_verdict.writable);
   {
     b_verdict;
@@ -818,13 +810,12 @@ let baseline ctx =
     b_host_edges_nonreset;
     b_mux_edges;
     b_steer;
-    b_corrupt = Array.make (Array.length ctx.edges) false;
     b_cyclic = order_opt = None;
     b_live_out;
     b_live_in;
     b_live_reach;
     b_live_coreach;
-    b_cert_rounds = Array.of_list (List.rev !cert_rounds);
+    b_cert_rounds;
     b_cert_round_of;
   }
 
@@ -853,8 +844,9 @@ let local_kill_write base (sm : Fault.summary) =
    the baseline tables are already closed under the cascade, so each
    contribution is a union of closed tables and the cone needs no
    iteration.  A sound over-approximation under ANY base state (the
-   tables are static), which the tight probe below is not; kept as the
-   fallback for the summaries the probe refuses. *)
+   tables are static), which the tight probe below is not: it seeds
+   every lane of the kernel, and it is the probe's answer for the
+   summaries the probe refuses. *)
 let coarse_cone ctx base (sm : Fault.summary) =
   let cv = Bitset.create ctx.nv in
   if sm.Fault.sm_pi_dead || sm.Fault.sm_po_dead then Bitset.fill cv
@@ -888,64 +880,17 @@ let coarse_cone ctx base (sm : Fault.summary) =
   end;
   cv
 
-(* The coarse cone plus the edges whose predicates the delta traversals
-   must re-evaluate (and only those): the edges adjacent to data-corrupting
-   segments, the edges the damaged muxes and pinned bits steer, and every
-   not-reset-matching hosted edge of a cone segment (the cascade). *)
-let probe_coarse ctx base (sm : Fault.summary) =
-  let cv = coarse_cone ctx base sm in
-  let nedges = Array.length ctx.edges in
-  let affected = Array.make nedges false in
-  let aff_list = ref [] in
-  let mark ei =
-    if not affected.(ei) then begin
-      affected.(ei) <- true;
-      aff_list := ei :: !aff_list
-    end
-  in
-  if sm.Fault.sm_pi_dead || sm.Fault.sm_po_dead then
-    for ei = nedges - 1 downto 0 do
-      mark ei
-    done
-  else begin
-    List.iter
-      (fun i -> List.iter mark ctx.in_edges.(v_of_seg i))
-      sm.Fault.sm_corrupt_in;
-    List.iter
-      (fun i -> List.iter mark ctx.out_edges.(v_of_seg i))
-      sm.Fault.sm_corrupt_out;
-    let mux_edges m = List.iter mark base.b_mux_edges.(m) in
-    List.iter mux_edges sm.Fault.sm_mux_out;
-    List.iter (fun (m, _) -> mux_edges m) sm.Fault.sm_mux_in;
-    List.iter (fun (m, _, _) -> mux_edges m) sm.Fault.sm_locked_addr;
-    List.iter
-      (fun (i, _, _) -> List.iter mark base.b_host_edges_all.(i))
-      sm.Fault.sm_stuck_shadow;
-    Bitset.iter
-      (fun v ->
-        if v >= 2 then List.iter mark base.b_host_edges_nonreset.(seg_of_v v))
-      cv
-  end;
-  (cv, !aff_list)
-
-let cone_seg_list ctx cv =
-  let acc = ref [] in
-  for i = ctx.nsegs - 1 downto 0 do
-    if Bitset.mem cv (v_of_seg i) then acc := i :: !acc
-  done;
-  !acc
-
 (* ---- stacked secondary baselines ----
 
    The double-fault sweep groups pairs by first class, computes that
    class's faulty state ONCE, and runs the second fault's delta on top.
    [stacked] is the exact analogue of [baseline] for a (possibly) faulty
-   base state: the verdict plus the per-edge steer/corruption caches under
-   the stacked effects.  Everything the delta machinery consults about the
-   BASE NETWORK (reach/co-reach tables, host/mux edge indices) is static,
-   so it keeps coming from the underlying [baseline]; the cone argument
-   only uses those tables as over-approximations of dependency, which they
-   remain under any fault, so the splice is exact on stacked bases too. *)
+   base state: the stacked summary and its verdict.  Everything the delta
+   machinery consults about the BASE NETWORK (reach/co-reach tables,
+   host/mux edge indices) is static, so it keeps coming from the
+   underlying [baseline]; the cone argument only uses those tables as
+   over-approximations of dependency, which they remain under any fault,
+   so the seeded fixpoint is exact on stacked bases too. *)
 
 type stacked = {
   s_base : baseline;
@@ -956,311 +901,30 @@ type stacked = {
          divergence from the fault-free baseline, not from a faulty base
          (the base fault may have killed the very paths the splice relies
          on). *)
-  s_eff : effects option;
-      (* effects of the stacked summary; [None] = fault-free base (avoids
-         allocating an effects record on the fast paths) *)
   s_verdict : verdict;  (* exact verdict under the stacked summary *)
-  s_steer : bool array;
-      (* per edge: steerability under the stacked effects and the settled
-         writability of [s_verdict] *)
-  s_corrupt : bool array;  (* per edge: corruption under the stacked effects *)
 }
 
 let stacked_verdict stk = stk.s_verdict
 
 let of_baseline base =
-  {
-    s_base = base;
-    s_sm = None;
-    s_eff = None;
-    s_verdict = base.b_verdict;
-    s_steer = base.b_steer;
-    s_corrupt = base.b_corrupt;
-  }
+  { s_base = base; s_sm = None; s_verdict = base.b_verdict }
 
-(* Full cone-restricted fixpoint on top of the stacked state; [eff] must
-   be the stacked effects extended with the delta summary, and [cone_sm]
-   the union of the stacked and delta summaries (just the delta summary
-   on a fault-free base).  Returns the combined verdict, the cone size,
-   and the final steer/corruption caches (which [stack] packages into the
-   next secondary baseline). *)
-let delta_full ctx stk (cone_sm : Fault.summary) eff =
-  let base = stk.s_base in
-  let cv, aff_list = probe_coarse ctx base cone_sm in
-  let cone_list = cone_seg_list ctx cv in
-    (* Seeded fixpoint: outside the cone the combined least fixpoint
-       equals the stacked one, so seeding with (stacked minus cone) starts
-       below the combined fixpoint and chaotic iteration converges to
-       exactly it.  Writability and steerability only grow during the
-       iteration, so the two supporting traversals (clean reach from
-       scan-in, any co-reach to scan-out) are maintained incrementally:
-       when a promoted segment makes a hosted edge steerable, the
-       traversals extend across that edge instead of restarting — total
-       work is about two traversals however deep the enabling chain. *)
-    let writable = Array.copy stk.s_verdict.writable in
-    List.iter (fun i -> writable.(i) <- false) cone_list;
-    (* Per-edge caches under the current writability: only the affected
-       edges ever deviate from the stacked state, and [steer] is
-       refreshed exactly when one of an edge's not-reset-matching hosts
-       is promoted; corruption is static per delta. *)
-    let steer = Array.copy stk.s_steer in
-    List.iter
-      (fun ei -> steer.(ei) <- edge_steerable ctx eff writable ctx.edges.(ei))
-      aff_list;
-    let corrupt = Array.copy stk.s_corrupt in
-    List.iter
-      (fun ei -> corrupt.(ei) <- edge_corrupt eff ctx.edges.(ei))
-      aff_list;
-    let rw = Array.make ctx.nv false in
-    let s_any = Array.make ctx.nv false in
-    (* Vertices that entered a traversal since the last promotion sweep. *)
-    let newly = ref [] in
-    let fstack = Array.make ctx.nv 0 in
-    let fsp = ref 0 in
-    let bstack = Array.make ctx.nv 0 in
-    let bsp = ref 0 in
-    let mark_f v =
-      rw.(v) <- true;
-      fstack.(!fsp) <- v;
-      incr fsp;
-      newly := v :: !newly
-    in
-    let mark_b v =
-      s_any.(v) <- true;
-      bstack.(!bsp) <- v;
-      incr bsp;
-      newly := v :: !newly
-    in
-    let drain_f () =
-      while !fsp > 0 do
-        decr fsp;
-        let u = fstack.(!fsp) in
-        if u = v_pi || clean_through eff u then
-          List.iter
-            (fun ei ->
-              let v = ctx.edges.(ei).e_dst in
-              if
-                (not rw.(v))
-                && v <> v_po
-                && shiftable eff v
-                && (not corrupt.(ei))
-                && steer.(ei)
-              then mark_f v)
-            ctx.out_edges.(u)
-      done
-    in
-    let drain_b () =
-      while !bsp > 0 do
-        decr bsp;
-        let v = bstack.(!bsp) in
-        List.iter
-          (fun ei ->
-            let u = ctx.edges.(ei).e_src in
-            if (not s_any.(u)) && u <> v_pi && steer.(ei) then mark_b u)
-          ctx.in_edges.(v)
-      done
-    in
-    if not eff.pi_dead then begin
-      mark_f v_pi;
-      drain_f ()
-    end;
-    mark_b v_po;
-    drain_b ();
-    let promote i =
-      if
-        (not writable.(i))
-        && rw.(v_of_seg i)
-        && s_any.(v_of_seg i)
-        && (not eff.kill_write.(i))
-        && not eff.pi_dead
-      then begin
-        writable.(i) <- true;
-        List.iter
-          (fun ei ->
-            if
-              (not steer.(ei))
-              && edge_steerable ctx eff writable ctx.edges.(ei)
-            then begin
-              steer.(ei) <- true;
-              let e = ctx.edges.(ei) in
-              if
-                rw.(e.e_src)
-                && (not rw.(e.e_dst))
-                && e.e_dst <> v_po
-                && shiftable eff e.e_dst
-                && (not corrupt.(ei))
-                && (e.e_src = v_pi || clean_through eff e.e_src)
-              then begin
-                mark_f e.e_dst;
-                drain_f ()
-              end;
-              if s_any.(e.e_dst) && (not s_any.(e.e_src)) && e.e_src <> v_pi
-              then begin
-                mark_b e.e_src;
-                drain_b ()
-              end
-            end)
-          base.b_host_edges_nonreset.(i)
-      end
-    in
-    newly := [];
-    List.iter promote cone_list;
-    let rec settle () =
-      match !newly with
-      | [] -> ()
-      | vs ->
-          newly := [];
-          List.iter (fun v -> if v >= 2 then promote (seg_of_v v)) vs;
-          settle ()
-    in
-    settle ();
-    (* Final traversals under the settled writability, reusing the edge
-       caches: any-data reach from scan-in, clean co-reach to scan-out. *)
-    let r_any = Array.make ctx.nv false in
-    r_any.(v_pi) <- true;
-    fstack.(0) <- v_pi;
-    fsp := 1;
-    while !fsp > 0 do
-      decr fsp;
-      let u = fstack.(!fsp) in
-      List.iter
-        (fun ei ->
-          let v = ctx.edges.(ei).e_dst in
-          if (not r_any.(v)) && v <> v_po && steer.(ei) then begin
-            r_any.(v) <- true;
-            fstack.(!fsp) <- v;
-            incr fsp
-          end)
-        ctx.out_edges.(u)
-    done;
-    let s_clean = Array.make ctx.nv false in
-    if not eff.po_dead then begin
-      s_clean.(v_po) <- true;
-      bstack.(0) <- v_po;
-      bsp := 1;
-      while !bsp > 0 do
-        decr bsp;
-        let v = bstack.(!bsp) in
-        List.iter
-          (fun ei ->
-            let u = ctx.edges.(ei).e_src in
-            if
-              (not s_clean.(u))
-              && u <> v_pi
-              && shiftable eff u
-              && (not corrupt.(ei))
-              && clean_through eff u
-              && steer.(ei)
-            then begin
-              s_clean.(u) <- true;
-              bstack.(!bsp) <- u;
-              incr bsp
-            end)
-          ctx.in_edges.(v)
-      done
-    end;
-    let readable = Array.copy stk.s_verdict.readable in
-    let accessible = Array.copy stk.s_verdict.accessible in
-    List.iter
-      (fun i ->
-        let r =
-          r_any.(v_of_seg i)
-          && s_clean.(v_of_seg i)
-          && (not eff.kill_read.(i))
-          && (not eff.corrupt_vertex.(i))
-          && not eff.po_dead
-        in
-        readable.(i) <- r;
-        accessible.(i) <- writable.(i) && r)
-      cone_list;
-    ({ writable; readable; accessible }, List.length cone_list, steer, corrupt)
-
-(* Combined effects of the stacked state plus one further summary. *)
+(* Combined effects of the stacked summary plus one further summary. *)
 let stacked_eff ctx stk sm =
-  match stk.s_eff with
-  | None -> add_summary_effects (no_effects ctx) sm
-  | Some e -> add_summary_effects (effects_copy e) sm
+  List.fold_left add_summary_effects (no_effects ctx)
+    (Option.to_list stk.s_sm @ [ sm ])
 
-(* Delta of summary [sm] on top of an arbitrary stacked state.  The three
-   fast paths mirror [analyze_delta]'s and stay valid on faulty bases:
-   they reason about the DELTA summary alone, and splice from the stacked
-   verdict.  Exact: the combined verdict is bit-identical to
-   [analyze_multi] over the union of the stacked and delta summaries. *)
-let analyze_delta_on ctx stk (sm : Fault.summary) =
-  let glitchy =
-    sm.Fault.sm_glitch_shadow <> []
-    || (match stk.s_sm with
-       | Some s0 -> s0.Fault.sm_glitch_shadow <> []
-       | None -> false)
-  in
-  if Fault.summary_benign sm then (stk.s_verdict, 0)
-  else if glitchy then begin
-    (* Transient upsets can produce steering GAINS (a bit starting at the
-       required value with an unwritable host) that the cone tables and
-       the seeded delta below do not model — they were built for faults
-       that only ever degrade steering.  Fall back to the full fixpoint;
-       the reported cone is the exact verdict diff.  The transient
-       universes are small (one class per shadow bit), so the fallback
-       never dominates a sweep. *)
-    let v = verdict_of_effects ctx (stacked_eff ctx stk sm) in
-    let n = ref 0 in
-    for i = 0 to ctx.nsegs - 1 do
-      if
-        v.writable.(i) <> stk.s_verdict.writable.(i)
-        || v.readable.(i) <> stk.s_verdict.readable.(i)
-      then incr n
-    done;
-    (v, !n)
-  end
-  else if only_kill_read sm then begin
-    (* kill_read is consulted only by the readable formula: no traversal
-       changes, so flip the affected segments in place. *)
-    let readable = Array.copy stk.s_verdict.readable in
-    let accessible = Array.copy stk.s_verdict.accessible in
-    List.iter
-      (fun i ->
-        readable.(i) <- false;
-        accessible.(i) <- false)
-      sm.Fault.sm_kill_read;
-    ( { writable = stk.s_verdict.writable; readable; accessible },
-      List.length sm.Fault.sm_kill_read )
-  end
-  else if local_kill_write stk.s_base sm then begin
-    (* Writability is consulted by steering only through
-       not-reset-matching hosted requirements; with none hosted in the
-       killed segments, the traversals are untouched too. *)
-    let writable = Array.copy stk.s_verdict.writable in
-    let accessible = Array.copy stk.s_verdict.accessible in
-    List.iter
-      (fun i ->
-        writable.(i) <- false;
-        accessible.(i) <- false)
-      sm.Fault.sm_kill_write;
-    ( { writable; readable = stk.s_verdict.readable; accessible },
-      List.length sm.Fault.sm_kill_write )
-  end
-  else begin
-    let cone_sm =
-      match stk.s_sm with
-      | None -> sm
-      | Some s0 -> Fault.summary_union s0 sm
-    in
-    let v, n, _, _ = delta_full ctx stk cone_sm (stacked_eff ctx stk sm) in
-    (v, n)
-  end
-
-let analyze_delta ctx base sm = analyze_delta_on ctx (of_baseline base) sm
-
-(* ---- lane-parallel batch sweeps ----
+(* ---- lane-parallel batch sweeps: the cone-restricted kernel ----
 
    The metric evaluates thousands of collapsed classes against one
-   context; [analyze_delta] already cuts each class to its cone, but
-   still pays one fixpoint per class.  The lane sweep transposes the
-   computation: up to [Lanes.width] classes share ONE fixpoint, every
-   per-vertex / per-edge predicate becomes a machine word whose bit L
-   answers lane L, and word-level AND/OR/ANDN replace the per-class
-   boolean evaluation.  The word operations act lane-wise
-   independently, so each lane runs exactly the scalar semantics:
+   context, and most classes disturb only a small cone of the dataflow
+   graph.  One kernel computes every cone-restricted verdict: up to
+   [Lanes.width] classes share ONE seeded fixpoint, every per-vertex /
+   per-edge predicate becomes a machine word whose bit L answers lane
+   L, and word-level AND/OR/ANDN replace the per-class boolean
+   evaluation.  A single class is a one-lane call.  The word operations
+   act lane-wise independently, so each lane runs exactly the
+   semantics of [verdict_of_effects]:
 
    - the per-lane static effect masks below are the word transposition
      of [effects] ([add_summary_effects] projected onto segments,
@@ -1274,20 +938,25 @@ let analyze_delta ctx base sm = analyze_delta_on ctx (of_baseline base) sm
      per-(edge, requirement) table materialized only for the edges the
      batch actually touches;
    - each lane's writability is seeded with the baseline writable set
-     minus the lane's coarse cone ([coarse_cone] — the same cone
-     [analyze_delta] restricts its fixpoint to).  Outside the cone the
-     faulty least fixpoint provably equals the baseline, so each seed
-     starts at or below its lane's least fixpoint, and the monotone
-     word iteration (writability and steerability only grow) converges
-     to exactly the per-lane least fixpoints — lanes whose seed is
-     already settled simply never promote (counted as [ls_masked]);
-   - one word-parallel traversal pass per round (clean forward reach,
-     any-data backward co-reach) replaces [Lanes.width] scalar BFS
-     passes, and the two final traversals produce all lanes' readable
-     sets at once.
+     minus the lane's coarse cone ([coarse_cone]).  Outside the cone
+     the faulty least fixpoint provably equals the baseline, so each
+     seed starts at or below its lane's least fixpoint, and the
+     monotone word iteration (writability and steerability only grow)
+     converges to exactly the per-lane least fixpoints — lanes whose
+     seed is already settled simply never promote (counted as
+     [ls_masked]);
+   - the two fixpoint traversals (clean forward reach, any-data
+     backward co-reach) run once and are then only EXTENDED: steering
+     only grows, so a round keeps the previous round's words and
+     relaxes just the edges whose steering gained lanes.  Each round
+     sees exactly the words a from-scratch pass would compute, so the
+     rounds and promotions are those of the plain iteration, while a
+     deep SIB hierarchy (one round per level) costs about two
+     traversals instead of two per level;
+   - the two final traversals produce all lanes' readable sets at once.
 
-   The per-lane verdicts are bit-identical to [analyze_delta]'s (hence
-   to [analyze]'s) — property-tested against both. *)
+   The per-lane verdicts are bit-identical to [analyze]'s —
+   property-tested against it. *)
 
 let lane_width = Lanes.width
 
@@ -1324,9 +993,9 @@ let lane_plan base (sms : Fault.summary array) =
   let fast = ref [] and general = ref [] and port = ref [] in
   Array.iteri
     (fun i sm ->
-      (* Glitch (transient) summaries go to the scalar delta path: the
-         word-parallel steering rule below has no notion of an upset
-         initial value ([analyze_delta] handles them by full fixpoint). *)
+      (* Glitch (transient) summaries stay out of the lanes: the
+         word-parallel steering rule has no notion of an upset initial
+         value ([analyze_delta] handles them by full fixpoint). *)
       if lane_fast base sm || sm.Fault.sm_glitch_shadow <> [] then
         fast := i :: !fast
       else
@@ -1345,35 +1014,50 @@ let lane_plan base (sms : Fault.summary array) =
   in
   (List.rev !fast, chunk !general @ chunk !port)
 
-(* The batch generalized to an arbitrary stacked root (the double-fault
-   sweep: one secondary baseline, up to [lane_width] second faults per
-   fixpoint).  The stacked summary's effect masks are folded into every
-   lane at the occupancy mask [occ] — the word transposition of
-   [stacked_eff] (the scalar entry checks are order-independent, so OR
-   accumulation is exact even when the stacked and delta summaries pin
-   the same shadow bit) — and each lane's writability seed is the
-   STACKED writable set minus the cone of the UNION of the stacked and
-   delta summaries, exactly the cone [analyze_delta_on] restricts its
-   seeded fixpoint to.  [coarse_cone] is sound under any base state
-   (its tables are static over-approximations of dependency), so
-   outside the union cone the combined least fixpoint equals the
-   stacked one: each seed starts at or below its lane's combined least
-   fixpoint and the monotone word iteration converges to exactly it.
-   With a fault-free root ([of_baseline]) this is [analyze_lane_batch]
-   verbatim. *)
-let analyze_lane_batch_on ctx stk (sms : Fault.summary array) =
+(* One lane fixpoint rooted at a stacked (possibly faulty) base: the
+   double-fault sweep runs up to [lane_width] second faults per fixpoint
+   against one secondary baseline, the single-fault sweep the same
+   against [of_baseline].  The stacked summary's effect masks are folded
+   into every lane at the occupancy mask [occ] — the word transposition
+   of [stacked_eff] ([edge_steerable]'s entry checks are
+   order-independent, so OR accumulation is exact even when the stacked
+   and delta summaries pin the same shadow bit) — and each lane's
+   writability seed is the STACKED writable set minus the cone of the
+   UNION of the stacked and delta summaries.  [coarse_cone] is sound
+   under any base state (its tables are static over-approximations of
+   dependency), so outside the union cone the combined least fixpoint
+   equals the stacked one: each seed starts at or below its lane's
+   combined least fixpoint and the monotone word iteration converges to
+   exactly it.  Besides the
+   per-lane verdicts, the result exposes the settled per-edge steering
+   and corruption words and the four final traversals, from which
+   [probe] reads a class's exact faulty state. *)
+type lane_fix = {
+  lf_verdict : int -> verdict * int;  (* lane -> verdict, cone size *)
+  lf_stats : lane_stats;
+  lf_steer : int array;    (* per edge, under the settled writability *)
+  lf_corrupt : int array;  (* per edge *)
+  lf_rw : Lanes.t;         (* clean reach from scan-in *)
+  lf_r_any : Lanes.t;      (* any-data reach from scan-in *)
+  lf_s_clean : Lanes.t;    (* clean co-reach to scan-out *)
+  lf_s_any : Lanes.t;      (* any-data co-reach to scan-out *)
+}
+
+let lane_fix ctx stk (sms : Fault.summary array) =
   let base = stk.s_base in
   let k = Array.length sms in
   if k = 0 || k > lane_width then
     invalid_arg "Engine.analyze_lane_batch: batch size";
   (match stk.s_sm with
   | Some s0 when s0.Fault.sm_glitch_shadow <> [] ->
-      invalid_arg "Engine.analyze_lane_batch: glitch stacked base (scalar only)"
+      invalid_arg
+        "Engine.analyze_lane_batch: glitch stacked base (full fixpoint only)"
   | _ -> ());
   Array.iter
     (fun (sm : Fault.summary) ->
       if sm.Fault.sm_glitch_shadow <> [] then
-        invalid_arg "Engine.analyze_lane_batch: glitch summary (scalar only)")
+        invalid_arg
+          "Engine.analyze_lane_batch: glitch summary (full fixpoint only)")
     sms;
   let occ = Lanes.lane_mask k in
   let nsegs = ctx.nsegs and nv = ctx.nv in
@@ -1472,9 +1156,8 @@ let analyze_lane_batch_on ctx stk (sms : Fault.summary array) =
   (match stk.s_sm with None -> () | Some s0 -> fold_summary occ s0);
   Array.iteri (fun l sm -> fold_summary (1 lsl l) sm) sms;
   (* Writability seeds: stacked writable everywhere, each lane's
-     union-cone cleared.  [coarse_cone] over the union summary is the
-     same cone [analyze_delta_on] restricts its fixpoint to, so each
-     seed is at or below its lane's combined least fixpoint. *)
+     union-cone cleared, so each seed is at or below its lane's
+     combined least fixpoint. *)
   let writable_w = Array.make nsegs 0 in
   let stk_writable = stk.s_verdict.writable in
   for i = 0 to nsegs - 1 do
@@ -1527,8 +1210,8 @@ let analyze_lane_batch_on ctx stk (sms : Fault.summary array) =
   for ei = 0 to nedges - 1 do
     steer.(ei) <- steer_word ei
   done;
-  (* Word-parallel worklist traversals.  A vertex re-enters the queue
-     whenever its word grows, so each pass settles all lanes at once. *)
+  (* Word-parallel worklist traversals.  A vertex re-enters the stack
+     whenever its word grows, so one drain settles all lanes at once. *)
   let stack = Array.make nv 0 in
   let sp = ref 0 in
   let inq = Array.make nv false in
@@ -1539,77 +1222,78 @@ let analyze_lane_batch_on ctx stk (sms : Fault.summary array) =
       incr sp
     end
   in
-  let rw = Lanes.create nv in
-  let s_any = Lanes.create nv in
-  let shift_mask v =
-    if v >= 2 then lnot hard_block_w.(seg_of_v v) else -1
-  in
-  (* Clean forward reach from scan-in ([reach_from_pi ~clean:true]):
-     membership needs clean data INTO the vertex and its shiftability;
-     extension beyond a vertex additionally needs its through-
+  (* Lanes in which a vertex shifts / passes data through uncorrupted
+     (ports always). *)
+  let shift v = if v >= 2 then lnot hard_block_w.(seg_of_v v) else -1 in
+  let pass v = if v >= 2 then lnot corrupt_vertex_w.(seg_of_v v) else -1 in
+  (* The lanes that may leave vertex [u] along a traversal: in clean
+     forward reach ([reach_from_pi ~clean:true]) membership needs clean
+     data INTO the vertex, extension beyond it also its through-
      cleanness. *)
-  let fwd_clean () =
-    Lanes.clear rw;
-    sp := 0;
-    let start = occ land lnot !pi_dead_w in
-    if start <> 0 then begin
-      ignore (Lanes.or_in rw v_pi start);
-      push v_pi
-    end;
+  let leaving ~fwd ~clean words u =
+    let x = Lanes.get words u in
+    if fwd && clean then x land pass u else x
+  in
+  (* Relax edge [ei] from its near end (source forward, destination
+     backward), whose leaving lanes are [x], into its far end.  Forward
+     traversals never enter scan-out, backward ones never scan-in; clean
+     ones also need the edge uncorrupted and the far vertex shiftable,
+     and backward ([coreach_to_po ~clean:true]) its through-cleanness. *)
+  let relax ~fwd ~clean words x ei =
+    let e = ctx.edges.(ei) in
+    let v = if fwd then e.e_dst else e.e_src in
+    if v <> (if fwd then v_po else v_pi) then begin
+      let add = x land steer.(ei) in
+      let add =
+        if not clean then add
+        else
+          add land lnot corrupt_e.(ei) land shift v
+          land if fwd then -1 else pass v
+      in
+      if add <> 0 && Lanes.or_in words v add <> 0 then push v
+    end
+  in
+  let drain ~fwd ~clean words =
     while !sp > 0 do
       decr sp;
       let u = stack.(!sp) in
       inq.(u) <- false;
-      let through =
-        let x = Lanes.get rw u in
-        if u >= 2 then x land lnot corrupt_vertex_w.(seg_of_v u) else x
-      in
-      if through <> 0 then
+      let x = leaving ~fwd ~clean words u in
+      if x <> 0 then
         List.iter
-          (fun ei ->
-            let v = ctx.edges.(ei).e_dst in
-            if v <> v_po then begin
-              let add =
-                through land steer.(ei)
-                land lnot corrupt_e.(ei)
-                land shift_mask v
-              in
-              if add <> 0 && Lanes.or_in rw v add <> 0 then push v
-            end)
-          ctx.out_edges.(u)
+          (fun ei -> relax ~fwd ~clean words x ei)
+          (if fwd then ctx.out_edges.(u) else ctx.in_edges.(u))
     done
   in
-  (* Any-data backward co-reach to scan-out ([coreach_to_po
-     ~clean:false]): steering is the only gate. *)
-  let bwd_any () =
-    Lanes.clear s_any;
-    sp := 0;
-    ignore (Lanes.or_in s_any v_po occ);
-    push v_po;
-    while !sp > 0 do
-      decr sp;
-      let v = stack.(!sp) in
-      inq.(v) <- false;
-      let x = Lanes.get s_any v in
-      List.iter
-        (fun ei ->
-          let u = ctx.edges.(ei).e_src in
-          if u <> v_pi then begin
-            let add = x land steer.(ei) in
-            if add <> 0 && Lanes.or_in s_any u add <> 0 then push u
-          end)
-        ctx.in_edges.(v)
-    done
+  let traverse ~fwd ~clean start =
+    let words = Lanes.create nv in
+    let root = if fwd then v_pi else v_po in
+    if start <> 0 then begin
+      ignore (Lanes.or_in words root start);
+      push root
+    end;
+    drain ~fwd ~clean words;
+    words
   in
+  (* Steering only grows, so a settled traversal stays valid: extend it
+     across the edges whose steering gained lanes, then drain. *)
+  let extend ~fwd ~clean words eis =
+    List.iter
+      (fun ei ->
+        let e = ctx.edges.(ei) in
+        let u = if fwd then e.e_src else e.e_dst in
+        relax ~fwd ~clean words (leaving ~fwd ~clean words u) ei)
+      eis;
+    drain ~fwd ~clean words
+  in
+  let rw = traverse ~fwd:true ~clean:true (occ land lnot !pi_dead_w) in
+  let s_any = traverse ~fwd:false ~clean:false occ in
   let promoted = ref 0 in
   let rounds = ref 0 in
   let not_pi = lnot !pi_dead_w in
-  let changed = ref true in
-  while !changed do
-    changed := false;
+  let rec settle () =
     incr rounds;
-    fwd_clean ();
-    bwd_any ();
+    let changed = ref false and grown = ref [] in
     for i = 0 to nsegs - 1 do
       let nw =
         Lanes.get rw (v_of_seg i)
@@ -1622,101 +1306,141 @@ let analyze_lane_batch_on ctx stk (sms : Fault.summary array) =
       if nw <> 0 then begin
         writable_w.(i) <- writable_w.(i) lor nw;
         promoted := !promoted lor nw;
+        changed := true;
         (* Only the not-reset-matching hosted requirements consult the
            host's writability — refresh exactly their edges. *)
         List.iter
-          (fun ei -> steer.(ei) <- steer_word ei)
-          base.b_host_edges_nonreset.(i);
-        changed := true
+          (fun ei ->
+            let s = steer_word ei in
+            if s <> steer.(ei) then begin
+              steer.(ei) <- s;
+              grown := ei :: !grown
+            end)
+          base.b_host_edges_nonreset.(i)
       end
-    done
-  done;
+    done;
+    if !changed then begin
+      extend ~fwd:true ~clean:true rw !grown;
+      extend ~fwd:false ~clean:false s_any !grown;
+      settle ()
+    end
+  in
+  settle ();
   (* Final traversals under the settled steering: any-data forward
      reach (ignores dead ports), clean backward co-reach. *)
-  let r_any = Lanes.create nv in
-  sp := 0;
-  ignore (Lanes.or_in r_any v_pi occ);
-  push v_pi;
-  while !sp > 0 do
-    decr sp;
-    let u = stack.(!sp) in
-    inq.(u) <- false;
-    let x = Lanes.get r_any u in
-    List.iter
-      (fun ei ->
-        let v = ctx.edges.(ei).e_dst in
-        if v <> v_po then begin
-          let add = x land steer.(ei) in
-          if add <> 0 && Lanes.or_in r_any v add <> 0 then push v
-        end)
-      ctx.out_edges.(u)
-  done;
-  let s_clean = Lanes.create nv in
-  let start = occ land lnot !po_dead_w in
-  if start <> 0 then begin
-    ignore (Lanes.or_in s_clean v_po start);
-    push v_po
-  end;
-  while !sp > 0 do
-    decr sp;
-    let v = stack.(!sp) in
-    inq.(v) <- false;
-    let x = Lanes.get s_clean v in
-    List.iter
-      (fun ei ->
-        let u = ctx.edges.(ei).e_src in
-        if u <> v_pi then begin
-          let add =
-            x land steer.(ei)
-            land lnot corrupt_e.(ei)
-            land shift_mask u
-            land (if u >= 2 then lnot corrupt_vertex_w.(seg_of_v u) else -1)
-          in
-          if add <> 0 && Lanes.or_in s_clean u add <> 0 then push u
-        end)
-      ctx.in_edges.(v)
-  done;
+  let r_any = traverse ~fwd:true ~clean:false occ in
+  let s_clean = traverse ~fwd:false ~clean:true (occ land lnot !po_dead_w) in
   let not_po = lnot !po_dead_w in
-  let results =
-    Array.init k (fun l ->
-        let bit = 1 lsl l in
-        let writable =
-          Array.init nsegs (fun i -> writable_w.(i) land bit <> 0)
-        in
-        let readable =
-          Array.init nsegs (fun i ->
-              Lanes.get r_any (v_of_seg i)
-              land Lanes.get s_clean (v_of_seg i)
-              land lnot kill_read_w.(i)
-              land lnot corrupt_vertex_w.(i)
-              land not_po land bit
-              <> 0)
-        in
-        let accessible =
-          Array.init nsegs (fun i -> writable.(i) && readable.(i))
-        in
-        ({ writable; readable; accessible }, cone_lens.(l)))
+  let verdict l =
+    let bit = 1 lsl l in
+    let writable = Array.init nsegs (fun i -> writable_w.(i) land bit <> 0) in
+    let readable =
+      Array.init nsegs (fun i ->
+          Lanes.get r_any (v_of_seg i)
+          land Lanes.get s_clean (v_of_seg i)
+          land lnot kill_read_w.(i)
+          land lnot corrupt_vertex_w.(i)
+          land not_po land bit
+          <> 0)
+    in
+    let accessible = Array.init nsegs (fun i -> writable.(i) && readable.(i)) in
+    ({ writable; readable; accessible }, cone_lens.(l))
   in
-  let stats =
-    {
-      ls_batches = 1;
-      ls_lanes = k;
-      ls_masked = Lanes.popcount (occ land lnot !promoted);
-      ls_fast = 0;
-      ls_rounds = !rounds;
-    }
-  in
-  (results, stats)
+  {
+    lf_verdict = verdict;
+    lf_stats =
+      {
+        ls_batches = 1;
+        ls_lanes = k;
+        ls_masked = Lanes.popcount (occ land lnot !promoted);
+        ls_fast = 0;
+        ls_rounds = !rounds;
+      };
+    lf_steer = steer;
+    lf_corrupt = corrupt_e;
+    lf_rw = rw;
+    lf_r_any = r_any;
+    lf_s_clean = s_clean;
+    lf_s_any = s_any;
+  }
+
+let analyze_lane_batch_on ctx stk sms =
+  let fix = lane_fix ctx stk sms in
+  (Array.init (Array.length sms) fix.lf_verdict, fix.lf_stats)
 
 let analyze_lane_batch ctx base sms =
   analyze_lane_batch_on ctx (of_baseline base) sms
 
+(* Delta of summary [sm] on top of an arbitrary stacked state.  The
+   three fast paths stay valid on faulty bases: they reason about the
+   DELTA summary alone and splice from the stacked verdict; everything
+   else is a one-lane fixpoint.  Exact: the combined verdict is
+   bit-identical to [analyze_multi] over the union of the stacked and
+   delta summaries. *)
+let analyze_delta_on ctx stk (sm : Fault.summary) =
+  let glitchy =
+    sm.Fault.sm_glitch_shadow <> []
+    || (match stk.s_sm with
+       | Some s0 -> s0.Fault.sm_glitch_shadow <> []
+       | None -> false)
+  in
+  if Fault.summary_benign sm then (stk.s_verdict, 0)
+  else if glitchy then begin
+    (* Transient upsets can produce steering GAINS (a bit starting at the
+       required value with an unwritable host) that the cone tables and
+       the lane kernel do not model — they were built for faults that
+       only ever degrade steering.  Fall back to the full fixpoint; the
+       reported cone is the exact verdict diff.  The transient universes
+       are small (one class per shadow bit), so the fallback never
+       dominates a sweep. *)
+    let v = verdict_of_effects ctx (stacked_eff ctx stk sm) in
+    let n = ref 0 in
+    for i = 0 to ctx.nsegs - 1 do
+      if
+        v.writable.(i) <> stk.s_verdict.writable.(i)
+        || v.readable.(i) <> stk.s_verdict.readable.(i)
+      then incr n
+    done;
+    (v, !n)
+  end
+  else if only_kill_read sm then begin
+    (* kill_read is consulted only by the readable formula: no traversal
+       changes, so flip the affected segments in place. *)
+    let readable = Array.copy stk.s_verdict.readable in
+    let accessible = Array.copy stk.s_verdict.accessible in
+    List.iter
+      (fun i ->
+        readable.(i) <- false;
+        accessible.(i) <- false)
+      sm.Fault.sm_kill_read;
+    ( { writable = stk.s_verdict.writable; readable; accessible },
+      List.length sm.Fault.sm_kill_read )
+  end
+  else if local_kill_write stk.s_base sm then begin
+    (* Writability is consulted by steering only through
+       not-reset-matching hosted requirements; with none hosted in the
+       killed segments, the traversals are untouched too. *)
+    let writable = Array.copy stk.s_verdict.writable in
+    let accessible = Array.copy stk.s_verdict.accessible in
+    List.iter
+      (fun i ->
+        writable.(i) <- false;
+        accessible.(i) <- false)
+      sm.Fault.sm_kill_write;
+    ( { writable; readable = stk.s_verdict.readable; accessible },
+      List.length sm.Fault.sm_kill_write )
+  end
+  else (lane_fix ctx stk [| sm |]).lf_verdict 0
+
+let analyze_delta ctx base sm = analyze_delta_on ctx (of_baseline base) sm
+
 (* Lane sweep of many summaries against one stacked root: fast-path
-   deltas scalar (they never occupy a lane), the rest shape-grouped and
-   batched by [lane_plan] exactly as the single-fault sweep.  A glitchy
-   stacked root falls back to the scalar delta per summary (the word
-   steering rule has no notion of upset initial values); the verdicts
-   stay bit-identical to [analyze_delta_on] either way. *)
+   deltas through [analyze_delta_on] (they never occupy a lane), the
+   rest shape-grouped and batched by [lane_plan] exactly as the
+   single-fault sweep.  A glitchy stacked root falls back to
+   [analyze_delta_on] per summary (the word steering rule has no notion
+   of upset initial values); the verdicts stay bit-identical to
+   [analyze_delta_on] either way. *)
 let analyze_lanes_on ctx stk (sms : Fault.summary array) =
   let stacked_glitch =
     match stk.s_sm with
@@ -1766,13 +1490,14 @@ let analyze_lanes ctx ?base classes =
    is the AND of the single-fault traversals, hence every verdict bit is
    the AND of the single-fault verdict bits.
 
-   The taint comes for free by diffing the class's delta verdict against
-   the baseline.  The delta also hands back the settled per-edge
-   steerability/corruption caches, i.e. the exact faulty state — so the
+   The taint comes for free by diffing the class's verdict against the
+   baseline.  The one-lane kernel run that computes the verdict also
+   hands back the settled per-edge steerability/corruption words and
+   its four final traversals, i.e. the exact faulty state — so the
    exact set of KILLED live edges (including the ones that died because a
    steering host lost its writability, transitively) is a linear scan,
-   and the four access traversals under the fault are four cheap BFS over
-   those caches.
+   and the four access traversals under the fault need no BFS of their
+   own.
 
    The region certifies non-interaction by induction along each
    traversal: for a vertex surviving both faults separately, one of its
@@ -1989,46 +1714,22 @@ let probe ctx base (sm : Fault.summary) =
   else if probe_refused ctx base sm then coarse ()
   else begin
     let eff = add_summary_effects (no_effects ctx) sm in
-    let v, _, steer, corrupt = delta_full ctx (of_baseline base) sm eff in
+    (* One lane of the kernel, unpacked: the verdict, the settled
+       per-edge steerability / corruption, and the four access
+       traversals under the faulty state (exact here: the probe refuses
+       dead ports, which only the traversal roots would consult). *)
+    let fix = lane_fix ctx (of_baseline base) [| sm |] in
+    let v, _ = fix.lf_verdict 0 in
+    let edge_bits w = Array.map (fun x -> x land 1 <> 0) w in
+    let vertex_bits t =
+      Array.init ctx.nv (fun x -> Lanes.get t x land 1 <> 0)
+    in
+    let steer = edge_bits fix.lf_steer and corrupt = edge_bits fix.lf_corrupt in
+    let rw = vertex_bits fix.lf_rw and r_any = vertex_bits fix.lf_r_any in
+    let s_clean = vertex_bits fix.lf_s_clean in
+    let s_any = vertex_bits fix.lf_s_any in
     let nedges = Array.length ctx.edges in
     let cs = verdict_diff ctx base v in
-    (* The four access traversals under the settled faulty state. *)
-    let traverse ~fwd ~clean =
-      let root = if fwd then v_pi else v_po in
-      let stop = if fwd then v_po else v_pi in
-      let ok = Array.make ctx.nv false in
-      ok.(root) <- true;
-      let stack = ref [ root ] in
-      while !stack <> [] do
-        match !stack with
-        | [] -> ()
-        | u :: rest ->
-            stack := rest;
-            if fwd && clean && not (u = v_pi || clean_through eff u) then ()
-            else
-              List.iter
-                (fun ei ->
-                  if steer.(ei) && not (clean && corrupt.(ei)) then begin
-                    let e = ctx.edges.(ei) in
-                    let w = if fwd then e.e_dst else e.e_src in
-                    if
-                      (not ok.(w))
-                      && w <> stop
-                      && ((not clean) || shiftable eff w)
-                      && not ((not fwd) && clean && not (clean_through eff w))
-                    then begin
-                      ok.(w) <- true;
-                      stack := w :: !stack
-                    end
-                  end)
-                (if fwd then ctx.out_edges.(u) else ctx.in_edges.(u))
-      done;
-      ok
-    in
-    let rw = traverse ~fwd:true ~clean:true in
-    let r_any = traverse ~fwd:true ~clean:false in
-    let s_clean = traverse ~fwd:false ~clean:true in
-    let s_any = traverse ~fwd:false ~clean:false in
     let region = Bitset.create ctx.nv in
     let add_ei ei =
       let e = ctx.edges.(ei) in
@@ -2218,84 +1919,8 @@ let probe ctx base (sm : Fault.summary) =
     let supp_edges = Bitset.create nedges in
     let rhosts = Bitset.create ctx.nsegs in
     if not (Bitset.is_empty fragile) then begin
-      let wf = Array.make ctx.nsegs false in
-      let frounds = ref [] in
-      let fround_of = Array.make ctx.nsegs (-1) in
-      let progress = ref true in
-      while !progress do
-        progress := false;
-        let enabled =
-          Array.init nedges (fun ei ->
-              edge_steerable ctx eff wf ctx.edges.(ei))
-        in
-        (* Clean forward tree from scan-in under the fault (the entry /
-           extension conditions of [reach_from_pi ~clean:true]). *)
-        let pre = Array.make ctx.nv (-1) in
-        let seenp = Array.make ctx.nv false in
-        seenp.(v_pi) <- true;
-        let stack = ref [ v_pi ] in
-        while !stack <> [] do
-          match !stack with
-          | [] -> ()
-          | u :: rest ->
-              stack := rest;
-              if u = v_pi || clean_through eff u then
-                List.iter
-                  (fun ei ->
-                    if enabled.(ei) && not corrupt.(ei) then begin
-                      let w = ctx.edges.(ei).e_dst in
-                      if (not seenp.(w)) && w <> v_po && shiftable eff w
-                      then begin
-                        seenp.(w) <- true;
-                        pre.(w) <- ei;
-                        stack := w :: !stack
-                      end
-                    end)
-                  ctx.out_edges.(u)
-        done;
-        (* Any-data backward tree to scan-out. *)
-        let suf = Array.make ctx.nv (-1) in
-        let seens = Array.make ctx.nv false in
-        seens.(v_po) <- true;
-        let stack = ref [ v_po ] in
-        while !stack <> [] do
-          match !stack with
-          | [] -> ()
-          | w :: rest ->
-              stack := rest;
-              List.iter
-                (fun ei ->
-                  if enabled.(ei) then begin
-                    let u = ctx.edges.(ei).e_src in
-                    if (not seens.(u)) && u <> v_pi then begin
-                      seens.(u) <- true;
-                      suf.(u) <- ei;
-                      stack := u :: !stack
-                    end
-                  end)
-                ctx.in_edges.(w)
-        done;
-        let round = List.length !frounds in
-        let promoted = ref false in
-        for s = 0 to ctx.nsegs - 1 do
-          if
-            (not wf.(s))
-            && (not eff.kill_write.(s))
-            && pre.(v_of_seg s) >= 0
-            && suf.(v_of_seg s) >= 0
-          then begin
-            wf.(s) <- true;
-            fround_of.(s) <- round;
-            promoted := true
-          end
-        done;
-        if !promoted then begin
-          frounds := (pre, suf) :: !frounds;
-          progress := true
-        end
-      done;
+      let frounds, fround_of, wf = cert_forest ctx eff corrupt in
       assert (wf = v.writable);
-      let frounds = Array.of_list (List.rev !frounds) in
       let host_edge ei =
         Array.iter
           (fun (port, cseg, cbit, required, reset_matches) ->
@@ -2364,41 +1989,10 @@ let cone ctx base (sm : Fault.summary) =
   else Some (verdict_diff ctx base (fst (analyze_delta ctx base sm)))
 
 (* Secondary baseline under [sm]: the stacked state all of [sm]'s pairs
-   share.  The steer/corruption caches must reflect [sm] even when the
-   verdict comes from a fast path — on those paths the fault-free caches
-   are still exact (kill_read touches neither; a local kill_write changes
-   writability only where no not-reset-matching requirement is hosted). *)
+   share — the summary and its verdict. *)
 let stack ctx base (sm : Fault.summary) =
   let stk0 = of_baseline base in
-  let eff = stacked_eff ctx stk0 sm in
-  if
-    Fault.summary_benign sm || only_kill_read sm || local_kill_write base sm
-  then
-    let v, _ = analyze_delta_on ctx stk0 sm in
-    { stk0 with s_sm = Some sm; s_eff = Some eff; s_verdict = v }
-  else if sm.Fault.sm_glitch_shadow <> [] then
-    (* Full fixpoint (no seeded delta — see [analyze_delta_on]); the
-       steer/corruption caches are recomputed for every edge under the
-       settled writability, so the stacked state stays exact. *)
-    let v = verdict_of_effects ctx eff in
-    {
-      s_base = base;
-      s_sm = Some sm;
-      s_eff = Some eff;
-      s_verdict = v;
-      s_steer = Array.map (edge_steerable ctx eff v.writable) ctx.edges;
-      s_corrupt = Array.map (edge_corrupt eff) ctx.edges;
-    }
-  else
-    let v, _, steer, corrupt = delta_full ctx stk0 sm eff in
-    {
-      s_base = base;
-      s_sm = Some sm;
-      s_eff = Some eff;
-      s_verdict = v;
-      s_steer = steer;
-      s_corrupt = corrupt;
-    }
+  { stk0 with s_sm = Some sm; s_verdict = fst (analyze_delta_on ctx stk0 sm) }
 
 (* Read counterpart: a path through the target whose SUFFIX (target to
    scan-out) is corruption-free and shiftable, while the prefix only needs

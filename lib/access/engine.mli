@@ -57,12 +57,14 @@ val accessible_bits : ctx -> verdict -> int
     Evaluating the whole fault universe repeats almost identical work per
     fault: most stuck-ats disturb only a small cone of the dataflow graph.
     {!baseline} packages the fault-free verdict together with static
-    reachability and steering-dependency tables; {!analyze_delta} then
-    re-runs the writability fixpoint and the final traversals only for
-    segments inside the fault's cone and splices the fault-free verdict
-    for the rest.  The result is bit-identical to {!analyze} — outside the
-    cone the faulty least fixpoint provably coincides with the fault-free
-    one — it is just computed faster. *)
+    reachability and steering-dependency tables.  {!analyze_delta}
+    answers the summaries that touch no traversal (benign, pure
+    kill-read, local kill-write) by splicing the fault-free verdict, and
+    everything else with a one-lane call of the lane kernel below, whose
+    writability fixpoint is seeded with the fault-free writable set minus
+    the fault's cone.  The result is bit-identical to {!analyze} —
+    outside the cone the faulty least fixpoint provably coincides with
+    the fault-free one — it is just computed faster. *)
 
 type baseline
 (** Fault-free verdict plus per-vertex cone tables and per-segment /
@@ -172,15 +174,17 @@ val analyze_delta :
 
 (** {2 Lane-parallel batch sweeps}
 
-    [analyze_delta] still pays one fixpoint per class.  The lane sweep
-    transposes the computation: up to {!lane_width} classes share ONE
-    fixpoint — every per-vertex / per-edge predicate becomes a machine
-    word whose bit L answers lane L, and word-level AND/OR/ANDN replace
-    per-class boolean evaluation.  Each lane's writability is seeded
-    with the baseline minus the lane's cone, so the sweep composes with
-    the cone reduction; lanes whose seed is already settled never
-    promote.  The per-lane verdicts are bit-identical to
-    {!analyze_delta}'s, hence to {!analyze}'s. *)
+    One kernel computes every cone-restricted verdict: up to
+    {!lane_width} classes share ONE fixpoint — every per-vertex /
+    per-edge predicate becomes a machine word whose bit L answers lane
+    L, and word-level AND/OR/ANDN replace per-class boolean evaluation.
+    Each lane's writability is seeded with the baseline minus the lane's
+    cone, so the sweep composes with the cone reduction; lanes whose
+    seed is already settled never promote.  Writability and steering
+    only grow, so the fixpoint's two traversals are extended across the
+    edges whose steering grew instead of re-run each round.  A single
+    class ({!analyze_delta}, {!probe}, {!stack}) is a one-lane call.
+    The per-lane verdicts are bit-identical to {!analyze}'s. *)
 
 val lane_width : int
 (** Classes per batch: [Ftrsn_topo.Lanes.width] = [Sys.int_size] (63 on
@@ -199,7 +203,9 @@ val lane_stats_add : lane_stats -> lane_stats -> lane_stats
 
 val lane_fast : baseline -> Ftrsn_fault.Fault.summary -> bool
 (** Classes {!analyze_delta} answers without any traversal (benign,
-    pure kill-read, local kill-write); they never occupy a lane. *)
+    pure kill-read, local kill-write); they never occupy a lane.
+    {!lane_plan} sets glitch (transient) summaries aside with them: they
+    take {!analyze_delta}'s full-fixpoint fallback. *)
 
 val lane_plan :
   baseline -> Ftrsn_fault.Fault.summary array -> int list * int array list
@@ -236,11 +242,12 @@ val analyze_lanes_stats :
 (** {2 Stacked secondary baselines (double-fault deltas)}
 
     The exhaustive double-fault sweep groups pairs by first fault class:
-    {!stack} computes that class's faulty state once — verdict plus the
-    per-edge steering/corruption caches, the exact analogue of
-    {!baseline} for a faulty base — and {!analyze_delta_on} runs the
-    second summary's cone-restricted delta on top, so each interacting
-    pair costs one small fixpoint instead of a full {!analyze_multi}. *)
+    {!stack} computes that class's faulty state once — its summary and
+    verdict, the analogue of {!baseline} for a faulty base — and the
+    second summaries run on top in lane batches
+    ({!analyze_lane_batch_on}) seeded with the stacked writable set
+    minus the cone of the union summary, so interacting pairs share
+    small fixpoints instead of paying a full {!analyze_multi} each. *)
 
 type stacked
 (** A secondary baseline: the exact state of the network under one
@@ -275,7 +282,8 @@ val analyze_lane_batch_on :
     UNION of the stacked and delta summaries — so per summary the
     verdict and cone size are bit-identical to {!analyze_delta_on} on
     the same summary.  Raises [Invalid_argument] on a glitchy (transient)
-    stacked base or delta: those stay scalar. *)
+    stacked base or delta: those take {!analyze_delta_on}'s full-fixpoint
+    fallback. *)
 
 val analyze_lanes_on :
   ctx ->
@@ -283,10 +291,11 @@ val analyze_lanes_on :
   Ftrsn_fault.Fault.summary array ->
   (verdict * int) array * lane_stats
 (** Many summaries against one stacked root: fast classes through the
-    scalar {!analyze_delta_on} fast paths, the rest shape-grouped and
-    chunked by {!lane_plan} into {!analyze_lane_batch_on} sweeps.  Per
-    summary bit-identical to {!analyze_delta_on}; a glitchy stacked root
-    degrades to all-scalar (counted in [ls_fast]) instead of raising. *)
+    {!analyze_delta_on} fast paths, the rest shape-grouped and chunked
+    by {!lane_plan} into {!analyze_lane_batch_on} sweeps.  Per summary
+    bit-identical to {!analyze_delta_on}; a glitchy stacked root takes
+    {!analyze_delta_on} per summary (counted in [ls_fast]) instead of
+    raising. *)
 
 type witness = {
   w_vertices : int list;

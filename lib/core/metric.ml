@@ -63,9 +63,10 @@ type result = {
 
 (* Typed rejection for requests outside an evaluator's semantic scope
    (transient double faults: two glitches are not a set-wise union of
-   summaries).  Distinct from [Invalid_argument] — which stays reserved
-   for caller bugs like empty fault lists — so the service layer can map
-   it to a stable error variant instead of an internal error. *)
+   summaries; a model whose fault universe on the network is empty).
+   Distinct from [Invalid_argument] — which stays reserved for caller
+   bugs — so the service layer can map it to a stable error variant
+   instead of an internal error. *)
 exception Unsupported of string
 
 let merge_solver a b =
@@ -593,8 +594,8 @@ let class_counts classes =
    classes stand in for their members (weights already summed by
    {!Fault.collapse}) and the class verdicts come from lane-parallel
    batch sweeps — up to [Engine.lane_width] classes share one seeded
-   fixpoint ([Engine.analyze_lane_batch], bit-identical per lane to the
-   scalar [Engine.analyze_delta]); the classes the scalar fast paths
+   fixpoint ([Engine.analyze_lane_batch], bit-identical per lane to
+   [Engine.analyze]); the classes [Engine.analyze_delta]'s fast paths
    answer in O(1) never occupy a lane and are folded in chunks.  One
    batch (or one fast chunk) is one steal unit of the work-stealing
    queue, and the accumulators are integers, so the result stays
@@ -785,13 +786,26 @@ let sample_faults sample faults =
           | _ -> false)
         faults
 
+(* The (sampled) fault universe of a model.  A model with no fault sites
+   on the network — the transient model on a network without shadow
+   bits — has no metric to report: a typed rejection, not a caller bug
+   (sampling keeps the first fault, so it never empties a universe). *)
+let model_faults ?sample ~model net =
+  match sample_faults sample (Fault.universe ~model net) with
+  | [] ->
+      raise
+        (Unsupported
+           (Printf.sprintf "the %s fault universe of this network is empty"
+              (Fault.model_to_string model)))
+  | faults -> faults
+
 let evaluate ?sample ?(domains = 1) ?(engine = `Structural) ?(reduce = true)
     ?(certify = false) ?(inprocess = true) ?(model = Fault.Stuck) ?warm net =
   if certify && engine <> `Bmc then
     invalid_arg "Metric.evaluate: ~certify:true requires ~engine:`Bmc";
   check_warm warm net "Metric.evaluate";
   let full = match sample with None -> true | Some k -> k <= 1 in
-  let faults = sample_faults sample (Fault.universe ~model net) in
+  let faults = model_faults ?sample ~model net in
   match (engine, reduce) with
   | `Structural, true ->
       evaluate_reduced_structural ~domains ?warm ~full ~model net faults
@@ -818,7 +832,9 @@ let evaluate ?sample ?(domains = 1) ?(engine = `Structural) ?(reduce = true)
      segments the partner lost — O(min lost), no fixpoint;
    - interacting regions: the first class's faulty state is computed once
      per row as a secondary baseline ({!Engine.stack}) and the second
-     summary's cone delta runs on top ({!Engine.analyze_delta_on}).
+     summaries' cone deltas run on top in lane batches
+     ({!Engine.analyze_lane_batch_on}; fast-path partners through
+     {!Engine.analyze_delta_on}).
 
    Everything is integer-exact, so the sweep is bit-identical to the brute
    pair enumeration, sequentially and across domains. *)
@@ -1394,7 +1410,7 @@ let evaluate_pairs ?(sample = 37) ?fault_sample ?(domains = 1)
           union of summaries)");
   check_warm warm net "Metric.evaluate_pairs";
   let full = match fault_sample with None -> true | Some k -> k <= 1 in
-  let faults = sample_faults fault_sample (Fault.universe ~model net) in
+  let faults = model_faults ?sample:fault_sample ~model net in
   if exhaustive && reduce then
     match engine with
     | `Structural ->

@@ -21,9 +21,10 @@
       re-analyzed, the fault-free verdict is spliced in for the rest.  On
       the structural engine the classes sweep in lane batches of up to
       {!Ftrsn_access.Engine.lane_width} per fixpoint
-      ({!Ftrsn_access.Engine.analyze_lane_batch}); only the fast-path
-      classes {!Ftrsn_access.Engine.lane_plan} sets aside take one
-      {!Ftrsn_access.Engine.analyze_delta} each.  The BMC engine
+      ({!Ftrsn_access.Engine.analyze_lane_batch}); the fast-path
+      classes {!Ftrsn_access.Engine.lane_plan} sets aside take the O(1)
+      splices of {!Ftrsn_access.Engine.analyze_delta} instead (glitch
+      classes its full-fixpoint fallback).  The BMC engine
       restricts its SAT sweep to the cone
       ([Bmc.Session.check_targets ~only]).
 
@@ -130,11 +131,13 @@ type result = {
 }
 
 exception Unsupported of string
-(** A request outside an evaluator's semantic scope — today only
-    transient ([Fault.Transient]) double faults, whose glitch pairs are
-    not a set-wise union of summaries.  Typed (rather than
-    [Invalid_argument]) so the service layer can map it to a stable
-    error variant and exit code. *)
+(** A request outside an evaluator's semantic scope: transient
+    ([Fault.Transient]) double faults, whose glitch pairs are not a
+    set-wise union of summaries, and any model whose fault universe on
+    the network is empty (say transient faults on a network without
+    shadow bits) — {!evaluate} and {!evaluate_pairs} have no metric to
+    report.  Typed (rather than [Invalid_argument]) so the service layer
+    can map it to a stable error variant and exit code. *)
 
 (** {2 Warm per-netlist state}
 
@@ -203,7 +206,8 @@ val evaluate :
     universe; see {!Ftrsn_fault.Fault.model} for the bridging,
     selection-control and transient universes — all of them flow through
     the same collapse / cone / lane reduction machinery and both
-    engines).  [sample:k] keeps every [k]-th fault site
+    engines; a model with no fault sites on [net] raises
+    {!Unsupported}).  [sample:k] keeps every [k]-th fault site
     (deterministically) to bound runtime on very large networks; the
     primary scan-port faults are always retained, so the worst case of
     port-dominated networks is exact.  Sampling is applied {e before}
@@ -277,9 +281,10 @@ val evaluate_pairs :
     LRU-bounded stack cache, shared with the warm state's phase-1 pair
     tables on full sweeps) and up to {!Ftrsn_access.Engine.lane_width}
     second classes sweep against it per fixpoint
-    ({!Ftrsn_access.Engine.analyze_lane_batch_on}); only the fast-path
-    partners {!Ftrsn_access.Engine.lane_plan} sets aside take one
-    {!Ftrsn_access.Engine.analyze_delta_on} each.  The BMC engine runs
+    ({!Ftrsn_access.Engine.analyze_lane_batch_on}); the fast-path
+    partners {!Ftrsn_access.Engine.lane_plan} sets aside take the O(1)
+    splices of {!Ftrsn_access.Engine.analyze_delta_on} instead.  The
+    BMC engine runs
     a cone-restricted SAT sweep of each merged summary.  The result is
     bit-identical to the brute pair enumeration ([reduce:false]) in
     every field, sequentially and for any [domains]; [result.pairs]

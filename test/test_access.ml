@@ -602,14 +602,14 @@ let prop_lanes_equal_scalar =
            vs classes)
 
 (* Property: the lane sweep rooted at a STACKED baseline returns, class
-   for class, exactly what the scalar stacked delta returns — verdict
-   and cone size both.  Every class in turn plays the primary (so the
-   stacked base runs through all shapes, including glitchy ones, where
-   [analyze_lanes_on] must degrade to the scalar path), and the whole
-   class universe plays the secondaries. *)
-let prop_lanes_on_equal_delta_on =
+   for class, the brute verdict under both faults ([analyze_multi] over
+   the two class representatives).  Every class in turn plays the
+   primary, so the stacked base runs through all shapes (including the
+   fast-path ones, whose verdicts are spliced rather than swept), and
+   the whole class universe plays the secondaries. *)
+let prop_lanes_on_equal_multi =
   QCheck.Test.make
-    ~name:"stacked lane verdicts = Engine.analyze_delta_on (random nets)"
+    ~name:"stacked lane verdicts = Engine.analyze_multi (random nets)"
     ~count:10
     QCheck.(int_range 0 10_000)
     (fun seed ->
@@ -633,12 +633,14 @@ let prop_lanes_on_equal_delta_on =
       while !ok && !i < n do
         let stk = Engine.stack ctx base sms.(!i) in
         let vs, st = Engine.analyze_lanes_on ctx stk sms in
+        let rep = classes.(!i).Fault.cls_rep in
         ok :=
           Array.length vs = n
           && st.Engine.ls_fast + st.Engine.ls_lanes = n
           && Array.for_all2
-               (fun v sm -> v = Engine.analyze_delta_on ctx stk sm)
-               vs sms;
+               (fun (v, _) c ->
+                 v = Engine.analyze_multi ctx [ rep; c.Fault.cls_rep ])
+               vs classes;
         i := !i + stride
       done;
       !ok)
@@ -672,6 +674,76 @@ let test_cone_is_probe_cone () =
               (Fault.to_string net c.Fault.cls_rep))
         (Fault.collapse net (Fault.universe ~model net)))
     [ Fault.Stuck; Fault.Transient ]
+
+(* The probe's footprints and the stacked verdicts, summed over every
+   stuck-at class of two networks.  The pair sweep consumes these
+   footprints only through its dispatch totals; pinning them directly
+   catches a probe that changes a footprint yet lands on the same
+   totals. *)
+let test_probe_stack_pinned () =
+  let soc name =
+    Ftrsn_itc02.Itc02.rsn (Option.get (Ftrsn_itc02.Itc02.find name))
+  in
+  let nets =
+    [
+      ( "u226-ft",
+        (Ftrsn_core.Pipeline.synthesize (soc "u226")).Ftrsn_core.Pipeline.ft );
+      ("d281", soc "d281");
+    ]
+  in
+  let sums (name, net) =
+    let ctx = Engine.make_ctx net in
+    let base = Engine.baseline ctx in
+    let sms =
+      List.map
+        (fun c -> c.Fault.cls_summary)
+        (Fault.collapse net (Fault.universe net))
+    in
+    let probes = List.map (Engine.probe ctx base) sms in
+    let card f =
+      List.fold_left (fun n p -> n + Ftrsn_topo.Bitset.cardinal (f p)) 0 probes
+    in
+    let stacked =
+      List.fold_left
+        (fun n sm ->
+          if Fault.summary_benign sm then n
+          else
+            n + Engine.accessible_count
+                  (Engine.stacked_verdict (Engine.stack ctx base sm)))
+        0 sms
+    in
+    List.map
+      (fun (what, n) -> (name ^ " " ^ what, n))
+      [
+        ("cone", card (fun p -> p.Engine.pr_cone));
+        ("region", card (fun p -> p.Engine.pr_region));
+        ("fragile", card (fun p -> p.Engine.pr_fragile));
+        ("supp", card (fun p -> p.Engine.pr_supp));
+        ("supp_edges", card (fun p -> p.Engine.pr_supp_edges));
+        ("rhosts", card (fun p -> p.Engine.pr_rhosts));
+        ("dead_edges", card (fun p -> p.Engine.pr_dead_edges));
+        ("dmg", card (fun p -> p.Engine.pr_dmg));
+        ( "coarse",
+          List.length (List.filter (fun p -> p.Engine.pr_coarse) probes) );
+        ("stacked accessible", stacked);
+      ]
+  in
+  check
+    Alcotest.(list (pair string int))
+    "probe and stack sums"
+    [
+      ("u226-ft cone", 581); ("u226-ft region", 5119);
+      ("u226-ft fragile", 14097); ("u226-ft supp", 35311);
+      ("u226-ft supp_edges", 45015); ("u226-ft rhosts", 10163);
+      ("u226-ft dead_edges", 6783); ("u226-ft dmg", 138);
+      ("u226-ft coarse", 0); ("u226-ft stacked accessible", 127490);
+      ("d281 cone", 11198); ("d281 region", 7159);
+      ("d281 fragile", 4570); ("d281 supp", 6763);
+      ("d281 supp_edges", 9300); ("d281 rhosts", 2650);
+      ("d281 dead_edges", 3502); ("d281 dmg", 386);
+      ("d281 coarse", 2); ("d281 stacked accessible", 92050);
+    ]
+    (List.concat_map sums nets)
 
 let suite =
   [
@@ -735,7 +807,9 @@ let suite =
     Alcotest.test_case "vectors: deterministic" `Quick
       test_vectors_roundtrip_consistent;
     Testseed.to_alcotest prop_lanes_equal_scalar;
-    Testseed.to_alcotest prop_lanes_on_equal_delta_on;
+    Testseed.to_alcotest prop_lanes_on_equal_multi;
     Alcotest.test_case "cone = probe cone (u226 FT rework)" `Quick
       test_cone_is_probe_cone;
+    Alcotest.test_case "probe and stack outputs pinned (u226-ft, d281)" `Quick
+      test_probe_stack_pinned;
   ]

@@ -193,23 +193,35 @@ let test_engines_agree_small_ft () =
    every verdict-derived field. *)
 
 let reduced_equals_brute ?sample net model =
-  let brute = Metric.evaluate ?sample ~model ~reduce:false net in
-  let reduced = Metric.evaluate ?sample ~model net in
   let name which =
     Printf.sprintf "%s/%s: %s = brute" net.Netlist.net_name
       (Fault.model_to_string model)
       which
   in
-  check_same_result (name "reduced structural") brute reduced;
-  check_same_result (name "2-domain")
-    brute
-    (Metric.evaluate ?sample ~model ~domains:2 net);
-  check_same_result (name "reduced BMC")
-    brute
-    (Metric.evaluate ?sample ~model ~engine:`Bmc net);
-  check_same_result (name "brute BMC")
-    brute
-    (Metric.evaluate ?sample ~model ~engine:`Bmc ~reduce:false net)
+  let paths =
+    [
+      ("reduced structural", fun () -> Metric.evaluate ?sample ~model net);
+      ("2-domain", fun () -> Metric.evaluate ?sample ~model ~domains:2 net);
+      ( "reduced BMC",
+        fun () -> Metric.evaluate ?sample ~model ~engine:`Bmc net );
+      ( "brute BMC",
+        fun () -> Metric.evaluate ?sample ~model ~engine:`Bmc ~reduce:false net
+      );
+    ]
+  in
+  match Metric.evaluate ?sample ~model ~reduce:false net with
+  | brute ->
+      List.iter
+        (fun (which, run) -> check_same_result (name which) brute (run ()))
+        paths
+  | exception Metric.Unsupported _ ->
+      (* An empty universe: every path must reject it the same way. *)
+      List.iter
+        (fun (which, run) ->
+          match run () with
+          | exception Metric.Unsupported _ -> ()
+          | _ -> Alcotest.fail (name which ^ ": brute raised Unsupported"))
+        paths
 
 let test_reduced_equals_brute_small () =
   List.iter (fun model -> reduced_equals_brute (small_sib ()) model)
@@ -246,6 +258,45 @@ let test_transient_recoverable () =
   let r = Metric.evaluate ~model:Fault.Transient (small_sib ()) in
   check bool_t "worst segments = 1.0" true (r.Metric.worst_segments = 1.0);
   check bool_t "worst bits = 1.0" true (r.Metric.worst_bits = 1.0)
+
+(* The transient model on a network without shadow bits has an empty
+   fault universe.  This net is the one QCHECK_SEED=874891189 draws for
+   the random-net property below.  Both the library and the service
+   must reject it with the typed error (service error [unsupported],
+   exit 5), not an escaped [Invalid_argument]. *)
+let test_empty_universe_unsupported () =
+  let net = Ftrsn_rsn.Random_net.generate ~seed:730751 ~segments:6 () in
+  check int_t "no transient sites" 0
+    (List.length (Fault.universe ~model:Fault.Transient net));
+  (match Metric.evaluate ~model:Fault.Transient net with
+  | exception Metric.Unsupported _ -> ()
+  | _ -> Alcotest.fail "an empty universe must raise Metric.Unsupported");
+  let q =
+    Ftrsn_service.Query.Metric
+      {
+        Ftrsn_service.Query.mq_net =
+          {
+            Ftrsn_service.Query.ns_source =
+              `Inline (Ftrsn_rsn.Text.to_string net);
+            ns_ft = false;
+          };
+        mq_sample = None;
+        mq_domains = 1;
+        mq_engine = `Structural;
+        mq_model = Fault.Transient;
+        mq_reduce = true;
+        mq_inprocess = true;
+        mq_with_stats = false;
+      }
+  in
+  let r = Ftrsn_service.Exec.run (Ftrsn_service.Pool.create ()) q in
+  (match r with
+  | Ftrsn_service.Response.Error_r (Ftrsn_service.Response.Unsupported, _) ->
+      ()
+  | _ ->
+      Alcotest.fail
+        ("expected unsupported error: " ^ Ftrsn_service.Response.to_string r));
+  check int_t "exit code 5" 5 (Ftrsn_service.Response.exit_code r)
 
 (* ------------------------------------------------------------------ *)
 (* Random-net properties (file-derived seed stream)                    *)
@@ -417,6 +468,8 @@ let suite =
       test_u226_slice;
     Alcotest.test_case "transient faults recoverable on SIB tree" `Quick
       test_transient_recoverable;
+    Alcotest.test_case "empty fault universe: typed Unsupported" `Quick
+      test_empty_universe_unsupported;
     Testseed.to_alcotest_in ~file:seed_file prop_models_reduced_equals_brute;
     Testseed.to_alcotest_in ~file:seed_file prop_models_engines_agree;
     Alcotest.test_case "certified = plain per model (small SIB)" `Slow
