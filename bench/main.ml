@@ -102,6 +102,7 @@ let small_ctx = Engine.make_ctx small
 
 let lane_per_fault net ctx =
   let base = Engine.baseline ctx in
+  let root = Engine.of_baseline base in
   let classes = Array.of_list (Fault.collapse net (Fault.universe net)) in
   let sms = Array.map (fun c -> c.Fault.cls_summary) classes in
   let _, batches = Engine.lane_plan base sms in
@@ -115,7 +116,7 @@ let lane_per_fault net ctx =
       if !pending = 0 then begin
         let b = batches.(!next) in
         next := (!next + 1) mod Array.length batches;
-        ignore (Engine.analyze_lane_batch ctx base b);
+        ignore (Engine.analyze_lanes_on ctx root b);
         pending := Array.length b
       end;
       decr pending
@@ -143,7 +144,9 @@ let ablation_engines =
         (Staged.stage (lane_per_fault u226_ft u226_ft_ctx));
       Test.make ~name:"lane_sweep_all_u226"
         (Staged.stage (fun () ->
-             ignore (Engine.analyze_lanes u226_ctx (Lazy.force u226_classes))));
+             ignore
+               (Engine.analyze_lanes_stats u226_ctx
+                  (Lazy.force u226_classes))));
     ]
 
 (* Ablation: one incremental session sweeping a fault universe vs
@@ -323,7 +326,7 @@ let stacked_lane_per_pair net ctx =
       if !pending = 0 then begin
         let b = batches.(!next) in
         next := (!next + 1) mod Array.length batches;
-        ignore (Engine.analyze_lane_batch_on ctx stk b);
+        ignore (Engine.analyze_lanes_on ctx stk b);
         pending := Array.length b
       end;
       decr pending
@@ -793,7 +796,7 @@ let compare_benches old_path new_path =
 let lane_agree name net =
   let ctx = Engine.make_ctx net in
   let classes = Array.of_list (Fault.collapse net (Fault.universe net)) in
-  let vs = Engine.analyze_lanes ctx classes in
+  let vs, _ = Engine.analyze_lanes_stats ctx classes in
   Array.iteri
     (fun i c ->
       if vs.(i) <> Engine.analyze ctx (Some c.Fault.cls_rep) then

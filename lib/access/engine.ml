@@ -1047,17 +1047,17 @@ let lane_fix ctx stk (sms : Fault.summary array) =
   let base = stk.s_base in
   let k = Array.length sms in
   if k = 0 || k > lane_width then
-    invalid_arg "Engine.analyze_lane_batch: batch size";
+    invalid_arg "Engine.lane_fix: batch size";
   (match stk.s_sm with
   | Some s0 when s0.Fault.sm_glitch_shadow <> [] ->
       invalid_arg
-        "Engine.analyze_lane_batch: glitch stacked base (full fixpoint only)"
+        "Engine.lane_fix: glitch stacked base (full fixpoint only)"
   | _ -> ());
   Array.iter
     (fun (sm : Fault.summary) ->
       if sm.Fault.sm_glitch_shadow <> [] then
         invalid_arg
-          "Engine.analyze_lane_batch: glitch summary (full fixpoint only)")
+          "Engine.lane_fix: glitch summary (full fixpoint only)")
     sms;
   let occ = Lanes.lane_mask k in
   let nsegs = ctx.nsegs and nv = ctx.nv in
@@ -1364,13 +1364,6 @@ let lane_fix ctx stk (sms : Fault.summary array) =
     lf_s_any = s_any;
   }
 
-let analyze_lane_batch_on ctx stk sms =
-  let fix = lane_fix ctx stk sms in
-  (Array.init (Array.length sms) fix.lf_verdict, fix.lf_stats)
-
-let analyze_lane_batch ctx base sms =
-  analyze_lane_batch_on ctx (of_baseline base) sms
-
 (* Delta of summary [sm] on top of an arbitrary stacked state.  The
    three fast paths stay valid on faulty bases: they reason about the
    DELTA summary alone and splice from the stacked verdict; everything
@@ -1451,22 +1444,29 @@ let analyze_lanes_on ctx stk (sms : Fault.summary array) =
     ( Array.map (analyze_delta_on ctx stk) sms,
       { lane_stats_zero with ls_fast = Array.length sms } )
   else begin
+    (* The result array is made last: filled while a batch allocates,
+       it would be promoted by a minor collection and drag every verdict
+       stored into it to the major heap. *)
     let fast, batches = lane_plan stk.s_base sms in
+    let fast = List.map (fun i -> (i, analyze_delta_on ctx stk sms.(i))) fast in
+    let batches =
+      List.map
+        (fun idxs ->
+          let fix = lane_fix ctx stk (Array.map (fun i -> sms.(i)) idxs) in
+          (idxs, Array.init (Array.length idxs) fix.lf_verdict, fix.lf_stats))
+        batches
+    in
     let out = Array.make (Array.length sms) (stk.s_verdict, 0) in
-    let stats = ref lane_stats_zero in
-    List.iter
-      (fun i ->
-        out.(i) <- analyze_delta_on ctx stk sms.(i);
-        stats := { !stats with ls_fast = !stats.ls_fast + 1 })
-      fast;
-    List.iter
-      (fun idxs ->
-        let batch = Array.map (fun i -> sms.(i)) idxs in
-        let vs, st = analyze_lane_batch_on ctx stk batch in
-        Array.iteri (fun j i -> out.(i) <- vs.(j)) idxs;
-        stats := lane_stats_add !stats st)
-      batches;
-    (out, !stats)
+    List.iter (fun (i, v) -> out.(i) <- v) fast;
+    let stats =
+      List.fold_left
+        (fun st (idxs, vs, bst) ->
+          Array.iteri (fun j i -> out.(i) <- vs.(j)) idxs;
+          lane_stats_add st bst)
+        { lane_stats_zero with ls_fast = List.length fast }
+        batches
+    in
+    (out, stats)
   end
 
 let analyze_lanes_stats ctx ?base (classes : Fault.clas array) =
@@ -1476,9 +1476,6 @@ let analyze_lanes_stats ctx ?base (classes : Fault.clas array) =
       (Array.map (fun c -> c.Fault.cls_summary) classes)
   in
   (Array.map fst out, stats)
-
-let analyze_lanes ctx ?base classes =
-  fst (analyze_lanes_stats ctx ?base classes)
 
 (* ---- pair probes: exact taints and interaction regions ----
 
@@ -1566,27 +1563,52 @@ let analyze_lanes ctx ?base classes =
    footprint and the recursion stays founded by the faulty fixpoint's
    ranks.
 
-   Hence the pair gate (checked in Metric): regions disjoint, each
-   fault's [pr_supp_edges] disjoint from the partner's [pr_dead_edges],
-   each fault's [pr_supp] disjoint from the partner's [pr_dmg], and
-   each fault's [pr_rhosts] disjoint from both the partner's fragile
-   set and the partner's writability losses — then W_combined =
+   Hence the pair gate ([composes] below, over the probe's [gate]
+   record): regions disjoint, each fault's [g_supp_edges] disjoint from
+   the partner's [g_dead_edges], each fault's [g_supp] disjoint from the
+   partner's [g_dmg], and each fault's [g_rhosts] disjoint from both the
+   partner's fragile set and the partner's writability losses
+   ([g_wlost]) — then W_combined =
    W_i AND W_j, the combined edge deaths are the union of the
    single-fault deaths, and the boundary induction above applies to
    every traversal. *)
 
+type gate = {
+  g_region : Bitset.t;
+  g_fragile : Bitset.t;
+  g_supp : Bitset.t;
+  g_supp_edges : Bitset.t;
+  g_rhosts : Bitset.t;
+  g_dead_edges : Bitset.t;
+  g_dmg : Bitset.t;
+  g_wlost : Bitset.t;
+}
+
 type probe = {
   pr_verdict : verdict;
   pr_cone : Bitset.t;
-  pr_region : Bitset.t;
-  pr_fragile : Bitset.t;
-  pr_supp : Bitset.t;
-  pr_supp_edges : Bitset.t;
-  pr_rhosts : Bitset.t;
-  pr_dead_edges : Bitset.t;
-  pr_dmg : Bitset.t;
   pr_coarse : bool;
+  pr_gate : gate;
 }
+
+let composes a b =
+  Bitset.disjoint a.g_region b.g_region
+  && Bitset.disjoint a.g_supp_edges b.g_dead_edges
+  && Bitset.disjoint b.g_supp_edges a.g_dead_edges
+  && Bitset.disjoint a.g_supp b.g_dmg
+  && Bitset.disjoint b.g_supp a.g_dmg
+  && Bitset.disjoint a.g_rhosts b.g_fragile
+  && Bitset.disjoint b.g_rhosts a.g_fragile
+  && Bitset.disjoint a.g_rhosts b.g_wlost
+  && Bitset.disjoint b.g_rhosts a.g_wlost
+
+(* Baseline-writable segments the verdict no longer writes. *)
+let wlost ctx base v =
+  let w = Bitset.create ctx.nsegs in
+  for s = 0 to ctx.nsegs - 1 do
+    if base.b_verdict.writable.(s) && not v.writable.(s) then Bitset.add w s
+  done;
+  w
 
 let seg_bitset ctx cv =
   let cs = Bitset.create ctx.nsegs in
@@ -1644,74 +1666,55 @@ let probe_refused ctx base (sm : Fault.summary) =
   || steering_gain ctx base sm
 
 let probe ctx base (sm : Fault.summary) =
-  let local segs =
-    (* Pure interface kills: no edge, no traversal and no certificate is
-       touched (a locally killed segment hosts no not-reset-matching
-       requirement), so nothing is fragile. *)
-    let v, _ = analyze_delta ctx base sm in
+  (* The short circuits: a verdict and cone whose footprints are all
+     empty (benign and purely local summaries: no edge, traversal or
+     certificate is touched, so nothing is fragile) or, when [coarse],
+     all full (the interaction machinery is voided). *)
+  let short v cone ~coarse =
+    let fp n =
+      let b = Bitset.create n in
+      if coarse then Bitset.fill b;
+      b
+    in
+    let nedges = Array.length ctx.edges in
     {
       pr_verdict = v;
-      pr_cone = Bitset.of_list ctx.nsegs segs;
-      pr_region = Bitset.create ctx.nv;
-      pr_fragile = Bitset.create ctx.nsegs;
-      pr_supp = Bitset.create ctx.nv;
-      pr_supp_edges = Bitset.create (Array.length ctx.edges);
-      pr_rhosts = Bitset.create ctx.nsegs;
-      pr_dead_edges = Bitset.create (Array.length ctx.edges);
-      pr_dmg = Bitset.create ctx.nv;
-      pr_coarse = false;
+      pr_cone = cone;
+      pr_coarse = coarse;
+      pr_gate =
+        {
+          g_region = fp ctx.nv;
+          g_fragile = fp ctx.nsegs;
+          g_supp = fp ctx.nv;
+          g_supp_edges = fp nedges;
+          g_rhosts = fp ctx.nsegs;
+          g_dead_edges = fp nedges;
+          g_dmg = fp ctx.nv;
+          g_wlost = wlost ctx base v;
+        };
     }
   in
-  let coarse () =
-    let v, _ = analyze_delta ctx base sm in
-    let full n = let b = Bitset.create n in Bitset.fill b; b in
-    { pr_verdict = v; pr_cone = seg_bitset ctx (coarse_cone ctx base sm);
-      pr_region = full ctx.nv; pr_fragile = full ctx.nsegs;
-      pr_supp = full ctx.nv;
-      pr_supp_edges = full (Array.length ctx.edges);
-      pr_rhosts = full ctx.nsegs;
-      pr_dead_edges = full (Array.length ctx.edges);
-      pr_dmg = full ctx.nv;
-      pr_coarse = true }
-  in
+  let delta () = fst (analyze_delta ctx base sm) in
   if Fault.summary_benign sm then
-    {
-      pr_verdict = base.b_verdict;
-      pr_cone = Bitset.create ctx.nsegs;
-      pr_region = Bitset.create ctx.nv;
-      pr_fragile = Bitset.create ctx.nsegs;
-      pr_supp = Bitset.create ctx.nv;
-      pr_supp_edges = Bitset.create (Array.length ctx.edges);
-      pr_rhosts = Bitset.create ctx.nsegs;
-      pr_dead_edges = Bitset.create (Array.length ctx.edges);
-      pr_dmg = Bitset.create ctx.nv;
-      pr_coarse = false;
-    }
+    short base.b_verdict (Bitset.create ctx.nsegs) ~coarse:false
   else if sm.Fault.sm_glitch_shadow <> [] then begin
     (* Transient upsets: the verdict comes from the full fixpoint (exact
        — [analyze_delta] routes glitches there), the cone is the exact
        verdict diff, and the interaction machinery is conservatively
-       voided (full region/footprints): upsets may create steering gains
-       the no-gain certificate reasoning below assumes away.  Pair sweeps
-       reject the transient model anyway ([Metric.evaluate_pairs]). *)
-    let v, _ = analyze_delta ctx base sm in
-    let full n =
-      let b = Bitset.create n in
-      Bitset.fill b;
-      b
-    in
-    { pr_verdict = v; pr_cone = verdict_diff ctx base v;
-      pr_region = full ctx.nv; pr_fragile = full ctx.nsegs;
-      pr_supp = full ctx.nv;
-      pr_supp_edges = full (Array.length ctx.edges);
-      pr_rhosts = full ctx.nsegs;
-      pr_dead_edges = full (Array.length ctx.edges);
-      pr_dmg = full ctx.nv;
-      pr_coarse = true }
+       voided: upsets may create steering gains the no-gain certificate
+       reasoning below assumes away.  Pair sweeps reject the transient
+       model anyway ([Metric.evaluate_pairs]). *)
+    let v = delta () in
+    short v (verdict_diff ctx base v) ~coarse:true
   end
-  else if only_kill_read sm then local sm.Fault.sm_kill_read
-  else if local_kill_write base sm then local sm.Fault.sm_kill_write
-  else if probe_refused ctx base sm then coarse ()
+  else if only_kill_read sm then
+    short (delta ()) (Bitset.of_list ctx.nsegs sm.Fault.sm_kill_read)
+      ~coarse:false
+  else if local_kill_write base sm then
+    short (delta ()) (Bitset.of_list ctx.nsegs sm.Fault.sm_kill_write)
+      ~coarse:false
+  else if probe_refused ctx base sm then
+    short (delta ()) (seg_bitset ctx (coarse_cone ctx base sm)) ~coarse:true
   else begin
     let eff = add_summary_effects (no_effects ctx) sm in
     (* One lane of the kernel, unpacked: the verdict, the settled
@@ -1913,7 +1916,7 @@ let probe ctx base (sm : Fault.summary) =
        on.  A partner fault whose exact damage (dead_edges, dmg)
        avoids the footprint and under which every such host keeps both
        its writability and its canonical certificate cannot disturb
-       the re-route — the pair gate in Metric checks exactly that,
+       the re-route — [composes] checks exactly that,
        instead of pessimistically refusing every fragile class. *)
     let supp = Bitset.create ctx.nv in
     let supp_edges = Bitset.create nedges in
@@ -1970,10 +1973,22 @@ let probe ctx base (sm : Fault.summary) =
           fragile
       done
     end;
-    { pr_verdict = v; pr_cone = cs; pr_region = region;
-      pr_fragile = fragile; pr_supp = supp; pr_supp_edges = supp_edges;
-      pr_rhosts = rhosts; pr_dead_edges = dead_edges; pr_dmg = dmg;
-      pr_coarse = false }
+    {
+      pr_verdict = v;
+      pr_cone = cs;
+      pr_coarse = false;
+      pr_gate =
+        {
+          g_region = region;
+          g_fragile = fragile;
+          g_supp = supp;
+          g_supp_edges = supp_edges;
+          g_rhosts = rhosts;
+          g_dead_edges = dead_edges;
+          g_dmg = dmg;
+          g_wlost = wlost ctx base v;
+        };
+    }
   end
 
 (* [probe]'s cone, case for case, without the interaction region the

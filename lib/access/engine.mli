@@ -94,6 +94,69 @@ val cone : ctx -> baseline -> Ftrsn_fault.Fault.summary -> Ftrsn_topo.Bitset.t o
     differ from the fault-free baseline.  [None] for a benign summary
     (empty cone, verdict = baseline). *)
 
+type gate = {
+  g_region : Ftrsn_topo.Bitset.t;
+      (** dataflow-vertex interaction region: endpoints of every live
+          edge the fault killed, corrupted, or pinned into its required
+          steering value, live neighborhoods of blocked/corrupting
+          segments, and the surviving boundary of every access traversal
+          the fault disturbed.  Empty for purely local kill_write /
+          kill_read summaries. *)
+  g_fragile : Ftrsn_topo.Bitset.t;
+      (** segments that stay writable under the fault but lost their
+          canonical baseline write certificate (their writability rests
+          on a re-routed derivation).  Empty for purely local kill
+          summaries. *)
+  g_supp : Ftrsn_topo.Bitset.t;
+      (** vertex footprint of the founded re-route certificates backing
+          the fragile segments' writability under this fault.  Empty
+          when nothing is fragile. *)
+  g_supp_edges : Ftrsn_topo.Bitset.t;
+      (** edge footprint of the same re-route certificates (indices into
+          the dataflow edge array).  Empty when nothing is fragile. *)
+  g_rhosts : Ftrsn_topo.Bitset.t;
+      (** steering hosts (segments) the re-route certificates rest on.
+          Empty when nothing is fragile. *)
+  g_dead_edges : Ftrsn_topo.Bitset.t;
+      (** baseline-live edges this fault kills (unsteerable under the
+          faulty fixpoint) or corrupts.  Subset of the edge endpoints
+          folded into [g_region]. *)
+  g_dmg : Ftrsn_topo.Bitset.t;
+      (** dataflow vertices the fault makes non-shifting or corrupting
+          (hard blocks and data-corrupting segments).  Subset of
+          [g_region]. *)
+  g_wlost : Ftrsn_topo.Bitset.t;
+      (** writability losses: baseline-writable segments the fault's
+          verdict no longer writes *)
+}
+(** A fault class's footprint for the double-fault factorization: every
+    field but [g_wlost] is full when the probe is coarse.  It holds no
+    verdict, so a sweep can keep one per class cheaply. *)
+
+val composes : gate -> gate -> bool
+(** The pair gate.  Two summaries compose POINTWISE — the verdict under
+    both faults is the bitwise AND of the two single-fault verdicts —
+    when (a) their regions are DISJOINT, (b) each summary's re-route
+    certificates avoid the other's damage ([g_supp_edges] disjoint
+    from the other's [g_dead_edges], [g_supp] disjoint from the other's
+    [g_dmg]), and (c) each summary's [g_rhosts] avoids both the
+    other's [g_fragile] set and the other's [g_wlost].  Conditions
+    (b)+(c) rule out mutual support: two faults that each destroy the
+    other's only founded writability derivation can deflate the
+    combined least fixpoint without any shared damage region; a fragile
+    segment's re-route certificate provably survives the partner when
+    the partner's damage (killed/corrupted live edges,
+    blocked/corrupting vertices) misses its footprint and every
+    steering host it rests on keeps both its writability and its
+    canonical certificate.  Note (b) checks the partner's exact damage,
+    not its whole region: the region also contains undamaged rim
+    vertices that a re-route may freely traverse.  Under (a)-(c) the
+    pair's accessibility counts follow from the single-fault results
+    (subtract the partner's lost-but-still-accessible segments) and no
+    pair fixpoint is needed.  NOT a splice: the two faults may well
+    taint common segments (their cones need not be disjoint).
+    Symmetric. *)
+
 type probe = {
   pr_verdict : verdict;
       (** the class verdict, = [analyze_delta]'s (may share arrays with
@@ -102,67 +165,16 @@ type probe = {
       (** segment indices whose verdict differs from the fault-free
           baseline — EXACT (the verdict diff) unless [pr_coarse], then
           the coarse cone over the closed tables of {!baseline} *)
-  pr_region : Ftrsn_topo.Bitset.t;
-      (** dataflow-vertex interaction region: endpoints of every live
-          edge the fault killed, corrupted, or pinned into its required
-          steering value, live neighborhoods of blocked/corrupting
-          segments, and the surviving boundary of every access traversal
-          the fault disturbed.  Empty for purely local kill_write /
-          kill_read summaries; full when [pr_coarse]. *)
-  pr_fragile : Ftrsn_topo.Bitset.t;
-      (** segments that stay writable under the fault but lost their
-          canonical baseline write certificate (their writability rests
-          on a re-routed derivation).  Empty for purely local kill
-          summaries; full when [pr_coarse]. *)
-  pr_supp : Ftrsn_topo.Bitset.t;
-      (** vertex footprint of the founded re-route certificates backing
-          the fragile segments' writability under this fault.  Empty
-          when nothing is fragile; full when [pr_coarse]. *)
-  pr_supp_edges : Ftrsn_topo.Bitset.t;
-      (** edge footprint of the same re-route certificates (indices into
-          the dataflow edge array).  Empty when nothing is fragile; full
-          when [pr_coarse]. *)
-  pr_rhosts : Ftrsn_topo.Bitset.t;
-      (** steering hosts (segments) the re-route certificates rest on.
-          Empty when nothing is fragile; full when [pr_coarse]. *)
-  pr_dead_edges : Ftrsn_topo.Bitset.t;
-      (** baseline-live edges this fault kills (unsteerable under the
-          faulty fixpoint) or corrupts.  Subset of the edge endpoints
-          folded into [pr_region]; full when [pr_coarse]. *)
-  pr_dmg : Ftrsn_topo.Bitset.t;
-      (** dataflow vertices the fault makes non-shifting or corrupting
-          (hard blocks and data-corrupting segments).  Subset of
-          [pr_region]; full when [pr_coarse]. *)
   pr_coarse : bool;
       (** the summary defeated the region analysis (dead scan ports,
-          steering-improving pins on unwritable hosts, cyclic dataflow) *)
+          steering-improving pins on unwritable hosts, cyclic dataflow,
+          transient upsets): every footprint of [pr_gate] is full *)
+  pr_gate : gate;
 }
-(** A fault class's footprint for the double-fault factorization.  Two
-    summaries compose POINTWISE — the verdict under both faults is the
-    bitwise AND of the two single-fault verdicts — when (a) their
-    regions are DISJOINT, (b) each summary's re-route certificates
-    avoid the other's damage ([pr_supp_edges] disjoint from the other's
-    [pr_dead_edges], [pr_supp] disjoint from the other's [pr_dmg]), and
-    (c) each summary's [pr_rhosts] avoids both the other's [pr_fragile]
-    set and the other's writability losses.  Conditions (b)+(c) rule
-    out mutual support: two faults that each destroy the other's only
-    founded writability derivation can deflate the combined least
-    fixpoint without any shared damage region; a fragile segment's
-    re-route certificate provably survives the partner when the
-    partner's damage (killed/corrupted live edges, blocked/corrupting
-    vertices) misses its footprint and every steering host it rests on
-    keeps both its writability and its canonical certificate.  Note (b)
-    checks the partner's exact damage, not its whole region: the region
-    also contains undamaged rim vertices that a re-route may freely
-    traverse.  Under (a)-(c) the pair's accessibility counts follow
-    from the single-fault results (subtract the partner's
-    lost-but-still-accessible segments) and no pair fixpoint is needed.
-    NOT a splice: the two faults may well taint common segments (their
-    cones need not be disjoint). *)
 
 val probe : ctx -> baseline -> Ftrsn_fault.Fault.summary -> probe
-(** The verdict, tight cone and interaction region of a summary.
-    [pr_cone] agrees with {!cone} (modulo [None] vs empty). *)
+(** The verdict, tight cone and pair gate of a summary.  [pr_cone]
+    agrees with {!cone} (modulo [None] vs empty). *)
 
 val analyze_delta :
   ctx -> baseline -> Ftrsn_fault.Fault.summary -> verdict * int
@@ -183,8 +195,9 @@ val analyze_delta :
     seed is already settled never promote.  Writability and steering
     only grow, so the fixpoint's two traversals are extended across the
     edges whose steering grew instead of re-run each round.  A single
-    class ({!analyze_delta}, {!probe}, {!stack}) is a one-lane call.
-    The per-lane verdicts are bit-identical to {!analyze}'s. *)
+    class ({!analyze_delta}, {!probe}, {!stack}) is a one-lane call;
+    many classes go through {!analyze_lanes_on}.  The per-lane verdicts
+    are bit-identical to {!analyze}'s. *)
 
 val lane_width : int
 (** Classes per batch: [Ftrsn_topo.Lanes.width] = [Sys.int_size] (63 on
@@ -198,61 +211,51 @@ type lane_stats = {
   ls_rounds : int;   (** fixpoint rounds across all batches *)
 }
 
-val lane_stats_zero : lane_stats
 val lane_stats_add : lane_stats -> lane_stats -> lane_stats
-
-val lane_fast : baseline -> Ftrsn_fault.Fault.summary -> bool
-(** Classes {!analyze_delta} answers without any traversal (benign,
-    pure kill-read, local kill-write); they never occupy a lane.
-    {!lane_plan} sets glitch (transient) summaries aside with them: they
-    take {!analyze_delta}'s full-fixpoint fallback. *)
 
 val lane_plan :
   baseline -> Ftrsn_fault.Fault.summary array -> int list * int array list
 (** [lane_plan base sms] splits the summaries into the fast indices
-    (input order) and the lane batches: non-fast indices grouped by
-    {!Ftrsn_fault.Fault.summary_shape} — dead-port classes, whose cones
-    are the whole network, batch separately — then chunked
-    {!lane_width} wide in input order.  Deterministic. *)
-
-val analyze_lane_batch :
-  ctx ->
-  baseline ->
-  Ftrsn_fault.Fault.summary array ->
-  (verdict * int) array * lane_stats
-(** One batch of [1 .. lane_width] non-fast summaries, one shared
-    fixpoint: per summary the verdict and cone size, bit-identical to
-    {!analyze_delta} on the same summary.  The returned stats cover
-    this batch alone ([ls_batches = 1]). *)
-
-val analyze_lanes :
-  ctx -> ?base:baseline -> Ftrsn_fault.Fault.clas array -> verdict array
-(** [analyze_lanes ctx classes] is the per-class verdict array,
-    bit-identical to [analyze_delta ctx base cls_summary] for each
-    class (fast classes via the fast paths, the rest in lane batches).
-    [base] defaults to a freshly computed {!baseline}. *)
+    (input order) and the lane batches.  Fast classes are the ones
+    {!analyze_delta} answers without any traversal (benign, pure
+    kill-read, local kill-write) plus glitch (transient) summaries,
+    which take its full-fixpoint fallback; they never occupy a lane.
+    The rest are grouped by {!Ftrsn_fault.Fault.summary_shape} —
+    dead-port classes, whose cones are the whole network, batch
+    separately — then chunked {!lane_width} wide in input order.
+    Deterministic, and stable: re-planning one of its batches, or a
+    subset of its fast indices, gives back that batch or those fast
+    indices alone. *)
 
 val analyze_lanes_stats :
   ctx ->
   ?base:baseline ->
   Ftrsn_fault.Fault.clas array ->
   verdict array * lane_stats
-(** {!analyze_lanes} plus the accumulated batch statistics. *)
+(** [analyze_lanes_stats ctx classes] is the per-class verdict array,
+    bit-identical to [analyze_delta ctx base cls_summary] for each class
+    ({!analyze_lanes_on} over the fault-free root), with the
+    accumulated batch statistics.  [base] defaults to a freshly
+    computed {!baseline}. *)
 
 (** {2 Stacked secondary baselines (double-fault deltas)}
 
     The exhaustive double-fault sweep groups pairs by first fault class:
     {!stack} computes that class's faulty state once — its summary and
     verdict, the analogue of {!baseline} for a faulty base — and the
-    second summaries run on top in lane batches
-    ({!analyze_lane_batch_on}) seeded with the stacked writable set
-    minus the cone of the union summary, so interacting pairs share
-    small fixpoints instead of paying a full {!analyze_multi} each. *)
+    second summaries run on top in lane batches ({!analyze_lanes_on})
+    seeded with the stacked writable set minus the cone of the union
+    summary, so interacting pairs share small fixpoints instead of
+    paying a full {!analyze_multi} each. *)
 
 type stacked
 (** A secondary baseline: the exact state of the network under one
     summarized fault, ready to receive further deltas.  Immutable once
     built; safe to share across domains. *)
+
+val of_baseline : baseline -> stacked
+(** The fault-free stacked state: deltas on it are single-fault
+    deltas. *)
 
 val stack : ctx -> baseline -> Ftrsn_fault.Fault.summary -> stacked
 (** [stack ctx base sm] is the secondary baseline under [sm]
@@ -267,23 +270,7 @@ val analyze_delta_on :
 (** [analyze_delta_on ctx stk sm] is the verdict under the UNION of the
     stacked summary and [sm], bit-identical to [analyze_multi] over both
     faults, with the delta's cone size.  [analyze_delta] is the special
-    case over the fault-free stacked state. *)
-
-val analyze_lane_batch_on :
-  ctx ->
-  stacked ->
-  Ftrsn_fault.Fault.summary array ->
-  (verdict * int) array * lane_stats
-(** {!analyze_lane_batch} rooted at a stacked (possibly faulty) base:
-    one batch of [1 .. lane_width] non-fast, non-glitch summaries swept
-    against the secondary baseline in one shared fixpoint.  The stacked
-    summary's effect masks are folded into every lane, and each lane's
-    writability seed is the stacked writable set minus the cone of the
-    UNION of the stacked and delta summaries — so per summary the
-    verdict and cone size are bit-identical to {!analyze_delta_on} on
-    the same summary.  Raises [Invalid_argument] on a glitchy (transient)
-    stacked base or delta: those take {!analyze_delta_on}'s full-fixpoint
-    fallback. *)
+    case over {!of_baseline}. *)
 
 val analyze_lanes_on :
   ctx ->
@@ -291,11 +278,14 @@ val analyze_lanes_on :
   Ftrsn_fault.Fault.summary array ->
   (verdict * int) array * lane_stats
 (** Many summaries against one stacked root: fast classes through the
-    {!analyze_delta_on} fast paths, the rest shape-grouped and chunked
-    by {!lane_plan} into {!analyze_lane_batch_on} sweeps.  Per summary
-    bit-identical to {!analyze_delta_on}; a glitchy stacked root takes
-    {!analyze_delta_on} per summary (counted in [ls_fast]) instead of
-    raising. *)
+    {!analyze_delta_on} fast paths (counted in [ls_fast]), the rest
+    planned by {!lane_plan} into shared lane fixpoints.  The stacked
+    summary's effect masks are folded into every lane, and each lane's
+    writability seed is the stacked writable set minus the cone of the
+    UNION of the stacked and delta summaries.  Per summary the verdict
+    and cone size are bit-identical to {!analyze_delta_on}; a glitchy
+    (transient) stacked root takes {!analyze_delta_on}'s full fixpoint
+    per summary (counted in [ls_fast]). *)
 
 type witness = {
   w_vertices : int list;

@@ -101,65 +101,135 @@ let merge_lanes a b =
   | None, l | l, None -> l
   | Some x, Some y -> Some (Engine.lane_stats_add x y)
 
-(* Integer accumulation of per-fault accessible counts.  All fields are
-   exact integers folded with commutative operations (min / sum), so the
-   final result is bit-identical however the faults are partitioned or
-   interleaved across domains — the property that lets the dynamic
+(* ---- the per-domain accumulator ----
+
+   One record serves every sweep: the accessible-count aggregates, the
+   cone sizes of a reduced sweep, the pair dispatch counts, and the lane
+   and solver statistics.  Every field is folded with commutative
+   operations (min / sum), and the counts are exact integers, so the
+   gathered result is bit-identical however the items are partitioned
+   or interleaved across domains — the property that lets the dynamic
    scheduler reorder work freely and the collapsed classes stand in for
    their members.  The single float division happens once at the end. *)
-type iacc = {
-  mutable a_min_segs : int;
-  mutable a_min_bits : int;
-  mutable a_sum_segs : int;  (* sum of weight * accessible segments *)
-  mutable a_sum_bits : int;  (* sum of weight * accessible bits *)
-  mutable a_weight : int;
-  mutable a_count : int;
+type part = {
+  mutable min_segs : int;
+  mutable min_bits : int;
+  mutable sum_segs : int;  (* sum of weight * accessible segments *)
+  mutable sum_bits : int;  (* sum of weight * accessible bits *)
+  mutable weight : int;
+  mutable count : int;     (* faults (or fault pairs) represented *)
+  mutable cone_sum : int;
+  mutable cone_max : int;
+  mutable diagonal : int;  (* pair dispatch, as in [pair_stats] *)
+  mutable disjoint : int;
+  mutable stacked : int;
+  mutable stacks : int;
+  mutable lanes : Engine.lane_stats option;
+  mutable solver : solver_stats option;
+  mutable steals : int;
 }
 
-let iacc_create () =
+let part () =
   {
-    a_min_segs = max_int;
-    a_min_bits = max_int;
-    a_sum_segs = 0;
-    a_sum_bits = 0;
-    a_weight = 0;
-    a_count = 0;
+    min_segs = max_int;
+    min_bits = max_int;
+    sum_segs = 0;
+    sum_bits = 0;
+    weight = 0;
+    count = 0;
+    cone_sum = 0;
+    cone_max = 0;
+    diagonal = 0;
+    disjoint = 0;
+    stacked = 0;
+    stacks = 0;
+    lanes = None;
+    solver = None;
+    steals = 0;
   }
 
-let iacc_add acc ~w ~n ~segs ~bits =
-  if segs < acc.a_min_segs then acc.a_min_segs <- segs;
-  if bits < acc.a_min_bits then acc.a_min_bits <- bits;
-  acc.a_sum_segs <- acc.a_sum_segs + (w * segs);
-  acc.a_sum_bits <- acc.a_sum_bits + (w * bits);
-  acc.a_weight <- acc.a_weight + w;
-  acc.a_count <- acc.a_count + n
+(* [n] faults of summed weight [w], each leaving [segs] segments and
+   [bits] bits accessible. *)
+let add p ~w ~n ~segs ~bits =
+  if segs < p.min_segs then p.min_segs <- segs;
+  if bits < p.min_bits then p.min_bits <- bits;
+  p.sum_segs <- p.sum_segs + (w * segs);
+  p.sum_bits <- p.sum_bits + (w * bits);
+  p.weight <- p.weight + w;
+  p.count <- p.count + n
 
-let iacc_merge a b =
-  a.a_min_segs <- min a.a_min_segs b.a_min_segs;
-  a.a_min_bits <- min a.a_min_bits b.a_min_bits;
-  a.a_sum_segs <- a.a_sum_segs + b.a_sum_segs;
-  a.a_sum_bits <- a.a_sum_bits + b.a_sum_bits;
-  a.a_weight <- a.a_weight + b.a_weight;
-  a.a_count <- a.a_count + b.a_count
+let note_cone p cone =
+  p.cone_sum <- p.cone_sum + cone;
+  if cone > p.cone_max then p.cone_max <- cone
 
-let iacc_result ?(pairs = None) ?(lanes = None) ?(pair_lanes = None) ~what
-    ~nsegs ~nbits ~steals ~solver ~reduction acc =
-  if acc.a_count = 0 then invalid_arg (what ^ ": empty fault list");
-  let fsegs = float_of_int nsegs and fbits = float_of_int nbits in
-  let fweight = float_of_int acc.a_weight in
+let note_lanes p st = p.lanes <- merge_lanes p.lanes (Some st)
+
+(* Merges the [(part, steals)] partials of one or more sweeps. *)
+let gather partials =
+  let g = part () in
+  List.iter
+    (fun (p, steals) ->
+      g.min_segs <- min g.min_segs p.min_segs;
+      g.min_bits <- min g.min_bits p.min_bits;
+      g.sum_segs <- g.sum_segs + p.sum_segs;
+      g.sum_bits <- g.sum_bits + p.sum_bits;
+      g.weight <- g.weight + p.weight;
+      g.count <- g.count + p.count;
+      g.cone_sum <- g.cone_sum + p.cone_sum;
+      g.cone_max <- max g.cone_max p.cone_max;
+      g.diagonal <- g.diagonal + p.diagonal;
+      g.disjoint <- g.disjoint + p.disjoint;
+      g.stacked <- g.stacked + p.stacked;
+      g.stacks <- g.stacks + p.stacks;
+      g.lanes <- merge_lanes g.lanes p.lanes;
+      g.solver <- merge_solver g.solver p.solver;
+      g.steals <- g.steals + steals)
+    partials;
+  g
+
+(* The result of a gathered sweep.  [reduction] is the (universe,
+   classes, benign) count of a reduced single-fault sweep, [pairs] the
+   class count of an exhaustive pair sweep, whose lane statistics are
+   the pair lanes. *)
+let result ~what ~net ?reduction ?pairs g =
+  if g.count = 0 then invalid_arg (what ^ ": empty fault list");
+  let fsegs = float_of_int (Netlist.num_segments net) in
+  let fbits = float_of_int (Netlist.total_bits net) in
+  let fweight = float_of_int g.weight in
   {
-    worst_segments = float_of_int acc.a_min_segs /. fsegs;
-    avg_segments = float_of_int acc.a_sum_segs /. (fweight *. fsegs);
-    worst_bits = float_of_int acc.a_min_bits /. fbits;
-    avg_bits = float_of_int acc.a_sum_bits /. (fweight *. fbits);
-    faults = acc.a_count;
-    total_weight = acc.a_weight;
-    steals;
-    solver;
-    reduction;
-    lanes;
-    pairs;
-    pair_lanes;
+    worst_segments = float_of_int g.min_segs /. fsegs;
+    avg_segments = float_of_int g.sum_segs /. (fweight *. fsegs);
+    worst_bits = float_of_int g.min_bits /. fbits;
+    avg_bits = float_of_int g.sum_bits /. (fweight *. fbits);
+    faults = g.count;
+    total_weight = g.weight;
+    steals = g.steals;
+    solver = g.solver;
+    reduction =
+      Option.map
+        (fun (universe, classes, benign) ->
+          {
+            r_universe = universe;
+            r_classes = classes;
+            r_benign = benign;
+            r_cone_sum = g.cone_sum;
+            r_cone_max = g.cone_max;
+          })
+        reduction;
+    lanes = (if pairs = None then g.lanes else None);
+    pairs =
+      Option.map
+        (fun nc ->
+          {
+            p_classes = nc;
+            p_class_pairs = nc * (nc + 1) / 2;
+            p_diagonal = g.diagonal;
+            p_disjoint = g.disjoint;
+            p_stacked = g.stacked;
+            p_stacks = g.stacks;
+          })
+        pairs;
+    pair_lanes = (if pairs = None then None else g.lanes);
   }
 
 (* ---- dynamic work-stealing scheduler ----
@@ -196,7 +266,23 @@ let steal_map ~domains items ~init ~step ~finish =
     List.map Domain.join
       (List.init domains (fun d -> Domain.spawn (run d)))
 
-let count_verdict net v =
+(* One sweep over [items]: every domain opens its verdict source with
+   [open_ part], which returns the step folding one item into [part]
+   and the action that closes the source; the partials go to
+   [gather]. *)
+let sweep ~domains items open_ =
+  steal_map ~domains items
+    ~init:(fun _ ->
+      let p = part () in
+      let step, close = open_ p in
+      (p, step, close))
+    ~step:(fun (_, step, _) x -> step x)
+    ~finish:(fun (p, _, close) ->
+      close ();
+      p)
+
+(* Accessible segments and bits of an accessible-segment vector. *)
+let count net acc =
   let segs = ref 0 and bits = ref 0 in
   Array.iteri
     (fun i ok ->
@@ -204,19 +290,7 @@ let count_verdict net v =
         incr segs;
         bits := !bits + Netlist.seg_len net i
       end)
-    v.Engine.accessible;
-  (!segs, !bits)
-
-let count_bmc net vs =
-  let segs = ref 0 and bits = ref 0 in
-  Array.iteri
-    (fun i v ->
-      match v with
-      | Bmc.Accessible _ ->
-          incr segs;
-          bits := !bits + Netlist.seg_len net i
-      | Bmc.Inaccessible -> ())
-    vs;
+    acc;
   (!segs, !bits)
 
 let solver_stats_of_session (st : Bmc.Session.stats) =
@@ -253,45 +327,20 @@ let solver_stats_of_session (st : Bmc.Session.stats) =
 let solver_of_session sess =
   Some (solver_stats_of_session (Bmc.Session.stats sess))
 
-(* Per-class data shared by both exhaustive pair engines (filled by their
-   phase 1; the full definition is documented at the pair sweep below).
-   Declared here so the warm per-netlist state can cache it. *)
-type pair_prep = {
-  pq_sms : Fault.summary array;
-  pq_cones : Bitset.t array;
-  pq_regions : Bitset.t array;
-  pq_wlost : Bitset.t array;
-  pq_fragile : Bitset.t array;
-  pq_supp : Bitset.t array;
-  pq_supp_edges : Bitset.t array;
-  pq_dead_edges : Bitset.t array;
-  pq_dmg : Bitset.t array;
-  pq_rhosts : Bitset.t array;
-  pq_members : int array;
-  pq_weight : int array;
-  pq_sq : int array;
-  pq_segs : int array;
-  pq_bits : int array;
-  pq_acc : Bitset.t array;
-  pq_lost : int array array;
-  pq_len : int array;
+(* One class of the exhaustive pair sweep, as phase 1 leaves it (the
+   full definition is documented at the pair sweep below).  Declared
+   here so the warm per-netlist state can cache it. *)
+type pair_class = {
+  pc_gate : Engine.gate;
+  pc_members : int;
+  pc_weight : int;
+  pc_sq : int;          (* sum of squared member weights *)
+  pc_segs : int;        (* accessible segments and bits *)
+  pc_bits : int;
+  pc_acc : Bitset.t;    (* accessible segments *)
+  pc_lost : int array;  (* baseline-accessible segments no longer accessible *)
 }
 
-(* ---- warm per-netlist state ----
-
-   The unit of reuse behind the service pool (Ftrsn_service.Pool): the
-   expensive per-netlist artifacts — structural context, fault-free
-   baseline, the full-universe class collapse, the exhaustive-pair
-   phase-1 probe tables, and idle incremental BMC sessions — built once
-   and shared by every subsequent evaluation of the same netlist.  All
-   cached artifacts are deterministic functions of the netlist, so warm
-   results are bit-identical to cold ones; only solver statistics (which
-   accumulate across the queries a reused session served) differ.
-
-   Thread-safe: one mutex guards construction and the session free list,
-   so concurrent evaluations of the same netlist share artifacts instead
-   of racing to rebuild them.  Sessions are checked out exclusively and
-   returned when the evaluation finishes. *)
 (* ---- memoized secondary-baseline (stack) cache ----
 
    The lane-parallel pair sweep builds each interacting row's stacked
@@ -376,6 +425,21 @@ let stack_cached sc build i =
   in
   get ()
 
+(* ---- warm per-netlist state ----
+
+   The unit of reuse behind the service pool (Ftrsn_service.Pool): the
+   expensive per-netlist artifacts — structural context, fault-free
+   baseline, the full-universe class collapse, the exhaustive-pair
+   phase-1 class records, and idle incremental BMC sessions — built once
+   and shared by every subsequent evaluation of the same netlist.  All
+   cached artifacts are deterministic functions of the netlist, so warm
+   results are bit-identical to cold ones; only solver statistics (which
+   accumulate across the queries a reused session served) differ.
+
+   Thread-safe: one mutex guards construction and the session free list,
+   so concurrent evaluations of the same netlist share artifacts instead
+   of racing to rebuild them.  Sessions are checked out exclusively and
+   returned when the evaluation finishes. *)
 type warm = {
   w_net : Netlist.t;
   w_lock : Mutex.t;
@@ -385,10 +449,11 @@ type warm = {
   mutable w_classes : (Fault.model * Fault.clas array) list;
       (* one collapsed full universe per fault model; models never share a
          slot, so a bridge evaluation can't serve select classes *)
-  mutable w_pair_prep : (Fault.model * (Fault.clas array * pair_prep)) list;
+  mutable w_pair_classes :
+    (Fault.model * (Fault.clas array * pair_class array)) list;
   mutable w_pair_stacks : (Fault.model * stack_cache) list;
       (* per-model secondary-baseline caches for the full universe,
-         shared with [w_pair_prep]'s phase-1 tables: the cached class
+         shared with [w_pair_classes]' phase-1 records: the cached class
          indices refer to the cached class array *)
   mutable w_idle : (bool * Bmc.Session.t) list;  (* (certified, session) *)
 }
@@ -401,7 +466,7 @@ let warm net =
     w_base = None;
     w_model = None;
     w_classes = [];
-    w_pair_prep = [];
+    w_pair_classes = [];
     w_pair_stacks = [];
     w_idle = [];
   }
@@ -507,271 +572,6 @@ let check_warm warm net what =
       invalid_arg (what ^ ": warm state built for a different netlist")
   | _ -> ()
 
-let evaluate_faults ctx faults =
-  let net = Engine.netlist ctx in
-  let acc = iacc_create () in
-  List.iter
-    (fun f ->
-      let v = Engine.analyze ctx (Some f) in
-      let segs, bits = count_verdict net v in
-      iacc_add acc ~w:(Fault.weight net f) ~n:1 ~segs ~bits)
-    faults;
-  iacc_result ~what:"Metric.evaluate_faults" ~nsegs:(Netlist.num_segments net)
-    ~nbits:(Netlist.total_bits net) ~steals:0 ~solver:None ~reduction:None acc
-
-let evaluate_faults_bmc sess faults =
-  let net = Bmc.netlist (Bmc.Session.model sess) in
-  let nsegs = Netlist.num_segments net in
-  let targets = List.init nsegs Fun.id in
-  let acc = iacc_create () in
-  List.iter
-    (fun f ->
-      let vs = Bmc.Session.check_targets sess ~fault:f targets in
-      let segs, bits = count_bmc net vs in
-      iacc_add acc ~w:(Fault.weight net f) ~n:1 ~segs ~bits)
-    faults;
-  iacc_result ~what:"Metric.evaluate_faults_bmc" ~nsegs
-    ~nbits:(Netlist.total_bits net) ~steals:0
-    ~solver:(solver_of_session sess) ~reduction:None acc
-
-(* Per-domain partial of the collapsed paths: accumulator plus the cone
-   statistics the domain observed. *)
-type red_state = {
-  rs_acc : iacc;
-  mutable rs_cone_sum : int;
-  mutable rs_cone_max : int;
-  mutable rs_lanes : Engine.lane_stats option;
-      (* lane-batch statistics this domain observed; [None] on the
-         evaluation paths that don't run lane sweeps (BMC) *)
-}
-
-let red_state () =
-  { rs_acc = iacc_create (); rs_cone_sum = 0; rs_cone_max = 0; rs_lanes = None }
-
-let red_note rs cone =
-  rs.rs_cone_sum <- rs.rs_cone_sum + cone;
-  if cone > rs.rs_cone_max then rs.rs_cone_max <- cone
-
-let red_lanes rs st = rs.rs_lanes <- merge_lanes rs.rs_lanes (Some st)
-
-let finish_partials ~what ~net ~universe ~classes ~benign partials =
-  let acc = iacc_create () in
-  let steals = ref 0 and cone_sum = ref 0 and cone_max = ref 0 in
-  let solver = ref None and lanes = ref None in
-  List.iter
-    (fun ((rs, sv), st) ->
-      iacc_merge acc rs.rs_acc;
-      steals := !steals + st;
-      cone_sum := !cone_sum + rs.rs_cone_sum;
-      if rs.rs_cone_max > !cone_max then cone_max := rs.rs_cone_max;
-      lanes := merge_lanes !lanes rs.rs_lanes;
-      solver := merge_solver !solver sv)
-    partials;
-  let reduction =
-    Some
-      {
-        r_universe = universe;
-        r_classes = classes;
-        r_benign = benign;
-        r_cone_sum = !cone_sum;
-        r_cone_max = !cone_max;
-      }
-  in
-  iacc_result ~lanes:!lanes ~what ~nsegs:(Netlist.num_segments net)
-    ~nbits:(Netlist.total_bits net) ~steals:!steals ~solver:!solver ~reduction
-    acc
-
-let class_counts classes =
-  Array.fold_left
-    (fun (total, benign) (c : Fault.clas) ->
-      let members = List.length c.Fault.cls_members in
-      ( total + members,
-        if Fault.summary_benign c.Fault.cls_summary then benign + members
-        else benign ))
-    (0, 0) classes
-
-(* Full-universe evaluation through the reduction layer: equivalence
-   classes stand in for their members (weights already summed by
-   {!Fault.collapse}) and the class verdicts come from lane-parallel
-   batch sweeps — up to [Engine.lane_width] classes share one seeded
-   fixpoint ([Engine.analyze_lane_batch], bit-identical per lane to
-   [Engine.analyze]); the classes [Engine.analyze_delta]'s fast paths
-   answer in O(1) never occupy a lane and are folded in chunks.  One
-   batch (or one fast chunk) is one steal unit of the work-stealing
-   queue, and the accumulators are integers, so the result stays
-   bit-identical however the items land on domains.  Context and
-   baseline are immutable after construction, so all domains share
-   them. *)
-type lane_item = L_fast of int array | L_batch of int array
-
-let lane_fast_chunk = 256
-
-let lane_items base sms =
-  let fast, batches = Engine.lane_plan base sms in
-  let rec chunks acc l =
-    if l = [] then List.rev acc
-    else
-      let rec take n acc' l =
-        match l with
-        | x :: rest when n > 0 -> take (n - 1) (x :: acc') rest
-        | _ -> (List.rev acc', l)
-      in
-      let c, rest = take lane_fast_chunk [] l in
-      chunks (L_fast (Array.of_list c) :: acc) rest
-  in
-  Array.of_list
-    (List.map (fun b -> L_batch b) batches @ chunks [] fast)
-
-let lane_step ctx base net classes sms rs = function
-  | L_fast idxs ->
-      red_lanes rs
-        { Engine.lane_stats_zero with Engine.ls_fast = Array.length idxs };
-      Array.iter
-        (fun i ->
-          let c : Fault.clas = classes.(i) in
-          let v, cone = Engine.analyze_delta ctx base sms.(i) in
-          red_note rs cone;
-          let segs, bits = count_verdict net v in
-          iacc_add rs.rs_acc ~w:c.Fault.cls_weight
-            ~n:(List.length c.Fault.cls_members)
-            ~segs ~bits)
-        idxs
-  | L_batch idxs ->
-      let batch = Array.map (fun i -> sms.(i)) idxs in
-      let vs, st = Engine.analyze_lane_batch ctx base batch in
-      red_lanes rs st;
-      Array.iteri
-        (fun j i ->
-          let c : Fault.clas = classes.(i) in
-          let v, cone = vs.(j) in
-          red_note rs cone;
-          let segs, bits = count_verdict net v in
-          iacc_add rs.rs_acc ~w:c.Fault.cls_weight
-            ~n:(List.length c.Fault.cls_members)
-            ~segs ~bits)
-        idxs
-
-let evaluate_reduced_structural ~domains ?warm ~full ~model net faults =
-  let ctx = ctx_of warm net in
-  let base = base_of warm ctx in
-  let classes = classes_of warm ~full ~model net faults in
-  let universe, benign = class_counts classes in
-  let sms = Array.map (fun c -> c.Fault.cls_summary) classes in
-  let items = lane_items base sms in
-  let partials =
-    steal_map ~domains items
-      ~init:(fun _ -> red_state ())
-      ~step:(lane_step ctx base net classes sms)
-      ~finish:(fun rs -> (rs, None))
-  in
-  finish_partials ~what:"Metric.evaluate" ~net ~universe
-    ~classes:(Array.length classes) ~benign partials
-
-(* The BMC variant: per-domain incremental session, fault-free verdicts
-   established once per session, then each non-benign class re-checks only
-   the targets inside its cone ([Session.check_targets ~only]) with the
-   fault-free verdict spliced in for the rest.  The structural baseline
-   supplies the cones; the SAT solver supplies the verdicts. *)
-let evaluate_reduced_bmc ~domains ~certify ~inprocess ?warm ~full ~model net
-    faults =
-  let ctx = ctx_of warm net in
-  let base = base_of warm ctx in
-  let classes = classes_of warm ~full ~model net faults in
-  let universe, benign = class_counts classes in
-  let nsegs = Netlist.num_segments net in
-  let targets = List.init nsegs Fun.id in
-  let partials =
-    steal_map ~domains classes
-      ~init:(fun _ ->
-        let sess = session_of ~inprocess warm ~certify net in
-        let base_vs = Bmc.Session.check_targets_base sess targets in
-        (sess, base_vs, red_state ()))
-      ~step:(fun (sess, base_vs, rs) (c : Fault.clas) ->
-        let n = List.length c.Fault.cls_members in
-        if Fault.summary_benign c.Fault.cls_summary then begin
-          red_note rs 0;
-          let segs, bits = count_bmc net base_vs in
-          iacc_add rs.rs_acc ~w:c.Fault.cls_weight ~n ~segs ~bits
-        end
-        else begin
-          let cone =
-            match Engine.cone ctx base c.Fault.cls_summary with
-            | Some cs -> cs
-            | None -> Bitset.create nsegs (* unreachable: benign handled *)
-          in
-          red_note rs (Bitset.cardinal cone);
-          let vs =
-            Bmc.Session.check_targets sess ~fault:c.Fault.cls_rep
-              ~only:(Bitset.mem cone)
-              ~fallback:(fun t -> base_vs.(t))
-              targets
-          in
-          let segs, bits = count_bmc net vs in
-          iacc_add rs.rs_acc ~w:c.Fault.cls_weight ~n ~segs ~bits
-        end)
-      ~finish:(fun (sess, _, rs) ->
-        let sv = solver_of_session sess in
-        release_session warm sess;
-        (rs, sv))
-  in
-  finish_partials ~what:"Metric.evaluate" ~net ~universe
-    ~classes:(Array.length classes) ~benign partials
-
-let evaluate_brute_structural ~domains ?warm net faults =
-  let items = Array.of_list faults in
-  (* With a warm state the (read-only during analysis) context is shared
-     across domains instead of rebuilt per domain. *)
-  let shared = Option.map warm_ctx warm in
-  let partials =
-    steal_map ~domains items
-      ~init:(fun _ ->
-        ( (match shared with Some c -> c | None -> Engine.make_ctx net),
-          iacc_create () ))
-      ~step:(fun (ctx, acc) f ->
-        let v = Engine.analyze ctx (Some f) in
-        let segs, bits = count_verdict net v in
-        iacc_add acc ~w:(Fault.weight net f) ~n:1 ~segs ~bits)
-      ~finish:(fun (_, acc) -> acc)
-  in
-  let acc = iacc_create () in
-  let steals = ref 0 in
-  List.iter
-    (fun (a, st) ->
-      iacc_merge acc a;
-      steals := !steals + st)
-    partials;
-  iacc_result ~what:"Metric.evaluate" ~nsegs:(Netlist.num_segments net)
-    ~nbits:(Netlist.total_bits net) ~steals:!steals ~solver:None
-    ~reduction:None acc
-
-let evaluate_brute_bmc ~domains ~certify ~inprocess ?warm net faults =
-  let items = Array.of_list faults in
-  let nsegs = Netlist.num_segments net in
-  let targets = List.init nsegs Fun.id in
-  let partials =
-    steal_map ~domains items
-      ~init:(fun _ ->
-        (session_of ~inprocess warm ~certify net, iacc_create ()))
-      ~step:(fun (sess, acc) f ->
-        let vs = Bmc.Session.check_targets sess ~fault:f targets in
-        let segs, bits = count_bmc net vs in
-        iacc_add acc ~w:(Fault.weight net f) ~n:1 ~segs ~bits)
-      ~finish:(fun (sess, acc) ->
-        let sv = solver_of_session sess in
-        release_session warm sess;
-        (acc, sv))
-  in
-  let acc = iacc_create () in
-  let steals = ref 0 and solver = ref None in
-  List.iter
-    (fun ((a, sv), st) ->
-      iacc_merge acc a;
-      steals := !steals + st;
-      solver := merge_solver !solver sv)
-    partials;
-  iacc_result ~what:"Metric.evaluate" ~nsegs ~nbits:(Netlist.total_bits net)
-    ~steals:!steals ~solver:!solver ~reduction:None acc
-
 let sample_faults sample faults =
   match sample with
   | None -> faults
@@ -799,6 +599,153 @@ let model_faults ?sample ~model net =
               (Fault.model_to_string model)))
   | faults -> faults
 
+let bmc_ok = function Bmc.Accessible _ -> true | Bmc.Inaccessible -> false
+
+(* A BMC domain's session, checked out for one sweep; closing records
+   its solver statistics into the domain's part and returns it. *)
+let open_session ~inprocess ~certify warm net p =
+  let sess = session_of ~inprocess warm ~certify net in
+  ( sess,
+    fun () ->
+      p.solver <- merge_solver p.solver (solver_of_session sess);
+      release_session warm sess )
+
+(* The verdict source of a reduced BMC sweep: a session whose
+   fault-free verdicts are established first, and [within faults cone],
+   the accessible vector under [faults] SAT-checked inside [cone] with
+   the fault-free verdicts spliced in elsewhere ([None], a benign
+   summary: the fault-free vector).  Also returns the fault-free
+   accessible vector and the close action. *)
+let open_bmc ~inprocess ~certify warm net p =
+  let sess, close = open_session ~inprocess ~certify warm net p in
+  let targets = List.init (Netlist.num_segments net) Fun.id in
+  let base_vs = Bmc.Session.check_targets_base sess targets in
+  let base_acc = Array.map bmc_ok base_vs in
+  let within faults = function
+    | None -> base_acc
+    | Some cone ->
+        Array.map bmc_ok
+          (Bmc.Session.check_targets_multi sess ~faults
+             ~only:(Bitset.mem cone)
+             ~fallback:(fun t -> base_vs.(t))
+             targets)
+  in
+  (within, base_acc, close)
+
+(* ---- the brute sweep (the test oracle) ----
+
+   Every item is a fault set — one fault, or a pair — weighted by the
+   product of its faults' weights.  The structural engine answers it
+   with a full [Engine.analyze_multi] fixpoint (the context is read-only
+   during analysis, so the domains share it), the BMC engine with one
+   SAT check per segment on the domain's incremental session. *)
+let sweep_brute ~what ~domains ~engine ~certify ~inprocess ?warm net items =
+  let verdicts =
+    match engine with
+    | `Structural ->
+        let ctx = ctx_of warm net in
+        fun _ ->
+          ((fun fs -> (Engine.analyze_multi ctx fs).Engine.accessible), ignore)
+    | `Bmc ->
+        let targets = List.init (Netlist.num_segments net) Fun.id in
+        fun p ->
+          let sess, close = open_session ~inprocess ~certify warm net p in
+          ( (fun faults ->
+              Array.map bmc_ok
+                (Bmc.Session.check_targets_multi sess ~faults targets)),
+            close )
+  in
+  sweep ~domains items (fun p ->
+      let verdict, close = verdicts p in
+      ( (fun fs ->
+          let w = List.fold_left (fun w f -> w * Fault.weight net f) 1 fs in
+          let segs, bits = count net (verdict fs) in
+          add p ~w ~n:1 ~segs ~bits),
+        close ))
+  |> gather |> result ~what ~net
+
+let class_counts classes =
+  Array.fold_left
+    (fun (total, benign) (c : Fault.clas) ->
+      let members = List.length c.Fault.cls_members in
+      ( total + members,
+        if Fault.summary_benign c.Fault.cls_summary then benign + members
+        else benign ))
+    (0, 0) classes
+
+(* ---- the reduced single-fault sweep ----
+
+   Equivalence classes stand in for their members (weights already
+   summed by {!Fault.collapse}) and every class verdict is a cone delta
+   against the fault-free baseline.  A steal unit is an array of class
+   indices.  On the structural engine the units are [Engine.lane_plan]'s
+   batches — up to [Engine.lane_width] classes share one seeded
+   fixpoint — then the fast-path classes in chunks; each unit is
+   answered whole by [Engine.analyze_lanes_on] over the fault-free root,
+   which re-plans a batch into itself, so the lane statistics are the
+   batches'.  On BMC a unit is one class, SAT-checked inside its
+   [Engine.cone].  Context and baseline are immutable after
+   construction, so all domains share them. *)
+
+(* The fast indices of a lane plan as units of at most [lane_width]:
+   a unit's verdicts are live until it is folded, so a chunk of fast
+   classes holds no more of them than a lane batch does. *)
+let fast_units fast =
+  let a = Array.of_list fast and n = Engine.lane_width in
+  let len = Array.length a in
+  List.init ((len + n - 1) / n) (fun k ->
+      Array.sub a (k * n) (min n (len - (k * n))))
+
+let sweep_reduced ~domains ~engine ~certify ~inprocess ?warm ~full ~model net
+    faults =
+  let ctx = ctx_of warm net in
+  let base = base_of warm ctx in
+  let classes = classes_of warm ~full ~model net faults in
+  let sms = Array.map (fun c -> c.Fault.cls_summary) classes in
+  let tally p i acc cone =
+    let c = classes.(i) in
+    note_cone p cone;
+    let segs, bits = count net acc in
+    add p ~w:c.Fault.cls_weight
+      ~n:(List.length c.Fault.cls_members)
+      ~segs ~bits
+  in
+  let units, verdicts =
+    match engine with
+    | `Structural ->
+        let fast, batches = Engine.lane_plan base sms in
+        let root = Engine.of_baseline base in
+        ( Array.of_list (batches @ fast_units fast),
+          fun p ->
+            ( (fun idxs ->
+                let vs, st =
+                  Engine.analyze_lanes_on ctx root
+                    (Array.map (Array.get sms) idxs)
+                in
+                note_lanes p st;
+                Array.iteri
+                  (fun j i ->
+                    let v, cone = vs.(j) in
+                    tally p i v.Engine.accessible cone)
+                  idxs),
+              ignore ) )
+    | `Bmc ->
+        ( Array.init (Array.length classes) (fun i -> [| i |]),
+          fun p ->
+            let within, _, close = open_bmc ~inprocess ~certify warm net p in
+            ( Array.iter (fun i ->
+                  let cone = Engine.cone ctx base sms.(i) in
+                  tally p i
+                    (within [ classes.(i).Fault.cls_rep ] cone)
+                    (match cone with None -> 0 | Some c -> Bitset.cardinal c)),
+              close ) )
+  in
+  let universe, benign = class_counts classes in
+  sweep ~domains units verdicts
+  |> gather
+  |> result ~what:"Metric.evaluate" ~net
+       ~reduction:(universe, Array.length classes, benign)
+
 let evaluate ?sample ?(domains = 1) ?(engine = `Structural) ?(reduce = true)
     ?(certify = false) ?(inprocess = true) ?(model = Fault.Stuck) ?warm net =
   if certify && engine <> `Bmc then
@@ -806,330 +753,76 @@ let evaluate ?sample ?(domains = 1) ?(engine = `Structural) ?(reduce = true)
   check_warm warm net "Metric.evaluate";
   let full = match sample with None -> true | Some k -> k <= 1 in
   let faults = model_faults ?sample ~model net in
-  match (engine, reduce) with
-  | `Structural, true ->
-      evaluate_reduced_structural ~domains ?warm ~full ~model net faults
-  | `Structural, false -> evaluate_brute_structural ~domains ?warm net faults
-  | `Bmc, true ->
-      evaluate_reduced_bmc ~domains ~certify ~inprocess ?warm ~full ~model net
-        faults
-  | `Bmc, false ->
-      evaluate_brute_bmc ~domains ~certify ~inprocess ?warm net faults
+  if reduce then
+    sweep_reduced ~domains ~engine ~certify ~inprocess ?warm ~full ~model net
+      faults
+  else
+    sweep_brute ~what:"Metric.evaluate" ~domains ~engine ~certify ~inprocess
+      ?warm net
+      (Array.of_list (List.map (fun f -> [ f ]) faults))
 
-(* ---- double-fault sweeps ----
+(* ---- the exhaustive pair sweep ----
 
    A pair verdict depends only on the two faults' canonical summaries, so
    the exhaustive sweep runs over unordered CLASS pairs with product
-   weights instead of fault pairs.  Per class pair (i, j):
+   weights instead of fault pairs.  Phase 1 probes every class: its
+   {!Engine.gate} and its single-fault verdict (the probe's own on the
+   structural engine, a cone-restricted SAT sweep on BMC), kept as a
+   [pair_class] — member count, weight, the sum of squared member
+   weights (for the diagonal pair weight), accessible counts, the
+   accessible set and the lost list (baseline-accessible segments no
+   longer accessible; every non-coarse class's accessible set is a
+   subset of the baseline's, effects only remove capabilities).  Then,
+   per class pair (i, j):
 
    - diagonal (i = j): duplicated semantic effects are idempotent in both
      engines, so every member pair of the class shares the class's own
      single-fault verdict — m*(m-1)/2 pairs answered by a lookup;
-   - disjoint interaction regions and no mutual-support hazard
-     ({!Engine.probe}'s region + fragility gate): the pair verdict is
-     the pointwise AND of the two single-fault verdicts, so the pair's
+   - gates that compose ({!Engine.composes}): the pair verdict is the
+     pointwise AND of the two single-fault verdicts, so the pair's
      counts follow from the single-fault results and the (small) list of
      segments the partner lost — O(min lost), no fixpoint;
-   - interacting regions: the first class's faulty state is computed once
-     per row as a secondary baseline ({!Engine.stack}) and the second
-     summaries' cone deltas run on top in lane batches
-     ({!Engine.analyze_lane_batch_on}; fast-path partners through
-     {!Engine.analyze_delta_on}).
+   - interacting pairs: an engine runs.  On the structural engine the
+     first class's faulty state is computed once per row as a secondary
+     baseline ({!Engine.stack}) and the second summaries' cone deltas
+     run on top in lane batches ({!Engine.analyze_lanes_on}); on BMC
+     each pair is SAT-checked inside the cone of its merged summary.
 
-   Everything is integer-exact, so the sweep is bit-identical to the brute
-   pair enumeration, sequentially and across domains. *)
+   Phase 2a (discovery) does the diagonal and the pointwise counting
+   once per row and defers the interacting columns; phase 2b steals
+   (row, columns) units — lane batches and chunks of fast partners on
+   the structural engine, so a heavy row's batches spread across
+   domains, whole rows on BMC.
+   Everything is integer-exact, so the sweep is bit-identical to the
+   brute pair enumeration, sequentially and across domains. *)
 
-(* Deterministic enumeration of every [sample]-th unordered fault pair,
-   generated straight into the result array (at millions of pairs the
-   intermediate list was measurable garbage). *)
-let pair_items ~sample faults =
-  let n = Array.length faults in
-  let total = n * (n - 1) / 2 in
-  let count = (total + sample - 1) / sample in
-  if count = 0 then [||]
-  else begin
-    let items = Array.make count (faults.(0), faults.(0)) in
-    let idx = ref 0 and pos = ref 0 in
-    for i = 0 to n - 1 do
-      for j = i + 1 to n - 1 do
-        if !idx mod sample = 0 then begin
-          items.(!pos) <- (faults.(i), faults.(j));
-          incr pos
-        end;
-        incr idx
-      done
-    done;
-    items
-  end
-
-let evaluate_pairs_brute ~sample ~domains ~engine ~certify ~inprocess ?warm
-    net faults =
-  let faults = Array.of_list faults in
-  let items = pair_items ~sample faults in
-  if Array.length items = 0 then invalid_arg "Metric.evaluate_pairs: empty";
-  let nsegs = Netlist.num_segments net in
-  let acc = iacc_create () in
-  let steals = ref 0 and solver = ref None in
-  let collect fold partials =
-    List.iter
-      (fun (st, s) ->
-        fold st;
-        steals := !steals + s)
-      partials
-  in
-  (match engine with
-  | `Structural ->
-      (* The context is read-only during analysis, so the domains share
-         it. *)
-      let ctx = ctx_of warm net in
-      steal_map ~domains items
-        ~init:(fun _ -> iacc_create ())
-        ~step:(fun a (fi, fj) ->
-          let v = Engine.analyze_multi ctx [ fi; fj ] in
-          let segs, bits = count_verdict net v in
-          iacc_add a
-            ~w:(Fault.weight net fi * Fault.weight net fj)
-            ~n:1 ~segs ~bits)
-        ~finish:Fun.id
-      |> collect (fun a -> iacc_merge acc a)
-  | `Bmc ->
-      let targets = List.init nsegs Fun.id in
-      steal_map ~domains items
-        ~init:(fun _ ->
-          (session_of ~inprocess warm ~certify net, iacc_create ()))
-        ~step:(fun (sess, a) (fi, fj) ->
-          let vs =
-            Bmc.Session.check_targets_multi sess ~faults:[ fi; fj ] targets
-          in
-          let segs, bits = count_bmc net vs in
-          iacc_add a
-            ~w:(Fault.weight net fi * Fault.weight net fj)
-            ~n:1 ~segs ~bits)
-        ~finish:(fun (sess, a) ->
-          let sv = solver_of_session sess in
-          release_session warm sess;
-          (a, sv))
-      |> collect (fun (a, sv) ->
-             iacc_merge acc a;
-             solver := merge_solver !solver sv));
-  iacc_result ~what:"Metric.evaluate_pairs" ~nsegs
-    ~nbits:(Netlist.total_bits net) ~steals:!steals ~solver:!solver
-    ~reduction:None acc
-
-(* [pair_prep] (declared above, next to the warm state that caches it):
-   per-class data shared by both exhaustive engines — summaries, member
-   counts, weights, the sum of squared member weights (for the diagonal
-   pair weight), and — filled in by phase 1, to disjoint indices, so the
-   domains share the arrays — cones, interaction regions ([pq_regions];
-   region-disjoint classes compose pointwise per Engine.probe provided
-   the fragility gate also passes), writability losses ([pq_wlost]),
-   fragile segments and their re-route certificate footprints
-   ([pq_fragile] / [pq_supp] / [pq_supp_edges] / [pq_rhosts]), the class
-   damage ([pq_dead_edges] / [pq_dmg]), accessibility counts/bitsets and
-   lost-segment lists ([pq_lost]: baseline-accessible segments no longer
-   accessible — every non-coarse class's accessible set is a subset of
-   the baseline's, effects only remove capabilities). *)
-let pair_prep_static net classes =
-  let nc = Array.length classes in
-  let none = Bitset.create 0 in
-  {
-    pq_sms = Array.map (fun c -> c.Fault.cls_summary) classes;
-    pq_cones = Array.make nc none;
-    pq_regions = Array.make nc none;
-    pq_wlost = Array.make nc none;
-    pq_fragile = Array.make nc none;
-    pq_supp = Array.make nc none;
-    pq_supp_edges = Array.make nc none;
-    pq_dead_edges = Array.make nc none;
-    pq_dmg = Array.make nc none;
-    pq_rhosts = Array.make nc none;
-    pq_members =
-      Array.map (fun c -> List.length c.Fault.cls_members) classes;
-    pq_weight = Array.map (fun c -> c.Fault.cls_weight) classes;
-    pq_sq =
-      Array.map
-        (fun (c : Fault.clas) ->
-          List.fold_left
-            (fun a f ->
-              let w = Fault.weight net f in
-              a + (w * w))
-            0 c.Fault.cls_members)
-        classes;
-    pq_segs = Array.make nc 0;
-    pq_bits = Array.make nc 0;
-    pq_acc = Array.make nc none;
-    pq_lost = Array.make nc [||];
-    pq_len =
-      Array.init (Netlist.num_segments net) (fun i -> Netlist.seg_len net i);
-  }
-
-(* Accessibility bitset and lost list of one class, given a per-segment
-   accessibility predicate. *)
-let pair_prep_note pq i ~nsegs ~base_acc ~acc_of =
-  let acc = Bitset.create nsegs in
-  let lost = ref [] in
-  for s = nsegs - 1 downto 0 do
-    if acc_of s then Bitset.add acc s
-    else if base_acc s then lost := s :: !lost
+let pair_class net (c : Fault.clas) gate ~base_acc acc =
+  let n = Array.length acc in
+  let accs = Bitset.create n and lost = ref [] in
+  for s = n - 1 downto 0 do
+    if acc.(s) then Bitset.add accs s
+    else if base_acc.(s) then lost := s :: !lost
   done;
-  pq.pq_acc.(i) <- acc;
-  pq.pq_lost.(i) <- Array.of_list !lost
-
-(* Per-domain partial of the exhaustive pair sweeps. *)
-type pair_state = {
-  ps_acc : iacc;
-  mutable ps_diagonal : int;
-  mutable ps_disjoint : int;
-  mutable ps_stacked : int;
-  mutable ps_stacks : int;
-  mutable ps_lanes : Engine.lane_stats option;
-}
-
-let pair_state () =
+  let segs, bits = count net acc in
   {
-    ps_acc = iacc_create ();
-    ps_diagonal = 0;
-    ps_disjoint = 0;
-    ps_stacked = 0;
-    ps_stacks = 0;
-    ps_lanes = None;
+    pc_gate = gate;
+    pc_members = List.length c.Fault.cls_members;
+    pc_weight = c.Fault.cls_weight;
+    pc_sq =
+      List.fold_left
+        (fun a f ->
+          let w = Fault.weight net f in
+          a + (w * w))
+        0 c.Fault.cls_members;
+    pc_segs = segs;
+    pc_bits = bits;
+    pc_acc = accs;
+    pc_lost = Array.of_list !lost;
   }
-
-(* Can pair (i, j) be composed pointwise?  Disjoint interaction regions
-   and no mutual-support hazard (a fragile segment of one class
-   surviving in the other, a support edge of one killed by the other, a
-   steering host of one losing writability under the other). *)
-let pair_disjoint_gates pq i j =
-  Bitset.disjoint pq.pq_regions.(i) pq.pq_regions.(j)
-  && Bitset.disjoint pq.pq_supp_edges.(i) pq.pq_dead_edges.(j)
-  && Bitset.disjoint pq.pq_supp_edges.(j) pq.pq_dead_edges.(i)
-  && Bitset.disjoint pq.pq_supp.(i) pq.pq_dmg.(j)
-  && Bitset.disjoint pq.pq_supp.(j) pq.pq_dmg.(i)
-  && Bitset.disjoint pq.pq_rhosts.(i) pq.pq_fragile.(j)
-  && Bitset.disjoint pq.pq_rhosts.(j) pq.pq_fragile.(i)
-  && Bitset.disjoint pq.pq_rhosts.(i) pq.pq_wlost.(j)
-  && Bitset.disjoint pq.pq_rhosts.(j) pq.pq_wlost.(i)
-
-(* Diagonal: every unordered pair of distinct members of class i.  The
-   union of two equal summaries is engine-equivalent to the summary
-   itself, so the pair verdict is the class verdict. *)
-let pair_diagonal_add pq ps i =
-  ps.ps_diagonal <- ps.ps_diagonal + 1;
-  let m = pq.pq_members.(i) in
-  let npairs = m * (m - 1) / 2 in
-  if npairs > 0 then begin
-    let w = (pq.pq_weight.(i) * pq.pq_weight.(i)) - pq.pq_sq.(i) in
-    iacc_add ps.ps_acc ~w:(w / 2) ~n:npairs ~segs:pq.pq_segs.(i)
-      ~bits:pq.pq_bits.(i)
-  end
-
-(* Disjoint pair: the pair's accessible set is the intersection of the
-   two classes' — class [keep]'s count minus the partner's lost segments
-   that [keep] still had.  Exact because both accessible sets are
-   subsets of the baseline's (coarse classes have full regions and never
-   get here). *)
-let pair_disjoint_add pq ps i j =
-  ps.ps_disjoint <- ps.ps_disjoint + 1;
-  let keep, lost =
-    if Array.length pq.pq_lost.(j) <= Array.length pq.pq_lost.(i) then
-      (i, pq.pq_lost.(j))
-    else (j, pq.pq_lost.(i))
-  in
-  let acc = pq.pq_acc.(keep) in
-  let dsegs = ref 0 and dbits = ref 0 in
-  Array.iter
-    (fun s ->
-      if Bitset.mem acc s then begin
-        incr dsegs;
-        dbits := !dbits + pq.pq_len.(s)
-      end)
-    lost;
-  iacc_add ps.ps_acc ~w:(pq.pq_weight.(i) * pq.pq_weight.(j))
-    ~n:(pq.pq_members.(i) * pq.pq_members.(j))
-    ~segs:(pq.pq_segs.(keep) - !dsegs)
-    ~bits:(pq.pq_bits.(keep) - !dbits)
-
-(* Interacting pair (i, j) whose combined accessible counts are known. *)
-let pair_interact_add pq ps i j ~segs ~bits =
-  ps.ps_stacked <- ps.ps_stacked + 1;
-  iacc_add ps.ps_acc
-    ~w:(pq.pq_weight.(i) * pq.pq_weight.(j))
-    ~n:(pq.pq_members.(i) * pq.pq_members.(j))
-    ~segs ~bits
-
-(* The row [i]'s pair arithmetic shared by both engines: the diagonal and
-   the disjoint fast path are pure counting; [interact j] supplies the
-   accessible counts of an interacting pair (i, j). *)
-let pair_row pq ps i ~interact =
-  let nc = Array.length pq.pq_sms in
-  pair_diagonal_add pq ps i;
-  for j = i + 1 to nc - 1 do
-    if pair_disjoint_gates pq i j then pair_disjoint_add pq ps i j
-    else begin
-      let segs, bits = interact j in
-      pair_interact_add pq ps i j ~segs ~bits
-    end
-  done
-
-(* [pair_row] with the interacting partners DEFERRED instead of
-   evaluated in place: the lane scheduler's discovery pass, which runs
-   the gates and the pure counting exactly once and hands the
-   interacting column indices (ascending) to the lane-batch planner. *)
-let pair_row_defer pq ps i ~defer =
-  let nc = Array.length pq.pq_sms in
-  pair_diagonal_add pq ps i;
-  for j = i + 1 to nc - 1 do
-    if pair_disjoint_gates pq i j then pair_disjoint_add pq ps i j
-    else defer j
-  done
-
-let finish_pair_partials ~net ~nclasses partials =
-  let acc = iacc_create () in
-  let steals = ref 0 and solver = ref None in
-  let stats =
-    ref
-      {
-        p_classes = nclasses;
-        p_class_pairs = nclasses * (nclasses + 1) / 2;
-        p_diagonal = 0;
-        p_disjoint = 0;
-        p_stacked = 0;
-        p_stacks = 0;
-      }
-  in
-  let pair_lanes = ref None in
-  List.iter
-    (fun ((ps, sv), st) ->
-      iacc_merge acc ps.ps_acc;
-      steals := !steals + st;
-      solver := merge_solver !solver sv;
-      pair_lanes := merge_lanes !pair_lanes ps.ps_lanes;
-      stats :=
-        {
-          !stats with
-          p_diagonal = !stats.p_diagonal + ps.ps_diagonal;
-          p_disjoint = !stats.p_disjoint + ps.ps_disjoint;
-          p_stacked = !stats.p_stacked + ps.ps_stacked;
-          p_stacks = !stats.p_stacks + ps.ps_stacks;
-        })
-    partials;
-  iacc_result ~pairs:(Some !stats) ~pair_lanes:!pair_lanes
-    ~what:"Metric.evaluate_pairs" ~nsegs:(Netlist.num_segments net)
-    ~nbits:(Netlist.total_bits net) ~steals:!steals ~solver:!solver
-    ~reduction:None acc
-
-(* Steal units of the lane-parallel pair sweep: one fast-path chunk or
-   one lane batch of second summaries against one row's secondary
-   baseline.  Batch-granular (not row-granular) so work stealing never
-   shreds a batch: a domain claims whole fixpoints, and a heavy row's
-   batches spread across domains instead of serializing on one. *)
-type pair_item =
-  | Pi_scalar of int * int array  (* row, fast-path partner columns *)
-  | Pi_batch of int * int array   (* row, one lane batch of columns *)
 
 (* The per-model stack cache: served from the warm state for full
    sweeps (the cached column indices refer to the warm class array,
-   exactly like [w_pair_prep]), private to the evaluation otherwise. *)
+   exactly like [w_pair_classes]), private to the evaluation otherwise. *)
 let pair_stacks_of warm ~full ~model =
   match warm with
   | Some w when full ->
@@ -1142,261 +835,206 @@ let pair_stacks_of warm ~full ~model =
               sc)
   | _ -> stack_cache ()
 
-let evaluate_pairs_reduced_structural ~domains ?warm ~full ~model net faults =
+let sweep_pairs ~domains ~engine ~certify ~inprocess ?warm ~full ~model net
+    faults =
   let ctx = ctx_of warm net in
   let base = base_of warm ctx in
-  (* The phase-1 probe tables are a deterministic function of the netlist
-     and the fault model (for the full universe), so a warm state serves
-     them from a per-model cache and repeated exhaustive sweeps skip
-     phase 1 entirely. *)
-  let cached =
-    match warm with
-    | Some w when full ->
-        locked w (fun () -> List.assoc_opt model w.w_pair_prep)
+  (* The structural phase-1 records are a deterministic function of the
+     netlist and the fault model (for the full universe), so a warm
+     state serves them from a per-model cache and repeated exhaustive
+     sweeps skip phase 1 entirely. *)
+  let cache =
+    match (engine, warm) with
+    | `Structural, Some w when full -> Some w
     | _ -> None
   in
-  let classes, pq, prep_steals =
+  let cached =
+    Option.bind cache (fun w ->
+        locked w (fun () -> List.assoc_opt model w.w_pair_classes))
+  in
+  let classes, pcs, phase1 =
     match cached with
-    | Some (classes, pq) -> (classes, pq, 0)
+    | Some (classes, pcs) -> (classes, pcs, [])
     | None ->
         let classes = classes_of warm ~full ~model net faults in
         let nc = Array.length classes in
-        let nsegs = Netlist.num_segments net in
-        let pq = pair_prep_static net classes in
-        let base_v = Engine.baseline_verdict base in
-        let base_acc s = base_v.Engine.accessible.(s) in
-        (* Phase 1: per-class probes — single-fault verdict counts plus
-           the exact cones and interaction regions.  Writes go to
-           disjoint indices, so the domains share the arrays. *)
-        let prep_partials =
-          steal_map ~domains (Array.init nc Fun.id)
-            ~init:(fun _ -> ())
-            ~step:(fun () i ->
-              let p = Engine.probe ctx base pq.pq_sms.(i) in
-              pq.pq_cones.(i) <- p.Engine.pr_cone;
-              pq.pq_regions.(i) <- p.Engine.pr_region;
-              pq.pq_fragile.(i) <- p.Engine.pr_fragile;
-              pq.pq_supp.(i) <- p.Engine.pr_supp;
-              pq.pq_supp_edges.(i) <- p.Engine.pr_supp_edges;
-              pq.pq_dead_edges.(i) <- p.Engine.pr_dead_edges;
-              pq.pq_dmg.(i) <- p.Engine.pr_dmg;
-              pq.pq_rhosts.(i) <- p.Engine.pr_rhosts;
-              let v = p.Engine.pr_verdict in
-              let wlost = Bitset.create nsegs in
-              for s = 0 to nsegs - 1 do
-                if base_v.Engine.writable.(s) && not v.Engine.writable.(s)
-                then Bitset.add wlost s
-              done;
-              pq.pq_wlost.(i) <- wlost;
-              let segs, bits = count_verdict net v in
-              pq.pq_segs.(i) <- segs;
-              pq.pq_bits.(i) <- bits;
-              pair_prep_note pq i ~nsegs ~base_acc
-                ~acc_of:(fun s -> v.Engine.accessible.(s)))
-            ~finish:(fun () -> ())
+        (* Writes go to disjoint slots, so the domains share the array. *)
+        let slots = Array.make nc None in
+        let verdicts =
+          match engine with
+          | `Structural ->
+              let base_acc = (Engine.baseline_verdict base).Engine.accessible in
+              fun _ ->
+                ( base_acc,
+                  (fun _ (pr : Engine.probe) ->
+                    pr.Engine.pr_verdict.Engine.accessible),
+                  ignore )
+          | `Bmc ->
+              fun p ->
+                let within, base_acc, close =
+                  open_bmc ~inprocess ~certify warm net p
+                in
+                ( base_acc,
+                  (fun (c : Fault.clas) (pr : Engine.probe) ->
+                    within [ c.Fault.cls_rep ] (Some pr.Engine.pr_cone)),
+                  close )
         in
-        let prep_steals =
-          List.fold_left (fun a ((), s) -> a + s) 0 prep_partials
+        let phase1 =
+          sweep ~domains (Array.init nc Fun.id) (fun p ->
+              let base_acc, verdict, close = verdicts p in
+              ( (fun i ->
+                  let c = classes.(i) in
+                  let pr = Engine.probe ctx base c.Fault.cls_summary in
+                  slots.(i) <-
+                    Some
+                      (pair_class net c pr.Engine.pr_gate ~base_acc
+                         (verdict c pr))),
+                close ))
         in
-        (match warm with
-        | Some w when full ->
+        let pcs = Array.map Option.get slots in
+        Option.iter
+          (fun w ->
             locked w (fun () ->
-                if not (List.mem_assoc model w.w_pair_prep) then
-                  w.w_pair_prep <- (model, (classes, pq)) :: w.w_pair_prep)
-        | _ -> ());
-        (classes, pq, prep_steals)
+                if not (List.mem_assoc model w.w_pair_classes) then
+                  w.w_pair_classes <-
+                    (model, (classes, pcs)) :: w.w_pair_classes))
+          cache;
+        (classes, pcs, phase1)
   in
   let nc = Array.length classes in
-  (* Phase 2a: discovery — run the disjointness gates and the pure
-     counting (diagonal + disjoint) once per row, deferring the
-     interacting columns.  Rows write disjoint slots of [inter], so
-     the domains share the array. *)
-  let inter = Array.make nc [||] in
-  let partials_a =
-    steal_map ~domains (Array.init nc Fun.id)
-      ~init:(fun _ -> pair_state ())
-      ~step:(fun ps i ->
-        let defer = ref [] in
-        pair_row_defer pq ps i ~defer:(fun j -> defer := j :: !defer);
-        if !defer <> [] then inter.(i) <- Array.of_list (List.rev !defer))
-      ~finish:(fun ps -> (ps, None))
+  let sm j = classes.(j).Fault.cls_summary in
+  let len = Array.init (Netlist.num_segments net) (Netlist.seg_len net) in
+  let pair_add p ci cj ~segs ~bits =
+    add p ~w:(ci.pc_weight * cj.pc_weight)
+      ~n:(ci.pc_members * cj.pc_members)
+      ~segs ~bits
   in
-  (* Phase 2b: lane-batch-granular steal units.  Per interacting row,
-     [Engine.lane_plan] shape-groups the partner summaries (fast
-     classes aside, dead-port batches apart) and every batch becomes
-     one item; the row's secondary baseline is built once, on first
-     use, by whichever domain gets there first. *)
-  let items =
-    let acc = ref [] in
-    for i = 0 to nc - 1 do
-      let js = inter.(i) in
-      if Array.length js > 0 then begin
-        let sms = Array.map (fun j -> pq.pq_sms.(j)) js in
-        let fast, batches = Engine.lane_plan base sms in
-        if fast <> [] then
-          acc :=
-            Pi_scalar (i, Array.of_list (List.map (Array.get js) fast))
-            :: !acc;
-        List.iter
-          (fun idxs -> acc := Pi_batch (i, Array.map (Array.get js) idxs) :: !acc)
-          batches
+  (* Phase 2a: discovery.  Rows write disjoint slots of [inter], so the
+     domains share the array. *)
+  let inter = Array.make nc [||] in
+  let discover p i =
+    let ci = pcs.(i) in
+    let m = ci.pc_members in
+    p.diagonal <- p.diagonal + 1;
+    if m > 1 then
+      add p
+        ~w:(((ci.pc_weight * ci.pc_weight) - ci.pc_sq) / 2)
+        ~n:(m * (m - 1) / 2)
+        ~segs:ci.pc_segs ~bits:ci.pc_bits;
+    let defer = ref [] in
+    for j = nc - 1 downto i + 1 do
+      let cj = pcs.(j) in
+      if Engine.composes ci.pc_gate cj.pc_gate then begin
+        (* The pair's accessible set is the intersection of the two
+           classes': class [keep]'s count minus the partner's lost
+           segments that [keep] still had. *)
+        p.disjoint <- p.disjoint + 1;
+        let keep, lost =
+          if Array.length cj.pc_lost <= Array.length ci.pc_lost then
+            (ci, cj.pc_lost)
+          else (cj, ci.pc_lost)
+        in
+        let dsegs = ref 0 and dbits = ref 0 in
+        Array.iter
+          (fun s ->
+            if Bitset.mem keep.pc_acc s then begin
+              incr dsegs;
+              dbits := !dbits + len.(s)
+            end)
+          lost;
+        pair_add p ci cj ~segs:(keep.pc_segs - !dsegs)
+          ~bits:(keep.pc_bits - !dbits)
       end
+      else defer := j :: !defer
     done;
+    if !defer <> [] then inter.(i) <- Array.of_list !defer
+  in
+  let phase2a =
+    sweep ~domains (Array.init nc Fun.id) (fun p -> (discover p, ignore))
+  in
+  (* Phase 2b: the interacting pairs, as (row, columns) units. *)
+  let units =
+    let acc = ref [] in
+    Array.iteri
+      (fun i js ->
+        if js <> [||] then
+          match engine with
+          | `Structural ->
+              let fast, batches = Engine.lane_plan base (Array.map sm js) in
+              let unit idxs =
+                acc := (i, Array.map (Array.get js) idxs) :: !acc
+              in
+              List.iter unit (fast_units fast);
+              List.iter unit batches
+          | `Bmc -> acc := (i, js) :: !acc)
+      inter;
     Array.of_list (List.rev !acc)
   in
-  let sc = pair_stacks_of warm ~full ~model in
-  let partials_b =
-    steal_map ~domains items
-      ~init:(fun _ -> pair_state ())
-      ~step:(fun ps item ->
-        let stack_for i =
-          let s, built =
-            stack_cached sc
-              (fun i -> Engine.stack ctx base pq.pq_sms.(i))
-              i
-          in
-          if built then ps.ps_stacks <- ps.ps_stacks + 1;
-          s
-        in
-        match item with
-        | Pi_scalar (i, js) ->
-            let stk = stack_for i in
-            Array.iter
-              (fun j ->
-                let v, _ = Engine.analyze_delta_on ctx stk pq.pq_sms.(j) in
-                let segs, bits = count_verdict net v in
-                pair_interact_add pq ps i j ~segs ~bits)
-              js;
-            ps.ps_lanes <-
-              merge_lanes ps.ps_lanes
-                (Some
-                   {
-                     Engine.lane_stats_zero with
-                     Engine.ls_fast = Array.length js;
-                   })
-        | Pi_batch (i, js) ->
-            let stk = stack_for i in
-            let batch = Array.map (fun j -> pq.pq_sms.(j)) js in
-            let vs, st = Engine.analyze_lane_batch_on ctx stk batch in
-            ps.ps_lanes <- merge_lanes ps.ps_lanes (Some st);
-            Array.iteri
-              (fun l j ->
-                let segs, bits = count_verdict net (fst vs.(l)) in
-                pair_interact_add pq ps i j ~segs ~bits)
-              js)
-      ~finish:(fun ps -> (ps, None))
+  let interact p i j acc =
+    p.stacked <- p.stacked + 1;
+    let segs, bits = count net acc in
+    pair_add p pcs.(i) pcs.(j) ~segs ~bits
   in
-  let r = finish_pair_partials ~net ~nclasses:nc (partials_a @ partials_b) in
-  { r with steals = r.steals + prep_steals }
+  let verdicts =
+    match engine with
+    | `Structural ->
+        (* Each row's secondary baseline is built once, on first use, by
+           whichever domain gets there first. *)
+        let sc = pair_stacks_of warm ~full ~model in
+        fun p ->
+          ( (fun (i, js) ->
+              let stk, built =
+                stack_cached sc (fun i -> Engine.stack ctx base (sm i)) i
+              in
+              if built then p.stacks <- p.stacks + 1;
+              let vs, st = Engine.analyze_lanes_on ctx stk (Array.map sm js) in
+              note_lanes p st;
+              Array.iteri
+                (fun l j -> interact p i j (fst vs.(l)).Engine.accessible)
+                js),
+            ignore )
+    | `Bmc ->
+        fun p ->
+          let within, _, close = open_bmc ~inprocess ~certify warm net p in
+          ( (fun (i, js) ->
+              Array.iter
+                (fun j ->
+                  (* The restriction must be the cone of the MERGED
+                     summary: with tight cones the union of the two
+                     single-fault taints can undershoot the pair's
+                     (interaction can kill paths both single faults left
+                     alive). *)
+                  let rep k = classes.(k).Fault.cls_rep in
+                  interact p i j
+                    (within [ rep i; rep j ]
+                       (Engine.cone ctx base
+                          (Fault.summary_union (sm i) (sm j)))))
+                js),
+            close )
+  in
+  let phase2b = sweep ~domains units verdicts in
+  gather (phase1 @ phase2a @ phase2b)
+  |> result ~what:"Metric.evaluate_pairs" ~net ~pairs:nc
 
-let evaluate_pairs_reduced_bmc ~domains ~certify ~inprocess ?warm ~full
-    ~model net faults =
-  let ctx = ctx_of warm net in
-  let base = base_of warm ctx in
-  let classes = classes_of warm ~full ~model net faults in
-  let nc = Array.length classes in
-  let nsegs = Netlist.num_segments net in
-  let targets = List.init nsegs Fun.id in
-  let pq = pair_prep_static net classes in
-  let base_wrt = (Engine.baseline_verdict base).Engine.writable in
-  (* Phase 1: per-class structural probes (cones and interaction regions)
-     and cone-restricted SAT counts, as in the single-fault sweep.  The
-     structural regions drive the factorization below — the engines agree
-     on them (the cone-splice assumption the reduced single-fault BMC
-     path already rests on, property-tested). *)
-  let bmc_acc vs s =
-    match vs.(s) with Bmc.Accessible _ -> true | Bmc.Inaccessible -> false
-  in
-  let prep_partials =
-    steal_map ~domains (Array.init nc Fun.id)
-      ~init:(fun _ ->
-        let sess = session_of ~inprocess warm ~certify net in
-        let base_vs = Bmc.Session.check_targets_base sess targets in
-        (sess, base_vs))
-      ~step:(fun (sess, base_vs) i ->
-        let p = Engine.probe ctx base pq.pq_sms.(i) in
-        pq.pq_cones.(i) <- p.Engine.pr_cone;
-        pq.pq_regions.(i) <- p.Engine.pr_region;
-        pq.pq_fragile.(i) <- p.Engine.pr_fragile;
-        pq.pq_supp.(i) <- p.Engine.pr_supp;
-        pq.pq_supp_edges.(i) <- p.Engine.pr_supp_edges;
-        pq.pq_dead_edges.(i) <- p.Engine.pr_dead_edges;
-        pq.pq_dmg.(i) <- p.Engine.pr_dmg;
-        pq.pq_rhosts.(i) <- p.Engine.pr_rhosts;
-        let wlost = Bitset.create nsegs in
-        for s = 0 to nsegs - 1 do
-          if
-            base_wrt.(s)
-            && not p.Engine.pr_verdict.Engine.writable.(s)
-          then Bitset.add wlost s
-        done;
-        pq.pq_wlost.(i) <- wlost;
-        let vs =
-          if Fault.summary_benign pq.pq_sms.(i) then base_vs
-          else
-            Bmc.Session.check_targets sess ~fault:classes.(i).Fault.cls_rep
-              ~only:(Bitset.mem p.Engine.pr_cone)
-              ~fallback:(fun t -> base_vs.(t))
-              targets
-        in
-        let segs, bits = count_bmc net vs in
-        pq.pq_segs.(i) <- segs;
-        pq.pq_bits.(i) <- bits;
-        pair_prep_note pq i ~nsegs ~base_acc:(bmc_acc base_vs)
-          ~acc_of:(bmc_acc vs))
-      ~finish:(fun (sess, _) ->
-        let sv = solver_of_session sess in
-        release_session warm sess;
-        sv)
-  in
-  let prep_steals = ref 0 and prep_solver = ref None in
-  List.iter
-    (fun (sv, st) ->
-      prep_steals := !prep_steals + st;
-      prep_solver := merge_solver !prep_solver sv)
-    prep_partials;
-  (* Phase 2: the row sweep; interacting pairs are SAT-checked under the
-     merged fault set, restricted to the union of the two cones. *)
-  let partials =
-    steal_map ~domains (Array.init nc Fun.id)
-      ~init:(fun _ ->
-        let sess = session_of ~inprocess warm ~certify net in
-        let base_vs = Bmc.Session.check_targets_base sess targets in
-        (sess, base_vs, pair_state ()))
-      ~step:(fun (sess, base_vs, ps) i ->
-        pair_row pq ps i ~interact:(fun j ->
-            (* The restriction must be the cone of the MERGED summary:
-               with tight cones the union of the two single-fault taints
-               can undershoot the pair's (interaction can kill paths both
-               single faults left alive). *)
-            let u =
-              match
-                Engine.cone ctx base
-                  (Fault.summary_union pq.pq_sms.(i) pq.pq_sms.(j))
-              with
-              | Some cs -> cs
-              | None -> Bitset.create nsegs
-            in
-            let vs =
-              Bmc.Session.check_targets_multi sess
-                ~faults:
-                  [ classes.(i).Fault.cls_rep; classes.(j).Fault.cls_rep ]
-                ~only:(Bitset.mem u)
-                ~fallback:(fun t -> base_vs.(t))
-                targets
-            in
-            count_bmc net vs))
-      ~finish:(fun (sess, _, ps) ->
-        let sv = solver_of_session sess in
-        release_session warm sess;
-        (ps, sv))
-  in
-  let r = finish_pair_partials ~net ~nclasses:nc partials in
-  {
-    r with
-    steals = r.steals + !prep_steals;
-    solver = merge_solver r.solver !prep_solver;
-  }
+(* Deterministic enumeration of every [sample]-th unordered fault pair,
+   generated straight into the result array (at millions of pairs the
+   intermediate list was measurable garbage). *)
+let pair_items ~sample faults =
+  let n = Array.length faults in
+  let total = n * (n - 1) / 2 in
+  let count = (total + sample - 1) / sample in
+  let items = Array.make count [] in
+  let idx = ref 0 and pos = ref 0 in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if !idx mod sample = 0 then begin
+        items.(!pos) <- [ faults.(i); faults.(j) ];
+        incr pos
+      end;
+      incr idx
+    done
+  done;
+  items
 
 let evaluate_pairs ?(sample = 37) ?fault_sample ?(domains = 1)
     ?(engine = `Structural) ?(exhaustive = false) ?(reduce = true)
@@ -1412,17 +1050,15 @@ let evaluate_pairs ?(sample = 37) ?fault_sample ?(domains = 1)
   let full = match fault_sample with None -> true | Some k -> k <= 1 in
   let faults = model_faults ?sample:fault_sample ~model net in
   if exhaustive && reduce then
-    match engine with
-    | `Structural ->
-        evaluate_pairs_reduced_structural ~domains ?warm ~full ~model net
-          faults
-    | `Bmc ->
-        evaluate_pairs_reduced_bmc ~domains ~certify ~inprocess ?warm ~full
-          ~model net faults
-  else
+    sweep_pairs ~domains ~engine ~certify ~inprocess ?warm ~full ~model net
+      faults
+  else begin
     let sample = if exhaustive then 1 else max 1 sample in
-    evaluate_pairs_brute ~sample ~domains ~engine ~certify ~inprocess ?warm
-      net faults
+    let items = pair_items ~sample (Array.of_list faults) in
+    if Array.length items = 0 then invalid_arg "Metric.evaluate_pairs: empty";
+    sweep_brute ~what:"Metric.evaluate_pairs" ~domains ~engine ~certify
+      ~inprocess ?warm net items
+  end
 
 let pp_solver_stats fmt s =
   Format.fprintf fmt

@@ -21,19 +21,26 @@
       re-analyzed, the fault-free verdict is spliced in for the rest.  On
       the structural engine the classes sweep in lane batches of up to
       {!Ftrsn_access.Engine.lane_width} per fixpoint
-      ({!Ftrsn_access.Engine.analyze_lane_batch}); the fast-path
-      classes {!Ftrsn_access.Engine.lane_plan} sets aside take the O(1)
-      splices of {!Ftrsn_access.Engine.analyze_delta} instead (glitch
-      classes its full-fixpoint fallback).  The BMC engine
-      restricts its SAT sweep to the cone
-      ([Bmc.Session.check_targets ~only]).
+      ({!Ftrsn_access.Engine.analyze_lanes_on} over the fault-free
+      root); the fast-path classes {!Ftrsn_access.Engine.lane_plan} sets
+      aside take the O(1) splices of
+      {!Ftrsn_access.Engine.analyze_delta} instead (glitch classes its
+      full-fixpoint fallback).  The BMC engine restricts its SAT sweep
+      to the cone ([Bmc.Session.check_targets ~only]).
 
     Both reductions are exact: the reduced result is bit-identical to the
     brute-force one ([~reduce:false]) in every [result] field.  All
     accumulation is integer (min / weighted sums), divided to fractions
     once at the end, so results are also independent of evaluation order —
     which lets a work-stealing scheduler distribute faults dynamically
-    over domains instead of static chunking. *)
+    over domains instead of static chunking.
+
+    Three sweeps produce every result, all folding into one per-domain
+    integer accumulator: the brute sweep (one engine run per fault, or
+    per fault pair — the oracle the others are tested against), the
+    reduced single-fault sweep and the exhaustive pair sweep.  The
+    engine decides only how a verdict is computed and how the work is
+    cut into steal units. *)
 
 type solver_stats = {
   s_conflicts : int;
@@ -122,11 +129,11 @@ type result = {
       (** [Some] iff the exhaustive reduced pair sweep produced the result *)
   pair_lanes : Ftrsn_access.Engine.lane_stats option;
       (** [Some] iff the lane-parallel stacked pair path produced the
-          interacting-pair verdicts (structural exhaustive sweep): one
-          entry per secondary-baseline batch swept
-          by {!Ftrsn_access.Engine.analyze_lane_batch_on}, plus the
+          interacting-pair verdicts (structural exhaustive sweep): the
+          secondary-baseline lane batches swept
+          by {!Ftrsn_access.Engine.analyze_lanes_on}, plus the
           fast-path partner deltas in [ls_fast].  Deterministic — a
-          function of the class universe and the disjointness gates, not
+          function of the class universe and the pair gate, not
           of scheduling. *)
 }
 
@@ -145,7 +152,7 @@ exception Unsupported of string
     ({!Ftrsn_service.Pool}, which keys one [warm] per netlist): the
     expensive per-netlist artifacts — structural context, fault-free
     baseline, the full-universe class collapse and exhaustive-pair
-    phase-1 probe tables (both keyed per fault model, so evaluations of
+    phase-1 class records (both keyed per fault model, so evaluations of
     different models never share a slot), and idle incremental BMC
     sessions — built once
     and shared by every subsequent evaluation of the same netlist.  All
@@ -236,17 +243,6 @@ val evaluate :
     and metric values are identical either way; only speed and the
     volatile solver counters change. *)
 
-val evaluate_faults :
-  Ftrsn_access.Engine.ctx -> Ftrsn_fault.Fault.t list -> result
-(** The structural metric restricted to a given fault list (shared
-    context), brute-force and sequential. *)
-
-val evaluate_faults_bmc :
-  Ftrsn_bmc.Bmc.Session.t -> Ftrsn_fault.Fault.t list -> result
-(** The BMC metric restricted to a given fault list, reusing the given
-    incremental session (its cumulative stats are reported in
-    [result.solver]). *)
-
 val evaluate_pairs :
   ?sample:int ->
   ?fault_sample:int ->
@@ -271,25 +267,25 @@ val evaluate_pairs :
     universe is evaluated exactly: faults are collapsed into semantic
     classes as in {!evaluate} and the sweep runs over unordered class
     pairs — diagonal pairs reuse the class's single-fault verdict;
-    non-interacting pairs (disjoint interaction regions, no
-    mutual-support hazard — see {!Ftrsn_access.Engine.probe}) are
-    answered arithmetically from the two single-fault verdicts, whose
-    pointwise AND the pair verdict provably equals; only the remaining
-    interacting pairs run an engine.  On the structural engine the
-    interacting pairs are lane-parallel: pairs are grouped by first
-    class, each group's secondary baseline is built once (memoized in an
-    LRU-bounded stack cache, shared with the warm state's phase-1 pair
-    tables on full sweeps) and up to {!Ftrsn_access.Engine.lane_width}
-    second classes sweep against it per fixpoint
-    ({!Ftrsn_access.Engine.analyze_lane_batch_on}); the fast-path
-    partners {!Ftrsn_access.Engine.lane_plan} sets aside take the O(1)
-    splices of {!Ftrsn_access.Engine.analyze_delta_on} instead.  The
-    BMC engine runs
-    a cone-restricted SAT sweep of each merged summary.  The result is
-    bit-identical to the brute pair enumeration ([reduce:false]) in
-    every field, sequentially and for any [domains]; [result.pairs]
-    reports the dispatch statistics and [result.pair_lanes] the
-    stacked-batch lane statistics.
+    pairs whose gates compose ({!Ftrsn_access.Engine.composes}: disjoint
+    interaction regions, no mutual-support hazard) are answered
+    arithmetically from the two single-fault verdicts, whose pointwise
+    AND the pair verdict provably equals; only the remaining
+    interacting pairs run an engine.  Both engines share this dispatch,
+    so they report the same diagonal / disjoint / stacked split.  On
+    the structural engine the interacting pairs are lane-parallel:
+    pairs are grouped by first class, each group's secondary baseline
+    is built once (memoized in an LRU-bounded stack cache, shared with
+    the warm state's phase-1 class records on full sweeps) and the
+    second classes sweep against it in lane batches of up to
+    {!Ftrsn_access.Engine.lane_width} per fixpoint
+    ({!Ftrsn_access.Engine.analyze_lanes_on}; the fast-path partners
+    take its O(1) splices).  The BMC engine runs a cone-restricted SAT
+    sweep of each merged summary.  The result is bit-identical to the
+    brute pair enumeration ([reduce:false]) in every field, sequentially
+    and for any [domains]; [result.pairs] reports the dispatch
+    statistics and [result.pair_lanes] the stacked-batch lane
+    statistics.
 
     Without [exhaustive] the quadratic universe is subsampled: [sample]
     (default 37) keeps every k-th pair of a deterministic enumeration —
@@ -299,13 +295,16 @@ val evaluate_pairs :
     either mode.
 
     Work is distributed over [domains] at pair granularity (brute) or,
-    exhaustively, lane-batch granularity by the work-stealing queue:
-    the discovery pass (gates + pure counting) steals first-class rows,
-    then each secondary-baseline lane batch is one steal unit — so
-    stealing never shreds a batch, and a heavy row's batches spread
-    across domains instead of serializing on one.  Pair costs are highly skewed (port and
-    trunk faults force whole-graph re-analysis), which used to leave
-    the statically-chunked first domain the straggler.
+    exhaustively, by the work-stealing queue in three phases: the
+    class probes, the discovery pass (diagonal and pointwise counting)
+    over first-class rows, then the interacting pairs as (row, columns)
+    units — one secondary-baseline lane batch (or one chunk of
+    fast-path partners) each on the structural engine, so stealing
+    never shreds a batch and a heavy row's batches
+    spread across domains instead of serializing on one; one row each
+    on BMC.  Pair costs are highly skewed (port and trunk faults force
+    whole-graph re-analysis), which used to leave the
+    statically-chunked first domain the straggler.
 
     [certify] behaves as in {!evaluate} (BMC engine only). *)
 

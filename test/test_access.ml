@@ -716,13 +716,13 @@ let test_probe_stack_pinned () =
       (fun (what, n) -> (name ^ " " ^ what, n))
       [
         ("cone", card (fun p -> p.Engine.pr_cone));
-        ("region", card (fun p -> p.Engine.pr_region));
-        ("fragile", card (fun p -> p.Engine.pr_fragile));
-        ("supp", card (fun p -> p.Engine.pr_supp));
-        ("supp_edges", card (fun p -> p.Engine.pr_supp_edges));
-        ("rhosts", card (fun p -> p.Engine.pr_rhosts));
-        ("dead_edges", card (fun p -> p.Engine.pr_dead_edges));
-        ("dmg", card (fun p -> p.Engine.pr_dmg));
+        ("region", card (fun p -> p.Engine.pr_gate.Engine.g_region));
+        ("fragile", card (fun p -> p.Engine.pr_gate.Engine.g_fragile));
+        ("supp", card (fun p -> p.Engine.pr_gate.Engine.g_supp));
+        ("supp_edges", card (fun p -> p.Engine.pr_gate.Engine.g_supp_edges));
+        ("rhosts", card (fun p -> p.Engine.pr_gate.Engine.g_rhosts));
+        ("dead_edges", card (fun p -> p.Engine.pr_gate.Engine.g_dead_edges));
+        ("dmg", card (fun p -> p.Engine.pr_gate.Engine.g_dmg));
         ( "coarse",
           List.length (List.filter (fun p -> p.Engine.pr_coarse) probes) );
         ("stacked accessible", stacked);

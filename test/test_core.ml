@@ -519,6 +519,23 @@ let test_pairs_exhaustive_u226 () =
     Metric.evaluate_pairs ~exhaustive:true ~fault_sample:16 ~domains:3 net
   in
   check bool_t "parallel exhaustive identical" true (same_result red par);
+  (* Both engines dispatch their class pairs through the one gate: the
+     BMC sweep must agree with the structural one on every verdict
+     field and on the diagonal / disjoint / stacked split, while building
+     no secondary baselines and sweeping no lanes. *)
+  let sred = Metric.evaluate_pairs ~exhaustive:true ~fault_sample:128 net in
+  let bmc =
+    Metric.evaluate_pairs ~engine:`Bmc ~exhaustive:true ~fault_sample:128 net
+  in
+  check bool_t "BMC pairs = structural pairs" true (same_result sred bmc);
+  (match (sred.Metric.pairs, bmc.Metric.pairs) with
+  | Some s, Some b ->
+      check int_t "BMC diagonal" s.Metric.p_diagonal b.Metric.p_diagonal;
+      check int_t "BMC disjoint" s.Metric.p_disjoint b.Metric.p_disjoint;
+      check int_t "BMC stacked" s.Metric.p_stacked b.Metric.p_stacked;
+      check int_t "BMC builds no stacks" 0 b.Metric.p_stacks
+  | _ -> Alcotest.fail "exhaustive sweeps must report pair stats");
+  check bool_t "BMC reports no pair lanes" true (bmc.Metric.pair_lanes = None);
   (match red.Metric.pair_lanes with
   | None -> Alcotest.fail "lane sweep must report pair-lane stats"
   | Some l ->
@@ -550,8 +567,8 @@ let test_pairs_disjoint_and () =
      certificates under the other fault), the pair verdict is the
      pointwise AND of the two single-fault verdicts.  Check that claim
      verdict-by-verdict (not just in the counts) against analyze_multi,
-     on the hand-built nets and a band of random ones, using the SAME
-     gate Metric.pair_row applies. *)
+     on the hand-built nets and a band of random ones, using the gate
+     the pair sweep applies (Engine.composes). *)
   let checked = ref 0 in
   let check_net net =
     let name = net.Netlist.net_name in
@@ -562,40 +579,11 @@ let test_pairs_disjoint_and () =
     let probes =
       Array.map (fun c -> Engine.probe ctx base c.Fault.cls_summary) classes
     in
-    let bw = (Engine.baseline_verdict base).Engine.writable in
-    let wlosts =
-      Array.map
-        (fun (p : Engine.probe) ->
-          let w = Ftrsn_topo.Bitset.create nsegs in
-          for s = 0 to nsegs - 1 do
-            if bw.(s) && not p.Engine.pr_verdict.Engine.writable.(s) then
-              Ftrsn_topo.Bitset.add w s
-          done;
-          w)
-        probes
-    in
     Array.iteri
       (fun i (pi : Engine.probe) ->
         for j = i + 1 to Array.length classes - 1 do
           let pj = probes.(j) in
-          if
-            Ftrsn_topo.Bitset.disjoint pi.Engine.pr_region
-              pj.Engine.pr_region
-            && Ftrsn_topo.Bitset.disjoint pi.Engine.pr_supp_edges
-                 pj.Engine.pr_dead_edges
-            && Ftrsn_topo.Bitset.disjoint pj.Engine.pr_supp_edges
-                 pi.Engine.pr_dead_edges
-            && Ftrsn_topo.Bitset.disjoint pi.Engine.pr_supp
-                 pj.Engine.pr_dmg
-            && Ftrsn_topo.Bitset.disjoint pj.Engine.pr_supp
-                 pi.Engine.pr_dmg
-            && Ftrsn_topo.Bitset.disjoint pi.Engine.pr_rhosts
-                 pj.Engine.pr_fragile
-            && Ftrsn_topo.Bitset.disjoint pj.Engine.pr_rhosts
-                 pi.Engine.pr_fragile
-            && Ftrsn_topo.Bitset.disjoint pi.Engine.pr_rhosts wlosts.(j)
-            && Ftrsn_topo.Bitset.disjoint pj.Engine.pr_rhosts wlosts.(i)
-          then begin
+          if Engine.composes pi.Engine.pr_gate pj.Engine.pr_gate then begin
             incr checked;
             let pair =
               Engine.analyze_multi ctx
