@@ -116,11 +116,15 @@ let coverage (net : Netlist.t) =
   in
   float_of_int detected /. float_of_int (List.length universe)
 
+(* Signatures are keyed by their text lines: the polymorphic hash of a
+   [bool list list] reads only its first few booleans, so most
+   signatures would share one bucket. *)
 let distinguishable_classes (net : Netlist.t) =
   let stim = stimulus net in
   let seen = Hashtbl.create 64 in
-  Hashtbl.replace seen (apply net stim) ();
-  List.iter
-    (fun fault -> Hashtbl.replace seen (apply net ~fault stim) ())
-    (Fault.universe net);
+  let note sg =
+    Hashtbl.replace seen (String.concat "\n" (lines_of_signature sg)) ()
+  in
+  note (apply net stim);
+  List.iter (fun fault -> note (apply net ~fault stim)) (Fault.universe net);
   Hashtbl.length seen

@@ -953,7 +953,10 @@ let stacked_eff ctx stk sm =
      rounds and promotions are those of the plain iteration, while a
      deep SIB hierarchy (one round per level) costs about two
      traversals instead of two per level;
-   - the two final traversals produce all lanes' readable sets at once.
+   - the two final traversals produce all lanes' readable sets at once,
+     and with the writable words one accessible-lane word per segment,
+     from which a sweep counts every lane's accessible segments and bits
+     without building per-lane verdicts ([fix_counts]).
 
    The per-lane verdicts are bit-identical to [analyze]'s —
    property-tested against it. *)
@@ -1029,11 +1032,15 @@ let lane_plan base (sms : Fault.summary array) =
    equals the stacked one: each seed starts at or below its lane's
    combined least fixpoint and the monotone word iteration converges to
    exactly it.  Besides the
-   per-lane verdicts, the result exposes the settled per-edge steering
-   and corruption words and the four final traversals, from which
-   [probe] reads a class's exact faulty state. *)
+   per-lane verdicts, the result exposes the per-segment accessible
+   words and cone sizes, from which the sweeps count without building
+   any verdict, and the settled per-edge steering and corruption words
+   and the four final traversals, from which [probe] reads a class's
+   exact faulty state. *)
 type lane_fix = {
   lf_verdict : int -> verdict * int;  (* lane -> verdict, cone size *)
+  lf_acc : int array;      (* per segment, the lanes it is accessible in *)
+  lf_cones : int array;    (* per lane, the cone size *)
   lf_stats : lane_stats;
   lf_steer : int array;    (* per edge, under the settled writability *)
   lf_corrupt : int array;  (* per edge *)
@@ -1331,23 +1338,28 @@ let lane_fix ctx stk (sms : Fault.summary array) =
   let r_any = traverse ~fwd:true ~clean:false occ in
   let s_clean = traverse ~fwd:false ~clean:true (occ land lnot !po_dead_w) in
   let not_po = lnot !po_dead_w in
+  let readable_w =
+    Array.init nsegs (fun i ->
+        Lanes.get r_any (v_of_seg i)
+        land Lanes.get s_clean (v_of_seg i)
+        land lnot kill_read_w.(i)
+        land lnot corrupt_vertex_w.(i)
+        land not_po land occ)
+  in
+  let acc_w = Array.mapi (fun i r -> writable_w.(i) land r) readable_w in
   let verdict l =
-    let bit = 1 lsl l in
-    let writable = Array.init nsegs (fun i -> writable_w.(i) land bit <> 0) in
-    let readable =
-      Array.init nsegs (fun i ->
-          Lanes.get r_any (v_of_seg i)
-          land Lanes.get s_clean (v_of_seg i)
-          land lnot kill_read_w.(i)
-          land lnot corrupt_vertex_w.(i)
-          land not_po land bit
-          <> 0)
-    in
-    let accessible = Array.init nsegs (fun i -> writable.(i) && readable.(i)) in
-    ({ writable; readable; accessible }, cone_lens.(l))
+    let lane w = Array.map (fun x -> x land (1 lsl l) <> 0) w in
+    ( {
+        writable = lane writable_w;
+        readable = lane readable_w;
+        accessible = lane acc_w;
+      },
+      cone_lens.(l) )
   in
   {
     lf_verdict = verdict;
+    lf_acc = acc_w;
+    lf_cones = cone_lens;
     lf_stats =
       {
         ls_batches = 1;
@@ -1432,42 +1444,54 @@ let analyze_delta ctx base sm = analyze_delta_on ctx (of_baseline base) sm
    rest shape-grouped and batched by [lane_plan] exactly as the
    single-fault sweep.  A glitchy stacked root falls back to
    [analyze_delta_on] per summary (the word steering rule has no notion
-   of upset initial values); the verdicts stay bit-identical to
-   [analyze_delta_on] either way. *)
-let analyze_lanes_on ctx stk (sms : Fault.summary array) =
+   of upset initial values).  The two views share this dispatch: [fast]
+   reads one [analyze_delta_on] result, [lanes] a batch's fixpoint, one
+   result per lane. *)
+let lanes_on ctx stk (sms : Fault.summary array) ~fast ~lanes =
   let stacked_glitch =
     match stk.s_sm with
     | Some s0 -> s0.Fault.sm_glitch_shadow <> []
     | None -> false
   in
   if stacked_glitch then
-    ( Array.map (analyze_delta_on ctx stk) sms,
+    ( Array.map (fun sm -> fast (analyze_delta_on ctx stk sm)) sms,
       { lane_stats_zero with ls_fast = Array.length sms } )
   else begin
-    (* The result array is made last: filled while a batch allocates,
-       it would be promoted by a minor collection and drag every verdict
-       stored into it to the major heap. *)
-    let fast, batches = lane_plan stk.s_base sms in
-    let fast = List.map (fun i -> (i, analyze_delta_on ctx stk sms.(i))) fast in
+    let fast_idx, batches = lane_plan stk.s_base sms in
+    let fast_res =
+      List.map (fun i -> (i, fast (analyze_delta_on ctx stk sms.(i)))) fast_idx
+    in
     let batches =
       List.map
         (fun idxs ->
           let fix = lane_fix ctx stk (Array.map (fun i -> sms.(i)) idxs) in
-          (idxs, Array.init (Array.length idxs) fix.lf_verdict, fix.lf_stats))
+          (idxs, lanes fix, fix.lf_stats))
         batches
     in
-    let out = Array.make (Array.length sms) (stk.s_verdict, 0) in
-    List.iter (fun (i, v) -> out.(i) <- v) fast;
+    (* The result array is made last: filled while a batch allocates,
+       it would be promoted by a minor collection and drag every result
+       stored into it to the major heap. *)
+    let out =
+      match (fast_res, batches) with
+      | [], [] -> [||]
+      | (_, x) :: _, _ -> Array.make (Array.length sms) x
+      | [], (_, xs, _) :: _ -> Array.make (Array.length sms) xs.(0)
+    in
+    List.iter (fun (i, x) -> out.(i) <- x) fast_res;
     let stats =
       List.fold_left
-        (fun st (idxs, vs, bst) ->
-          Array.iteri (fun j i -> out.(i) <- vs.(j)) idxs;
+        (fun st (idxs, xs, bst) ->
+          Array.iteri (fun j i -> out.(i) <- xs.(j)) idxs;
           lane_stats_add st bst)
-        { lane_stats_zero with ls_fast = List.length fast }
+        { lane_stats_zero with ls_fast = List.length fast_res }
         batches
     in
     (out, stats)
   end
+
+let analyze_lanes_on ctx stk sms =
+  lanes_on ctx stk sms ~fast:Fun.id ~lanes:(fun fix ->
+      Array.init (Array.length fix.lf_cones) fix.lf_verdict)
 
 let analyze_lanes_stats ctx ?base (classes : Fault.clas array) =
   let base = match base with Some b -> b | None -> baseline ctx in
@@ -1476,6 +1500,51 @@ let analyze_lanes_stats ctx ?base (classes : Fault.clas array) =
       (Array.map (fun c -> c.Fault.cls_summary) classes)
   in
   (Array.map fst out, stats)
+
+type lane_count = { lc_segs : int; lc_bits : int; lc_cone : int }
+
+let verdict_count ctx (v, cone) =
+  {
+    lc_segs = accessible_count v;
+    lc_bits = accessible_bits ctx v;
+    lc_cone = cone;
+  }
+
+(* Every lane's counts from the accessible words: a segment accessible
+   in any lane is credited to all of them and debited from the lanes
+   that miss it, so a segment settled alike in every lane costs one
+   test. *)
+let fix_counts ctx fix =
+  let k = Array.length fix.lf_cones in
+  let occ = Lanes.lane_mask k in
+  let segs = Array.make k 0 and bits = Array.make k 0 in
+  let all_segs = ref 0 and all_bits = ref 0 in
+  Array.iteri
+    (fun i w ->
+      if w <> 0 then begin
+        let len = Netlist.seg_len ctx.net i in
+        incr all_segs;
+        all_bits := !all_bits + len;
+        let miss = ref (occ land lnot w) and l = ref 0 in
+        while !miss <> 0 do
+          if !miss land 1 <> 0 then begin
+            segs.(!l) <- segs.(!l) + 1;
+            bits.(!l) <- bits.(!l) + len
+          end;
+          miss := !miss lsr 1;
+          incr l
+        done
+      end)
+    fix.lf_acc;
+  Array.init k (fun l ->
+      {
+        lc_segs = !all_segs - segs.(l);
+        lc_bits = !all_bits - bits.(l);
+        lc_cone = fix.lf_cones.(l);
+      })
+
+let count_lanes_on ctx stk sms =
+  lanes_on ctx stk sms ~fast:(verdict_count ctx) ~lanes:(fix_counts ctx)
 
 (* ---- pair probes: exact taints and interaction regions ----
 

@@ -196,8 +196,11 @@ val analyze_delta :
     only grow, so the fixpoint's two traversals are extended across the
     edges whose steering grew instead of re-run each round.  A single
     class ({!analyze_delta}, {!probe}, {!stack}) is a one-lane call;
-    many classes go through {!analyze_lanes_on}.  The per-lane verdicts
-    are bit-identical to {!analyze}'s. *)
+    many classes go through {!analyze_lanes_on} (per-lane verdicts) or
+    {!count_lanes_on} (per-lane accessible counts, read from one
+    accessible-lane word per segment without building any verdict) —
+    two views of one dispatch.  The per-lane verdicts are bit-identical
+    to {!analyze}'s. *)
 
 val lane_width : int
 (** Classes per batch: [Ftrsn_topo.Lanes.width] = [Sys.int_size] (63 on
@@ -286,6 +289,24 @@ val analyze_lanes_on :
     and cone size are bit-identical to {!analyze_delta_on}; a glitchy
     (transient) stacked root takes {!analyze_delta_on}'s full fixpoint
     per summary (counted in [ls_fast]). *)
+
+type lane_count = {
+  lc_segs : int;  (** accessible segments *)
+  lc_bits : int;  (** accessible scan bits *)
+  lc_cone : int;  (** cone size *)
+}
+
+val count_lanes_on :
+  ctx ->
+  stacked ->
+  Ftrsn_fault.Fault.summary array ->
+  lane_count array * lane_stats
+(** The count view of {!analyze_lanes_on}, through the same dispatch:
+    per summary the accessible segment and bit counts of its verdict and
+    its cone size, with the same lane statistics.  A lane batch is
+    counted from its fixpoint's per-segment accessible words and builds
+    no verdict; the fast paths count the verdict {!analyze_delta_on}
+    returns. *)
 
 type witness = {
   w_vertices : int list;

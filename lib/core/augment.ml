@@ -1,7 +1,7 @@
 module Digraph = Ftrsn_topo.Digraph
 module Order = Ftrsn_topo.Order
 module Acyclic = Ftrsn_topo.Acyclic
-module Menger = Ftrsn_topo.Menger
+module Dominator = Ftrsn_topo.Dominator
 module Simplex = Ftrsn_lp.Simplex
 module Bnb = Ftrsn_ilp.Bnb
 module Mcf = Ftrsn_flow.Mincost
@@ -38,25 +38,49 @@ let potential_pair p i j =
    second, physically distinct input (a new mux) at every vertex — which
    is why the paper observes "at least one additional multiplexer at the
    scan-in port of every scan segment" (§IV-C).  Out-edges are distinct
-   interconnects (one per consumer port) and count individually. *)
+   interconnects (one per consumer port) and count individually.
+
+   The potential pairs at a vertex are counted per level, not pair by
+   pair: its [potential_pair] partners are the vertices on its side of
+   the level order, minus itself, minus the excluded port on that side
+   (the sink as a source, the root as a target), minus its existing
+   edges to that side. *)
 let demands p =
-  let n = Digraph.vertex_count p.graph in
+  let g = p.graph and lv = p.levels in
+  let n = Digraph.vertex_count g in
+  let max_level = Array.fold_left max 0 lv in
+  (* [at_most.(l)] / [at_least.(l)]: vertices at level <= l / >= l. *)
+  let at_most = Array.make (max_level + 1) 0 in
+  let at_least = Array.make (max_level + 2) 0 in
+  Array.iter (fun l -> at_most.(l) <- at_most.(l) + 1) lv;
+  for l = max_level downto 0 do
+    at_least.(l) <- at_most.(l) + at_least.(l + 1)
+  done;
+  for l = 1 to max_level do
+    at_most.(l) <- at_most.(l) + at_most.(l - 1)
+  done;
+  let count f l = List.fold_left (fun c x -> if f x then c + 1 else c) 0 l in
   let d_in = Array.make n 0 and d_out = Array.make n 0 in
   for t = 0 to n - 1 do
     if t <> p.root then begin
-      let potential = ref 1 in
-      for i = 0 to n - 1 do
-        if potential_pair p i t then incr potential
-      done;
-      d_in.(t) <- max 0 (min 2 !potential - 1)
+      let below i = i <> t && lv.(i) <= lv.(t) in
+      (* the existing port counts one, [t] itself minus one *)
+      let potential =
+        at_most.(lv.(t))
+        - Bool.to_int (below p.sink)
+        - count (fun i -> i <> p.sink && below i) (Digraph.pred g t)
+      in
+      d_in.(t) <- max 0 (min 2 potential - 1)
     end;
     if t <> p.sink then begin
-      let potential = ref (Digraph.out_degree p.graph t) in
-      for j = 0 to n - 1 do
-        if potential_pair p t j then incr potential
-      done;
-      d_out.(t) <-
-        max 0 (min 2 !potential - Digraph.out_degree p.graph t)
+      let above j = j <> t && lv.(j) >= lv.(t) in
+      let out = Digraph.out_degree g t in
+      let potential =
+        out + at_least.(lv.(t)) - 1
+        - Bool.to_int (above p.root)
+        - count (fun j -> j <> p.root && above j) (Digraph.succ g t)
+      in
+      d_out.(t) <- max 0 (min 2 potential - out)
     end
   done;
   (d_in, d_out)
@@ -251,11 +275,19 @@ let solve p =
   | Some s -> s
   | None -> failwith "Augment.solve: augmentation infeasible"
 
+(* Two vertex-independent root->v paths exist iff [v] is a child of the
+   root in the dominator tree (no single vertex separates them, Menger)
+   and, when [root -> v] is itself an edge, some other path reaches [v]
+   too (see {!Ftrsn_topo.Dominator.two_paths}); the sink side is the
+   same question on the transpose. *)
 let verify p new_edges =
   let g = Digraph.copy p.graph in
   List.iter (fun (i, j) -> Digraph.add_edge g i j) new_edges;
   let n = Digraph.vertex_count g in
   let d_in, d_out = demands p in
+  let gt = Digraph.transpose g in
+  let from_root = Dominator.idoms g ~root:p.root in
+  let to_sink = Dominator.idoms gt ~root:p.sink in
   let problems = ref [] in
   if not (Order.is_acyclic g) then problems := "augmented graph is cyclic" :: !problems;
   for v = 0 to n - 1 do
@@ -266,12 +298,12 @@ let verify p new_edges =
     (* Semantic check: two vertex-independent paths wherever the degree
        demands claimed it possible. *)
     if v <> p.root && Digraph.in_degree g v >= 2 then begin
-      if Menger.vertex_disjoint_paths g ~src:p.root ~dst:v < 2 then
+      if not (Dominator.two_paths g from_root ~root:p.root v) then
         problems :=
           Printf.sprintf "vertex %d lacks 2 root paths" v :: !problems
     end;
     if v <> p.sink && Digraph.out_degree g v >= 2 then begin
-      if Menger.vertex_disjoint_paths g ~src:v ~dst:p.sink < 2 then
+      if not (Dominator.two_paths gt to_sink ~root:p.sink v) then
         problems :=
           Printf.sprintf "vertex %d lacks 2 sink paths" v :: !problems
     end

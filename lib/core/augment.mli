@@ -42,7 +42,9 @@ val edge_cost : problem -> int * int -> int
 val demands : problem -> int array * int array
 (** [(d_in, d_out)] per vertex: the missing in/out degree after accounting
     for existing edges, clamped by what the potential edge set can provide
-    (root in-degree and sink out-degree are never demanded). *)
+    (root in-degree and sink out-degree are never demanded).  The
+    potential partners of a vertex are counted per level, in
+    O(vertices + edges). *)
 
 type solution = {
   new_edges : (int * int) list;  (** augmenting edges not in the original *)
@@ -67,6 +69,10 @@ val solve : problem -> solution
 
 val verify : problem -> (int * int) list -> (unit, string) result
 (** Checks that the original graph plus [new_edges] is acyclic, meets the
-    degree demands, and actually gives every vertex two vertex-independent
-    paths from the root and to the sink (Menger check) — the semantic
-    requirement of §III-C. *)
+    degree demands, and actually gives every vertex of in-degree (out-
+    degree) at least 2 two vertex-independent paths from the root (to the
+    sink) — the semantic requirement of §III-C.  The path check reads two
+    dominator trees, one from the root and one from the sink on the
+    transpose ({!Ftrsn_topo.Dominator.two_paths}, Menger's theorem), so
+    the whole verification is near-linear; the test suite checks it
+    against two max-flows per vertex. *)

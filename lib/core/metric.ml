@@ -681,15 +681,16 @@ let class_counts classes =
    indices.  On the structural engine the units are [Engine.lane_plan]'s
    batches — up to [Engine.lane_width] classes share one seeded
    fixpoint — then the fast-path classes in chunks; each unit is
-   answered whole by [Engine.analyze_lanes_on] over the fault-free root,
+   answered whole by [Engine.count_lanes_on] over the fault-free root,
    which re-plans a batch into itself, so the lane statistics are the
-   batches'.  On BMC a unit is one class, SAT-checked inside its
-   [Engine.cone].  Context and baseline are immutable after
-   construction, so all domains share them. *)
+   batches', and counts each lane's accessible segments and bits from
+   the fixpoint's words without building its verdict.  On BMC a unit is
+   one class, SAT-checked inside its [Engine.cone].  Context and
+   baseline are immutable after construction, so all domains share
+   them. *)
 
 (* The fast indices of a lane plan as units of at most [lane_width]:
-   a unit's verdicts are live until it is folded, so a chunk of fast
-   classes holds no more of them than a lane batch does. *)
+   a steal unit never carries more classes than a lane batch. *)
 let fast_units fast =
   let a = Array.of_list fast and n = Engine.lane_width in
   let len = Array.length a in
@@ -702,10 +703,9 @@ let sweep_reduced ~domains ~engine ~certify ~inprocess ?warm ~full ~model net
   let base = base_of warm ctx in
   let classes = classes_of warm ~full ~model net faults in
   let sms = Array.map (fun c -> c.Fault.cls_summary) classes in
-  let tally p i acc cone =
+  let tally p i ~segs ~bits ~cone =
     let c = classes.(i) in
     note_cone p cone;
-    let segs, bits = count net acc in
     add p ~w:c.Fault.cls_weight
       ~n:(List.length c.Fault.cls_members)
       ~segs ~bits
@@ -718,15 +718,16 @@ let sweep_reduced ~domains ~engine ~certify ~inprocess ?warm ~full ~model net
         ( Array.of_list (batches @ fast_units fast),
           fun p ->
             ( (fun idxs ->
-                let vs, st =
-                  Engine.analyze_lanes_on ctx root
+                let cs, st =
+                  Engine.count_lanes_on ctx root
                     (Array.map (Array.get sms) idxs)
                 in
                 note_lanes p st;
                 Array.iteri
                   (fun j i ->
-                    let v, cone = vs.(j) in
-                    tally p i v.Engine.accessible cone)
+                    let c = cs.(j) in
+                    tally p i ~segs:c.Engine.lc_segs ~bits:c.Engine.lc_bits
+                      ~cone:c.Engine.lc_cone)
                   idxs),
               ignore ) )
     | `Bmc ->
@@ -735,9 +736,13 @@ let sweep_reduced ~domains ~engine ~certify ~inprocess ?warm ~full ~model net
             let within, _, close = open_bmc ~inprocess ~certify warm net p in
             ( Array.iter (fun i ->
                   let cone = Engine.cone ctx base sms.(i) in
-                  tally p i
-                    (within [ classes.(i).Fault.cls_rep ] cone)
-                    (match cone with None -> 0 | Some c -> Bitset.cardinal c)),
+                  let segs, bits =
+                    count net (within [ classes.(i).Fault.cls_rep ] cone)
+                  in
+                  let cone =
+                    match cone with None -> 0 | Some c -> Bitset.cardinal c
+                  in
+                  tally p i ~segs ~bits ~cone),
               close ) )
   in
   let universe, benign = class_counts classes in
@@ -785,7 +790,7 @@ let evaluate ?sample ?(domains = 1) ?(engine = `Structural) ?(reduce = true)
    - interacting pairs: an engine runs.  On the structural engine the
      first class's faulty state is computed once per row as a secondary
      baseline ({!Engine.stack}) and the second summaries' cone deltas
-     run on top in lane batches ({!Engine.analyze_lanes_on}); on BMC
+     run on top in lane batches ({!Engine.count_lanes_on}); on BMC
      each pair is SAT-checked inside the cone of its merged summary.
 
    Phase 2a (discovery) does the diagonal and the pointwise counting
@@ -970,9 +975,8 @@ let sweep_pairs ~domains ~engine ~certify ~inprocess ?warm ~full ~model net
       inter;
     Array.of_list (List.rev !acc)
   in
-  let interact p i j acc =
+  let interact p i j ~segs ~bits =
     p.stacked <- p.stacked + 1;
-    let segs, bits = count net acc in
     pair_add p pcs.(i) pcs.(j) ~segs ~bits
   in
   let verdicts =
@@ -987,10 +991,12 @@ let sweep_pairs ~domains ~engine ~certify ~inprocess ?warm ~full ~model net
                 stack_cached sc (fun i -> Engine.stack ctx base (sm i)) i
               in
               if built then p.stacks <- p.stacks + 1;
-              let vs, st = Engine.analyze_lanes_on ctx stk (Array.map sm js) in
+              let cs, st = Engine.count_lanes_on ctx stk (Array.map sm js) in
               note_lanes p st;
               Array.iteri
-                (fun l j -> interact p i j (fst vs.(l)).Engine.accessible)
+                (fun l j ->
+                  interact p i j ~segs:cs.(l).Engine.lc_segs
+                    ~bits:cs.(l).Engine.lc_bits)
                 js),
             ignore )
     | `Bmc ->
@@ -1005,10 +1011,13 @@ let sweep_pairs ~domains ~engine ~certify ~inprocess ?warm ~full ~model net
                      (interaction can kill paths both single faults left
                      alive). *)
                   let rep k = classes.(k).Fault.cls_rep in
-                  interact p i j
-                    (within [ rep i; rep j ]
-                       (Engine.cone ctx base
-                          (Fault.summary_union (sm i) (sm j)))))
+                  let segs, bits =
+                    count net
+                      (within [ rep i; rep j ]
+                         (Engine.cone ctx base
+                            (Fault.summary_union (sm i) (sm j))))
+                  in
+                  interact p i j ~segs ~bits)
                 js),
             close )
   in

@@ -21,8 +21,9 @@
       re-analyzed, the fault-free verdict is spliced in for the rest.  On
       the structural engine the classes sweep in lane batches of up to
       {!Ftrsn_access.Engine.lane_width} per fixpoint
-      ({!Ftrsn_access.Engine.analyze_lanes_on} over the fault-free
-      root); the fast-path classes {!Ftrsn_access.Engine.lane_plan} sets
+      ({!Ftrsn_access.Engine.count_lanes_on} over the fault-free
+      root, which counts each lane from the fixpoint's words); the
+      fast-path classes {!Ftrsn_access.Engine.lane_plan} sets
       aside take the O(1) splices of
       {!Ftrsn_access.Engine.analyze_delta} instead (glitch classes its
       full-fixpoint fallback).  The BMC engine restricts its SAT sweep
@@ -131,7 +132,7 @@ type result = {
       (** [Some] iff the lane-parallel stacked pair path produced the
           interacting-pair verdicts (structural exhaustive sweep): the
           secondary-baseline lane batches swept
-          by {!Ftrsn_access.Engine.analyze_lanes_on}, plus the
+          by {!Ftrsn_access.Engine.count_lanes_on}, plus the
           fast-path partner deltas in [ls_fast].  Deterministic — a
           function of the class universe and the pair gate, not
           of scheduling. *)
@@ -279,7 +280,7 @@ val evaluate_pairs :
     the warm state's phase-1 class records on full sweeps) and the
     second classes sweep against it in lane batches of up to
     {!Ftrsn_access.Engine.lane_width} per fixpoint
-    ({!Ftrsn_access.Engine.analyze_lanes_on}; the fast-path partners
+    ({!Ftrsn_access.Engine.count_lanes_on}; the fast-path partners
     take its O(1) splices).  The BMC engine runs a cone-restricted SAT
     sweep of each merged summary.  The result is bit-identical to the
     brute pair enumeration ([reduce:false]) in every field, sequentially

@@ -450,20 +450,51 @@ type clas = {
   cls_summary : summary;
 }
 
+(* A hash that reads every entry of a summary.  The polymorphic
+   [Hashtbl.hash] stops after ten meaningful values, which on summaries
+   is a few record fields and never their list contents: thousands of
+   classes would share a handful of buckets. *)
+let summary_hash sm =
+  let ( ++ ) h x = (h * 65599) + x in
+  let ints h l = List.fold_left ( ++ ) h l ++ -1 in
+  let pairs h l = List.fold_left (fun h (a, b) -> h ++ a ++ b) h l ++ -1 in
+  let triples h l =
+    List.fold_left (fun h (a, b, c) -> h ++ a ++ b ++ Bool.to_int c) h l ++ -1
+  in
+  let h = ints 0 sm.sm_hard_block in
+  let h = ints h sm.sm_corrupt_vertex in
+  let h = ints h sm.sm_corrupt_in in
+  let h = ints h sm.sm_corrupt_out in
+  let h = ints h sm.sm_kill_write in
+  let h = ints h sm.sm_kill_read in
+  let h = ints h sm.sm_mux_out in
+  let h = pairs h sm.sm_mux_in in
+  let h = triples h sm.sm_locked_addr in
+  let h = triples h sm.sm_stuck_shadow in
+  let h = triples h sm.sm_glitch_shadow in
+  Hashtbl.hash (h ++ Bool.to_int sm.sm_pi_dead ++ Bool.to_int sm.sm_po_dead)
+
+module Summary_tbl = Hashtbl.Make (struct
+  type t = summary
+
+  let equal = ( = )
+  let hash = summary_hash
+end)
+
 let collapse (net : Netlist.t) faults =
   let masked = port_mask_table net in
-  let tbl : (summary, t list ref * int ref) Hashtbl.t = Hashtbl.create 256 in
+  let tbl = Summary_tbl.create 256 in
   let order = ref [] in
   List.iter
     (fun f ->
       let sm = summarize ~port_masked:masked net f in
-      match Hashtbl.find_opt tbl sm with
+      match Summary_tbl.find_opt tbl sm with
       | Some (members, w) ->
           members := f :: !members;
           w := !w + weight net f
       | None ->
           let cell = (ref [ f ], ref (weight net f)) in
-          Hashtbl.add tbl sm cell;
+          Summary_tbl.add tbl sm cell;
           order := (sm, cell) :: !order)
     faults;
   List.rev_map

@@ -180,6 +180,11 @@ type clas = {
   cls_summary : summary;
 }
 
+val summary_hash : summary -> int
+(** A hash of the whole summary, every list entry included (the
+    polymorphic [Hashtbl.hash] reads only its first few values).  Equal
+    summaries hash equally; {!collapse} buckets by it. *)
+
 val collapse : Ftrsn_rsn.Netlist.t -> t list -> clas list
 (** Partition a fault list into semantic equivalence classes (equal
     {!summary}), in order of first appearance.  Exact weight bookkeeping:

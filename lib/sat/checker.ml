@@ -48,8 +48,9 @@ type t = {
   mutable trail_len : int;
   mutable qhead : int; (* propagation frontier within the trail *)
   mutable conflict : bool; (* the empty clause is derivable at the root *)
-  index : (int list, cls list ref) Hashtbl.t;
-      (* sorted literal list -> live instances, for deletion by value *)
+  index : (int array, cls list ref) Hashtbl.t;
+      (* sorted literals -> live instances, for deletion by value; keyed
+         by the clauses' own literal arrays *)
   mutable live : int;
   mutable dead_count : int;
   mutable n_lemmas : int;
@@ -208,9 +209,9 @@ let register t lits =
     Array.iter (fun l -> if lval t l >= 0 then incr free) arr;
     let c = { lits = arr; free = !free; dead = false } in
     Array.iter (fun l -> occ_push t.occ.(lidx l) c) arr;
-    (match Hashtbl.find_opt t.index key with
+    (match Hashtbl.find_opt t.index arr with
     | Some r -> r := c :: !r
-    | None -> Hashtbl.add t.index key (ref [ c ]));
+    | None -> Hashtbl.add t.index arr (ref [ c ]));
     t.live <- t.live + 1;
     if c.free = 0 then t.conflict <- true
     else if c.free = 1 then begin
@@ -268,7 +269,7 @@ let add_lemma t lits =
    form — ignoring the deletion only leaves the checker with a stronger
    formula, which is sound for certification). *)
 let delete_clause t lits =
-  let key = key_of lits in
+  let key = Array.of_list (key_of lits) in
   match Hashtbl.find_opt t.index key with
   | None -> ()
   | Some r -> (

@@ -75,3 +75,19 @@ let dominates idom d v =
     let rec walk x = x = d || (x <> idom.(x) && walk idom.(x)) in
     walk v
   end
+
+(* Menger for a vertex [v] and the root: with no edge [root -> v], the
+   maximum number of vertex-independent paths is the minimum vertex
+   separator, which is 1 exactly when [v] has a proper dominator besides
+   the root.  With the edge, the paths are that edge plus those of the
+   graph without it: the second exists iff some other predecessor [u]
+   is reachable without passing through [v] ([v] does not dominate
+   [u]; never the case in a DAG). *)
+let two_paths g idom ~root v =
+  v <> root
+  && idom.(v) = root
+  && ((not (Digraph.has_edge g root v))
+     || List.exists
+          (fun u ->
+            u <> root && u <> v && idom.(u) >= 0 && not (dominates idom v u))
+          (Digraph.pred g v))

@@ -5,7 +5,10 @@
     through [d].  In an RSN dataflow graph the proper dominators of a
     segment are exactly the scan elements whose failure cuts it off from
     the scan-in — the single points of failure of §III-C (the test suite
-    cross-checks this against the Menger-based computation). *)
+    cross-checks this against the Menger-based computation).  One tree
+    from the root and one on the transpose from the sink therefore answer
+    the two-path requirement of every vertex at once ({!two_paths}); this
+    is how [Augment.verify] checks an augmented graph. *)
 
 val idoms : Digraph.t -> root:int -> int array
 (** [idoms g ~root] is the immediate-dominator array: [idoms.(v)] is the
@@ -20,3 +23,13 @@ val dominators : Digraph.t -> root:int -> int -> int list
 val dominates : int array -> int -> int -> bool
 (** [dominates idoms d v] using a precomputed {!idoms} array ([d = v]
     counts as true for reachable [v]). *)
+
+val two_paths : Digraph.t -> int array -> root:int -> int -> bool
+(** [two_paths g idoms ~root v], with [idoms = idoms g ~root], holds iff
+    there are at least two vertex-independent [root]-[v] paths, i.e.
+    [Menger.vertex_disjoint_paths g ~src:root ~dst:v >= 2]: [v] is a
+    reachable child of the root in the dominator tree and, when
+    [root -> v] is itself an edge, another predecessor of [v] is reachable
+    from the root without passing through [v].  Always false for
+    [v = root].  On the transpose from a sink it answers the [v]-[sink]
+    side. *)

@@ -745,6 +745,73 @@ let test_probe_stack_pinned () =
     ]
     (List.concat_map sums nets)
 
+(* The count view of the lane sweep against the verdict view, over the
+   same dispatch: per class the accessible segments and bits of the
+   verdict, the cone size, and the lane statistics — for every stuck-at
+   class of two fault-tolerant networks on the fault-free root, and for
+   the stacked batches of u226-ft's interacting class pairs (about 40
+   rows of the exhaustive pair sweep, spread over the class order). *)
+let test_lane_counts_equal_verdicts () =
+  let ft name =
+    (Ftrsn_core.Pipeline.synthesize
+       (Ftrsn_itc02.Itc02.rsn (Option.get (Ftrsn_itc02.Itc02.find name))))
+      .Ftrsn_core.Pipeline.ft
+  in
+  let same label net stk ctx sms =
+    let vs, st = Engine.analyze_lanes_on ctx stk sms in
+    let cs, st' = Engine.count_lanes_on ctx stk sms in
+    if st <> st' then Alcotest.failf "%s: lane statistics differ" label;
+    Array.iteri
+      (fun j (v, cone) ->
+        let segs = ref 0 and bits = ref 0 in
+        Array.iteri
+          (fun i ok ->
+            if ok then begin
+              incr segs;
+              bits := !bits + Netlist.seg_len net i
+            end)
+          v.Engine.accessible;
+        let c = cs.(j) in
+        if
+          (c.Engine.lc_segs, c.Engine.lc_bits, c.Engine.lc_cone)
+          <> (!segs, !bits, cone)
+        then Alcotest.failf "%s: counts of summary %d differ" label j)
+      vs
+  in
+  List.iter
+    (fun name ->
+      let net = ft name in
+      let ctx = Engine.make_ctx net in
+      let base = Engine.baseline ctx in
+      let sms =
+        Array.of_list
+          (List.map
+             (fun c -> c.Fault.cls_summary)
+             (Fault.collapse net (Fault.universe net)))
+      in
+      same (name ^ "-ft") net (Engine.of_baseline base) ctx sms;
+      if name = "u226" then begin
+        let gates =
+          Array.map (fun sm -> (Engine.probe ctx base sm).Engine.pr_gate) sms
+        in
+        (* every [rows]-th row, so all summary shapes take part *)
+        let rows = max 1 (Array.length sms / 40) in
+        Array.iteri
+          (fun i sm ->
+            let js =
+              List.filter
+                (fun j -> not (Engine.composes gates.(i) gates.(j)))
+                (List.init (Array.length sms - i - 1) (fun k -> i + 1 + k))
+            in
+            if i mod rows = 0 && js <> [] then
+              same
+                (Printf.sprintf "u226-ft row %d" i)
+                net (Engine.stack ctx base sm) ctx
+                (Array.of_list (List.map (Array.get sms) js)))
+          sms
+      end)
+    [ "u226"; "d281" ]
+
 let suite =
   [
     Alcotest.test_case "fault-free: all accessible" `Quick
@@ -808,6 +875,8 @@ let suite =
       test_vectors_roundtrip_consistent;
     Testseed.to_alcotest prop_lanes_equal_scalar;
     Testseed.to_alcotest prop_lanes_on_equal_multi;
+    Alcotest.test_case "lane counts = verdict counts (u226-ft, d281-ft)" `Quick
+      test_lane_counts_equal_verdicts;
     Alcotest.test_case "cone = probe cone (u226 FT rework)" `Quick
       test_cone_is_probe_cone;
     Alcotest.test_case "probe and stack outputs pinned (u226-ft, d281)" `Quick

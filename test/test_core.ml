@@ -748,6 +748,36 @@ let prop_ilp_flow_cost_equal =
       | Some ilp, Some flow -> ilp.Augment.cost = flow.Augment.cost
       | _ -> false)
 
+(* Property: the level-count demands equal their quadratic definition
+   on random DAGs with topological levels; the root and sink are drawn
+   anywhere, so they may have in- and out-edges of their own. *)
+let prop_demands_quadratic =
+  QCheck.Test.make ~name:"demands = quadratic definition on random DAGs"
+    ~count:100
+    QCheck.(pair (int_range 2 16) (int_range 0 100_000))
+    (fun (n, seed) ->
+      let st = Random.State.make [| seed |] in
+      let g = Ftrsn_topo.Digraph.create ~size_hint:n () in
+      Ftrsn_topo.Digraph.add_vertices g n;
+      let density = 5 + Random.State.int st 50 in
+      for i = 0 to n - 2 do
+        for j = i + 1 to n - 1 do
+          if Random.State.int st 100 < density then
+            Ftrsn_topo.Digraph.add_edge g i j
+        done
+      done;
+      let root = Random.State.int st n in
+      let sink = (root + 1 + Random.State.int st (n - 1)) mod n in
+      let p =
+        {
+          Augment.graph = g;
+          levels = Ftrsn_topo.Order.levels g;
+          root;
+          sink;
+        }
+      in
+      Augment.demands p = Augment_oracle.demands p)
+
 let suite =
   [
     Alcotest.test_case "augmentation demands" `Quick test_demands;
@@ -795,4 +825,5 @@ let suite =
       test_ablation_mechanisms_load_bearing;
     Testseed.to_alcotest prop_pipeline_random_sibs;
     Testseed.to_alcotest prop_ilp_flow_cost_equal;
+    Testseed.to_alcotest prop_demands_quadratic;
   ]

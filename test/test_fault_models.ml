@@ -449,6 +449,73 @@ let test_pairs_transient_rejected () =
   | exception Metric.Unsupported _ -> ()
   | _ -> Alcotest.fail "transient pairs must raise Metric.Unsupported"
 
+(* ------------------------------------------------------------------ *)
+(* Fault collapse against a naive reference                            *)
+
+(* Collapse by linear search over the classes found so far: structural
+   equality only, no hashing. *)
+let collapse_reference net faults =
+  let masked = Fault.port_mask_table net in
+  let classes =
+    List.fold_left
+      (fun acc f ->
+        let sm = Fault.summarize ~port_masked:masked net f in
+        let w = Fault.weight net f in
+        if List.exists (fun (sm', _, _) -> sm' = sm) acc then
+          List.map
+            (fun ((sm', fs, w') as c) ->
+              if sm' = sm then (sm', f :: fs, w' + w) else c)
+            acc
+        else (sm, [ f ], w) :: acc)
+      [] faults
+  in
+  List.rev_map
+    (fun (sm, fs, w) ->
+      let members = List.rev fs in
+      {
+        Fault.cls_rep = List.hd members;
+        cls_members = members;
+        cls_weight = w;
+        cls_summary = sm;
+      })
+    classes
+
+let u226_ft () = (Pipeline.synthesize (u226 ())).Pipeline.ft
+
+let test_collapse_reference () =
+  List.iter
+    (fun (name, net) ->
+      List.iter
+        (fun model ->
+          let faults = Fault.universe ~model net in
+          if Fault.collapse net faults <> collapse_reference net faults then
+            Alcotest.failf "%s/%s: collapse differs from the reference" name
+              (Fault.model_to_string model))
+        Fault.all_models)
+    [ ("u226", u226 ()); ("u226-ft", u226_ft ()) ]
+
+(* The summary hash must separate the classes: at least 90% of them get
+   a hash value of their own.  The polymorphic hash gives d695-ft's
+   stuck-at classes 10 values and its bridge classes one. *)
+let test_summary_hash_spread () =
+  let net =
+    (Pipeline.synthesize (Itc02.rsn (Option.get (Itc02.find "d695"))))
+      .Pipeline.ft
+  in
+  List.iter
+    (fun model ->
+      let classes = Fault.collapse net (Fault.universe ~model net) in
+      let hashes = Hashtbl.create 1024 in
+      List.iter
+        (fun c ->
+          Hashtbl.replace hashes (Fault.summary_hash c.Fault.cls_summary) ())
+        classes;
+      let n = List.length classes and d = Hashtbl.length hashes in
+      if 10 * d < 9 * n then
+        Alcotest.failf "d695-ft/%s: %d hash values for %d classes"
+          (Fault.model_to_string model) d n)
+    [ Fault.Stuck; Fault.Bridge ]
+
 let suite =
   [
     Alcotest.test_case "bridge universe sanity" `Quick test_bridge_universe;
@@ -481,4 +548,8 @@ let suite =
       test_pairs_models;
     Alcotest.test_case "pair sweep: transient rejected" `Quick
       test_pairs_transient_rejected;
+    Alcotest.test_case "collapse = naive reference (u226, u226-ft)" `Quick
+      test_collapse_reference;
+    Alcotest.test_case "summary hash separates d695-ft classes" `Quick
+      test_summary_hash_spread;
   ]

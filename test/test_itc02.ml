@@ -12,6 +12,15 @@ module Pipeline = Ftrsn_core.Pipeline
 module Metric = Ftrsn_core.Metric
 module Area = Ftrsn_core.Area
 
+(* The SoCs of the benchmark's Table I workload (p22081 and p93791 are
+   the two left out). *)
+let table1_socs =
+  [ "u226"; "d281"; "d695"; "h953"; "g1023"; "x1331"; "f2126"; "q12710";
+    "t512505"; "a586710"; "p34392" ]
+
+(* Dropped-edge variants checked per Table I SoC. *)
+let variants = 2
+
 let check = Alcotest.check
 let bool_t = Alcotest.bool
 let int_t = Alcotest.int
@@ -71,28 +80,56 @@ let test_structure_identities () =
         soc.Itc02.soc_levels (Sib.depth specs))
     Itc02.all
 
+let result_t = Alcotest.(result unit string)
+
+(* Every [k]-th element, at most [limit] of them. *)
+let spread ~limit l =
+  let n = List.length l in
+  let k = max 1 ((n + limit - 1) / limit) in
+  List.filteri (fun i _ -> i mod k = 0) l
+
 let test_augmentation_all_socs () =
-  (* The flow augmentation must be feasible and verified on every SoC
-     (fast: no metric evaluation). *)
+  (* The flow augmentation must be feasible on every SoC, and the
+     dominator verification must give exactly the max-flow reference's
+     result there and, for the Table I SoCs, on the bare original graph
+     (whose SIB muxes fail the path checks) and on variants with one new
+     edge dropped (which fail the degree checks).  The demands equal
+     their quadratic definition. *)
   List.iter
     (fun soc ->
+      let name = soc.Itc02.soc_name in
       let net = Itc02.rsn soc in
       let p = Augment.of_netlist net in
+      check
+        Alcotest.(pair (array int) (array int))
+        (name ^ " demands = quadratic") (Augment_oracle.demands p)
+        (Augment.demands p);
       let sol = Augment.solve p in
-      (match Augment.verify p sol.Augment.new_edges with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail (soc.Itc02.soc_name ^ ": " ^ e));
+      let got = Augment.verify p sol.Augment.new_edges in
+      check result_t
+        (name ^ " verify = reference")
+        (Augment_oracle.verify p sol.Augment.new_edges)
+        got;
+      check result_t (name ^ " verified") (Ok ()) got;
       (* One new in-edge per vertex except the root (paper SIV-C: at least
          one additional mux at every scan-in port). *)
       check bool_t
-        (soc.Itc02.soc_name ^ " edge count >= segments")
+        (name ^ " edge count >= segments")
         true
-        (List.length sol.Augment.new_edges >= soc.Itc02.soc_segments))
-    [
-      Option.get (Itc02.find "u226");
-      Option.get (Itc02.find "x1331");
-      Option.get (Itc02.find "q12710");
-    ]
+        (List.length sol.Augment.new_edges >= soc.Itc02.soc_segments);
+      if List.mem name table1_socs then begin
+        check result_t (name ^ " bare graph")
+          (Augment_oracle.verify p []) (Augment.verify p []);
+        List.iter
+          (fun e ->
+            let kept = List.filter (fun e' -> e' <> e) sol.Augment.new_edges in
+            let i, j = e in
+            check result_t
+              (Printf.sprintf "%s without (%d, %d)" name i j)
+              (Augment_oracle.verify p kept) (Augment.verify p kept))
+          (spread ~limit:variants sol.Augment.new_edges)
+      end)
+    Itc02.all
 
 let test_full_row_q12710 () =
   (* Full Table I row for the smallest SoC: SIB worst 0, FT worst all but

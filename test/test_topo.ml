@@ -398,6 +398,46 @@ let prop_menger_bounds =
       done;
       !ok)
 
+(* Property: the dominator two-path test equals Menger's count >= 2 on
+   random DAGs, on the root side and (on the transpose) the sink side.
+   Direct root -> v and v -> sink edges are drawn on purpose: they are
+   the case where the dominator tree alone does not decide. *)
+let prop_dominator_two_paths =
+  QCheck.Test.make ~name:"dominator two paths = menger >= 2" ~count:100
+    QCheck.(pair (int_range 3 14) (int_range 0 100_000))
+    (fun (n, seed) ->
+      let st = Random.State.make [| seed |] in
+      let g = Digraph.create ~size_hint:n () in
+      Digraph.add_vertices g n;
+      let root = 0 and sink = n - 1 in
+      let density = 10 + Random.State.int st 40 in
+      for i = 0 to n - 2 do
+        for j = i + 1 to n - 1 do
+          if Random.State.int st 100 < density then Digraph.add_edge g i j
+        done
+      done;
+      for v = 1 to n - 2 do
+        if Random.State.bool st then Digraph.add_edge g root v;
+        if Random.State.bool st then Digraph.add_edge g v sink
+      done;
+      let from_root = Dominator.idoms g ~root in
+      let gt = Digraph.transpose g in
+      let to_sink = Dominator.idoms gt ~root:sink in
+      let ok = ref true in
+      for v = 0 to n - 1 do
+        if v <> root then
+          if
+            Dominator.two_paths g from_root ~root v
+            <> (Menger.vertex_disjoint_paths g ~src:root ~dst:v >= 2)
+          then ok := false;
+        if v <> sink then
+          if
+            Dominator.two_paths gt to_sink ~root:sink v
+            <> (Menger.vertex_disjoint_paths g ~src:v ~dst:sink >= 2)
+          then ok := false
+      done;
+      !ok)
+
 let suite =
   [
     Alcotest.test_case "digraph basics" `Quick test_digraph_basics;
@@ -427,4 +467,5 @@ let suite =
     Alcotest.test_case "dot export" `Quick test_dot_export;
     Testseed.to_alcotest prop_spof_equals_dominators;
     Testseed.to_alcotest prop_menger_bounds;
+    Testseed.to_alcotest prop_dominator_two_paths;
   ]
