@@ -693,8 +693,6 @@ module Session = struct
         if sess.active = Some faults then sess.active <- None
     | None -> ()
 
-  let retire_fault sess fault = retire_faults sess (Option.to_list fault)
-
   (* The per-fault-set encoding.  Switching to a different set retires the
      previous one, so sequential sweeps over a fault universe keep the
      solver's live clause set bounded by one set's encoding (plus the

@@ -131,10 +131,6 @@ module Session : sig
   val netlist : t -> Ftrsn_rsn.Netlist.t
   (** The netlist of the session's model ([netlist (model sess)]). *)
 
-  val retire_fault : t -> Ftrsn_fault.Fault.t option -> unit
-  (** Explicitly retire a fault's clause groups (normally automatic when
-      the next query concerns a different fault). *)
-
   type query_stat = {
     q_emitted : int;    (** clauses emitted into the solver by this query *)
     q_reused : int;     (** emitter memo hits (already-encoded nodes) *)

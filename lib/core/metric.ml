@@ -475,8 +475,6 @@ let locked w f =
   Mutex.lock w.w_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock w.w_lock) f
 
-let warm_netlist w = w.w_net
-
 let warm_ctx w =
   locked w (fun () ->
       match w.w_ctx with

@@ -171,8 +171,6 @@ type warm
 val warm : Ftrsn_rsn.Netlist.t -> warm
 (** An empty warm state; artifacts are built lazily on first use. *)
 
-val warm_netlist : warm -> Ftrsn_rsn.Netlist.t
-
 val warm_ctx : warm -> Ftrsn_access.Engine.ctx
 (** The shared structural context (built on first call). *)
 

@@ -18,7 +18,6 @@ type problem = {
   nv : int;
   obj : float array;
   mutable rows : row list;
-  mutable nrows : int;
   lo : float array;
   hi : float array;
 }
@@ -30,7 +29,6 @@ let make ~num_vars ~objective =
     nv = num_vars;
     obj = Array.copy objective;
     rows = [];
-    nrows = 0;
     lo = Array.make num_vars 0.0;
     hi = Array.make num_vars infinity;
   }
@@ -49,8 +47,7 @@ let add_constraint p ~coeffs ~op ~rhs =
       Hashtbl.replace tbl i (prev +. a))
     coeffs;
   let coeffs = Hashtbl.fold (fun i a acc -> (i, a) :: acc) tbl [] in
-  p.rows <- { coeffs; op; rhs } :: p.rows;
-  p.nrows <- p.nrows + 1
+  p.rows <- { coeffs; op; rhs } :: p.rows
 
 let set_bounds p i ~lo ~hi =
   if i < 0 || i >= p.nv then invalid_arg "Simplex.set_bounds: bad variable";
@@ -59,7 +56,6 @@ let set_bounds p i ~lo ~hi =
   p.hi.(i) <- hi
 
 let num_vars p = p.nv
-let num_constraints p = p.nrows
 
 type outcome =
   | Optimal of { obj : float; x : float array }

@@ -24,7 +24,6 @@ val set_bounds : problem -> int -> lo:float -> hi:float -> unit
     non-negative and at most [hi]. *)
 
 val num_vars : problem -> int
-val num_constraints : problem -> int
 
 type outcome =
   | Optimal of { obj : float; x : float array }

@@ -45,7 +45,6 @@ let add_mux b ?(tmr = false) ?rescue_from ~name ~inputs ~addr () =
   b.nmuxes - 1
 
 let seg_count b = b.nsegs
-let mux_count b = b.nmuxes
 
 let finish b ?(select_hardened = false) ?(dual_ports = false) ~out () =
   let net =

@@ -30,7 +30,6 @@ val add_mux :
 (** Adds a scan multiplexer and returns its index. *)
 
 val seg_count : b -> int
-val mux_count : b -> int
 
 val finish :
   b ->

@@ -750,12 +750,15 @@ let test_probe_stack_pinned () =
    verdict, the cone size, and the lane statistics — for every stuck-at
    class of two fault-tolerant networks on the fault-free root, and for
    the stacked batches of u226-ft's interacting class pairs (about 40
-   rows of the exhaustive pair sweep, spread over the class order). *)
+   rows of the exhaustive pair sweep, spread over the class order).  The
+   verdict view itself is held against the scalar engine, class by class,
+   on the full stuck-at universes of two SIB networks. *)
 let test_lane_counts_equal_verdicts () =
+  let soc name =
+    Ftrsn_itc02.Itc02.rsn (Option.get (Ftrsn_itc02.Itc02.find name))
+  in
   let ft name =
-    (Ftrsn_core.Pipeline.synthesize
-       (Ftrsn_itc02.Itc02.rsn (Option.get (Ftrsn_itc02.Itc02.find name))))
-      .Ftrsn_core.Pipeline.ft
+    (Ftrsn_core.Pipeline.synthesize (soc name)).Ftrsn_core.Pipeline.ft
   in
   let same label net stk ctx sms =
     let vs, st = Engine.analyze_lanes_on ctx stk sms in
@@ -810,7 +813,23 @@ let test_lane_counts_equal_verdicts () =
                 (Array.of_list (List.map (Array.get sms) js)))
           sms
       end)
-    [ "u226"; "d281" ]
+    [ "u226"; "d281" ];
+  List.iter
+    (fun name ->
+      let net = soc name in
+      let ctx = Engine.make_ctx net in
+      let classes =
+        Array.of_list (Fault.collapse net (Fault.universe net))
+      in
+      let vs, _ = Engine.analyze_lanes_stats ctx classes in
+      Array.iteri
+        (fun i c ->
+          if vs.(i) <> Engine.analyze ctx (Some c.Fault.cls_rep) then
+            Alcotest.failf "%s: lane verdict of %s differs from Engine.analyze"
+              name
+              (Fault.to_string net c.Fault.cls_rep))
+        classes)
+    [ "d695"; "u226" ]
 
 let suite =
   [
@@ -875,7 +894,9 @@ let suite =
       test_vectors_roundtrip_consistent;
     Testseed.to_alcotest prop_lanes_equal_scalar;
     Testseed.to_alcotest prop_lanes_on_equal_multi;
-    Alcotest.test_case "lane counts = verdict counts (u226-ft, d281-ft)" `Quick
+    Alcotest.test_case
+      "lane counts = verdict counts (u226-ft, d281-ft), lanes = analyze (d695, u226)"
+      `Quick
       test_lane_counts_equal_verdicts;
     Alcotest.test_case "cone = probe cone (u226 FT rework)" `Quick
       test_cone_is_probe_cone;

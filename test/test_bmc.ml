@@ -465,7 +465,8 @@ let cert_stats_of sess =
   | Some c -> c
   | None -> Alcotest.fail "certified session must report cert stats"
 
-let certified_agrees_on ?(every = 1) ?targets ?learnt_limit net =
+let certified_agrees_on ?(every = 1) ?targets ?learnt_limit
+    ?(inprocess = false) net =
   let sess = Bmc.Session.create ~certify:true (Bmc.create net) in
   let plain = Bmc.Session.create (Bmc.create net) in
   (* A forced-small learnt limit makes the sessions go through LBD-tiered
@@ -475,6 +476,12 @@ let certified_agrees_on ?(every = 1) ?targets ?learnt_limit net =
   | Some _ ->
       Ftrsn_sat.Solver.set_learnt_limit (Bmc.Session.solver sess) learnt_limit;
       Ftrsn_sat.Solver.set_learnt_limit (Bmc.Session.solver plain) learnt_limit);
+  (* [~inprocess] forces one inprocessing pass on the certified session
+     halfway through the targets (the schedule would not fire on nets this
+     small) and keeps the plain session unsimplified: the simplification's
+     clauses go through the checker, and verdicts must not move. *)
+  if inprocess then
+    Ftrsn_sat.Solver.set_inprocess (Bmc.Session.solver plain) false;
   (* PI stuck-at seals everything: guarantees UNSAT verdicts to certify. *)
   let faults =
     pi_stuck
@@ -485,8 +492,10 @@ let certified_agrees_on ?(every = 1) ?targets ?learnt_limit net =
     | Some ts -> ts
     | None -> List.init (Netlist.num_segments net) Fun.id
   in
-  List.iter
-    (fun target ->
+  List.iteri
+    (fun k target ->
+      if inprocess && k = List.length targets / 2 then
+        Ftrsn_sat.Solver.inprocess (Bmc.Session.solver sess);
       let cv = Bmc.Session.check_faults sess ~target faults in
       let pv = Bmc.Session.check_faults plain ~target faults in
       List.iteri
@@ -504,9 +513,21 @@ let certified_agrees_on ?(every = 1) ?targets ?learnt_limit net =
   check bool_t "proof lemmas were verified" true
     (c.Bmc.Session.cert_lemmas > 0);
   check bool_t "input clauses were mirrored" true
-    (c.Bmc.Session.cert_inputs > 0)
+    (c.Bmc.Session.cert_inputs > 0);
+  let search = (Bmc.Session.stats sess).Bmc.Session.search in
+  if learnt_limit <> None then begin
+    check bool_t "lemmas were learnt" true
+      (search.Ftrsn_sat.Solver.st_learnt_lits > 0);
+    check bool_t "the learnt limit forced DB reductions" true
+      (search.Ftrsn_sat.Solver.st_reductions > 0)
+  end;
+  if inprocess then
+    check bool_t "the mid-sweep inprocessing pass ran" true
+      (search.Ftrsn_sat.Solver.st_simp_passes >= 1)
 
-let test_certified_small_sib () = certified_agrees_on (small_sib ())
+let test_certified_small_sib () =
+  certified_agrees_on ~inprocess:true (small_sib ())
+
 let test_certified_fig2 () = certified_agrees_on (fig2 ())
 let test_certified_wide_mux () = certified_agrees_on (wide_mux ())
 

@@ -488,24 +488,43 @@ let test_checker_deletion () =
 
 let test_certified_php () =
   (* The canonical hard UNSAT family end-to-end: every learnt clause of
-     PHP(4,3) verifies, and the final empty clause is accepted. *)
-  let s, chk, bad = certified_solver () in
-  let v p h = (p * 3) + h + 1 in
-  for p = 0 to 3 do
-    Solver.add_clause s [ v p 0; v p 1; v p 2 ]
-  done;
-  for h = 0 to 2 do
-    for p1 = 0 to 3 do
-      for p2 = p1 + 1 to 3 do
-        Solver.add_clause s [ -(v p1 h); -(v p2 h) ]
+     PHP(4,3) verifies, and the final empty clause is accepted.  PHP(6,5)
+     runs behind a forced preprocessing pass, which must simplify
+     something: its derived clauses are checked the same way. *)
+  let php ?(preprocess = false) holes =
+    let s, chk, bad = certified_solver () in
+    let v p h = (p * holes) + h + 1 in
+    for p = 0 to holes do
+      Solver.add_clause s (List.init holes (v p))
+    done;
+    for h = 0 to holes - 1 do
+      for p1 = 0 to holes do
+        for p2 = p1 + 1 to holes do
+          Solver.add_clause s [ -(v p1 h); -(v p2 h) ]
+        done
       done
-    done
-  done;
-  check bool_t "PHP(4,3) unsat" false (is_sat (Solver.solve s));
-  check bool_t "no lemma rejected" true (!bad = None);
-  check bool_t "refutation certified" true (Checker.contradiction chk);
-  let lemmas, _, _ = Checker.stats chk in
-  check bool_t "proof is non-trivial" true (lemmas > 0)
+    done;
+    if preprocess then begin
+      Solver.inprocess s;
+      let st = Solver.search_stats s in
+      check bool_t "preprocessing pass ran" true
+        (st.Solver.st_simp_passes >= 1);
+      check bool_t "preprocessing simplified something" true
+        (st.Solver.st_eliminated_vars + st.Solver.st_subsumed
+         + st.Solver.st_strengthened_lits + st.Solver.st_vivified_lits
+        > 0)
+    end;
+    check bool_t
+      (Printf.sprintf "PHP(%d,%d) unsat" (holes + 1) holes)
+      false
+      (is_sat (Solver.solve s));
+    check bool_t "no lemma rejected" true (!bad = None);
+    check bool_t "refutation certified" true (Checker.contradiction chk);
+    let lemmas, _, _ = Checker.stats chk in
+    check bool_t "proof is non-trivial" true (lemmas > 0)
+  in
+  php 3;
+  php ~preprocess:true 5
 
 let test_certified_retirement () =
   (* The PR-1 lifecycle under certification: activation groups, failed
