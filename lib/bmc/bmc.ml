@@ -104,10 +104,12 @@ and session = {
      sweep.  List order is the caller's; the metric's pair sweep always
      passes [rep_i; rep_j] with i < j, so keys stay canonical. *)
   fenc : (Fault.t list, fault_enc) Hashtbl.t;
+  (* Fault-free transition skeleton per step, built once and shared by
+     every fault: skeleton.(step).(seg).(bit) is the keep node
+     [next <-> cur] and the permanent literal of [writable \/ keep]. *)
+  mutable skeleton : (Expr.t * int) array array array;
   mutable active : Fault.t list option;  (* last queried fault set *)
   mutable queries : int;
-  (* newest first: (emitted, reused, conflicts, sat) per query *)
-  mutable qlog : (int * int * int * bool) list;
   (* fault-free verdicts of the last base-target list queried through
      [check_targets_base]; verdicts are deterministic per model, so a
      long-lived (pooled) session answers repeated baseline sweeps from
@@ -526,13 +528,6 @@ module Session = struct
 
   type t = session
 
-  type query_stat = {
-    q_emitted : int;
-    q_reused : int;
-    q_conflicts : int;
-    q_sat : bool;
-  }
-
   type cert_stats = {
     cert_unsat : int;
     cert_lemmas : int;
@@ -546,7 +541,6 @@ module Session = struct
     clauses_emitted : int;
     nodes_reused : int;
     search : Solver.search_stats;
-    per_query : query_stat list;
     cert : cert_stats option;
   }
 
@@ -609,10 +603,10 @@ module Session = struct
       sprimaries = Hashtbl.create 64;
       base_fs = summarize_faults model [];
       base_circuits = [||];
+      skeleton = [||];
       fenc = Hashtbl.create 16;
       active = None;
       queries = 0;
-      qlog = [];
       base_cache = None;
       ip_conflicts = 0;
       ip_props = 0;
@@ -767,100 +761,134 @@ module Session = struct
     done;
     fe.fe_circuits.(tstep)
 
+  (* Writability of a segment at one step: on the active path with clean
+     write data, and not killed outright by the fault. *)
+  let writable_of sess fs (c : step_exprs) s =
+    if fs.kill_write s then Expr.efalse sess.sctx
+    else
+      Expr.and_ sess.sctx
+        c.on.(Netlist.Elt.of_seg s)
+        (Expr.not_ sess.sctx c.dirty_in.(s))
+
+  (* The fault-independent part of the transition from [tstep] to
+     [tstep + 1]: the keep cone and the fault-free transition cone of
+     every shadow bit, encoded permanently (ungrouped) once per step, so
+     every fault's cones hash-cons onto it.  The literal is a Tseitin
+     definition only — it asserts nothing until a fault's group gates a
+     unit clause on it. *)
+  let skeleton_at sess tstep =
+    while Array.length sess.skeleton <= tstep do
+      let t0 = Array.length sess.skeleton in
+      let bc = base_circuits_at sess t0 in
+      ensure_steps sess (t0 + 1);
+      let cur = sess.shadows.(t0) in
+      let row =
+        Array.mapi
+          (fun s next_bits ->
+            let w = writable_of sess sess.base_fs bc s in
+            Array.mapi
+              (fun b next ->
+                let keep = Expr.iff_ sess.sctx next cur.(s).(b) in
+                (keep, Cnf.lit sess.em (Expr.or_ sess.sctx w keep)))
+              next_bits)
+          sess.shadows.(t0 + 1)
+      in
+      sess.skeleton <- Array.append sess.skeleton [| row |]
+    done;
+    sess.skeleton.(tstep)
+
   (* Transition relation between consecutive steps (eq. 1 extended): a
      shadow bit changes only when its segment is on the active path with
      clean write data.  Emitted once per fault and depth, gated by the
      fault's activation, and grown monotonically — transitions for steps
      beyond a query's depth are harmless (any prefix extends by keeping
-     every shadow bit). *)
+     every shadow bit).  A bit whose transition the fault cannot change —
+     its segment outside the fault's on-path and write-corruption cones,
+     not killed, not glitched at step 0 — gates the skeleton literal
+     itself; only the others build a perturbed cone under the group. *)
   let ensure_transitions sess fe depth =
-    let net = sess.model.net in
-    let nsegs = Netlist.num_segments net in
-    let writable_of fs (c : step_exprs) s =
-      if fs.kill_write s then Expr.efalse sess.sctx
-      else
-        Expr.and_ sess.sctx
-          c.on.(Netlist.Elt.of_seg s)
-          (Expr.not_ sess.sctx c.dirty_in.(s))
-    in
+    let fs = fe.fe_fs and tt = fe.fe_taint in
     while fe.fe_depth < depth do
       let tstep = fe.fe_depth in
+      let skel = skeleton_at sess tstep in
       let c = circuits_at sess fe tstep in
-      let bc = base_circuits_at sess tstep in
-      ensure_steps sess (tstep + 1);
-      let cur = sess.shadows.(tstep) and next = sess.shadows.(tstep + 1) in
-      for s = 0 to nsegs - 1 do
-        for b = 0 to net.Netlist.segs.(s).Netlist.seg_shadow - 1 do
-          let keep = Expr.iff_ sess.sctx next.(s).(b) cur.(s).(b) in
-          (* Fault-independent skeleton — the keep cone and the fault-free
-             transition cone — is encoded permanently (ungrouped), so
-             every fault's cones hash-cons onto it.  Only the perturbed
-             delta of this fault's transition is gated by (and retired
-             with) the fault's clause group. *)
-          ignore
-            (Cnf.lit sess.em
-               (Expr.or_ sess.sctx (writable_of sess.base_fs bc s) keep));
-          (* A glitched bit's step-0 value is the upset constant, not the
-             shared reset constant: substitute it in this fault's gated
-             keep (the ungrouped skeleton literal above is a Tseitin
-             definition only — it asserts nothing). *)
-          let keep_f =
-            if tstep = 0 then
-              match fe.fe_fs.glitch s b with
-              | Some v ->
-                  Expr.iff_ sess.sctx next.(s).(b) (Expr.const sess.sctx v)
-              | None -> keep
-            else keep
+      let next = sess.shadows.(tstep + 1) in
+      Array.iteri
+        (fun s bits ->
+          let perturbed =
+            fs.kill_write s
+            || tt.t_on.(Netlist.Elt.of_seg s)
+            || tt.t_dirty_in.(s)
           in
-          let l =
-            Cnf.lit ~under:fe.fe_act sess.em
-              (Expr.or_ sess.sctx (writable_of fe.fe_fs c s) keep_f)
-          in
-          Cnf.emit_clause ~under:fe.fe_act sess.em [ l ]
-        done
-      done;
+          Array.iteri
+            (fun b (keep, skel_lit) ->
+              (* A glitched bit's step-0 value is the upset constant, not
+                 the shared reset constant: substitute it in this fault's
+                 gated keep. *)
+              let glitch = if tstep = 0 then fs.glitch s b else None in
+              let l =
+                if (not perturbed) && glitch = None then skel_lit
+                else
+                  let keep =
+                    match glitch with
+                    | Some v ->
+                        Expr.iff_ sess.sctx next.(s).(b) (Expr.const sess.sctx v)
+                    | None -> keep
+                  in
+                  Cnf.lit ~under:fe.fe_act sess.em
+                    (Expr.or_ sess.sctx (writable_of sess fs c s) keep)
+              in
+              Cnf.emit_clause ~under:fe.fe_act sess.em [ l ])
+            bits)
+        skel;
       fe.fe_depth <- tstep + 1
     done
+
+  (* The goal at one step: the target on the active path, with clean write
+     data (write) or an uncorrupted route to the scan-out (read). *)
+  let goal_expr sess goal target (c : step_exprs) =
+    let e = Netlist.Elt.of_seg target in
+    let corrupt =
+      match goal with G_write -> c.dirty_in.(target) | G_read -> c.after.(e)
+    in
+    Expr.and_ sess.sctx c.on.(e) (Expr.not_ sess.sctx corrupt)
 
   let goal_act sess fe goal target depth =
     let key = ((goal = G_write), target, depth) in
     match Hashtbl.find_opt fe.fe_goals key with
     | Some a -> a
     | None ->
-        let goal_expr (cfin : step_exprs) =
-          match goal with
-          | G_write ->
-              Expr.and_ sess.sctx
-                cfin.on.(Netlist.Elt.of_seg target)
-                (Expr.not_ sess.sctx cfin.dirty_in.(target))
-          | G_read ->
-              Expr.and_ sess.sctx
-                cfin.on.(Netlist.Elt.of_seg target)
-                (Expr.not_ sess.sctx cfin.after.(Netlist.Elt.of_seg target))
-        in
         (* Permanent fault-free goal cone first (shared skeleton), then
            this fault's gated delta. *)
-        ignore (Cnf.lit sess.em (goal_expr (base_circuits_at sess depth)));
-        let ge = goal_expr (circuits_at sess fe depth) in
+        ignore
+          (Cnf.lit sess.em
+             (goal_expr sess goal target (base_circuits_at sess depth)));
+        let ge = goal_expr sess goal target (circuits_at sess fe depth) in
         let a = Solver.new_activation sess.solver in
         Cnf.emit_clause ~under:a sess.em
           [ Cnf.lit ~under:fe.fe_act sess.em ge ];
         Hashtbl.add fe.fe_goals key a;
         a
 
-  (* Decode the model of a Sat answer into the witness configuration
-     sequence.  Model lookup goes through the emitter: an expression
+  let lit_value sess l =
+    if l > 0 then Solver.value sess.solver l
+    else not (Solver.value sess.solver (-l))
+
+  (* Value of an expression variable in the model of the last Sat answer.
+     Only variable literals are read: a node literal may belong to a
+     retired clause group, whose definitions no longer constrain it.  A
      variable that never reached the solver is unconstrained and reads as
      false, exactly as in the one-shot encoding. *)
+  let var_value sess e =
+    match Cnf.find_lit sess.em e with
+    | None -> false
+    | Some l -> lit_value sess l
+
+  (* Decode the model of a Sat answer into the witness configuration
+     sequence of steps [0 .. steps]. *)
   let decode sess steps =
     let value_of e =
-      match Expr.var_index e with
-      | None -> Expr.is_true e
-      | Some _ -> (
-          match Cnf.find_lit sess.em e with
-          | None -> false
-          | Some l when l > 0 -> Solver.value sess.solver l
-          | Some l -> not (Solver.value sess.solver (-l)))
+      if Expr.var_index e = None then Expr.is_true e else var_value sess e
     in
     List.init (steps + 1) (fun tstep ->
         let shadows =
@@ -873,12 +901,33 @@ module Session = struct
               else
                 match Cnf.find_lit sess.em e with
                 | None -> acc
-                | Some l when l > 0 -> (p, Solver.value sess.solver l) :: acc
-                | Some l -> (p, not (Solver.value sess.solver (-l))) :: acc)
+                | Some l -> (p, lit_value sess l) :: acc)
             sess.sprimaries []
         in
         { Ftrsn_rsn.Config.shadows; primaries })
 
+  (* The earliest step in [1 .. depth] at which the goal holds in the model
+     of a Sat answer at [depth], evaluated over the variables' values. *)
+  let earliest sess fe goal target depth =
+    let env i = var_value sess (Expr.var sess.sctx i) in
+    let rec go i =
+      if
+        i >= depth
+        || Expr.eval env (goal_expr sess goal target (circuits_at sess fe i))
+      then i
+      else go (i + 1)
+    in
+    go 1
+
+  (* Minimal-depth goal search.  The unrolling is monotone — every
+     transition allows a bit to keep its value, so a trace can always
+     stutter — so one Unsat at a depth settles every shallower one.
+     Depth 0 first (the common case, no transitions needed); then the
+     bound, whose Unsat means Inaccessible; then, on Sat, descend: with
+     [e] the earliest step at which the model meets the goal, solve at
+     [e - 1].  Unsat there makes [e] the minimal depth, Sat gives an
+     earlier [e]; depth 0 is already known Unsat.  So a goal costs at
+     most two Unsat answers, whatever the bound. *)
   let check_goal ?(want_witness = false) sess faults goal ~max_steps ~target =
     let fe = enc sess faults in
     let fs = fe.fe_fs in
@@ -888,32 +937,28 @@ module Session = struct
       | G_write -> fs.kill_write target || fs.pi_dead
       | G_read -> fs.kill_read target || fs.po_dead
     in
-    if statically_dead then begin
-      sess.qlog <- (0, 0, 0, false) :: sess.qlog;
-      (Inaccessible, [])
-    end
-    else begin
-      let em0, ru0 = Cnf.emitter_stats sess.em in
-      let cf0, _, _ = Solver.stats sess.solver in
-      let result = ref None in
-      let n = ref 0 in
-      while !result = None && !n <= max_steps do
-        let depth = !n in
-        ensure_transitions sess fe depth;
-        let g = goal_act sess fe goal target depth in
-        (match Solver.solve ~assumptions:[ fe.fe_act; g ] sess.solver with
-        | Solver.Sat ->
-            let witness = if want_witness then decode sess depth else [] in
-            result := Some (Accessible depth, witness)
-        | Solver.Unsat -> certify_unsat sess);
-        incr n
-      done;
-      let em1, ru1 = Cnf.emitter_stats sess.em in
-      let cf1, _, _ = Solver.stats sess.solver in
-      sess.qlog <-
-        (em1 - em0, ru1 - ru0, cf1 - cf0, !result <> None) :: sess.qlog;
-      match !result with Some r -> r | None -> (Inaccessible, [])
-    end
+    let solve depth =
+      ensure_transitions sess fe depth;
+      let g = goal_act sess fe goal target depth in
+      match Solver.solve ~assumptions:[ fe.fe_act; g ] sess.solver with
+      | Solver.Sat -> true
+      | Solver.Unsat ->
+          certify_unsat sess;
+          false
+    in
+    (* The model's trace up to the reported depth is the witness, decoded
+       before the next solve overwrites the model. *)
+    let witness depth = if want_witness then decode sess depth else [] in
+    let rec descend depth =
+      let e = earliest sess fe goal target depth in
+      let w = witness e in
+      if e = 1 || not (solve (e - 1)) then (Accessible e, w)
+      else descend (e - 1)
+    in
+    if statically_dead || max_steps < 0 then (Inaccessible, [])
+    else if solve 0 then (Accessible 0, witness 0)
+    else if max_steps = 0 || not (solve max_steps) then (Inaccessible, [])
+    else descend max_steps
 
   let steps_for sess max_steps =
     Option.value ~default:(default_steps sess.model) max_steps
@@ -1011,11 +1056,6 @@ module Session = struct
       clauses_emitted = em;
       nodes_reused = ru;
       search = Solver.search_stats sess.solver;
-      per_query =
-        List.rev_map
-          (fun (e, r, cf, sat) ->
-            { q_emitted = e; q_reused = r; q_conflicts = cf; q_sat = sat })
-          sess.qlog;
       cert =
         Option.map
           (fun cs ->

@@ -35,8 +35,8 @@ val netlist : t -> Ftrsn_rsn.Netlist.t
 
 type verdict =
   | Accessible of int
-      (** accessible; payload = number of CSU operations needed (the
-          unrolling depth at which the check succeeded) *)
+      (** accessible; payload = number of CSU operations needed: the
+          minimal unrolling depth within [max_steps] *)
   | Inaccessible
 
 type model = t
@@ -47,8 +47,13 @@ type model = t
 
     The transition relation of each queried fault is encoded once per
     depth and only grown, never rebuilt; each (goal, target, depth) gets
-    an activation literal so a query is a [solve ~assumptions] call with
-    exactly two assumptions.  Switching to a different fault retires the
+    an activation literal, so a solve at one depth is a
+    [solve ~assumptions] call with exactly two assumptions.  A goal is
+    decided by a monotone search, not one solve per depth: depth 0, then
+    the bound [max_steps] (Unsat there is [Inaccessible]), then a descent
+    below the earliest step at which the Sat model meets the goal — at
+    most two Unsat answers per goal (see DESIGN.md §7).  Switching to a
+    different fault retires the
     previous fault's clause groups (see DESIGN.md), so sweeping a fault
     universe keeps the live clause set bounded while the shared Tseitin
     cones keep later faults cheaper to encode than the first. *)
@@ -131,13 +136,6 @@ module Session : sig
   val netlist : t -> Ftrsn_rsn.Netlist.t
   (** The netlist of the session's model ([netlist (model sess)]). *)
 
-  type query_stat = {
-    q_emitted : int;    (** clauses emitted into the solver by this query *)
-    q_reused : int;     (** emitter memo hits (already-encoded nodes) *)
-    q_conflicts : int;  (** solver conflicts during this query *)
-    q_sat : bool;
-  }
-
   type cert_stats = {
     cert_unsat : int;    (** [Unsat] verdicts certified *)
     cert_lemmas : int;   (** solver derivations RUP-verified *)
@@ -155,7 +153,6 @@ module Session : sig
     nodes_reused : int;     (** cumulative emitter memo hits *)
     search : Ftrsn_sat.Solver.search_stats;
         (** cumulative counters of the session's solver *)
-    per_query : query_stat list;  (** chronological *)
     cert : cert_stats option;  (** [Some] iff the session is certified *)
   }
 

@@ -289,15 +289,20 @@ let test_bmc_depth_equals_plan_steps () =
     | _ -> Alcotest.fail "both must succeed fault-free"
   done
 
+(* A k-level SIB nesting: k - 1 SIBs around one leaf instrument, which
+   is the last segment. *)
+let sib_nest k =
+  let rec nest d =
+    if d = 0 then Sib.leaf ~name:(Printf.sprintf "leaf%d" k) ~len:2
+    else Sib.Sib { name = Printf.sprintf "g%d_%d" k d; inner = [ nest (d - 1) ] }
+  in
+  Sib.build ~name:"deep" [ nest (k - 1) ]
+
 let test_depth_grows_with_nesting () =
   (* A k-level SIB nesting needs exactly k configuration CSUs to reach the
      innermost instrument: the unrolling depth reported by the BMC. *)
   for k = 1 to 4 do
-    let rec nest d =
-      if d = 0 then Sib.leaf ~name:(Printf.sprintf "leaf%d" k) ~len:2
-      else Sib.Sib { name = Printf.sprintf "g%d_%d" k d; inner = [ nest (d - 1) ] }
-    in
-    let net = Sib.build ~name:"deep" [ nest (k - 1) ] in
+    let net = sib_nest k in
     let t = Bmc.create net in
     (* innermost instrument = last segment *)
     let target = Netlist.num_segments net - 1 in
@@ -358,27 +363,43 @@ let test_session_check_targets () =
         (fault_vs.(i) = Bmc.check_access reference ~fault ~target ()))
     targets
 
-let validate_witness net target (steps, configs) =
-  check int_t "steps + 1 configurations" (steps + 1) (List.length configs);
-  check bool_t "starts at reset" true
-    (Config.equal (List.hd configs) (Config.reset net));
+(* A decoded write witness replays on the simulator: [steps + 1]
+   configurations from reset, each step changing only shadow bits of
+   segments on the previous active path, the last one exposing the
+   target.  [inj] replays under a stuck-at fault; [start] is the state a
+   transient fault's unrolling really starts from (reset with the upset
+   bit), which stands in for the decoded reset configuration. *)
+let validate_witness ?(inj = Sim.no_injection) ?start net target
+    (steps, configs) =
+  let fail = Alcotest.failf in
+  if List.length configs <> steps + 1 then
+    fail "%d configurations for %d steps" (List.length configs) steps;
+  if not (Config.equal (List.hd configs) (Config.reset net)) then
+    fail "witness does not start at reset";
+  let configs =
+    match start with Some c -> c :: List.tl configs | None -> configs
+  in
+  let path c =
+    match Sim.active_path net inj c with
+    | Some p -> p
+    | None -> fail "invalid configuration in the witness"
+  in
   let rec walk = function
     | c1 :: (c2 :: _ as tl) ->
-        (match Sim.active_path net Sim.no_injection c1 with
-        | None -> Alcotest.fail "intermediate config invalid"
-        | Some path ->
-            for s = 0 to Netlist.num_segments net - 1 do
-              if c1.Config.shadows.(s) <> c2.Config.shadows.(s) then
-                check bool_t "changed segment was on the path" true
-                  (List.mem s path)
-            done);
+        let p = path c1 in
+        for s = 0 to Netlist.num_segments net - 1 do
+          if
+            c1.Config.shadows.(s) <> c2.Config.shadows.(s)
+            && not (List.mem s p)
+          then
+            fail "%s changed off the active path" (Netlist.segment_name net s)
+        done;
         walk tl
     | _ -> ()
   in
   walk configs;
-  match Sim.active_path net Sim.no_injection (List.nth configs steps) with
-  | Some path -> check bool_t "target exposed" true (List.mem target path)
-  | None -> Alcotest.fail "final config invalid"
+  if not (List.mem target (path (List.nth configs steps))) then
+    fail "target %s not exposed" (Netlist.segment_name net target)
 
 let test_witness_through_reused_solver () =
   (* Regression: model decoding stays correct after the solver has served
@@ -405,7 +426,8 @@ let test_emissions_decrease () =
      an inaccessible one, so it unrolls to full depth and pays for the
      whole shared skeleton (step variables, keep-chains, circuit cones);
      every later query over the same network then re-emits strictly less,
-     and repeating a query emits nothing at all. *)
+     and repeating a query emits nothing at all.  Each query's emissions
+     are the [clauses_emitted] delta around its call. *)
   let net = small_sib () in
   let sess = Bmc.Session.create (Bmc.create net) in
   let target = 2 (* c1, the deepest kind of segment *) in
@@ -413,37 +435,146 @@ let test_emissions_decrease () =
   let faults =
     seal :: List.filter (fun f -> f <> seal) (Fault.universe net)
   in
-  ignore (Bmc.Session.check_faults sess ~target faults);
+  let emitted query =
+    let before = (Bmc.Session.stats sess).Bmc.Session.clauses_emitted in
+    ignore (query ());
+    (Bmc.Session.stats sess).Bmc.Session.clauses_emitted - before
+  in
+  let deltas =
+    List.concat_map
+      (fun fault ->
+        let w = emitted (Bmc.Session.check_write sess ~fault ~target) in
+        [ w; emitted (Bmc.Session.check_read sess ~fault ~target) ])
+      faults
+  in
   let st = Bmc.Session.stats sess in
   check bool_t "several queries ran" true (st.Bmc.Session.queries > 2);
-  (match st.Bmc.Session.per_query with
-  | [] -> Alcotest.fail "per-query log empty"
+  (match deltas with
+  | [] -> Alcotest.fail "no queries ran"
   | first :: rest ->
-      check bool_t "first query emits" true (first.Bmc.Session.q_emitted > 0);
+      check bool_t "first query emits" true (first > 0);
       List.iteri
         (fun i q ->
-          if q.Bmc.Session.q_emitted >= first.Bmc.Session.q_emitted then
+          if q >= first then
             Alcotest.fail
               (Printf.sprintf
                  "query %d emitted %d clauses, not less than the first's %d"
-                 (i + 1) q.Bmc.Session.q_emitted
-                 first.Bmc.Session.q_emitted))
+                 (i + 1) q first))
         rest);
   check bool_t "cones were reused" true (st.Bmc.Session.nodes_reused > 0);
   (* Repeating the exact same query: everything is memoized. *)
-  let q0 = st.Bmc.Session.queries in
   ignore (Bmc.Session.check_write sess ~target ());
-  ignore (Bmc.Session.check_write sess ~target ());
-  let st' = Bmc.Session.stats sess in
-  let fresh =
-    List.filteri (fun i _ -> i >= q0) st'.Bmc.Session.per_query
+  check int_t "repeated query emits nothing" 0
+    (emitted (Bmc.Session.check_write sess ~target))
+
+(* --- minimal depth ---
+
+   The payload of [Accessible d] is the minimal unrolling depth within
+   [max_steps].  Test-only reference: the first bound [k] in [0 .. max]
+   at which the bounded query is not Inaccessible.  It reads verdicts
+   only, so it checks the goal search's descent, and the stutter property
+   the descent rests on, independently of how the search got there. *)
+let first_bound ~max query =
+  let rec go k =
+    if k > max then Bmc.Inaccessible
+    else
+      match query k with
+      | Bmc.Inaccessible -> go (k + 1)
+      | Bmc.Accessible _ -> Bmc.Accessible k
   in
-  check int_t "two more queries logged" 2 (List.length fresh);
-  match fresh with
-  | [ _; repeat ] ->
-      check int_t "repeated query emits nothing" 0
-        repeat.Bmc.Session.q_emitted
-  | _ -> Alcotest.fail "unexpected log shape"
+  go 0
+
+let minimal_depth_on ~model ~every net =
+  let sess = Bmc.Session.create (Bmc.create net) in
+  let max = Netlist.max_hier net + 2 in
+  let faults =
+    List.filteri (fun i _ -> i mod every = 0) (Fault.universe ~model net)
+  in
+  List.iter
+    (fun fault ->
+      let inj = Fault.to_injection net fault in
+      let start =
+        match fault.Fault.site with
+        | Fault.Glitch_shadow (seg, bit) ->
+            let c = Config.reset net in
+            Config.set_shadow c ~seg ~bit fault.Fault.stuck;
+            Some c
+        | _ -> None
+      in
+      for target = 0 to Netlist.num_segments net - 1 do
+        let agree what query =
+          let got = query max and want = first_bound ~max query in
+          if got <> want then
+            Alcotest.failf "%s: %s(%s) under %s: search %s, first bound %s"
+              net.Netlist.net_name what
+              (Netlist.segment_name net target)
+              (Fault.to_string net fault) (verdict_str got) (verdict_str want);
+          got
+        in
+        let w =
+          agree "write" (fun k ->
+              Bmc.Session.check_write sess ~fault ~max_steps:k ~target ())
+        in
+        ignore
+          (agree "read" (fun k ->
+               Bmc.Session.check_read sess ~fault ~max_steps:k ~target ()));
+        match
+          (Bmc.Session.write_witness sess ~fault ~max_steps:max ~target (), w)
+        with
+        | None, Bmc.Inaccessible -> ()
+        | Some (d, configs), Bmc.Accessible d' when d = d' ->
+            validate_witness ~inj ?start net target (d, configs)
+        | _ ->
+            Alcotest.failf "%s: witness of %s under %s disagrees with %s"
+              net.Netlist.net_name
+              (Netlist.segment_name net target)
+              (Fault.to_string net fault) (verdict_str w)
+      done)
+    faults
+
+let test_minimal_depth_random_nets () =
+  for seed = 0 to 11 do
+    let net =
+      Ftrsn_rsn.Random_net.generate ~seed ~segments:(5 + (seed mod 4)) ()
+    in
+    minimal_depth_on ~model:Fault.Stuck ~every:2 net;
+    minimal_depth_on ~model:Fault.Transient ~every:1 net
+  done
+
+let test_minimal_depth_u226_multi () =
+  (* Access payloads (the larger of the write and read depths) of a
+     sampled u226 universe, singles and pairs, through the batched
+     multi-fault entry point the metric uses. *)
+  let net =
+    Ftrsn_itc02.Itc02.rsn (Option.get (Ftrsn_itc02.Itc02.find "u226"))
+  in
+  let sess = Bmc.Session.create (Bmc.create net) in
+  let max = Netlist.max_hier net + 2 in
+  let targets =
+    List.filter (fun s -> s mod 3 = 0)
+      (List.init (Netlist.num_segments net) Fun.id)
+  in
+  let sample = List.filteri (fun i _ -> i mod 150 = 0) (Fault.universe net) in
+  let rec pairs = function
+    | a :: (b :: _ as tl) -> [ a; b ] :: pairs tl
+    | _ -> []
+  in
+  List.iter
+    (fun faults ->
+      let sweep k =
+        Bmc.Session.check_targets_multi sess ~max_steps:k ~faults targets
+      in
+      let bounded = Array.init (max + 1) sweep in
+      Array.iteri
+        (fun i got ->
+          let want = first_bound ~max (fun k -> bounded.(k).(i)) in
+          if got <> want then
+            Alcotest.failf "u226: %s under [%s]: search %s, first bound %s"
+              (Netlist.segment_name net (List.nth targets i))
+              (String.concat "; " (List.map (Fault.to_string net) faults))
+              (verdict_str got) (verdict_str want))
+        (sweep max))
+    (([] :: List.map (fun f -> [ f ]) sample) @ pairs sample)
 
 (* --- certified sessions ---
 
@@ -555,6 +686,74 @@ let test_certified_u226 () =
   certified_agrees_on ~every:40 ~targets:[ 0; n / 2; n - 1 ] ~learnt_limit:0
     net
 
+let test_certificates_per_verdict () =
+  (* The goal search certifies at most two Unsat answers per goal,
+     whatever the bound: none for a goal met at reset, one (depth 0) for a
+     goal met after one CSU, two (depth 0 and d - 1) for a deeper one, and
+     two (depth 0 and the bound) for an inaccessible one.  An ascending
+     search would certify d, or max_steps + 1.  The one exception is
+     decided before any solve: a stuck shadow bit kills writes to its own
+     segment outright. *)
+  let seen = Hashtbl.create 4 in
+  for k = 1 to 4 do
+    let net = sib_nest k in
+    let sess = Bmc.Session.create ~certify:true (Bmc.create net) in
+    let cert_unsat () = (cert_stats_of sess).Bmc.Session.cert_unsat in
+    let seals =
+      List.filter_map
+        (fun s ->
+          if net.Netlist.segs.(s).Netlist.seg_shadow = 0 then None
+          else Some { Fault.site = Fault.Seg_shadow_reg (s, 0); stuck = false })
+        (List.init (Netlist.num_segments net) Fun.id)
+    in
+    List.iter
+      (fun fault ->
+        List.iter
+          (fun max_steps ->
+            for target = 0 to Netlist.num_segments net - 1 do
+              List.iter
+                (fun (what, query) ->
+                  let before = cert_unsat () in
+                  let v = query () in
+                  let spent = cert_unsat () - before in
+                  let killed =
+                    what = "write"
+                    &&
+                    match fault with
+                    | Some { Fault.site = Fault.Seg_shadow_reg (s, _); _ } ->
+                        s = target
+                    | _ -> false
+                  in
+                  let cls, expected =
+                    match v with
+                    | Bmc.Inaccessible when killed -> ("killed", 0)
+                    | Bmc.Accessible 0 -> ("accessible@0", 0)
+                    | Bmc.Accessible 1 -> ("accessible@1", 1)
+                    | Bmc.Accessible _ -> ("accessible@d>=2", 2)
+                    | Bmc.Inaccessible -> ("inaccessible", 2)
+                  in
+                  Hashtbl.replace seen cls ();
+                  if spent <> expected then
+                    Alcotest.failf
+                      "%d levels, %s(%s), max_steps %d, %s: %d certified \
+                       Unsat answers, expected %d"
+                      k what
+                      (Netlist.segment_name net target)
+                      max_steps cls spent expected)
+                [
+                  ("write", fun () ->
+                      Bmc.Session.check_write sess ?fault ~max_steps ~target ());
+                  ("read", fun () ->
+                      Bmc.Session.check_read sess ?fault ~max_steps ~target ());
+                ]
+            done)
+          [ k; k + 3 ])
+      (None :: List.map Option.some seals)
+  done;
+  List.iter
+    (fun cls -> check bool_t (cls ^ " covered") true (Hashtbl.mem seen cls))
+    [ "accessible@0"; "accessible@1"; "accessible@d>=2"; "inaccessible" ]
+
 let suite =
   [
     Alcotest.test_case "fault-free depths" `Quick test_fault_free_depths;
@@ -595,6 +794,10 @@ let suite =
       test_witness_through_reused_solver;
     Alcotest.test_case "emissions decrease across queries" `Quick
       test_emissions_decrease;
+    Alcotest.test_case "minimal depth = first bound (random nets)" `Slow
+      test_minimal_depth_random_nets;
+    Alcotest.test_case "minimal depth = first bound (u226 singles, pairs)"
+      `Slow test_minimal_depth_u226_multi;
     Alcotest.test_case "certified = plain (small SIB)" `Quick
       test_certified_small_sib;
     Alcotest.test_case "certified = plain (fig2)" `Slow test_certified_fig2;
@@ -602,4 +805,6 @@ let suite =
       test_certified_wide_mux;
     Testseed.to_alcotest prop_certified_random_nets;
     Alcotest.test_case "certified u226 slice" `Slow test_certified_u226;
+    Alcotest.test_case "certified Unsat answers per verdict (SIB nests)"
+      `Quick test_certificates_per_verdict;
   ]
