@@ -71,6 +71,10 @@ type verdict = Accessible of int | Inaccessible
 
 type goal = G_write | G_read
 
+(* A cone whose support the transitions' cone of influence follows: a
+   segment's writability, or a goal on a target. *)
+type cone = Writable of int | Goal of goal * int
+
 (* The static model [t] and the incremental [session] are mutually
    recursive: a session holds the model it encodes, and the model caches a
    default session for the thin one-shot-style wrappers. *)
@@ -80,6 +84,10 @@ type t = {
   order : int array;                      (* element topological order *)
   consumers : (int * cond) list array;    (* per element id *)
   drivers : int array;                    (* per segment: driver element *)
+  (* Shadow bits numbered flat: bit [b] of segment [s] is
+     [bit_off.(s) + b], and [bit_seg] maps a flat bit to its segment. *)
+  bit_off : int array;
+  bit_seg : int array;
   max_hier : int;
   mutable cached : session option;        (* default session (wrappers) *)
 }
@@ -104,10 +112,19 @@ and session = {
      sweep.  List order is the caller's; the metric's pair sweep always
      passes [rep_i; rep_j] with i < j, so keys stay canonical. *)
   fenc : (Fault.t list, fault_enc) Hashtbl.t;
-  (* Fault-free transition skeleton per step, built once and shared by
-     every fault: skeleton.(step).(seg).(bit) is the keep node
-     [next <-> cur] and the permanent literal of [writable \/ keep]. *)
-  mutable skeleton : (Expr.t * int) array array array;
+  (* Fault-free transition skeleton, shared by every fault and built one
+     bit at a time, the first time any fault needs it:
+     skeleton.(step).(bit) is the permanent literal of [writable \/ keep]
+     from [step] into [step + 1] (0 = not built yet). *)
+  mutable skeleton : int array array;
+  (* Cone-of-influence supports, as flat shadow bits.  They are
+     step-independent for steps >= 1 (step 0 reads only reset
+     constants), so each is computed once, on the step-1 circuits: [bit1]
+     maps a step-1 shadow variable to its flat bit.  The session caches
+     the cones no fault perturbs; a fault caches its own tainted ones
+     ([fe_support]). *)
+  bit1 : (int, int) Hashtbl.t;
+  base_support : (cone, int array) Hashtbl.t;
   mutable active : Fault.t list option;  (* last queried fault set *)
   mutable queries : int;
   (* fault-free verdicts of the last base-target list queried through
@@ -143,8 +160,9 @@ and fault_enc = {
   fe_fs : fsum;
   fe_taint : taint;                   (* cone that differs from the base *)
   mutable fe_circuits : step_exprs array;  (* per step, grown *)
-  mutable fe_depth : int;             (* transitions emitted for steps
-                                         [0 .. fe_depth - 1] *)
+  mutable fe_emitted : Bytes.t array;
+      (* fe_emitted.(step), per flat bit: transition into [step] emitted *)
+  fe_support : (cone, int array) Hashtbl.t;
   fe_goals : (bool * int * int, int) Hashtbl.t;
       (* (is_write, target, depth) -> goal activation *)
 }
@@ -175,8 +193,15 @@ let create (net : Netlist.t) =
     | Some o -> o
     | None -> invalid_arg "Bmc.create: cyclic netlist"
   in
-  { net; ectx = Engine.make_ctx net; order; consumers; drivers;
-    max_hier = Netlist.max_hier net; cached = None }
+  let widths = Array.map (fun (s : Netlist.segment) -> s.seg_shadow) net.segs in
+  let bit_off = Array.make (Array.length widths) 0 in
+  for i = 1 to Array.length widths - 1 do
+    bit_off.(i) <- bit_off.(i - 1) + widths.(i - 1)
+  done;
+  let bit_seg = Array.make (Array.fold_left ( + ) 0 widths) 0 in
+  Array.iteri (fun i w -> Array.fill bit_seg bit_off.(i) w i) widths;
+  { net; ectx = Engine.make_ctx net; order; consumers; drivers; bit_off;
+    bit_seg; max_hier = Netlist.max_hier net; cached = None }
 
 let no_fault =
   {
@@ -604,6 +629,8 @@ module Session = struct
       base_fs = summarize_faults model [];
       base_circuits = [||];
       skeleton = [||];
+      bit1 = Hashtbl.create 64;
+      base_support = Hashtbl.create 64;
       fenc = Hashtbl.create 16;
       active = None;
       queries = 0;
@@ -650,7 +677,14 @@ module Session = struct
             Array.init net.Netlist.segs.(s).Netlist.seg_shadow (fun b ->
                 if t0 = 0 then
                   Expr.const sess.sctx net.Netlist.segs.(s).Netlist.seg_reset.(b)
-                else Expr.fresh_var sess.sctx))
+                else begin
+                  let v = Expr.fresh_var sess.sctx in
+                  if t0 = 1 then
+                    Hashtbl.add sess.bit1
+                      (Option.get (Expr.var_index v))
+                      (sess.model.bit_off.(s) + b);
+                  v
+                end))
       in
       sess.shadows <- Array.append sess.shadows [| arr |]
     done
@@ -707,7 +741,8 @@ module Session = struct
             fe_fs = fs;
             fe_taint = step_taint sess.model fs;
             fe_circuits = [||];
-            fe_depth = 0;
+            fe_emitted = [||];
+            fe_support = Hashtbl.create 8;
             fe_goals = Hashtbl.create 8;
           }
         in
@@ -770,80 +805,6 @@ module Session = struct
         c.on.(Netlist.Elt.of_seg s)
         (Expr.not_ sess.sctx c.dirty_in.(s))
 
-  (* The fault-independent part of the transition from [tstep] to
-     [tstep + 1]: the keep cone and the fault-free transition cone of
-     every shadow bit, encoded permanently (ungrouped) once per step, so
-     every fault's cones hash-cons onto it.  The literal is a Tseitin
-     definition only — it asserts nothing until a fault's group gates a
-     unit clause on it. *)
-  let skeleton_at sess tstep =
-    while Array.length sess.skeleton <= tstep do
-      let t0 = Array.length sess.skeleton in
-      let bc = base_circuits_at sess t0 in
-      ensure_steps sess (t0 + 1);
-      let cur = sess.shadows.(t0) in
-      let row =
-        Array.mapi
-          (fun s next_bits ->
-            let w = writable_of sess sess.base_fs bc s in
-            Array.mapi
-              (fun b next ->
-                let keep = Expr.iff_ sess.sctx next cur.(s).(b) in
-                (keep, Cnf.lit sess.em (Expr.or_ sess.sctx w keep)))
-              next_bits)
-          sess.shadows.(t0 + 1)
-      in
-      sess.skeleton <- Array.append sess.skeleton [| row |]
-    done;
-    sess.skeleton.(tstep)
-
-  (* Transition relation between consecutive steps (eq. 1 extended): a
-     shadow bit changes only when its segment is on the active path with
-     clean write data.  Emitted once per fault and depth, gated by the
-     fault's activation, and grown monotonically — transitions for steps
-     beyond a query's depth are harmless (any prefix extends by keeping
-     every shadow bit).  A bit whose transition the fault cannot change —
-     its segment outside the fault's on-path and write-corruption cones,
-     not killed, not glitched at step 0 — gates the skeleton literal
-     itself; only the others build a perturbed cone under the group. *)
-  let ensure_transitions sess fe depth =
-    let fs = fe.fe_fs and tt = fe.fe_taint in
-    while fe.fe_depth < depth do
-      let tstep = fe.fe_depth in
-      let skel = skeleton_at sess tstep in
-      let c = circuits_at sess fe tstep in
-      let next = sess.shadows.(tstep + 1) in
-      Array.iteri
-        (fun s bits ->
-          let perturbed =
-            fs.kill_write s
-            || tt.t_on.(Netlist.Elt.of_seg s)
-            || tt.t_dirty_in.(s)
-          in
-          Array.iteri
-            (fun b (keep, skel_lit) ->
-              (* A glitched bit's step-0 value is the upset constant, not
-                 the shared reset constant: substitute it in this fault's
-                 gated keep. *)
-              let glitch = if tstep = 0 then fs.glitch s b else None in
-              let l =
-                if (not perturbed) && glitch = None then skel_lit
-                else
-                  let keep =
-                    match glitch with
-                    | Some v ->
-                        Expr.iff_ sess.sctx next.(s).(b) (Expr.const sess.sctx v)
-                    | None -> keep
-                  in
-                  Cnf.lit ~under:fe.fe_act sess.em
-                    (Expr.or_ sess.sctx (writable_of sess fs c s) keep)
-              in
-              Cnf.emit_clause ~under:fe.fe_act sess.em [ l ])
-            bits)
-        skel;
-      fe.fe_depth <- tstep + 1
-    done
-
   (* The goal at one step: the target on the active path, with clean write
      data (write) or an uncorrupted route to the scan-out (read). *)
   let goal_expr sess goal target (c : step_exprs) =
@@ -852,6 +813,131 @@ module Session = struct
       match goal with G_write -> c.dirty_in.(target) | G_read -> c.after.(e)
     in
     Expr.and_ sess.sctx c.on.(e) (Expr.not_ sess.sctx corrupt)
+
+  (* A segment whose writability the fault can change: on its on-path or
+     write-corruption cone, or killed.  Any other segment's writability is
+     the fault-free skeleton's node (see {!step_taint}). *)
+  let perturbed fe s =
+    fe.fe_fs.kill_write s
+    || fe.fe_taint.t_on.(Netlist.Elt.of_seg s)
+    || fe.fe_taint.t_dirty_in.(s)
+
+  let goal_tainted fe goal target =
+    let tt = fe.fe_taint and e = Netlist.Elt.of_seg target in
+    tt.t_on.(e)
+    ||
+    match goal with
+    | G_write -> tt.t_dirty_in.(target)
+    | G_read -> tt.t_after.(e)
+
+  (* The flat shadow bits a cone reads at any step >= 1 (primary inputs
+     are free at every step and constrain nothing), computed once on the
+     step-1 circuits: in the session when no fault perturbs the cone,
+     else in the fault's encoding. *)
+  let support sess fe cone =
+    let tainted, expr =
+      match cone with
+      | Writable s -> (perturbed fe s, fun c -> writable_of sess fe.fe_fs c s)
+      | Goal (goal, target) ->
+          (goal_tainted fe goal target, goal_expr sess goal target)
+    in
+    let cache = if tainted then fe.fe_support else sess.base_support in
+    match Hashtbl.find_opt cache cone with
+    | Some bits -> bits
+    | None ->
+        let vars = Expr.support (expr (circuits_at sess fe 1)) in
+        let bits =
+          Array.of_list (List.filter_map (Hashtbl.find_opt sess.bit1) vars)
+        in
+        Hashtbl.add cache cone bits;
+        bits
+
+  let keep_expr sess tstep s b cur =
+    Expr.iff_ sess.sctx sess.shadows.(tstep + 1).(s).(b) cur
+
+  (* The fault-free transition of one bit from [tstep] into [tstep + 1],
+     encoded permanently (ungrouped) the first time any fault needs it,
+     so every fault's cones hash-cons onto it.  The literal is a Tseitin
+     definition only — it asserts nothing until a fault's group gates a
+     unit clause on it. *)
+  let skeleton_lit sess tstep i =
+    let nbits = Array.length sess.model.bit_seg in
+    while Array.length sess.skeleton <= tstep do
+      sess.skeleton <- Array.append sess.skeleton [| Array.make nbits 0 |]
+    done;
+    let row = sess.skeleton.(tstep) in
+    if row.(i) = 0 then begin
+      let s = sess.model.bit_seg.(i) in
+      let b = i - sess.model.bit_off.(s) in
+      let w = writable_of sess sess.base_fs (base_circuits_at sess tstep) s in
+      let keep = keep_expr sess tstep s b sess.shadows.(tstep).(s).(b) in
+      row.(i) <- Cnf.lit sess.em (Expr.or_ sess.sctx w keep)
+    end;
+    row.(i)
+
+  (* One transition clause (eq. 1 extended), gated by the fault's
+     activation: bit [i] changes from [tstep] into [tstep + 1] only when
+     its segment is on the active path with clean write data.  An
+     unperturbed bit gates the skeleton literal itself; the others build
+     their perturbed cone under the group, on top of the permanent
+     skeleton cone so that only the genuine delta dies with the fault.  A
+     glitched bit's step-0 value is the upset constant, not the shared
+     reset constant. *)
+  let emit_transition sess fe tstep i =
+    let s = sess.model.bit_seg.(i) in
+    let b = i - sess.model.bit_off.(s) in
+    let skel = skeleton_lit sess tstep i in
+    let glitch = if tstep = 0 then fe.fe_fs.glitch s b else None in
+    let l =
+      if (not (perturbed fe s)) && glitch = None then skel
+      else
+        let cur =
+          match glitch with
+          | Some v -> Expr.const sess.sctx v
+          | None -> sess.shadows.(tstep).(s).(b)
+        in
+        Cnf.lit ~under:fe.fe_act sess.em
+          (Expr.or_ sess.sctx
+             (writable_of sess fe.fe_fs (circuits_at sess fe tstep) s)
+             (keep_expr sess tstep s b cur))
+    in
+    Cnf.emit_clause ~under:fe.fe_act sess.em [ l ]
+
+  (* Demand-driven transitions: before a solve at [depth], emit exactly
+     the transitions in the goal's cone of influence (COI).  The cone
+     starts from the goal's support at [depth] and is closed backwards: a
+     bit at step [t] pulls in its own value and the support of its
+     segment's faulty writability at [t - 1].  Step 0 is reset constants.
+     Through the own-value chain the cone holds the goal's support at
+     every step [1 .. depth], which the descent reads in the model.  Bits
+     outside the cone feed nothing the goal reads, and every transition
+     lets a bit keep its value, so a model of the cone extends to a full
+     trace by stuttering them: the answer is exact.  Each (step, bit) is
+     emitted at most once per fault. *)
+  let ensure_coi sess fe goal target depth =
+    let nbits = Array.length sess.model.bit_seg in
+    ensure_steps sess depth;
+    while Array.length fe.fe_emitted <= depth do
+      fe.fe_emitted <- Array.append fe.fe_emitted [| Bytes.make nbits '\000' |]
+    done;
+    let stack = Stack.create () in
+    let need t i =
+      if Bytes.get fe.fe_emitted.(t) i = '\000' then begin
+        Bytes.set fe.fe_emitted.(t) i '\001';
+        Stack.push (t, i) stack
+      end
+    in
+    if depth >= 1 then
+      Array.iter (need depth) (support sess fe (Goal (goal, target)));
+    while not (Stack.is_empty stack) do
+      let t, i = Stack.pop stack in
+      emit_transition sess fe (t - 1) i;
+      if t >= 2 then begin
+        need (t - 1) i;
+        Array.iter (need (t - 1))
+          (support sess fe (Writable sess.model.bit_seg.(i)))
+      end
+    done
 
   let goal_act sess fe goal target depth =
     let key = ((goal = G_write), target, depth) in
@@ -885,15 +971,33 @@ module Session = struct
     | Some l -> lit_value sess l
 
   (* Decode the model of a Sat answer into the witness configuration
-     sequence of steps [0 .. steps]. *)
-  let decode sess steps =
-    let value_of e =
-      if Expr.var_index e = None then Expr.is_true e else var_value sess e
-    in
+     sequence of steps [0 .. steps].  A bit whose transition into a step
+     was never emitted (outside every cone queried under the fault) keeps
+     its value from the step before — from the glitched start state at
+     step 1 — so the sequence is a valid trace. *)
+  let decode sess fe steps =
+    let rows = Array.make (steps + 1) [||] in
+    rows.(0) <- Array.map (Array.map Expr.is_true) sess.shadows.(0);
+    for tstep = 1 to steps do
+      let prev s b =
+        match (tstep, fe.fe_fs.glitch s b) with
+        | 1, Some v -> v
+        | _ -> rows.(tstep - 1).(s).(b)
+      in
+      let emitted = fe.fe_emitted.(tstep) in
+      rows.(tstep) <-
+        Array.mapi
+          (fun s vars ->
+            Array.mapi
+              (fun b e ->
+                if Bytes.get emitted (sess.model.bit_off.(s) + b) = '\001' then
+                  var_value sess e
+                else prev s b)
+              vars)
+          sess.shadows.(tstep)
+    done;
     List.init (steps + 1) (fun tstep ->
-        let shadows =
-          Array.map (Array.map value_of) sess.shadows.(tstep)
-        in
+        let shadows = rows.(tstep) in
         let primaries =
           Hashtbl.fold
             (fun (ts, p) e acc ->
@@ -938,7 +1042,7 @@ module Session = struct
       | G_read -> fs.kill_read target || fs.po_dead
     in
     let solve depth =
-      ensure_transitions sess fe depth;
+      ensure_coi sess fe goal target depth;
       let g = goal_act sess fe goal target depth in
       match Solver.solve ~assumptions:[ fe.fe_act; g ] sess.solver with
       | Solver.Sat -> true
@@ -948,7 +1052,7 @@ module Session = struct
     in
     (* The model's trace up to the reported depth is the witness, decoded
        before the next solve overwrites the model. *)
-    let witness depth = if want_witness then decode sess depth else [] in
+    let witness depth = if want_witness then decode sess fe depth else [] in
     let rec descend depth =
       let e = earliest sess fe goal target depth in
       let w = witness e in

@@ -45,10 +45,11 @@ type model = t
 (** An incremental solving session: one SAT solver, one expression context
     and one streaming CNF emitter per netlist, reused across every query.
 
-    The transition relation of each queried fault is encoded once per
-    depth and only grown, never rebuilt; each (goal, target, depth) gets
-    an activation literal, so a solve at one depth is a
-    [solve ~assumptions] call with exactly two assumptions.  A goal is
+    The transition relation of each queried fault is emitted on demand,
+    one goal's cone of influence at a time, and only grown, never
+    rebuilt; each (goal, target, depth) gets an activation literal, so a
+    solve at one depth is a [solve ~assumptions] call with exactly two
+    assumptions.  A goal is
     decided by a monotone search, not one solve per depth: depth 0, then
     the bound [max_steps] (Unsat there is [Inaccessible]), then a descent
     below the earliest step at which the Sat model meets the goal — at
@@ -56,7 +57,8 @@ type model = t
     different fault retires the
     previous fault's clause groups (see DESIGN.md), so sweeping a fault
     universe keeps the live clause set bounded while the shared Tseitin
-    cones keep later faults cheaper to encode than the first. *)
+    cones keep a query no more expensive to encode than on a fresh
+    session. *)
 module Session : sig
   type t
 
@@ -94,8 +96,15 @@ module Session : sig
   val check_access :
     t -> ?fault:Ftrsn_fault.Fault.t -> ?max_steps:int -> target:int ->
     unit -> verdict
-  (** Write and read legs share one encoding of the fault: the read query
-      reuses the transition clauses and circuits the write query emitted. *)
+  (** Write and read legs share one encoding of the fault.  Before each
+      solve at depth [d], only the transitions in the goal's cone of
+      influence are emitted: the shadow bits the goal reads at steps
+      [1 .. d], closed backwards through each bit's previous value and
+      its segment's faulty writability, over the circuits after constant
+      folding.  Every other bit can only stutter, so the verdict is
+      exact; a faulty goal that folds to a constant emits no transition
+      at all.  The read query reuses the transitions and circuits the
+      write query emitted. *)
 
   val check_targets :
     t -> ?fault:Ftrsn_fault.Fault.t -> ?max_steps:int ->
@@ -124,7 +133,8 @@ module Session : sig
     verdict list
   (** Access verdict of one target under each fault in turn.  Faults are
       encoded and retired sequentially; Tseitin cones shared between
-      faults stay memoized, so later faults emit strictly fewer clauses. *)
+      faults stay memoized, so a fault emits no more clauses than it
+      would on a fresh session. *)
 
   val check_targets_base : t -> int list -> verdict array
   (** Fault-free {!check_targets}, memoized on the target list: the

@@ -125,11 +125,13 @@ let eval env e =
   in
   go e
 
-let size e =
+(* Visit every distinct subexpression once (memoized on node ids). *)
+let iter_nodes f e =
   let seen = Hashtbl.create 64 in
   let rec go e =
     if not (Hashtbl.mem seen e.id) then begin
       Hashtbl.add seen e.id ();
+      f e;
       match e.node with
       | True | False | Var _ -> ()
       | Not x -> go x
@@ -138,8 +140,17 @@ let size e =
           go y
     end
   in
-  go e;
-  Hashtbl.length seen
+  go e
+
+let size e =
+  let n = ref 0 in
+  iter_nodes (fun _ -> incr n) e;
+  !n
+
+let support e =
+  let vs = ref [] in
+  iter_nodes (fun e -> match e.node with Var i -> vs := i :: !vs | _ -> ()) e;
+  List.sort compare !vs
 
 let rec pp fmt e =
   match e.node with

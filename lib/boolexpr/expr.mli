@@ -49,6 +49,11 @@ val eval : (int -> bool) -> t -> bool
 val size : t -> int
 (** Number of distinct subexpressions. *)
 
+val support : t -> int list
+(** The variables the expression reads, in increasing order — after
+    constant folding, so an expression that folded to a constant has an
+    empty support. *)
+
 val pp : Format.formatter -> t -> unit
 
 (** Conjunctive normal form in DIMACS literal convention: variable [i]

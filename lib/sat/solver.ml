@@ -270,15 +270,12 @@ let set_learnt_limit s n = s.cfg_learnt_limit <- n
 let set_inprocess s b = s.cfg_inprocess <- b
 let set_proof_sink s sink = s.proof_sink <- sink
 
-let log_proof s ev =
-  match s.proof_sink with None -> () | Some f -> f ev
-
 (* Root unsatisfiability is the proof's terminal fact: the first time it
    is established, the empty clause is RUP and gets logged once. *)
 let set_root_unsat s =
   if not s.unsat_at_root then begin
     s.unsat_at_root <- true;
-    log_proof s (P_add [])
+    match s.proof_sink with None -> () | Some f -> f (P_add [])
   end
 
 (* ---- variable order heap (max-heap on activity) ---- *)
@@ -414,6 +411,23 @@ let lit_of_dimacs s d =
 let lit_var l = l lsr 1
 let lit_neg l = l lxor 1
 let dimacs_of_lit l = if l land 1 = 0 then (l lsr 1) + 1 else -((l lsr 1) + 1)
+let dimacs_list lits = Array.to_list (Array.map dimacs_of_lit lits)
+
+(* Proof events are built only when a sink listens: without one, proof
+   logging allocates nothing. *)
+let log_unit s l =
+  match s.proof_sink with None -> () | Some f -> f (P_add [ dimacs_of_lit l ])
+
+let log_add s lits =
+  match s.proof_sink with None -> () | Some f -> f (P_add (dimacs_list lits))
+
+let log_delete s lits =
+  match s.proof_sink with
+  | None -> ()
+  | Some f -> f (P_delete (dimacs_list lits))
+
+let log_input s dimacs_lits =
+  match s.proof_sink with None -> () | Some f -> f (P_input dimacs_lits)
 
 (* value of a literal: -1 undef, 0 false, 1 true *)
 let lit_val s l =
@@ -429,7 +443,7 @@ let enqueue s l reason =
      the clauses logged so far, so it is RUP; emitting it as a unit lemma
      keeps the proof sound across level-0 clause strengthening and the
      later deletion of its reason clause. *)
-  if s.n_levels = 0 then log_proof s (P_add [ dimacs_of_lit l ]);
+  if s.n_levels = 0 then log_unit s l;
   let v = l lsr 1 in
   Array.unsafe_set s.assign v (1 lxor (l land 1));
   Array.unsafe_set s.level v s.n_levels;
@@ -573,7 +587,7 @@ let detach s c =
    conflict analysis never resolves on level-0 literals. *)
 let delete_clause s c =
   if not c.deleted then begin
-    log_proof s (P_delete (Array.to_list (Array.map dimacs_of_lit c.lits)));
+    log_delete s c.lits;
     c.deleted <- true;
     if c.learnt then s.n_learnt <- s.n_learnt - 1
     else s.n_problem <- s.n_problem - 1;
@@ -1002,8 +1016,6 @@ let add_clause_internal s lits =
    resolvents are each RUP with respect to their two parents, and the
    parent clauses are then simply deleted. *)
 
-let dimacs_list lits = Array.to_list (Array.map dimacs_of_lit lits)
-
 (* Level-0 propagation to a fixpoint; a root conflict closes the proof. *)
 let saturate s =
   match propagate s with Some _ -> set_root_unsat s | None -> ()
@@ -1014,8 +1026,8 @@ let saturate s =
    Level 0 only. *)
 let replace_lits s c new_lits =
   if Array.length new_lits >= 2 then begin
-    log_proof s (P_add (dimacs_list new_lits));
-    log_proof s (P_delete (dimacs_list c.lits));
+    log_add s new_lits;
+    log_delete s c.lits;
     Array.iter
       (fun l -> s.occurs.(lit_var l) <- s.occurs.(lit_var l) - 1)
       c.lits;
@@ -1039,7 +1051,7 @@ let replace_lits s c new_lits =
         match lit_val s l with
         | -1 -> enqueue s l dummy_clause
         | 0 ->
-            log_proof s (P_add [ dimacs_of_lit l ]);
+            log_unit s l;
             set_root_unsat s
         | _ -> ())
     | _ -> set_root_unsat s);
@@ -1051,7 +1063,7 @@ let replace_lits s c new_lits =
    0 are stripped from the attached copy exactly as in the input path, so
    the checker's formula stays a superset of the attached database. *)
 let add_derived s lits =
-  log_proof s (P_add (dimacs_list lits));
+  log_add s lits;
   if Array.exists (fun l -> lit_val s l = 1) lits then None
   else begin
     let live =
@@ -1154,7 +1166,7 @@ let rec revive_var s v =
                   let u = abs d - 1 in
                   if u < s.nvars && s.elimed.(u) then revive_var s u)
                 dl;
-              log_proof s (P_input dl);
+              log_input s dl;
               ignore (add_clause_internal s (List.map (lit_of_dimacs s) dl)))
             e.ev_all
         end)
@@ -1452,7 +1464,7 @@ let add_clause s dimacs_lits =
   s.have_model <- false;
   revive_mentioned s dimacs_lits;
   let lits = List.map (lit_of_dimacs s) dimacs_lits in
-  log_proof s (P_input dimacs_lits);
+  log_input s dimacs_lits;
   ignore (add_clause_internal s lits)
 
 (* ---- search ---- *)
@@ -1498,7 +1510,7 @@ let record_learnt s lits btlevel =
       let t = lits.(1) in
       lits.(1) <- lits.(!best);
       lits.(!best) <- t;
-      log_proof s (P_add (Array.to_list (Array.map dimacs_of_lit lits)));
+      log_add s lits;
       let c =
         { lits; learnt = true; act = 0.0; lbd; deleted = false;
           csig = clause_sig lits }
@@ -1640,7 +1652,7 @@ let add_clause_under s act lits =
   let dimacs_lits = -act :: lits in
   revive_mentioned s dimacs_lits;
   let lits = List.map (lit_of_dimacs s) dimacs_lits in
-  log_proof s (P_input dimacs_lits);
+  log_input s dimacs_lits;
   match add_clause_internal s lits with
   | None -> ()
   | Some c -> (

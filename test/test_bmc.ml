@@ -10,6 +10,7 @@ module Fault = Ftrsn_fault.Fault
 module Engine = Ftrsn_access.Engine
 module Bmc = Ftrsn_bmc.Bmc
 module Pipeline = Ftrsn_core.Pipeline
+module Itc02 = Ftrsn_itc02.Itc02
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
@@ -422,50 +423,77 @@ let test_witness_through_reused_solver () =
   | Some w -> validate_witness net 7 w
 
 let test_emissions_decrease () =
-  (* The clause-reuse property the session exists for.  The first query is
-     an inaccessible one, so it unrolls to full depth and pays for the
-     whole shared skeleton (step variables, keep-chains, circuit cones);
-     every later query over the same network then re-emits strictly less,
-     and repeating a query emits nothing at all.  Each query's emissions
-     are the [clauses_emitted] delta around its call. *)
+  (* The clause-reuse property the session exists for.  Transitions are
+     emitted on demand, one goal's cone of influence at a time, so no
+     single query pays for the whole skeleton; instead every query emits
+     no more than the same query on a fresh session, cones shared with
+     earlier queries make some strictly cheaper, and repeating a query
+     emits nothing at all.  Each query's emissions are the
+     [clauses_emitted] delta around its call. *)
   let net = small_sib () in
-  let sess = Bmc.Session.create (Bmc.create net) in
+  let model = Bmc.create net in
+  let sess = Bmc.Session.create model in
   let target = 2 (* c1, the deepest kind of segment *) in
   let seal = { Fault.site = Fault.Seg_shadow_reg (0, 0); stuck = false } in
   let faults =
     seal :: List.filter (fun f -> f <> seal) (Fault.universe net)
   in
-  let emitted query =
+  let emitted sess query =
     let before = (Bmc.Session.stats sess).Bmc.Session.clauses_emitted in
-    ignore (query ());
+    ignore (query sess);
     (Bmc.Session.stats sess).Bmc.Session.clauses_emitted - before
   in
-  let deltas =
+  let queries =
     List.concat_map
       (fun fault ->
-        let w = emitted (Bmc.Session.check_write sess ~fault ~target) in
-        [ w; emitted (Bmc.Session.check_read sess ~fault ~target) ])
+        [
+          ( "write",
+            fault,
+            fun s -> Bmc.Session.check_write s ~fault ~target () );
+          ("read", fault, fun s -> Bmc.Session.check_read s ~fault ~target ());
+        ])
       faults
+  in
+  let deltas =
+    List.map
+      (fun (what, fault, q) ->
+        (what, fault, emitted sess q, emitted (Bmc.Session.create model) q))
+      queries
   in
   let st = Bmc.Session.stats sess in
   check bool_t "several queries ran" true (st.Bmc.Session.queries > 2);
   (match deltas with
   | [] -> Alcotest.fail "no queries ran"
-  | first :: rest ->
-      check bool_t "first query emits" true (first > 0);
-      List.iteri
-        (fun i q ->
-          if q >= first then
-            Alcotest.fail
-              (Printf.sprintf
-                 "query %d emitted %d clauses, not less than the first's %d"
-                 (i + 1) q first))
-        rest);
+  | (_, _, first, _) :: _ -> check bool_t "first query emits" true (first > 0));
+  List.iter
+    (fun (what, fault, got, fresh) ->
+      if got > fresh then
+        Alcotest.failf "%s under %s emitted %d clauses, %d on a fresh session"
+          what (Fault.to_string net fault) got fresh)
+    deltas;
+  check bool_t "some query emits less than on a fresh session" true
+    (List.exists (fun (_, _, got, fresh) -> got < fresh) deltas);
   check bool_t "cones were reused" true (st.Bmc.Session.nodes_reused > 0);
   (* Repeating the exact same query: everything is memoized. *)
   ignore (Bmc.Session.check_write sess ~target ());
   check int_t "repeated query emits nothing" 0
-    (emitted (Bmc.Session.check_write sess ~target))
+    (emitted sess (fun s -> Bmc.Session.check_write s ~target ()));
+  (* The sealed SIB pins c1's faulty goal to false: its cone of influence
+     is empty, so the inaccessible query emits no transition clause at
+     any bound — only the goal cones, whose size does not depend on the
+     bound. *)
+  let sealed k =
+    emitted (Bmc.Session.create model) (fun s ->
+        Bmc.Session.check_write s ~fault:seal ~max_steps:k ~target ())
+  in
+  check bool_t "sealed c1 is inaccessible" true
+    (Bmc.Session.check_write (Bmc.Session.create model) ~fault:seal ~target ()
+    = Bmc.Inaccessible);
+  List.iter
+    (fun k ->
+      check int_t (Printf.sprintf "sealed query at bound %d" k) (sealed 1)
+        (sealed k))
+    [ 4; 12 ]
 
 (* --- minimal depth ---
 
@@ -484,6 +512,19 @@ let first_bound ~max query =
   in
   go 0
 
+(* How a fault replays on the simulator: its injection, and for a
+   transient fault the glitched state the unrolling starts from. *)
+let replay_of net fault =
+  let start =
+    match fault.Fault.site with
+    | Fault.Glitch_shadow (seg, bit) ->
+        let c = Config.reset net in
+        Config.set_shadow c ~seg ~bit fault.Fault.stuck;
+        Some c
+    | _ -> None
+  in
+  (Fault.to_injection net fault, start)
+
 let minimal_depth_on ~model ~every net =
   let sess = Bmc.Session.create (Bmc.create net) in
   let max = Netlist.max_hier net + 2 in
@@ -492,15 +533,7 @@ let minimal_depth_on ~model ~every net =
   in
   List.iter
     (fun fault ->
-      let inj = Fault.to_injection net fault in
-      let start =
-        match fault.Fault.site with
-        | Fault.Glitch_shadow (seg, bit) ->
-            let c = Config.reset net in
-            Config.set_shadow c ~seg ~bit fault.Fault.stuck;
-            Some c
-        | _ -> None
-      in
+      let inj, start = replay_of net fault in
       for target = 0 to Netlist.num_segments net - 1 do
         let agree what query =
           let got = query max and want = first_bound ~max query in
@@ -576,6 +609,111 @@ let test_minimal_depth_u226_multi () =
         (sweep max))
     (([] :: List.map (fun f -> [ f ]) sample) @ pairs sample)
 
+(* --- witness fidelity ---
+
+   Transitions outside a goal's cone of influence are never emitted, so
+   the decoded witness must fill those bits in by stuttering.  Every
+   accessible (fault, target) of a universe gets its write witness
+   replayed on the simulator.  Stuck shadow bits are always included:
+   the fault pins the bit to a constant wherever it is read, so the bit
+   itself lies outside every cone. *)
+let is_pinned f =
+  match f.Fault.site with Fault.Seg_shadow_reg _ -> true | _ -> false
+
+(* The number of write witnesses replayed, and how many of them were
+   under a stuck shadow bit.  One session serves every query, or with
+   [~fresh] each query gets its own: a shared session's cones accumulate
+   across the targets of one fault, which can pull a bit into a later
+   query's emitted transitions that its own cone would leave out. *)
+let witnesses_replay ?(fresh = false) net faults =
+  let model = Bmc.create net in
+  let shared = Bmc.Session.create model in
+  let sess () = if fresh then Bmc.Session.create model else shared in
+  List.fold_left
+    (fun (replayed, pinned) fault ->
+      let inj, start = replay_of net fault in
+      let n = ref 0 in
+      for target = 0 to Netlist.num_segments net - 1 do
+        match Bmc.Session.write_witness (sess ()) ~fault ~target () with
+        | None -> ()
+        | Some w ->
+            incr n;
+            validate_witness ~inj ?start net target w
+      done;
+      (replayed + !n, if is_pinned fault then pinned + !n else pinned))
+    (0, 0) faults
+
+let test_witness_fidelity () =
+  let every k l = List.filteri (fun i _ -> i mod k = 0) l in
+  let universe ~stuck ~pinned ~transient net =
+    let u = Fault.universe net in
+    every stuck (List.filter (fun f -> not (is_pinned f)) u)
+    @ every pinned (List.filter is_pinned u)
+    @ every transient (Fault.universe ~model:Fault.Transient net)
+  in
+  let check_replayed what (replayed, pinned) =
+    check bool_t (what ^ ": witnesses replayed") true (replayed > 0);
+    check bool_t (what ^ ": pinned-shadow witnesses replayed") true (pinned > 0)
+  in
+  let u226 = Itc02.rsn (Option.get (Itc02.find "u226")) in
+  check_replayed "u226"
+    (witnesses_replay u226 (universe ~stuck:80 ~pinned:5 ~transient:5 u226));
+  for seed = 0 to 7 do
+    let net =
+      Ftrsn_rsn.Random_net.generate ~seed ~segments:(5 + (seed mod 4)) ()
+    in
+    let faults = universe ~stuck:3 ~pinned:1 ~transient:1 net in
+    check_replayed (Printf.sprintf "random net %d" seed)
+      (witnesses_replay net faults);
+    check_replayed (Printf.sprintf "random net %d, fresh sessions" seed)
+      (witnesses_replay ~fresh:true net faults)
+  done;
+  (* Each control segment sits on a side branch that the previous one's
+     bit switches in: [t]'s goal reads only [c]'s bit, and [d]'s and [e]'s
+     bits reach it only through the writability of [c] and [d].  The cone
+     must follow that closure: [t] takes three CSUs, and a witness that
+     skipped [d] or [e] would change [c] off the active path. *)
+  let net, t =
+    let b = Builder.create "control-chain" in
+    let seg ?(shadow = 1) name input =
+      Builder.add_segment b ~shadow ~name ~len:2 ~input ()
+    in
+    let mux name inputs (cseg, cbit) =
+      Builder.add_mux b ~name ~inputs
+        ~addr:[ Netlist.Ctrl_shadow { cseg; cbit } ] ()
+    in
+    let e = seg "e" Netlist.Scan_in in
+    let d = seg "d" (Netlist.Seg e) in
+    let me = mux "me" [ Netlist.Seg e; Netlist.Seg d ] (e, 0) in
+    let c = seg "c" (Netlist.Mux me) in
+    let md = mux "md" [ Netlist.Mux me; Netlist.Seg c ] (d, 0) in
+    let t = seg ~shadow:0 "t" (Netlist.Mux md) in
+    let mc = mux "mc" [ Netlist.Mux md; Netlist.Seg t ] (c, 0) in
+    (Builder.finish b ~out:(Netlist.Mux mc) (), t)
+  in
+  check bool_t "t takes three CSUs" true
+    (Bmc.check_write (Bmc.create net) ~target:t () = Bmc.Accessible 3);
+  check_replayed "control chain"
+    (witnesses_replay ~fresh:true net
+       (universe ~stuck:1 ~pinned:1 ~transient:1 net));
+  (* An upset of the nested SIB bit lies off the path at reset and
+     outside the cone of every target in the second branch, downstream of
+     it: its decoded value must stutter from the glitched start. *)
+  let net =
+    Sib.build ~name:"branches"
+      [
+        Sib
+          {
+            name = "a";
+            inner = [ Sib { name = "a1"; inner = [ Sib.leaf ~name:"ia" ~len:2 ] } ];
+          };
+        Sib { name = "b"; inner = [ Sib.leaf ~name:"ib" ~len:2 ] };
+      ]
+  in
+  check_replayed "nested SIB branches"
+    (witnesses_replay ~fresh:true net
+       (universe ~stuck:1 ~pinned:1 ~transient:1 net))
+
 (* --- certified sessions ---
 
    [~certify:true] feeds the solver's DRUP proof stream to the
@@ -586,8 +724,6 @@ let test_minimal_depth_u226_multi () =
    no exception (every lemma and every final clause is RUP-derivable),
    verdict equality with an uncertified session, and non-trivial
    certification counts. *)
-
-module Itc02 = Ftrsn_itc02.Itc02
 
 let pi_stuck = { Fault.site = Fault.Primary_in; stuck = true }
 
@@ -794,6 +930,8 @@ let suite =
       test_witness_through_reused_solver;
     Alcotest.test_case "emissions decrease across queries" `Quick
       test_emissions_decrease;
+    Alcotest.test_case "witness replay (u226 sample, random nets)" `Slow
+      test_witness_fidelity;
     Alcotest.test_case "minimal depth = first bound (random nets)" `Slow
       test_minimal_depth_random_nets;
     Alcotest.test_case "minimal depth = first bound (u226 singles, pairs)"
