@@ -2060,17 +2060,37 @@ let probe ctx base (sm : Fault.summary) =
     }
   end
 
-(* [probe]'s cone, case for case, without the interaction region the
-   BMC path never reads. *)
-let cone ctx base (sm : Fault.summary) =
-  if Fault.summary_benign sm then None
-  else if only_kill_read sm then
-    Some (Bitset.of_list ctx.nsegs sm.Fault.sm_kill_read)
-  else if local_kill_write base sm then
-    Some (Bitset.of_list ctx.nsegs sm.Fault.sm_kill_write)
-  else if sm.Fault.sm_glitch_shadow = [] && probe_refused ctx base sm then
-    Some (seg_bitset ctx (coarse_cone ctx base sm))
-  else Some (verdict_diff ctx base (fst (analyze_delta ctx base sm)))
+(* [probe]'s cone for each summary, case for case, without the
+   interaction region the BMC path never reads.  The summaries the probe
+   answers from an exact verdict diff share lane fixpoints: their
+   verdicts come from one [analyze_lanes_on] call, bit-identical to
+   [analyze_delta]'s. *)
+let cones ctx base (sms : Fault.summary array) =
+  let exact = ref [] in
+  let out =
+    Array.mapi
+      (fun i sm ->
+        if Fault.summary_benign sm then None
+        else if only_kill_read sm then
+          Some (Bitset.of_list ctx.nsegs sm.Fault.sm_kill_read)
+        else if local_kill_write base sm then
+          Some (Bitset.of_list ctx.nsegs sm.Fault.sm_kill_write)
+        else if sm.Fault.sm_glitch_shadow = [] && probe_refused ctx base sm
+        then Some (seg_bitset ctx (coarse_cone ctx base sm))
+        else begin
+          exact := i :: !exact;
+          None
+        end)
+      sms
+  in
+  let exact = Array.of_list (List.rev !exact) in
+  let vs, _ =
+    analyze_lanes_on ctx (of_baseline base) (Array.map (Array.get sms) exact)
+  in
+  Array.iteri
+    (fun j i -> out.(i) <- Some (verdict_diff ctx base (fst vs.(j))))
+    exact;
+  out
 
 (* Secondary baseline under [sm]: the stacked state all of [sm]'s pairs
    share — the summary and its verdict. *)

@@ -88,11 +88,19 @@ val baseline : ctx -> baseline
 val baseline_verdict : baseline -> verdict
 (** The fault-free verdict ({!analyze}[ ctx None]). *)
 
-val cone : ctx -> baseline -> Ftrsn_fault.Fault.summary -> Ftrsn_topo.Bitset.t option
-(** The fault's cone of influence as a set of segment indices: an
-    over-approximation of the segments whose verdict (or writability) can
-    differ from the fault-free baseline.  [None] for a benign summary
-    (empty cone, verdict = baseline). *)
+val cones :
+  ctx -> baseline -> Ftrsn_fault.Fault.summary array ->
+  Ftrsn_topo.Bitset.t option array
+(** Each summary's cone of influence as a set of segment indices: the
+    segments whose verdict can differ from the fault-free baseline.
+    [None] for a benign summary (empty cone, verdict = baseline).  Per
+    summary the cone is {!probe}'s [pr_cone]: the killed segments of a
+    kill-only summary, the coarse cone where the probe refuses, and
+    otherwise the exact verdict diff.  The exact diffs share lane
+    fixpoints: their verdicts come from one {!analyze_lanes_on} call over
+    the fault-free root, bit-identical to {!analyze_delta}'s, so a sweep
+    that cuts its classes into {!lane_plan} units pays one batch
+    fixpoint per unit instead of one fixpoint per class. *)
 
 type gate = {
   g_region : Ftrsn_topo.Bitset.t;

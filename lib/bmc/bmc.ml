@@ -40,31 +40,33 @@ type fsum = {
          phase split of the transient model. *)
 }
 
-(* Per-step circuits of one unrolling step.  [dirty_out] is only read
-   when a fault encoding rebuilds its tainted cone on top of these
-   circuits (see {!step_taint}); queries use [on]/[dirty_in]/[after]. *)
-type step_exprs = {
-  on : Expr.t array;        (* per element: lies on the active path *)
-  dirty_in : Expr.t array;  (* per segment: write data corrupted *)
-  dirty_out : Expr.t array; (* per element: corruption leaving it *)
-  after : Expr.t array;     (* per element: corruption between its output
-                               and the scan-out *)
-}
-
-(* Fault-cone taint: which per-step expressions can differ from the
-   fault-free skeleton's.  The flags are step-independent — every
-   unrolling step reads the same shared shadow/primary input expressions —
-   so one set per fault serves all depths.  Conservative over-
-   approximation: a flagged element is recomputed (and hash-conses onto
-   the skeleton wherever it happens to be equal); an unflagged element
-   provably reconstructs the identical expression node, so the skeleton's
-   is reused without traversal.  Computed by {!step_taint}. *)
+(* Fault-cone taint: which circuit nodes can differ from the fault-free
+   skeleton's.  The flags are step-independent — every unrolling step
+   reads the same shared shadow/primary input expressions — so one set
+   per fault serves all depths.  Conservative over-approximation: the
+   taint only decides whether a fault's demand-driven circuits build an
+   element's node themselves (hash-consing onto the skeleton wherever it
+   happens to be equal) or return the skeleton's node without traversing
+   it; an unflagged element provably has the identical node.  Computed
+   by {!step_taint}. *)
 type taint = {
   t_on : bool array;  (* indexed by element: on-path cone may differ *)
   t_dirty : bool array;  (* indexed by element: write-corruption cone *)
   t_dirty_in : bool array;  (* indexed by segment *)
   t_after : bool array;  (* indexed by element: read-corruption cone *)
-  t_any : bool;  (* false: the fault never perturbs any step circuit *)
+}
+
+(* Demand-driven circuits of one fault set (or of the fault-free
+   skeleton) over every unrolling step: each node is built the first time
+   it is read and memoized per (step, family, element).  The families are
+   [on] (the element lies on the active path), [dirty_out] (corruption
+   leaving it), [dirty_in] (a segment's write data corrupted) and [after]
+   (corruption between its output and the scan-out).  With [c_reuse], an
+   element outside the taint returns the skeleton's node. *)
+type circuits = {
+  c_fs : fsum;
+  c_reuse : (taint * circuits) option;
+  c_memo : (int, Expr.t) Hashtbl.t;
 }
 
 type verdict = Accessible of int | Inaccessible
@@ -102,11 +104,10 @@ and session = {
      variable per (step, primary input). *)
   mutable shadows : Expr.t array array array;
   sprimaries : (int * string, Expr.t) Hashtbl.t;
-  (* Fault-free skeleton: circuits per step, encoded permanently
-     (ungrouped) so every fault's cones hash-cons onto them and only the
-     genuinely perturbed deltas live and die with a fault's group. *)
-  base_fs : fsum;
-  mutable base_circuits : step_exprs array;
+  (* Fault-free skeleton: circuits encoded permanently (ungrouped) so
+     every fault's cones hash-cons onto them and only the genuinely
+     perturbed deltas live and die with a fault's group. *)
+  base : circuits;
   (* Fault SETS are the encoding unit: [[]] is fault-free, singletons are
      the classic single-fault queries, two-element lists the double-fault
      sweep.  List order is the caller's; the metric's pair sweep always
@@ -159,7 +160,7 @@ and fault_enc = {
   fe_act : int;                       (* activation gating this fault *)
   fe_fs : fsum;
   fe_taint : taint;                   (* cone that differs from the base *)
-  mutable fe_circuits : step_exprs array;  (* per step, grown *)
+  fe_circuits : circuits;             (* reuses [base] outside the taint *)
   mutable fe_emitted : Bytes.t array;
       (* fe_emitted.(step), per flat bit: transition into [step] emitted *)
   fe_support : (cone, int array) Hashtbl.t;
@@ -305,7 +306,7 @@ let summarize_faults t faults =
                   f))
            Fault.empty_summary faults)
 
-(* ---- per-step circuit construction ---- *)
+(* ---- circuits ---- *)
 
 let step_taint t fs =
   let net = t.net in
@@ -393,154 +394,9 @@ let step_taint t fs =
             t_on.(c) || t_after.(c) || cond_taint cond || local_taint c cond)
           t.consumers.(e)
   done;
-  let any = Array.exists Fun.id in
-  {
-    t_on;
-    t_dirty;
-    t_dirty_in;
-    t_after;
-    t_any = any t_on || any t_dirty || any t_dirty_in || any t_after;
-  }
+  { t_on; t_dirty; t_dirty_in; t_after }
 
-(* Build the circuits of one unrolling step.  [shadow] gives the boolean
-   expression of each shadow bit at this step, [primary] of each primary
-   control input.  With [reuse], only the expressions flagged by the
-   taint are rebuilt; the rest are copied from the fault-free skeleton's
-   circuits for the same step (provably the identical hash-consed node,
-   see {!step_taint}). *)
-let step_circuits t ctx fs ?reuse ~shadow ~primary () =
-  let net = t.net in
-  let n = Netlist.Elt.count net in
-  let bit_expr m b =
-    match fs.locked m b with
-    | Some v -> Expr.const ctx v
-    | None -> (
-        match net.Netlist.muxes.(m).Netlist.mux_addr.(b) with
-        | Netlist.Ctrl_const c -> Expr.const ctx c
-        | Netlist.Ctrl_primary p -> primary p
-        | Netlist.Ctrl_shadow { cseg; cbit } -> (
-            match fs.pinned cseg cbit with
-            | Some v -> Expr.const ctx v
-            | None -> shadow cseg cbit))
-  in
-  let sel_expr m k =
-    let width = Array.length net.Netlist.muxes.(m).Netlist.mux_addr in
-    let rec conflicted b = b < width && (fs.bit_conflict m b || conflicted (b + 1)) in
-    if conflicted 0 then Expr.efalse ctx
-    else
-      let bits =
-        List.init width (fun b ->
-            let e = bit_expr m b in
-            if k land (1 lsl b) <> 0 then e else Expr.not_ ctx e)
-      in
-      Expr.and_list ctx bits
-  in
-  let cond_expr = function
-    | C_true -> Expr.etrue ctx
-    | C_sel (m, k) -> sel_expr m k
-  in
-  let need_on, need_dirty, need_dirty_in, need_after =
-    match reuse with
-    | None ->
-        let all _ = true in
-        (all, all, all, all)
-    | Some (tt, _) ->
-        ( (fun e -> tt.t_on.(e)),
-          (fun e -> tt.t_dirty.(e)),
-          (fun s -> tt.t_dirty_in.(s)),
-          (fun e -> tt.t_after.(e)) )
-  in
-  (* on: reverse topological order. *)
-  let on = Array.make n (Expr.efalse ctx) in
-  (match reuse with Some (_, b) -> Array.blit b.on 0 on 0 n | None -> ());
-  on.(Netlist.Elt.scan_out) <- Expr.etrue ctx;
-  for idx = Array.length t.order - 1 downto 0 do
-    let e = t.order.(idx) in
-    if e <> Netlist.Elt.scan_out && need_on e then
-      on.(e) <-
-        Expr.or_list ctx
-          (List.map
-             (fun (c, cond) -> Expr.and_ ctx on.(c) (cond_expr cond))
-             t.consumers.(e))
-  done;
-  (* dirty (write-side), topological order. *)
-  let dirty_out = Array.make n (Expr.efalse ctx) in
-  let dirty_in = Array.make (Netlist.num_segments net) (Expr.efalse ctx) in
-  (match reuse with
-  | Some (_, b) ->
-      Array.blit b.dirty_in 0 dirty_in 0 (Array.length dirty_in);
-      Array.blit b.dirty_out 0 dirty_out 0 n
-  | None -> ());
-  Array.iter
-    (fun e ->
-      match Netlist.Elt.to_node net e with
-      | Netlist.Scan_in ->
-          if need_dirty e then dirty_out.(e) <- Expr.const ctx fs.pi_dead
-      | Netlist.Scan_out -> ()
-      | Netlist.Seg i ->
-          if need_dirty e || need_dirty_in i then begin
-            let din =
-              Expr.or_ ctx
-                dirty_out.(t.drivers.(i))
-                (Expr.const ctx (fs.seg_scan_in i))
-            in
-            dirty_in.(i) <- din;
-            dirty_out.(e) <-
-              Expr.or_list ctx
-                [
-                  din;
-                  Expr.const ctx (fs.seg_shift i);
-                  Expr.const ctx (fs.seg_scan_out i);
-                  Expr.const ctx (fs.seg_sel0 i);
-                ]
-          end
-      | Netlist.Mux m ->
-          if need_dirty e then begin
-            let mx = net.Netlist.muxes.(m) in
-            let choices =
-              List.init (Array.length mx.mux_inputs) (fun k ->
-                  let src = Netlist.Elt.of_node net mx.mux_inputs.(k) in
-                  Expr.and_ ctx (sel_expr m k)
-                    (Expr.or_ ctx dirty_out.(src)
-                       (Expr.const ctx (fs.mux_in m k))))
-            in
-            dirty_out.(e) <-
-              Expr.or_ ctx (Expr.or_list ctx choices)
-                (Expr.const ctx (fs.mux_out m))
-          end)
-    t.order;
-  (* after (read-side), reverse topological order. *)
-  let after = Array.make n (Expr.efalse ctx) in
-  (match reuse with
-  | Some (_, b) -> Array.blit b.after 0 after 0 n
-  | None -> ());
-  for idx = Array.length t.order - 1 downto 0 do
-    let e = t.order.(idx) in
-    if e <> Netlist.Elt.scan_out && need_after e then
-      after.(e) <-
-        Expr.or_list ctx
-          (List.map
-             (fun (c, cond) ->
-               let local =
-                 match Netlist.Elt.to_node net c with
-                 | Netlist.Scan_out -> Expr.const ctx fs.po_dead
-                 | Netlist.Seg i ->
-                     Expr.const ctx
-                       (fs.seg_scan_in i || fs.seg_shift i
-                      || fs.seg_scan_out i || fs.seg_sel0 i)
-                 | Netlist.Mux m ->
-                     let k = match cond with C_sel (_, k) -> k | C_true -> 0 in
-                     Expr.const ctx (fs.mux_in m k || fs.mux_out m)
-                 | Netlist.Scan_in -> Expr.efalse ctx
-               in
-               (* Damage counts only along the branch the active path
-                  actually takes: the consumer must be on the path and the
-                  interconnect sensitized. *)
-               Expr.and_list ctx
-                 [ on.(c); cond_expr cond; Expr.or_ ctx local after.(c) ])
-             t.consumers.(e))
-  done;
-  { on; dirty_in; dirty_out; after }
+let circuits ?reuse fs = { c_fs = fs; c_reuse = reuse; c_memo = Hashtbl.create 64 }
 
 let default_steps t = t.max_hier + 2
 
@@ -626,8 +482,7 @@ module Session = struct
       sctx = Expr.create ();
       shadows = [||];
       sprimaries = Hashtbl.create 64;
-      base_fs = summarize_faults model [];
-      base_circuits = [||];
+      base = circuits (summarize_faults model []);
       skeleton = [||];
       bit1 = Hashtbl.create 64;
       base_support = Hashtbl.create 64;
@@ -735,12 +590,13 @@ module Session = struct
     | Some fe -> fe
     | None ->
         let fs = summarize_faults sess.model faults in
+        let taint = step_taint sess.model fs in
         let fe =
           {
             fe_act = Solver.new_activation sess.solver;
             fe_fs = fs;
-            fe_taint = step_taint sess.model fs;
-            fe_circuits = [||];
+            fe_taint = taint;
+            fe_circuits = circuits ~reuse:(taint, sess.base) fs;
             fe_emitted = [||];
             fe_support = Hashtbl.create 8;
             fe_goals = Hashtbl.create 8;
@@ -749,70 +605,175 @@ module Session = struct
         Hashtbl.add sess.fenc faults fe;
         fe
 
-  let base_circuits_at sess tstep =
-    while Array.length sess.base_circuits <= tstep do
-      let t0 = Array.length sess.base_circuits in
-      ensure_steps sess t0;
-      let sh = sess.shadows.(t0) in
-      let c =
-        step_circuits sess.model sess.sctx sess.base_fs
-          ~shadow:(fun s b -> sh.(s).(b))
-          ~primary:(primary_var sess t0) ()
-      in
-      sess.base_circuits <- Array.append sess.base_circuits [| c |]
-    done;
-    sess.base_circuits.(tstep)
+  (* The demand-driven circuit builder.  A node is built on its first
+     read and memoized in its circuits under (step, family, element);
+     through [c_reuse], an element outside the fault's taint returns the
+     skeleton's node (built on demand in turn) without being traversed.
+     Transient faults start from the glitched state: the step-0 nodes
+     read the upset constants instead of the shared reset constants;
+     every later step reads the shared variables unchanged (the glitch
+     has cleared — recovery is an ordinary fault-free
+     reconfiguration). *)
+  let memo sess c family tstep i build =
+    let key =
+      (((tstep * 4) + family) * Array.length sess.model.consumers) + i
+    in
+    match Hashtbl.find_opt c.c_memo key with
+    | Some e -> e
+    | None ->
+        let e = build () in
+        Hashtbl.add c.c_memo key e;
+        e
 
-  (* A fault's circuits are rebuilt only inside its taint cone, on top of
-     the fault-free skeleton's circuits for the same step; a fault whose
-     cone is empty (a benign fault set) shares the skeleton outright. *)
-  let circuits_at sess fe tstep =
-    while Array.length fe.fe_circuits <= tstep do
-      let t0 = Array.length fe.fe_circuits in
-      let base = base_circuits_at sess t0 in
-      let c =
-        if not fe.fe_taint.t_any then base
-        else begin
-          let sh = sess.shadows.(t0) in
-          (* Transient faults start from the glitched state: the step-0
-             circuits read the upset constants instead of the shared
-             reset constants; every later step reads the shared
-             variables unchanged (the glitch has cleared — recovery is
-             an ordinary fault-free reconfiguration). *)
-          let shadow s b =
-            if t0 = 0 then
-              match fe.fe_fs.glitch s b with
-              | Some v -> Expr.const sess.sctx v
-              | None -> sh.(s).(b)
-            else sh.(s).(b)
-          in
-          step_circuits sess.model sess.sctx fe.fe_fs
-            ~reuse:(fe.fe_taint, base)
-            ~shadow
-            ~primary:(primary_var sess t0) ()
-        end
-      in
-      fe.fe_circuits <- Array.append fe.fe_circuits [| c |]
-    done;
-    fe.fe_circuits.(tstep)
+  let shadow_at sess c tstep s b =
+    match if tstep = 0 then c.c_fs.glitch s b else None with
+    | Some v -> Expr.const sess.sctx v
+    | None -> sess.shadows.(tstep).(s).(b)
+
+  let sel_expr sess c tstep m k =
+    let ctx = sess.sctx and fs = c.c_fs in
+    let mx = sess.model.net.Netlist.muxes.(m) in
+    let width = Array.length mx.Netlist.mux_addr in
+    let bit_expr b =
+      match fs.locked m b with
+      | Some v -> Expr.const ctx v
+      | None -> (
+          match mx.Netlist.mux_addr.(b) with
+          | Netlist.Ctrl_const v -> Expr.const ctx v
+          | Netlist.Ctrl_primary p -> primary_var sess tstep p
+          | Netlist.Ctrl_shadow { cseg; cbit } -> (
+              match fs.pinned cseg cbit with
+              | Some v -> Expr.const ctx v
+              | None -> shadow_at sess c tstep cseg cbit))
+    in
+    let rec conflicted b = b < width && (fs.bit_conflict m b || conflicted (b + 1)) in
+    if conflicted 0 then Expr.efalse ctx
+    else
+      Expr.and_list ctx
+        (List.init width (fun b ->
+             let e = bit_expr b in
+             if k land (1 lsl b) <> 0 then e else Expr.not_ ctx e))
+
+  let cond_expr sess c tstep = function
+    | C_true -> Expr.etrue sess.sctx
+    | C_sel (m, k) -> sel_expr sess c tstep m k
+
+  (* on: from the scan-out toward the producers. *)
+  let rec on sess c tstep e =
+    match c.c_reuse with
+    | Some (tt, base) when not tt.t_on.(e) -> on sess base tstep e
+    | _ ->
+        memo sess c 0 tstep e (fun () ->
+            let ctx = sess.sctx in
+            if e = Netlist.Elt.scan_out then Expr.etrue ctx
+            else
+              Expr.or_list ctx
+                (List.map
+                   (fun (d, cond) ->
+                     Expr.and_ ctx (on sess c tstep d)
+                       (cond_expr sess c tstep cond))
+                   sess.model.consumers.(e)))
+
+  (* dirty (write side): from the scan-in toward the consumers. *)
+  let rec dirty_out sess c tstep e =
+    match c.c_reuse with
+    | Some (tt, base) when not tt.t_dirty.(e) -> dirty_out sess base tstep e
+    | _ ->
+        memo sess c 1 tstep e (fun () ->
+            let ctx = sess.sctx and fs = c.c_fs and net = sess.model.net in
+            match Netlist.Elt.to_node net e with
+            | Netlist.Scan_in -> Expr.const ctx fs.pi_dead
+            | Netlist.Scan_out -> Expr.efalse ctx
+            | Netlist.Seg i ->
+                Expr.or_list ctx
+                  [
+                    dirty_in sess c tstep i;
+                    Expr.const ctx (fs.seg_shift i);
+                    Expr.const ctx (fs.seg_scan_out i);
+                    Expr.const ctx (fs.seg_sel0 i);
+                  ]
+            | Netlist.Mux m ->
+                let mx = net.Netlist.muxes.(m) in
+                let choices =
+                  List.init (Array.length mx.mux_inputs) (fun k ->
+                      let src = Netlist.Elt.of_node net mx.mux_inputs.(k) in
+                      Expr.and_ ctx (sel_expr sess c tstep m k)
+                        (Expr.or_ ctx (dirty_out sess c tstep src)
+                           (Expr.const ctx (fs.mux_in m k))))
+                in
+                Expr.or_ ctx (Expr.or_list ctx choices)
+                  (Expr.const ctx (fs.mux_out m)))
+
+  and dirty_in sess c tstep i =
+    match c.c_reuse with
+    | Some (tt, base) when not tt.t_dirty_in.(i) -> dirty_in sess base tstep i
+    | _ ->
+        memo sess c 2 tstep i (fun () ->
+            Expr.or_ sess.sctx
+              (dirty_out sess c tstep sess.model.drivers.(i))
+              (Expr.const sess.sctx (c.c_fs.seg_scan_in i)))
+
+  (* after (read side): backward again; the damage constants live on the
+     consumer side of each interconnect, and the path condition reads
+     [on]. *)
+  let rec after sess c tstep e =
+    match c.c_reuse with
+    | Some (tt, base) when not tt.t_after.(e) -> after sess base tstep e
+    | _ ->
+        memo sess c 3 tstep e (fun () ->
+            let ctx = sess.sctx and fs = c.c_fs in
+            if e = Netlist.Elt.scan_out then Expr.efalse ctx
+            else
+              Expr.or_list ctx
+                (List.map
+                   (fun (d, cond) ->
+                     let local =
+                       match Netlist.Elt.to_node sess.model.net d with
+                       | Netlist.Scan_out -> fs.po_dead
+                       | Netlist.Seg i ->
+                           fs.seg_scan_in i || fs.seg_shift i
+                           || fs.seg_scan_out i || fs.seg_sel0 i
+                       | Netlist.Mux m ->
+                           let k =
+                             match cond with C_sel (_, k) -> k | C_true -> 0
+                           in
+                           fs.mux_in m k || fs.mux_out m
+                       | Netlist.Scan_in -> false
+                     in
+                     (* Damage counts only along the branch the active
+                        path actually takes: the consumer must be on the
+                        path and the interconnect sensitized. *)
+                     Expr.and_list ctx
+                       [
+                         on sess c tstep d;
+                         cond_expr sess c tstep cond;
+                         Expr.or_ ctx (Expr.const ctx local)
+                           (after sess c tstep d);
+                       ])
+                   sess.model.consumers.(e)))
 
   (* Writability of a segment at one step: on the active path with clean
      write data, and not killed outright by the fault. *)
-  let writable_of sess fs (c : step_exprs) s =
-    if fs.kill_write s then Expr.efalse sess.sctx
-    else
+  let writable_of sess c tstep s =
+    if c.c_fs.kill_write s then Expr.efalse sess.sctx
+    else begin
+      ensure_steps sess tstep;
       Expr.and_ sess.sctx
-        c.on.(Netlist.Elt.of_seg s)
-        (Expr.not_ sess.sctx c.dirty_in.(s))
+        (on sess c tstep (Netlist.Elt.of_seg s))
+        (Expr.not_ sess.sctx (dirty_in sess c tstep s))
+    end
 
   (* The goal at one step: the target on the active path, with clean write
      data (write) or an uncorrupted route to the scan-out (read). *)
-  let goal_expr sess goal target (c : step_exprs) =
+  let goal_expr sess goal target c tstep =
+    ensure_steps sess tstep;
     let e = Netlist.Elt.of_seg target in
     let corrupt =
-      match goal with G_write -> c.dirty_in.(target) | G_read -> c.after.(e)
+      match goal with
+      | G_write -> dirty_in sess c tstep target
+      | G_read -> after sess c tstep e
     in
-    Expr.and_ sess.sctx c.on.(e) (Expr.not_ sess.sctx corrupt)
+    Expr.and_ sess.sctx (on sess c tstep e) (Expr.not_ sess.sctx corrupt)
 
   (* A segment whose writability the fault can change: on its on-path or
      write-corruption cone, or killed.  Any other segment's writability is
@@ -837,15 +798,17 @@ module Session = struct
   let support sess fe cone =
     let tainted, expr =
       match cone with
-      | Writable s -> (perturbed fe s, fun c -> writable_of sess fe.fe_fs c s)
+      | Writable s ->
+          (perturbed fe s, fun () -> writable_of sess fe.fe_circuits 1 s)
       | Goal (goal, target) ->
-          (goal_tainted fe goal target, goal_expr sess goal target)
+          ( goal_tainted fe goal target,
+            fun () -> goal_expr sess goal target fe.fe_circuits 1 )
     in
     let cache = if tainted then fe.fe_support else sess.base_support in
     match Hashtbl.find_opt cache cone with
     | Some bits -> bits
     | None ->
-        let vars = Expr.support (expr (circuits_at sess fe 1)) in
+        let vars = Expr.support (expr ()) in
         let bits =
           Array.of_list (List.filter_map (Hashtbl.find_opt sess.bit1) vars)
         in
@@ -869,7 +832,7 @@ module Session = struct
     if row.(i) = 0 then begin
       let s = sess.model.bit_seg.(i) in
       let b = i - sess.model.bit_off.(s) in
-      let w = writable_of sess sess.base_fs (base_circuits_at sess tstep) s in
+      let w = writable_of sess sess.base tstep s in
       let keep = keep_expr sess tstep s b sess.shadows.(tstep).(s).(b) in
       row.(i) <- Cnf.lit sess.em (Expr.or_ sess.sctx w keep)
     end;
@@ -898,7 +861,7 @@ module Session = struct
         in
         Cnf.lit ~under:fe.fe_act sess.em
           (Expr.or_ sess.sctx
-             (writable_of sess fe.fe_fs (circuits_at sess fe tstep) s)
+             (writable_of sess fe.fe_circuits tstep s)
              (keep_expr sess tstep s b cur))
     in
     Cnf.emit_clause ~under:fe.fe_act sess.em [ l ]
@@ -948,8 +911,8 @@ module Session = struct
            this fault's gated delta. *)
         ignore
           (Cnf.lit sess.em
-             (goal_expr sess goal target (base_circuits_at sess depth)));
-        let ge = goal_expr sess goal target (circuits_at sess fe depth) in
+             (goal_expr sess goal target sess.base depth));
+        let ge = goal_expr sess goal target fe.fe_circuits depth in
         let a = Solver.new_activation sess.solver in
         Cnf.emit_clause ~under:a sess.em
           [ Cnf.lit ~under:fe.fe_act sess.em ge ];
@@ -1017,7 +980,7 @@ module Session = struct
     let rec go i =
       if
         i >= depth
-        || Expr.eval env (goal_expr sess goal target (circuits_at sess fe i))
+        || Expr.eval env (goal_expr sess goal target fe.fe_circuits i)
       then i
       else go (i + 1)
     in
@@ -1152,6 +1115,28 @@ module Session = struct
   let netlist sess = sess.model.net
 
   let solver sess = sess.solver
+
+  let reuse_mismatches sess faults ~steps =
+    let fs = summarize_faults sess.model faults in
+    let reused = circuits ~reuse:(step_taint sess.model fs, sess.base) fs in
+    let plain = circuits fs in
+    ensure_steps sess steps;
+    let n = Array.length sess.model.consumers in
+    let nsegs = Netlist.num_segments sess.model.net in
+    let out = ref [] in
+    for tstep = steps downto 0 do
+      List.iter
+        (fun (family, count, node) ->
+          for i = count - 1 downto 0 do
+            if
+              not
+                (Expr.equal (node sess reused tstep i)
+                   (node sess plain tstep i))
+            then out := (tstep, family, i) :: !out
+          done)
+        [ ("on", n, on); ("dirty_in", nsegs, dirty_in); ("after", n, after) ]
+    done;
+    !out
 
   let stats sess =
     let em, ru = Cnf.emitter_stats sess.em in

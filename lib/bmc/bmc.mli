@@ -47,7 +47,9 @@ type model = t
 
     The transition relation of each queried fault is emitted on demand,
     one goal's cone of influence at a time, and only grown, never
-    rebuilt; each (goal, target, depth) gets an activation literal, so a
+    rebuilt; the circuit nodes it reads are built on first read too, and
+    a fault reuses the fault-free node of every element outside its
+    taint; each (goal, target, depth) gets an activation literal, so a
     solve at one depth is a [solve ~assumptions] call with exactly two
     assumptions.  A goal is
     decided by a monotone search, not one solve per depth: depth 0, then
@@ -172,6 +174,17 @@ module Session : sig
   (** The session's underlying solver — exposed for tests and benchmark
       ablations (e.g. {!Ftrsn_sat.Solver.set_learnt_limit}); mutating it
       other than through the feature switches voids the warranty. *)
+
+  val reuse_mismatches :
+    t -> Ftrsn_fault.Fault.t list -> steps:int -> (int * string * int) list
+  (** Test-only check of the taint a fault set's circuits reuse the
+      fault-free skeleton through.  Builds the set's circuits as a query
+      does (an element outside the taint returns the skeleton's node) and
+      again without reuse, and lists every [(step, family, index)] of
+      steps [0 .. steps] where the two nodes differ: families ["on"] and
+      ["after"] per element, ["dirty_in"] per segment.  Empty when the
+      taint covers every node the fault set changes.  Grows the
+      session's expression context only. *)
 end
 
 val session : t -> Session.t

@@ -682,10 +682,11 @@ let class_counts classes =
    answered whole by [Engine.count_lanes_on] over the fault-free root,
    which re-plans a batch into itself, so the lane statistics are the
    batches', and counts each lane's accessible segments and bits from
-   the fixpoint's words without building its verdict.  On BMC a unit is
-   one class, SAT-checked inside its [Engine.cone].  Context and
-   baseline are immutable after construction, so all domains share
-   them. *)
+   the fixpoint's words without building its verdict.  On BMC the units
+   are the same, and each unit's class cones come from one
+   [Engine.cones] call (one lane fixpoint per batch), then every class is
+   SAT-checked inside its cone.  Context and baseline are immutable after
+   construction, so all domains share them. *)
 
 (* The fast indices of a lane plan as units of at most [lane_width]:
    a steal unit never carries more classes than a lane batch. *)
@@ -708,40 +709,47 @@ let sweep_reduced ~domains ~engine ~certify ~inprocess ?warm ~full ~model net
       ~n:(List.length c.Fault.cls_members)
       ~segs ~bits
   in
-  let units, verdicts =
+  let units =
+    let fast, batches = Engine.lane_plan base sms in
+    Array.of_list (batches @ fast_units fast)
+  in
+  let verdicts =
     match engine with
     | `Structural ->
-        let fast, batches = Engine.lane_plan base sms in
         let root = Engine.of_baseline base in
-        ( Array.of_list (batches @ fast_units fast),
-          fun p ->
-            ( (fun idxs ->
-                let cs, st =
-                  Engine.count_lanes_on ctx root
-                    (Array.map (Array.get sms) idxs)
-                in
-                note_lanes p st;
-                Array.iteri
-                  (fun j i ->
-                    let c = cs.(j) in
-                    tally p i ~segs:c.Engine.lc_segs ~bits:c.Engine.lc_bits
-                      ~cone:c.Engine.lc_cone)
-                  idxs),
-              ignore ) )
+        fun p ->
+          ( (fun idxs ->
+              let cs, st =
+                Engine.count_lanes_on ctx root (Array.map (Array.get sms) idxs)
+              in
+              note_lanes p st;
+              Array.iteri
+                (fun j i ->
+                  let c = cs.(j) in
+                  tally p i ~segs:c.Engine.lc_segs ~bits:c.Engine.lc_bits
+                    ~cone:c.Engine.lc_cone)
+                idxs),
+            ignore )
     | `Bmc ->
-        ( Array.init (Array.length classes) (fun i -> [| i |]),
-          fun p ->
-            let within, _, close = open_bmc ~inprocess ~certify warm net p in
-            ( Array.iter (fun i ->
-                  let cone = Engine.cone ctx base sms.(i) in
+        fun p ->
+          let within, _, close = open_bmc ~inprocess ~certify warm net p in
+          ( (fun idxs ->
+              let cones =
+                Engine.cones ctx base (Array.map (Array.get sms) idxs)
+              in
+              Array.iteri
+                (fun j i ->
                   let segs, bits =
-                    count net (within [ classes.(i).Fault.cls_rep ] cone)
+                    count net (within [ classes.(i).Fault.cls_rep ] cones.(j))
                   in
                   let cone =
-                    match cone with None -> 0 | Some c -> Bitset.cardinal c
+                    match cones.(j) with
+                    | None -> 0
+                    | Some c -> Bitset.cardinal c
                   in
-                  tally p i ~segs ~bits ~cone),
-              close ) )
+                  tally p i ~segs ~bits ~cone)
+                idxs),
+            close )
   in
   let universe, benign = class_counts classes in
   sweep ~domains units verdicts
@@ -1001,19 +1009,19 @@ let sweep_pairs ~domains ~engine ~certify ~inprocess ?warm ~full ~model net
         fun p ->
           let within, _, close = open_bmc ~inprocess ~certify warm net p in
           ( (fun (i, js) ->
-              Array.iter
-                (fun j ->
-                  (* The restriction must be the cone of the MERGED
-                     summary: with tight cones the union of the two
-                     single-fault taints can undershoot the pair's
-                     (interaction can kill paths both single faults left
-                     alive). *)
-                  let rep k = classes.(k).Fault.cls_rep in
+              (* The restriction must be the cone of the MERGED summary:
+                 with tight cones the union of the two single-fault
+                 taints can undershoot the pair's (interaction can kill
+                 paths both single faults left alive). *)
+              let cones =
+                Engine.cones ctx base
+                  (Array.map (fun j -> Fault.summary_union (sm i) (sm j)) js)
+              in
+              let rep k = classes.(k).Fault.cls_rep in
+              Array.iteri
+                (fun l j ->
                   let segs, bits =
-                    count net
-                      (within [ rep i; rep j ]
-                         (Engine.cone ctx base
-                            (Fault.summary_union (sm i) (sm j))))
+                    count net (within [ rep i; rep j ] cones.(l))
                   in
                   interact p i j ~segs ~bits)
                 js),

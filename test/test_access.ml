@@ -645,35 +645,50 @@ let prop_lanes_on_equal_multi =
       done;
       !ok)
 
-(* [Engine.cone] derives the class cone without the probe's interaction
-   region; it must still be the probe's cone, on every path the probe
-   takes (exact diff, coarse refusal, glitch, local kills).  The
-   fault-tolerant rework has the hosted steering requirements the coarse
-   cone's cascade closure is about. *)
-let test_cone_is_probe_cone () =
-  let net =
-    (Ftrsn_core.Pipeline.synthesize
-       (Ftrsn_itc02.Itc02.rsn (Option.get (Ftrsn_itc02.Itc02.find "u226"))))
-      .Ftrsn_core.Pipeline.ft
+(* [Engine.cones] derives the class cones without the probe's interaction
+   region; each must still be the probe's cone, on every path the probe
+   takes (exact diff from a lane batch, coarse refusal, glitch, local
+   kills).  One call per whole universe, so lane batches and fast paths
+   are mixed in one call.  The fault-tolerant rework has the hosted
+   steering requirements the coarse cone's cascade closure is about. *)
+let test_cones_are_probe_cones () =
+  let soc name =
+    Ftrsn_itc02.Itc02.rsn (Option.get (Ftrsn_itc02.Itc02.find name))
   in
-  let ctx = Engine.make_ctx net in
-  let base = Engine.baseline ctx in
+  let u226_ft =
+    (Ftrsn_core.Pipeline.synthesize (soc "u226")).Ftrsn_core.Pipeline.ft
+  in
   List.iter
-    (fun model ->
-      List.iter
-        (fun c ->
-          let sm = c.Fault.cls_summary in
-          let p = (Engine.probe ctx base sm).Engine.pr_cone in
+    (fun (name, net, model) ->
+      let ctx = Engine.make_ctx net in
+      let base = Engine.baseline ctx in
+      let classes =
+        Array.of_list (Fault.collapse net (Fault.universe ~model net))
+      in
+      let sms = Array.map (fun c -> c.Fault.cls_summary) classes in
+      (* Glitch summaries never occupy a lane: the transient universe is
+         all fast classes, answered by full fixpoints. *)
+      let fast, batches = Engine.lane_plan base sms in
+      if fast = [] || (model = Fault.Stuck && batches = []) then
+        Alcotest.failf "%s: the universe misses lane batches or fast classes"
+          name;
+      Array.iteri
+        (fun i cone ->
+          let p = (Engine.probe ctx base sms.(i)).Engine.pr_cone in
           let same =
-            match Engine.cone ctx base sm with
+            match cone with
             | None -> Ftrsn_topo.Bitset.is_empty p
             | Some cs -> Ftrsn_topo.Bitset.equal cs p
           in
           if not same then
-            Alcotest.failf "%s: cone differs from the probe's"
-              (Fault.to_string net c.Fault.cls_rep))
-        (Fault.collapse net (Fault.universe ~model net)))
-    [ Fault.Stuck; Fault.Transient ]
+            Alcotest.failf "%s: %s: cone differs from the probe's" name
+              (Fault.to_string net classes.(i).Fault.cls_rep))
+        (Engine.cones ctx base sms))
+    [
+      ("u226-ft stuck-at", u226_ft, Fault.Stuck);
+      ("u226-ft transient", u226_ft, Fault.Transient);
+      ("d695 stuck-at", soc "d695", Fault.Stuck);
+    ]
 
 (* The probe's footprints and the stacked verdicts, summed over every
    stuck-at class of two networks.  The pair sweep consumes these
@@ -898,8 +913,8 @@ let suite =
       "lane counts = verdict counts (u226-ft, d281-ft), lanes = analyze (d695, u226)"
       `Quick
       test_lane_counts_equal_verdicts;
-    Alcotest.test_case "cone = probe cone (u226 FT rework)" `Quick
-      test_cone_is_probe_cone;
+    Alcotest.test_case "cones = probe cones (u226 FT, d695)" `Quick
+      test_cones_are_probe_cones;
     Alcotest.test_case "probe and stack outputs pinned (u226-ft, d281)" `Quick
       test_probe_stack_pinned;
   ]

@@ -272,6 +272,57 @@ let test_agree_random_nets_ft () =
     agree_sampled r.Pipeline.ft 8
   done
 
+(* A fault's circuits return the fault-free skeleton's node for every
+   element outside its taint, without traversing it.  That is exact only
+   if the taint covers every node the fault changes: each demand-built
+   node at steps 0-2 must be the very node the same builder gives
+   without reuse.  Step 0 is where a transient upset lives; step 2 reads
+   only shared variables, like every later step.  A rebuild without
+   reuse costs about 12 ms per class at three steps on the FT networks,
+   so their universes are strided: every 10th class, 318 of 3,180. *)
+let test_taint_covers_fault_nodes () =
+  let reps ?(stride = 1) net model =
+    List.filteri
+      (fun i _ -> i mod stride = 0)
+      (List.map
+         (fun c -> [ c.Fault.cls_rep ])
+         (Fault.collapse net (Fault.universe ~model net)))
+  in
+  let check_sets name net sets =
+    let sess = Bmc.Session.create (Bmc.create net) in
+    List.iter
+      (fun faults ->
+        match Bmc.Session.reuse_mismatches sess faults ~steps:2 with
+        | [] -> ()
+        | (step, family, i) :: _ ->
+            Alcotest.failf "%s under %s: %s node %d at step %d is not reused \
+                            exactly"
+              name
+              (String.concat " + " (List.map (Fault.to_string net) faults))
+              family i step)
+      sets
+  in
+  let soc name = Itc02.rsn (Option.get (Itc02.find name)) in
+  let u226 = soc "u226" in
+  let u226_ft = (Pipeline.synthesize u226).Pipeline.ft in
+  let d281_ft = (Pipeline.synthesize (soc "d281")).Pipeline.ft in
+  check_sets "u226" u226 (reps u226 Fault.Stuck);
+  check_sets "u226-ft" u226_ft (reps ~stride:10 u226_ft Fault.Stuck);
+  check_sets "d281-ft" d281_ft (reps ~stride:10 d281_ft Fault.Stuck);
+  check_sets "u226 transient" u226 (reps u226 Fault.Transient);
+  for seed = 0 to 9 do
+    let net = Ftrsn_rsn.Random_net.generate ~seed ~segments:8 () in
+    let singles = Array.of_list (List.concat (reps net Fault.Stuck)) in
+    let pairs = ref [] in
+    Array.iteri
+      (fun i f ->
+        for j = i + 1 to Array.length singles - 1 do
+          pairs := [ f; singles.(j) ] :: !pairs
+        done)
+      singles;
+    check_sets (Printf.sprintf "random net %d" seed) net !pairs
+  done
+
 let test_bmc_depth_equals_plan_steps () =
   (* Two independent notions of configuration effort coincide fault-free:
      the BMC unrolling depth and the retargeting plan's CSU-step count. *)
@@ -924,6 +975,8 @@ let suite =
       test_session_faults_fig2;
     Alcotest.test_case "session batch = one-shot (4:1 mux)" `Slow
       test_session_faults_wide_mux;
+    Alcotest.test_case "fault circuits reuse the skeleton exactly" `Slow
+      test_taint_covers_fault_nodes;
     Alcotest.test_case "session check_targets" `Quick
       test_session_check_targets;
     Alcotest.test_case "witness through reused solver" `Quick
