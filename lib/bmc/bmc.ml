@@ -132,7 +132,7 @@ and session = {
      [check_targets_base]; verdicts are deterministic per model, so a
      long-lived (pooled) session answers repeated baseline sweeps from
      this cache instead of re-solving one query per segment *)
-  mutable base_cache : (int list * verdict array) option;
+  mutable base_cache : (int list * bool array) option;
   (* Inprocessing schedule: solver conflict/propagation counts at the
      last simplification pass; a new pass runs between query batches
      once enough search has happened since.  The conflict gap grows
@@ -164,8 +164,6 @@ and fault_enc = {
   mutable fe_emitted : Bytes.t array;
       (* fe_emitted.(step), per flat bit: transition into [step] emitted *)
   fe_support : (cone, int array) Hashtbl.t;
-  fe_goals : (bool * int * int, int) Hashtbl.t;
-      (* (is_write, target, depth) -> goal activation *)
 }
 
 let create (net : Netlist.t) =
@@ -552,17 +550,14 @@ module Session = struct
         Hashtbl.add sess.sprimaries (tstep, p) v;
         v
 
-  (* Retire a fault's whole clause group: hard-assert the negations of its
-     activation and every goal activation.  The gated clauses become inert
-     forever — a retired fault is re-encoded from scratch (fresh
-     activation) if it is ever queried again — and the solver deletes each
+  (* Retire a fault's whole clause group: hard-assert the negation of its
+     activation.  The gated clauses become inert forever — a retired fault
+     is re-encoded from scratch (fresh activation) if it is ever queried
+     again — and the solver deletes each
      group in O(group size), so sequential sweeps over a fault universe
      do not accumulate dead clauses in the watch lists. *)
   let retire_enc sess fe =
     Solver.retire_activation sess.solver fe.fe_act;
-    Hashtbl.iter
-      (fun _ g -> Solver.retire_activation sess.solver g)
-      fe.fe_goals;
     (* The fault's Tseitin definitions died with its clause group; tell
        the emitter so shared cones get re-encoded if a later fault's
        circuits hash-cons onto them. *)
@@ -599,7 +594,6 @@ module Session = struct
             fe_circuits = circuits ~reuse:(taint, sess.base) fs;
             fe_emitted = [||];
             fe_support = Hashtbl.create 8;
-            fe_goals = Hashtbl.create 8;
           }
         in
         Hashtbl.add sess.fenc faults fe;
@@ -902,23 +896,6 @@ module Session = struct
       end
     done
 
-  let goal_act sess fe goal target depth =
-    let key = ((goal = G_write), target, depth) in
-    match Hashtbl.find_opt fe.fe_goals key with
-    | Some a -> a
-    | None ->
-        (* Permanent fault-free goal cone first (shared skeleton), then
-           this fault's gated delta. *)
-        ignore
-          (Cnf.lit sess.em
-             (goal_expr sess goal target sess.base depth));
-        let ge = goal_expr sess goal target fe.fe_circuits depth in
-        let a = Solver.new_activation sess.solver in
-        Cnf.emit_clause ~under:a sess.em
-          [ Cnf.lit ~under:fe.fe_act sess.em ge ];
-        Hashtbl.add fe.fe_goals key a;
-        a
-
   let lit_value sess l =
     if l > 0 then Solver.value sess.solver l
     else not (Solver.value sess.solver (-l))
@@ -973,59 +950,135 @@ module Session = struct
         in
         { Ftrsn_rsn.Config.shadows; primaries })
 
+  (* The model of the last Sat answer as an environment over expression
+     variables. *)
+  let model_env sess i = var_value sess (Expr.var sess.sctx i)
+
   (* The earliest step in [1 .. depth] at which the goal holds in the model
      of a Sat answer at [depth], evaluated over the variables' values. *)
   let earliest sess fe goal target depth =
-    let env i = var_value sess (Expr.var sess.sctx i) in
     let rec go i =
       if
         i >= depth
-        || Expr.eval env (goal_expr sess goal target fe.fe_circuits i)
+        || Expr.eval (model_env sess)
+             (goal_expr sess goal target fe.fe_circuits i)
       then i
       else go (i + 1)
     in
     go 1
 
-  (* Minimal-depth goal search.  The unrolling is monotone — every
-     transition allows a bit to keep its value, so a trace can always
-     stutter — so one Unsat at a depth settles every shallower one.
-     Depth 0 first (the common case, no transitions needed); then the
-     bound, whose Unsat means Inaccessible; then, on Sat, descend: with
-     [e] the earliest step at which the model meets the goal, solve at
-     [e - 1].  Unsat there makes [e] the minimal depth, Sat gives an
-     earlier [e]; depth 0 is already known Unsat.  So a goal costs at
-     most two Unsat answers, whatever the bound. *)
+  (* The one solve kernel: decide [goal] at [depth] under the fault set
+     [fe] for every target in [pending], and return the targets met and
+     those unmet.  A target whose faulty goal folds to true is met without
+     a solve.  Every other one gets its cone of influence, its permanent
+     skeleton goal literal and its gated goal literal, once.  Then each
+     solve gates the one clause [-a \/ goals of the pending targets] by a
+     fresh activation [a]: Sat meets every pending target whose goal holds
+     on the model's variable values (at least one must; a lone target's
+     clause is its own goal literal, so it needs no evaluation), and the
+     rest stay pending for the next solve; Unsat, certified once, leaves
+     every pending target unmet at this depth.  [on_sat] runs on each Sat
+     answer while its model is still live.  The round clause goes
+     straight to the solver: it is not part of the circuit encoding, and
+     [a] is retired after its solve. *)
+  let round ?(on_sat = ignore) sess fe goal depth pending =
+    let goals =
+      List.map
+        (fun t -> (t, goal_expr sess goal t fe.fe_circuits depth))
+        pending
+    in
+    let folded, open_ = List.partition (fun (_, ge) -> Expr.is_true ge) goals in
+    let open_ =
+      List.map
+        (fun (t, ge) ->
+          ensure_coi sess fe goal t depth;
+          (* Permanent fault-free goal cone first (shared skeleton), then
+             this fault's gated delta. *)
+          ignore (Cnf.lit sess.em (goal_expr sess goal t sess.base depth));
+          (t, ge, Cnf.lit ~under:fe.fe_act sess.em ge))
+        open_
+    in
+    let rec solve met = function
+      | [] -> (met, [])
+      | pending -> (
+          let a = Solver.new_activation sess.solver in
+          Solver.add_clause_under sess.solver a
+            (List.map (fun (_, _, l) -> l) pending);
+          sess.queries <- sess.queries + 1;
+          let target (t, _, _) = t in
+          match Solver.solve ~assumptions:[ fe.fe_act; a ] sess.solver with
+          | Solver.Sat ->
+              let now, rest =
+                match pending with
+                | [ _ ] -> (pending, [])
+                | _ ->
+                    let holds = Expr.evaluator (model_env sess) in
+                    List.partition (fun (_, ge, _) -> holds ge) pending
+              in
+              if now = [] then
+                failwith "Bmc.Session: a Sat answer meets no pending goal";
+              on_sat ();
+              Solver.retire_activation sess.solver a;
+              solve (List.rev_append (List.map target now) met) rest
+          | Solver.Unsat ->
+              certify_unsat sess;
+              Solver.retire_activation sess.solver a;
+              (met, List.map target pending))
+    in
+    solve (List.map fst folded) open_
+
+  (* Minimal-depth search for one goal, on the round kernel.  The
+     unrolling is monotone — every transition allows a bit to keep its
+     value, so a trace can always stutter — so one Unsat at a depth
+     settles every shallower one.  Depth 0 first (the common case, no
+     transitions needed); then the bound, whose Unsat means Inaccessible;
+     then, on Sat, descend: with [e] the earliest step at which the
+     model meets the goal, decide at [e - 1].  Unsat there makes [e] the
+     minimal depth, Sat gives an earlier [e]; depth 0 is already known
+     Unsat.  So a goal costs at most two Unsat answers, whatever the
+     bound. *)
   let check_goal ?(want_witness = false) sess faults goal ~max_steps ~target =
     let fe = enc sess faults in
     let fs = fe.fe_fs in
-    sess.queries <- sess.queries + 1;
     let statically_dead =
       match goal with
       | G_write -> fs.kill_write target || fs.pi_dead
       | G_read -> fs.kill_read target || fs.po_dead
     in
-    let solve depth =
-      ensure_coi sess fe goal target depth;
-      let g = goal_act sess fe goal target depth in
-      match Solver.solve ~assumptions:[ fe.fe_act; g ] sess.solver with
-      | Solver.Sat -> true
-      | Solver.Unsat ->
-          certify_unsat sess;
-          false
+    (* [Some (e, witness)] when the goal is met at [depth]: [e] is the
+       earliest step at which the Sat model meets it, and the witness is
+       the model's trace up to [e], decoded before the next solve
+       overwrites the model.  A goal that folds to true needs no model:
+       it holds on the trace that stays at reset. *)
+    let met depth =
+      let sat = ref None in
+      let on_sat () =
+        let e = if depth = 0 then 0 else earliest sess fe goal target depth in
+        sat := Some (e, if want_witness then decode sess fe e else [])
+      in
+      match round ~on_sat sess fe goal depth [ target ] with
+      | [], _ -> None
+      | _ when !sat <> None -> !sat
+      | _ ->
+          let reset = Ftrsn_rsn.Config.reset sess.model.net in
+          Some
+            ( depth,
+              if want_witness then List.init (depth + 1) (fun _ -> reset)
+              else [] )
     in
-    (* The model's trace up to the reported depth is the witness, decoded
-       before the next solve overwrites the model. *)
-    let witness depth = if want_witness then decode sess fe depth else [] in
-    let rec descend depth =
-      let e = earliest sess fe goal target depth in
-      let w = witness e in
-      if e = 1 || not (solve (e - 1)) then (Accessible e, w)
-      else descend (e - 1)
+    let rec descend (e, w) =
+      match if e = 1 then None else met (e - 1) with
+      | None -> (Accessible e, w)
+      | Some m -> descend m
     in
     if statically_dead || max_steps < 0 then (Inaccessible, [])
-    else if solve 0 then (Accessible 0, witness 0)
-    else if max_steps = 0 || not (solve max_steps) then (Inaccessible, [])
-    else descend max_steps
+    else
+      match met 0 with
+      | Some (_, w) -> (Accessible 0, w)
+      | None -> (
+          match if max_steps = 0 then None else met max_steps with
+          | None -> (Inaccessible, [])
+          | Some m -> descend m)
 
   let steps_for sess max_steps =
     Option.value ~default:(default_steps sess.model) max_steps
@@ -1069,7 +1122,8 @@ module Session = struct
       sess.ip_gap <- min ip_gap_max (2 * sess.ip_gap)
     end
 
-  let access_multi sess ~faults ?max_steps ~target () =
+  let check_access sess ?fault ?max_steps ~target () =
+    let faults = Option.to_list fault in
     let max_steps = steps_for sess max_steps in
     maybe_inprocess sess;
     match fst (check_goal sess faults G_write ~max_steps ~target) with
@@ -1079,20 +1133,41 @@ module Session = struct
         | Inaccessible -> Inaccessible
         | Accessible r -> Accessible (max w r))
 
-  let check_access sess ?fault ?max_steps ~target () =
-    access_multi sess ~faults:(Option.to_list fault) ?max_steps ~target ()
-
+  (* Batched access decisions: no depth, so each goal is two rounds of
+     the kernel over all its targets at once — depth 0, then the bound
+     over the targets still unmet — and a whole batch costs at most four
+     Unsat answers.  The read goal is decided for the write-met targets
+     only; the static kills take a target out without a solve. *)
   let check_targets_multi sess ?max_steps ?only ?fallback ~faults targets =
+    let max_steps = steps_for sess max_steps in
     let keep = match only with None -> fun _ -> true | Some p -> p in
-    let skipped =
-      match fallback with None -> fun _ -> Inaccessible | Some f -> f
-    in
+    let read = Hashtbl.create 16 in
+    (match List.filter keep targets with
+    | [] -> ()
+    | _ when max_steps < 0 -> ()
+    | kept ->
+        maybe_inprocess sess;
+        let fe = enc sess faults in
+        let fs = fe.fe_fs in
+        let decide goal dead pending =
+          match List.filter (fun t -> not (dead t)) pending with
+          | [] -> []
+          | pending ->
+              let met, unmet = round sess fe goal 0 pending in
+              if max_steps = 0 then met
+              else
+                List.rev_append (fst (round sess fe goal max_steps unmet)) met
+        in
+        let written =
+          decide G_write (fun t -> fs.pi_dead || fs.kill_write t) kept
+        in
+        List.iter
+          (fun t -> Hashtbl.replace read t ())
+          (decide G_read (fun t -> fs.po_dead || fs.kill_read t) written));
+    let skipped = match fallback with None -> fun _ -> false | Some f -> f in
     Array.of_list
       (List.map
-         (fun target ->
-           if keep target then
-             access_multi sess ~faults ?max_steps ~target ()
-           else skipped target)
+         (fun t -> if keep t then Hashtbl.mem read t else skipped t)
          targets)
 
   let check_targets sess ?fault ?max_steps ?only ?fallback targets =

@@ -49,14 +49,19 @@ type model = t
     one goal's cone of influence at a time, and only grown, never
     rebuilt; the circuit nodes it reads are built on first read too, and
     a fault reuses the fault-free node of every element outside its
-    taint; each (goal, target, depth) gets an activation literal, so a
-    solve at one depth is a [solve ~assumptions] call with exactly two
-    assumptions.  A goal is
-    decided by a monotone search, not one solve per depth: depth 0, then
-    the bound [max_steps] (Unsat there is [Inaccessible]), then a descent
-    below the earliest step at which the Sat model meets the goal — at
-    most two Unsat answers per goal (see DESIGN.md §7).  Switching to a
-    different fault retires the
+    taint.  Every solve goes through one kernel, a round: the goals of
+    some pending targets at one depth, one clause [¬a ∨ goal₁ ∨ … ∨
+    goalₖ] gated by a fresh activation [a], solved under exactly two
+    assumptions (the fault's and [a]), and repeated on the targets a Sat
+    model leaves unmet until all are met or an Unsat answer settles the
+    rest.  The batched queries
+    ({!check_targets} and friends) want no depth: each goal is a round at
+    depth 0 and one at the bound over all targets, at most four Unsat
+    answers per batch.  The single-goal queries keep the minimal depth:
+    depth 0, then the bound [max_steps] (Unsat there is [Inaccessible]),
+    then a descent below the earliest step at which the Sat model meets
+    the goal — at most two Unsat answers per goal (see DESIGN.md §7).
+    Switching to a different fault retires the
     previous fault's clause groups (see DESIGN.md), so sweeping a fault
     universe keeps the live clause set bounded while the shared Tseitin
     cones keep a query no more expensive to encode than on a fresh
@@ -110,19 +115,27 @@ module Session : sig
 
   val check_targets :
     t -> ?fault:Ftrsn_fault.Fault.t -> ?max_steps:int ->
-    ?only:(int -> bool) -> ?fallback:(int -> verdict) -> int list ->
-    verdict array
-  (** Access verdict for each target under one (optional) fault; all
-      targets share the fault's single encoding.  [only] restricts the
-      SAT queries to the targets it accepts (default: all) — the
-      cone-of-influence restriction of the reduced metric; a filtered-out
-      target gets [fallback target] instead (default [Inaccessible]),
-      typically the fault-free verdict spliced in by the caller. *)
+    ?only:(int -> bool) -> ?fallback:(int -> bool) -> int list ->
+    bool array
+  (** Whether each target is accessible (written and read within
+      [max_steps]) under one (optional) fault — the same answer as
+      [check_access <> Inaccessible], without the depth.  All targets
+      share the fault's single encoding and are decided in batches: the
+      write goal by a round of the kernel at depth 0 and one at the bound
+      over the targets still unmet, then the read goal the same way over
+      the written targets.  A Sat answer settles every target its model
+      meets, an Unsat answer every target left, so one call certifies at
+      most four Unsat answers however many targets it has.  [only]
+      restricts the SAT queries to the targets it accepts (default: all)
+      — the cone-of-influence restriction of the reduced metric; a
+      filtered-out target gets [fallback target] instead (default
+      [false]), typically the fault-free answer spliced in by the
+      caller. *)
 
   val check_targets_multi :
     t -> ?max_steps:int -> ?only:(int -> bool) ->
-    ?fallback:(int -> verdict) -> faults:Ftrsn_fault.Fault.t list ->
-    int list -> verdict array
+    ?fallback:(int -> bool) -> faults:Ftrsn_fault.Fault.t list ->
+    int list -> bool array
   (** Like {!check_targets}, under a SET of simultaneous faults ([[]] =
       fault-free): the faults' canonical summaries are merged with
       {!Ftrsn_fault.Fault.summary_union} and encoded as one clause group,
@@ -138,12 +151,12 @@ module Session : sig
       faults stay memoized, so a fault emits no more clauses than it
       would on a fresh session. *)
 
-  val check_targets_base : t -> int list -> verdict array
+  val check_targets_base : t -> int list -> bool array
   (** Fault-free {!check_targets}, memoized on the target list: the
-      verdicts are deterministic per model, so a long-lived session (e.g.
+      answers are deterministic per model, so a long-lived session (e.g.
       one held in a service pool) answers repeated baseline sweeps from
-      the cache instead of re-solving one query per segment.  The
-      returned array is shared — treat it as immutable. *)
+      the cache instead of re-solving them.  The returned array is
+      shared — treat it as immutable. *)
 
   val netlist : t -> Ftrsn_rsn.Netlist.t
   (** The netlist of the session's model ([netlist (model sess)]). *)
@@ -161,6 +174,9 @@ module Session : sig
 
   type stats = {
     queries : int;
+        (** SAT solves: one per Sat or Unsat answer of the round kernel,
+            batched and single-goal alike; a goal decided without a
+            solve (statically killed, or folded to true) adds none *)
     clauses_emitted : int;  (** cumulative, whole session *)
     nodes_reused : int;     (** cumulative emitter memo hits *)
     search : Ftrsn_sat.Solver.search_stats;

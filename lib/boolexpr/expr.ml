@@ -104,7 +104,7 @@ let ite ctx c t e = or_ ctx (and_ ctx c t) (and_ ctx (not_ ctx c) e)
 let and_list ctx es = List.fold_left (and_ ctx) (etrue ctx) es
 let or_list ctx es = List.fold_left (or_ ctx) (efalse ctx) es
 
-let eval env e =
+let evaluator env =
   (* Memoized on node ids to stay linear in DAG size. *)
   let memo = Hashtbl.create 64 in
   let rec go e =
@@ -123,7 +123,9 @@ let eval env e =
         Hashtbl.add memo e.id v;
         v
   in
-  go e
+  go
+
+let eval env e = evaluator env e
 
 (* Visit every distinct subexpression once (memoized on node ids). *)
 let iter_nodes f e =

@@ -46,6 +46,11 @@ val is_false : t -> bool
 val eval : (int -> bool) -> t -> bool
 (** [eval env e] evaluates [e] under the variable assignment [env]. *)
 
+val evaluator : (int -> bool) -> t -> bool
+(** [evaluator env] evaluates expressions under [env] with one memo
+    shared by every call, so evaluating several expressions over one
+    DAG visits each shared node once. *)
+
 val size : t -> int
 (** Number of distinct subexpressions. *)
 

@@ -597,8 +597,6 @@ let model_faults ?sample ~model net =
               (Fault.model_to_string model)))
   | faults -> faults
 
-let bmc_ok = function Bmc.Accessible _ -> true | Bmc.Inaccessible -> false
-
 (* A BMC domain's session, checked out for one sweep; closing records
    its solver statistics into the domain's part and returns it. *)
 let open_session ~inprocess ~certify warm net p =
@@ -610,23 +608,20 @@ let open_session ~inprocess ~certify warm net p =
 
 (* The verdict source of a reduced BMC sweep: a session whose
    fault-free verdicts are established first, and [within faults cone],
-   the accessible vector under [faults] SAT-checked inside [cone] with
-   the fault-free verdicts spliced in elsewhere ([None], a benign
-   summary: the fault-free vector).  Also returns the fault-free
-   accessible vector and the close action. *)
+   the accessible vector under [faults] decided by batched SAT rounds
+   inside [cone] with the fault-free verdicts spliced in elsewhere
+   ([None], a benign summary: the fault-free vector).  Also returns the
+   fault-free accessible vector and the close action. *)
 let open_bmc ~inprocess ~certify warm net p =
   let sess, close = open_session ~inprocess ~certify warm net p in
   let targets = List.init (Netlist.num_segments net) Fun.id in
-  let base_vs = Bmc.Session.check_targets_base sess targets in
-  let base_acc = Array.map bmc_ok base_vs in
+  let base_acc = Bmc.Session.check_targets_base sess targets in
   let within faults = function
     | None -> base_acc
     | Some cone ->
-        Array.map bmc_ok
-          (Bmc.Session.check_targets_multi sess ~faults
-             ~only:(Bitset.mem cone)
-             ~fallback:(fun t -> base_vs.(t))
-             targets)
+        Bmc.Session.check_targets_multi sess ~faults ~only:(Bitset.mem cone)
+          ~fallback:(fun t -> base_acc.(t))
+          targets
   in
   (within, base_acc, close)
 
@@ -636,7 +631,8 @@ let open_bmc ~inprocess ~certify warm net p =
    product of its faults' weights.  The structural engine answers it
    with a full [Engine.analyze_multi] fixpoint (the context is read-only
    during analysis, so the domains share it), the BMC engine with one
-   SAT check per segment on the domain's incremental session. *)
+   batched decision over every segment on the domain's incremental
+   session. *)
 let sweep_brute ~what ~domains ~engine ~certify ~inprocess ?warm net items =
   let verdicts =
     match engine with
@@ -649,8 +645,7 @@ let sweep_brute ~what ~domains ~engine ~certify ~inprocess ?warm net items =
         fun p ->
           let sess, close = open_session ~inprocess ~certify warm net p in
           ( (fun faults ->
-              Array.map bmc_ok
-                (Bmc.Session.check_targets_multi sess ~faults targets)),
+              Bmc.Session.check_targets_multi sess ~faults targets),
             close )
   in
   sweep ~domains items (fun p ->
@@ -684,9 +679,13 @@ let class_counts classes =
    batches', and counts each lane's accessible segments and bits from
    the fixpoint's words without building its verdict.  On BMC the units
    are the same, and each unit's class cones come from one
-   [Engine.cones] call (one lane fixpoint per batch), then every class is
-   SAT-checked inside its cone.  Context and baseline are immutable after
-   construction, so all domains share them. *)
+   [Engine.cones] call (one lane fixpoint per batch), then each class's
+   cone is decided in one batched call
+   ([Bmc.Session.check_targets_multi]): per goal, one round of the solve
+   kernel at depth 0 and one at the bound over all of the cone's targets,
+   so a class costs at most four Unsat answers however many segments it
+   cuts off.  No depth is computed.  Context and baseline are immutable
+   after construction, so all domains share them. *)
 
 (* The fast indices of a lane plan as units of at most [lane_width]:
    a steal unit never carries more classes than a lane batch. *)

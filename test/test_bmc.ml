@@ -407,12 +407,12 @@ let test_session_check_targets () =
     (fun i target ->
       check bool_t
         (Printf.sprintf "fault-free target %d" target)
-        true
-        (no_fault_vs.(i) = Bmc.check_access reference ~target ());
+        (accessible (Bmc.check_access reference ~target ()))
+        no_fault_vs.(i);
       check bool_t
         (Printf.sprintf "faulty target %d" target)
-        true
-        (fault_vs.(i) = Bmc.check_access reference ~fault ~target ()))
+        (accessible (Bmc.check_access reference ~fault ~target ()))
+        fault_vs.(i))
     targets
 
 (* A decoded write witness replays on the simulator: [steps + 1]
@@ -625,13 +625,22 @@ let test_minimal_depth_random_nets () =
     minimal_depth_on ~model:Fault.Transient ~every:1 net
   done
 
+(* Consecutive pairs of a fault list: [a; b], [b; c], ... *)
+let rec pairs = function
+  | a :: (b :: _ as tl) -> [ a; b ] :: pairs tl
+  | _ -> []
+
+let u226 () = Itc02.rsn (Option.get (Itc02.find "u226"))
+
 let test_minimal_depth_u226_multi () =
-  (* Access payloads (the larger of the write and read depths) of a
-     sampled u226 universe, singles and pairs, through the batched
-     multi-fault entry point the metric uses. *)
-  let net =
-    Ftrsn_itc02.Itc02.rsn (Option.get (Ftrsn_itc02.Itc02.find "u226"))
-  in
+  (* A sampled u226 universe, singles and pairs, through the batched
+     multi-fault entry point the metric uses.  It reports no depth, so at
+     every bound [k] its decision must be the first bound's: accessible
+     exactly when [k] reaches the first bound at which it says so.  For
+     the fault-free set and the singles, the access payload of the
+     single-goal API (the larger of the write and read depths) must be
+     that first bound. *)
+  let net = u226 () in
   let sess = Bmc.Session.create (Bmc.create net) in
   let max = Netlist.max_hier net + 2 in
   let targets =
@@ -639,25 +648,41 @@ let test_minimal_depth_u226_multi () =
       (List.init (Netlist.num_segments net) Fun.id)
   in
   let sample = List.filteri (fun i _ -> i mod 150 = 0) (Fault.universe net) in
-  let rec pairs = function
-    | a :: (b :: _ as tl) -> [ a; b ] :: pairs tl
-    | _ -> []
-  in
   List.iter
     (fun faults ->
-      let sweep k =
-        Bmc.Session.check_targets_multi sess ~max_steps:k ~faults targets
+      let bounded =
+        Array.init (max + 1) (fun k ->
+            Bmc.Session.check_targets_multi sess ~max_steps:k ~faults targets)
       in
-      let bounded = Array.init (max + 1) sweep in
-      Array.iteri
-        (fun i got ->
-          let want = first_bound ~max (fun k -> bounded.(k).(i)) in
-          if got <> want then
-            Alcotest.failf "u226: %s under [%s]: search %s, first bound %s"
-              (Netlist.segment_name net (List.nth targets i))
-              (String.concat "; " (List.map (Fault.to_string net) faults))
-              (verdict_str got) (verdict_str want))
-        (sweep max))
+      let name = String.concat "; " (List.map (Fault.to_string net) faults) in
+      List.iteri
+        (fun i target ->
+          let want =
+            first_bound ~max (fun k ->
+                if bounded.(k).(i) then Bmc.Accessible k else Bmc.Inaccessible)
+          in
+          for k = 0 to max do
+            let first =
+              match want with Bmc.Accessible d -> d <= k | _ -> false
+            in
+            if bounded.(k).(i) <> first then
+              Alcotest.failf "u226: %s under [%s] at bound %d: batched %b, \
+                              first bound %s"
+                (Netlist.segment_name net target) name k bounded.(k).(i)
+                (verdict_str want)
+          done;
+          match faults with
+          | [] | [ _ ] ->
+              let got =
+                Bmc.Session.check_access sess ?fault:(List.nth_opt faults 0)
+                  ~max_steps:max ~target ()
+              in
+              if got <> want then
+                Alcotest.failf "u226: %s under [%s]: search %s, first bound %s"
+                  (Netlist.segment_name net target) name (verdict_str got)
+                  (verdict_str want)
+          | _ -> ())
+        targets)
     (([] :: List.map (fun f -> [ f ]) sample) @ pairs sample)
 
 (* --- witness fidelity ---
@@ -941,6 +966,123 @@ let test_certificates_per_verdict () =
     (fun cls -> check bool_t (cls ^ " covered") true (Hashtbl.mem seen cls))
     [ "accessible@0"; "accessible@1"; "accessible@d>=2"; "inaccessible" ]
 
+(* --- batched decisions ---
+
+   [check_targets_multi] decides a whole target list with a few
+   disjunctive solves.  Its answers must be the single-goal API's
+   [check_access <> Inaccessible], on a certified and on a plain
+   session.  The single-goal API takes at most one fault, so a pair's
+   batch is checked against one singleton batch per target on a fresh
+   session, where no two targets ever share a solve.  Returns the
+   certified session's count of certified Unsat answers. *)
+let batched_agree ~what net fault_sets =
+  let model = Bmc.create net in
+  let reference = Bmc.Session.create model in
+  let singletons = Bmc.Session.create model in
+  let certified = Bmc.Session.create ~certify:true model in
+  let plain = Bmc.Session.create model in
+  let targets = List.init (Netlist.num_segments net) Fun.id in
+  List.iter
+    (fun faults ->
+      let want =
+        Array.of_list
+          (List.map
+             (fun target ->
+               match faults with
+               | [] | [ _ ] ->
+                   accessible
+                     (Bmc.Session.check_access reference
+                        ?fault:(List.nth_opt faults 0) ~target ())
+               | _ ->
+                   (Bmc.Session.check_targets_multi singletons ~faults
+                      [ target ]).(0))
+             targets)
+      in
+      List.iter
+        (fun (mode, sess) ->
+          let got = Bmc.Session.check_targets_multi sess ~faults targets in
+          Array.iteri
+            (fun t w ->
+              if got.(t) <> w then
+                Alcotest.failf "%s (%s): %s under [%s]: batched %b, single %b"
+                  what mode (Netlist.segment_name net t)
+                  (String.concat "; " (List.map (Fault.to_string net) faults))
+                  got.(t) w)
+            want)
+        [ ("certified", certified); ("plain", plain) ])
+    fault_sets;
+  (cert_stats_of certified).Bmc.Session.cert_unsat
+
+let test_batched_u226 () =
+  let net = u226 () in
+  let sample = List.filteri (fun i _ -> i mod 60 = 0) (Fault.universe net) in
+  check bool_t "u226: Unsat answers certified" true
+    (batched_agree ~what:"u226" net
+       (([] :: List.map (fun f -> [ f ]) sample) @ pairs sample)
+    > 0)
+
+let prop_batched_random_nets =
+  QCheck.Test.make
+    ~name:"batched decisions = check_access (random nets, stuck-at, transient)"
+    ~count:6
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let net =
+        Ftrsn_rsn.Random_net.generate ~seed ~segments:(5 + (seed mod 4)) ()
+      in
+      List.iter
+        (fun model ->
+          let faults = Fault.universe ~model net in
+          ignore @@ batched_agree
+            ~what:
+              (Printf.sprintf "%s/%s" net.Netlist.net_name
+                 (Fault.model_to_string model))
+            net
+            ([] :: List.map (fun f -> [ f ]) faults))
+        [ Fault.Stuck; Fault.Transient ];
+      true)
+
+let test_batched_certificates () =
+  (* One batched call certifies at most four Unsat answers — write and
+     read, each at depth 0 and at the bound — however many targets it
+     decides.  Under a seal of an outer SIB every segment behind it is
+     cut off, and the per-target search this replaced certified two
+     Unsat answers for each of them. *)
+  let wide = ref false in
+  for k = 1 to 4 do
+    let net = sib_nest k in
+    let sess = Bmc.Session.create ~certify:true (Bmc.create net) in
+    let targets = List.init (Netlist.num_segments net) Fun.id in
+    let seals =
+      List.filter_map
+        (fun s ->
+          if net.Netlist.segs.(s).Netlist.seg_shadow = 0 then None
+          else Some { Fault.site = Fault.Seg_shadow_reg (s, 0); stuck = false })
+        targets
+    in
+    List.iter
+      (fun fault ->
+        List.iter
+          (fun max_steps ->
+            let before = (cert_stats_of sess).Bmc.Session.cert_unsat in
+            let got =
+              Bmc.Session.check_targets sess ?fault ~max_steps targets
+            in
+            let spent = (cert_stats_of sess).Bmc.Session.cert_unsat - before in
+            let lost =
+              Array.fold_left (fun n ok -> if ok then n else n + 1) 0 got
+            in
+            if lost > 2 then wide := true;
+            if spent > 4 then
+              Alcotest.failf
+                "%d levels, max_steps %d, %d of %d targets lost: %d certified \
+                 Unsat answers, at most 4 expected"
+                k max_steps lost (List.length targets) spent)
+          [ k; k + 3 ])
+      (None :: List.map Option.some seals)
+  done;
+  check bool_t "some call lost more than two targets" true !wide
+
 let suite =
   [
     Alcotest.test_case "fault-free depths" `Quick test_fault_free_depths;
@@ -998,4 +1140,9 @@ let suite =
     Alcotest.test_case "certified u226 slice" `Slow test_certified_u226;
     Alcotest.test_case "certified Unsat answers per verdict (SIB nests)"
       `Quick test_certificates_per_verdict;
+    Alcotest.test_case "batched decisions = check_access (u226 singles, pairs)"
+      `Slow test_batched_u226;
+    Testseed.to_alcotest prop_batched_random_nets;
+    Alcotest.test_case "certified Unsat answers per batched call (SIB nests)"
+      `Quick test_batched_certificates;
   ]
