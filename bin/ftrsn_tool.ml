@@ -120,8 +120,7 @@ let pool_stats_line () =
     p.Response.po_entries
     (p.Response.po_bytes / 1024)
 
-let cmd_metric spec sample domains engine model brute pairs no_inprocess json
-    with_stats =
+let cmd_metric spec sample domains engine model brute pairs json with_stats =
   let net = Query.net_spec_of_cli spec in
   (* Human output renders the full Metric.pp line (steals, solver stats),
      so it needs the volatile block; JSON keeps the deterministic default
@@ -137,7 +136,6 @@ let cmd_metric spec sample domains engine model brute pairs no_inprocess json
           pq_domains = domains;
           pq_engine = engine;
           pq_reduce = not brute;
-          pq_inprocess = not no_inprocess;
           pq_model = model;
           pq_with_stats = ws;
         }
@@ -149,7 +147,7 @@ let cmd_metric spec sample domains engine model brute pairs no_inprocess json
           mq_domains = domains;
           mq_engine = engine;
           mq_reduce = not brute;
-          mq_inprocess = not no_inprocess;
+          mq_inprocess = true;
           mq_model = model;
           mq_with_stats = ws;
         }
@@ -158,7 +156,7 @@ let cmd_metric spec sample domains engine model brute pairs no_inprocess json
   pool_stats_line ();
   code
 
-let cmd_certify spec sample domains model pairs no_inprocess json with_stats =
+let cmd_certify spec sample domains model pairs json with_stats =
   let q =
     Query.Certify
       {
@@ -166,7 +164,6 @@ let cmd_certify spec sample domains model pairs no_inprocess json with_stats =
         cq_sample = sample;
         cq_domains = domains;
         cq_pairs = pairs;
-        cq_inprocess = not no_inprocess;
         cq_model = model;
         cq_with_stats = (if json then with_stats else true);
       }
@@ -330,15 +327,6 @@ let () =
       value & opt int 1
       & info [ "domains" ] ~doc:"Evaluation domains (work-stealing queue).")
   in
-  let no_inprocess =
-    Arg.(
-      value & flag
-      & info [ "no-inprocess" ]
-          ~doc:
-            "Disable SAT inprocessing (subsumption, vivification, bounded \
-             variable elimination) on the BMC sessions; results are \
-             identical, only slower.  Ablation switch.")
-  in
   let model =
     Arg.(
       value
@@ -385,7 +373,7 @@ let () =
     Cmd.v (Cmd.info "metric" ~doc:"Fault-tolerance metric")
       Term.(
         const cmd_metric $ spec $ sample $ domains $ engine $ model $ brute
-        $ pairs $ no_inprocess $ json $ with_stats)
+        $ pairs $ json $ with_stats)
   in
   let certify_cmd =
     let pairs =
@@ -404,8 +392,8 @@ let () =
             verified inline by an independent RUP proof checker.  Exits 3 \
             if any proof step is rejected.")
       Term.(
-        const cmd_certify $ spec $ sample $ domains $ model $ pairs
-        $ no_inprocess $ json $ with_stats)
+        const cmd_certify $ spec $ sample $ domains $ model $ pairs $ json
+        $ with_stats)
   in
   let access_cmd =
     let target =

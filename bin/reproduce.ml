@@ -137,15 +137,6 @@ let metric_row name r =
           s.Metric.s_reductions
     | _ -> ""
   in
-  let simp =
-    match m.Metric.solver with
-    | Some s when s.Metric.s_simp_passes > 0 ->
-        Printf.sprintf
-          "; simplify: %d passes, %d subsumed, %d elim, %d viv lits"
-          s.Metric.s_simp_passes s.Metric.s_subsumed s.Metric.s_eliminated_vars
-          s.Metric.s_vivified_lits
-    | _ -> ""
-  in
   let cert =
     match m.Metric.solver with
     | Some s when s.Metric.s_cert_unsat > 0 || s.Metric.s_cert_lemmas > 0 ->
@@ -153,9 +144,9 @@ let metric_row name r =
           s.Metric.s_cert_unsat s.Metric.s_cert_lemmas s.Metric.s_cert_time
     | _ -> ""
   in
-  Printf.printf "%-9s %10.2f %9.3f %12.3f %11.3f   (%d faults%s%s%s%s)\n" name
+  Printf.printf "%-9s %10.2f %9.3f %12.3f %11.3f   (%d faults%s%s%s)\n" name
     m.Metric.worst_bits m.Metric.avg_bits m.Metric.worst_segments
-    m.Metric.avg_segments m.Metric.faults red search simp cert
+    m.Metric.avg_segments m.Metric.faults red search cert
 
 let access_header () =
   Printf.printf "%-9s %10s %9s %12s %11s\n" "SoC" "bits-worst" "bits-avg"
@@ -166,7 +157,7 @@ let access_header () =
    checker and every UNSAT verdict's final clause is verified inline;
    Bmc.Session.Certification_failed aborts the run (exit 3). *)
 
-let access_query ?sample ~certify ~inprocess spec =
+let access_query ?sample ~certify spec =
   if certify then
     Query.Certify
       {
@@ -174,7 +165,6 @@ let access_query ?sample ~certify ~inprocess spec =
         cq_sample = sample;
         cq_domains = 1;
         cq_pairs = false;
-        cq_inprocess = inprocess;
         cq_model = Fault.Stuck;
         cq_with_stats = true;
       }
@@ -186,17 +176,16 @@ let access_query ?sample ~certify ~inprocess spec =
         mq_domains = 1;
         mq_engine = `Structural;
         mq_reduce = true;
-        mq_inprocess = inprocess;
+        mq_inprocess = true;
         mq_model = Fault.Stuck;
         mq_with_stats = true;
       }
 
-let access_sweep ?sample ~certify ~inprocess ~ft socs =
+let access_sweep ?sample ~certify ~ft socs =
   List.map
     (fun soc ->
       let m =
-        metric_query
-          (access_query ?sample ~certify ~inprocess (soc_spec ~ft soc))
+        metric_query (access_query ?sample ~certify (soc_spec ~ft soc))
       in
       (soc.Itc02.soc_name, m))
     socs
@@ -208,17 +197,17 @@ let json_row keys m =
     (keys
     @ Json.to_obj (Json.get "data" (Response.encode (Response.Metric_r m))))
 
-let sib_access ?sample ?(certify = false) ?(inprocess = true) socs =
+let sib_access ?sample ?(certify = false) socs =
   access_header ();
   List.iter
     (fun (name, m) -> metric_row name m)
-    (access_sweep ?sample ~certify ~inprocess ~ft:false socs)
+    (access_sweep ?sample ~certify ~ft:false socs)
 
-let ft_access ?sample ?(certify = false) ?(inprocess = true) socs =
+let ft_access ?sample ?(certify = false) socs =
   access_header ();
   List.iter
     (fun (name, m) -> metric_row name m)
-    (access_sweep ?sample ~certify ~inprocess ~ft:true socs)
+    (access_sweep ?sample ~certify ~ft:true socs)
 
 let area socs =
   Printf.printf "%-9s %6s %6s %6s %6s\n" "SoC" "mux" "bits" "nets" "area";
@@ -365,7 +354,6 @@ let double_fault_sweep ?sample socs =
                  pq_domains = 1;
                  pq_engine = `Structural;
                  pq_reduce = true;
-                 pq_inprocess = true;
                  pq_model = Fault.Stuck;
                  pq_with_stats = true;
                })
@@ -486,7 +474,7 @@ let coverage socs =
    (or per double-fault sweep).  Only these parts have a
    machine-readable form — they are what CI and EXPERIMENTS.md consume;
    the other parts stay human. *)
-let run_json part socs sample certify inprocess =
+let run_json part socs sample certify =
   if part = Double_faults then begin
     let rows =
       List.map
@@ -521,14 +509,14 @@ let run_json part socs sample certify inprocess =
             Json.List
               (List.map
                  (fun (name, m) -> json_row [ ("soc", Json.Str name) ] m)
-                 (access_sweep ?sample ~certify ~inprocess ~ft socs))
+                 (access_sweep ?sample ~certify ~ft socs))
           ))
         parts
     in
     print_endline (Json.to_string (Json.Obj doc))
   end
 
-let run part socs sample certify inprocess =
+let run part socs sample certify =
   let socs = soc_list socs in
   let banner title =
     Printf.printf "\n== %s ==\n" title
@@ -541,12 +529,12 @@ let run part socs sample certify inprocess =
   (match part with
   | Sib_access | All ->
       banner "Table I: accessibility in SIB-based RSNs";
-      sib_access ?sample ~certify ~inprocess socs
+      sib_access ?sample ~certify socs
   | _ -> ());
   (match part with
   | Ft_access | All ->
       banner "Table I: accessibility in fault-tolerant RSNs";
-      ft_access ?sample ~certify ~inprocess socs
+      ft_access ?sample ~certify socs
   | _ -> ());
   (match part with
   | Area_overhead | All ->
@@ -587,11 +575,10 @@ let run part socs sample certify inprocess =
   if certify then
     print_endline "\ncertification: OK (all UNSAT verdicts RUP-checked)"
 
-let run part socs sample certify no_inprocess json =
-  let inprocess = not no_inprocess in
+let run part socs sample certify json =
   try
-    if json then run_json part (soc_list socs) sample certify inprocess
-    else run part socs sample certify inprocess
+    if json then run_json part (soc_list socs) sample certify
+    else run part socs sample certify
   with Ftrsn_bmc.Bmc.Session.Certification_failed msg ->
     Printf.eprintf "certification: FAILED: %s\n" msg;
     exit 3
@@ -613,15 +600,12 @@ let () =
   let certify =
     Arg.(value & flag & info [ "certify" ] ~doc:"Run the accessibility sweeps (sib-access, ft-access) through the BMC engine in certified mode: an independent RUP checker verifies the solver's proof of every UNSAT verdict inline.  Exits 3 on any rejected proof step.")
   in
-  let no_inprocess =
-    Arg.(value & flag & info [ "no-inprocess" ] ~doc:"Disable SAT inprocessing (subsumption, vivification, bounded variable elimination) on the BMC sessions of certified sweeps; verdicts are identical, only slower.")
-  in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the accessibility sweeps (sib-access, ft-access) or the double-fault sweep as one JSON object instead of tables; each row is the \"data\" object of the wire response to that SoC's query, stats block included (\"stats\" holds the lane, pair-lane and solver counters), plus the row keys \"soc\" (and \"network\", \"mode\" for double-faults).  Only valid with --part sib-access, ft-access, double-faults or all.")
   in
   let cmd =
     Cmd.v
       (Cmd.info "reproduce" ~doc:"Regenerate Table I of 'Synthesis of Fault-Tolerant Reconfigurable Scan Networks' (DATE'20)")
-      Term.(const run $ part $ socs $ sample $ certify $ no_inprocess $ json)
+      Term.(const run $ part $ socs $ sample $ certify $ json)
   in
   exit (Cmd.eval cmd)

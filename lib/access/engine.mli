@@ -182,7 +182,7 @@ type probe = {
 
 val probe : ctx -> baseline -> Ftrsn_fault.Fault.summary -> probe
 (** The verdict, tight cone and pair gate of a summary.  [pr_cone]
-    agrees with {!cone} (modulo [None] vs empty). *)
+    agrees with {!cones} (modulo [None] vs empty). *)
 
 val analyze_delta :
   ctx -> baseline -> Ftrsn_fault.Fault.summary -> verdict * int

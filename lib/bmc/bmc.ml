@@ -133,14 +133,6 @@ and session = {
      long-lived (pooled) session answers repeated baseline sweeps from
      this cache instead of re-solving one query per segment *)
   mutable base_cache : (int list * bool array) option;
-  (* Inprocessing schedule: solver conflict/propagation counts at the
-     last simplification pass; a new pass runs between query batches
-     once enough search has happened since.  The conflict gap grows
-     geometrically — early passes catch the easy simplifications, and a
-     session that has already been simplified pays ever less often. *)
-  mutable ip_conflicts : int;
-  mutable ip_props : int;
-  mutable ip_gap : int;
   cert : cert_state option;  (* Some = certified mode *)
 }
 
@@ -488,9 +480,6 @@ module Session = struct
       active = None;
       queries = 0;
       base_cache = None;
-      ip_conflicts = 0;
-      ip_props = 0;
-      ip_gap = 2_000;
       cert;
     }
 
@@ -1100,32 +1089,9 @@ module Session = struct
     | Accessible n, configs -> Some (n, configs)
     | Inaccessible, _ -> None
 
-  (* Between query batches, once enough search has accumulated since the
-     last pass, let the solver simplify its clause database.  Activation
-     and assumption variables are frozen inside the solver, so anything
-     a later query may assume survives; the conflict gap doubles after
-     every pass (capped), so a long-lived session converges to paying
-     almost nothing, and a quiet session never pays at all. *)
-  let ip_gap_max = 32_000
-  let ip_prop_gap = 20_000_000
-
-  let maybe_inprocess sess =
-    let cf, _, pr = Solver.stats sess.solver in
-    if
-      cf - sess.ip_conflicts >= sess.ip_gap
-      || pr - sess.ip_props >= ip_prop_gap
-    then begin
-      Solver.inprocess ~budget:1_000_000 sess.solver;
-      let cf, _, pr = Solver.stats sess.solver in
-      sess.ip_conflicts <- cf;
-      sess.ip_props <- pr;
-      sess.ip_gap <- min ip_gap_max (2 * sess.ip_gap)
-    end
-
   let check_access sess ?fault ?max_steps ~target () =
     let faults = Option.to_list fault in
     let max_steps = steps_for sess max_steps in
-    maybe_inprocess sess;
     match fst (check_goal sess faults G_write ~max_steps ~target) with
     | Inaccessible -> Inaccessible
     | Accessible w -> (
@@ -1146,7 +1112,6 @@ module Session = struct
     | [] -> ()
     | _ when max_steps < 0 -> ()
     | kept ->
-        maybe_inprocess sess;
         let fe = enc sess faults in
         let fs = fe.fe_fs in
         let decide goal dead pending =

@@ -16,12 +16,7 @@ type solver_stats = {
   s_learnt_db : int;
   s_clauses_emitted : int;
   s_nodes_reused : int;
-  (* inprocessing counters; all zero with --no-inprocess *)
-  s_subsumed : int;
-  s_strengthened_lits : int;
-  s_eliminated_vars : int;
-  s_vivified_lits : int;
-  s_simp_passes : int;
+  s_simp_passes : int;  (* always 0; see metric.mli *)
   (* certified-mode counters; all zero when certification was off *)
   s_cert_unsat : int;
   s_cert_lemmas : int;
@@ -85,11 +80,7 @@ let merge_solver a b =
           s_learnt_db = x.s_learnt_db + y.s_learnt_db;
           s_clauses_emitted = x.s_clauses_emitted + y.s_clauses_emitted;
           s_nodes_reused = x.s_nodes_reused + y.s_nodes_reused;
-          s_subsumed = x.s_subsumed + y.s_subsumed;
-          s_strengthened_lits = x.s_strengthened_lits + y.s_strengthened_lits;
-          s_eliminated_vars = x.s_eliminated_vars + y.s_eliminated_vars;
-          s_vivified_lits = x.s_vivified_lits + y.s_vivified_lits;
-          s_simp_passes = x.s_simp_passes + y.s_simp_passes;
+          s_simp_passes = 0;
           s_cert_unsat = x.s_cert_unsat + y.s_cert_unsat;
           s_cert_lemmas = x.s_cert_lemmas + y.s_cert_lemmas;
           s_cert_deletes = x.s_cert_deletes + y.s_cert_deletes;
@@ -313,11 +304,7 @@ let solver_stats_of_session (st : Bmc.Session.stats) =
     s_learnt_db = ss.Solver.st_learnt_db;
     s_clauses_emitted = st.Bmc.Session.clauses_emitted;
     s_nodes_reused = st.Bmc.Session.nodes_reused;
-    s_subsumed = ss.Solver.st_subsumed;
-    s_strengthened_lits = ss.Solver.st_strengthened_lits;
-    s_eliminated_vars = ss.Solver.st_eliminated_vars;
-    s_vivified_lits = ss.Solver.st_vivified_lits;
-    s_simp_passes = ss.Solver.st_simp_passes;
+    s_simp_passes = 0;
     s_cert_unsat = cu;
     s_cert_lemmas = cl;
     s_cert_deletes = cd;
@@ -550,16 +537,10 @@ let classes_of warm ~full ~model net faults =
   | Some w when full -> warm_classes w ~model
   | _ -> Array.of_list (Fault.collapse net faults)
 
-let session_of ?(inprocess = true) warm ~certify net =
-  let sess =
-    match warm with
-    | Some w -> warm_session w ~certify
-    | None -> Bmc.Session.create ~certify (Bmc.create net)
-  in
-  (* Pooled sessions may carry the previous caller's setting; (re)apply
-     the ablation switch on every checkout so it is per-evaluation. *)
-  Solver.set_inprocess (Bmc.Session.solver sess) inprocess;
-  sess
+let session_of warm ~certify net =
+  match warm with
+  | Some w -> warm_session w ~certify
+  | None -> Bmc.Session.create ~certify (Bmc.create net)
 
 let release_session warm sess =
   match warm with Some w -> warm_release w sess | None -> ()
@@ -599,8 +580,8 @@ let model_faults ?sample ~model net =
 
 (* A BMC domain's session, checked out for one sweep; closing records
    its solver statistics into the domain's part and returns it. *)
-let open_session ~inprocess ~certify warm net p =
-  let sess = session_of ~inprocess warm ~certify net in
+let open_session ~certify warm net p =
+  let sess = session_of warm ~certify net in
   ( sess,
     fun () ->
       p.solver <- merge_solver p.solver (solver_of_session sess);
@@ -612,8 +593,8 @@ let open_session ~inprocess ~certify warm net p =
    inside [cone] with the fault-free verdicts spliced in elsewhere
    ([None], a benign summary: the fault-free vector).  Also returns the
    fault-free accessible vector and the close action. *)
-let open_bmc ~inprocess ~certify warm net p =
-  let sess, close = open_session ~inprocess ~certify warm net p in
+let open_bmc ~certify warm net p =
+  let sess, close = open_session ~certify warm net p in
   let targets = List.init (Netlist.num_segments net) Fun.id in
   let base_acc = Bmc.Session.check_targets_base sess targets in
   let within faults = function
@@ -633,7 +614,7 @@ let open_bmc ~inprocess ~certify warm net p =
    during analysis, so the domains share it), the BMC engine with one
    batched decision over every segment on the domain's incremental
    session. *)
-let sweep_brute ~what ~domains ~engine ~certify ~inprocess ?warm net items =
+let sweep_brute ~what ~domains ~engine ~certify ?warm net items =
   let verdicts =
     match engine with
     | `Structural ->
@@ -643,7 +624,7 @@ let sweep_brute ~what ~domains ~engine ~certify ~inprocess ?warm net items =
     | `Bmc ->
         let targets = List.init (Netlist.num_segments net) Fun.id in
         fun p ->
-          let sess, close = open_session ~inprocess ~certify warm net p in
+          let sess, close = open_session ~certify warm net p in
           ( (fun faults ->
               Bmc.Session.check_targets_multi sess ~faults targets),
             close )
@@ -695,8 +676,7 @@ let fast_units fast =
   List.init ((len + n - 1) / n) (fun k ->
       Array.sub a (k * n) (min n (len - (k * n))))
 
-let sweep_reduced ~domains ~engine ~certify ~inprocess ?warm ~full ~model net
-    faults =
+let sweep_reduced ~domains ~engine ~certify ?warm ~full ~model net faults =
   let ctx = ctx_of warm net in
   let base = base_of warm ctx in
   let classes = classes_of warm ~full ~model net faults in
@@ -731,7 +711,7 @@ let sweep_reduced ~domains ~engine ~certify ~inprocess ?warm ~full ~model net
             ignore )
     | `Bmc ->
         fun p ->
-          let within, _, close = open_bmc ~inprocess ~certify warm net p in
+          let within, _, close = open_bmc ~certify warm net p in
           ( (fun idxs ->
               let cones =
                 Engine.cones ctx base (Array.map (Array.get sms) idxs)
@@ -757,18 +737,16 @@ let sweep_reduced ~domains ~engine ~certify ~inprocess ?warm ~full ~model net
        ~reduction:(universe, Array.length classes, benign)
 
 let evaluate ?sample ?(domains = 1) ?(engine = `Structural) ?(reduce = true)
-    ?(certify = false) ?(inprocess = true) ?(model = Fault.Stuck) ?warm net =
+    ?(certify = false) ?(model = Fault.Stuck) ?warm net =
   if certify && engine <> `Bmc then
     invalid_arg "Metric.evaluate: ~certify:true requires ~engine:`Bmc";
   check_warm warm net "Metric.evaluate";
   let full = match sample with None -> true | Some k -> k <= 1 in
   let faults = model_faults ?sample ~model net in
   if reduce then
-    sweep_reduced ~domains ~engine ~certify ~inprocess ?warm ~full ~model net
-      faults
+    sweep_reduced ~domains ~engine ~certify ?warm ~full ~model net faults
   else
-    sweep_brute ~what:"Metric.evaluate" ~domains ~engine ~certify ~inprocess
-      ?warm net
+    sweep_brute ~what:"Metric.evaluate" ~domains ~engine ~certify ?warm net
       (Array.of_list (List.map (fun f -> [ f ]) faults))
 
 (* ---- the exhaustive pair sweep ----
@@ -845,8 +823,7 @@ let pair_stacks_of warm ~full ~model =
               sc)
   | _ -> stack_cache ()
 
-let sweep_pairs ~domains ~engine ~certify ~inprocess ?warm ~full ~model net
-    faults =
+let sweep_pairs ~domains ~engine ~certify ?warm ~full ~model net faults =
   let ctx = ctx_of warm net in
   let base = base_of warm ctx in
   (* The structural phase-1 records are a deterministic function of the
@@ -881,9 +858,7 @@ let sweep_pairs ~domains ~engine ~certify ~inprocess ?warm ~full ~model net
                   ignore )
           | `Bmc ->
               fun p ->
-                let within, base_acc, close =
-                  open_bmc ~inprocess ~certify warm net p
-                in
+                let within, base_acc, close = open_bmc ~certify warm net p in
                 ( base_acc,
                   (fun (c : Fault.clas) (pr : Engine.probe) ->
                     within [ c.Fault.cls_rep ] (Some pr.Engine.pr_cone)),
@@ -1006,7 +981,7 @@ let sweep_pairs ~domains ~engine ~certify ~inprocess ?warm ~full ~model net
             ignore )
     | `Bmc ->
         fun p ->
-          let within, _, close = open_bmc ~inprocess ~certify warm net p in
+          let within, _, close = open_bmc ~certify warm net p in
           ( (fun (i, js) ->
               (* The restriction must be the cone of the MERGED summary:
                  with tight cones the union of the two single-fault
@@ -1052,7 +1027,7 @@ let pair_items ~sample faults =
 
 let evaluate_pairs ?(sample = 37) ?fault_sample ?(domains = 1)
     ?(engine = `Structural) ?(exhaustive = false) ?(reduce = true)
-    ?(certify = false) ?(inprocess = true) ?(model = Fault.Stuck) ?warm net =
+    ?(certify = false) ?(model = Fault.Stuck) ?warm net =
   if certify && engine <> `Bmc then
     invalid_arg "Metric.evaluate_pairs: ~certify:true requires ~engine:`Bmc";
   if model = Fault.Transient then
@@ -1064,14 +1039,13 @@ let evaluate_pairs ?(sample = 37) ?fault_sample ?(domains = 1)
   let full = match fault_sample with None -> true | Some k -> k <= 1 in
   let faults = model_faults ?sample:fault_sample ~model net in
   if exhaustive && reduce then
-    sweep_pairs ~domains ~engine ~certify ~inprocess ?warm ~full ~model net
-      faults
+    sweep_pairs ~domains ~engine ~certify ?warm ~full ~model net faults
   else begin
     let sample = if exhaustive then 1 else max 1 sample in
     let items = pair_items ~sample (Array.of_list faults) in
     if Array.length items = 0 then invalid_arg "Metric.evaluate_pairs: empty";
     sweep_brute ~what:"Metric.evaluate_pairs" ~domains ~engine ~certify
-      ~inprocess ?warm net items
+      ?warm net items
   end
 
 let pp_solver_stats fmt s =
@@ -1086,11 +1060,6 @@ let pp_solver_stats fmt s =
       (s.s_learnt_lits - s.s_minimized_lits)
       (100.0 *. float_of_int s.s_minimized_lits /. float_of_int s.s_learnt_lits)
       s.s_reductions s.s_learnt_db;
-  if s.s_simp_passes > 0 then
-    Format.fprintf fmt
-      "@,@[<h>simplify: %d passes; %d subsumed, %d lits strengthened, %d vars eliminated, %d lits vivified@]"
-      s.s_simp_passes s.s_subsumed s.s_strengthened_lits s.s_eliminated_vars
-      s.s_vivified_lits;
   if s.s_cert_unsat > 0 || s.s_cert_lemmas > 0 then
     Format.fprintf fmt
       "@,@[<h>certified: %d UNSAT verdicts RUP-checked, %d lemmas verified, %d deletions, %.2fs in checker@]"

@@ -54,12 +54,11 @@ type solver_stats = {
   s_learnt_db : int;        (** live learnt clauses at session end (summed) *)
   s_clauses_emitted : int;  (** CNF clauses emitted into the solver(s) *)
   s_nodes_reused : int;     (** emitter memo hits: nodes NOT re-emitted *)
-  s_subsumed : int;         (** clauses deleted by subsumption *)
-  s_strengthened_lits : int;
-      (** literals removed by self-subsuming strengthening *)
-  s_eliminated_vars : int;  (** variables eliminated by BVE *)
-  s_vivified_lits : int;    (** literals removed by vivification *)
-  s_simp_passes : int;      (** inprocessing passes (0 with [~inprocess:false]) *)
+  s_simp_passes : int;
+      (** Always 0 and not on the wire: the solver has no inprocessing
+          pass.  Kept only because e2ebench reads this field by name;
+          it goes once e2ebench reads counters from the wire [stats]
+          object (ROADMAP item 2). *)
   s_cert_unsat : int;
       (** UNSAT verdicts certified by the independent RUP checker
           (certified mode only; 0 otherwise) *)
@@ -202,7 +201,6 @@ val evaluate :
   ?engine:[ `Structural | `Bmc ] ->
   ?reduce:bool ->
   ?certify:bool ->
-  ?inprocess:bool ->
   ?model:Ftrsn_fault.Fault.model ->
   ?warm:warm ->
   Ftrsn_rsn.Netlist.t ->
@@ -233,14 +231,7 @@ val evaluate :
     clause inline ({!Ftrsn_bmc.Bmc.Session.create}), raising
     [Ftrsn_bmc.Bmc.Session.Certification_failed] on any rejection; the
     proof size and checking time land in the [s_cert_*] fields of
-    [result.solver].
-
-    [inprocess:false] (BMC engine; ablation) disables SAT inprocessing on
-    every session the evaluation checks out — the sessions' solvers run
-    without subsumption / vivification / variable elimination, and the
-    [s_simp_*] / [s_subsumed] counters stay zero.  Default on.  Verdicts
-    and metric values are identical either way; only speed and the
-    volatile solver counters change. *)
+    [result.solver]. *)
 
 val evaluate_pairs :
   ?sample:int ->
@@ -250,7 +241,6 @@ val evaluate_pairs :
   ?exhaustive:bool ->
   ?reduce:bool ->
   ?certify:bool ->
-  ?inprocess:bool ->
   ?model:Ftrsn_fault.Fault.model ->
   ?warm:warm ->
   Ftrsn_rsn.Netlist.t ->

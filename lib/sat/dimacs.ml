@@ -62,15 +62,10 @@ let print cnf =
     cnf.clauses;
   Buffer.contents buf
 
-(* One-shot solving gets a SatELite-style preprocessing pass: the whole
-   formula is known up front and nothing is assumed later, so every
-   variable is fair game for elimination; [solve] reconstructs the model
-   from the witness stack before any [value] read. *)
 let solve cnf =
   let s = Solver.create () in
   Solver.ensure_vars s cnf.num_vars;
   List.iter (Solver.add_clause s) cnf.clauses;
-  Solver.inprocess s;
   Solver.solve s
 
 (* ---- DRAT proof traces ---- *)
@@ -91,7 +86,6 @@ let solve_certified cnf =
   Solver.set_proof_sink s (Some (fun ev -> trace := ev :: !trace));
   Solver.ensure_vars s cnf.num_vars;
   List.iter (Solver.add_clause s) cnf.clauses;
-  Solver.inprocess s;
   let r = Solver.solve s in
   (r, List.rev !trace)
 

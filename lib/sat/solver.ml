@@ -19,25 +19,17 @@
      propagation. *)
 
 type clause = {
-  mutable lits : int array;
-  mutable learnt : bool;
-      (* flips to false exactly once, when a learnt clause subsumes a
-         problem clause and must take over its constraint role *)
+  lits : int array;
+  learnt : bool;
   mutable act : float;
   mutable lbd : int;       (* literal block distance at learn time, refreshed
                               downward whenever the clause resolves a
                               conflict; 0 for problem clauses *)
   mutable deleted : bool;
-  mutable csig : int;
-      (* subsumption signature: one bit per variable (mod word size);
-         [c] can only subsume [d] when [csig c land lnot (csig d) = 0] *)
 }
 
 let dummy_clause =
-  { lits = [||]; learnt = false; act = 0.0; lbd = 0; deleted = true; csig = 0 }
-
-let clause_sig lits =
-  Array.fold_left (fun acc l -> acc lor (1 lsl ((l lsr 1) land 62))) 0 lits
+  { lits = [||]; learnt = false; act = 0.0; lbd = 0; deleted = true }
 
 (* Flat resizable watcher vector: parallel clause / literal payload arrays.
    For long-clause watchers the payload is the blocker literal; for binary
@@ -77,20 +69,6 @@ type proof_event =
   | P_add of int list
   | P_delete of int list
 
-(* One bounded-variable-elimination event.  [ev_side] snapshots the
-   deleted clauses that contained the positive literal [ev_lit = 2*ev_var]
-   (internal literals, as at deletion time): model reconstruction sets the
-   variable true iff one of them has every other literal false.  [ev_all]
-   keeps every deleted problem clause in DIMACS form so a later mention of
-   the variable can revive them verbatim as fresh inputs. *)
-type elim = {
-  ev_var : int;
-  ev_lit : int;
-  mutable ev_dead : bool;
-  ev_side : int array list;
-  ev_all : int list list;
-}
-
 type t = {
   mutable nvars : int;
   mutable assign : int array;        (* -1 undef / 0 false / 1 true, per var *)
@@ -112,11 +90,6 @@ type t = {
   mutable n_levels : int;
   mutable learnts : clause array;    (* growable; may hold deleted slots *)
   mutable n_learnts : int;           (* used slots of [learnts] *)
-  mutable probs : clause array;
-      (* every attached problem clause (growable; may hold deleted
-         slots).  Simplification passes need to enumerate the problem
-         database, which otherwise lives only in the watch lists. *)
-  mutable n_probs : int;             (* used slots of [probs] *)
   mutable n_problem : int;
   mutable n_learnt : int;            (* live learnt clauses *)
   mutable var_inc : float;
@@ -135,11 +108,6 @@ type t = {
   mutable learnt_lits : int;         (* learnt literals before minimization *)
   mutable minimized_lits : int;      (* literals removed by minimization *)
   mutable db_reductions : int;
-  mutable simp_subsumed : int;       (* clauses deleted by subsumption *)
-  mutable simp_strengthened : int;   (* literals removed by self-subsumption *)
-  mutable simp_eliminated : int;     (* variables eliminated (cumulative) *)
-  mutable simp_vivified : int;       (* literals removed by vivification *)
-  mutable simp_passes : int;         (* completed inprocessing passes *)
   mutable seen : bool array;         (* scratch for conflict analysis *)
   mutable lbd_mark : int array;      (* per level: stamp for LBD counting *)
   mutable lbd_tick : int;
@@ -152,26 +120,8 @@ type t = {
          it and the model reports its saved phase.  This is what makes
          retiring a clause group actually cheap — the group's private
          variables stop costing decision and propagation time. *)
-  mutable frozen : bool array;
-      (* per var: never eliminated.  Activation literals and every
-         variable that has ever been assumed are frozen — the session
-         layer may assume them again, and an eliminated variable has no
-         clauses left to constrain an assumption. *)
-  mutable elimed : bool array;       (* per var: currently eliminated *)
-  mutable revived : bool array;
-      (* per var: was eliminated once and then revived by a later
-         mention.  Such variables are shared with future clauses (e.g. a
-         session's unrolling variables, touched by every fault's delta),
-         so re-eliminating them would thrash: eliminate, revive on the
-         next batch, re-derive the resolvents, forever.  One revival
-         disqualifies the variable from BVE for good. *)
-  mutable elim_stack : elim list;    (* newest first *)
   mutable proof_sink : (proof_event -> unit) option;
-  (* feature switches (test hooks, inprocessing ablation) *)
-  mutable cfg_learnt_limit : int option;
-  mutable cfg_inprocess : bool;
-      (* When off, [inprocess] is a no-op — callers schedule passes
-         unconditionally and this switch is the single ablation point. *)
+  mutable cfg_learnt_limit : int option;  (* test hook *)
 }
 
 let create () =
@@ -194,8 +144,6 @@ let create () =
     n_levels = 0;
     learnts = [||];
     n_learnts = 0;
-    probs = [||];
-    n_probs = 0;
     n_problem = 0;
     n_learnt = 0;
     var_inc = 1.0;
@@ -209,29 +157,15 @@ let create () =
     learnt_lits = 0;
     minimized_lits = 0;
     db_reductions = 0;
-    simp_subsumed = 0;
-    simp_strengthened = 0;
-    simp_eliminated = 0;
-    simp_vivified = 0;
-    simp_passes = 0;
     seen = Array.make 16 false;
     lbd_mark = Array.make 16 0;
     lbd_tick = 0;
     failed = [];
     groups = Hashtbl.create 16;
     occurs = Array.make 16 0;
-    frozen = Array.make 16 false;
-    elimed = Array.make 16 false;
-    revived = Array.make 16 false;
-    elim_stack = [];
     proof_sink = None;
     cfg_learnt_limit = None;
-    cfg_inprocess = true;
   }
-
-let num_vars s = s.nvars
-let num_clauses s = s.n_problem
-let stats s = (s.conflicts, s.decisions, s.propagations)
 
 type search_stats = {
   st_conflicts : int;
@@ -242,11 +176,6 @@ type search_stats = {
   st_minimized_lits : int;
   st_reductions : int;
   st_learnt_db : int;
-  st_subsumed : int;
-  st_strengthened_lits : int;
-  st_eliminated_vars : int;
-  st_vivified_lits : int;
-  st_simp_passes : int;
 }
 
 let search_stats s =
@@ -259,15 +188,9 @@ let search_stats s =
     st_minimized_lits = s.minimized_lits;
     st_reductions = s.db_reductions;
     st_learnt_db = s.n_learnt;
-    st_subsumed = s.simp_subsumed;
-    st_strengthened_lits = s.simp_strengthened;
-    st_eliminated_vars = s.simp_eliminated;
-    st_vivified_lits = s.simp_vivified;
-    st_simp_passes = s.simp_passes;
   }
 
 let set_learnt_limit s n = s.cfg_learnt_limit <- n
-let set_inprocess s b = s.cfg_inprocess <- b
 let set_proof_sink s sink = s.proof_sink <- sink
 
 (* Root unsatisfiability is the proof's terminal fact: the first time it
@@ -374,9 +297,6 @@ let grow_to s n =
     s.polarity <- extend s.polarity false;
     s.seen <- extend s.seen false;
     s.occurs <- extend s.occurs 0;
-    s.frozen <- extend s.frozen false;
-    s.elimed <- extend s.elimed false;
-    s.revived <- extend s.revived false;
     s.heap_pos <- extend s.heap_pos (-1);
     s.trail <- extend s.trail 0;
     s.trail_lim <- extend s.trail_lim 0;
@@ -535,18 +455,10 @@ let clause_lbd s lits =
 
 (* ---- clause attachment ---- *)
 
-let attach_watches s c =
-  if Array.length c.lits = 2 then begin
-    wpush s.bin_watches.(lit_neg c.lits.(0)) c c.lits.(1);
-    wpush s.bin_watches.(lit_neg c.lits.(1)) c c.lits.(0)
-  end
-  else begin
-    wpush s.watches.(lit_neg c.lits.(0)) c c.lits.(1);
-    wpush s.watches.(lit_neg c.lits.(1)) c c.lits.(0)
-  end
-
 let attach s c =
-  attach_watches s c;
+  let w = if Array.length c.lits = 2 then s.bin_watches else s.watches in
+  wpush w.(lit_neg c.lits.(0)) c c.lits.(1);
+  wpush w.(lit_neg c.lits.(1)) c c.lits.(0);
   Array.iter
     (fun l ->
       let v = lit_var l in
@@ -555,31 +467,6 @@ let attach s c =
          have been popped from the order heap while unconstrained. *)
       if s.occurs.(v) = 1 && s.assign.(v) < 0 then heap_insert s v)
     c.lits
-
-let wl_remove wl c =
-  let i = ref 0 in
-  while !i < wl.wlen && wl.wc.(!i) != c do
-    incr i
-  done;
-  if !i < wl.wlen then begin
-    wl.wlen <- wl.wlen - 1;
-    wl.wc.(!i) <- wl.wc.(wl.wlen);
-    wl.wb.(!i) <- wl.wb.(wl.wlen);
-    wl.wc.(wl.wlen) <- dummy_clause
-  end
-
-(* Remove the clause from its two watch lists (it watches exactly
-   lits.(0) / lits.(1) whenever propagation is at a fixpoint).  Occurrence
-   counts are untouched: the clause is still logically present. *)
-let detach s c =
-  if Array.length c.lits = 2 then begin
-    wl_remove s.bin_watches.(lit_neg c.lits.(0)) c;
-    wl_remove s.bin_watches.(lit_neg c.lits.(1)) c
-  end
-  else begin
-    wl_remove s.watches.(lit_neg c.lits.(0)) c;
-    wl_remove s.watches.(lit_neg c.lits.(1)) c
-  end
 
 (* Delete a clause in place: propagation drops deleted clauses from the
    watcher vectors lazily the next time it scans them.  A deleted clause
@@ -608,24 +495,13 @@ let push_learnt s c =
   s.learnts.(s.n_learnts) <- c;
   s.n_learnts <- s.n_learnts + 1
 
-let push_prob s c =
-  let n = Array.length s.probs in
-  if s.n_probs = n then begin
-    let np = Array.make (max 16 (2 * n)) dummy_clause in
-    Array.blit s.probs 0 np 0 n;
-    s.probs <- np
-  end;
-  s.probs.(s.n_probs) <- c;
-  s.n_probs <- s.n_probs + 1
-
 (* Drop deleted slots from the learnt array (the live clauses keep their
-   relative order).  Clauses promoted to problem status by subsumption
-   leave too — [reduce_db] must never see (let alone delete) them. *)
+   relative order). *)
 let compact_learnts s =
   let j = ref 0 in
   for i = 0 to s.n_learnts - 1 do
     let c = s.learnts.(i) in
-    if (not c.deleted) && c.learnt then begin
+    if not c.deleted then begin
       s.learnts.(!j) <- c;
       incr j
     end
@@ -634,20 +510,6 @@ let compact_learnts s =
     s.learnts.(i) <- dummy_clause
   done;
   s.n_learnts <- !j
-
-let compact_probs s =
-  let j = ref 0 in
-  for i = 0 to s.n_probs - 1 do
-    let c = s.probs.(i) in
-    if not c.deleted then begin
-      s.probs.(!j) <- c;
-      incr j
-    end
-  done;
-  for i = !j to s.n_probs - 1 do
-    s.probs.(i) <- dummy_clause
-  done;
-  s.n_probs <- !j
 
 (* ---- propagation ---- *)
 
@@ -994,466 +856,13 @@ let add_clause_internal s lits =
           end;
           None
       | _ ->
-          let lits = Array.of_list lits in
           let c =
-            { lits; learnt = false; act = 0.0; lbd = 0; deleted = false;
-              csig = clause_sig lits }
+            { lits = Array.of_list lits; learnt = false; act = 0.0; lbd = 0;
+              deleted = false }
           in
           s.n_problem <- s.n_problem + 1;
           attach s c;
-          push_prob s c;
           Some c
-    end
-  end
-
-(* ---- simplification: subsumption, vivification, variable elimination ----
-
-   Every transformation speaks DRUP through the proof sink: a derived
-   clause is logged as [P_add] while its antecedents are still live (so
-   the checker verifies it by reverse unit propagation), and only then are
-   clauses retracted with [P_delete].  Deletions need no justification in
-   DRUP, which is what makes variable elimination certifiable here: the
-   resolvents are each RUP with respect to their two parents, and the
-   parent clauses are then simply deleted. *)
-
-(* Level-0 propagation to a fixpoint; a root conflict closes the proof. *)
-let saturate s =
-  match propagate s with Some _ -> set_root_unsat s | None -> ()
-
-(* Replace a *detached* clause's literal set with [new_lits] (a strict
-   subset that the caller has shown to be RUP).  Shrinking to a unit or
-   to the empty clause dissolves the clause object into a level-0 fact.
-   Level 0 only. *)
-let replace_lits s c new_lits =
-  if Array.length new_lits >= 2 then begin
-    log_add s new_lits;
-    log_delete s c.lits;
-    Array.iter
-      (fun l -> s.occurs.(lit_var l) <- s.occurs.(lit_var l) - 1)
-      c.lits;
-    c.lits <- new_lits;
-    c.csig <- clause_sig new_lits;
-    Array.iter
-      (fun l ->
-        let v = lit_var l in
-        s.occurs.(v) <- s.occurs.(v) + 1;
-        if s.occurs.(v) = 1 && s.assign.(v) < 0 then heap_insert s v)
-      new_lits;
-    attach_watches s c
-  end
-  else begin
-    (match Array.length new_lits with
-    | 1 -> (
-        let l = new_lits.(0) in
-        (* [enqueue] at level 0 logs the unit lemma; a literal already
-           true needed no new event, one already false closes the proof
-           (its negation is a logged level-0 unit). *)
-        match lit_val s l with
-        | -1 -> enqueue s l dummy_clause
-        | 0 ->
-            log_unit s l;
-            set_root_unsat s
-        | _ -> ())
-    | _ -> set_root_unsat s);
-    delete_clause s c
-  end
-
-(* Attach a clause derived by simplification (already RUP w.r.t. the live
-   database).  The full derived clause is logged; literals false at level
-   0 are stripped from the attached copy exactly as in the input path, so
-   the checker's formula stays a superset of the attached database. *)
-let add_derived s lits =
-  log_add s lits;
-  if Array.exists (fun l -> lit_val s l = 1) lits then None
-  else begin
-    let live =
-      Array.of_list
-        (List.filter (fun l -> lit_val s l <> 0) (Array.to_list lits))
-    in
-    match Array.length live with
-    | 0 ->
-        set_root_unsat s;
-        None
-    | 1 ->
-        (match lit_val s live.(0) with
-        | -1 -> enqueue s live.(0) dummy_clause
-        | _ -> ());
-        None
-    | _ ->
-        let c =
-          { lits = live; learnt = false; act = 0.0; lbd = 0;
-            deleted = false; csig = clause_sig live }
-        in
-        s.n_problem <- s.n_problem + 1;
-        attach s c;
-        push_prob s c;
-        Some c
-  end
-
-(* A learnt clause that subsumes a problem clause takes over its
-   constraint role: promote it to problem status so database reduction
-   can never delete it ([compact_learnts] drops it from the learnt
-   array). *)
-let promote s c =
-  if c.learnt then begin
-    c.learnt <- false;
-    c.lbd <- 0;
-    s.n_learnt <- s.n_learnt - 1;
-    s.n_problem <- s.n_problem + 1;
-    push_prob s c
-  end
-
-(* Bring a clause in sync with the level-0 trail: delete it if satisfied,
-   strip its false literals (the stripped clause is RUP — each removed
-   literal is falsified by a logged unit lemma). *)
-let cleanup_clause s c =
-  if not c.deleted then begin
-    if Array.exists (fun l -> lit_val s l = 1) c.lits then delete_clause s c
-    else if Array.exists (fun l -> lit_val s l = 0) c.lits then begin
-      let kept =
-        Array.of_list
-          (List.filter (fun l -> lit_val s l <> 0) (Array.to_list c.lits))
-      in
-      detach s c;
-      replace_lits s c kept
-    end
-  end
-
-let mem_lit lits l =
-  let n = Array.length lits in
-  let i = ref 0 in
-  while !i < n && Array.unsafe_get lits !i <> l do
-    incr i
-  done;
-  !i < n
-
-let sig_subset c d = c.csig land lnot d.csig = 0
-
-(* [c] subsumes [d]: every literal of [c] appears in [d]. *)
-let subsumes c d =
-  Array.length c.lits <= Array.length d.lits
-  && sig_subset c d
-  && Array.for_all (fun l -> mem_lit d.lits l) c.lits
-
-(* Self-subsuming resolution: [c \ {l} ⊆ d] and [¬l ∈ d] — resolving the
-   two on [l] yields [d \ {¬l}], a strict strengthening of [d] that is
-   RUP while both parents are live. *)
-let strengthens c d l =
-  Array.length c.lits <= Array.length d.lits
-  && sig_subset c d
-  && mem_lit d.lits (lit_neg l)
-  && Array.for_all (fun x -> x = l || mem_lit d.lits x) c.lits
-
-(* Re-adding a mention of an eliminated variable (a new clause, an
-   assumption, an explicit freeze) revives it: the deleted problem
-   clauses of its elimination event are re-added verbatim as fresh inputs
-   — every one is a logical consequence of the original formula, so the
-   checker's certificate is unaffected — and the witness entry dies.
-   Revival cascades: a revived clause may mention other eliminated
-   variables.  Level 0 only. *)
-let rec revive_var s v =
-  if s.elimed.(v) then begin
-    s.elimed.(v) <- false;
-    s.revived.(v) <- true;
-    List.iter
-      (fun e ->
-        if (not e.ev_dead) && e.ev_var = v then begin
-          e.ev_dead <- true;
-          List.iter
-            (fun dl ->
-              List.iter
-                (fun d ->
-                  let u = abs d - 1 in
-                  if u < s.nvars && s.elimed.(u) then revive_var s u)
-                dl;
-              log_input s dl;
-              ignore (add_clause_internal s (List.map (lit_of_dimacs s) dl)))
-            e.ev_all
-        end)
-      s.elim_stack
-  end
-
-let revive_mentioned s dimacs_lits =
-  List.iter
-    (fun d ->
-      let u = abs d - 1 in
-      if u >= 0 && u < s.nvars && s.elimed.(u) then begin
-        cancel_until s 0;
-        s.have_model <- false;
-        revive_var s u
-      end)
-    dimacs_lits
-
-(* Replay the elimination witnesses, newest first: an eliminated variable
-   is true iff one of its stored positive-side clauses has every other
-   literal false under the model reconstructed so far.  Values land in
-   [polarity]; eliminated variables are never assigned (they occur in no
-   live clause), so {!value} reads exactly these bits. *)
-let reconstruct s =
-  List.iter
-    (fun e ->
-      if not e.ev_dead then begin
-        let ltrue l =
-          let u = l lsr 1 in
-          let b =
-            if s.assign.(u) >= 0 then s.assign.(u) = 1 else s.polarity.(u)
-          in
-          b = (l land 1 = 0)
-        in
-        let forced =
-          List.exists
-            (fun cl ->
-              Array.for_all (fun l -> l = e.ev_lit || not (ltrue l)) cl)
-            e.ev_side
-        in
-        s.polarity.(e.ev_var) <- forced
-      end)
-    s.elim_stack
-
-let freeze_var s v =
-  if v <= 0 || v > s.nvars then
-    invalid_arg "Sat.Solver.freeze_var: bad variable";
-  let v0 = v - 1 in
-  if s.elimed.(v0) then begin
-    cancel_until s 0;
-    s.have_model <- false;
-    revive_var s v0
-  end;
-  s.frozen.(v0) <- true
-
-let var_eliminated s v = v >= 1 && v <= s.nvars && s.elimed.(v - 1)
-
-let default_simp_budget = 4_000_000
-
-let inprocess ?(budget = default_simp_budget) s =
-  if s.cfg_inprocess && not s.unsat_at_root then begin
-    cancel_until s 0;
-    s.have_model <- false;
-    saturate s;
-    if not s.unsat_at_root then begin
-      s.simp_passes <- s.simp_passes + 1;
-      (* 0. sync the clause arrays with the level-0 trail, to a fixpoint
-         (stripping may create units that satisfy or shorten others). *)
-      let stable = ref false in
-      while (not !stable) && not s.unsat_at_root do
-        let t0 = s.trail_len in
-        for i = 0 to s.n_probs - 1 do
-          cleanup_clause s s.probs.(i)
-        done;
-        for i = 0 to s.n_learnts - 1 do
-          cleanup_clause s s.learnts.(i)
-        done;
-        if not s.unsat_at_root then saturate s;
-        stable := s.trail_len = t0
-      done;
-      if not s.unsat_at_root then begin
-        compact_probs s;
-        compact_learnts s;
-        (* Occurrence lists over the live database.  Clauses only ever
-           shrink in place, so the lists stay supersets: a stale entry is
-           filtered by a membership test at use.  Clauses attached during
-           the pass (resolvents) are registered as they appear. *)
-        let occ = Array.make (2 * s.nvars) [] in
-        let nocc = Array.make (2 * s.nvars) 0 in
-        let register c =
-          Array.iter
-            (fun l ->
-              occ.(l) <- c :: occ.(l);
-              nocc.(l) <- nocc.(l) + 1)
-            c.lits
-        in
-        for i = 0 to s.n_probs - 1 do
-          register s.probs.(i)
-        done;
-        for i = 0 to s.n_learnts - 1 do
-          register s.learnts.(i)
-        done;
-        let work = ref 0 in
-        (* 1. backward subsumption and self-subsuming strengthening. *)
-        let try_clause c =
-          if (not c.deleted) && !work <= budget && not s.unsat_at_root
-          then begin
-            let best = ref c.lits.(0) in
-            Array.iter
-              (fun l -> if nocc.(l) < nocc.(!best) then best := l)
-              c.lits;
-            List.iter
-              (fun d ->
-                incr work;
-                if d != c && (not d.deleted) && subsumes c d then begin
-                  if (not d.learnt) && c.learnt then promote s c;
-                  delete_clause s d;
-                  s.simp_subsumed <- s.simp_subsumed + 1
-                end)
-              occ.(!best);
-            Array.iter
-              (fun l ->
-                if (not c.deleted) && !work <= budget then
-                  List.iter
-                    (fun d ->
-                      incr work;
-                      if d != c && (not d.deleted) && strengthens c d l
-                      then begin
-                        let kept =
-                          Array.of_list
-                            (List.filter
-                               (fun x -> x <> lit_neg l)
-                               (Array.to_list d.lits))
-                        in
-                        detach s d;
-                        replace_lits s d kept;
-                        s.simp_strengthened <- s.simp_strengthened + 1
-                      end)
-                    occ.(lit_neg l))
-              c.lits
-          end
-        in
-        for i = 0 to s.n_probs - 1 do
-          try_clause s.probs.(i)
-        done;
-        for i = 0 to s.n_learnts - 1 do
-          try_clause s.learnts.(i)
-        done;
-        if not s.unsat_at_root then saturate s;
-        (* 2. vivification of problem clauses: assert the negations of
-           the literals one by one; a conflict or an implied literal
-           proves a shorter RUP clause, an implied-false literal is
-           redundant.  The clause is detached first so its own
-           propagation cannot mask a strengthening. *)
-        let vivify c =
-          if
-            (not c.deleted)
-            && (not c.learnt)
-            && Array.length c.lits >= 3
-            && !work <= budget
-            && (not s.unsat_at_root)
-            && not (Array.exists (fun l -> lit_val s l = 1) c.lits)
-          then begin
-            let p0 = s.propagations in
-            detach s c;
-            let lits = Array.copy c.lits in
-            let n = Array.length lits in
-            let kept = ref [] in
-            let dropped = ref 0 in
-            (try
-               for i = 0 to n - 1 do
-                 let l = lits.(i) in
-                 match lit_val s l with
-                 | 1 ->
-                     kept := l :: !kept;
-                     dropped := !dropped + (n - i - 1);
-                     raise Exit
-                 | 0 -> incr dropped
-                 | _ -> (
-                     push_level s;
-                     enqueue s (lit_neg l) dummy_clause;
-                     match propagate s with
-                     | Some _ ->
-                         kept := l :: !kept;
-                         dropped := !dropped + (n - i - 1);
-                         raise Exit
-                     | None -> kept := l :: !kept)
-               done
-             with Exit -> ());
-            cancel_until s 0;
-            work := !work + (s.propagations - p0) + n;
-            if !dropped > 0 then begin
-              s.simp_vivified <- s.simp_vivified + !dropped;
-              replace_lits s c (Array.of_list (List.rev !kept))
-            end
-            else attach_watches s c;
-            if s.qhead < s.trail_len then saturate s
-          end
-        in
-        for i = 0 to s.n_probs - 1 do
-          vivify s.probs.(i)
-        done;
-        (* 3. bounded variable elimination.  Frozen and assigned
-           variables are skipped; the gate is the classic one — the
-           non-tautological resolvent count must not exceed the number
-           of deleted clauses.  Learnt clauses on the variable are
-           deleted without resolution (they are consequences). *)
-        let live_side lst l =
-          List.filter (fun c -> (not c.deleted) && mem_lit c.lits l) lst
-        in
-        let resolve c d v =
-          let buf = ref [] in
-          Array.iter (fun l -> if l lsr 1 <> v then buf := l :: !buf) c.lits;
-          Array.iter (fun l -> if l lsr 1 <> v then buf := l :: !buf) d.lits;
-          let lits = List.sort_uniq Int.compare !buf in
-          let rec taut = function
-            | a :: (b :: _ as rest) -> b = a lxor 1 || taut rest
-            | _ -> false
-          in
-          if taut lits then None else Some (Array.of_list lits)
-        in
-        let try_eliminate v =
-          if
-            !work <= budget
-            && (not s.unsat_at_root)
-            && (not s.frozen.(v))
-            && (not s.elimed.(v))
-            && (not s.revived.(v))
-            && s.assign.(v) < 0
-          then begin
-            let p = 2 * v and np = (2 * v) + 1 in
-            let pos_all = live_side occ.(p) p
-            and neg_all = live_side occ.(np) np in
-            let pos = List.filter (fun c -> not c.learnt) pos_all
-            and neg = List.filter (fun c -> not c.learnt) neg_all in
-            let cp = List.length pos and cn = List.length neg in
-            if (cp > 0 || cn > 0) && cp + cn <= 16 then begin
-              work := !work + (cp * cn) + 1;
-              let limit = cp + cn in
-              let resolvents = ref [] and cnt = ref 0 and ok = ref true in
-              List.iter
-                (fun c ->
-                  List.iter
-                    (fun d ->
-                      if !ok then
-                        match resolve c d v with
-                        | None -> ()
-                        | Some r ->
-                            incr cnt;
-                            if !cnt > limit then ok := false
-                            else resolvents := r :: !resolvents)
-                    neg)
-                pos;
-              if !ok then begin
-                (* Derive every resolvent while both parents are live,
-                   snapshot the witness and revival sets, then retract
-                   all clauses on the variable. *)
-                List.iter
-                  (fun r ->
-                    match add_derived s r with
-                    | Some c -> register c
-                    | None -> ())
-                  (List.rev !resolvents);
-                s.elim_stack <-
-                  {
-                    ev_var = v;
-                    ev_lit = p;
-                    ev_dead = false;
-                    ev_side = List.map (fun c -> Array.copy c.lits) pos;
-                    ev_all =
-                      List.map (fun c -> dimacs_list c.lits) (pos @ neg);
-                  }
-                  :: s.elim_stack;
-                s.elimed.(v) <- true;
-                s.simp_eliminated <- s.simp_eliminated + 1;
-                List.iter (fun c -> delete_clause s c) pos_all;
-                List.iter (fun c -> delete_clause s c) neg_all;
-                if s.qhead < s.trail_len then saturate s
-              end
-            end
-          end
-        in
-        for v = 0 to s.nvars - 1 do
-          try_eliminate v
-        done;
-        compact_probs s;
-        compact_learnts s
-      end
     end
   end
 
@@ -1462,7 +871,6 @@ let inprocess ?(budget = default_simp_budget) s =
 let add_clause s dimacs_lits =
   cancel_until s 0;
   s.have_model <- false;
-  revive_mentioned s dimacs_lits;
   let lits = List.map (lit_of_dimacs s) dimacs_lits in
   log_input s dimacs_lits;
   ignore (add_clause_internal s lits)
@@ -1511,10 +919,7 @@ let record_learnt s lits btlevel =
       lits.(1) <- lits.(!best);
       lits.(!best) <- t;
       log_add s lits;
-      let c =
-        { lits; learnt = true; act = 0.0; lbd; deleted = false;
-          csig = clause_sig lits }
-      in
+      let c = { lits; learnt = true; act = 0.0; lbd; deleted = false } in
       cla_bump s c;
       push_learnt s c;
       s.n_learnt <- s.n_learnt + 1;
@@ -1525,17 +930,7 @@ let solve ?(assumptions = []) s =
   s.have_model <- false;
   s.failed <- [];
   cancel_until s 0;
-  (* Assumption variables are frozen permanently — the caller may assume
-     them again, and an eliminated variable has no clauses left for an
-     assumption to constrain — and revived first if a previous pass
-     eliminated them. *)
   let assumption_lits = List.map (lit_of_dimacs s) assumptions in
-  List.iter
-    (fun l ->
-      let u = lit_var l in
-      if s.elimed.(u) then revive_var s u;
-      s.frozen.(u) <- true)
-    assumption_lits;
   if s.unsat_at_root then Unsat
   else begin
     (* Duplicate assumptions would each open a level; keep the first
@@ -1554,7 +949,6 @@ let solve ?(assumptions = []) s =
            assumption_lits)
     in
     let n_assumed = Array.length assumps in
-    cancel_until s 0;
     let restart = ref 1 in
     let answer = ref None in
     (* [= None] would be a polymorphic-equality C call in the innermost
@@ -1606,9 +1000,6 @@ let solve ?(assumptions = []) s =
               else begin
                 let v = pick_branch s in
                 if v < 0 then begin
-                  (* Replay the elimination witnesses before anything can
-                     read the model. *)
-                  reconstruct s;
                   s.have_model <- true;
                   answer := Some Sat
                 end
@@ -1637,12 +1028,7 @@ let failed_assumptions s = s.failed
 
 (* ---- activation literals (incremental sessions) ---- *)
 
-let new_activation s =
-  let a = new_var s in
-  (* An activation variable is assumed by later queries; it must never be
-     eliminated. *)
-  s.frozen.(a - 1) <- true;
-  a
+let new_activation = new_var
 
 let add_clause_under s act lits =
   if act <= 0 || act > s.nvars then
@@ -1650,7 +1036,6 @@ let add_clause_under s act lits =
   cancel_until s 0;
   s.have_model <- false;
   let dimacs_lits = -act :: lits in
-  revive_mentioned s dimacs_lits;
   let lits = List.map (lit_of_dimacs s) dimacs_lits in
   log_input s dimacs_lits;
   match add_clause_internal s lits with
@@ -1659,47 +1044,6 @@ let add_clause_under s act lits =
       match Hashtbl.find_opt s.groups act with
       | Some l -> l := c :: !l
       | None -> Hashtbl.add s.groups act (ref [ c ]))
-
-(* Drop clauses satisfied at level 0 from the watcher vectors, so retired
-   activation groups stop costing propagation time.  Safe: conflict
-   analysis never dereferences reasons of level-0 assignments, and a
-   satisfied clause constrains nothing. *)
-let simplify s =
-  cancel_until s 0;
-  if not s.unsat_at_root then begin
-    (match propagate s with
-    | Some _ -> set_root_unsat s
-    | None -> ());
-    if not s.unsat_at_root then begin
-      let satisfied c =
-        Array.exists
-          (fun l -> lit_val s l = 1 && s.level.(lit_var l) = 0)
-          c.lits
-      in
-      let sweep wl =
-        let j = ref 0 in
-        for i = 0 to wl.wlen - 1 do
-          let c = wl.wc.(i) in
-          if c.deleted then ()
-          else if satisfied c then delete_clause s c
-          else begin
-            wl.wc.(!j) <- c;
-            wl.wb.(!j) <- wl.wb.(i);
-            incr j
-          end
-        done;
-        for t = !j to wl.wlen - 1 do
-          wl.wc.(t) <- dummy_clause
-        done;
-        wl.wlen <- !j
-      in
-      for l = 0 to (2 * s.nvars) - 1 do
-        sweep s.watches.(l);
-        sweep s.bin_watches.(l)
-      done;
-      compact_learnts s
-    end
-  end
 
 (* Permanently deactivate a group: assert the negated activator (making
    every gated clause satisfied at level 0) and delete the group's clauses

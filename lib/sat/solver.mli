@@ -20,10 +20,6 @@ val new_var : t -> int
 val ensure_vars : t -> int -> unit
 (** [ensure_vars s n] makes sure variables [1 .. n] exist. *)
 
-val num_vars : t -> int
-val num_clauses : t -> int
-(** Number of problem (non-learnt) clauses added. *)
-
 val add_clause : t -> int list -> unit
 (** Adds a clause of DIMACS literals.  Adding the empty clause (or a clause
     that is falsified at level 0) makes the instance permanently
@@ -68,54 +64,11 @@ val retire_activation : t -> int -> unit
     propagation.  Assuming a retired activation in a later [solve] yields
     [Unsat] with that literal among the failed assumptions. *)
 
-val simplify : t -> unit
-(** Removes clauses satisfied at decision level 0 from the watch lists
-    (learnt and problem clauses alike); sound at any point between
-    [solve] calls. *)
-
-(** {2 Inprocessing}
-
-    [inprocess] runs one bounded simplification pass over the live clause
-    database: level-0 cleanup, backward subsumption with self-subsuming
-    literal strengthening, clause vivification, and bounded variable
-    elimination (BVE) with witness recording.  Every derived clause is
-    emitted as [P_add] and every removed clause as [P_delete] through the
-    proof sink, so certified sessions keep verifying unchanged.
-
-    Incremental safety: variables are {e frozen} (never eliminated) when
-    they are activation literals, have ever appeared in an assumption, or
-    were frozen explicitly with {!freeze_var}.  If a later clause,
-    assumption, or freeze mentions an eliminated variable, the variable is
-    {e revived}: its deleted clauses are re-added as fresh inputs (they
-    are consequences of the original formula) before the mention takes
-    effect.  [solve] replays the elimination witnesses before returning
-    [Sat], so {!value} always reports a model of the original formula. *)
-
-val inprocess : ?budget:int -> t -> unit
-(** One simplification pass, bounded by [budget] abstract work steps
-    (candidate checks plus propagation during vivification); a no-op when
-    inprocessing is disabled with {!set_inprocess} or the instance is
-    already unsatisfiable at the root.  Sound at any point between
-    [solve] calls; invalidates the current model. *)
-
-val freeze_var : t -> int -> unit
-(** Marks the (DIMACS, positive) variable as never eliminable, reviving
-    it first if a previous pass eliminated it.  Activation literals and
-    assumption variables are frozen automatically.
-    @raise Invalid_argument if the variable is not allocated. *)
-
-val var_eliminated : t -> int -> bool
-(** Whether the variable is currently eliminated (test hook; [false] for
-    out-of-range variables). *)
-
 val value : t -> int -> bool
 (** [value s v] is the phase of variable [v] in the model found by the last
     [solve] call that returned [Sat].
     @raise Invalid_argument if the last call did not return [Sat] or [v] is
     out of range. *)
-
-val stats : t -> int * int * int
-(** [(conflicts, decisions, propagations)] since creation. *)
 
 type search_stats = {
   st_conflicts : int;
@@ -128,14 +81,6 @@ type search_stats = {
       (** literals removed by learnt-clause minimization *)
   st_reductions : int;  (** learnt-database reduction passes *)
   st_learnt_db : int;  (** live learnt clauses right now *)
-  st_subsumed : int;  (** clauses deleted by subsumption *)
-  st_strengthened_lits : int;
-      (** literals removed by self-subsuming strengthening *)
-  st_eliminated_vars : int;
-      (** variables eliminated by BVE (cumulative; revival does not
-          decrement) *)
-  st_vivified_lits : int;  (** literals removed by vivification *)
-  st_simp_passes : int;  (** completed inprocessing passes *)
 }
 
 val search_stats : t -> search_stats
@@ -143,22 +88,14 @@ val search_stats : t -> search_stats
     current live learnt-clause count, i.e. the database size after the
     last reduction and subsequent learning). *)
 
-(** {2 Feature switches}
-
-    Test hooks and the inprocessing ablation; the defaults are the fast
-    configuration and there is no reason to change them in normal use.
-    Both are sound to flip at any point between [solve] calls. *)
+(** {2 Test hook} *)
 
 val set_learnt_limit : t -> int option -> unit
 (** Overrides the learnt-database size that triggers a reduction
     ([Some n]); [None] (default) restores the adaptive limit of
     [2 * problem clauses + 1000].  [Some 0] forces a reduction after
-    every root-level return — useful to exercise reduction in tests. *)
-
-val set_inprocess : t -> bool -> unit
-(** Enables/disables inprocessing (default [true]).  Disabled,
-    {!inprocess} is a no-op — callers schedule passes unconditionally and
-    this switch is the single ablation point. *)
+    every root-level return — useful to exercise reduction in tests.
+    Sound to change at any point between [solve] calls. *)
 
 (** {2 DRUP proof logging}
 
@@ -183,15 +120,9 @@ val set_inprocess : t -> bool -> unit
       [P_delete] events for the group's clauses; clause revival by a
       higher layer is a fresh [P_input] — delete/re-add pairs keep the
       trace aligned with the live database.
-    - Simplification ({!inprocess}) logs every derived clause
-      (strengthenings, vivified clauses, BVE resolvents) as [P_add]
-      {e before} the [P_delete] of the clauses it replaces, so each is
-      RUP against a database that still contains its antecedents.
-      Deletions need no justification in DRUP, which is what makes
-      variable elimination certifiable.  Reviving an eliminated variable
-      re-adds its deleted clauses as fresh [P_input]s — each is a
-      consequence of the original formula, so the certificate that every
-      verdict follows from the inputs is preserved.
+    - A learnt clause is logged as [P_add] when it is learnt (already
+      minimized) and as [P_delete] when database reduction or a
+      retirement's level-0 sweep forgets it.
     - An [Unsat] answer under assumptions logs no event by itself: the
       certificate is that the negation of {!failed_assumptions} is RUP
       with respect to the trace so far, which a caller checks with

@@ -122,8 +122,7 @@ let run_exn pool = function
           let r =
             Metric.evaluate ?sample:q.Query.mq_sample
               ~domains:q.Query.mq_domains ~engine:q.Query.mq_engine
-              ~reduce:q.Query.mq_reduce ~inprocess:q.Query.mq_inprocess
-              ~model:q.Query.mq_model ~warm:(Pool.warm e) (Pool.net e)
+              ~reduce:q.Query.mq_reduce ~model:q.Query.mq_model ~warm:(Pool.warm e) (Pool.net e)
           in
           Response.Metric_r
             (Response.metric_r_of_result ~with_stats:q.Query.mq_with_stats r))
@@ -134,8 +133,7 @@ let run_exn pool = function
               ?fault_sample:q.Query.pq_fault_sample
               ~domains:q.Query.pq_domains ~engine:q.Query.pq_engine
               ~exhaustive:(q.Query.pq_pair_sample = None)
-              ~reduce:q.Query.pq_reduce ~inprocess:q.Query.pq_inprocess
-              ~model:q.Query.pq_model ~warm:(Pool.warm e) (Pool.net e)
+              ~reduce:q.Query.pq_reduce ~model:q.Query.pq_model ~warm:(Pool.warm e) (Pool.net e)
           in
           Response.Metric_r
             (Response.metric_r_of_result ~with_stats:q.Query.pq_with_stats r))
@@ -147,13 +145,11 @@ let run_exn pool = function
             if q.Query.cq_pairs then
               Metric.evaluate_pairs ?fault_sample:q.Query.cq_sample
                 ~domains:q.Query.cq_domains ~engine:`Bmc ~exhaustive:true
-                ~certify:true ~inprocess:q.Query.cq_inprocess
-                ~model:q.Query.cq_model ~warm net
+                ~certify:true ~model:q.Query.cq_model ~warm net
             else
               Metric.evaluate ?sample:q.Query.cq_sample
                 ~domains:q.Query.cq_domains ~engine:`Bmc ~certify:true
-                ~inprocess:q.Query.cq_inprocess ~model:q.Query.cq_model ~warm
-                net
+                ~model:q.Query.cq_model ~warm net
           with
           | r ->
               Response.Metric_r

@@ -42,7 +42,6 @@ type pairs_q = {
   pq_domains : int;
   pq_engine : engine;
   pq_reduce : bool;
-  pq_inprocess : bool;
   pq_model : Fault.model;
   pq_with_stats : bool;
 }
@@ -52,7 +51,6 @@ type certify_q = {
   cq_sample : int option;
   cq_domains : int;
   cq_pairs : bool;
-  cq_inprocess : bool;
   cq_model : Fault.model;
   cq_with_stats : bool;
 }
@@ -112,7 +110,6 @@ let encode = function
             ("domains", Json.Int q.mq_domains);
             ("engine", Json.Str (engine_str q.mq_engine));
             ("reduce", Json.Bool q.mq_reduce);
-            ("inprocess", Json.Bool q.mq_inprocess);
             model_field q.mq_model;
             ("with_stats", Json.Bool q.mq_with_stats);
           ])
@@ -125,7 +122,6 @@ let encode = function
             ("domains", Json.Int q.pq_domains);
             ("engine", Json.Str (engine_str q.pq_engine));
             ("reduce", Json.Bool q.pq_reduce);
-            ("inprocess", Json.Bool q.pq_inprocess);
             model_field q.pq_model;
             ("with_stats", Json.Bool q.pq_with_stats);
           ])
@@ -136,7 +132,6 @@ let encode = function
         @ [
             ("domains", Json.Int q.cq_domains);
             ("pairs", Json.Bool q.cq_pairs);
-            ("inprocess", Json.Bool q.cq_inprocess);
             model_field q.cq_model;
             ("with_stats", Json.Bool q.cq_with_stats);
           ])
@@ -227,7 +222,7 @@ let decode v =
           mq_domains = Json.get_int_default "domains" 1 v;
           mq_engine = decode_engine v;
           mq_reduce = Json.get_bool_default "reduce" true v;
-          mq_inprocess = Json.get_bool_default "inprocess" true v;
+          mq_inprocess = true;
           mq_model = decode_model v;
           mq_with_stats = Json.get_bool_default "with_stats" false v;
         }
@@ -240,7 +235,6 @@ let decode v =
           pq_domains = Json.get_int_default "domains" 1 v;
           pq_engine = decode_engine v;
           pq_reduce = Json.get_bool_default "reduce" true v;
-          pq_inprocess = Json.get_bool_default "inprocess" true v;
           pq_model = decode_model v;
           pq_with_stats = Json.get_bool_default "with_stats" false v;
         }
@@ -251,7 +245,6 @@ let decode v =
           cq_sample = Json.get_int_opt "sample" v;
           cq_domains = Json.get_int_default "domains" 1 v;
           cq_pairs = Json.get_bool_default "pairs" false v;
-          cq_inprocess = Json.get_bool_default "inprocess" true v;
           cq_model = decode_model v;
           cq_with_stats = Json.get_bool_default "with_stats" false v;
         }

@@ -33,7 +33,11 @@ type metric_q = {
   mq_engine : engine;
   mq_reduce : bool;
   mq_inprocess : bool;
-      (** SAT inprocessing on the sessions (BMC engine; default on) *)
+      (** Ignored and not encoded; decodes as [true].  Kept only because
+          e2ebench builds this record as a literal; it goes once
+          e2ebench builds queries through a constructor (ROADMAP item
+          2).  A request's ["inprocess"] key is ignored like any unknown
+          key. *)
   mq_model : Ftrsn_fault.Fault.model;
       (** fault universe to evaluate (wire field ["fault_model"]:
           "stuck" | "bridge" | "select" | "transient"; default stuck) *)
@@ -52,7 +56,6 @@ type pairs_q = {
   pq_domains : int;
   pq_engine : engine;
   pq_reduce : bool;
-  pq_inprocess : bool;
   pq_model : Ftrsn_fault.Fault.model;
       (** as [mq_model]; [Transient] is rejected with the
           [unsupported] error (pairs undefined) *)
@@ -64,7 +67,6 @@ type certify_q = {
   cq_sample : int option;
   cq_domains : int;
   cq_pairs : bool;  (** certify the exhaustive pair sweep instead *)
-  cq_inprocess : bool;
   cq_model : Ftrsn_fault.Fault.model;  (** as [mq_model] *)
   cq_with_stats : bool;
 }

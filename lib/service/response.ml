@@ -173,11 +173,6 @@ let enc_solver (s : Metric.solver_stats) =
       ("learnt_db", Json.Int s.s_learnt_db);
       ("clauses_emitted", Json.Int s.s_clauses_emitted);
       ("nodes_reused", Json.Int s.s_nodes_reused);
-      ("subsumed", Json.Int s.s_subsumed);
-      ("strengthened", Json.Int s.s_strengthened_lits);
-      ("eliminated", Json.Int s.s_eliminated_vars);
-      ("vivified", Json.Int s.s_vivified_lits);
-      ("simp_passes", Json.Int s.s_simp_passes);
       ("cert_unsat", Json.Int s.s_cert_unsat);
       ("cert_lemmas", Json.Int s.s_cert_lemmas);
       ("cert_deletes", Json.Int s.s_cert_deletes);
@@ -196,11 +191,7 @@ let dec_solver v =
     s_learnt_db = Json.get_int "learnt_db" v;
     s_clauses_emitted = Json.get_int "clauses_emitted" v;
     s_nodes_reused = Json.get_int "nodes_reused" v;
-    s_subsumed = Json.get_int "subsumed" v;
-    s_strengthened_lits = Json.get_int "strengthened" v;
-    s_eliminated_vars = Json.get_int "eliminated" v;
-    s_vivified_lits = Json.get_int "vivified" v;
-    s_simp_passes = Json.get_int "simp_passes" v;
+    s_simp_passes = 0;
     s_cert_unsat = Json.get_int "cert_unsat" v;
     s_cert_lemmas = Json.get_int "cert_lemmas" v;
     s_cert_deletes = Json.get_int "cert_deletes" v;

@@ -808,8 +808,7 @@ let cert_stats_of sess =
   | Some c -> c
   | None -> Alcotest.fail "certified session must report cert stats"
 
-let certified_agrees_on ?(every = 1) ?targets ?learnt_limit
-    ?(inprocess = false) net =
+let certified_agrees_on ?(every = 1) ?targets ?learnt_limit net =
   let sess = Bmc.Session.create ~certify:true (Bmc.create net) in
   let plain = Bmc.Session.create (Bmc.create net) in
   (* A forced-small learnt limit makes the sessions go through LBD-tiered
@@ -819,12 +818,6 @@ let certified_agrees_on ?(every = 1) ?targets ?learnt_limit
   | Some _ ->
       Ftrsn_sat.Solver.set_learnt_limit (Bmc.Session.solver sess) learnt_limit;
       Ftrsn_sat.Solver.set_learnt_limit (Bmc.Session.solver plain) learnt_limit);
-  (* [~inprocess] forces one inprocessing pass on the certified session
-     halfway through the targets (the schedule would not fire on nets this
-     small) and keeps the plain session unsimplified: the simplification's
-     clauses go through the checker, and verdicts must not move. *)
-  if inprocess then
-    Ftrsn_sat.Solver.set_inprocess (Bmc.Session.solver plain) false;
   (* PI stuck-at seals everything: guarantees UNSAT verdicts to certify. *)
   let faults =
     pi_stuck
@@ -835,10 +828,8 @@ let certified_agrees_on ?(every = 1) ?targets ?learnt_limit
     | Some ts -> ts
     | None -> List.init (Netlist.num_segments net) Fun.id
   in
-  List.iteri
-    (fun k target ->
-      if inprocess && k = List.length targets / 2 then
-        Ftrsn_sat.Solver.inprocess (Bmc.Session.solver sess);
+  List.iter
+    (fun target ->
       let cv = Bmc.Session.check_faults sess ~target faults in
       let pv = Bmc.Session.check_faults plain ~target faults in
       List.iteri
@@ -863,13 +854,9 @@ let certified_agrees_on ?(every = 1) ?targets ?learnt_limit
       (search.Ftrsn_sat.Solver.st_learnt_lits > 0);
     check bool_t "the learnt limit forced DB reductions" true
       (search.Ftrsn_sat.Solver.st_reductions > 0)
-  end;
-  if inprocess then
-    check bool_t "the mid-sweep inprocessing pass ran" true
-      (search.Ftrsn_sat.Solver.st_simp_passes >= 1)
+  end
 
-let test_certified_small_sib () =
-  certified_agrees_on ~inprocess:true (small_sib ())
+let test_certified_small_sib () = certified_agrees_on (small_sib ())
 
 let test_certified_fig2 () = certified_agrees_on (fig2 ())
 let test_certified_wide_mux () = certified_agrees_on (wide_mux ())

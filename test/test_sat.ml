@@ -180,21 +180,6 @@ let test_retire_activation () =
   check bool_t "x free (false)" true
     (is_sat (Solver.solve ~assumptions:[ -x ] s))
 
-let test_simplify_preserves () =
-  (* Root-level facts let simplify sweep satisfied clauses; verdicts and
-     models must not change. *)
-  let s = Solver.create () in
-  Solver.add_clause s [ 1; 2 ];
-  Solver.add_clause s [ -1; 3 ];
-  Solver.add_clause s [ 1 ];
-  check bool_t "sat before" true (is_sat (Solver.solve s));
-  Solver.simplify s;
-  check bool_t "sat after simplify" true (is_sat (Solver.solve s));
-  check bool_t "1 still forced" true (Solver.value s 1);
-  check bool_t "3 still forced" true (Solver.value s 3);
-  Solver.add_clause s [ -3 ];
-  check bool_t "contradiction still detected" false (is_sat (Solver.solve s))
-
 (* --- boolexpr tests --- *)
 
 let test_expr_fold_constants () =
@@ -488,10 +473,9 @@ let test_checker_deletion () =
 
 let test_certified_php () =
   (* The canonical hard UNSAT family end-to-end: every learnt clause of
-     PHP(4,3) verifies, and the final empty clause is accepted.  PHP(6,5)
-     runs behind a forced preprocessing pass, which must simplify
-     something: its derived clauses are checked the same way. *)
-  let php ?(preprocess = false) holes =
+     PHP(4,3) and PHP(6,5) verifies, and the final empty clause is
+     accepted. *)
+  let php holes =
     let s, chk, bad = certified_solver () in
     let v p h = (p * holes) + h + 1 in
     for p = 0 to holes do
@@ -504,16 +488,6 @@ let test_certified_php () =
         done
       done
     done;
-    if preprocess then begin
-      Solver.inprocess s;
-      let st = Solver.search_stats s in
-      check bool_t "preprocessing pass ran" true
-        (st.Solver.st_simp_passes >= 1);
-      check bool_t "preprocessing simplified something" true
-        (st.Solver.st_eliminated_vars + st.Solver.st_subsumed
-         + st.Solver.st_strengthened_lits + st.Solver.st_vivified_lits
-        > 0)
-    end;
     check bool_t
       (Printf.sprintf "PHP(%d,%d) unsat" (holes + 1) holes)
       false
@@ -524,7 +498,7 @@ let test_certified_php () =
     check bool_t "proof is non-trivial" true (lemmas > 0)
   in
   php 3;
-  php ~preprocess:true 5
+  php 5
 
 let test_certified_retirement () =
   (* The PR-1 lifecycle under certification: activation groups, failed
@@ -674,181 +648,6 @@ let prop_fuzz_certified_incremental =
               && Checker.check_rup chk (List.map (fun l -> -l) failed)
               && not (brute_force_sat n (!sofar @ units)))
         steps)
-
-(* --- inprocessing: subsumption, vivification, variable elimination --- *)
-
-(* Forcing a full inprocessing pass before the solve and at every
-   root-level return must keep every instance certified: SAT models are
-   checked post-reconstruction against the original clauses and brute
-   force, UNSAT final clauses through the RUP checker. *)
-let prop_fuzz_inprocess =
-  QCheck.Test.make
-    ~name:"fuzz: forced inprocessing stays certified and model-correct"
-    ~count:200 arb_cnf_assumptions (fun (n, raw, araw) ->
-      let clauses = norm_clauses n raw in
-      let assumptions = List.filter_map (norm_lit n) araw in
-      let units = List.map (fun l -> [ l ]) assumptions in
-      let s, chk, bad = certified_solver () in
-      Solver.ensure_vars s n;
-      List.iter (Solver.add_clause s) clauses;
-      Solver.inprocess s;
-      let verdict = Solver.solve ~assumptions s in
-      let ok =
-        !bad = None
-        &&
-        match verdict with
-        | Solver.Sat ->
-            (* The model is read after witness reconstruction and before
-               the next pass invalidates it. *)
-            model_satisfies s clauses
-            && model_satisfies s units
-            && brute_force_sat n (clauses @ units)
-        | Solver.Unsat ->
-            let failed = Solver.failed_assumptions s in
-            List.for_all (fun l -> List.mem l assumptions) failed
-            && Checker.check_rup chk (List.map (fun l -> -l) failed)
-            && not (brute_force_sat n (clauses @ units))
-      in
-      Solver.inprocess s;
-      ok && !bad = None)
-
-(* Same discipline across incremental add/solve sequences: a pass runs
-   before every solve, so later batches must revive any variable the
-   previous pass eliminated (by mention or by assumption) and the model
-   must still satisfy every clause ever added. *)
-let prop_fuzz_inprocess_incremental =
-  QCheck.Test.make
-    ~name:"fuzz: inprocessing between incremental solves stays certified"
-    ~count:150 arb_incremental (fun (n, steps) ->
-      let s, chk, bad = certified_solver () in
-      Solver.ensure_vars s n;
-      let sofar = ref [] in
-      List.for_all
-        (fun (raw, araw) ->
-          let batch = norm_clauses n raw in
-          let assumptions = List.filter_map (norm_lit n) araw in
-          List.iter (Solver.add_clause s) batch;
-          sofar := !sofar @ batch;
-          Solver.inprocess s;
-          let verdict = Solver.solve ~assumptions s in
-          let units = List.map (fun l -> [ l ]) assumptions in
-          !bad = None
-          &&
-          match verdict with
-          | Solver.Sat ->
-              model_satisfies s !sofar
-              && model_satisfies s units
-              && brute_force_sat n (!sofar @ units)
-          | Solver.Unsat ->
-              let failed = Solver.failed_assumptions s in
-              List.for_all (fun l -> List.mem l assumptions) failed
-              && Checker.check_rup chk (List.map (fun l -> -l) failed)
-              && not (brute_force_sat n (!sofar @ units)))
-        steps)
-
-(* Regression: a variable that has appeared in an assumption is frozen —
-   no inprocessing pass may ever eliminate it (the caller may assume it
-   again, and an eliminated variable has no clauses left to constrain an
-   assumption). *)
-let test_inprocess_frozen_assumption () =
-  let s = Solver.create () in
-  (* Variable 1 occurs in exactly one positive and one negative clause —
-     the cheapest possible BVE candidate — but is assumed first. *)
-  Solver.add_clause s [ 1; 2 ];
-  Solver.add_clause s [ -1; 3 ];
-  check bool_t "sat under assumption" true
-    (is_sat (Solver.solve ~assumptions:[ 1 ] s));
-  Solver.inprocess s;
-  check bool_t "assumed variable never eliminated" false
-    (Solver.var_eliminated s 1);
-  check bool_t "still sat assuming 1" true
-    (is_sat (Solver.solve ~assumptions:[ 1 ] s));
-  check bool_t "model keeps the assumption" true (Solver.value s 1);
-  check bool_t "model forces 3" true (Solver.value s 3)
-
-(* Elimination, witness reconstruction, and revival by mention — run
-   against a live checker so the P_add/P_delete discipline of BVE and the
-   P_input re-adds of revival are verified event by event. *)
-let test_inprocess_eliminate_revive () =
-  let s, chk, bad = certified_solver () in
-  Solver.add_clause s [ 1; 2 ];
-  Solver.add_clause s [ -1; 3 ];
-  Solver.inprocess s;
-  check bool_t "variable 1 eliminated" true (Solver.var_eliminated s 1);
-  let st = Solver.search_stats s in
-  check bool_t "elimination counted" true (st.Solver.st_eliminated_vars > 0);
-  check bool_t "pass counted" true (st.Solver.st_simp_passes = 1);
-  check bool_t "sat post-elimination" true (is_sat (Solver.solve s));
-  check bool_t "reconstructed model satisfies the originals" true
-    (model_satisfies s [ [ 1; 2 ]; [ -1; 3 ] ]);
-  (* A new clause mentioning the eliminated variable revives it (and
-     cascades through any chained eliminations). *)
-  Solver.add_clause s [ -1; -3 ];
-  check bool_t "revived by mention" false (Solver.var_eliminated s 1);
-  check bool_t "still sat" true (is_sat (Solver.solve s));
-  check bool_t "model satisfies all clauses" true
-    (model_satisfies s [ [ 1; 2 ]; [ -1; 3 ]; [ -1; -3 ] ]);
-  check bool_t "all proof events accepted" true (!bad = None);
-  ignore chk;
-  (* Assuming an eliminated variable revives and freezes it. *)
-  let s, _, bad = certified_solver () in
-  Solver.add_clause s [ 1; 2 ];
-  Solver.add_clause s [ -1; 3 ];
-  Solver.inprocess s;
-  check bool_t "eliminated again" true (Solver.var_eliminated s 1);
-  check bool_t "sat assuming -1" true
-    (is_sat (Solver.solve ~assumptions:[ -1 ] s));
-  check bool_t "revived by assumption" false (Solver.var_eliminated s 1);
-  check bool_t "assumption honoured" false (Solver.value s 1);
-  check bool_t "originals satisfied" true
-    (model_satisfies s [ [ 1; 2 ]; [ -1; 3 ] ]);
-  Solver.inprocess s;
-  check bool_t "frozen after assumption: never re-eliminated" false
-    (Solver.var_eliminated s 1);
-  check bool_t "revival proof events accepted" true (!bad = None)
-
-(* The ablation switch: with inprocessing disabled the pass is a no-op
-   and no simplification counter moves. *)
-let test_inprocess_ablation () =
-  let s = Solver.create () in
-  Solver.set_inprocess s false;
-  Solver.add_clause s [ 1; 2 ];
-  Solver.add_clause s [ -1; 3 ];
-  Solver.inprocess s;
-  let st = Solver.search_stats s in
-  check bool_t "no pass" true (st.Solver.st_simp_passes = 0);
-  check bool_t "nothing eliminated" false (Solver.var_eliminated s 1);
-  Solver.set_inprocess s true;
-  Solver.inprocess s;
-  let st = Solver.search_stats s in
-  check bool_t "pass runs once re-enabled" true (st.Solver.st_simp_passes = 1)
-
-(* Subsumption and strengthening on a hand-built instance: [1;2]
-   subsumes [1;2;3], and resolving [1;2] against [-1;2;4] on 1
-   strengthens the latter to [2;4]. *)
-let test_inprocess_subsumption () =
-  let s, _, bad = certified_solver () in
-  Solver.ensure_vars s 4;
-  Solver.freeze_var s 1;
-  Solver.freeze_var s 2;
-  Solver.freeze_var s 3;
-  Solver.freeze_var s 4;
-  Solver.add_clause s [ 1; 2 ];
-  Solver.add_clause s [ 1; 2; 3 ];
-  Solver.add_clause s [ -1; 2; 4 ];
-  let before = Solver.num_clauses s in
-  Solver.inprocess s;
-  let st = Solver.search_stats s in
-  check bool_t "a clause was subsumed" true (st.Solver.st_subsumed >= 1);
-  check bool_t "a literal was strengthened away" true
-    (st.Solver.st_strengthened_lits >= 1);
-  check bool_t "database shrank" true (Solver.num_clauses s < before);
-  check bool_t "no variable eliminated (all frozen)" true
-    (List.for_all (fun v -> not (Solver.var_eliminated s v)) [ 1; 2; 3; 4 ]);
-  check bool_t "still sat, originals satisfied" true
-    (is_sat (Solver.solve s)
-    && model_satisfies s [ [ 1; 2 ]; [ 1; 2; 3 ]; [ -1; 2; 4 ] ]);
-  check bool_t "proof events accepted" true (!bad = None)
 
 (* Regression: duplicated assumptions used to open one decision level
    each, overflowing trail_lim (sized by variable count, indexed per
@@ -1037,7 +836,6 @@ let suite =
     Alcotest.test_case "failed assumptions" `Quick test_failed_assumptions;
     Alcotest.test_case "activation groups" `Quick test_activation_groups;
     Alcotest.test_case "retire activation" `Quick test_retire_activation;
-    Alcotest.test_case "simplify preserves" `Quick test_simplify_preserves;
     Alcotest.test_case "expr constant folding" `Quick test_expr_fold_constants;
     Alcotest.test_case "expr hash consing" `Quick test_expr_hash_consing;
     Alcotest.test_case "expr evaluation" `Quick test_expr_eval;
@@ -1064,19 +862,9 @@ let suite =
       test_duplicate_assumptions;
     Alcotest.test_case "search stats counters" `Quick
       test_search_stats_counters;
-    Alcotest.test_case "inprocess: frozen assumption var" `Quick
-      test_inprocess_frozen_assumption;
-    Alcotest.test_case "inprocess: eliminate/reconstruct/revive" `Quick
-      test_inprocess_eliminate_revive;
-    Alcotest.test_case "inprocess: ablation switch" `Quick
-      test_inprocess_ablation;
-    Alcotest.test_case "inprocess: subsumption+strengthening" `Quick
-      test_inprocess_subsumption;
     Testseed.to_alcotest prop_fuzz_certified_cnf;
     Testseed.to_alcotest prop_fuzz_certified_assumptions;
     Testseed.to_alcotest prop_fuzz_certified_incremental;
-    Testseed.to_alcotest prop_fuzz_inprocess;
-    Testseed.to_alcotest prop_fuzz_inprocess_incremental;
     Testseed.to_alcotest prop_drat_roundtrip;
     Testseed.to_alcotest prop_dimacs_roundtrip;
   ]

@@ -115,7 +115,7 @@ let sample_queries () =
         mq_engine = `Bmc;
         mq_model = Fault.Bridge;
         mq_reduce = false;
-        mq_inprocess = false;
+        mq_inprocess = true;
         mq_with_stats = true;
       };
     Query.Metric
@@ -138,7 +138,6 @@ let sample_queries () =
         pq_engine = `Structural;
         pq_model = Fault.Select;
         pq_reduce = true;
-        pq_inprocess = true;
         pq_with_stats = false;
       };
     Query.Pairs
@@ -150,7 +149,6 @@ let sample_queries () =
         pq_engine = `Bmc;
         pq_model = Fault.Stuck;
         pq_reduce = false;
-        pq_inprocess = false;
         pq_with_stats = true;
       };
     Query.Certify
@@ -160,7 +158,6 @@ let sample_queries () =
         cq_domains = 2;
         cq_pairs = true;
         cq_model = Fault.Select;
-        cq_inprocess = false;
         cq_with_stats = false;
       };
     Query.Probe
@@ -200,13 +197,25 @@ let test_query_roundtrip () =
       check bool_t (Printf.sprintf "decode . encode = id on %s" s) true (q = q');
       check string_t "stable reencoding" s (Query.to_string q'))
     (sample_queries ());
-  (* the retired "pair_lanes" key of older clients is ignored like any
-     unknown key *)
-  match
-    Query.decode_line "{\"op\":\"pairs\",\"net\":\"u.icl\",\"pair_lanes\":false}"
-  with
+  (* the retired "pair_lanes" and "inprocess" keys of older clients are
+     ignored like any unknown key *)
+  (match
+     Query.decode_line "{\"op\":\"pairs\",\"net\":\"u.icl\",\"pair_lanes\":false}"
+   with
   | Ok (Query.Pairs _, None) -> ()
-  | _ -> Alcotest.fail "legacy pair_lanes key rejected"
+  | _ -> Alcotest.fail "legacy pair_lanes key rejected");
+  List.iter
+    (fun op ->
+      let line extra =
+        Query.decode_line
+          (Printf.sprintf "{\"op\":\"%s\",\"net\":\"u.icl\"%s}" op extra)
+      in
+      match (line "", line ",\"inprocess\":false") with
+      | (Ok _ as plain), legacy ->
+          check bool_t (op ^ ": \"inprocess\":false decodes as absent") true
+            (legacy = plain)
+      | Error _, _ -> Alcotest.fail (op ^ ": line without the key rejected"))
+    [ "metric"; "pairs"; "certify" ]
 
 let sample_solver =
   {
@@ -220,11 +229,7 @@ let sample_solver =
     s_learnt_db = 9;
     s_clauses_emitted = 500;
     s_nodes_reused = 123;
-    s_subsumed = 11;
-    s_strengthened_lits = 17;
-    s_eliminated_vars = 5;
-    s_vivified_lits = 13;
-    s_simp_passes = 2;
+    s_simp_passes = 0;
     s_cert_unsat = 7;
     s_cert_lemmas = 77;
     s_cert_deletes = 3;
@@ -384,8 +389,8 @@ let test_response_roundtrip () =
    any drift in key names, key order or number formatting. *)
 let pinned_wire =
   [
-    "{\"ok\":true,\"type\":\"metric\",\"data\":{\"worst_segments\":0.0,\"avg_segments\":0.9283936855379904,\"worst_bits\":0.5,\"avg_bits\":0.75,\"faults\":1402,\"weight\":1402,\"reduction\":{\"universe\":1402,\"classes\":800,\"benign\":227,\"cone_sum\":63279,\"cone_max\":89},\"pairs\":{\"classes\":800,\"class_pairs\":320400,\"diagonal\":800,\"disjoint\":247786,\"stacked\":71814},\"stats\":{\"steals\":5,\"stacks\":17,\"solver\":{\"conflicts\":10,\"decisions\":20,\"propagations\":30,\"restarts\":1,\"learnt_lits\":100,\"minimized_lits\":40,\"reductions\":2,\"learnt_db\":9,\"clauses_emitted\":500,\"nodes_reused\":123,\"subsumed\":11,\"strengthened\":17,\"eliminated\":5,\"vivified\":13,\"simp_passes\":2,\"cert_unsat\":7,\"cert_lemmas\":77,\"cert_deletes\":3,\"cert_time\":0.25},\"lanes\":{\"batches\":13,\"lanes\":710,\"masked\":4,\"fast\":90,\"rounds\":56},\"pair_lanes\":{\"batches\":7,\"lanes\":301,\"masked\":2,\"fast\":44,\"rounds\":29}}}}";
-    "{\"ok\":true,\"type\":\"stats\",\"data\":{\"pool\":{\"entries\":2,\"bytes\":12345,\"budget\":268435456,\"hits\":10,\"misses\":2,\"evictions\":1},\"sessions\":[{\"net\":\"itc02\\u0000u226\",\"certified\":true,\"queries\":9,\"solver\":{\"conflicts\":10,\"decisions\":20,\"propagations\":30,\"restarts\":1,\"learnt_lits\":100,\"minimized_lits\":40,\"reductions\":2,\"learnt_db\":9,\"clauses_emitted\":500,\"nodes_reused\":123,\"subsumed\":11,\"strengthened\":17,\"eliminated\":5,\"vivified\":13,\"simp_passes\":2,\"cert_unsat\":7,\"cert_lemmas\":77,\"cert_deletes\":3,\"cert_time\":0.25}}]}}";
+    "{\"ok\":true,\"type\":\"metric\",\"data\":{\"worst_segments\":0.0,\"avg_segments\":0.9283936855379904,\"worst_bits\":0.5,\"avg_bits\":0.75,\"faults\":1402,\"weight\":1402,\"reduction\":{\"universe\":1402,\"classes\":800,\"benign\":227,\"cone_sum\":63279,\"cone_max\":89},\"pairs\":{\"classes\":800,\"class_pairs\":320400,\"diagonal\":800,\"disjoint\":247786,\"stacked\":71814},\"stats\":{\"steals\":5,\"stacks\":17,\"solver\":{\"conflicts\":10,\"decisions\":20,\"propagations\":30,\"restarts\":1,\"learnt_lits\":100,\"minimized_lits\":40,\"reductions\":2,\"learnt_db\":9,\"clauses_emitted\":500,\"nodes_reused\":123,\"cert_unsat\":7,\"cert_lemmas\":77,\"cert_deletes\":3,\"cert_time\":0.25},\"lanes\":{\"batches\":13,\"lanes\":710,\"masked\":4,\"fast\":90,\"rounds\":56},\"pair_lanes\":{\"batches\":7,\"lanes\":301,\"masked\":2,\"fast\":44,\"rounds\":29}}}}";
+    "{\"ok\":true,\"type\":\"stats\",\"data\":{\"pool\":{\"entries\":2,\"bytes\":12345,\"budget\":268435456,\"hits\":10,\"misses\":2,\"evictions\":1},\"sessions\":[{\"net\":\"itc02\\u0000u226\",\"certified\":true,\"queries\":9,\"solver\":{\"conflicts\":10,\"decisions\":20,\"propagations\":30,\"restarts\":1,\"learnt_lits\":100,\"minimized_lits\":40,\"reductions\":2,\"learnt_db\":9,\"clauses_emitted\":500,\"nodes_reused\":123,\"cert_unsat\":7,\"cert_lemmas\":77,\"cert_deletes\":3,\"cert_time\":0.25}}]}}";
   ]
 
 let test_response_wire_pinned () =
@@ -551,7 +556,6 @@ let test_warm_equals_cold () =
           pq_engine = `Structural;
           pq_model = Fault.Stuck;
           pq_reduce = true;
-          pq_inprocess = true;
           pq_with_stats = false;
         };
       Query.Certify
@@ -561,7 +565,6 @@ let test_warm_equals_cold () =
           cq_domains = 1;
           cq_pairs = false;
           cq_model = Fault.Stuck;
-          cq_inprocess = true;
           cq_with_stats = false;
         };
     ]
@@ -662,7 +665,6 @@ let prop_concurrent_interleaving =
              pq_engine = `Structural;
              pq_model = Fault.Stuck;
              pq_reduce = true;
-             pq_inprocess = true;
              pq_with_stats = false;
            };
          Query.Probe
@@ -794,7 +796,6 @@ let test_serve_transient_pairs_unsupported () =
         pq_engine = `Structural;
         pq_model = Fault.Transient;
         pq_reduce = true;
-        pq_inprocess = true;
         pq_with_stats = false;
       }
   in
@@ -951,7 +952,6 @@ let test_ft_cones_pinned () =
         pq_engine = `Structural;
         pq_model = Fault.Stuck;
         pq_reduce = true;
-        pq_inprocess = true;
         pq_with_stats = true;
       }
   in
