@@ -880,39 +880,50 @@ let coarse_cone ctx base (sm : Fault.summary) =
   end;
   cv
 
-(* ---- stacked secondary baselines ----
+(* ---- lanes and stacked roots ----
 
-   The double-fault sweep groups pairs by first class, computes that
-   class's faulty state ONCE, and runs the second fault's delta on top.
-   [stacked] is the exact analogue of [baseline] for a (possibly) faulty
-   base state: the stacked summary and its verdict.  Everything the delta
-   machinery consults about the BASE NETWORK (reach/co-reach tables,
-   host/mux edge indices) is static, so it keeps coming from the
-   underlying [baseline]; the cone argument only uses those tables as
-   over-approximations of dependency, which they remain under any fault,
-   so the seeded fixpoint is exact on stacked bases too. *)
+   A lane of the kernel below is a fault SET: the summaries of its
+   faults (one for a single fault, two for a pair) and its coarse cone.
+   The cone of a set is the union of its members' cones: [coarse_cone]
+   fires per element (a union of closed tables per damaged site, a full
+   set for a dead port on either side), so
+   [coarse_cone (summary_union a b) = coarse_cone a ∪ coarse_cone b],
+   and a sweep computes each class's cone once and unions per lane. *)
 
+type lane = { ln_sms : Fault.summary list; ln_cone : Bitset.t }
+
+let lane ctx base sm = { ln_sms = [ sm ]; ln_cone = coarse_cone ctx base sm }
+
+(* The empty fault set; [lane_union] returns the other side, so its cone
+   is never read. *)
+let no_faults = { ln_sms = []; ln_cone = Bitset.create 0 }
+
+let lane_union a b =
+  if a.ln_sms = [] then b
+  else if b.ln_sms = [] then a
+  else begin
+    let cone = Bitset.copy a.ln_cone in
+    Bitset.union_into cone b.ln_cone;
+    { ln_sms = a.ln_sms @ b.ln_sms; ln_cone = cone }
+  end
+
+(* A stacked root: faults that hold in every lane of a sweep, with
+   their verdict.  The kernel always roots at the fault-free baseline;
+   a root only contributes its summaries and cone to each lane (see
+   [lane_fix]), and its verdict to the fast-path splices of
+   [analyze_delta_on]. *)
 type stacked = {
   s_base : baseline;
-  s_sm : Fault.summary option;
-      (* the stacked summary itself; [None] = fault-free base.  A delta on
-         top must derive its cone from the UNION of this and the delta
-         summary: the tight cone of the delta alone only bounds the
-         divergence from the fault-free baseline, not from a faulty base
-         (the base fault may have killed the very paths the splice relies
-         on). *)
-  s_verdict : verdict;  (* exact verdict under the stacked summary *)
+  s_lane : lane;        (* no summaries = the fault-free root *)
+  s_verdict : verdict;  (* exact verdict under the stacked summaries *)
 }
 
 let stacked_verdict stk = stk.s_verdict
 
 let of_baseline base =
-  { s_base = base; s_sm = None; s_verdict = base.b_verdict }
+  { s_base = base; s_lane = no_faults; s_verdict = base.b_verdict }
 
-(* Combined effects of the stacked summary plus one further summary. *)
-let stacked_eff ctx stk sm =
-  List.fold_left add_summary_effects (no_effects ctx)
-    (Option.to_list stk.s_sm @ [ sm ])
+let glitchy (sm : Fault.summary) = sm.Fault.sm_glitch_shadow <> []
 
 (* ---- lane-parallel batch sweeps: the cone-restricted kernel ----
 
@@ -988,6 +999,17 @@ let lane_stats_add a b =
 let lane_fast base sm =
   Fault.summary_benign sm || only_kill_read sm || local_kill_write base sm
 
+(* The indices of a REVERSED list, in input order, in arrays of at most
+   [lane_width]. *)
+let chunk_lanes rev =
+  let rec go acc cur n = function
+    | [] -> if cur = [] then acc else List.rev cur :: acc
+    | x :: rest ->
+        if n = lane_width then go (List.rev cur :: acc) [ x ] 1 rest
+        else go acc (x :: cur) (n + 1) rest
+  in
+  List.rev_map Array.of_list (go [] [] 0 (List.rev rev))
+
 (* Batch formation: fast classes aside, the rest grouped by summary
    shape so the dead-port classes (full-network cones, extra fixpoint
    rounds) don't drag the shallow batches, then chunked [lane_width]
@@ -1006,37 +1028,23 @@ let lane_plan base (sms : Fault.summary array) =
         | Fault.Port_dead -> port := i :: !port
         | _ -> general := i :: !general)
     sms;
-  let chunk l =
-    let rec go acc cur n = function
-      | [] -> if cur = [] then acc else List.rev cur :: acc
-      | x :: rest ->
-          if n = lane_width then go (List.rev cur :: acc) [ x ] 1 rest
-          else go acc (x :: cur) (n + 1) rest
-    in
-    List.rev_map Array.of_list (go [] [] 0 (List.rev l))
-  in
-  (List.rev !fast, chunk !general @ chunk !port)
+  (List.rev !fast, chunk_lanes !general @ chunk_lanes !port)
 
-(* One lane fixpoint rooted at a stacked (possibly faulty) base: the
-   double-fault sweep runs up to [lane_width] second faults per fixpoint
-   against one secondary baseline, the single-fault sweep the same
-   against [of_baseline].  The stacked summary's effect masks are folded
-   into every lane at the occupancy mask [occ] — the word transposition
-   of [stacked_eff] ([edge_steerable]'s entry checks are
-   order-independent, so OR accumulation is exact even when the stacked
-   and delta summaries pin the same shadow bit) — and each lane's
-   writability seed is the STACKED writable set minus the cone of the
-   UNION of the stacked and delta summaries.  [coarse_cone] is sound
-   under any base state (its tables are static over-approximations of
-   dependency), so outside the union cone the combined least fixpoint
-   equals the stacked one: each seed starts at or below its lane's
-   combined least fixpoint and the monotone word iteration converges to
-   exactly it.  Besides the
+(* One lane fixpoint over up to [lane_width] fault sets, rooted at the
+   fault-free baseline.  Each lane's summaries fold at its own bit (the
+   word transposition of [effects_of_faults]: [edge_steerable]'s entry
+   checks are order-independent, so OR accumulation is exact even when
+   two summaries of a lane pin the same shadow bit), and each lane's
+   writability seed is the baseline writable set minus the lane's cone.
+   Outside [coarse_cone] of the lane's union summary the faulty least
+   fixpoint equals the baseline, so each seed starts at or below its
+   lane's least fixpoint and the monotone word iteration converges to
+   exactly it — whichever fault sets share the batch.  Besides the
    per-lane verdicts, the result exposes the per-segment accessible
    words and cone sizes, from which the sweeps count without building
    any verdict, and the settled per-edge steering and corruption words
-   and the four final traversals, from which [probe] reads a class's
-   exact faulty state. *)
+   and the four final traversals, from which [probe_lane] reads a
+   class's exact faulty state. *)
 type lane_fix = {
   lf_verdict : int -> verdict * int;  (* lane -> verdict, cone size *)
   lf_acc : int array;      (* per segment, the lanes it is accessible in *)
@@ -1050,22 +1058,16 @@ type lane_fix = {
   lf_s_any : Lanes.t;      (* any-data co-reach to scan-out *)
 }
 
-let lane_fix ctx stk (sms : Fault.summary array) =
-  let base = stk.s_base in
-  let k = Array.length sms in
+let lane_fix ctx base (lanes : lane array) =
+  let k = Array.length lanes in
   if k = 0 || k > lane_width then
     invalid_arg "Engine.lane_fix: batch size";
-  (match stk.s_sm with
-  | Some s0 when s0.Fault.sm_glitch_shadow <> [] ->
-      invalid_arg
-        "Engine.lane_fix: glitch stacked base (full fixpoint only)"
-  | _ -> ());
   Array.iter
-    (fun (sm : Fault.summary) ->
-      if sm.Fault.sm_glitch_shadow <> [] then
+    (fun ln ->
+      if List.exists glitchy ln.ln_sms then
         invalid_arg
           "Engine.lane_fix: glitch summary (full fixpoint only)")
-    sms;
+    lanes;
   let occ = Lanes.lane_mask k in
   let nsegs = ctx.nsegs and nv = ctx.nv in
   let nedges = Array.length ctx.edges in
@@ -1159,26 +1161,19 @@ let lane_fix ctx stk (sms : Fault.summary array) =
       if sm.Fault.sm_pi_dead then pi_dead_w := !pi_dead_w lor bit;
       if sm.Fault.sm_po_dead then po_dead_w := !po_dead_w lor bit
   in
-  (* The stacked summary holds in EVERY lane; each delta in its own. *)
-  (match stk.s_sm with None -> () | Some s0 -> fold_summary occ s0);
-  Array.iteri (fun l sm -> fold_summary (1 lsl l) sm) sms;
-  (* Writability seeds: stacked writable everywhere, each lane's
-     union-cone cleared, so each seed is at or below its lane's
-     combined least fixpoint. *)
+  (* Writability seeds: baseline writable everywhere, each lane's cone
+     cleared, so each seed is at or below its lane's least fixpoint. *)
   let writable_w = Array.make nsegs 0 in
-  let stk_writable = stk.s_verdict.writable in
+  let writable0 = base.b_verdict.writable in
   for i = 0 to nsegs - 1 do
-    if stk_writable.(i) then writable_w.(i) <- occ
+    if writable0.(i) then writable_w.(i) <- occ
   done;
   let cone_lens = Array.make k 0 in
   Array.iteri
-    (fun l sm ->
-      let clear = lnot (1 lsl l) in
-      let cone_sm =
-        match stk.s_sm with
-        | None -> sm
-        | Some s0 -> Fault.summary_union s0 sm
-      in
+    (fun l ln ->
+      let bit = 1 lsl l in
+      List.iter (fold_summary bit) ln.ln_sms;
+      let clear = lnot bit in
       let n = ref 0 in
       Bitset.iter
         (fun v ->
@@ -1187,9 +1182,9 @@ let lane_fix ctx stk (sms : Fault.summary array) =
             writable_w.(i) <- writable_w.(i) land clear;
             incr n
           end)
-        (coarse_cone ctx base cone_sm);
+        ln.ln_cone;
       cone_lens.(l) <- !n)
-    sms;
+    lanes;
   (* [edge_steerable] lane-wise, under the current writability words. *)
   let steer = Array.make nedges 0 in
   let steer_word ei =
@@ -1383,14 +1378,8 @@ let lane_fix ctx stk (sms : Fault.summary array) =
    bit-identical to [analyze_multi] over the union of the stacked and
    delta summaries. *)
 let analyze_delta_on ctx stk (sm : Fault.summary) =
-  let glitchy =
-    sm.Fault.sm_glitch_shadow <> []
-    || (match stk.s_sm with
-       | Some s0 -> s0.Fault.sm_glitch_shadow <> []
-       | None -> false)
-  in
   if Fault.summary_benign sm then (stk.s_verdict, 0)
-  else if glitchy then begin
+  else if glitchy sm || List.exists glitchy stk.s_lane.ln_sms then begin
     (* Transient upsets can produce steering GAINS (a bit starting at the
        required value with an unwritable host) that the cone tables and
        the lane kernel do not model — they were built for faults that
@@ -1398,7 +1387,11 @@ let analyze_delta_on ctx stk (sm : Fault.summary) =
        reported cone is the exact verdict diff.  The transient universes
        are small (one class per shadow bit), so the fallback never
        dominates a sweep. *)
-    let v = verdict_of_effects ctx (stacked_eff ctx stk sm) in
+    let v =
+      verdict_of_effects ctx
+        (List.fold_left add_summary_effects (no_effects ctx)
+           (stk.s_lane.ln_sms @ [ sm ]))
+    in
     let n = ref 0 in
     for i = 0 to ctx.nsegs - 1 do
       if
@@ -1435,36 +1428,46 @@ let analyze_delta_on ctx stk (sm : Fault.summary) =
     ( { writable; readable = stk.s_verdict.readable; accessible },
       List.length sm.Fault.sm_kill_write )
   end
-  else (lane_fix ctx stk [| sm |]).lf_verdict 0
+  else
+    let base = stk.s_base in
+    (lane_fix ctx base [| lane_union stk.s_lane (lane ctx base sm) |])
+      .lf_verdict 0
 
 let analyze_delta ctx base sm = analyze_delta_on ctx (of_baseline base) sm
+
+let batch_verdicts fix = Array.init (Array.length fix.lf_cones) fix.lf_verdict
+
+let analyze_batch ctx base lanes =
+  let fix = lane_fix ctx base lanes in
+  (batch_verdicts fix, fix.lf_stats)
 
 (* Lane sweep of many summaries against one stacked root: fast-path
    deltas through [analyze_delta_on] (they never occupy a lane), the
    rest shape-grouped and batched by [lane_plan] exactly as the
-   single-fault sweep.  A glitchy stacked root falls back to
-   [analyze_delta_on] per summary (the word steering rule has no notion
-   of upset initial values).  The two views share this dispatch: [fast]
-   reads one [analyze_delta_on] result, [lanes] a batch's fixpoint, one
-   result per lane. *)
+   single-fault sweep, each lane carrying the root's summaries too.  A
+   glitchy stacked root falls back to [analyze_delta_on] per summary
+   (the word steering rule has no notion of upset initial values).  The
+   two views share this dispatch: [fast] reads one [analyze_delta_on]
+   result, [lanes] a batch's fixpoint, one result per lane. *)
 let lanes_on ctx stk (sms : Fault.summary array) ~fast ~lanes =
-  let stacked_glitch =
-    match stk.s_sm with
-    | Some s0 -> s0.Fault.sm_glitch_shadow <> []
-    | None -> false
-  in
-  if stacked_glitch then
+  let base = stk.s_base in
+  if List.exists glitchy stk.s_lane.ln_sms then
     ( Array.map (fun sm -> fast (analyze_delta_on ctx stk sm)) sms,
       { lane_stats_zero with ls_fast = Array.length sms } )
   else begin
-    let fast_idx, batches = lane_plan stk.s_base sms in
+    let fast_idx, batches = lane_plan base sms in
     let fast_res =
       List.map (fun i -> (i, fast (analyze_delta_on ctx stk sms.(i)))) fast_idx
     in
     let batches =
       List.map
         (fun idxs ->
-          let fix = lane_fix ctx stk (Array.map (fun i -> sms.(i)) idxs) in
+          let fix =
+            lane_fix ctx base
+              (Array.map
+                 (fun i -> lane_union stk.s_lane (lane ctx base sms.(i)))
+                 idxs)
+          in
           (idxs, lanes fix, fix.lf_stats))
         batches
     in
@@ -1490,8 +1493,7 @@ let lanes_on ctx stk (sms : Fault.summary array) ~fast ~lanes =
   end
 
 let analyze_lanes_on ctx stk sms =
-  lanes_on ctx stk sms ~fast:Fun.id ~lanes:(fun fix ->
-      Array.init (Array.length fix.lf_cones) fix.lf_verdict)
+  lanes_on ctx stk sms ~fast:Fun.id ~lanes:batch_verdicts
 
 let analyze_lanes_stats ctx ?base (classes : Fault.clas array) =
   let base = match base with Some b -> b | None -> baseline ctx in
@@ -1545,6 +1547,10 @@ let fix_counts ctx fix =
 
 let count_lanes_on ctx stk sms =
   lanes_on ctx stk sms ~fast:(verdict_count ctx) ~lanes:(fix_counts ctx)
+
+let count_batch ctx base lanes =
+  let fix = lane_fix ctx base lanes in
+  (fix_counts ctx fix, fix.lf_stats)
 
 (* ---- pair probes: exact taints and interaction regions ----
 
@@ -1734,11 +1740,12 @@ let probe_refused ctx base (sm : Fault.summary) =
   sm.Fault.sm_pi_dead || sm.Fault.sm_po_dead || base.b_cyclic
   || steering_gain ctx base sm
 
-let probe ctx base (sm : Fault.summary) =
-  (* The short circuits: a verdict and cone whose footprints are all
-     empty (benign and purely local summaries: no edge, traversal or
-     certificate is touched, so nothing is fragile) or, when [coarse],
-     all full (the interaction machinery is voided). *)
+(* The probes that need no lane of their own: a verdict and cone whose
+   footprints are all empty (benign and purely local summaries: no
+   edge, traversal or certificate is touched, so nothing is fragile)
+   or, when [coarse], all full (the interaction machinery is voided).
+   [None] for the summaries [probe_lane] answers. *)
+let probe_short ctx base (sm : Fault.summary) =
   let short v cone ~coarse =
     let fp n =
       let b = Bitset.create n in
@@ -1746,7 +1753,7 @@ let probe ctx base (sm : Fault.summary) =
       b
     in
     let nedges = Array.length ctx.edges in
-    {
+    Some {
       pr_verdict = v;
       pr_cone = cone;
       pr_coarse = coarse;
@@ -1784,18 +1791,21 @@ let probe ctx base (sm : Fault.summary) =
       ~coarse:false
   else if probe_refused ctx base sm then
     short (delta ()) (seg_bitset ctx (coarse_cone ctx base sm)) ~coarse:true
-  else begin
+  else None
+
+(* The probe of a summary that ran as lane [l] of [fix], unpacked from
+   that lane: the verdict, the settled per-edge steerability /
+   corruption, and the four access traversals under the faulty state
+   (exact here: the probe refuses dead ports, which only the traversal
+   roots would consult).  The lanes of a batch are independent, so lane
+   [l] of a shared batch reads exactly what a one-lane call would. *)
+let probe_lane ctx base (sm : Fault.summary) fix l =
+  begin
     let eff = add_summary_effects (no_effects ctx) sm in
-    (* One lane of the kernel, unpacked: the verdict, the settled
-       per-edge steerability / corruption, and the four access
-       traversals under the faulty state (exact here: the probe refuses
-       dead ports, which only the traversal roots would consult). *)
-    let fix = lane_fix ctx (of_baseline base) [| sm |] in
-    let v, _ = fix.lf_verdict 0 in
-    let edge_bits w = Array.map (fun x -> x land 1 <> 0) w in
-    let vertex_bits t =
-      Array.init ctx.nv (fun x -> Lanes.get t x land 1 <> 0)
-    in
+    let v, _ = fix.lf_verdict l in
+    let bit x = (x lsr l) land 1 <> 0 in
+    let edge_bits w = Array.map bit w in
+    let vertex_bits t = Array.init ctx.nv (fun x -> bit (Lanes.get t x)) in
     let steer = edge_bits fix.lf_steer and corrupt = edge_bits fix.lf_corrupt in
     let rw = vertex_bits fix.lf_rw and r_any = vertex_bits fix.lf_r_any in
     let s_clean = vertex_bits fix.lf_s_clean in
@@ -2060,6 +2070,30 @@ let probe ctx base (sm : Fault.summary) =
     }
   end
 
+let probe ctx base sm =
+  match probe_short ctx base sm with
+  | Some p -> p
+  | None -> probe_lane ctx base sm (lane_fix ctx base [| lane ctx base sm |]) 0
+
+(* The non-short probes share lane batches of [lane_width]; each probe
+   goes to [f] as soon as it is built, so a caller that keeps only part
+   of a probe never holds a whole batch of them. *)
+let probes ctx base (sms : Fault.summary array) f =
+  let pending = ref [] in
+  Array.iteri
+    (fun i sm ->
+      match probe_short ctx base sm with
+      | Some p -> f i p
+      | None -> pending := i :: !pending)
+    sms;
+  List.iter
+    (fun idxs ->
+      let fix =
+        lane_fix ctx base (Array.map (fun i -> lane ctx base sms.(i)) idxs)
+      in
+      Array.iteri (fun l i -> f i (probe_lane ctx base sms.(i) fix l)) idxs)
+    (chunk_lanes !pending)
+
 (* [probe]'s cone for each summary, case for case, without the
    interaction region the BMC path never reads.  The summaries the probe
    answers from an exact verdict diff share lane fixpoints: their
@@ -2092,11 +2126,11 @@ let cones ctx base (sms : Fault.summary array) =
     exact;
   out
 
-(* Secondary baseline under [sm]: the stacked state all of [sm]'s pairs
-   share — the summary and its verdict. *)
+(* A root under [sm]: its lane and its verdict.  No sweep builds one;
+   the lane kernel roots at the fault-free baseline. *)
 let stack ctx base (sm : Fault.summary) =
-  let stk0 = of_baseline base in
-  { stk0 with s_sm = Some sm; s_verdict = fst (analyze_delta_on ctx stk0 sm) }
+  { s_base = base; s_lane = lane ctx base sm;
+    s_verdict = fst (analyze_delta ctx base sm) }
 
 (* Read counterpart: a path through the target whose SUFFIX (target to
    scan-out) is corruption-free and shiftable, while the prefix only needs

@@ -184,6 +184,25 @@ val probe : ctx -> baseline -> Ftrsn_fault.Fault.summary -> probe
 (** The verdict, tight cone and pair gate of a summary.  [pr_cone]
     agrees with {!cones} (modulo [None] vs empty). *)
 
+val probes :
+  ctx -> baseline -> Ftrsn_fault.Fault.summary array ->
+  (int -> probe -> unit) -> unit
+(** [probes ctx base sms f] calls [f i (probe ctx base sms.(i))] once per
+    index, in no fixed order.  The probes that need a fixpoint share lane
+    batches of up to {!lane_width}, and each lane's probe reads that
+    lane's words of the batch; every probe goes to [f] as soon as it is
+    built.  Field for field equal to {!probe}. *)
+
+val coarse_cone :
+  ctx -> baseline -> Ftrsn_fault.Fault.summary -> Ftrsn_topo.Bitset.t
+(** The summary's coarse cone as a set of dataflow vertices (0 =
+    scan-in, 1 = scan-out, [2 + i] = segment [i]): the reach and
+    co-reach of every damaged site over the closed tables of
+    {!baseline}, the whole network for a dead scan port.  Outside it
+    the faulty least fixpoint equals the fault-free one, from any base
+    state.  The rule fires per damaged site, so the cone of
+    [Fault.summary_union a b] is the union of the two cones. *)
+
 val analyze_delta :
   ctx -> baseline -> Ftrsn_fault.Fault.summary -> verdict * int
 (** [analyze_delta ctx base sm] is the verdict under the summarized fault,
@@ -203,16 +222,39 @@ val analyze_delta :
     seed is already settled never promote.  Writability and steering
     only grow, so the fixpoint's two traversals are extended across the
     edges whose steering grew instead of re-run each round.  A single
-    class ({!analyze_delta}, {!probe}, {!stack}) is a one-lane call;
-    many classes go through {!analyze_lanes_on} (per-lane verdicts) or
+    class ({!analyze_delta}, {!probe}) is a one-lane call; many classes
+    go through {!analyze_lanes_on} (per-lane verdicts) or
     {!count_lanes_on} (per-lane accessible counts, read from one
     accessible-lane word per segment without building any verdict) —
-    two views of one dispatch.  The per-lane verdicts are bit-identical
-    to {!analyze}'s. *)
+    two views of one dispatch — or {!probes}; explicit fault sets, such
+    as the class pairs of a double-fault sweep, through
+    {!analyze_batch} and {!count_batch}.  The per-lane verdicts are
+    bit-identical to {!analyze}'s. *)
 
 val lane_width : int
 (** Classes per batch: [Ftrsn_topo.Lanes.width] = [Sys.int_size] (63 on
     64-bit OCaml — the native int drops one tag bit). *)
+
+val lane_fast : baseline -> Ftrsn_fault.Fault.summary -> bool
+(** The summaries {!analyze_delta} answers without any traversal:
+    benign, pure kill-read, and kill-write of segments that host no
+    steering requirement.  Such a summary changes a verdict only by
+    clearing its killed segments, on any stacked root. *)
+
+type lane = {
+  ln_sms : Ftrsn_fault.Fault.summary list;
+      (** the fault set: one summary for a single fault, two for a pair *)
+  ln_cone : Ftrsn_topo.Bitset.t;
+      (** its coarse cone ({!coarse_cone} of the union summary) *)
+}
+(** One lane of a batch. *)
+
+val lane : ctx -> baseline -> Ftrsn_fault.Fault.summary -> lane
+(** The lane of one summary. *)
+
+val lane_union : lane -> lane -> lane
+(** Both fault sets in one lane: the summaries appended, the cones
+    united. *)
 
 type lane_stats = {
   ls_batches : int;  (** batch sweeps run *)
@@ -223,6 +265,12 @@ type lane_stats = {
 }
 
 val lane_stats_add : lane_stats -> lane_stats -> lane_stats
+
+type lane_count = {
+  lc_segs : int;  (** accessible segments *)
+  lc_bits : int;  (** accessible scan bits *)
+  lc_cone : int;  (** cone size *)
+}
 
 val lane_plan :
   baseline -> Ftrsn_fault.Fault.summary array -> int list * int array list
@@ -238,6 +286,23 @@ val lane_plan :
     subset of its fast indices, gives back that batch or those fast
     indices alone. *)
 
+val analyze_batch :
+  ctx -> baseline -> lane array -> (verdict * int) array * lane_stats
+(** One fixpoint over up to {!lane_width} lanes, rooted at the
+    fault-free baseline: per lane the verdict under its fault set,
+    bit-identical to {!analyze_multi} over the set, and its cone size.
+    Lanes of any origin share a batch — each lane's seed is the
+    baseline writable set minus its own cone, so its least fixpoint does
+    not depend on its neighbours.  No fast path: every lane occupies the
+    batch.  [Invalid_argument] on an empty or oversized batch or a
+    glitch (transient) summary. *)
+
+val count_batch :
+  ctx -> baseline -> lane array -> lane_count array * lane_stats
+(** The count view of {!analyze_batch}: per lane the accessible
+    segments and bits and the cone size, read from the fixpoint's
+    per-segment accessible words without building any verdict. *)
+
 val analyze_lanes_stats :
   ctx ->
   ?base:baseline ->
@@ -249,31 +314,32 @@ val analyze_lanes_stats :
     accumulated batch statistics.  [base] defaults to a freshly
     computed {!baseline}. *)
 
-(** {2 Stacked secondary baselines (double-fault deltas)}
+(** {2 Stacked roots}
 
-    The exhaustive double-fault sweep groups pairs by first fault class:
-    {!stack} computes that class's faulty state once — its summary and
-    verdict, the analogue of {!baseline} for a faulty base — and the
-    second summaries run on top in lane batches ({!analyze_lanes_on})
-    seeded with the stacked writable set minus the cone of the union
-    summary, so interacting pairs share small fixpoints instead of
-    paying a full {!analyze_multi} each. *)
+    A stacked root is a fault set that holds in every lane of a sweep.
+    The kernel always roots at the fault-free baseline: a root's
+    summaries join each lane's own, and its cone joins each lane's
+    cone.  The seed is the same as a stacked one would be — outside the
+    root's cone its writable set equals the baseline's — so nothing is
+    gained by building the root's faulty state first.  The double-fault
+    sweep packs pairs into {!analyze_batch}/{!count_batch} lanes
+    directly and uses no root. *)
 
 type stacked
-(** A secondary baseline: the exact state of the network under one
-    summarized fault, ready to receive further deltas.  Immutable once
-    built; safe to share across domains. *)
+(** A root: its lane and its verdict.  Immutable; safe to share across
+    domains. *)
 
 val of_baseline : baseline -> stacked
-(** The fault-free stacked state: deltas on it are single-fault
-    deltas. *)
+(** The fault-free root: deltas on it are single-fault deltas. *)
 
 val stack : ctx -> baseline -> Ftrsn_fault.Fault.summary -> stacked
-(** [stack ctx base sm] is the secondary baseline under [sm]
-    (the fault-free stacked state when [sm] is benign). *)
+(** [stack ctx base sm] is the root under [sm]: its lane and its
+    {!analyze_delta} verdict.  No sweep calls it any more; it stays for
+    the tests and for e2ebench, which times it by name ([engine.stack]
+    in a traced [pairs] run).  It goes once e2ebench stops naming it. *)
 
 val stacked_verdict : stacked -> verdict
-(** The verdict under the stacked summary (= [analyze_delta ctx base sm]'s
+(** The verdict under the root's summary (= [analyze_delta ctx base sm]'s
     verdict). *)
 
 val analyze_delta_on :
@@ -290,19 +356,12 @@ val analyze_lanes_on :
   (verdict * int) array * lane_stats
 (** Many summaries against one stacked root: fast classes through the
     {!analyze_delta_on} fast paths (counted in [ls_fast]), the rest
-    planned by {!lane_plan} into shared lane fixpoints.  The stacked
-    summary's effect masks are folded into every lane, and each lane's
-    writability seed is the stacked writable set minus the cone of the
-    UNION of the stacked and delta summaries.  Per summary the verdict
-    and cone size are bit-identical to {!analyze_delta_on}; a glitchy
+    planned by {!lane_plan} into shared lane fixpoints, each lane
+    carrying the root's summaries and cone with its own.  Per summary
+    the verdict and cone size are bit-identical to
+    {!analyze_delta_on}; a glitchy
     (transient) stacked root takes {!analyze_delta_on}'s full fixpoint
     per summary (counted in [ls_fast]). *)
-
-type lane_count = {
-  lc_segs : int;  (** accessible segments *)
-  lc_bits : int;  (** accessible scan bits *)
-  lc_cone : int;  (** cone size *)
-}
 
 val count_lanes_on :
   ctx ->

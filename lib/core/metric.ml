@@ -37,8 +37,8 @@ type pair_stats = {
   p_class_pairs : int;  (* unordered class pairs examined (incl. diagonal) *)
   p_diagonal : int;     (* same-class pairs: answered by the single verdict *)
   p_disjoint : int;     (* non-interacting pairs: pointwise-AND counting *)
-  p_stacked : int;      (* interacting pairs: delta on a secondary baseline *)
-  p_stacks : int;       (* secondary baselines built *)
+  p_stacked : int;      (* interacting pairs: a pair lane, arithmetic or SAT *)
+  p_stacks : int;       (* always 0; see metric.mli *)
 }
 
 type result = {
@@ -114,7 +114,6 @@ type part = {
   mutable diagonal : int;  (* pair dispatch, as in [pair_stats] *)
   mutable disjoint : int;
   mutable stacked : int;
-  mutable stacks : int;
   mutable lanes : Engine.lane_stats option;
   mutable solver : solver_stats option;
   mutable steals : int;
@@ -133,7 +132,6 @@ let part () =
     diagonal = 0;
     disjoint = 0;
     stacked = 0;
-    stacks = 0;
     lanes = None;
     solver = None;
     steals = 0;
@@ -171,7 +169,6 @@ let gather partials =
       g.diagonal <- g.diagonal + p.diagonal;
       g.disjoint <- g.disjoint + p.disjoint;
       g.stacked <- g.stacked + p.stacked;
-      g.stacks <- g.stacks + p.stacks;
       g.lanes <- merge_lanes g.lanes p.lanes;
       g.solver <- merge_solver g.solver p.solver;
       g.steals <- g.steals + steals)
@@ -217,7 +214,7 @@ let result ~what ~net ?reduction ?pairs g =
             p_diagonal = g.diagonal;
             p_disjoint = g.disjoint;
             p_stacked = g.stacked;
-            p_stacks = g.stacks;
+            p_stacks = 0;
           })
         pairs;
     pair_lanes = (if pairs = None then None else g.lanes);
@@ -328,90 +325,6 @@ type pair_class = {
   pc_lost : int array;  (* baseline-accessible segments no longer accessible *)
 }
 
-(* ---- memoized secondary-baseline (stack) cache ----
-
-   The lane-parallel pair sweep builds each interacting row's stacked
-   baseline ONCE and sweeps lane batches of second summaries against it.
-   Because the steal units are lane batches (not whole rows), several
-   items of the same row — and, across domains, of neighbouring rows —
-   need the same stack: a small LRU-bounded, single-flight cache keyed
-   by first-class index serves them.  The steal cursor claims items in
-   array order, so the working set at any instant is about one stack per
-   domain and [stack_cache_cap] is generous; a warm state keeps the
-   per-model cache across evaluations, so repeated exhaustive sweeps
-   skip the stack builds the way they already skip phase 1. *)
-
-type stack_slot = Stk_built of Engine.stacked | Stk_building
-
-type stack_cache = {
-  sc_lock : Mutex.t;
-  sc_cond : Condition.t;  (* signalled when a build completes or fails *)
-  sc_cap : int;
-  mutable sc_tick : int;  (* LRU clock *)
-  sc_tbl : (int, stack_slot * int ref) Hashtbl.t;
-}
-
-let stack_cache_cap = 64
-
-let stack_cache () =
-  {
-    sc_lock = Mutex.create ();
-    sc_cond = Condition.create ();
-    sc_cap = stack_cache_cap;
-    sc_tick = 0;
-    sc_tbl = Hashtbl.create 64;
-  }
-
-(* [stack_cached sc build i] returns class [i]'s secondary baseline and
-   whether this call actually built it (the caller's [ps_stacks]
-   attribution).  Single-flight: a concurrent request for a stack being
-   built waits on the condition variable instead of duplicating the
-   fixpoint; eviction only ever removes settled entries. *)
-let stack_cached sc build i =
-  Mutex.lock sc.sc_lock;
-  let rec get () =
-    match Hashtbl.find_opt sc.sc_tbl i with
-    | Some (Stk_built s, tick) ->
-        sc.sc_tick <- sc.sc_tick + 1;
-        tick := sc.sc_tick;
-        Mutex.unlock sc.sc_lock;
-        (s, false)
-    | Some (Stk_building, _) ->
-        Condition.wait sc.sc_cond sc.sc_lock;
-        get ()
-    | None ->
-        Hashtbl.replace sc.sc_tbl i (Stk_building, ref 0);
-        Mutex.unlock sc.sc_lock;
-        let s =
-          try build i
-          with e ->
-            Mutex.lock sc.sc_lock;
-            Hashtbl.remove sc.sc_tbl i;
-            Condition.broadcast sc.sc_cond;
-            Mutex.unlock sc.sc_lock;
-            raise e
-        in
-        Mutex.lock sc.sc_lock;
-        sc.sc_tick <- sc.sc_tick + 1;
-        Hashtbl.replace sc.sc_tbl i (Stk_built s, ref sc.sc_tick);
-        if Hashtbl.length sc.sc_tbl > sc.sc_cap then begin
-          let victim = ref (-1) and best = ref max_int in
-          Hashtbl.iter
-            (fun k (slot, tick) ->
-              match slot with
-              | Stk_built _ when k <> i && !tick < !best ->
-                  victim := k;
-                  best := !tick
-              | _ -> ())
-            sc.sc_tbl;
-          if !victim >= 0 then Hashtbl.remove sc.sc_tbl !victim
-        end;
-        Condition.broadcast sc.sc_cond;
-        Mutex.unlock sc.sc_lock;
-        (s, true)
-  in
-  get ()
-
 (* ---- warm per-netlist state ----
 
    The unit of reuse behind the service pool (Ftrsn_service.Pool): the
@@ -438,10 +351,6 @@ type warm = {
          slot, so a bridge evaluation can't serve select classes *)
   mutable w_pair_classes :
     (Fault.model * (Fault.clas array * pair_class array)) list;
-  mutable w_pair_stacks : (Fault.model * stack_cache) list;
-      (* per-model secondary-baseline caches for the full universe,
-         shared with [w_pair_classes]' phase-1 records: the cached class
-         indices refer to the cached class array *)
   mutable w_idle : (bool * Bmc.Session.t) list;  (* (certified, session) *)
 }
 
@@ -454,7 +363,6 @@ let warm net =
     w_model = None;
     w_classes = [];
     w_pair_classes = [];
-    w_pair_stacks = [];
     w_idle = [];
   }
 
@@ -770,17 +678,20 @@ let evaluate ?sample ?(domains = 1) ?(engine = `Structural) ?(reduce = true)
      pointwise AND of the two single-fault verdicts, so the pair's
      counts follow from the single-fault results and the (small) list of
      segments the partner lost — O(min lost), no fixpoint;
-   - interacting pairs: an engine runs.  On the structural engine the
-     first class's faulty state is computed once per row as a secondary
-     baseline ({!Engine.stack}) and the second summaries' cone deltas
-     run on top in lane batches ({!Engine.count_lanes_on}); on BMC
-     each pair is SAT-checked inside the cone of its merged summary.
+   - interacting pairs: on the structural engine a pair with an
+     {!Engine.lane_fast} class is the partner's accessible set minus
+     the killed segments (the arithmetic of the disjoint case); every
+     other pair is one lane of a batch rooted at the fault-free
+     baseline ({!Engine.count_batch}), its cone the union of the two
+     class cones.  On BMC each pair is SAT-checked inside the cone of
+     its merged summary.
 
-   Phase 2a (discovery) does the diagonal and the pointwise counting
-   once per row and defers the interacting columns; phase 2b steals
-   (row, columns) units — lane batches and chunks of fast partners on
-   the structural engine, so a heavy row's batches spread across
-   domains, whole rows on BMC.
+   Phase 1 steals the probes in lane batches ({!Engine.probes}).
+   Phase 2a (discovery) does the diagonal, the pointwise and the
+   fast-path counting once per row and defers the other interacting
+   columns; phase 2b steals one pair-lane batch per unit on the
+   structural engine — pairs of many rows share a batch, and a heavy
+   row's pairs spread across domains — and whole rows on BMC.
    Everything is integer-exact, so the sweep is bit-identical to the
    brute pair enumeration, sequentially and across domains. *)
 
@@ -808,20 +719,24 @@ let pair_class net (c : Fault.clas) gate ~base_acc acc =
     pc_lost = Array.of_list !lost;
   }
 
-(* The per-model stack cache: served from the warm state for full
-   sweeps (the cached column indices refer to the warm class array,
-   exactly like [w_pair_classes]), private to the evaluation otherwise. *)
-let pair_stacks_of warm ~full ~model =
-  match warm with
-  | Some w when full ->
-      locked w (fun () ->
-          match List.assoc_opt model w.w_pair_stacks with
-          | Some sc -> sc
-          | None ->
-              let sc = stack_cache () in
-              w.w_pair_stacks <- (model, sc) :: w.w_pair_stacks;
-              sc)
-  | _ -> stack_cache ()
+(* [n] encoded pairs at a time, in push order: the phase-2b lane
+   batches of one stream. *)
+let packer n =
+  let buf = Array.make n 0 and len = ref 0 and out = ref [] in
+  let push x =
+    buf.(!len) <- x;
+    incr len;
+    if !len = n then begin
+      out := Array.copy buf :: !out;
+      len := 0
+    end
+  in
+  let batches () =
+    if !len > 0 then out := Array.sub buf 0 !len :: !out;
+    len := 0;
+    List.rev !out
+  in
+  (push, batches)
 
 let sweep_pairs ~domains ~engine ~certify ?warm ~full ~model net faults =
   let ctx = ctx_of warm net in
@@ -844,9 +759,9 @@ let sweep_pairs ~domains ~engine ~certify ?warm ~full ~model net faults =
     | Some (classes, pcs) -> (classes, pcs, [])
     | None ->
         let classes = classes_of warm ~full ~model net faults in
-        let nc = Array.length classes in
+        let sms = Array.map (fun c -> c.Fault.cls_summary) classes in
         (* Writes go to disjoint slots, so the domains share the array. *)
-        let slots = Array.make nc None in
+        let slots = Array.make (Array.length classes) None in
         let verdicts =
           match engine with
           | `Structural ->
@@ -864,16 +779,24 @@ let sweep_pairs ~domains ~engine ~certify ?warm ~full ~model net faults =
                     within [ c.Fault.cls_rep ] (Some pr.Engine.pr_cone)),
                   close )
         in
+        (* The steal units are the single-fault sweep's: a unit's probes
+           that need a fixpoint share one lane batch. *)
+        let units =
+          let fast, batches = Engine.lane_plan base sms in
+          Array.of_list (batches @ fast_units fast)
+        in
         let phase1 =
-          sweep ~domains (Array.init nc Fun.id) (fun p ->
+          sweep ~domains units (fun p ->
               let base_acc, verdict, close = verdicts p in
-              ( (fun i ->
-                  let c = classes.(i) in
-                  let pr = Engine.probe ctx base c.Fault.cls_summary in
-                  slots.(i) <-
-                    Some
-                      (pair_class net c pr.Engine.pr_gate ~base_acc
-                         (verdict c pr))),
+              ( (fun idxs ->
+                  Engine.probes ctx base (Array.map (Array.get sms) idxs)
+                    (fun l pr ->
+                      let i = idxs.(l) in
+                      let c = classes.(i) in
+                      slots.(i) <-
+                        Some
+                          (pair_class net c pr.Engine.pr_gate ~base_acc
+                             (verdict c pr)))),
                 close ))
         in
         let pcs = Array.map Option.get slots in
@@ -894,6 +817,37 @@ let sweep_pairs ~domains ~engine ~certify ?warm ~full ~model net faults =
       ~n:(ci.pc_members * cj.pc_members)
       ~segs ~bits
   in
+  let interact p ci cj ~segs ~bits =
+    p.stacked <- p.stacked + 1;
+    pair_add p ci cj ~segs ~bits
+  in
+  (* Class [keep]'s accessible counts minus the segments of [lost] it
+     still had. *)
+  let minus keep lost =
+    let dsegs = ref 0 and dbits = ref 0 in
+    Array.iter
+      (fun s ->
+        if Bitset.mem keep.pc_acc s then begin
+          incr dsegs;
+          dbits := !dbits + len.(s)
+        end)
+      lost;
+    (keep.pc_segs - !dsegs, keep.pc_bits - !dbits)
+  in
+  (* On the structural engine, the segments an [Engine.lane_fast] class
+     kills: such a class changes any verdict only by clearing them, so
+     its interacting pairs are answered like the disjoint ones.  BMC
+     decides every interacting pair by SAT. *)
+  let kills =
+    Array.init nc (fun j ->
+        let s = sm j in
+        if engine = `Structural && Engine.lane_fast base s then
+          Some
+            (Array.of_list
+               (List.sort_uniq compare
+                  (s.Fault.sm_kill_read @ s.Fault.sm_kill_write)))
+        else None)
+  in
   (* Phase 2a: discovery.  Rows write disjoint slots of [inter], so the
      domains share the array. *)
   let inter = Array.make nc [||] in
@@ -906,7 +860,7 @@ let sweep_pairs ~domains ~engine ~certify ?warm ~full ~model net faults =
         ~w:(((ci.pc_weight * ci.pc_weight) - ci.pc_sq) / 2)
         ~n:(m * (m - 1) / 2)
         ~segs:ci.pc_segs ~bits:ci.pc_bits;
-    let defer = ref [] in
+    let defer = ref [] and fast = ref 0 in
     for j = nc - 1 downto i + 1 do
       let cj = pcs.(j) in
       if Engine.composes ci.pc_gate cj.pc_gate then begin
@@ -914,94 +868,111 @@ let sweep_pairs ~domains ~engine ~certify ?warm ~full ~model net faults =
            classes': class [keep]'s count minus the partner's lost
            segments that [keep] still had. *)
         p.disjoint <- p.disjoint + 1;
-        let keep, lost =
+        let segs, bits =
           if Array.length cj.pc_lost <= Array.length ci.pc_lost then
-            (ci, cj.pc_lost)
-          else (cj, ci.pc_lost)
+            minus ci cj.pc_lost
+          else minus cj ci.pc_lost
         in
-        let dsegs = ref 0 and dbits = ref 0 in
-        Array.iter
-          (fun s ->
-            if Bitset.mem keep.pc_acc s then begin
-              incr dsegs;
-              dbits := !dbits + len.(s)
-            end)
-          lost;
-        pair_add p ci cj ~segs:(keep.pc_segs - !dsegs)
-          ~bits:(keep.pc_bits - !dbits)
+        pair_add p ci cj ~segs ~bits
       end
-      else defer := j :: !defer
+      else
+        match (kills.(i), kills.(j)) with
+        | Some k, _ ->
+            incr fast;
+            let segs, bits = minus cj k in
+            interact p ci cj ~segs ~bits
+        | None, Some k ->
+            incr fast;
+            let segs, bits = minus ci k in
+            interact p ci cj ~segs ~bits
+        | None, None -> defer := j :: !defer
     done;
+    if !fast > 0 then
+      note_lanes p
+        {
+          Engine.ls_batches = 0;
+          ls_lanes = 0;
+          ls_masked = 0;
+          ls_fast = !fast;
+          ls_rounds = 0;
+        };
     if !defer <> [] then inter.(i) <- Array.of_list !defer
   in
   let phase2a =
     sweep ~domains (Array.init nc Fun.id) (fun p -> (discover p, ignore))
   in
-  (* Phase 2b: the interacting pairs, as (row, columns) units. *)
-  let units =
-    let acc = ref [] in
-    Array.iteri
-      (fun i js ->
-        if js <> [||] then
-          match engine with
-          | `Structural ->
-              let fast, batches = Engine.lane_plan base (Array.map sm js) in
-              let unit idxs =
-                acc := (i, Array.map (Array.get js) idxs) :: !acc
-              in
-              List.iter unit (fast_units fast);
-              List.iter unit batches
-          | `Bmc -> acc := (i, js) :: !acc)
-      inter;
-    Array.of_list (List.rev !acc)
-  in
-  let interact p i j ~segs ~bits =
-    p.stacked <- p.stacked + 1;
-    pair_add p pcs.(i) pcs.(j) ~segs ~bits
-  in
-  let verdicts =
+  (* Phase 2b: the interacting pairs. *)
+  let phase2b =
     match engine with
     | `Structural ->
-        (* Each row's secondary baseline is built once, on first use, by
-           whichever domain gets there first. *)
-        let sc = pair_stacks_of warm ~full ~model in
-        fun p ->
-          ( (fun (i, js) ->
-              let stk, built =
-                stack_cached sc (fun i -> Engine.stack ctx base (sm i)) i
-              in
-              if built then p.stacks <- p.stacks + 1;
-              let cs, st = Engine.count_lanes_on ctx stk (Array.map sm js) in
-              note_lanes p st;
-              Array.iteri
-                (fun l j ->
-                  interact p i j ~segs:cs.(l).Engine.lc_segs
-                    ~bits:cs.(l).Engine.lc_bits)
-                js),
-            ignore )
+        (* Every pair is one lane rooted at the fault-free baseline, so
+           pairs of different rows share a batch.  The pairs pack
+           row-major, encoded [i * nc + j], into batches of
+           [lane_width]; pairs with a dead scan port (whole-network
+           cones, extra rounds) pack into batches of their own.  The
+           plan depends on the classes and the gate only.  Each class's
+           lane (summary and coarse cone) is built once, here. *)
+        let lanes = Array.init nc (fun i -> Engine.lane ctx base (sm i)) in
+        let port i =
+          let s = sm i in
+          s.Fault.sm_pi_dead || s.Fault.sm_po_dead
+        in
+        let push_port, port_batches = packer Engine.lane_width in
+        let push_general, general_batches = packer Engine.lane_width in
+        Array.iteri
+          (fun i js ->
+            Array.iter
+              (fun j ->
+                (if port i || port j then push_port else push_general)
+                  ((i * nc) + j))
+              js;
+            inter.(i) <- [||])
+          inter;
+        let units = Array.of_list (port_batches () @ general_batches ()) in
+        sweep ~domains units (fun p ->
+            ( (fun batch ->
+                let cs, st =
+                  Engine.count_batch ctx base
+                    (Array.map
+                       (fun x -> Engine.lane_union lanes.(x / nc) lanes.(x mod nc))
+                       batch)
+                in
+                note_lanes p st;
+                Array.iteri
+                  (fun l x ->
+                    interact p pcs.(x / nc) pcs.(x mod nc)
+                      ~segs:cs.(l).Engine.lc_segs ~bits:cs.(l).Engine.lc_bits)
+                  batch),
+              ignore ))
     | `Bmc ->
-        fun p ->
-          let within, _, close = open_bmc ~certify warm net p in
-          ( (fun (i, js) ->
-              (* The restriction must be the cone of the MERGED summary:
-                 with tight cones the union of the two single-fault
-                 taints can undershoot the pair's (interaction can kill
-                 paths both single faults left alive). *)
-              let cones =
-                Engine.cones ctx base
-                  (Array.map (fun j -> Fault.summary_union (sm i) (sm j)) js)
-              in
-              let rep k = classes.(k).Fault.cls_rep in
-              Array.iteri
-                (fun l j ->
-                  let segs, bits =
-                    count net (within [ rep i; rep j ] cones.(l))
-                  in
-                  interact p i j ~segs ~bits)
-                js),
-            close )
+        (* One unit per row with interacting columns. *)
+        let units =
+          Array.of_list
+            (List.filter
+               (fun (_, js) -> js <> [||])
+               (Array.to_list (Array.mapi (fun i js -> (i, js)) inter)))
+        in
+        sweep ~domains units (fun p ->
+            let within, _, close = open_bmc ~certify warm net p in
+            ( (fun (i, js) ->
+                (* The restriction must be the cone of the MERGED summary:
+                   with tight cones the union of the two single-fault
+                   taints can undershoot the pair's (interaction can kill
+                   paths both single faults left alive). *)
+                let cones =
+                  Engine.cones ctx base
+                    (Array.map (fun j -> Fault.summary_union (sm i) (sm j)) js)
+                in
+                let rep k = classes.(k).Fault.cls_rep in
+                Array.iteri
+                  (fun l j ->
+                    let segs, bits =
+                      count net (within [ rep i; rep j ] cones.(l))
+                    in
+                    interact p pcs.(i) pcs.(j) ~segs ~bits)
+                  js),
+              close ))
   in
-  let phase2b = sweep ~domains units verdicts in
   gather (phase1 @ phase2a @ phase2b)
   |> result ~what:"Metric.evaluate_pairs" ~net ~pairs:nc
 
@@ -1083,9 +1054,8 @@ let pp_lane_stats fmt (l : Engine.lane_stats) =
 
 let pp_pair_stats fmt p =
   Format.fprintf fmt
-    "@[<h>pairs: %d classes -> %d class pairs (%d diagonal, %d disjoint, %d stacked); %d secondary baselines@]"
+    "@[<h>pairs: %d classes -> %d class pairs (%d diagonal, %d disjoint, %d stacked)@]"
     p.p_classes p.p_class_pairs p.p_diagonal p.p_disjoint p.p_stacked
-    p.p_stacks
 
 let pp fmt r =
   Format.fprintf fmt

@@ -97,10 +97,16 @@ type pair_stats = {
           pointwise AND of the single-fault verdicts and the counts
           follow arithmetically; no fixpoint or SAT query *)
   p_stacked : int;
-      (** interacting pairs — a cone delta on a secondary baseline
-          (structural) or a cone-restricted SAT sweep of the merged
-          summary (BMC) *)
-  p_stacks : int;  (** secondary baselines actually built (structural) *)
+      (** interacting pairs — one lane of a batch rooted at the
+          fault-free baseline, or the arithmetic of a fast-path class
+          ({!Ftrsn_access.Engine.lane_fast}) (structural), or a
+          cone-restricted SAT sweep of the merged summary (BMC) *)
+  p_stacks : int;
+      (** Always 0: no sweep builds a secondary baseline.  Kept only
+          because e2ebench reads this field by name and the wire's
+          ["stats"] block carries it as ["stacks"]; it goes once
+          e2ebench reads counters from the wire [stats] object (ROADMAP
+          item 2). *)
 }
 (** How the exhaustive double-fault sweep dispatched the class pairs;
     [p_diagonal + p_disjoint + p_stacked = p_class_pairs]. *)
@@ -128,13 +134,13 @@ type result = {
   pairs : pair_stats option;
       (** [Some] iff the exhaustive reduced pair sweep produced the result *)
   pair_lanes : Ftrsn_access.Engine.lane_stats option;
-      (** [Some] iff the lane-parallel stacked pair path produced the
+      (** [Some] iff the lane-parallel pair path produced the
           interacting-pair verdicts (structural exhaustive sweep): the
-          secondary-baseline lane batches swept
-          by {!Ftrsn_access.Engine.count_lanes_on}, plus the
-          fast-path partner deltas in [ls_fast].  Deterministic — a
-          function of the class universe and the pair gate, not
-          of scheduling. *)
+          pair-lane batches swept by
+          {!Ftrsn_access.Engine.count_batch}, plus the pairs answered
+          by a fast-path class's arithmetic in [ls_fast].
+          Deterministic — a function of the class universe and the pair
+          gate, not of scheduling or [domains]. *)
 }
 
 exception Unsupported of string
@@ -262,19 +268,18 @@ val evaluate_pairs :
     AND the pair verdict provably equals; only the remaining
     interacting pairs run an engine.  Both engines share this dispatch,
     so they report the same diagonal / disjoint / stacked split.  On
-    the structural engine the interacting pairs are lane-parallel:
-    pairs are grouped by first class, each group's secondary baseline
-    is built once (memoized in an LRU-bounded stack cache, shared with
-    the warm state's phase-1 class records on full sweeps) and the
-    second classes sweep against it in lane batches of up to
-    {!Ftrsn_access.Engine.lane_width} per fixpoint
-    ({!Ftrsn_access.Engine.count_lanes_on}; the fast-path partners
-    take its O(1) splices).  The BMC engine runs a cone-restricted SAT
-    sweep of each merged summary.  The result is bit-identical to the
-    brute pair enumeration ([reduce:false]) in every field, sequentially
-    and for any [domains]; [result.pairs] reports the dispatch
-    statistics and [result.pair_lanes] the stacked-batch lane
-    statistics.
+    the structural engine a pair with a fast-path class
+    ({!Ftrsn_access.Engine.lane_fast}) is answered arithmetically (the
+    partner's accessible set minus the killed segments), and every
+    other interacting pair is one lane of a batch rooted at the
+    fault-free baseline: pairs of any rows pack row-major into batches
+    of up to {!Ftrsn_access.Engine.lane_width} per fixpoint
+    ({!Ftrsn_access.Engine.count_batch}), dead-port pairs in batches
+    of their own.  The BMC engine runs a cone-restricted SAT sweep of
+    each merged summary.  The result is bit-identical to the brute
+    pair enumeration ([reduce:false]) in every field, sequentially and
+    for any [domains]; [result.pairs] reports the dispatch statistics
+    and [result.pair_lanes] the pair-lane statistics.
 
     Without [exhaustive] the quadratic universe is subsampled: [sample]
     (default 37) keeps every k-th pair of a deterministic enumeration —
@@ -285,11 +290,11 @@ val evaluate_pairs :
 
     Work is distributed over [domains] at pair granularity (brute) or,
     exhaustively, by the work-stealing queue in three phases: the
-    class probes, the discovery pass (diagonal and pointwise counting)
-    over first-class rows, then the interacting pairs as (row, columns)
-    units — one secondary-baseline lane batch (or one chunk of
-    fast-path partners) each on the structural engine, so stealing
-    never shreds a batch and a heavy row's batches
+    class probes (one unit per lane batch of probes,
+    {!Ftrsn_access.Engine.probes}), the discovery pass (diagonal,
+    pointwise and fast-path counting) over first-class rows, then the
+    interacting pairs — one pair-lane batch per unit on the structural
+    engine, so stealing never shreds a batch and a heavy row's pairs
     spread across domains instead of serializing on one; one row each
     on BMC.  Pair costs are highly skewed (port and trunk faults force
     whole-graph re-analysis), which used to leave the

@@ -37,10 +37,7 @@ let metric_r_of_result ~with_stats (r : Metric.result) =
     mr_faults = r.Metric.faults;
     mr_weight = r.Metric.total_weight;
     mr_reduction = r.Metric.reduction;
-    mr_pairs =
-      (if with_stats then r.Metric.pairs
-       else
-         Option.map (fun p -> { p with Metric.p_stacks = 0 }) r.Metric.pairs);
+    mr_pairs = r.Metric.pairs;
     mr_stats =
       (if not with_stats then None
        else
@@ -219,8 +216,8 @@ let dec_lanes l =
 
 let opt_field k enc = function None -> [] | Some v -> [ (k, enc v) ]
 
-(* [p_stacks] depends on the domain split, so it is encoded only in the
-   volatile "stats" block; the deterministic "pairs" object omits it. *)
+(* [p_stacks] (always 0) is encoded only in the "stats" block, where
+   the wire has carried it since it counted built stacks. *)
 let enc_metric m =
   Json.Obj
     ([

@@ -9,8 +9,8 @@
     deterministic functions of the query (bit-identical whether they
     were computed cold or from warm pooled state); everything that can
     legitimately differ between runs — work-stealing counters,
-    accumulated solver statistics of reused sessions, secondary-baseline
-    counts under [domains > 1] — lives in the optional [*_stats] blocks
+    accumulated solver statistics of reused sessions — lives in the
+    optional [*_stats] blocks
     that only appear when the query asked for them ([with_stats]).  CI
     diffs serve transcripts against one-shot CLI runs on the
     deterministic part. *)
@@ -35,8 +35,8 @@ type metric_stats_r = {
           function of the class universe, not of scheduling — but
           reported here alongside the other engine internals *)
   ms_pair_lanes : Ftrsn_access.Engine.lane_stats option;
-      (** lane batches rooted at stacked baselines (interacting-pair
-          sweep); deterministic like [ms_lanes] *)
+      (** lane batches of the interacting-pair sweep, one class pair
+          per lane; deterministic like [ms_lanes] *)
 }
 
 type metric_r = {
@@ -49,10 +49,8 @@ type metric_r = {
   mr_reduction : Ftrsn_core.Metric.reduction_stats option;
       (** deterministic: the collapse is a function of the netlist *)
   mr_pairs : Ftrsn_core.Metric.pair_stats option;
-      (** deterministic pair-dispatch counts, except [p_stacks]: the
-          secondary-baseline count depends on the domain split, so it is
-          encoded only in the ["stats"] block and is 0 when [mr_stats]
-          is [None] *)
+      (** deterministic pair-dispatch counts; [p_stacks] is always 0
+          and encoded only in the ["stats"] block *)
   mr_stats : metric_stats_r option;  (** [Some] iff [with_stats] *)
 }
 (** The metric payload carries {!Ftrsn_core.Metric}'s own counter

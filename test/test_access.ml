@@ -645,6 +645,234 @@ let prop_lanes_on_equal_multi =
       done;
       !ok)
 
+(* Class pairs as the exhaustive pair sweep runs them: one lane per pair,
+   every lane rooted at the fault-free baseline, batches packing pairs
+   of many rows.  Each lane must give the brute verdict under both
+   faults, and the count view must count that verdict.  The pairs are
+   drawn at random, so every batch mixes primaries, and every
+   dead-port and fast-path class takes part in some pairs. *)
+let prop_pair_lanes_exact =
+  QCheck.Test.make
+    ~name:"cross-row pair lanes = Engine.analyze_multi (random nets)"
+    ~count:10
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let net =
+        Ftrsn_rsn.Random_net.generate ~seed ~segments:(4 + (seed mod 5)) ()
+      in
+      let ctx = Engine.make_ctx net in
+      let base = Engine.baseline ctx in
+      let classes =
+        Array.of_list (Fault.collapse net (Fault.universe net))
+      in
+      let n = Array.length classes in
+      let sm i = classes.(i).Fault.cls_summary in
+      let lanes = Array.init n (fun i -> Engine.lane ctx base (sm i)) in
+      let st = Random.State.make [| seed |] in
+      let partner () = Random.State.int st n in
+      let special =
+        List.filter
+          (fun i ->
+            Engine.lane_fast base (sm i)
+            || Fault.summary_shape (sm i) = Fault.Port_dead)
+          (List.init n Fun.id)
+      in
+      let pairs =
+        Array.of_list
+          (List.init (2 * n) (fun k -> (k mod n, partner ()))
+          @ List.concat_map
+              (fun i -> List.init 4 (fun _ -> (partner (), i)))
+              special)
+      in
+      (* scramble the row-major order so batches mix primaries *)
+      for k = Array.length pairs - 1 downto 1 do
+        let r = Random.State.int st (k + 1) in
+        let t = pairs.(k) in
+        pairs.(k) <- pairs.(r);
+        pairs.(r) <- t
+      done;
+      let ok = ref true in
+      let k = ref 0 in
+      while !ok && !k < Array.length pairs do
+        let b = min Engine.lane_width (Array.length pairs - !k) in
+        let batch = Array.sub pairs !k b in
+        let ls =
+          Array.map (fun (i, j) -> Engine.lane_union lanes.(i) lanes.(j)) batch
+        in
+        let vs, st = Engine.analyze_batch ctx base ls in
+        let cs, st' = Engine.count_batch ctx base ls in
+        ok :=
+          st = st'
+          && st.Engine.ls_lanes = b
+          && Array.for_all2
+               (fun (v, _) (i, j) ->
+                 v
+                 = Engine.analyze_multi ctx
+                     [ classes.(i).Fault.cls_rep; classes.(j).Fault.cls_rep ])
+               vs batch
+          && Array.for_all2
+               (fun (v, cone) c ->
+                 c.Engine.lc_segs = Engine.accessible_count v
+                 && c.Engine.lc_bits = Engine.accessible_bits ctx v
+                 && c.Engine.lc_cone = cone)
+               vs cs;
+        k := !k + b
+      done;
+      !ok)
+
+(* The pair sweep answers an interacting pair with an
+   [Engine.lane_fast] class by arithmetic: the partner's accessible set
+   minus the fast class's killed segments.  Checked against the brute
+   verdict for every fast class and every partner, dead ports
+   included. *)
+let prop_fast_pairs_arithmetic =
+  QCheck.Test.make
+    ~name:"fast-path pairs = partner minus kills (random nets)" ~count:10
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let net =
+        Ftrsn_rsn.Random_net.generate ~seed ~segments:(4 + (seed mod 6)) ()
+      in
+      let ctx = Engine.make_ctx net in
+      let base = Engine.baseline ctx in
+      let classes =
+        Array.of_list (Fault.collapse net (Fault.universe net))
+      in
+      let rep i = classes.(i).Fault.cls_rep in
+      let sm i = classes.(i).Fault.cls_summary in
+      let single =
+        Array.init (Array.length classes) (fun i ->
+            (Engine.analyze ctx (Some (rep i))).Engine.accessible)
+      in
+      let ok = ref true in
+      Array.iteri
+        (fun f _ ->
+          if Engine.lane_fast base (sm f) then begin
+            let kills = (sm f).Fault.sm_kill_read @ (sm f).Fault.sm_kill_write in
+            Array.iteri
+              (fun j acc ->
+                let expect =
+                  Array.mapi (fun s a -> a && not (List.mem s kills)) acc
+                in
+                if (Engine.analyze_multi ctx [ rep f; rep j ]).Engine.accessible
+                   <> expect
+                then ok := false)
+              single
+          end)
+        classes;
+      !ok)
+
+(* The pair sweep forms a lane's cone as the union of its classes'
+   cones, computed once per class; that is exact because the coarse
+   cone fires per damaged site. *)
+let prop_union_cone =
+  QCheck.Test.make
+    ~name:"coarse cone of a union summary = union of the cones (random nets)"
+    ~count:20
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let net =
+        Ftrsn_rsn.Random_net.generate ~seed ~segments:(4 + (seed mod 6)) ()
+      in
+      let ctx = Engine.make_ctx net in
+      let base = Engine.baseline ctx in
+      let sms =
+        Array.of_list
+          (List.concat_map
+             (fun model ->
+               List.map
+                 (fun c -> c.Fault.cls_summary)
+                 (Fault.collapse net (Fault.universe ~model net)))
+             [ Fault.Stuck; Fault.Bridge ])
+      in
+      let n = Array.length sms in
+      let st = Random.State.make [| seed |] in
+      List.for_all
+        (fun _ ->
+          let a = sms.(Random.State.int st n)
+          and b = sms.(Random.State.int st n) in
+          let u = Ftrsn_topo.Bitset.copy (Engine.coarse_cone ctx base a) in
+          Ftrsn_topo.Bitset.union_into u (Engine.coarse_cone ctx base b);
+          Ftrsn_topo.Bitset.equal u
+            (Engine.coarse_cone ctx base (Fault.summary_union a b)))
+        (List.init 60 Fun.id))
+
+let same_probe (a : Engine.probe) (b : Engine.probe) =
+  let eq f = Ftrsn_topo.Bitset.equal (f a.Engine.pr_gate) (f b.Engine.pr_gate) in
+  a.Engine.pr_verdict = b.Engine.pr_verdict
+  && Ftrsn_topo.Bitset.equal a.Engine.pr_cone b.Engine.pr_cone
+  && a.Engine.pr_coarse = b.Engine.pr_coarse
+  && eq (fun g -> g.Engine.g_region)
+  && eq (fun g -> g.Engine.g_fragile)
+  && eq (fun g -> g.Engine.g_supp)
+  && eq (fun g -> g.Engine.g_supp_edges)
+  && eq (fun g -> g.Engine.g_rhosts)
+  && eq (fun g -> g.Engine.g_dead_edges)
+  && eq (fun g -> g.Engine.g_dmg)
+  && eq (fun g -> g.Engine.g_wlost)
+
+(* [Engine.probes] hands over every index once, each probe equal to the
+   one-lane [Engine.probe] of the same summary; [None] when so, else
+   the first index that differs (-1: an index missed or repeated). *)
+let probes_mismatch ctx base sms =
+  let seen = Array.make (Array.length sms) 0 in
+  let bad = ref None in
+  Engine.probes ctx base sms (fun i p ->
+      seen.(i) <- seen.(i) + 1;
+      if !bad = None && not (same_probe p (Engine.probe ctx base sms.(i)))
+      then bad := Some i);
+  match !bad with
+  | Some _ -> !bad
+  | None -> if Array.for_all (( = ) 1) seen then None else Some (-1)
+
+let prop_probes_equal_probe =
+  QCheck.Test.make ~name:"batched probes = single probes (random nets)"
+    ~count:12
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let net =
+        Ftrsn_rsn.Random_net.generate ~seed ~segments:(5 + (seed mod 6)) ()
+      in
+      let ctx = Engine.make_ctx net in
+      let sms =
+        Array.of_list
+          (List.map
+             (fun c -> c.Fault.cls_summary)
+             (Fault.collapse net (Fault.universe net)))
+      in
+      probes_mismatch ctx (Engine.baseline ctx) sms = None)
+
+(* The same on whole ITC'02 universes, where a batch fills all 63
+   lanes: u226 and its fault-tolerant rework in full, d695 thinned to
+   every 12th fault. *)
+let test_probes_equal_probe () =
+  let soc name =
+    Ftrsn_itc02.Itc02.rsn (Option.get (Ftrsn_itc02.Itc02.find name))
+  in
+  let u226 = soc "u226" in
+  let u226_ft = (Ftrsn_core.Pipeline.synthesize u226).Ftrsn_core.Pipeline.ft in
+  let d695 = soc "d695" in
+  List.iter
+    (fun (name, net, faults) ->
+      let ctx = Engine.make_ctx net in
+      let base = Engine.baseline ctx in
+      let classes = Array.of_list (Fault.collapse net faults) in
+      let sms = Array.map (fun c -> c.Fault.cls_summary) classes in
+      match probes_mismatch ctx base sms with
+      | None -> ()
+      | Some i when i < 0 ->
+          Alcotest.failf "%s: an index was missed or repeated" name
+      | Some i ->
+          Alcotest.failf "%s: batched probe of %s differs" name
+            (Fault.to_string net classes.(i).Fault.cls_rep))
+    [
+      ("u226", u226, Fault.universe u226);
+      ("u226-ft", u226_ft, Fault.universe u226_ft);
+      ( "d695/12",
+        d695,
+        List.filteri (fun i _ -> i mod 12 = 0) (Fault.universe d695) );
+    ]
+
 (* [Engine.cones] derives the class cones without the probe's interaction
    region; each must still be the probe's cone, on every path the probe
    takes (exact diff from a lane batch, coarse refusal, glitch, local
@@ -764,8 +992,9 @@ let test_probe_stack_pinned () =
    same dispatch: per class the accessible segments and bits of the
    verdict, the cone size, and the lane statistics — for every stuck-at
    class of two fault-tolerant networks on the fault-free root, and for
-   the stacked batches of u226-ft's interacting class pairs (about 40
-   rows of the exhaustive pair sweep, spread over the class order).  The
+   u226-ft's interacting class pairs (about 40 rows of the exhaustive
+   pair sweep, spread over the class order) packed row-major into
+   pair-lane batches as the sweep packs them.  The
    verdict view itself is held against the scalar engine, class by class,
    on the full stuck-at universes of two SIB networks. *)
 let test_lane_counts_equal_verdicts () =
@@ -775,9 +1004,7 @@ let test_lane_counts_equal_verdicts () =
   let ft name =
     (Ftrsn_core.Pipeline.synthesize (soc name)).Ftrsn_core.Pipeline.ft
   in
-  let same label net stk ctx sms =
-    let vs, st = Engine.analyze_lanes_on ctx stk sms in
-    let cs, st' = Engine.count_lanes_on ctx stk sms in
+  let same label net (vs, st) (cs, st') =
     if st <> st' then Alcotest.failf "%s: lane statistics differ" label;
     Array.iteri
       (fun j (v, cone) ->
@@ -807,26 +1034,40 @@ let test_lane_counts_equal_verdicts () =
              (fun c -> c.Fault.cls_summary)
              (Fault.collapse net (Fault.universe net)))
       in
-      same (name ^ "-ft") net (Engine.of_baseline base) ctx sms;
+      let root = Engine.of_baseline base in
+      same (name ^ "-ft") net
+        (Engine.analyze_lanes_on ctx root sms)
+        (Engine.count_lanes_on ctx root sms);
       if name = "u226" then begin
         let gates =
           Array.map (fun sm -> (Engine.probe ctx base sm).Engine.pr_gate) sms
         in
+        let lanes = Array.map (Engine.lane ctx base) sms in
         (* every [rows]-th row, so all summary shapes take part *)
         let rows = max 1 (Array.length sms / 40) in
-        Array.iteri
-          (fun i sm ->
-            let js =
-              List.filter
-                (fun j -> not (Engine.composes gates.(i) gates.(j)))
-                (List.init (Array.length sms - i - 1) (fun k -> i + 1 + k))
-            in
-            if i mod rows = 0 && js <> [] then
-              same
-                (Printf.sprintf "u226-ft row %d" i)
-                net (Engine.stack ctx base sm) ctx
-                (Array.of_list (List.map (Array.get sms) js)))
-          sms
+        let pairs =
+          List.concat
+            (List.init (Array.length sms) (fun i ->
+                 if i mod rows <> 0 then []
+                 else
+                   List.filter_map
+                     (fun j ->
+                       if Engine.composes gates.(i) gates.(j) then None
+                       else Some (Engine.lane_union lanes.(i) lanes.(j)))
+                     (List.init (Array.length sms - i - 1) (fun k -> i + 1 + k))))
+        in
+        let pairs = Array.of_list pairs in
+        let k = ref 0 in
+        while !k < Array.length pairs do
+          let b = min Engine.lane_width (Array.length pairs - !k) in
+          let batch = Array.sub pairs !k b in
+          same
+            (Printf.sprintf "u226-ft pair batch at %d" !k)
+            net
+            (Engine.analyze_batch ctx base batch)
+            (Engine.count_batch ctx base batch);
+          k := !k + b
+        done
       end)
     [ "u226"; "d281" ];
   List.iter
@@ -909,6 +1150,12 @@ let suite =
       test_vectors_roundtrip_consistent;
     Testseed.to_alcotest prop_lanes_equal_scalar;
     Testseed.to_alcotest prop_lanes_on_equal_multi;
+    Testseed.to_alcotest prop_pair_lanes_exact;
+    Testseed.to_alcotest prop_union_cone;
+    Testseed.to_alcotest prop_fast_pairs_arithmetic;
+    Testseed.to_alcotest prop_probes_equal_probe;
+    Alcotest.test_case "batched probes = single probes (u226, u226-ft, d695/12)"
+      `Quick test_probes_equal_probe;
     Alcotest.test_case
       "lane counts = verdict counts (u226-ft, d281-ft), lanes = analyze (d695, u226)"
       `Quick
