@@ -37,13 +37,13 @@ let () =
 
   (* Verify with the formal (BMC) engine: every segment must stay
      accessible under a representative fault at the SIB register. *)
-  let t = Bmc.create ft in
+  let sess = Bmc.Session.create (Bmc.create ft) in
   let fault = { Fault.site = Fault.Seg_shadow_reg (1, 0); stuck = false } in
   Printf.printf "access under %s (BMC over the paper's formal model):\n"
     (Fault.to_string ft fault);
   for s = 0 to Netlist.num_segments ft - 1 do
     let verdict =
-      match Bmc.check_access t ~fault ~target:s () with
+      match Bmc.Session.check_access sess ~fault ~target:s () with
       | Bmc.Accessible n -> Printf.sprintf "accessible in %d CSU steps" n
       | Bmc.Inaccessible -> "INACCESSIBLE"
     in

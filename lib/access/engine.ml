@@ -462,6 +462,33 @@ type witness = {
   w_routes : (int * int) list list;  (** steering route per edge, in order *)
 }
 
+(* The witness through [target]: a minimum-bit prefix from scan-in to
+   the target, then a minimum-bit suffix from the target to scan-out,
+   each over the edges and vertices its predicates admit. *)
+let witness_path ctx ~target ~prefix:(prefix_edge_ok, prefix_vertex_ok)
+    ~suffix:(suffix_edge_ok, suffix_vertex_ok) =
+  let _, pre_prev, pre_edge =
+    shortest_paths ctx ~src:v_pi ~edge_ok:prefix_edge_ok
+      ~vertex_ok:prefix_vertex_ok
+  in
+  let _, suf_prev, suf_edge =
+    shortest_paths ctx ~src:target ~edge_ok:suffix_edge_ok
+      ~vertex_ok:suffix_vertex_ok
+  in
+  let rec unwind prev prev_e v acc_v acc_e =
+    if prev.(v) < 0 then
+      if v = v_pi || v = target then Some (v :: acc_v, acc_e) else None
+    else
+      unwind prev prev_e prev.(v) (v :: acc_v)
+        (ctx.edges.(prev_e.(v)).e_route :: acc_e)
+  in
+  match
+    (unwind pre_prev pre_edge target [] [], unwind suf_prev suf_edge v_po [] [])
+  with
+  | Some (pre_v, pre_r), Some (_ :: suf_v, suf_r) ->
+      Some { w_vertices = pre_v @ suf_v; w_routes = pre_r @ suf_r }
+  | _ -> None
+
 let access_witness ctx fault s =
   let eff = effects_of_fault ctx fault in
   let writable = fixpoint_writable ctx eff in
@@ -482,42 +509,56 @@ let access_witness ctx fault s =
     writable.(s) <- false;
     let rw = reach_from_pi ctx eff writable ~clean:true in
     let s_any = coreach_to_po ctx eff writable ~clean:false in
-    (* Minimum-bit prefix over clean steerable edges, then minimum-bit
-       suffix over shiftable steerable edges. *)
-    let prefix_edge_ok e =
-      (not (edge_corrupt eff e))
-      && edge_steerable ctx eff writable e
-      && (e.e_src = v_pi || (rw.(e.e_src) && clean_through eff e.e_src))
-    in
-    let prefix_vertex_ok v = v = target || (v <> v_po && rw.(v)) in
-    let _, pre_prev, pre_edge =
-      shortest_paths ctx ~src:v_pi ~edge_ok:prefix_edge_ok
-        ~vertex_ok:prefix_vertex_ok
-    in
-    let suffix_edge_ok e =
-      edge_steerable ctx eff writable e
-      && (e.e_src = target || s_any.(e.e_src))
-    in
-    let suffix_vertex_ok v = v = v_po || s_any.(v) in
-    let _, suf_prev, suf_edge =
-      shortest_paths ctx ~src:target ~edge_ok:suffix_edge_ok
-        ~vertex_ok:suffix_vertex_ok
-    in
-    let rec unwind prev prev_e v acc_v acc_e =
-      if prev.(v) < 0 then
-        if v = v_pi || v = target then Some (v :: acc_v, acc_e) else None
-      else
-        unwind prev prev_e prev.(v) (v :: acc_v)
-          (ctx.edges.(prev_e.(v)).e_route :: acc_e)
-    in
-    match
-      (unwind pre_prev pre_edge target [] [],
-       unwind suf_prev suf_edge v_po [] [])
-    with
-    | Some (pre_v, pre_r), Some (_ :: suf_v, suf_r) ->
-        Some { w_vertices = pre_v @ suf_v; w_routes = pre_r @ suf_r }
-    | _ -> None
+    (* Prefix over clean steerable edges, suffix over shiftable steerable
+       edges. *)
+    witness_path ctx ~target
+      ~prefix:
+        ( (fun e ->
+            (not (edge_corrupt eff e))
+            && edge_steerable ctx eff writable e
+            && (e.e_src = v_pi || (rw.(e.e_src) && clean_through eff e.e_src))),
+          fun v -> v = target || (v <> v_po && rw.(v)) )
+      ~suffix:
+        ( (fun e ->
+            edge_steerable ctx eff writable e
+            && (e.e_src = target || s_any.(e.e_src))),
+          fun v -> v = v_po || s_any.(v) )
   end
+
+(* Read counterpart: a path through the target whose SUFFIX (target to
+   scan-out) is corruption-free and shiftable, while the prefix only needs
+   to exist topologically.  Unlike the write witness, steering by the
+   target's own bits is allowed here whenever the target is writable: the
+   bit can be pre-written (a write needs no clean suffix), then the read
+   follows.  An unwritable target is already excluded by the fixpoint. *)
+let read_witness ctx fault s =
+  let eff = effects_of_fault ctx fault in
+  let writable = fixpoint_writable ctx eff in
+  let target = v_of_seg s in
+  let r_any = reach_from_pi ctx eff writable ~clean:false in
+  let s_clean = coreach_to_po ctx eff writable ~clean:true in
+  if
+    not
+      (r_any.(target) && s_clean.(target)
+      && (not eff.kill_read.(s))
+      && (not eff.corrupt_vertex.(s))
+      && not eff.po_dead)
+  then None
+  else
+    witness_path ctx ~target
+      ~prefix:
+        ( (fun e ->
+            edge_steerable ctx eff writable e
+            && (e.e_src = v_pi || r_any.(e.e_src))),
+          fun v -> v = target || (v <> v_po && r_any.(v)) )
+      ~suffix:
+        ( (fun e ->
+            (not (edge_corrupt eff e))
+            && edge_steerable ctx eff writable e
+            && (e.e_src = target
+               || (s_clean.(e.e_src) && clean_through eff e.e_src))
+            && shiftable eff e.e_src),
+          fun v -> v = v_po || (s_clean.(v) && shiftable eff v) )
 
 let access_path ctx fault s =
   Option.map (fun w -> w.w_vertices) (access_witness ctx fault s)
@@ -577,6 +618,13 @@ type baseline = {
       (* per segment: the round at which it entered the writability
          fixpoint (its certificate lives in [b_cert_rounds] at that
          index); -1 if never writable *)
+  b_gain_pins : (int * int * bool, unit) Hashtbl.t;
+  b_gain_locks : (int * int * bool, unit) Hashtbl.t;
+      (* steering gains: the (segment, bit, value) pins and the (mux,
+         address bit, value) locks that satisfy a not-reset-matching
+         requirement whose host the baseline cannot write.  Such a pin
+         or lock can turn a baseline-dead edge live.  Empty when the
+         baseline writes every segment.  Read-only once built. *)
 }
 
 let baseline_verdict b = b.b_verdict
@@ -662,11 +710,16 @@ let baseline ctx =
   let b_host_edges_all = Array.make ctx.nsegs [] in
   let b_host_edges_nonreset = Array.make ctx.nsegs [] in
   let b_mux_edges = Array.make (Netlist.num_muxes ctx.net) [] in
+  let b_gain_pins = Hashtbl.create 8 and b_gain_locks = Hashtbl.create 8 in
   Array.iteri
     (fun ei e ->
       let seen_all = ref [] and seen_nr = ref [] in
       Array.iter
-        (fun (_, cseg, _, _, reset_matches) ->
+        (fun ((m, b), cseg, cbit, required, reset_matches) ->
+          if (not reset_matches) && not b_verdict.writable.(cseg) then begin
+            Hashtbl.replace b_gain_pins (cseg, cbit, required) ();
+            Hashtbl.replace b_gain_locks (m, b, required) ()
+          end;
           if not (List.mem cseg !seen_all) then begin
             seen_all := cseg :: !seen_all;
             b_host_edges_all.(cseg) <- ei :: b_host_edges_all.(cseg)
@@ -817,23 +870,9 @@ let baseline ctx =
     b_live_coreach;
     b_cert_rounds;
     b_cert_round_of;
+    b_gain_pins;
+    b_gain_locks;
   }
-
-(* Summary shapes that need no graph traversal at all (see analyze_delta's
-   fast paths). *)
-let only_kill_read (sm : Fault.summary) =
-  sm.Fault.sm_kill_read <> []
-  && Fault.summary_benign { sm with Fault.sm_kill_read = [] }
-
-let only_kill_write (sm : Fault.summary) =
-  sm.Fault.sm_kill_write <> []
-  && Fault.summary_benign { sm with Fault.sm_kill_write = [] }
-
-let local_kill_write base (sm : Fault.summary) =
-  only_kill_write sm
-  && List.for_all
-       (fun i -> base.b_host_edges_nonreset.(i) = [])
-       sm.Fault.sm_kill_write
 
 (* Coarse static cone, as a set of dataflow vertices: data/steering
    damage at a vertex or edge taints everything downstream (reach) and
@@ -880,7 +919,67 @@ let coarse_cone ctx base (sm : Fault.summary) =
   end;
   cv
 
-(* ---- lanes and stacked roots ----
+(* ---- what a summary needs: the one case analysis of fault shapes ----
+
+   Every entry point (the single delta, the lane plan, the probe and the
+   BMC cones) dispatches on [classify]:
+
+   - [Benign]: the verdict is the baseline's, the cone empty;
+   - [Kill]: the summary only kills readability ([read]), or only kills
+     the writability of segments that host no not-reset-matching steering
+     requirement.  kill_read is consulted only by the readable formula,
+     and writability is consulted by steering only through those hosted
+     requirements, so no traversal changes: the verdict is the baseline's
+     with the killed segments cleared, and the cone is [segs];
+   - [Glitch]: transient upsets can produce steering GAINS (a bit
+     starting at the required value with an unwritable host) that the
+     cone tables and the lane kernel do not model: they were built for
+     faults that only ever degrade steering.  A full fixpoint gives the
+     verdict, the exact verdict diff the cone, and the probe's
+     interaction machinery is voided.  The transient universes are small
+     (one class per shadow bit), so the fallback never dominates a sweep;
+   - [Refused]: a lane fixpoint gives the verdict, but the probe's region
+     analysis does not hold (dead scan ports, steering-improving pins or
+     locks on unwritable hosts, cyclic dataflow) and the probe falls back
+     to the coarse cone.  Dead-port classes ([port]), whose cones are the
+     whole network and need extra rounds, batch apart from the rest.  A
+     steering gain ([gain]) can make segments accessible that the
+     baseline cannot reach, so its verdict is no pointwise bound on a
+     pair's and its gate composes with nothing;
+   - [Lane]: a lane fixpoint gives the verdict, and the probe is exact.
+
+   The first three never occupy a lane. *)
+type kind =
+  | Benign
+  | Kill of { read : bool; segs : int list }
+  | Glitch
+  | Refused of { port : bool; gain : bool }
+  | Lane
+
+let classify base (sm : Fault.summary) =
+  if Fault.summary_benign sm then Benign
+  else if sm.Fault.sm_glitch_shadow <> [] then Glitch
+  else if
+    sm.Fault.sm_kill_read <> []
+    && Fault.summary_benign { sm with Fault.sm_kill_read = [] }
+  then Kill { read = true; segs = sm.Fault.sm_kill_read }
+  else if
+    sm.Fault.sm_kill_write <> []
+    && Fault.summary_benign { sm with Fault.sm_kill_write = [] }
+    && List.for_all
+         (fun i -> base.b_host_edges_nonreset.(i) = [])
+         sm.Fault.sm_kill_write
+  then Kill { read = false; segs = sm.Fault.sm_kill_write }
+  else if sm.Fault.sm_pi_dead || sm.Fault.sm_po_dead then
+    Refused { port = true; gain = false }
+  else if
+    List.exists (Hashtbl.mem base.b_gain_pins) sm.Fault.sm_stuck_shadow
+    || List.exists (Hashtbl.mem base.b_gain_locks) sm.Fault.sm_locked_addr
+  then Refused { port = false; gain = true }
+  else if base.b_cyclic then Refused { port = false; gain = false }
+  else Lane
+
+(* ---- lanes ----
 
    A lane of the kernel below is a fault SET: the summaries of its
    faults (one for a single fault, two for a pair) and its coarse cone.
@@ -894,36 +993,10 @@ type lane = { ln_sms : Fault.summary list; ln_cone : Bitset.t }
 
 let lane ctx base sm = { ln_sms = [ sm ]; ln_cone = coarse_cone ctx base sm }
 
-(* The empty fault set; [lane_union] returns the other side, so its cone
-   is never read. *)
-let no_faults = { ln_sms = []; ln_cone = Bitset.create 0 }
-
 let lane_union a b =
-  if a.ln_sms = [] then b
-  else if b.ln_sms = [] then a
-  else begin
-    let cone = Bitset.copy a.ln_cone in
-    Bitset.union_into cone b.ln_cone;
-    { ln_sms = a.ln_sms @ b.ln_sms; ln_cone = cone }
-  end
-
-(* A stacked root: faults that hold in every lane of a sweep, with
-   their verdict.  The kernel always roots at the fault-free baseline;
-   a root only contributes its summaries and cone to each lane (see
-   [lane_fix]), and its verdict to the fast-path splices of
-   [analyze_delta_on]. *)
-type stacked = {
-  s_base : baseline;
-  s_lane : lane;        (* no summaries = the fault-free root *)
-  s_verdict : verdict;  (* exact verdict under the stacked summaries *)
-}
-
-let stacked_verdict stk = stk.s_verdict
-
-let of_baseline base =
-  { s_base = base; s_lane = no_faults; s_verdict = base.b_verdict }
-
-let glitchy (sm : Fault.summary) = sm.Fault.sm_glitch_shadow <> []
+  let cone = Bitset.copy a.ln_cone in
+  Bitset.union_into cone b.ln_cone;
+  { ln_sms = a.ln_sms @ b.ln_sms; ln_cone = cone }
 
 (* ---- lane-parallel batch sweeps: the cone-restricted kernel ----
 
@@ -994,10 +1067,14 @@ let lane_stats_add a b =
     ls_rounds = a.ls_rounds + b.ls_rounds;
   }
 
-(* Classes [analyze_delta] answers without any traversal; they never
-   occupy a lane. *)
+(* For a class [analyze_delta] answers without any traversal, the
+   segments it kills: such a class changes any verdict only by clearing
+   them.  [None] for the classes that need a fixpoint. *)
 let lane_fast base sm =
-  Fault.summary_benign sm || only_kill_read sm || local_kill_write base sm
+  match classify base sm with
+  | Benign -> Some [||]
+  | Kill { segs; _ } -> Some (Array.of_list (List.sort_uniq compare segs))
+  | Glitch | Refused _ | Lane -> None
 
 (* The indices of a REVERSED list, in input order, in arrays of at most
    [lane_width]. *)
@@ -1010,23 +1087,21 @@ let chunk_lanes rev =
   in
   List.rev_map Array.of_list (go [] [] 0 (List.rev rev))
 
-(* Batch formation: fast classes aside, the rest grouped by summary
-   shape so the dead-port classes (full-network cones, extra fixpoint
-   rounds) don't drag the shallow batches, then chunked [lane_width]
-   wide in input order (deterministic). *)
+(* Batch formation: the kinds that need no lane aside, the rest grouped
+   so the dead-port classes (full-network cones, extra fixpoint rounds)
+   don't drag the shallow batches, then chunked [lane_width] wide in
+   input order (deterministic). *)
 let lane_plan base (sms : Fault.summary array) =
   let fast = ref [] and general = ref [] and port = ref [] in
   Array.iteri
     (fun i sm ->
-      (* Glitch (transient) summaries stay out of the lanes: the
-         word-parallel steering rule has no notion of an upset initial
-         value ([analyze_delta] handles them by full fixpoint). *)
-      if lane_fast base sm || sm.Fault.sm_glitch_shadow <> [] then
-        fast := i :: !fast
-      else
-        match Fault.summary_shape sm with
-        | Fault.Port_dead -> port := i :: !port
-        | _ -> general := i :: !general)
+      let q =
+        match classify base sm with
+        | Benign | Kill _ | Glitch -> fast
+        | Refused { port = true; _ } -> port
+        | Refused { port = false; _ } | Lane -> general
+      in
+      q := i :: !q)
     sms;
   (List.rev !fast, chunk_lanes !general @ chunk_lanes !port)
 
@@ -1064,9 +1139,8 @@ let lane_fix ctx base (lanes : lane array) =
     invalid_arg "Engine.lane_fix: batch size";
   Array.iter
     (fun ln ->
-      if List.exists glitchy ln.ln_sms then
-        invalid_arg
-          "Engine.lane_fix: glitch summary (full fixpoint only)")
+      if List.exists (fun sm -> sm.Fault.sm_glitch_shadow <> []) ln.ln_sms
+      then invalid_arg "Engine.lane_fix: glitch summary (full fixpoint only)")
     lanes;
   let occ = Lanes.lane_mask k in
   let nsegs = ctx.nsegs and nv = ctx.nv in
@@ -1371,137 +1445,48 @@ let lane_fix ctx base (lanes : lane array) =
     lf_s_any = s_any;
   }
 
-(* Delta of summary [sm] on top of an arbitrary stacked state.  The
-   three fast paths stay valid on faulty bases: they reason about the
-   DELTA summary alone and splice from the stacked verdict; everything
-   else is a one-lane fixpoint.  Exact: the combined verdict is
-   bit-identical to [analyze_multi] over the union of the stacked and
-   delta summaries. *)
-let analyze_delta_on ctx stk (sm : Fault.summary) =
-  if Fault.summary_benign sm then (stk.s_verdict, 0)
-  else if glitchy sm || List.exists glitchy stk.s_lane.ln_sms then begin
-    (* Transient upsets can produce steering GAINS (a bit starting at the
-       required value with an unwritable host) that the cone tables and
-       the lane kernel do not model — they were built for faults that
-       only ever degrade steering.  Fall back to the full fixpoint; the
-       reported cone is the exact verdict diff.  The transient universes
-       are small (one class per shadow bit), so the fallback never
-       dominates a sweep. *)
-    let v =
-      verdict_of_effects ctx
-        (List.fold_left add_summary_effects (no_effects ctx)
-           (stk.s_lane.ln_sms @ [ sm ]))
-    in
-    let n = ref 0 in
-    for i = 0 to ctx.nsegs - 1 do
-      if
-        v.writable.(i) <> stk.s_verdict.writable.(i)
-        || v.readable.(i) <> stk.s_verdict.readable.(i)
-      then incr n
-    done;
-    (v, !n)
-  end
-  else if only_kill_read sm then begin
-    (* kill_read is consulted only by the readable formula: no traversal
-       changes, so flip the affected segments in place. *)
-    let readable = Array.copy stk.s_verdict.readable in
-    let accessible = Array.copy stk.s_verdict.accessible in
-    List.iter
-      (fun i ->
-        readable.(i) <- false;
-        accessible.(i) <- false)
-      sm.Fault.sm_kill_read;
-    ( { writable = stk.s_verdict.writable; readable; accessible },
-      List.length sm.Fault.sm_kill_read )
-  end
-  else if local_kill_write stk.s_base sm then begin
-    (* Writability is consulted by steering only through
-       not-reset-matching hosted requirements; with none hosted in the
-       killed segments, the traversals are untouched too. *)
-    let writable = Array.copy stk.s_verdict.writable in
-    let accessible = Array.copy stk.s_verdict.accessible in
-    List.iter
-      (fun i ->
-        writable.(i) <- false;
-        accessible.(i) <- false)
-      sm.Fault.sm_kill_write;
-    ( { writable; readable = stk.s_verdict.readable; accessible },
-      List.length sm.Fault.sm_kill_write )
-  end
-  else
-    let base = stk.s_base in
-    (lane_fix ctx base [| lane_union stk.s_lane (lane ctx base sm) |])
-      .lf_verdict 0
+(* The exact taint: segments whose verdict differs from the baseline's. *)
+let verdict_diff ctx base v =
+  let cs = Bitset.create ctx.nsegs in
+  let v0 = base.b_verdict in
+  for i = 0 to ctx.nsegs - 1 do
+    if v.writable.(i) <> v0.writable.(i) || v.readable.(i) <> v0.readable.(i)
+    then Bitset.add cs i
+  done;
+  cs
 
-let analyze_delta ctx base sm = analyze_delta_on ctx (of_baseline base) sm
+(* The verdict and cone size under summary [sm] of kind [k]: the
+   baseline for a benign summary, the baseline with the killed segments
+   cleared for a kill, a full fixpoint for a glitch, and a one-lane
+   fixpoint otherwise.  Bit-identical to [analyze]. *)
+let delta ctx base sm k =
+  let v0 = base.b_verdict in
+  match k with
+  | Benign -> (v0, 0)
+  | Kill { read; segs } ->
+      let clear a =
+        let a = Array.copy a in
+        List.iter (fun i -> a.(i) <- false) segs;
+        a
+      in
+      let accessible = clear v0.accessible in
+      ( (if read then { v0 with readable = clear v0.readable; accessible }
+         else { v0 with writable = clear v0.writable; accessible }),
+        List.length segs )
+  | Glitch ->
+      let v =
+        verdict_of_effects ctx (add_summary_effects (no_effects ctx) sm)
+      in
+      (v, Bitset.cardinal (verdict_diff ctx base v))
+  | Refused _ | Lane -> (lane_fix ctx base [| lane ctx base sm |]).lf_verdict 0
+
+let analyze_delta ctx base sm = delta ctx base sm (classify base sm)
 
 let batch_verdicts fix = Array.init (Array.length fix.lf_cones) fix.lf_verdict
 
 let analyze_batch ctx base lanes =
   let fix = lane_fix ctx base lanes in
   (batch_verdicts fix, fix.lf_stats)
-
-(* Lane sweep of many summaries against one stacked root: fast-path
-   deltas through [analyze_delta_on] (they never occupy a lane), the
-   rest shape-grouped and batched by [lane_plan] exactly as the
-   single-fault sweep, each lane carrying the root's summaries too.  A
-   glitchy stacked root falls back to [analyze_delta_on] per summary
-   (the word steering rule has no notion of upset initial values).  The
-   two views share this dispatch: [fast] reads one [analyze_delta_on]
-   result, [lanes] a batch's fixpoint, one result per lane. *)
-let lanes_on ctx stk (sms : Fault.summary array) ~fast ~lanes =
-  let base = stk.s_base in
-  if List.exists glitchy stk.s_lane.ln_sms then
-    ( Array.map (fun sm -> fast (analyze_delta_on ctx stk sm)) sms,
-      { lane_stats_zero with ls_fast = Array.length sms } )
-  else begin
-    let fast_idx, batches = lane_plan base sms in
-    let fast_res =
-      List.map (fun i -> (i, fast (analyze_delta_on ctx stk sms.(i)))) fast_idx
-    in
-    let batches =
-      List.map
-        (fun idxs ->
-          let fix =
-            lane_fix ctx base
-              (Array.map
-                 (fun i -> lane_union stk.s_lane (lane ctx base sms.(i)))
-                 idxs)
-          in
-          (idxs, lanes fix, fix.lf_stats))
-        batches
-    in
-    (* The result array is made last: filled while a batch allocates,
-       it would be promoted by a minor collection and drag every result
-       stored into it to the major heap. *)
-    let out =
-      match (fast_res, batches) with
-      | [], [] -> [||]
-      | (_, x) :: _, _ -> Array.make (Array.length sms) x
-      | [], (_, xs, _) :: _ -> Array.make (Array.length sms) xs.(0)
-    in
-    List.iter (fun (i, x) -> out.(i) <- x) fast_res;
-    let stats =
-      List.fold_left
-        (fun st (idxs, xs, bst) ->
-          Array.iteri (fun j i -> out.(i) <- xs.(j)) idxs;
-          lane_stats_add st bst)
-        { lane_stats_zero with ls_fast = List.length fast_res }
-        batches
-    in
-    (out, stats)
-  end
-
-let analyze_lanes_on ctx stk sms =
-  lanes_on ctx stk sms ~fast:Fun.id ~lanes:batch_verdicts
-
-let analyze_lanes_stats ctx ?base (classes : Fault.clas array) =
-  let base = match base with Some b -> b | None -> baseline ctx in
-  let out, stats =
-    analyze_lanes_on ctx (of_baseline base)
-      (Array.map (fun c -> c.Fault.cls_summary) classes)
-  in
-  (Array.map fst out, stats)
 
 type lane_count = { lc_segs : int; lc_bits : int; lc_cone : int }
 
@@ -1545,12 +1530,60 @@ let fix_counts ctx fix =
         lc_cone = fix.lf_cones.(l);
       })
 
-let count_lanes_on ctx stk sms =
-  lanes_on ctx stk sms ~fast:(verdict_count ctx) ~lanes:(fix_counts ctx)
-
 let count_batch ctx base lanes =
   let fix = lane_fix ctx base lanes in
   (fix_counts ctx fix, fix.lf_stats)
+
+(* Lane sweep of many summaries: the kinds that need no lane through
+   [analyze_delta], the rest batched by [lane_plan].  The two views
+   share this dispatch: [fast] reads one [analyze_delta] result, [batch]
+   runs one batch ([analyze_batch] or [count_batch]). *)
+let lanes_of ctx base (sms : Fault.summary array) ~fast ~batch =
+  let fast_idx, batches = lane_plan base sms in
+  let fast_res =
+    List.map (fun i -> (i, fast (analyze_delta ctx base sms.(i)))) fast_idx
+  in
+  let batches =
+    List.map
+      (fun idxs ->
+        let xs, st =
+          batch ctx base (Array.map (fun i -> lane ctx base sms.(i)) idxs)
+        in
+        (idxs, xs, st))
+      batches
+  in
+  (* The result array is made last: filled while a batch allocates, it
+     would be promoted by a minor collection and drag every result
+     stored into it to the major heap. *)
+  let out =
+    match (fast_res, batches) with
+    | [], [] -> [||]
+    | (_, x) :: _, _ -> Array.make (Array.length sms) x
+    | [], (_, xs, _) :: _ -> Array.make (Array.length sms) xs.(0)
+  in
+  List.iter (fun (i, x) -> out.(i) <- x) fast_res;
+  let stats =
+    List.fold_left
+      (fun st (idxs, xs, bst) ->
+        Array.iteri (fun j i -> out.(i) <- xs.(j)) idxs;
+        lane_stats_add st bst)
+      { lane_stats_zero with ls_fast = List.length fast_res }
+      batches
+  in
+  (out, stats)
+
+let analyze_lanes ctx base sms =
+  lanes_of ctx base sms ~fast:Fun.id ~batch:analyze_batch
+
+let count_lanes ctx base sms =
+  lanes_of ctx base sms ~fast:(verdict_count ctx) ~batch:count_batch
+
+let analyze_lanes_stats ctx ?base (classes : Fault.clas array) =
+  let base = match base with Some b -> b | None -> baseline ctx in
+  let out, stats =
+    analyze_lanes ctx base (Array.map (fun c -> c.Fault.cls_summary) classes)
+  in
+  (Array.map fst out, stats)
 
 (* ---- pair probes: exact taints and interaction regions ----
 
@@ -1657,6 +1690,7 @@ type gate = {
   g_dead_edges : Bitset.t;
   g_dmg : Bitset.t;
   g_wlost : Bitset.t;
+  g_gain : bool;
 }
 
 type probe = {
@@ -1668,6 +1702,7 @@ type probe = {
 
 let composes a b =
   Bitset.disjoint a.g_region b.g_region
+  && (not (a.g_gain || b.g_gain))
   && Bitset.disjoint a.g_supp_edges b.g_dead_edges
   && Bitset.disjoint b.g_supp_edges a.g_dead_edges
   && Bitset.disjoint a.g_supp b.g_dmg
@@ -1690,63 +1725,15 @@ let seg_bitset ctx cv =
   Bitset.iter (fun v -> if v >= 2 then Bitset.add cs (seg_of_v v)) cv;
   cs
 
-(* The exact taint: segments whose verdict differs from the baseline's. *)
-let verdict_diff ctx base v =
-  let cs = Bitset.create ctx.nsegs in
-  let v0 = base.b_verdict in
-  for i = 0 to ctx.nsegs - 1 do
-    if v.writable.(i) <> v0.writable.(i) || v.readable.(i) <> v0.readable.(i)
-    then Bitset.add cs i
-  done;
-  cs
-
-(* Steering-gain detection: a pin or lock matching a required address
-   value whose hosting segment is NOT baseline-writable can turn a
-   baseline-dead edge live, voiding the whole no-gain reasoning. *)
-let steering_gain ctx base (sm : Fault.summary) =
-  let writable0 = base.b_verdict.writable in
-  let gain = ref false in
-  List.iter
-    (fun (s, b, v) ->
-      if not writable0.(s) then
-        List.iter
-          (fun ei ->
-            Array.iter
-              (fun (_, cseg, cbit, required, reset_matches) ->
-                if cseg = s && cbit = b && required = v && not reset_matches
-                then gain := true)
-              ctx.edges.(ei).e_shadow_reqs)
-          base.b_host_edges_all.(s))
-    sm.Fault.sm_stuck_shadow;
-  List.iter
-    (fun (m, b, v) ->
-      List.iter
-        (fun ei ->
-          Array.iter
-            (fun (port, cseg, _, required, reset_matches) ->
-              if
-                port = (m, b) && required = v && (not reset_matches)
-                && not writable0.(cseg)
-              then gain := true)
-            ctx.edges.(ei).e_shadow_reqs)
-        base.b_mux_edges.(m))
-    sm.Fault.sm_locked_addr;
-  !gain
-
-(* The summaries whose probe falls back to the coarse cone (dead scan
-   ports, cyclic dataflow, steering gains); glitch summaries are routed
-   before this check. *)
-let probe_refused ctx base (sm : Fault.summary) =
-  sm.Fault.sm_pi_dead || sm.Fault.sm_po_dead || base.b_cyclic
-  || steering_gain ctx base sm
-
 (* The probes that need no lane of their own: a verdict and cone whose
    footprints are all empty (benign and purely local summaries: no
    edge, traversal or certificate is touched, so nothing is fragile)
    or, when [coarse], all full (the interaction machinery is voided).
    [None] for the summaries [probe_lane] answers. *)
 let probe_short ctx base (sm : Fault.summary) =
-  let short v cone ~coarse =
+  let k = classify base sm in
+  let short ?(gain = false) ~coarse cone =
+    let v = fst (delta ctx base sm k) in
     let fp n =
       let b = Bitset.create n in
       if coarse then Bitset.fill b;
@@ -1755,7 +1742,7 @@ let probe_short ctx base (sm : Fault.summary) =
     let nedges = Array.length ctx.edges in
     Some {
       pr_verdict = v;
-      pr_cone = cone;
+      pr_cone = cone v;
       pr_coarse = coarse;
       pr_gate =
         {
@@ -1767,31 +1754,24 @@ let probe_short ctx base (sm : Fault.summary) =
           g_dead_edges = fp nedges;
           g_dmg = fp ctx.nv;
           g_wlost = wlost ctx base v;
+          g_gain = gain;
         };
     }
   in
-  let delta () = fst (analyze_delta ctx base sm) in
-  if Fault.summary_benign sm then
-    short base.b_verdict (Bitset.create ctx.nsegs) ~coarse:false
-  else if sm.Fault.sm_glitch_shadow <> [] then begin
-    (* Transient upsets: the verdict comes from the full fixpoint (exact
-       — [analyze_delta] routes glitches there), the cone is the exact
-       verdict diff, and the interaction machinery is conservatively
-       voided: upsets may create steering gains the no-gain certificate
-       reasoning below assumes away.  Pair sweeps reject the transient
-       model anyway ([Metric.evaluate_pairs]). *)
-    let v = delta () in
-    short v (verdict_diff ctx base v) ~coarse:true
-  end
-  else if only_kill_read sm then
-    short (delta ()) (Bitset.of_list ctx.nsegs sm.Fault.sm_kill_read)
-      ~coarse:false
-  else if local_kill_write base sm then
-    short (delta ()) (Bitset.of_list ctx.nsegs sm.Fault.sm_kill_write)
-      ~coarse:false
-  else if probe_refused ctx base sm then
-    short (delta ()) (seg_bitset ctx (coarse_cone ctx base sm)) ~coarse:true
-  else None
+  match k with
+  | Benign -> short ~coarse:false (fun _ -> Bitset.create ctx.nsegs)
+  | Kill { segs; _ } ->
+      short ~coarse:false (fun _ -> Bitset.of_list ctx.nsegs segs)
+  | Glitch ->
+      (* The interaction machinery is conservatively voided: upsets may
+         create steering gains the no-gain certificate reasoning below
+         assumes away.  Pair sweeps reject the transient model anyway
+         ([Metric.evaluate_pairs]). *)
+      short ~coarse:true (verdict_diff ctx base)
+  | Refused { gain; _ } ->
+      short ~gain ~coarse:true (fun _ ->
+          seg_bitset ctx (coarse_cone ctx base sm))
+  | Lane -> None
 
 (* The probe of a summary that ran as lane [l] of [fix], unpacked from
    that lane: the verdict, the settled per-edge steerability /
@@ -2066,6 +2046,7 @@ let probe_lane ctx base (sm : Fault.summary) fix l =
           g_dead_edges = dead_edges;
           g_dmg = dmg;
           g_wlost = wlost ctx base v;
+          g_gain = false;
         };
     }
   end
@@ -2097,102 +2078,29 @@ let probes ctx base (sms : Fault.summary array) f =
 (* [probe]'s cone for each summary, case for case, without the
    interaction region the BMC path never reads.  The summaries the probe
    answers from an exact verdict diff share lane fixpoints: their
-   verdicts come from one [analyze_lanes_on] call, bit-identical to
+   verdicts come from one [analyze_lanes] call, bit-identical to
    [analyze_delta]'s. *)
 let cones ctx base (sms : Fault.summary array) =
   let exact = ref [] in
   let out =
     Array.mapi
       (fun i sm ->
-        if Fault.summary_benign sm then None
-        else if only_kill_read sm then
-          Some (Bitset.of_list ctx.nsegs sm.Fault.sm_kill_read)
-        else if local_kill_write base sm then
-          Some (Bitset.of_list ctx.nsegs sm.Fault.sm_kill_write)
-        else if sm.Fault.sm_glitch_shadow = [] && probe_refused ctx base sm
-        then Some (seg_bitset ctx (coarse_cone ctx base sm))
-        else begin
-          exact := i :: !exact;
-          None
-        end)
+        match classify base sm with
+        | Benign -> None
+        | Kill { segs; _ } -> Some (Bitset.of_list ctx.nsegs segs)
+        | Refused _ -> Some (seg_bitset ctx (coarse_cone ctx base sm))
+        | Glitch | Lane ->
+            exact := i :: !exact;
+            None)
       sms
   in
   let exact = Array.of_list (List.rev !exact) in
-  let vs, _ =
-    analyze_lanes_on ctx (of_baseline base) (Array.map (Array.get sms) exact)
-  in
+  let vs, _ = analyze_lanes ctx base (Array.map (Array.get sms) exact) in
   Array.iteri
     (fun j i -> out.(i) <- Some (verdict_diff ctx base (fst vs.(j))))
     exact;
   out
 
-(* A root under [sm]: its lane and its verdict.  No sweep builds one;
-   the lane kernel roots at the fault-free baseline. *)
-let stack ctx base (sm : Fault.summary) =
-  { s_base = base; s_lane = lane ctx base sm;
-    s_verdict = fst (analyze_delta ctx base sm) }
-
-(* Read counterpart: a path through the target whose SUFFIX (target to
-   scan-out) is corruption-free and shiftable, while the prefix only needs
-   to exist topologically.  Same self-steering exclusion as the write
-   witness. *)
-let read_witness ctx fault s =
-  let eff = effects_of_fault ctx fault in
-  let writable = fixpoint_writable ctx eff in
-  let target = v_of_seg s in
-  let feasible =
-    let r_any = reach_from_pi ctx eff writable ~clean:false in
-    let s_clean = coreach_to_po ctx eff writable ~clean:true in
-    r_any.(target) && s_clean.(target)
-    && (not eff.kill_read.(s))
-    && (not eff.corrupt_vertex.(s))
-    && not eff.po_dead
-  in
-  if not feasible then None
-  else begin
-    (* Unlike the write witness, steering by the target's own bits is
-       allowed here whenever the target is writable: the bit can be
-       pre-written (a write needs no clean suffix), then the read follows.
-       An unwritable target is already excluded by the fixpoint. *)
-    let r_any = reach_from_pi ctx eff writable ~clean:false in
-    let s_clean = coreach_to_po ctx eff writable ~clean:true in
-    if not (r_any.(target) && s_clean.(target)) then None
-    else begin
-      let prefix_edge_ok e =
-        edge_steerable ctx eff writable e
-        && (e.e_src = v_pi || r_any.(e.e_src))
-      in
-      let prefix_vertex_ok v = v = target || (v <> v_po && r_any.(v)) in
-      let _, pre_prev, pre_edge =
-        shortest_paths ctx ~src:v_pi ~edge_ok:prefix_edge_ok
-          ~vertex_ok:prefix_vertex_ok
-      in
-      let suffix_edge_ok e =
-        (not (edge_corrupt eff e))
-        && edge_steerable ctx eff writable e
-        && (e.e_src = target || (s_clean.(e.e_src) && clean_through eff e.e_src))
-        && shiftable eff e.e_src
-      in
-      let suffix_vertex_ok v =
-        v = v_po || (s_clean.(v) && shiftable eff v)
-      in
-      let _, suf_prev, suf_edge =
-        shortest_paths ctx ~src:target ~edge_ok:suffix_edge_ok
-          ~vertex_ok:suffix_vertex_ok
-      in
-      let rec unwind prev prev_e v acc_v acc_e =
-        if prev.(v) < 0 then
-          if v = v_pi || v = target then Some (v :: acc_v, acc_e) else None
-        else
-          unwind prev prev_e prev.(v) (v :: acc_v)
-            (ctx.edges.(prev_e.(v)).e_route :: acc_e)
-      in
-      match
-        (unwind pre_prev pre_edge target [] [],
-         unwind suf_prev suf_edge v_po [] [])
-      with
-      | Some (pre_v, pre_r), Some (_ :: suf_v, suf_r) ->
-          Some { w_vertices = pre_v @ suf_v; w_routes = pre_r @ suf_r }
-      | _ -> None
-    end
-  end
+(* Kept only for e2ebench, which times it by name ([engine.stack] in a
+   traced [pairs] run), until it stops naming it. *)
+let stack = analyze_delta

@@ -59,8 +59,9 @@ val accessible_bits : ctx -> verdict -> int
     {!baseline} packages the fault-free verdict together with static
     reachability and steering-dependency tables.  {!analyze_delta}
     answers the summaries that touch no traversal (benign, pure
-    kill-read, local kill-write) by splicing the fault-free verdict, and
-    everything else with a one-lane call of the lane kernel below, whose
+    kill-read, local kill-write) by splicing the fault-free verdict,
+    transient upsets by a full fixpoint, and everything else with a
+    one-lane call of the lane kernel below, whose
     writability fixpoint is seeded with the fault-free writable set minus
     the fault's cone.  The result is bit-identical to {!analyze} —
     outside the cone the faulty least fixpoint provably coincides with
@@ -97,10 +98,10 @@ val cones :
     summary the cone is {!probe}'s [pr_cone]: the killed segments of a
     kill-only summary, the coarse cone where the probe refuses, and
     otherwise the exact verdict diff.  The exact diffs share lane
-    fixpoints: their verdicts come from one {!analyze_lanes_on} call over
-    the fault-free root, bit-identical to {!analyze_delta}'s, so a sweep
-    that cuts its classes into {!lane_plan} units pays one batch
-    fixpoint per unit instead of one fixpoint per class. *)
+    fixpoints: their verdicts come from one {!analyze_lanes} call,
+    bit-identical to {!analyze_delta}'s, so a sweep that cuts its
+    classes into {!lane_plan} units pays one batch fixpoint per unit
+    instead of one fixpoint per class. *)
 
 type gate = {
   g_region : Ftrsn_topo.Bitset.t;
@@ -136,15 +137,22 @@ type gate = {
   g_wlost : Ftrsn_topo.Bitset.t;
       (** writability losses: baseline-writable segments the fault's
           verdict no longer writes *)
+  g_gain : bool;
+      (** a steering gain: a pin or lock on the required value of a
+          requirement whose host the baseline cannot write.  It can make
+          segments accessible that the baseline cannot reach, so the
+          single-fault verdict bounds no pair verdict and the gate
+          composes with nothing *)
 }
 (** A fault class's footprint for the double-fault factorization: every
-    field but [g_wlost] is full when the probe is coarse.  It holds no
+    set but [g_wlost] is full when the probe is coarse.  It holds no
     verdict, so a sweep can keep one per class cheaply. *)
 
 val composes : gate -> gate -> bool
 (** The pair gate.  Two summaries compose POINTWISE — the verdict under
     both faults is the bitwise AND of the two single-fault verdicts —
-    when (a) their regions are DISJOINT, (b) each summary's re-route
+    when neither is a steering gain ([g_gain]) and (a) their regions are
+    DISJOINT, (b) each summary's re-route
     certificates avoid the other's damage ([g_supp_edges] disjoint
     from the other's [g_dead_edges], [g_supp] disjoint from the other's
     [g_dmg]), and (c) each summary's [g_rhosts] avoids both the
@@ -223,23 +231,25 @@ val analyze_delta :
     only grow, so the fixpoint's two traversals are extended across the
     edges whose steering grew instead of re-run each round.  A single
     class ({!analyze_delta}, {!probe}) is a one-lane call; many classes
-    go through {!analyze_lanes_on} (per-lane verdicts) or
-    {!count_lanes_on} (per-lane accessible counts, read from one
-    accessible-lane word per segment without building any verdict) —
-    two views of one dispatch — or {!probes}; explicit fault sets, such
-    as the class pairs of a double-fault sweep, through
-    {!analyze_batch} and {!count_batch}.  The per-lane verdicts are
-    bit-identical to {!analyze}'s. *)
+    go through {!analyze_lanes} (per-lane verdicts) or {!count_lanes}
+    (per-lane accessible counts, read from one accessible-lane word per
+    segment without building any verdict) — two views of one dispatch —
+    or {!probes}; explicit fault sets, such as the class pairs of a
+    double-fault sweep, through {!analyze_batch} and {!count_batch}.
+    Every lane is rooted at the fault-free baseline.  The per-lane
+    verdicts are bit-identical to {!analyze}'s. *)
 
 val lane_width : int
 (** Classes per batch: [Ftrsn_topo.Lanes.width] = [Sys.int_size] (63 on
     64-bit OCaml — the native int drops one tag bit). *)
 
-val lane_fast : baseline -> Ftrsn_fault.Fault.summary -> bool
-(** The summaries {!analyze_delta} answers without any traversal:
-    benign, pure kill-read, and kill-write of segments that host no
-    steering requirement.  Such a summary changes a verdict only by
-    clearing its killed segments, on any stacked root. *)
+val lane_fast : baseline -> Ftrsn_fault.Fault.summary -> int array option
+(** For the summaries {!analyze_delta} answers without any traversal
+    (benign, pure kill-read, and kill-write of segments that host no
+    not-reset-matching steering requirement), the segments they kill,
+    sorted and distinct ([[||]] when benign); [None] for the rest.  Such
+    a summary changes any verdict, single-fault or under a second fault,
+    only by clearing its killed segments. *)
 
 type lane = {
   ln_sms : Ftrsn_fault.Fault.summary list;
@@ -279,9 +289,9 @@ val lane_plan :
     {!analyze_delta} answers without any traversal (benign, pure
     kill-read, local kill-write) plus glitch (transient) summaries,
     which take its full-fixpoint fallback; they never occupy a lane.
-    The rest are grouped by {!Ftrsn_fault.Fault.summary_shape} —
-    dead-port classes, whose cones are the whole network, batch
-    separately — then chunked {!lane_width} wide in input order.
+    The rest are grouped — dead-port classes, whose cones are the whole
+    network, batch separately — then chunked {!lane_width} wide in
+    input order.
     Deterministic, and stable: re-planning one of its batches, or a
     subset of its fast indices, gives back that batch or those fast
     indices alone. *)
@@ -303,77 +313,40 @@ val count_batch :
     segments and bits and the cone size, read from the fixpoint's
     per-segment accessible words without building any verdict. *)
 
+val analyze_lanes :
+  ctx ->
+  baseline ->
+  Ftrsn_fault.Fault.summary array ->
+  (verdict * int) array * lane_stats
+(** Many summaries at once: the fast classes of {!lane_plan} through
+    {!analyze_delta} (counted in [ls_fast]), its batches through
+    {!analyze_batch}.  Per summary the verdict and cone size are
+    bit-identical to {!analyze_delta}'s. *)
+
+val count_lanes :
+  ctx ->
+  baseline ->
+  Ftrsn_fault.Fault.summary array ->
+  lane_count array * lane_stats
+(** The count view of {!analyze_lanes}, through the same dispatch: per
+    summary the accessible segment and bit counts of its verdict and
+    its cone size, with the same lane statistics.  A batch is counted
+    by {!count_batch} and builds no verdict. *)
+
 val analyze_lanes_stats :
   ctx ->
   ?base:baseline ->
   Ftrsn_fault.Fault.clas array ->
   verdict array * lane_stats
-(** [analyze_lanes_stats ctx classes] is the per-class verdict array,
-    bit-identical to [analyze_delta ctx base cls_summary] for each class
-    ({!analyze_lanes_on} over the fault-free root), with the
-    accumulated batch statistics.  [base] defaults to a freshly
-    computed {!baseline}. *)
+(** [analyze_lanes_stats ctx classes] is {!analyze_lanes} over the class
+    summaries, verdicts only.  [base] defaults to a freshly computed
+    {!baseline}. *)
 
-(** {2 Stacked roots}
-
-    A stacked root is a fault set that holds in every lane of a sweep.
-    The kernel always roots at the fault-free baseline: a root's
-    summaries join each lane's own, and its cone joins each lane's
-    cone.  The seed is the same as a stacked one would be — outside the
-    root's cone its writable set equals the baseline's — so nothing is
-    gained by building the root's faulty state first.  The double-fault
-    sweep packs pairs into {!analyze_batch}/{!count_batch} lanes
-    directly and uses no root. *)
-
-type stacked
-(** A root: its lane and its verdict.  Immutable; safe to share across
-    domains. *)
-
-val of_baseline : baseline -> stacked
-(** The fault-free root: deltas on it are single-fault deltas. *)
-
-val stack : ctx -> baseline -> Ftrsn_fault.Fault.summary -> stacked
-(** [stack ctx base sm] is the root under [sm]: its lane and its
-    {!analyze_delta} verdict.  No sweep calls it any more; it stays for
-    the tests and for e2ebench, which times it by name ([engine.stack]
-    in a traced [pairs] run).  It goes once e2ebench stops naming it. *)
-
-val stacked_verdict : stacked -> verdict
-(** The verdict under the root's summary (= [analyze_delta ctx base sm]'s
-    verdict). *)
-
-val analyze_delta_on :
-  ctx -> stacked -> Ftrsn_fault.Fault.summary -> verdict * int
-(** [analyze_delta_on ctx stk sm] is the verdict under the UNION of the
-    stacked summary and [sm], bit-identical to [analyze_multi] over both
-    faults, with the delta's cone size.  [analyze_delta] is the special
-    case over {!of_baseline}. *)
-
-val analyze_lanes_on :
-  ctx ->
-  stacked ->
-  Ftrsn_fault.Fault.summary array ->
-  (verdict * int) array * lane_stats
-(** Many summaries against one stacked root: fast classes through the
-    {!analyze_delta_on} fast paths (counted in [ls_fast]), the rest
-    planned by {!lane_plan} into shared lane fixpoints, each lane
-    carrying the root's summaries and cone with its own.  Per summary
-    the verdict and cone size are bit-identical to
-    {!analyze_delta_on}; a glitchy
-    (transient) stacked root takes {!analyze_delta_on}'s full fixpoint
-    per summary (counted in [ls_fast]). *)
-
-val count_lanes_on :
-  ctx ->
-  stacked ->
-  Ftrsn_fault.Fault.summary array ->
-  lane_count array * lane_stats
-(** The count view of {!analyze_lanes_on}, through the same dispatch:
-    per summary the accessible segment and bit counts of its verdict and
-    its cone size, with the same lane statistics.  A lane batch is
-    counted from its fixpoint's per-segment accessible words and builds
-    no verdict; the fast paths count the verdict {!analyze_delta_on}
-    returns. *)
+val stack :
+  ctx -> baseline -> Ftrsn_fault.Fault.summary -> verdict * int
+(** {!analyze_delta} under another name, kept only because e2ebench
+    times it by name ([engine.stack] in a traced [pairs] run).  It goes
+    once e2ebench stops naming it. *)
 
 type witness = {
   w_vertices : int list;

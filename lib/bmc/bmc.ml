@@ -91,10 +91,9 @@ type t = {
   bit_off : int array;
   bit_seg : int array;
   max_hier : int;
-  mutable cached : session option;        (* default session (wrappers) *)
 }
 
-and session = {
+type session = {
   model : t;
   solver : Solver.t;
   em : Expr.Cnf.emitter;
@@ -192,7 +191,7 @@ let create (net : Netlist.t) =
   let bit_seg = Array.make (Array.fold_left ( + ) 0 widths) 0 in
   Array.iteri (fun i w -> Array.fill bit_seg bit_off.(i) w i) widths;
   { net; ectx = Engine.make_ctx net; order; consumers; drivers; bit_off;
-    bit_seg; max_hier = Netlist.max_hier net; cached = None }
+    bit_seg; max_hier = Netlist.max_hier net }
 
 let no_fault =
   {
@@ -483,7 +482,6 @@ module Session = struct
       cert;
     }
 
-  let model sess = sess.model
   let certified (sess : t) = sess.cert <> None
 
   (* Certify one Unsat verdict: the negation of the failed-assumption set
@@ -1135,24 +1133,13 @@ module Session = struct
          (fun t -> if keep t then Hashtbl.mem read t else skipped t)
          targets)
 
-  let check_targets sess ?fault ?max_steps ?only ?fallback targets =
-    check_targets_multi sess ?max_steps ?only ?fallback
-      ~faults:(Option.to_list fault) targets
-
-  let check_faults sess ?max_steps ~target faults =
-    List.map
-      (fun f -> check_access sess ~fault:f ?max_steps ~target ())
-      faults
-
   let check_targets_base sess targets =
     match sess.base_cache with
     | Some (ts, vs) when ts = targets -> vs
     | _ ->
-        let vs = check_targets sess targets in
+        let vs = check_targets_multi sess ~faults:[] targets in
         sess.base_cache <- Some (targets, vs);
         vs
-
-  let netlist sess = sess.model.net
 
   let solver sess = sess.solver
 
@@ -1194,27 +1181,3 @@ module Session = struct
           sess.cert;
     }
 end
-
-(* ---- one-shot-style wrappers over the model's cached session ---- *)
-
-let session t =
-  match t.cached with
-  | Some s -> s
-  | None ->
-      let s = Session.create t in
-      t.cached <- Some s;
-      s
-
-let netlist t = t.net
-
-let check_write t ?fault ?max_steps ~target () =
-  Session.check_write (session t) ?fault ?max_steps ~target ()
-
-let check_read t ?fault ?max_steps ~target () =
-  Session.check_read (session t) ?fault ?max_steps ~target ()
-
-let write_witness t ?fault ?max_steps ~target () =
-  Session.write_witness (session t) ?fault ?max_steps ~target ()
-
-let check_access t ?fault ?max_steps ~target () =
-  Session.check_access (session t) ?fault ?max_steps ~target ()

@@ -15,8 +15,8 @@
     grows the encoding monotonically across queries — unrolling variables
     and Tseitin cones are shared between faults, depths and goals, with
     per-fault and per-goal clause groups gated behind activation literals.
-    The classic one-shot entry points ({!check_write} etc.) are thin
-    wrappers over a session cached in the model.
+    A model is immutable and may be shared across domains; each query
+    goes to an explicit session.
 
     Semantics are aligned with {!Ftrsn_access.Engine} (which computes the
     same verdicts by graph fixpoints): writes through corrupted data are
@@ -29,9 +29,6 @@ type t
 
 val create : Ftrsn_rsn.Netlist.t -> t
 (** Builds the static model data (consumer maps, topological orders). *)
-
-val netlist : t -> Ftrsn_rsn.Netlist.t
-(** The netlist the model was built from. *)
 
 type verdict =
   | Accessible of int
@@ -54,10 +51,10 @@ type model = t
     goalₖ] gated by a fresh activation [a], solved under exactly two
     assumptions (the fault's and [a]), and repeated on the targets a Sat
     model leaves unmet until all are met or an Unsat answer settles the
-    rest.  The batched queries
-    ({!check_targets} and friends) want no depth: each goal is a round at
-    depth 0 and one at the bound over all targets, at most four Unsat
-    answers per batch.  The single-goal queries keep the minimal depth:
+    rest.  The batched queries ({!check_targets_multi} and
+    {!check_targets_base}) want no depth: each goal is a round at depth 0
+    and one at the bound over all targets, at most four Unsat answers per
+    batch.  The single-goal queries keep the minimal depth:
     depth 0, then the bound [max_steps] (Unsat there is [Inaccessible]),
     then a descent below the earliest step at which the Sat model meets
     the goal — at most two Unsat answers per goal (see DESIGN.md §7).
@@ -83,83 +80,75 @@ module Session : sig
       negation of the solver's failed-assumption set is RUP with respect
       to the logged proof.  Default [false] (no proof overhead). *)
 
-  val model : t -> model
-
   val certified : t -> bool
   (** Whether this session runs in certified mode. *)
 
   val check_write :
     t -> ?fault:Ftrsn_fault.Fault.t -> ?max_steps:int -> target:int ->
     unit -> verdict
+  (** Can a pattern be shifted into the target segment through an
+      uncorrupted prefix, using only reachable configurations?
+      [max_steps] defaults to the netlist hierarchy depth + 2. *)
 
   val check_read :
     t -> ?fault:Ftrsn_fault.Fault.t -> ?max_steps:int -> target:int ->
     unit -> verdict
+  (** Can the target's captured contents be shifted out unscathed? *)
 
   val write_witness :
     t -> ?fault:Ftrsn_fault.Fault.t -> ?max_steps:int -> target:int ->
     unit -> (int * Ftrsn_rsn.Config.t list) option
+  (** Like {!check_write}, but also decodes the SAT model into the
+      witness configuration sequence [c_0 .. c_n] (reset first): each
+      consecutive pair satisfies the transition relation and the final
+      configuration puts the target on the active path with clean write
+      data.  [None] if inaccessible. *)
 
   val check_access :
     t -> ?fault:Ftrsn_fault.Fault.t -> ?max_steps:int -> target:int ->
     unit -> verdict
-  (** Write and read legs share one encoding of the fault.  Before each
-      solve at depth [d], only the transitions in the goal's cone of
-      influence are emitted: the shadow bits the goal reads at steps
-      [1 .. d], closed backwards through each bit's previous value and
-      its segment's faulty writability, over the circuits after constant
-      folding.  Every other bit can only stutter, so the verdict is
-      exact; a faulty goal that folds to a constant emits no transition
-      at all.  The read query reuses the transitions and circuits the
-      write query emitted. *)
-
-  val check_targets :
-    t -> ?fault:Ftrsn_fault.Fault.t -> ?max_steps:int ->
-    ?only:(int -> bool) -> ?fallback:(int -> bool) -> int list ->
-    bool array
-  (** Whether each target is accessible (written and read within
-      [max_steps]) under one (optional) fault — the same answer as
-      [check_access <> Inaccessible], without the depth.  All targets
-      share the fault's single encoding and are decided in batches: the
-      write goal by a round of the kernel at depth 0 and one at the bound
-      over the targets still unmet, then the read goal the same way over
-      the written targets.  A Sat answer settles every target its model
-      meets, an Unsat answer every target left, so one call certifies at
-      most four Unsat answers however many targets it has.  [only]
-      restricts the SAT queries to the targets it accepts (default: all)
-      — the cone-of-influence restriction of the reduced metric; a
-      filtered-out target gets [fallback target] instead (default
-      [false]), typically the fault-free answer spliced in by the
-      caller. *)
+  (** Both {!check_write} and {!check_read}; the payload is the larger
+      of the two unrolling depths.  Write and read legs share one
+      encoding of the fault.  Before each solve at depth [d], only the
+      transitions in the goal's cone of influence are emitted: the
+      shadow bits the goal reads at steps [1 .. d], closed backwards
+      through each bit's previous value and its segment's faulty
+      writability, over the circuits after constant folding.  Every
+      other bit can only stutter, so the verdict is exact; a faulty goal
+      that folds to a constant emits no transition at all.  The read
+      query reuses the transitions and circuits the write query
+      emitted. *)
 
   val check_targets_multi :
     t -> ?max_steps:int -> ?only:(int -> bool) ->
     ?fallback:(int -> bool) -> faults:Ftrsn_fault.Fault.t list ->
     int list -> bool array
-  (** Like {!check_targets}, under a SET of simultaneous faults ([[]] =
-      fault-free): the faults' canonical summaries are merged with
-      {!Ftrsn_fault.Fault.summary_union} and encoded as one clause group,
-      keyed by the list, so the double-fault sweep reuses encodings like
-      the single-fault sweep does.  The list order is the caller's
-      canonical key — pass pairs in a fixed order to maximize reuse. *)
-
-  val check_faults :
-    t -> ?max_steps:int -> target:int -> Ftrsn_fault.Fault.t list ->
-    verdict list
-  (** Access verdict of one target under each fault in turn.  Faults are
-      encoded and retired sequentially; Tseitin cones shared between
-      faults stay memoized, so a fault emits no more clauses than it
-      would on a fresh session. *)
+  (** Whether each target is accessible (written and read within
+      [max_steps]) under a SET of simultaneous faults ([[]] =
+      fault-free) — the same answer as [check_access <> Inaccessible],
+      without the depth.  The faults' canonical summaries are merged
+      with {!Ftrsn_fault.Fault.summary_union} and encoded as one clause
+      group, keyed by the list, so the double-fault sweep reuses
+      encodings like the single-fault sweep does; the list order is the
+      caller's canonical key — pass pairs in a fixed order to maximize
+      reuse.  All targets share that single encoding and are decided in
+      batches: the write goal by a round of the kernel at depth 0 and
+      one at the bound over the targets still unmet, then the read goal
+      the same way over the written targets.  A Sat answer settles
+      every target its model meets, an Unsat answer every target left,
+      so one call certifies at most four Unsat answers however many
+      targets it has.  [only] restricts the SAT queries to the targets
+      it accepts (default: all) — the cone-of-influence restriction of
+      the reduced metric; a filtered-out target gets [fallback target]
+      instead (default [false]), typically the fault-free answer spliced
+      in by the caller. *)
 
   val check_targets_base : t -> int list -> bool array
-  (** Fault-free {!check_targets}, memoized on the target list: the
+  (** Fault-free {!check_targets_multi}, memoized on the target list: the
       answers are deterministic per model, so a long-lived session (e.g.
       one held in a service pool) answers repeated baseline sweeps from
       the cache instead of re-solving them.  The returned array is
       shared — treat it as immutable. *)
-
-  val netlist : t -> Ftrsn_rsn.Netlist.t
-  (** The netlist of the session's model ([netlist (model sess)]). *)
 
   type cert_stats = {
     cert_unsat : int;    (** [Unsat] verdicts certified *)
@@ -202,34 +191,3 @@ module Session : sig
       taint covers every node the fault set changes.  Grows the
       session's expression context only. *)
 end
-
-val session : t -> Session.t
-(** The model's cached default session (created on first use); the
-    one-shot-style functions below all route through it. *)
-
-val check_write :
-  t -> ?fault:Ftrsn_fault.Fault.t -> ?max_steps:int -> target:int -> unit ->
-  verdict
-(** Can a pattern be shifted into the target segment through an
-    uncorrupted prefix, using only reachable configurations?
-    [max_steps] defaults to the netlist hierarchy depth + 2. *)
-
-val check_read :
-  t -> ?fault:Ftrsn_fault.Fault.t -> ?max_steps:int -> target:int -> unit ->
-  verdict
-(** Can the target's captured contents be shifted out unscathed? *)
-
-val write_witness :
-  t -> ?fault:Ftrsn_fault.Fault.t -> ?max_steps:int -> target:int -> unit ->
-  (int * Ftrsn_rsn.Config.t list) option
-(** Like {!check_write}, but also decodes the SAT model into the witness
-    configuration sequence [c_0 .. c_n] (reset first): each consecutive
-    pair satisfies the transition relation and the final configuration
-    puts the target on the active path with clean write data.  [None] if
-    inaccessible. *)
-
-val check_access :
-  t -> ?fault:Ftrsn_fault.Fault.t -> ?max_steps:int -> target:int -> unit ->
-  verdict
-(** Both {!check_write} and {!check_read}; the payload is the larger of
-    the two unrolling depths. *)

@@ -563,10 +563,10 @@ let class_counts classes =
    indices.  On the structural engine the units are [Engine.lane_plan]'s
    batches — up to [Engine.lane_width] classes share one seeded
    fixpoint — then the fast-path classes in chunks; each unit is
-   answered whole by [Engine.count_lanes_on] over the fault-free root,
-   which re-plans a batch into itself, so the lane statistics are the
-   batches', and counts each lane's accessible segments and bits from
-   the fixpoint's words without building its verdict.  On BMC the units
+   answered whole by [Engine.count_lanes], which re-plans a batch into
+   itself, so the lane statistics are the batches', and counts each
+   lane's accessible segments and bits from the fixpoint's words
+   without building its verdict.  On BMC the units
    are the same, and each unit's class cones come from one
    [Engine.cones] call (one lane fixpoint per batch), then each class's
    cone is decided in one batched call
@@ -603,11 +603,10 @@ let sweep_reduced ~domains ~engine ~certify ?warm ~full ~model net faults =
   let verdicts =
     match engine with
     | `Structural ->
-        let root = Engine.of_baseline base in
         fun p ->
           ( (fun idxs ->
               let cs, st =
-                Engine.count_lanes_on ctx root (Array.map (Array.get sms) idxs)
+                Engine.count_lanes ctx base (Array.map (Array.get sms) idxs)
               in
               note_lanes p st;
               Array.iteri
@@ -840,13 +839,7 @@ let sweep_pairs ~domains ~engine ~certify ?warm ~full ~model net faults =
      decides every interacting pair by SAT. *)
   let kills =
     Array.init nc (fun j ->
-        let s = sm j in
-        if engine = `Structural && Engine.lane_fast base s then
-          Some
-            (Array.of_list
-               (List.sort_uniq compare
-                  (s.Fault.sm_kill_read @ s.Fault.sm_kill_write)))
-        else None)
+        if engine = `Structural then Engine.lane_fast base (sm j) else None)
   in
   (* Phase 2a: discovery.  Rows write disjoint slots of [inter], so the
      domains share the array. *)

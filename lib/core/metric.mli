@@ -21,13 +21,12 @@
       re-analyzed, the fault-free verdict is spliced in for the rest.  On
       the structural engine the classes sweep in lane batches of up to
       {!Ftrsn_access.Engine.lane_width} per fixpoint
-      ({!Ftrsn_access.Engine.count_lanes_on} over the fault-free
-      root, which counts each lane from the fixpoint's words); the
-      fast-path classes {!Ftrsn_access.Engine.lane_plan} sets
-      aside take the O(1) splices of
-      {!Ftrsn_access.Engine.analyze_delta} instead (glitch classes its
-      full-fixpoint fallback).  The BMC engine restricts its SAT sweep
-      to the cone ([Bmc.Session.check_targets ~only]).
+      ({!Ftrsn_access.Engine.count_lanes}, which counts each lane from
+      the fixpoint's words); the fast-path classes
+      {!Ftrsn_access.Engine.lane_plan} sets aside take the O(1) splices
+      of {!Ftrsn_access.Engine.analyze_delta} instead (glitch classes
+      its full-fixpoint fallback).  The BMC engine restricts its SAT
+      sweep to the cone ([Bmc.Session.check_targets_multi ~only]).
 
     Both reductions are exact: the reduced result is bit-identical to the
     brute-force one ([~reduce:false]) in every [result] field.  All

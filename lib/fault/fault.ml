@@ -344,23 +344,6 @@ let empty_summary =
 
 let summary_benign sm = sm = empty_summary
 
-(* Coarse shape of a summary's semantic effect, used to form lane
-   batches: classes of the same shape tend to have similarly sized
-   cones, so batching them together keeps a batch's cone union (and
-   its fixpoint round count) close to each member's own. *)
-type shape = Benign | Read_only | Write_only | Port_dead | General
-
-let summary_shape sm =
-  if summary_benign sm then Benign
-  else if sm.sm_pi_dead || sm.sm_po_dead then Port_dead
-  else if
-    sm.sm_kill_read <> [] && summary_benign { sm with sm_kill_read = [] }
-  then Read_only
-  else if
-    sm.sm_kill_write <> [] && summary_benign { sm with sm_kill_write = [] }
-  then Write_only
-  else General
-
 (* Combined semantic effect of two (or more) simultaneous faults: every
    per-site list concatenates and the global kill flags disjoin.  Duplicate
    entries are harmless — both engines treat the lists as sets — so no

@@ -149,18 +149,6 @@ val summary_benign : summary -> bool
 (** Whether the summary equals {!empty_summary}: the fault is
     indistinguishable from the fault-free network for both engines. *)
 
-type shape = Benign | Read_only | Write_only | Port_dead | General
-(** Coarse shape of a summary's semantic effect, used by the
-    lane-parallel structural engine to form batches: classes of the
-    same shape have similarly sized cones, so batching them together
-    keeps each batch's cone union (hence its shared fixpoint cost)
-    close to the members' own.  [Benign] = no effect; [Read_only] /
-    [Write_only] = pure local interface kills (answered without any
-    traversal); [Port_dead] = a dead primary scan port (full-network
-    cone); [General] = everything else. *)
-
-val summary_shape : summary -> shape
-
 val summary_union : summary -> summary -> summary
 (** Combined semantic effect of two simultaneous faults: per-site lists
     concatenate, the global port-kill flags disjoin.  Both engines apply

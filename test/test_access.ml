@@ -601,50 +601,6 @@ let prop_lanes_equal_scalar =
            (fun v c -> v = Engine.analyze ctx (Some c.Fault.cls_rep))
            vs classes)
 
-(* Property: the lane sweep rooted at a STACKED baseline returns, class
-   for class, the brute verdict under both faults ([analyze_multi] over
-   the two class representatives).  Every class in turn plays the
-   primary, so the stacked base runs through all shapes (including the
-   fast-path ones, whose verdicts are spliced rather than swept), and
-   the whole class universe plays the secondaries. *)
-let prop_lanes_on_equal_multi =
-  QCheck.Test.make
-    ~name:"stacked lane verdicts = Engine.analyze_multi (random nets)"
-    ~count:10
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let net =
-        Ftrsn_rsn.Random_net.generate ~seed ~segments:(4 + (seed mod 5)) ()
-      in
-      let ctx = Engine.make_ctx net in
-      let base = Engine.baseline ctx in
-      let classes =
-        Array.of_list (Fault.collapse net (Fault.universe net))
-      in
-      let sms =
-        Array.map (fun c -> Fault.summarize net c.Fault.cls_rep) classes
-      in
-      (* cap the primaries to keep the quadratic sweep quick, but use a
-         stride so all shapes along the universe are still visited *)
-      let n = Array.length sms in
-      let stride = max 1 (n / 12) in
-      let ok = ref true in
-      let i = ref 0 in
-      while !ok && !i < n do
-        let stk = Engine.stack ctx base sms.(!i) in
-        let vs, st = Engine.analyze_lanes_on ctx stk sms in
-        let rep = classes.(!i).Fault.cls_rep in
-        ok :=
-          Array.length vs = n
-          && st.Engine.ls_fast + st.Engine.ls_lanes = n
-          && Array.for_all2
-               (fun (v, _) c ->
-                 v = Engine.analyze_multi ctx [ rep; c.Fault.cls_rep ])
-               vs classes;
-        i := !i + stride
-      done;
-      !ok)
-
 (* Class pairs as the exhaustive pair sweep runs them: one lane per pair,
    every lane rooted at the fault-free baseline, batches packing pairs
    of many rows.  Each lane must give the brute verdict under both
@@ -673,8 +629,9 @@ let prop_pair_lanes_exact =
       let special =
         List.filter
           (fun i ->
-            Engine.lane_fast base (sm i)
-            || Fault.summary_shape (sm i) = Fault.Port_dead)
+            Engine.lane_fast base (sm i) <> None
+            || (sm i).Fault.sm_pi_dead
+            || (sm i).Fault.sm_po_dead)
           (List.init n Fun.id)
       in
       let pairs =
@@ -747,18 +704,19 @@ let prop_fast_pairs_arithmetic =
       let ok = ref true in
       Array.iteri
         (fun f _ ->
-          if Engine.lane_fast base (sm f) then begin
-            let kills = (sm f).Fault.sm_kill_read @ (sm f).Fault.sm_kill_write in
-            Array.iteri
-              (fun j acc ->
-                let expect =
-                  Array.mapi (fun s a -> a && not (List.mem s kills)) acc
-                in
-                if (Engine.analyze_multi ctx [ rep f; rep j ]).Engine.accessible
-                   <> expect
-                then ok := false)
-              single
-          end)
+          match Engine.lane_fast base (sm f) with
+          | None -> ()
+          | Some kills ->
+              Array.iteri
+                (fun j acc ->
+                  let expect =
+                    Array.mapi (fun s a -> a && not (Array.mem s kills)) acc
+                  in
+                  if
+                    (Engine.analyze_multi ctx [ rep f; rep j ]).Engine.accessible
+                    <> expect
+                  then ok := false)
+                single)
         classes;
       !ok)
 
@@ -918,7 +876,7 @@ let test_cones_are_probe_cones () =
       ("d695 stuck-at", soc "d695", Fault.Stuck);
     ]
 
-(* The probe's footprints and the stacked verdicts, summed over every
+(* The probe's footprints and the delta verdicts, summed over every
    stuck-at class of two networks.  The pair sweep consumes these
    footprints only through its dispatch totals; pinning them directly
    catches a probe that changes a footprint yet lands on the same
@@ -946,13 +904,13 @@ let test_probe_stack_pinned () =
     let card f =
       List.fold_left (fun n p -> n + Ftrsn_topo.Bitset.cardinal (f p)) 0 probes
     in
-    let stacked =
+    let delta =
       List.fold_left
         (fun n sm ->
           if Fault.summary_benign sm then n
           else
-            n + Engine.accessible_count
-                  (Engine.stacked_verdict (Engine.stack ctx base sm)))
+            n
+            + Engine.accessible_count (fst (Engine.analyze_delta ctx base sm)))
         0 sms
     in
     List.map
@@ -968,7 +926,7 @@ let test_probe_stack_pinned () =
         ("dmg", card (fun p -> p.Engine.pr_gate.Engine.g_dmg));
         ( "coarse",
           List.length (List.filter (fun p -> p.Engine.pr_coarse) probes) );
-        ("stacked accessible", stacked);
+        ("delta accessible", delta);
       ]
   in
   check
@@ -979,12 +937,12 @@ let test_probe_stack_pinned () =
       ("u226-ft fragile", 14097); ("u226-ft supp", 35311);
       ("u226-ft supp_edges", 45015); ("u226-ft rhosts", 10163);
       ("u226-ft dead_edges", 6783); ("u226-ft dmg", 138);
-      ("u226-ft coarse", 0); ("u226-ft stacked accessible", 127490);
+      ("u226-ft coarse", 0); ("u226-ft delta accessible", 127490);
       ("d281 cone", 11198); ("d281 region", 7159);
       ("d281 fragile", 4570); ("d281 supp", 6763);
       ("d281 supp_edges", 9300); ("d281 rhosts", 2650);
       ("d281 dead_edges", 3502); ("d281 dmg", 386);
-      ("d281 coarse", 2); ("d281 stacked accessible", 92050);
+      ("d281 coarse", 2); ("d281 delta accessible", 92050);
     ]
     (List.concat_map sums nets)
 
@@ -1034,10 +992,9 @@ let test_lane_counts_equal_verdicts () =
              (fun c -> c.Fault.cls_summary)
              (Fault.collapse net (Fault.universe net)))
       in
-      let root = Engine.of_baseline base in
       same (name ^ "-ft") net
-        (Engine.analyze_lanes_on ctx root sms)
-        (Engine.count_lanes_on ctx root sms);
+        (Engine.analyze_lanes ctx base sms)
+        (Engine.count_lanes ctx base sms);
       if name = "u226" then begin
         let gates =
           Array.map (fun sm -> (Engine.probe ctx base sm).Engine.pr_gate) sms
@@ -1149,7 +1106,6 @@ let suite =
     Alcotest.test_case "vectors: deterministic" `Quick
       test_vectors_roundtrip_consistent;
     Testseed.to_alcotest prop_lanes_equal_scalar;
-    Testseed.to_alcotest prop_lanes_on_equal_multi;
     Testseed.to_alcotest prop_pair_lanes_exact;
     Testseed.to_alcotest prop_union_cone;
     Testseed.to_alcotest prop_fast_pairs_arithmetic;

@@ -69,55 +69,56 @@ let accessible = function Bmc.Accessible _ -> true | Bmc.Inaccessible -> false
 
 let test_fault_free_depths () =
   let net = small_sib () in
-  let t = Bmc.create net in
+  let t = Bmc.Session.create (Bmc.create net) in
   (* Module SIBs are on the reset path: 0 configuration CSUs. *)
   let mod1 = 0 in
-  (match Bmc.check_write t ~target:mod1 () with
+  (match Bmc.Session.check_write t ~target:mod1 () with
   | Bmc.Accessible n -> check int_t "mod1 at depth 0" 0 n
   | Bmc.Inaccessible -> Alcotest.fail "mod1 accessible");
   (* Leaf instruments need two configuration steps (module + leaf SIB). *)
   let c1 = 2 in
-  (match Bmc.check_write t ~target:c1 () with
+  (match Bmc.Session.check_write t ~target:c1 () with
   | Bmc.Accessible n -> check int_t "c1 at depth 2" 2 n
   | Bmc.Inaccessible -> Alcotest.fail "c1 accessible");
-  check bool_t "read too" true (accessible (Bmc.check_read t ~target:c1 ()))
+  check bool_t "read too" true
+    (accessible (Bmc.Session.check_read t ~target:c1 ()))
 
 let test_fault_free_all_accessible () =
   List.iter
     (fun net ->
-      let t = Bmc.create net in
+      let t = Bmc.Session.create (Bmc.create net) in
       for s = 0 to Netlist.num_segments net - 1 do
         check bool_t
           (net.Netlist.net_name ^ ": " ^ Netlist.segment_name net s)
           true
-          (accessible (Bmc.check_access t ~target:s ()))
+          (accessible (Bmc.Session.check_access t ~target:s ()))
       done)
     [ small_sib (); fig2 () ]
 
 let test_pi_stuck () =
   let net = small_sib () in
-  let t = Bmc.create net in
+  let t = Bmc.Session.create (Bmc.create net) in
   let fault = { Fault.site = Fault.Primary_in; stuck = true } in
   for s = 0 to Netlist.num_segments net - 1 do
     check bool_t "nothing writable" false
-      (accessible (Bmc.check_write t ~fault ~target:s ()))
+      (accessible (Bmc.Session.check_write t ~fault ~target:s ()))
   done
 
 let test_sib_stuck_closed () =
   let net = small_sib () in
-  let t = Bmc.create net in
+  let t = Bmc.Session.create (Bmc.create net) in
   (* mod1's SIB bit stuck at 0: its subtree is sealed. *)
   let fault = { Fault.site = Fault.Seg_shadow_reg (0, 0); stuck = false } in
   check bool_t "c1 sealed" false
-    (accessible (Bmc.check_access t ~fault ~target:2 ()));
+    (accessible (Bmc.Session.check_access t ~fault ~target:2 ()));
   check bool_t "c3 fine" true
-    (accessible (Bmc.check_access t ~fault ~target:7 ()))
+    (accessible (Bmc.Session.check_access t ~fault ~target:7 ()))
 
 let test_more_steps_needed_under_fault () =
   (* With mod1's mux address stuck open, access to c1 still works (the
      subtree is always spliced in). *)
   let net = small_sib () in
-  let t = Bmc.create net in
+  let t = Bmc.Session.create (Bmc.create net) in
   let the_mux =
     match Netlist.mux_on_edge net ~src:2 ~dst:(2 + 5) with
     | Some m -> m
@@ -125,20 +126,20 @@ let test_more_steps_needed_under_fault () =
   in
   let fault = { Fault.site = Fault.Mux_addr (the_mux, 0); stuck = true } in
   check bool_t "c1 accessible with forced-open module" true
-    (accessible (Bmc.check_access t ~fault ~target:2 ()))
+    (accessible (Bmc.Session.check_access t ~fault ~target:2 ()))
 
 (* The headline validation: the BMC model and the structural engine agree
    on every fault of the universe, for every segment, on both the original
    and the fault-tolerant network. *)
 let agree_on net =
-  let t = Bmc.create net in
+  let t = Bmc.Session.create (Bmc.create net) in
   let ctx = Engine.make_ctx net in
   let faults = Fault.universe net in
   List.iter
     (fun fault ->
       let v = Engine.analyze ctx (Some fault) in
       for s = 0 to Netlist.num_segments net - 1 do
-        let bw = accessible (Bmc.check_write t ~fault ~target:s ()) in
+        let bw = accessible (Bmc.Session.check_write t ~fault ~target:s ()) in
         if bw <> v.Engine.writable.(s) then
           Alcotest.fail
             (Printf.sprintf "%s: writable(%s) engine=%b bmc=%b under %s"
@@ -146,7 +147,7 @@ let agree_on net =
                (Netlist.segment_name net s)
                v.Engine.writable.(s) bw
                (Fault.to_string net fault));
-        let br = accessible (Bmc.check_read t ~fault ~target:s ()) in
+        let br = accessible (Bmc.Session.check_read t ~fault ~target:s ()) in
         if br <> v.Engine.readable.(s) then
           Alcotest.fail
             (Printf.sprintf "%s: readable(%s) engine=%b bmc=%b under %s"
@@ -183,9 +184,9 @@ let test_write_witness () =
      the previous active path, and the final configuration exposes the
      target. *)
   let net = small_sib () in
-  let t = Bmc.create net in
+  let t = Bmc.Session.create (Bmc.create net) in
   let target = 2 (* c1 *) in
-  match Bmc.write_witness t ~target () with
+  match Bmc.Session.write_witness t ~target () with
   | None -> Alcotest.fail "c1 accessible"
   | Some (steps, configs) ->
       check int_t "two configuration steps" 2 steps;
@@ -214,9 +215,9 @@ let test_write_witness () =
 let test_write_witness_under_fault () =
   (* Under a fault sealing mod1, the witness for c3 avoids it. *)
   let net = small_sib () in
-  let t = Bmc.create net in
+  let t = Bmc.Session.create (Bmc.create net) in
   let fault = { Fault.site = Fault.Seg_shadow_reg (0, 0); stuck = false } in
-  match Bmc.write_witness t ~fault ~target:7 (* c3 *) () with
+  match Bmc.Session.write_witness t ~fault ~target:7 (* c3 *) () with
   | None -> Alcotest.fail "c3 accessible under mod1 seal"
   | Some (_, configs) ->
       let final = List.nth configs (List.length configs - 1) in
@@ -227,7 +228,7 @@ let test_write_witness_under_fault () =
    generator guarantees dedicated address drivers, so both engines must
    agree exactly. *)
 let agree_sampled net max_steps =
-  let t = Bmc.create net in
+  let t = Bmc.Session.create (Bmc.create net) in
   let ctx = Engine.make_ctx net in
   let faults =
     List.filteri (fun i _ -> i mod 3 = 0) (Fault.universe net)
@@ -237,7 +238,7 @@ let agree_sampled net max_steps =
       let v = Engine.analyze ctx (Some fault) in
       for s = 0 to Netlist.num_segments net - 1 do
         let bw =
-          accessible (Bmc.check_write t ~fault ~max_steps ~target:s ())
+          accessible (Bmc.Session.check_write t ~fault ~max_steps ~target:s ())
         in
         if bw <> v.Engine.writable.(s) then
           Alcotest.fail
@@ -247,7 +248,7 @@ let agree_sampled net max_steps =
                v.Engine.writable.(s) bw
                (Ftrsn_fault.Fault.to_string net fault));
         let br =
-          accessible (Bmc.check_read t ~fault ~max_steps ~target:s ())
+          accessible (Bmc.Session.check_read t ~fault ~max_steps ~target:s ())
         in
         if br <> v.Engine.readable.(s) then
           Alcotest.fail
@@ -327,11 +328,12 @@ let test_bmc_depth_equals_plan_steps () =
   (* Two independent notions of configuration effort coincide fault-free:
      the BMC unrolling depth and the retargeting plan's CSU-step count. *)
   let net = small_sib () in
-  let t = Bmc.create net in
+  let t = Bmc.Session.create (Bmc.create net) in
   let ctx = Engine.make_ctx net in
   for s = 0 to Netlist.num_segments net - 1 do
     match
-      (Bmc.check_write t ~target:s (), Ftrsn_access.Retarget.plan_write ctx ~target:s ())
+      ( Bmc.Session.check_write t ~target:s (),
+        Ftrsn_access.Retarget.plan_write ctx ~target:s () )
     with
     | Bmc.Accessible depth, Some plan ->
         check int_t
@@ -355,10 +357,10 @@ let test_depth_grows_with_nesting () =
      innermost instrument: the unrolling depth reported by the BMC. *)
   for k = 1 to 4 do
     let net = sib_nest k in
-    let t = Bmc.create net in
+    let t = Bmc.Session.create (Bmc.create net) in
     (* innermost instrument = last segment *)
     let target = Netlist.num_segments net - 1 in
-    match Bmc.check_write t ~max_steps:(k + 2) ~target () with
+    match Bmc.Session.check_write t ~max_steps:(k + 2) ~target () with
     | Bmc.Accessible n ->
         check int_t (Printf.sprintf "depth for %d levels" k) k n
     | Bmc.Inaccessible -> Alcotest.fail "accessible"
@@ -370,25 +372,34 @@ let verdict_str = function
   | Bmc.Accessible n -> Printf.sprintf "accessible@%d" n
   | Bmc.Inaccessible -> "inaccessible"
 
-(* The batched session API agrees — verdicts AND depths — with the
-   one-query-at-a-time wrappers, over the entire fault universe. *)
+(* A session's verdicts AND depths do not depend on the order of its
+   queries: sweeping the entire fault universe per target (faults
+   encoded and retired in turn, Tseitin cones shared) agrees with a
+   second session that sweeps the targets per fault. *)
 let session_agrees_on net =
   let sess = Bmc.Session.create (Bmc.create net) in
-  let reference = Bmc.create net in
+  let reference = Bmc.Session.create (Bmc.create net) in
   let faults = Fault.universe net in
-  for target = 0 to Netlist.num_segments net - 1 do
-    let batched = Bmc.Session.check_faults sess ~target faults in
+  let nsegs = Netlist.num_segments net in
+  let one_shot =
+    List.map
+      (fun fault ->
+        Array.init nsegs (fun target ->
+            Bmc.Session.check_access reference ~fault ~target ()))
+      faults
+  in
+  for target = 0 to nsegs - 1 do
     List.iter2
-      (fun fault batched_v ->
-        let one_shot = Bmc.check_access reference ~fault ~target () in
-        if batched_v <> one_shot then
+      (fun fault one_shot ->
+        let batched_v = Bmc.Session.check_access sess ~fault ~target () in
+        if batched_v <> one_shot.(target) then
           Alcotest.fail
             (Printf.sprintf "%s: %s under %s: batched=%s one-shot=%s"
                net.Netlist.net_name
                (Netlist.segment_name net target)
                (Fault.to_string net fault)
-               (verdict_str batched_v) (verdict_str one_shot)))
-      faults batched
+               (verdict_str batched_v) (verdict_str one_shot.(target))))
+      faults one_shot
   done
 
 let test_session_faults_small_sib () = session_agrees_on (small_sib ())
@@ -398,20 +409,22 @@ let test_session_faults_wide_mux () = session_agrees_on (wide_mux ())
 let test_session_check_targets () =
   let net = fig2 () in
   let sess = Bmc.Session.create (Bmc.create net) in
-  let reference = Bmc.create net in
+  let reference = Bmc.Session.create (Bmc.create net) in
   let targets = List.init (Netlist.num_segments net) Fun.id in
   let fault = { Fault.site = Fault.Seg_shadow_reg (0, 0); stuck = false } in
-  let no_fault_vs = Bmc.Session.check_targets sess targets in
-  let fault_vs = Bmc.Session.check_targets sess ~fault targets in
+  let no_fault_vs = Bmc.Session.check_targets_multi sess ~faults:[] targets in
+  let fault_vs =
+    Bmc.Session.check_targets_multi sess ~faults:[ fault ] targets
+  in
   List.iteri
     (fun i target ->
       check bool_t
         (Printf.sprintf "fault-free target %d" target)
-        (accessible (Bmc.check_access reference ~target ()))
+        (accessible (Bmc.Session.check_access reference ~target ()))
         no_fault_vs.(i);
       check bool_t
         (Printf.sprintf "faulty target %d" target)
-        (accessible (Bmc.check_access reference ~fault ~target ()))
+        (accessible (Bmc.Session.check_access reference ~fault ~target ()))
         fault_vs.(i))
     targets
 
@@ -768,7 +781,8 @@ let test_witness_fidelity () =
     (Builder.finish b ~out:(Netlist.Mux mc) (), t)
   in
   check bool_t "t takes three CSUs" true
-    (Bmc.check_write (Bmc.create net) ~target:t () = Bmc.Accessible 3);
+    (Bmc.Session.check_write (Bmc.Session.create (Bmc.create net)) ~target:t ()
+     = Bmc.Accessible 3);
   check_replayed "control chain"
     (witnesses_replay ~fresh:true net
        (universe ~stuck:1 ~pinned:1 ~transient:1 net));
@@ -830,8 +844,12 @@ let certified_agrees_on ?(every = 1) ?targets ?learnt_limit net =
   in
   List.iter
     (fun target ->
-      let cv = Bmc.Session.check_faults sess ~target faults in
-      let pv = Bmc.Session.check_faults plain ~target faults in
+      let verdicts sess =
+        List.map
+          (fun fault -> Bmc.Session.check_access sess ~fault ~target ())
+          faults
+      in
+      let cv = verdicts sess and pv = verdicts plain in
       List.iteri
         (fun i (c, p) ->
           if c <> p then
@@ -1053,7 +1071,8 @@ let test_batched_certificates () =
           (fun max_steps ->
             let before = (cert_stats_of sess).Bmc.Session.cert_unsat in
             let got =
-              Bmc.Session.check_targets sess ?fault ~max_steps targets
+              Bmc.Session.check_targets_multi sess
+                ~faults:(Option.to_list fault) ~max_steps targets
             in
             let spent = (cert_stats_of sess).Bmc.Session.cert_unsat - before in
             let lost =

@@ -559,6 +559,73 @@ let test_pairs_exhaustive_u226 () =
       check bool_t "the fast paths fire" true
         (p.Metric.p_diagonal + p.Metric.p_disjoint > 0)
 
+(* A self-steering branch: segment X sits behind mux m, which only X's
+   own shadow bit can steer to it (reset 0 selects the bypass from A), so
+   the fault-free network never writes X.  X's bit stuck at 1, or m's
+   address stuck at 1, is a steering gain: X becomes accessible.  A has
+   one shadow bit that steers nothing, so a stuck update enable on A is a
+   local kill-write class. *)
+let self_steering () =
+  let b = Ftrsn_rsn.Builder.create "self-steering" in
+  let a =
+    Ftrsn_rsn.Builder.add_segment b ~shadow:1 ~name:"A" ~len:2
+      ~input:Netlist.Scan_in ()
+  in
+  let x =
+    Ftrsn_rsn.Builder.add_segment b ~shadow:1 ~name:"X" ~len:3
+      ~input:(Netlist.Seg a) ()
+  in
+  let m =
+    Ftrsn_rsn.Builder.add_mux b ~name:"m"
+      ~inputs:[ Netlist.Seg a; Netlist.Seg x ]
+      ~addr:[ Netlist.Ctrl_shadow { cseg = x; cbit = 0 } ]
+      ()
+  in
+  let c =
+    Ftrsn_rsn.Builder.add_segment b ~name:"B" ~len:4
+      ~input:(Netlist.Mux m) ()
+  in
+  Ftrsn_rsn.Builder.finish b ~out:(Netlist.Seg c) ()
+
+(* The exhaustive pair sweep answers an interacting pair with an
+   [Engine.lane_fast] class by arithmetic: the partner's accessible
+   counts minus the killed segments the partner still has.  A local
+   kill-write class interacts only with a coarse partner, and against a
+   dead port the subtraction is empty; against a steering gain it is
+   not.  Random nets have no steering gains (the fault-free network
+   writes every segment), so the self-steering net pins the case. *)
+let test_pairs_fast_path_subtraction () =
+  let net = self_steering () in
+  let ctx = Engine.make_ctx net in
+  let base = Engine.baseline ctx in
+  let probes =
+    List.map
+      (fun c ->
+        let sm = c.Fault.cls_summary in
+        (sm, Engine.probe ctx base sm))
+      (Fault.collapse net (Fault.universe net))
+  in
+  let subtracts (sm, (p : Engine.probe)) =
+    match Engine.lane_fast base sm with
+    | Some kills when sm.Fault.sm_kill_write <> [] ->
+        List.exists
+          (fun (_, (q : Engine.probe)) ->
+            q.Engine.pr_gate.Engine.g_gain
+            && (not (Engine.composes p.Engine.pr_gate q.Engine.pr_gate))
+            && Array.exists
+                 (fun s -> q.Engine.pr_verdict.Engine.accessible.(s))
+                 kills)
+          probes
+    | _ -> false
+  in
+  check bool_t "a kill-write class subtracts from a steering gain" true
+    (List.exists subtracts probes);
+  let red = Metric.evaluate_pairs ~exhaustive:true net in
+  let brute = Metric.evaluate_pairs ~exhaustive:true ~reduce:false net in
+  let par = Metric.evaluate_pairs ~exhaustive:true ~domains:2 net in
+  check bool_t "exhaustive pairs = brute pairs" true (same_result red brute);
+  check bool_t "parallel exhaustive identical" true (same_result red par)
+
 let test_pairs_disjoint_and () =
   (* The non-interacting fast path rests on: for class pairs with
      disjoint interaction regions and no mutual-support hazard (each
@@ -607,7 +674,7 @@ let test_pairs_disjoint_and () =
         done)
       probes
   in
-  List.iter check_net [ tiny_sib (); small_sib () ];
+  List.iter check_net [ tiny_sib (); small_sib (); self_steering () ];
   for seed = 0 to 60 do
     check_net
       (Ftrsn_rsn.Random_net.generate ~seed ~segments:(6 + (seed mod 5)) ())
@@ -816,6 +883,8 @@ let suite =
       test_pairs_exhaustive_u226;
     Alcotest.test_case "pairs: non-interacting pointwise AND" `Quick
       test_pairs_disjoint_and;
+    Alcotest.test_case "pairs: fast-path subtraction against a steering gain"
+      `Quick test_pairs_fast_path_subtraction;
     Alcotest.test_case "report row and CSV" `Quick test_report_row_and_csv;
     Alcotest.test_case "area profile sensitivity" `Quick
       test_area_profile_sensitivity;

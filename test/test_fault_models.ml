@@ -146,10 +146,10 @@ let engines_agree_brutally ?(every = 1) net model =
     (fun fault ->
       (* fresh everything: the oracle must not share any state *)
       let v = Engine.analyze (Engine.make_ctx net) (Some fault) in
-      let t = Bmc.create net in
+      let t = Bmc.Session.create (Bmc.create net) in
       for s = 0 to Netlist.num_segments net - 1 do
         let bw =
-          match Bmc.check_write t ~fault ~target:s () with
+          match Bmc.Session.check_write t ~fault ~target:s () with
           | Bmc.Accessible _ -> true
           | Bmc.Inaccessible -> false
         in
@@ -161,7 +161,7 @@ let engines_agree_brutally ?(every = 1) net model =
                (Netlist.segment_name net s)
                v.Engine.writable.(s) bw (Fault.to_string net fault));
         let br =
-          match Bmc.check_read t ~fault ~target:s () with
+          match Bmc.Session.check_read t ~fault ~target:s () with
           | Bmc.Accessible _ -> true
           | Bmc.Inaccessible -> false
         in
@@ -352,8 +352,12 @@ let certified_model_agrees ?(every = 1) ?(counters = true) net model =
     :: List.filteri (fun i _ -> i mod every = 0) (Fault.universe ~model net)
   in
   for target = 0 to Netlist.num_segments net - 1 do
-    let cv = Bmc.Session.check_faults sess ~target faults in
-    let pv = Bmc.Session.check_faults plain ~target faults in
+    let verdicts sess =
+      List.map
+        (fun fault -> Bmc.Session.check_access sess ~fault ~target ())
+        faults
+    in
+    let cv = verdicts sess and pv = verdicts plain in
     List.iteri
       (fun i (c, p) ->
         if c <> p then
