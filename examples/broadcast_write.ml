@@ -58,7 +58,7 @@ let () =
             (t, List.init (Netlist.seg_len net t) (fun i -> (i + t) mod 2 = 0)))
           ts
       in
-      (match Retarget.execute_merged net plan ~patterns with
+      (match Retarget.execute net plan ~patterns with
       | Error e -> Printf.printf "simulation failed: %s\n" e
       | Ok state ->
           let ok =

@@ -136,7 +136,9 @@ let () =
            (List.map (Netlist.segment_name ft) plan.Retarget.access_path))
         plan.Retarget.cycles;
       let pattern = List.init (Netlist.seg_len ft target) (fun i -> i mod 3 = 0) in
-      (match Retarget.execute ft ~fault plan ~pattern with
+      (match
+         Retarget.execute ft ~fault plan ~patterns:[ (target, pattern) ]
+       with
       | Error e -> Printf.printf "  simulator execution FAILED: %s\n" e
       | Ok state ->
           let got = Array.to_list state.Sim.shift.(target) in

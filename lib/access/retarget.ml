@@ -49,6 +49,10 @@ let primary_names (net : Netlist.t) =
     net.muxes;
   Hashtbl.fold (fun p () acc -> p :: acc) seen []
 
+let injection net = function
+  | Some f -> Fault.to_injection net f
+  | None -> Sim.no_injection
+
 let cycles_of_paths net paths =
   List.fold_left
     (fun acc p -> acc + 2 + Config.path_length net p)
@@ -176,6 +180,10 @@ let writable_on_trace (net : Netlist.t) fault trace =
           Some (s, ok))
     trace
 
+(* Whether segment [s] is on the path [ok_list] (from [writable_on_trace] or
+   [readable_on_trace]) and clean there. *)
+let clean_on ok_list s = List.exists (fun (s', ok) -> s' = s && ok) ok_list
+
 let plan_with ~witness ctx ?fault ~target () =
   let net = Engine.netlist ctx in
   match witness ctx fault target with
@@ -184,11 +192,7 @@ let plan_with ~witness ctx ?fault ~target () =
       match assignments_of_witness net fault w with
       | None -> None
       | Some (assignments, primaries) ->
-          let inj =
-            match fault with
-            | Some f -> Fault.to_injection net f
-            | None -> Sim.no_injection
-          in
+          let inj = injection net fault in
           let config =
             ref
               (List.fold_left
@@ -235,11 +239,8 @@ let plan_with ~witness ctx ?fault ~target () =
           let stuck = ref false in
           while !remaining <> [] && not !stuck do
             let ok_list = writable_now !config in
-            let can_write s =
-              List.exists (fun (s', ok) -> s' = s && ok) ok_list
-            in
             let now, later =
-              List.partition (fun (s, _, _) -> can_write s) !remaining
+              List.partition (fun (s, _, _) -> clean_on ok_list s) !remaining
             in
             if now = [] then begin
               (* Stalled: first look for a helper primary that unlocks a
@@ -247,18 +248,8 @@ let plan_with ~witness ctx ?fault ~target () =
               let helps p =
                 let cfg = Config.set_primary !config p true in
                 let ok' = writable_now cfg in
-                List.exists
-                  (fun (s, _, _) ->
-                    List.exists (fun (s', ok) -> s' = s && ok) ok')
-                  !remaining
+                List.exists (fun (s, _, _) -> clean_on ok' s) !remaining
               in
-              (if Sys.getenv_opt "FTRSN_PLAN_DEBUG" <> None then
-                 Printf.eprintf "stall: pending=[%s]\n%!"
-                   (String.concat ";"
-                      (List.map
-                         (fun (s, b, v) ->
-                           Printf.sprintf "%d.%d=%b" s b v)
-                         !remaining)));
               match List.find_opt helps !helper_candidates with
               | Some p ->
                   helpers := (p, true) :: !helpers;
@@ -279,68 +270,44 @@ let plan_with ~witness ctx ?fault ~target () =
                         | None -> ()
                         | Some w' -> (
                             match assignments_of_witness net fault w' with
-                            | None ->
-                                if Sys.getenv_opt "FTRSN_PLAN_DEBUG" <> None
-                                then
-                                  Printf.eprintf
-                                    "expand %d: witness assign conflict\n%!" s
+                            | None -> ()
                             | Some (assigns', prims') ->
-                                (if Sys.getenv_opt "FTRSN_PLAN_DEBUG" <> None
-                                 then
-                                   Printf.eprintf
-                                     "expand %d: assigns=[%s] prims=[%s]\n%!"
-                                     s
-                                     (String.concat ";"
-                                        (List.map
-                                           (fun (a, b, v) ->
-                                             Printf.sprintf "%d.%d=%b" a b v)
-                                           assigns'))
-                                     (String.concat ";"
-                                        (List.map
-                                           (fun (p, v) ->
-                                             Printf.sprintf "%s=%b" p v)
-                                           prims')));
-                                (* Merge the subgoal's route-enabling
-                                   bits; keep-closed preferences and
+                                (* Merge the subgoal's route-enabling bits;
+                                   keep-closed preferences and
                                    primary-false requirements are not
                                    commitments. *)
-                                begin
-                                  List.iter
-                                    (fun (s', b', v') ->
-                                      if
-                                        v'
-                                        && (not
-                                              (Hashtbl.mem committed (s', b')))
-                                        && Config.get_shadow !config ~seg:s'
-                                             ~bit:b'
-                                           <> v'
-                                      then begin
-                                        Hashtbl.add committed (s', b') v';
-                                        remaining := (s', b', v') :: !remaining;
-                                        expanded := true
-                                      end)
-                                    assigns';
-                                  List.iter
-                                    (fun (p, v) ->
-                                      (* Helper lines are transient: even a
-                                         primary the final configuration
-                                         needs de-asserted may be asserted
-                                         during configuration. *)
-                                      if v && not (List.mem_assoc p !helpers)
-                                      then begin
-                                        helpers := (p, true) :: !helpers;
-                                        helper_candidates :=
-                                          List.filter (fun q -> q <> p)
-                                            !helper_candidates;
-                                        config :=
-                                          Config.set_primary !config p true;
-                                        expanded := true
-                                      end)
-                                    prims'
-                                end))
+                                List.iter
+                                  (fun (s', b', v') ->
+                                    if
+                                      v'
+                                      && (not (Hashtbl.mem committed (s', b')))
+                                      && Config.get_shadow !config ~seg:s'
+                                           ~bit:b'
+                                         <> v'
+                                    then begin
+                                      Hashtbl.add committed (s', b') v';
+                                      remaining := (s', b', v') :: !remaining;
+                                      expanded := true
+                                    end)
+                                  assigns';
+                                List.iter
+                                  (fun (p, v) ->
+                                    (* Helper lines are transient: even a
+                                       primary the final configuration
+                                       needs de-asserted may be asserted
+                                       during configuration. *)
+                                    if v && not (List.mem_assoc p !helpers)
+                                    then begin
+                                      helpers := (p, true) :: !helpers;
+                                      helper_candidates :=
+                                        List.filter (fun q -> q <> p)
+                                          !helper_candidates;
+                                      config :=
+                                        Config.set_primary !config p true;
+                                      expanded := true
+                                    end)
+                                  prims'))
                     !remaining;
-                  (if Sys.getenv_opt "FTRSN_PLAN_DEBUG" <> None then
-                     Printf.eprintf "expanded=%b\n%!" !expanded);
                   if not !expanded then stuck := true
             end
             else begin
@@ -488,325 +455,160 @@ let stream_for (net : Netlist.t) (state : Sim.state) path ~writes
   let len = Array.length flat in
   List.init len (fun t -> flat.(len - 1 - t))
 
-(* Adaptive execution: rather than blindly replaying the planned CSUs, each
-   iteration looks at the simulator's actual configuration (control faults
-   such as a select stuck-at-1 can disturb shadow bits as a side effect of
-   shifting) and writes whichever outstanding requirement bits are
-   reachable and uncorrupted on the current active path.  Requirement bits
-   that end up unreachable (e.g. "keep this subtree bypassed" bits behind a
-   corrupting fault site) are tolerated; the final semantic check decides
+(* ---- replay ----
+
+   Every execution of a plan is one replay on the CSU simulator, with the
+   fault injected if given: [configure] brings the network into the plan's
+   access configuration, then one access CSU writes the targets' patterns
+   or reads the target's captured bits.  Control faults can disturb
+   shadow bits as a side effect of shifting (a select stuck-at-1 segment
+   latches passing data), so the replay adapts to the simulator's actual
+   state rather than trusting the plan; the access CSU's checks decide
    success. *)
-let execute net ?fault plan ~pattern =
-  let inj =
-    match fault with
-    | Some f -> Fault.to_injection net f
-    | None -> Sim.no_injection
+
+type replay = {
+  net : Netlist.t;
+  fault : Fault.t option;
+  inj : Sim.injection;
+  mutable state : Sim.state;
+  mutable streams : (bool list * bool list) list;
+      (* (scan-in, scan-out) of every CSU so far, newest first *)
+}
+
+let replay net fault =
+  { net; fault; inj = injection net fault; state = Sim.initial net;
+    streams = [] }
+
+let set_primaries r prims =
+  r.state <-
+    {
+      r.state with
+      Sim.config =
+        List.fold_left
+          (fun c (p, v) -> Config.set_primary c p v)
+          { r.state.Sim.config with Config.primaries = [] }
+          prims;
+    }
+
+let active_trace r = Sim.active_trace r.net r.inj r.state.Sim.config
+
+(* The one CSU of every replay: shifts in the stream that leaves [writes]
+   and [patterns] in the segments of the active path [ok_list] (from
+   [writable_on_trace]) and records the (scan-in, scan-out) pair.  Segments
+   receiving corrupted data must not latch it: their update is disabled
+   (the Updis control of the paper's model, eq. 1). *)
+let csu r ok_list ~writes ~patterns =
+  let updis =
+    List.filter_map (fun (s, ok) -> if ok then None else Some s) ok_list
   in
-  let base_state = Sim.initial net in
-  let state = ref base_state in
-  let set_primaries prims =
-    state :=
-      {
-        !state with
-        Sim.config =
-          List.fold_left
-            (fun c (p, v) -> Config.set_primary c p v)
-            { !state.Sim.config with Config.primaries = [] }
-            prims;
-      }
+  let stream =
+    stream_for r.net r.state (List.map fst ok_list) ~writes ~patterns
   in
-  let unsatisfied () =
+  let out = Sim.csu r.net ~inj:r.inj ~updis r.state ~scan_in:stream in
+  r.streams <- (stream, out) :: r.streams;
+  out
+
+(* One configuration CSU writing those of [bits] that the shadows do not
+   hold yet and that are cleanly writable on the active path.  [false] if
+   it wrote nothing: nothing pending, nothing reachable, or an invalid
+   configuration. *)
+let write_pending r bits =
+  match
     List.filter
-      (fun (s, b, v) ->
-        Config.get_shadow !state.Sim.config ~seg:s ~bit:b <> v)
-      plan.requirements
-  in
-  let max_iters = 4 * (Netlist.num_segments net + 2) in
-  let rec configure iter =
-    if iter > max_iters then Ok ()
-    else
-      match unsatisfied () with
-      | [] -> Ok ()
-      | pending -> (
-          match Sim.active_trace net inj !state.Sim.config with
-          | None -> Error "invalid configuration reached during execution"
-          | Some trace ->
-              let ok_list = writable_on_trace net fault trace in
-              let can_write s =
-                List.exists (fun (s', ok) -> s' = s && ok) ok_list
-              in
-              let writes = List.filter (fun (s, _, _) -> can_write s) pending in
-              if writes = [] then Ok ()
-              else begin
-                let path = List.map fst ok_list in
-                (* Segments receiving corrupted data must not latch it:
-                   disable their update (the Updis control of the paper's
-                   model, eq. 1). *)
-                let updis =
-                  List.filter_map
-                    (fun (s, ok) -> if ok then None else Some s)
-                    ok_list
-                in
-                let stream =
-                  stream_for net !state path ~writes ~patterns:[]
-                in
-                let (_ : bool list) =
-                  Sim.csu net ~inj ~updis !state ~scan_in:stream
-                in
-                configure (iter + 1)
-              end)
-  in
-  (* Phase 1: replay the planned CSUs with the primary-line state each was
-     planned under (helper lines activate progressively).  Writes that fail
-     to apply are left to the adaptive phase. *)
+      (fun (s, b, v) -> Config.get_shadow r.state.Sim.config ~seg:s ~bit:b <> v)
+      bits
+  with
+  | [] -> false
+  | pending -> (
+      match active_trace r with
+      | None -> false
+      | Some trace -> (
+          let ok_list = writable_on_trace r.net r.fault trace in
+          match List.filter (fun (s, _, _) -> clean_on ok_list s) pending with
+          | [] -> false
+          | writes ->
+              ignore (csu r ok_list ~writes ~patterns:[] : bool list);
+              true))
+
+(* Phase 1 replays the planned CSUs under the primary lines each was
+   planned with (helper lines activate progressively); writes that fail to
+   apply are left to phase 2.  Phase 2 asserts every helper and repairs
+   the requirement bits, as far as they are reachable; bits that end up
+   unreachable (e.g. "keep this subtree bypassed" bits behind a corrupting
+   fault site) are tolerated.  The helpers are then dropped: only the
+   witness primaries stay asserted for the access CSU. *)
+let configure r plan =
   List.iter
     (fun step ->
-      set_primaries step.step_primaries;
-      match Sim.active_trace net inj !state.Sim.config with
-      | None -> ()
-      | Some trace ->
-          let ok_list = writable_on_trace net fault trace in
-          let can_write s =
-            List.exists (fun (s', ok) -> s' = s && ok) ok_list
-          in
-          let writes =
-            List.filter
-              (fun (s, b, v) ->
-                can_write s
-                && Config.get_shadow !state.Sim.config ~seg:s ~bit:b <> v)
-              step.writes
-          in
-          if writes <> [] then begin
-            let path = List.map fst ok_list in
-            let updis =
-              List.filter_map
-                (fun (s, ok) -> if ok then None else Some s)
-                ok_list
-            in
-            let stream = stream_for net !state path ~writes ~patterns:[] in
-            let (_ : bool list) =
-              Sim.csu net ~inj ~updis !state ~scan_in:stream
-            in
-            ()
-          end)
+      set_primaries r step.step_primaries;
+      ignore (write_pending r step.writes : bool))
     plan.steps;
-  (* Phase 2: adaptive cleanup with every helper asserted. *)
-  set_primaries (plan.primaries @ plan.helpers);
-  match configure 0 with
-  | Error e -> Error e
-  | Ok () -> (
-      (* Drop the helper lines for the access CSU: only the witness
-         primaries remain asserted. *)
-      set_primaries plan.primaries;
-      match Sim.active_trace net inj !state.Sim.config with
-      | None -> Error "invalid final configuration"
-      | Some trace ->
-          let ok_list = writable_on_trace net fault trace in
-          let path = List.map fst ok_list in
-          if not (List.mem plan.target path) then
-            Error
-              (Printf.sprintf
-                 "target not on the final active path [%s] (unsatisfied: %s)"
-                 (String.concat ";"
-                    (List.map (Netlist.segment_name net) path))
-                 (String.concat ";"
-                    (List.map
-                       (fun (s, b, v) ->
-                         Printf.sprintf "%s.%d=%b"
-                           (Netlist.segment_name net s) b v)
-                       (unsatisfied ()))))
-          else if
-            not
-              (List.exists
-                 (fun (s, ok) -> s = plan.target && ok)
-                 ok_list)
-          then Error "final path does not deliver clean data to the target"
-          else begin
-            let updis =
-              List.filter_map
-                (fun (s, ok) -> if ok then None else Some s)
-                ok_list
-            in
-            let stream =
-              stream_for net !state path ~writes:[]
-                ~patterns:[ (plan.target, pattern) ]
-            in
-            let (_ : bool list) =
-              Sim.csu net ~inj ~updis !state ~scan_in:stream
-            in
-            Ok !state
-          end)
+  set_primaries r (plan.primaries @ plan.helpers);
+  let max_iters = 4 * (Netlist.num_segments r.net + 2) in
+  let rec repair iter =
+    if iter <= max_iters && write_pending r plan.requirements then
+      repair (iter + 1)
+  in
+  repair 0;
+  set_primaries r plan.primaries
 
-
-(* Read access: configure like [execute], then run one CSU on the final
-   path and extract the target's captured bits from the scan-out stream.
-   Bit j of the target (global position off + j, off = sum of the lengths
-   of preceding path segments) appears at output cycle L - 1 - (off + j). *)
-let execute_read net ?fault plan ~instrument =
-  let inj =
-    match fault with
-    | Some f -> Fault.to_injection net f
-    | None -> Sim.no_injection
-  in
-  let state = ref (Sim.initial net) in
-  (* Plant the instrument data the capture of the final CSU will pick up. *)
-  List.iteri
-    (fun j v ->
-      if j < Netlist.seg_len net plan.target then
-        !state.Sim.instrument.(plan.target).(j) <- v)
-    instrument;
-  let set_primaries prims =
-    state :=
-      {
-        !state with
-        Sim.config =
-          List.fold_left
-            (fun c (p, v) -> Config.set_primary c p v)
-            { !state.Sim.config with Config.primaries = [] }
-            prims;
-      }
-  in
-  let run_step step =
-    set_primaries step.step_primaries;
-    match Sim.active_trace net inj !state.Sim.config with
-    | None -> ()
-    | Some trace ->
-        let ok_list = writable_on_trace net fault trace in
-        let can_write s = List.exists (fun (s', ok) -> s' = s && ok) ok_list in
-        let writes =
-          List.filter
-            (fun (s, b, v) ->
-              can_write s
-              && Config.get_shadow !state.Sim.config ~seg:s ~bit:b <> v)
-            step.writes
-        in
-        if writes <> [] then begin
-          let path = List.map fst ok_list in
-          let updis =
-            List.filter_map (fun (s, ok) -> if ok then None else Some s) ok_list
-          in
-          let stream = stream_for net !state path ~writes ~patterns:[] in
-          let (_ : bool list) = Sim.csu net ~inj ~updis !state ~scan_in:stream in
-          ()
-        end
-  in
-  List.iter run_step plan.steps;
-  set_primaries (plan.primaries @ plan.helpers);
-  (* Adaptive cleanup of outstanding requirement bits. *)
-  let max_iters = 4 * (Netlist.num_segments net + 2) in
-  let rec cleanup iter =
-    if iter > max_iters then ()
-    else
-      let pending =
-        List.filter
-          (fun (s, b, v) ->
-            Config.get_shadow !state.Sim.config ~seg:s ~bit:b <> v)
-          plan.requirements
-      in
-      if pending <> [] then
-        match Sim.active_trace net inj !state.Sim.config with
-        | None -> ()
-        | Some trace ->
-            let ok_list = writable_on_trace net fault trace in
-            let can_write s =
-              List.exists (fun (s', ok) -> s' = s && ok) ok_list
-            in
-            let writes = List.filter (fun (s, _, _) -> can_write s) pending in
-            if writes <> [] then begin
-              let path = List.map fst ok_list in
-              let updis =
-                List.filter_map
-                  (fun (s, ok) -> if ok then None else Some s)
-                  ok_list
-              in
-              let stream = stream_for net !state path ~writes ~patterns:[] in
-              let (_ : bool list) =
-                Sim.csu net ~inj ~updis !state ~scan_in:stream
-              in
-              cleanup (iter + 1)
-            end
-  in
-  cleanup 0;
-  set_primaries plan.primaries;
-  match Sim.active_trace net inj !state.Sim.config with
+(* The access CSU: configures [r] for [plan], checks that every target is
+   on the access configuration's path and clean there ([usable] maps the
+   trace to the path's segments with their writability or readability),
+   then runs [run] on the path's writability list. *)
+let access_csu r plan ~targets ~usable ~unusable ~run =
+  configure r plan;
+  match active_trace r with
   | None -> Error "invalid final configuration"
   | Some trace -> (
-      let readable = readable_on_trace net fault trace in
-      let path = List.map fst readable in
-      if not (List.mem plan.target path) then
-        Error "target not on the final active path"
-      else if
-        not
-          (List.exists (fun (s, ok) -> s = plan.target && ok) readable)
-      then Error "final path does not observe the target unscathed"
-      else begin
-        let updis =
-          let w = writable_on_trace net fault trace in
-          List.filter_map (fun (s, ok) -> if ok then None else Some s) w
-        in
-        let stream = stream_for net !state path ~writes:[] ~patterns:[] in
-        let out = Sim.csu net ~inj ~updis !state ~scan_in:stream in
-        let out = Array.of_list out in
-        let len = Array.length out in
-        (* Offset of the target within the path. *)
-        let rec offset acc = function
-          | [] -> Error "target vanished from the path"
-          | s :: _ when s = plan.target -> Ok acc
-          | s :: tl -> offset (acc + Netlist.seg_len net s) tl
-        in
-        match offset 0 path with
-        | Error e -> Error e
-        | Ok off ->
-            let bits =
-              List.init (Netlist.seg_len net plan.target) (fun j ->
-                  out.(len - 1 - (off + j)))
-            in
-            Ok bits
-      end)
+      let path = usable r.net r.fault trace in
+      match List.find_opt (fun t -> not (clean_on path t)) targets with
+      | Some t when List.mem_assoc t path ->
+          Error (unusable (Netlist.segment_name r.net t))
+      | Some t ->
+          Error
+            (Printf.sprintf "%s not on the final active path [%s]"
+               (Netlist.segment_name r.net t)
+               (String.concat ";"
+                  (List.map (fun (s, _) -> Netlist.segment_name r.net s) path)))
+      | None -> Ok (run (writable_on_trace r.net r.fault trace)))
 
+let write r plan ~patterns =
+  access_csu r plan ~targets:(List.map fst patterns) ~usable:writable_on_trace
+    ~unusable:(Printf.sprintf "final path does not deliver clean data to %s")
+    ~run:(fun ok_list ->
+      ignore (csu r ok_list ~writes:[] ~patterns : bool list);
+      r.state)
 
-(* Fault-free execution trace for vector export: the scan-in stream fed
-   and the scan-out stream observed for every CSU of the plan, in order
-   (configuration steps, then the access CSU carrying [pattern]). *)
+let execute net ?fault plan ~patterns = write (replay net fault) plan ~patterns
+
 let trace_execution net plan ~pattern =
-  let state = ref (Sim.initial net) in
-  let set_primaries prims =
-    state :=
-      {
-        !state with
-        Sim.config =
-          List.fold_left
-            (fun c (p, v) -> Config.set_primary c p v)
-            { !state.Sim.config with Config.primaries = [] }
-            prims;
-      }
-  in
-  let vectors = ref [] in
-  let run ~writes ~patterns =
-    match Sim.active_path net Sim.no_injection !state.Sim.config with
-    | None -> Error "invalid configuration"
-    | Some path ->
-        let stream = stream_for net !state path ~writes ~patterns in
-        let out = Sim.csu net !state ~scan_in:stream in
-        vectors := (stream, out) :: !vectors;
-        Ok ()
-  in
-  let rec steps = function
-    | [] -> Ok ()
-    | st :: tl -> (
-        set_primaries st.step_primaries;
-        match run ~writes:st.writes ~patterns:[] with
-        | Error e -> Error e
-        | Ok () -> steps tl)
-  in
-  match steps plan.steps with
-  | Error e -> Error e
-  | Ok () -> (
-      set_primaries plan.primaries;
-      match run ~writes:[] ~patterns:[ (plan.target, pattern) ] with
-      | Error e -> Error e
-      | Ok () -> Ok (List.rev !vectors))
+  let r = replay net None in
+  Result.map
+    (fun _ -> List.rev r.streams)
+    (write r plan ~patterns:[ (plan.target, pattern) ])
 
+(* Read access: plant the instrument data the access CSU's capture picks
+   up, then extract the target's bits from the scan-out stream.  Bit j of
+   the target (global position off + j, off = sum of the lengths of
+   preceding path segments) appears at output cycle L - 1 - (off + j). *)
+let execute_read net ?fault plan ~instrument =
+  let r = replay net fault in
+  let len = Netlist.seg_len net plan.target in
+  List.iteri
+    (fun j v -> if j < len then r.state.Sim.instrument.(plan.target).(j) <- v)
+    instrument;
+  access_csu r plan ~targets:[ plan.target ] ~usable:readable_on_trace
+    ~unusable:(Printf.sprintf "final path does not observe %s unscathed")
+    ~run:(fun ok_list ->
+      let out = Array.of_list (csu r ok_list ~writes:[] ~patterns:[]) in
+      let rec offset acc = function
+        | s :: tl when s <> plan.target ->
+            offset (acc + Netlist.seg_len net s) tl
+        | _ -> acc
+      in
+      let off = offset 0 (List.map fst ok_list) in
+      List.init len (fun j -> out.(Array.length out - 1 - (off + j))))
 
 (* ---- merged multi-target retargeting ----
 
@@ -826,24 +628,19 @@ type merged_plan = {
 
 let plan_write_merged ctx ?fault ~targets () =
   let net = Engine.netlist ctx in
-  let inj =
-    match fault with
-    | Some f -> Fault.to_injection net f
-    | None -> Sim.no_injection
-  in
+  let inj = injection net fault in
   (* Individual plans first: unreachable targets fail the merge. *)
-  let singles =
-    List.map
-      (fun t ->
+  let rec plan_all = function
+    | [] -> Some []
+    | t :: tl -> (
         match plan_write ctx ?fault ~target:t () with
-        | Some p -> (t, p)
-        | None -> raise Exit)
-      targets
+        | None -> None
+        | Some p -> Option.map (fun ps -> (t, p) :: ps) (plan_all tl))
   in
-  match singles with
-  | exception Exit -> None
-  | [] -> Some { groups = []; merged_cycles = 0; sequential_cycles = 0 }
-  | singles ->
+  match plan_all targets with
+  | None -> None
+  | Some [] -> Some { groups = []; merged_cycles = 0; sequential_cycles = 0 }
+  | Some singles ->
       let sequential_cycles =
         List.fold_left (fun acc (_, p) -> acc + p.cycles) 0 singles
       in
@@ -881,7 +678,8 @@ let plan_write_merged ctx ?fault ~targets () =
       flush ();
       let groups = List.rev !groups in
       (* Build one merged plan per group: union of requirements, union of
-         primaries/helpers; the access path must carry every target. *)
+         primaries/helpers; the access path must deliver clean data to
+         every target. *)
       let build (members, reqs) =
         let ts = List.map fst members in
         let plans = List.map snd members in
@@ -911,11 +709,8 @@ let plan_write_merged ctx ?fault ~targets () =
           | None -> stuck := true
           | Some trace ->
               let ok_list = writable_on_trace net fault trace in
-              let can_write s =
-                List.exists (fun (s', ok) -> s' = s && ok) ok_list
-              in
               let now, later =
-                List.partition (fun (s, _, _) -> can_write s) !remaining
+                List.partition (fun (s, _, _) -> clean_on ok_list s) !remaining
               in
               if now = [] then stuck := true
               else begin
@@ -931,9 +726,15 @@ let plan_write_merged ctx ?fault ~targets () =
         done;
         if !stuck then None
         else
+          (* Every target must receive clean data on the shared access
+             path; otherwise [build_best] splits the group. *)
           let final_cfg = { !config with Config.primaries } in
-          match Sim.active_path net inj final_cfg with
-          | Some path when List.for_all (fun t -> List.mem t path) ts ->
+          match
+            Option.map (writable_on_trace net fault)
+              (Sim.active_trace net inj final_cfg)
+          with
+          | Some ok_list when List.for_all (clean_on ok_list) ts ->
+              let path = List.map fst ok_list in
               let steps = List.rev !steps in
               let all_paths = List.map (fun s -> s.path) steps @ [ path ] in
               Some
@@ -1003,75 +804,3 @@ let plan_write_merged ctx ?fault ~targets () =
         in
         Some { groups; merged_cycles; sequential_cycles }
       end
-
-(* Execute a merged group: configuration phase as in [execute], then one
-   access CSU carrying every (target, pattern) of the group. *)
-let execute_merged net ?fault (p : plan) ~(patterns : (int * bool list) list) =
-  let inj =
-    match fault with
-    | Some f -> Fault.to_injection net f
-    | None -> Sim.no_injection
-  in
-  let state = ref (Sim.initial net) in
-  let set_primaries prims =
-    state :=
-      {
-        !state with
-        Sim.config =
-          List.fold_left
-            (fun c (pr, v) -> Config.set_primary c pr v)
-            { !state.Sim.config with Config.primaries = [] }
-            prims;
-      }
-  in
-  set_primaries (p.primaries @ p.helpers);
-  let rec configure steps =
-    match steps with
-    | [] -> Ok ()
-    | step :: tl -> (
-        match Sim.active_trace net inj !state.Sim.config with
-        | None -> Error "invalid configuration"
-        | Some trace ->
-            let ok_list = writable_on_trace net fault trace in
-            let path = List.map fst ok_list in
-            let updis =
-              List.filter_map
-                (fun (s, ok) -> if ok then None else Some s)
-                ok_list
-            in
-            let stream =
-              stream_for net !state path ~writes:step.writes ~patterns:[]
-            in
-            let (_ : bool list) =
-              Sim.csu net ~inj ~updis !state ~scan_in:stream
-            in
-            configure tl)
-  in
-  match configure p.steps with
-  | Error e -> Error e
-  | Ok () -> (
-      set_primaries p.primaries;
-      match Sim.active_trace net inj !state.Sim.config with
-      | None -> Error "invalid final configuration"
-      | Some trace ->
-          let ok_list = writable_on_trace net fault trace in
-          let path = List.map fst ok_list in
-          if
-            List.exists
-              (fun (t, _) ->
-                not
-                  (List.exists (fun (s, ok) -> s = t && ok) ok_list))
-              patterns
-          then Error "a target is not cleanly writable on the final path"
-          else begin
-            let updis =
-              List.filter_map
-                (fun (s, ok) -> if ok then None else Some s)
-                ok_list
-            in
-            let stream = stream_for net !state path ~writes:[] ~patterns in
-            let (_ : bool list) =
-              Sim.csu net ~inj ~updis !state ~scan_in:stream
-            in
-            Ok !state
-          end)

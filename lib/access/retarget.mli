@@ -44,13 +44,19 @@ val execute :
   Ftrsn_rsn.Netlist.t ->
   ?fault:Ftrsn_fault.Fault.t ->
   plan ->
-  pattern:bool list ->
+  patterns:(int * bool list) list ->
   (Ftrsn_rsn.Sim.state, string) result
-(** Runs the plan on the CSU simulator (with the fault injected if given),
-    shifting [pattern] into the target segment during the final CSU.
-    Returns the final simulator state; the caller can check that the
-    target's shift register holds [pattern].  Errors report the first
-    divergence (e.g. an invalid configuration reached). *)
+(** [execute net ?fault plan ~patterns] replays the plan on the CSU
+    simulator, with the fault injected if given.  It replays the
+    configuration CSUs, repairs the plan's [requirements] that
+    control faults disturbed, and then runs one access CSU that shifts
+    each [(segment, bits)] of [patterns] into that segment.  A plan from
+    {!plan_write} takes [[ (plan.target, pattern) ]]; a merged group
+    ({!plan_write_merged}) takes one pair per target of the group.
+    Returns the final simulator state, whose shift registers the caller
+    can check against [patterns].  Errors name the first segment of
+    [patterns] that is not on the access path or not cleanly writable
+    there, or report an invalid access configuration. *)
 
 val plan_read :
   Engine.ctx -> ?fault:Ftrsn_fault.Fault.t -> target:int -> unit -> plan option
@@ -64,10 +70,10 @@ val execute_read :
   instrument:bool list ->
   (bool list, string) result
 (** Runs a read plan on the simulator: plants [instrument] as the target
-    segment's data input, configures the network, performs a
-    capture-shift-update on the final path and extracts the target's
-    captured bits from the scan-out stream — on success they equal
-    [instrument]. *)
+    segment's data input, configures the network as {!execute} does,
+    performs a capture-shift-update on the final path and extracts the
+    target's captured bits from the scan-out stream — on success they
+    equal [instrument]. *)
 
 (** Merged multi-target access (access merging in the spirit of
     Baranowski et al., ETS'13): compatible targets share configuration
@@ -83,25 +89,18 @@ val plan_write_merged :
   Engine.ctx -> ?fault:Ftrsn_fault.Fault.t -> targets:int list -> unit ->
   merged_plan option
 (** Groups the targets greedily by steering compatibility and builds one
-    shared plan per group.  [None] if some target is not writable. *)
-
-val execute_merged :
-  Ftrsn_rsn.Netlist.t ->
-  ?fault:Ftrsn_fault.Fault.t ->
-  plan ->
-  patterns:(int * bool list) list ->
-  (Ftrsn_rsn.Sim.state, string) result
-(** Runs one merged group on the simulator, writing every (target,
-    pattern) pair in the single access CSU. *)
+    shared plan per group, whose access path delivers clean data to every
+    target of the group; {!execute} runs a group.  [None] if
+    {!plan_write} finds no plan for some target. *)
 
 val trace_execution :
   Ftrsn_rsn.Netlist.t ->
   plan ->
   pattern:bool list ->
   ((bool list * bool list) list, string) result
-(** Fault-free execution trace of a plan: the (scan-in, scan-out) stream
-    pair of every CSU, in order — the raw material of test-vector export
-    ({!Vectors}). *)
+(** Fault-free {!execute} of a plan with [pattern] for its target,
+    returning the (scan-in, scan-out) stream pair of every CSU it ran, in
+    order — the raw material of test-vector export ({!Vectors}). *)
 
 val control_bits : Ftrsn_rsn.Netlist.t -> (int * int) list
 (** All (segment, bit) shadow positions that drive some multiplexer

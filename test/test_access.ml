@@ -208,7 +208,7 @@ let test_plan_execute_fault_free () =
   | None -> Alcotest.fail "plan must exist"
   | Some plan -> (
       let pattern = [ true; false; true; true ] in
-      match Retarget.execute net plan ~pattern with
+      match Retarget.execute net plan ~patterns:[ (c3, pattern) ] with
       | Error e -> Alcotest.fail e
       | Ok state ->
           List.iteri
@@ -230,7 +230,7 @@ let test_plan_respects_fault () =
   | None -> Alcotest.fail "plan must exist under this fault"
   | Some plan -> (
       let pattern = [ true; true; false ] in
-      match Retarget.execute net ~fault plan ~pattern with
+      match Retarget.execute net ~fault plan ~patterns:[ (c1, pattern) ] with
       | Error e -> Alcotest.fail e
       | Ok state ->
           List.iteri
@@ -261,7 +261,9 @@ let engine_vs_simulator_on net =
               incr tried;
               let len = Netlist.seg_len net s in
               let pattern = List.init len (fun i -> i mod 2 = 0) in
-              match Retarget.execute net ~fault plan ~pattern with
+              match
+                Retarget.execute net ~fault plan ~patterns:[ (s, pattern) ]
+              with
               | Error e ->
                   Alcotest.fail
                     (Printf.sprintf "execution failed for %s under %s: %s"
@@ -463,7 +465,7 @@ let test_merged_all_leaves () =
           (fun t -> (t, List.init (Netlist.seg_len net t) (fun i -> i mod 2 = 0)))
           ts
       in
-      (match Retarget.execute_merged net plan ~patterns with
+      (match Retarget.execute net plan ~patterns with
       | Error e -> Alcotest.fail e
       | Ok state ->
           List.iter
@@ -510,7 +512,7 @@ let test_merged_under_fault () =
                 (t, List.init (Netlist.seg_len ft t) (fun i -> i mod 3 = 0)))
               ts
           in
-          match Retarget.execute_merged ft ~fault plan ~patterns with
+          match Retarget.execute ft ~fault plan ~patterns with
           | Error e -> Alcotest.fail e
           | Ok state ->
               List.iter
@@ -522,6 +524,80 @@ let test_merged_under_fault () =
                     bits)
                 patterns)
         mp.Retarget.groups
+
+let itc02 name =
+  Ftrsn_itc02.Itc02.rsn (Option.get (Ftrsn_itc02.Itc02.find name))
+
+let test_merged_unplannable_target () =
+  (* On the FT rework of x1331 under aug_10_0.in[0]/sa0, the planner finds
+     no write plan for x1331_m0_c0: merging a target list that holds it
+     answers None rather than raising. *)
+  let ft =
+    (Ftrsn_core.Pipeline.synthesize (itc02 "x1331")).Ftrsn_core.Pipeline.ft
+  in
+  let ctx = Engine.make_ctx ft in
+  let fault =
+    List.find
+      (fun f -> Fault.to_string ft f = "aug_10_0.in[0]/sa0")
+      (Fault.universe ft)
+  in
+  let c0 = seg_id ft "x1331_m0_c0" in
+  check bool_t "no single plan" true
+    (Retarget.plan_write ctx ~fault ~target:c0 () = None);
+  check bool_t "no merged plan" true
+    (Retarget.plan_write_merged ctx ~fault
+       ~targets:[ seg_id ft "x1331_m0"; c0 ] ()
+     = None)
+
+let test_merged_groups_replay () =
+  (* Every group of a merged plan replays on the simulator and lands every
+     target's pattern: fault-free and under every 7th fault of u226, with
+     the first six writable segments as targets. *)
+  let net = itc02 "u226" in
+  let ctx = Engine.make_ctx net in
+  let groups = ref 0 in
+  List.iteri
+    (fun i fault ->
+      if i mod 7 = 0 then begin
+        let v = Engine.analyze ctx fault in
+        let targets =
+          List.filteri
+            (fun i _ -> i < 6)
+            (List.filter
+               (fun s -> v.Engine.writable.(s))
+               (List.init (Netlist.num_segments net) Fun.id))
+        in
+        let name =
+          Option.fold ~none:"fault-free" ~some:(Fault.to_string net) fault
+        in
+        match Retarget.plan_write_merged ctx ?fault ~targets () with
+        | None -> Alcotest.fail ("no merged plan under " ^ name)
+        | Some mp ->
+            List.iter
+              (fun (plan, ts) ->
+                incr groups;
+                let patterns =
+                  List.map
+                    (fun t ->
+                      ( t,
+                        List.init (Netlist.seg_len net t) (fun j ->
+                            (j + t) mod 2 = 0) ))
+                    ts
+                in
+                match Retarget.execute net ?fault plan ~patterns with
+                | Error e -> Alcotest.fail (name ^ ": " ^ e)
+                | Ok state ->
+                    List.iter
+                      (fun (t, bits) ->
+                        if Array.to_list state.Sim.shift.(t) <> bits then
+                          Alcotest.fail
+                            (Printf.sprintf "%s: pattern lost at %s" name
+                               (Netlist.segment_name net t)))
+                      patterns)
+              mp.Retarget.groups
+      end)
+    (None :: List.map Option.some (Fault.universe net));
+  check bool_t "exercised many groups" true (!groups > 100)
 
 (* --- vector export --- *)
 
@@ -564,20 +640,62 @@ let test_vectors_of_plan () =
           check int_t "SDR count" (List.length plan.Retarget.steps + 1) !count)
 
 let test_vectors_roundtrip_consistent () =
-  (* The TDO fields predicted by trace_execution equal a fresh replay. *)
+  (* The recorded streams are the plan's CSUs: one (scan-in, scan-out)
+     pair of equal length per CSU, and their lengths plus one capture and
+     one update cycle each add up to the plan's latency. *)
   let net = small_sib () in
   let ctx = Engine.make_ctx net in
-  let c1 = seg_id net "c1" in
-  match Retarget.plan_write ctx ~target:c1 () with
-  | None -> Alcotest.fail "plan"
-  | Some plan -> (
-      let pattern = [ false; true; true ] in
-      match
-        ( Retarget.trace_execution net plan ~pattern,
-          Retarget.trace_execution net plan ~pattern )
-      with
-      | Ok a, Ok b -> check bool_t "deterministic" true (a = b)
-      | _ -> Alcotest.fail "trace failed")
+  List.iter
+    (fun name ->
+      match Retarget.plan_write ctx ~target:(seg_id net name) () with
+      | None -> Alcotest.fail "plan"
+      | Some plan -> (
+          let pattern =
+            List.init (Netlist.seg_len net (seg_id net name)) (fun i ->
+                i mod 3 = 0)
+          in
+          match Retarget.trace_execution net plan ~pattern with
+          | Error e -> Alcotest.fail e
+          | Ok streams ->
+              check int_t (name ^ ": one stream pair per CSU")
+                (List.length plan.Retarget.steps + 1)
+                (List.length streams);
+              List.iter
+                (fun (tdi, tdo) ->
+                  check int_t (name ^ ": scan-out as long as scan-in")
+                    (List.length tdi) (List.length tdo))
+                streams;
+              check int_t (name ^ ": cycles")
+                plan.Retarget.cycles
+                (List.fold_left
+                   (fun acc (tdi, _) -> acc + 2 + List.length tdi)
+                   0 streams)))
+    [ "c1"; "c2"; "c3"; "mod1"; "mod2" ]
+
+(* The SVF bytes of every fault-free write plan of the FT rework of
+   [small_sib], pinned.  Its plans assert primary control lines, so the
+   pin covers the PIO statements as well as every SDR. *)
+let test_vectors_pinned () =
+  let ft =
+    (Ftrsn_core.Pipeline.synthesize (small_sib ())).Ftrsn_core.Pipeline.ft
+  in
+  let ctx = Engine.make_ctx ft in
+  let buf = Buffer.create 4096 in
+  for s = 0 to Netlist.num_segments ft - 1 do
+    match Retarget.plan_write ctx ~target:s () with
+    | None -> Alcotest.fail "fault-free plan must exist"
+    | Some plan -> (
+        let pattern = List.init (Netlist.seg_len ft s) (fun i -> i mod 2 = 0) in
+        match Vectors.of_plan ft plan ~pattern with
+        | Error e -> Alcotest.fail e
+        | Ok svf -> Buffer.add_string buf svf)
+  done;
+  let all = Buffer.contents buf in
+  check bool_t "PIO statements" true
+    (try ignore (Str.search_forward (Str.regexp_string "PIO (") all 0); true
+     with Not_found -> false);
+  check Alcotest.string "SVF digest" "77d47cb85f1e014d9d643b99d72a6bb7"
+    (Digest.to_hex (Digest.string all))
 
 (* Property: the lane-parallel batch sweep returns, class for class, the
    verdict of the scalar engine — on random nets, which exercise partial
@@ -1101,10 +1219,16 @@ let suite =
     Alcotest.test_case "merged: single target consistent" `Quick
       test_merged_single_target_consistent;
     Alcotest.test_case "merged: under fault" `Quick test_merged_under_fault;
+    Alcotest.test_case "merged: unplannable target gives None (x1331-ft)"
+      `Quick test_merged_unplannable_target;
+    Alcotest.test_case "merged: every group replays (u226, sampled faults)"
+      `Quick test_merged_groups_replay;
     Alcotest.test_case "vectors: hex encoding" `Quick test_hex_of_bits;
     Alcotest.test_case "vectors: SVF of plan" `Quick test_vectors_of_plan;
-    Alcotest.test_case "vectors: deterministic" `Quick
+    Alcotest.test_case "vectors: stream lengths = plan cycles" `Quick
       test_vectors_roundtrip_consistent;
+    Alcotest.test_case "vectors: SVF bytes pinned (small FT)" `Quick
+      test_vectors_pinned;
     Testseed.to_alcotest prop_lanes_equal_scalar;
     Testseed.to_alcotest prop_pair_lanes_exact;
     Testseed.to_alcotest prop_union_cone;

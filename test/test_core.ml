@@ -748,7 +748,7 @@ let test_pre_flavor_pipeline () =
     | None -> Alcotest.fail "plan must exist"
     | Some plan -> (
         let pattern = List.init (Netlist.seg_len net s) (fun i -> i mod 2 = 1) in
-        match Retarget.execute net plan ~pattern with
+        match Retarget.execute net plan ~patterns:[ (s, pattern) ] with
         | Error e -> Alcotest.fail e
         | Ok state ->
             List.iteri
