@@ -78,23 +78,27 @@ let cmd_dot spec augmented =
   | Error msg ->
       Printf.eprintf "%s\n" msg;
       1
-  | Ok entry ->
+  | Ok entry -> (
       let net = Pool.net entry in
+      Pool.release (Lazy.force pool) entry;
       let g, _ = Netlist.dataflow_graph net in
       let label v =
         if v = 0 then "scan-in"
         else if v = 1 then "scan-out"
         else Netlist.segment_name net (v - 2)
       in
-      let highlight =
+      match
         if not augmented then []
         else (Augment.solve (Augment.of_netlist net)).Augment.new_edges
-      in
-      print_string
-        (Dot.to_dot ~name:net.Netlist.net_name ~vertex_label:label
-           ~highlight_edges:highlight g);
-      Pool.release (Lazy.force pool) entry;
-      0
+      with
+      | highlight ->
+          print_string
+            (Dot.to_dot ~name:net.Netlist.net_name ~vertex_label:label
+               ~highlight_edges:highlight g);
+          0
+      | exception Augment.Infeasible short ->
+          Printf.eprintf "%s\n" (Augment.describe_infeasible net short);
+          1)
 
 let cmd_harden spec json =
   run ~json

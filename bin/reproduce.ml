@@ -227,9 +227,8 @@ let area socs =
     "weighted average area increase (by scan bits): %.1f%% (paper: 8.2%%)\n"
     (100.0 *. !weighted /. !weight)
 
-let ilp_stats socs =
-  Printf.printf "%-9s %7s %9s %7s %7s %7s %9s\n" "SoC" "solver" "new-edges"
-    "cost" "nodes" "cuts" "time(s)";
+let augment_stats socs =
+  Printf.printf "%-9s %9s %7s %9s\n" "SoC" "new-edges" "cost" "time(s)";
   List.iter
     (fun soc ->
       let net = Itc02.rsn soc in
@@ -240,10 +239,9 @@ let ilp_stats socs =
       (match Augment.verify p sol.Augment.new_edges with
       | Ok () -> ()
       | Error e -> failwith ("augmentation verification failed: " ^ e));
-      Printf.printf "%-9s %7s %9d %7d %7d %7d %9.2f\n" soc.Itc02.soc_name
-        (match sol.Augment.solver with `Ilp -> "ilp" | `Flow -> "flow")
+      Printf.printf "%-9s %9d %7d %9.2f\n" soc.Itc02.soc_name
         (List.length sol.Augment.new_edges)
-        sol.Augment.cost sol.Augment.ilp_nodes sol.Augment.ilp_cuts dt)
+        sol.Augment.cost dt)
     socs
 
 let latency socs =
@@ -544,7 +542,7 @@ let run part socs sample certify =
   (match part with
   | Ilp_stats | All ->
       banner "Augmentation solver statistics (paper <8 min for p93791)";
-      ilp_stats socs
+      augment_stats socs
   | _ -> ());
   (match part with
   | Latency | All ->

@@ -1,9 +1,6 @@
 module Digraph = Ftrsn_topo.Digraph
 module Order = Ftrsn_topo.Order
-module Acyclic = Ftrsn_topo.Acyclic
 module Dominator = Ftrsn_topo.Dominator
-module Simplex = Ftrsn_lp.Simplex
-module Bnb = Ftrsn_ilp.Bnb
 module Mcf = Ftrsn_flow.Mincost
 
 type problem = {
@@ -88,92 +85,27 @@ let demands p =
 type solution = {
   new_edges : (int * int) list;
   cost : int;
-  solver : [ `Ilp | `Flow ];
-  ilp_nodes : int;
-  ilp_cuts : int;
 }
 
-(* ---- exact ILP (paper eqs. 2-5, subtours separated lazily) ---- *)
+exception Infeasible of int list
 
-let solve_ilp ?(max_nodes = 100_000) p =
-  let n = Digraph.vertex_count p.graph in
-  let d_in, d_out = demands p in
-  (* Enumerate variables: one per potential new edge. *)
-  let vars = ref [] in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      if potential_pair p i j then vars := (i, j) :: !vars
-    done
-  done;
-  let vars = Array.of_list (List.rev !vars) in
-  let nv = Array.length vars in
-  let index = Hashtbl.create (2 * nv) in
-  Array.iteri (fun k e -> Hashtbl.add index e k) vars;
-  let objective =
-    Array.map (fun e -> float_of_int (edge_cost p e)) vars
-  in
-  let t = Bnb.make ~num_vars:nv ~objective in
-  for v = 0 to n - 1 do
-    if d_in.(v) > 0 then begin
-      let coeffs = ref [] in
-      Array.iteri (fun k (_, j) -> if j = v then coeffs := (k, 1.0) :: !coeffs) vars;
-      Bnb.add_constraint t ~coeffs:!coeffs ~op:Simplex.Ge
-        ~rhs:(float_of_int d_in.(v))
-    end;
-    if d_out.(v) > 0 then begin
-      let coeffs = ref [] in
-      Array.iteri (fun k (i, _) -> if i = v then coeffs := (k, 1.0) :: !coeffs) vars;
-      Bnb.add_constraint t ~coeffs:!coeffs ~op:Simplex.Ge
-        ~rhs:(float_of_int d_out.(v))
-    end
-  done;
-  (* Lazy acyclicity: a cycle in the augmented graph can only use new
-     same-level edges (existing edges and cross-level new edges strictly
-     increase the level).  Cut each cycle found in a candidate. *)
-  let lazy_cuts x =
-    let g = Digraph.copy p.graph in
-    Array.iteri (fun k (i, j) -> if x.(k) then Digraph.add_edge g i j) vars;
-    match Acyclic.find_cycle g with
-    | None -> []
-    | Some cycle ->
-        let arr = Array.of_list cycle in
-        let m = Array.length arr in
-        let members = ref [] in
-        for a = 0 to m - 1 do
-          let e = (arr.(a), arr.((a + 1) mod m)) in
-          match Hashtbl.find_opt index e with
-          | Some k -> members := k :: !members
-          | None -> ()
-        done;
-        let coeffs = List.map (fun k -> (k, 1.0)) !members in
-        [ (coeffs, Simplex.Le, float_of_int (List.length !members - 1)) ]
-  in
-  let report = Bnb.solve ~lazy_cuts ~max_nodes ~integral_objective:true t in
-  match report.Bnb.best with
-  | None -> None
-  | Some sol ->
-      let new_edges = ref [] in
-      Array.iteri (fun k e -> if sol.Bnb.x.(k) then new_edges := e :: !new_edges) vars;
-      Some
-        {
-          new_edges = List.rev !new_edges;
-          cost = int_of_float (Float.round sol.Bnb.obj);
-          solver = `Ilp;
-          ilp_nodes = report.Bnb.nodes;
-          ilp_cuts = report.Bnb.cuts;
-        }
+let describe_infeasible net short =
+  Printf.sprintf "augmentation infeasible: the degree demands of %s stay unmet"
+    (String.concat ", " (List.map (Ftrsn_rsn.Netlist.Elt.name net) short))
 
-(* ---- scalable min-cost-flow solver ---- *)
-
-(* Candidate edges: level difference at most [window]; same-level pairs are
-   oriented by vertex id, which keeps the result acyclic by construction
-   (every chosen edge strictly increases (level, id) lexicographically). *)
-let candidate p window i j =
+(* Candidates: potential pairs of level difference at most [window],
+   minus the [banned] same-level pairs.  Both orientations of a
+   same-level pair are candidates, so a solution may close a cycle among
+   its same-level edges; existing and cross-level edges strictly
+   increase the level and never do. *)
+let candidate p window banned i j =
   potential_pair p i j
   && p.levels.(j) - p.levels.(i) <= window
-  && (p.levels.(i) <> p.levels.(j) || i < j)
+  && not (p.levels.(i) = p.levels.(j) && banned i j)
 
-let solve_flow ?(window = 4) p =
+(* The candidates with each vertex's count on either side, and the
+   vertices whose demand exceeds their candidate edges on one side. *)
+let enumerate p window banned =
   let n = Digraph.vertex_count p.graph in
   let d_in, d_out = demands p in
   (* Bucket vertices by level so candidate enumeration is near-linear. *)
@@ -189,7 +121,7 @@ let solve_flow ?(window = 4) p =
       for lv = p.levels.(i) to min max_level (p.levels.(i) + window) do
         List.iter
           (fun j ->
-            if candidate p window i j then begin
+            if candidate p window banned i j then begin
               candidates := (i, j) :: !candidates;
               out_count.(i) <- out_count.(i) + 1;
               in_count.(j) <- in_count.(j) + 1
@@ -197,83 +129,223 @@ let solve_flow ?(window = 4) p =
           by_level.(lv)
       done
   done;
-  let candidates = Array.of_list !candidates in
-  let feasible = ref true in
-  for v = 0 to n - 1 do
-    if d_out.(v) > out_count.(v) then feasible := false;
-    if d_in.(v) > in_count.(v) then feasible := false
-  done;
-  if not !feasible then None
-  else begin
-    (* Nodes: out-copy v, in-copy n + v, source 2n, sink 2n + 1. *)
-    let s = 2 * n and t = (2 * n) + 1 in
-    let arcs =
-      Array.concat
-        [
-          Array.map
-            (fun (i, j) ->
-              {
-                Mcf.With_lower_bounds.lb_src = i;
-                lb_dst = n + j;
-                lb_low = 0;
-                lb_cap = 1;
-                lb_cost = edge_cost p (i, j);
-              })
-            candidates;
-          Array.init n (fun v ->
-              {
-                Mcf.With_lower_bounds.lb_src = s;
-                lb_dst = v;
-                lb_low = d_out.(v);
-                lb_cap = out_count.(v);
-                lb_cost = 0;
-              });
-          Array.init n (fun v ->
-              {
-                Mcf.With_lower_bounds.lb_src = n + v;
-                lb_dst = t;
-                lb_low = d_in.(v);
-                lb_cap = in_count.(v);
-                lb_cost = 0;
-              });
-        ]
-    in
-    match Mcf.With_lower_bounds.solve ~n:((2 * n) + 2) ~arcs ~s ~t with
-    | None -> None
-    | Some (cost, flows) ->
-        let new_edges = ref [] in
-        Array.iteri
-          (fun k (i, j) -> if flows.(k) > 0 then new_edges := (i, j) :: !new_edges)
-          candidates;
-        Some
-          {
-            new_edges = List.rev !new_edges;
-            cost;
-            solver = `Flow;
-            ilp_nodes = 0;
-            ilp_cuts = 0;
-          }
-  end
-
-let solve p =
-  let n = Digraph.vertex_count p.graph in
-  let result =
-    if n <= 30 then
-      match solve_ilp p with
-      | Some s -> Some s
-      | None -> solve_flow ~window:(Array.fold_left max 1 p.levels) p
-    else
-      let rec widen w =
-        let max_w = Array.fold_left max 1 p.levels in
-        match solve_flow ~window:w p with
-        | Some s -> Some s
-        | None -> if w >= max_w then None else widen (min max_w (2 * w))
-      in
-      widen 4
+  let short =
+    List.filter
+      (fun v -> d_out.(v) > out_count.(v) || d_in.(v) > in_count.(v))
+      (List.init n Fun.id)
   in
-  match result with
-  | Some s -> s
-  | None -> failwith "Augment.solve: augmentation infeasible"
+  (Array.of_list !candidates, out_count, in_count, short)
+
+(* The degree cover as a min-cost flow (a b-matching) over the
+   candidates, or [Error] with the short vertices.  Each side's capacity
+   is its candidate count, so choosing every candidate meets all lower
+   bounds: the flow is feasible exactly when no vertex is short. *)
+let solve_flow p window banned =
+  let n = Digraph.vertex_count p.graph in
+  let d_in, d_out = demands p in
+  match enumerate p window banned with
+  | _, _, _, (_ :: _ as short) -> Error short
+  | candidates, out_count, in_count, [] ->
+      (* Nodes: out-copy v, in-copy n + v, source 2n, sink 2n + 1. *)
+      let s = 2 * n and t = (2 * n) + 1 in
+      let arcs =
+        Array.concat
+          [
+            Array.map
+              (fun (i, j) ->
+                {
+                  Mcf.With_lower_bounds.lb_src = i;
+                  lb_dst = n + j;
+                  lb_low = 0;
+                  lb_cap = 1;
+                  lb_cost = edge_cost p (i, j);
+                })
+              candidates;
+            Array.init n (fun v ->
+                {
+                  Mcf.With_lower_bounds.lb_src = s;
+                  lb_dst = v;
+                  lb_low = d_out.(v);
+                  lb_cap = out_count.(v);
+                  lb_cost = 0;
+                });
+            Array.init n (fun v ->
+                {
+                  Mcf.With_lower_bounds.lb_src = n + v;
+                  lb_dst = t;
+                  lb_low = d_in.(v);
+                  lb_cap = in_count.(v);
+                  lb_cost = 0;
+                });
+          ]
+      in
+      match Mcf.With_lower_bounds.solve ~n:((2 * n) + 2) ~arcs ~s ~t with
+      | None -> assert false (* every candidate chosen is a feasible flow *)
+      | Some (cost, flows) ->
+          let new_edges = ref [] in
+          Array.iteri
+            (fun k e -> if flows.(k) > 0 then new_edges := e :: !new_edges)
+            candidates;
+          Ok { new_edges = List.rev !new_edges; cost }
+
+(* Whether [edges] close a cycle: a depth-first search with colours. *)
+let cyclic edges =
+  let succ = Hashtbl.create 16 and state = Hashtbl.create 16 in
+  List.iter (fun (i, j) -> Hashtbl.add succ i j) edges;
+  let rec visit v =
+    Hashtbl.replace state v `Active;
+    let back =
+      List.exists
+        (fun w ->
+          match Hashtbl.find_opt state w with
+          | Some `Active -> true
+          | Some `Done -> false
+          | None -> visit w)
+        (Hashtbl.find_all succ v)
+    in
+    Hashtbl.replace state v `Done;
+    back
+  in
+  List.exists (fun (i, _) -> (not (Hashtbl.mem state i)) && visit i) edges
+
+(* Flows one window's search may solve, times the vertex count, before
+   it stops branching. *)
+let search_work = 8192
+
+(* The cheapest acyclic cover within [window], by best-first search over
+   orders of the same-level vertices.  A node places, per level, some
+   vertices at the front of that level's order (ranks counting up from
+   0) and some at the back (ranks counting down from [max_int]); the rest
+   share the rank [free].  A same-level pair is a candidate only from a
+   lower rank to a higher one, or between two free vertices, so the
+   node's flow bounds from below every acyclic cover consistent with its
+   placements, and the first acyclic flow taken from the queue is
+   optimal.  A node whose flow closes a cycle branches on one end of one
+   cyclic level: one child per free vertex of the level, placed next at
+   that end.  The same-level edges of any acyclic cover have a source
+   and a sink among the free vertices, so no cover is lost.  Of the ends
+   of the cyclic levels, the one with the fewest children that pass the
+   candidate count is taken (none closes the node).  [Error vs]: the
+   vertices short in some child, when no node has a cover.  Once
+   [search_work / n] flows are spent, each node taken from the queue
+   orients the same-level pairs of its free vertices by vertex id, which
+   is acyclic by construction but may cost more or miss a cover. *)
+let search p window =
+  let n = Digraph.vertex_count p.graph in
+  let d_in, d_out = demands p in
+  let members = Array.make (Array.fold_left max 0 p.levels + 1) [] in
+  for v = n - 1 downto 0 do
+    members.(p.levels.(v)) <- v :: members.(p.levels.(v))
+  done;
+  let free = max_int / 2 in
+  let banned rank i j =
+    rank.(i) >= rank.(j) && not (rank.(i) = free && rank.(j) = free)
+  in
+  let at l (i, j) = p.levels.(i) = l && p.levels.(j) = l in
+  (* The levels whose same-level edges in [s] close a cycle. *)
+  let cyclic_levels s =
+    let same = List.filter (fun (i, j) -> at p.levels.(i) (i, j)) s.new_edges in
+    List.filter
+      (fun l -> cyclic (List.filter (at l) same))
+      (List.sort_uniq compare (List.map (fun (i, _) -> p.levels.(i)) same))
+  in
+  let seen = Hashtbl.create 16 and short = ref [] and flows = ref 0 in
+  (* The children of one end of level [l] that pass the candidate count.
+     A child differs from [rank] only in level [l]'s same-level pairs, so
+     only that level's vertices are recounted, from [out_count] and
+     [in_count], the candidate counts under [rank]. *)
+  let children (out_count, in_count) rank (l, front) =
+    let placed f =
+      List.length (List.filter (fun v -> f rank.(v) free) members.(l))
+    in
+    let next = if front then placed ( < ) else max_int - placed ( > ) in
+    let same rank u =
+      let ok i j = potential_pair p i j && not (banned rank i j) in
+      ( List.length (List.filter (fun w -> ok u w) members.(l)),
+        List.length (List.filter (fun w -> ok w u) members.(l)) )
+    in
+    List.filter_map
+      (fun v ->
+        let child = Array.copy rank in
+        child.(v) <- next;
+        if rank.(v) <> free || Hashtbl.mem seen child then None
+        else
+          let short_in_child u =
+            let o, i = same rank u and o', i' = same child u in
+            d_out.(u) > out_count.(u) - o + o'
+            || d_in.(u) > in_count.(u) - i + i'
+          in
+          match List.filter short_in_child members.(l) with
+          | [] -> Some child
+          | vs ->
+              short := vs @ !short;
+              None)
+      members.(l)
+  in
+  (* Of the ends of [levels], the children of the one with the fewest,
+     stopping at the first with at most one. *)
+  let fewest rank levels =
+    let _, out_count, in_count, _ = enumerate p window (banned rank) in
+    let rec go best = function
+      | [] -> Option.value best ~default:[]
+      | side :: sides -> (
+          let c = children (out_count, in_count) rank side in
+          match best with
+          | _ when List.compare_length_with c 1 <= 0 -> c
+          | Some b when List.compare_lengths b c <= 0 -> go best sides
+          | _ -> go (Some c) sides)
+    in
+    go None (List.concat_map (fun l -> [ (l, true); (l, false) ]) levels)
+  in
+  let node banned =
+    incr flows;
+    match solve_flow p window banned with
+    | Ok s -> Ok s
+    | Error vs ->
+        short := vs @ !short;
+        Error ()
+  in
+  let by_cost (a, _) (b, _) = compare a.cost b.cost in
+  let rec loop = function
+    | [] -> Error (List.sort_uniq compare !short)
+    | (s, rank) :: rest -> (
+        match cyclic_levels s with
+        | [] -> Ok s
+        | _ when !flows * n >= search_work -> (
+            let by_id i j =
+              banned rank i j || (rank.(i) = free && rank.(j) = free && i > j)
+            in
+            match node by_id with Ok s -> Ok s | Error () -> loop rest)
+        | levels ->
+            let chosen = fewest rank levels in
+            List.iter (fun r -> Hashtbl.replace seen r ()) chosen;
+            let nodes =
+              List.filter_map
+                (fun r ->
+                  match node (banned r) with
+                  | Ok s -> Some (s, r)
+                  | Error () -> None)
+                chosen
+            in
+            loop (List.merge by_cost (List.stable_sort by_cost nodes) rest))
+  in
+  let root = Array.make n free in
+  match node (banned root) with
+  | Ok s -> loop [ (s, root) ]
+  | Error () -> Error (List.sort_uniq compare !short)
+
+(* Widen the window from 4, doubling up to the largest level difference,
+   where every potential edge is a candidate. *)
+let solve p =
+  let max_w = Array.fold_left max 1 p.levels in
+  let rec widen w =
+    match search p w with
+    | Ok s -> s
+    | Error short ->
+        if w >= max_w then raise (Infeasible short)
+        else widen (min max_w (2 * w))
+  in
+  widen 4
 
 (* Two vertex-independent root->v paths exist iff [v] is a child of the
    root in the dominator tree (no single vertex separates them, Menger)

@@ -13,18 +13,16 @@
     [cost (i,j) = 1 + level j - level i] for new edges (zero for edges of
     the original graph, which are always kept), subject to acyclicity.
 
-    Two solvers are provided:
-    - {!solve_ilp} — the paper's formulation (eqs. 2-5) solved exactly by
-      branch & bound with lazily separated same-level subtour cuts;
-    - {!solve_flow} — a polynomial min-cost-flow reduction (the degree
-      cover is a b-matching) over a windowed candidate set, with same-level
-      candidates pre-oriented so the result is acyclic by construction.
-      This is the scalable path used for the large ITC'02 SoCs.
-
-    Both agree on cost for the benchmark graphs (tested): SIB-derived
-    dataflow graphs have singleton topological levels, so the subtour
-    constraints never bind and the window never hides an optimal edge of
-    cost <= 1 + window. *)
+    The solver is a min-cost-flow reduction (the degree cover is a
+    b-matching) over a windowed candidate set.  Both orientations of a
+    same-level pair are candidates; when the flow closes a cycle among
+    them, a best-first search over orders of that level's vertices finds
+    the cheapest acyclic cover within a flow budget (see {!solve}),
+    whatever the order in which the netlist declares its segments.  Nets with one vertex per level (all SIB nets)
+    take one flow per window.  The test suite checks the cost against the
+    paper's exact formulation (eqs. 2-5, branch & bound over [lib/lp] and
+    [lib/ilp] with lazily separated same-level subtour cuts), on SIB nets
+    and on chains with parallel segments on one level. *)
 
 type problem = {
   graph : Ftrsn_topo.Digraph.t;  (** the dataflow DAG *)
@@ -49,23 +47,26 @@ val demands : problem -> int array * int array
 type solution = {
   new_edges : (int * int) list;  (** augmenting edges not in the original *)
   cost : int;                    (** total cost of the new edges *)
-  solver : [ `Ilp | `Flow ];
-  ilp_nodes : int;               (** B&B nodes explored (0 for flow) *)
-  ilp_cuts : int;                (** lazy subtour cuts added (0 for flow) *)
 }
 
-val solve_ilp : ?max_nodes:int -> problem -> solution option
-(** Exact branch & bound over the full potential edge set.  [None] if the
-    demands are unsatisfiable.  Intended for graphs up to a few hundred
-    potential edges. *)
+exception Infeasible of int list
+(** Raised by {!solve} with the vertices whose degree demands stay unmet:
+    those left short of candidate edges on one side in some branch of
+    the widest window's search, when no branch has an acyclic cover. *)
 
-val solve_flow : ?window:int -> problem -> solution option
-(** Min-cost-flow solver over candidates with level difference at most
-    [window] (default 4).  [None] if infeasible within the window. *)
+val describe_infeasible : Ftrsn_rsn.Netlist.t -> int list -> string
+(** The user-facing message for [Infeasible short] on the netlist's
+    problem; it names the segments (or scan-in, scan-out) left short. *)
 
 val solve : problem -> solution
-(** Picks {!solve_ilp} for small instances and {!solve_flow} otherwise.
-    @raise Failure if the problem is infeasible. *)
+(** Minimum-cost acyclic augmentation over the candidates of level
+    difference at most a window that starts at 4 and doubles up to the
+    largest level, where every potential edge is a candidate; the first
+    window with a cover gives the result.  Each window's search spends at
+    most [8192 / vertices] flows on exact branching; past that it orients
+    the same-level pairs it has not yet ordered by vertex id, which is
+    acyclic by construction but may cost more or miss a cover.
+    @raise Infeasible if even the widest window has no cover. *)
 
 val verify : problem -> (int * int) list -> (unit, string) result
 (** Checks that the original graph plus [new_edges] is acyclic, meets the

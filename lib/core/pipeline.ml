@@ -39,14 +39,3 @@ let synthesize ?options net =
     ft_area;
     area_ratios = Area.ratios ~orig:orig_area ~ft:ft_area;
   }
-
-type evaluation = {
-  orig_metric : Metric.result;
-  ft_metric : Metric.result;
-}
-
-let evaluate ?sample r =
-  {
-    orig_metric = Metric.evaluate ?sample r.original;
-    ft_metric = Metric.evaluate ?sample r.ft;
-  }

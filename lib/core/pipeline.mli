@@ -14,19 +14,10 @@ type result = {
 
 val synthesize :
   ?options:Synthesis.options -> Ftrsn_rsn.Netlist.t -> result
-(** Runs augmentation (exact ILP for small graphs, min-cost flow
-    otherwise) and the final synthesis, verifying on the way that the
-    augmented graph meets the connectivity requirements and that the
-    fault-tolerant netlist still validates and preserves the reset path.
-    @raise Failure on infeasibility (does not happen for well-formed
-    SIB-based RSNs). *)
-
-type evaluation = {
-  orig_metric : Metric.result;
-  ft_metric : Metric.result;
-}
-
-val evaluate : ?sample:int -> result -> evaluation
-(** The accessibility halves of a Table I row (original vs fault-tolerant
-    metric over the respective full fault universes; [sample] as in
-    {!Metric.evaluate}). *)
+(** Runs the augmentation ({!Augment.solve}, min-cost flow) and the final
+    synthesis, verifying on the way that the augmented graph meets the
+    connectivity requirements and that the fault-tolerant netlist still
+    validates and preserves the reset path.
+    @raise Augment.Infeasible if some degree demand cannot be met (does not
+    happen for well-formed SIB-based RSNs).
+    @raise Failure if a verification fails. *)

@@ -3,8 +3,7 @@
 
     Costs must be non-negative; capacities non-negative integers.  The
     lower-bound solver uses the standard super-source/super-sink reduction
-    and is what the degree-constrained augmentation of the synthesis uses
-    when the exact ILP is too large. *)
+    and solves the degree-constrained augmentation of the synthesis. *)
 
 type t
 (** A mutable min-cost flow network. *)

@@ -1,8 +1,9 @@
 (** 0/1 integer linear programming by branch & bound over the LP
     relaxation, with support for lazily separated constraints.
 
-    This is the optimization engine of the connectivity augmentation
-    (paper §III-D, eqs. 2-5): the subtour-elimination family (4) is
+    The tests solve the paper's connectivity-augmentation ILP with it
+    (§III-D, eqs. 2-5) as the oracle of the min-cost-flow solver: the
+    subtour-elimination family (4) is
     exponential, so it is supplied as a [lazy_cuts] callback that inspects
     candidate integral solutions and returns violated cuts, exactly like a
     lazy-constraint callback of a commercial solver. *)

@@ -2,8 +2,9 @@
 
     Problems are stated as: minimize [c^T x] subject to linear constraints
     and per-variable bounds [lo <= x_i <= hi] with [lo >= 0].  This is the
-    relaxation engine of the 0/1 ILP used for connectivity augmentation
-    (paper §III-D); sizes there are small enough for a dense tableau. *)
+    relaxation engine of the 0/1 ILP of the connectivity augmentation
+    (paper §III-D), which the tests use as the oracle of the min-cost-flow
+    solver; sizes there are small enough for a dense tableau. *)
 
 type relop = Le | Ge | Eq
 

@@ -4,6 +4,7 @@ module Icl = Ftrsn_rsn.Icl
 module Fault = Ftrsn_fault.Fault
 module Metric = Ftrsn_core.Metric
 module Pipeline = Ftrsn_core.Pipeline
+module Augment = Ftrsn_core.Augment
 
 type entry = {
   e_key : string;
@@ -92,27 +93,28 @@ let build_netlist (spec : Query.net_spec) =
 let build_entry key (spec : Query.net_spec) =
   match build_netlist spec with
   | Error _ as e -> e
-  | Ok base ->
-      let net, synth =
-        if spec.Query.ns_ft then
-          let r = Pipeline.synthesize base in
-          (r.Pipeline.ft, Some r)
-        else (base, None)
-      in
-      Ok
-        {
-          e_key = key;
-          e_net = net;
-          e_warm = Metric.warm net;
-          e_synth = synth;
-          e_mx = Mutex.create ();
-          e_segs = None;
-          e_faults = [];
-          e_pins = 0;
-          e_last = 0;
-          e_words = 0;
-          e_releases = 0;
-        }
+  | Ok base -> (
+      match
+        if spec.Query.ns_ft then Some (Pipeline.synthesize base) else None
+      with
+      | exception Augment.Infeasible short ->
+          Error (Augment.describe_infeasible base short)
+      | synth ->
+          let net = match synth with Some r -> r.Pipeline.ft | None -> base in
+          Ok
+            {
+              e_key = key;
+              e_net = net;
+              e_warm = Metric.warm net;
+              e_synth = synth;
+              e_mx = Mutex.create ();
+              e_segs = None;
+              e_faults = [];
+              e_pins = 0;
+              e_last = 0;
+              e_words = 0;
+              e_releases = 0;
+            })
 
 (* ------------------------------------------------------------------ *)
 (* LRU / byte budget (caller holds the pool lock)                      *)

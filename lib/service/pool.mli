@@ -25,7 +25,8 @@ val create : ?budget_bytes:int -> unit -> t
 val acquire : t -> Query.net_spec -> (entry, string) result
 (** Looks up (hit) or builds (miss) the entry for the spec and pins it.
     Errors are user errors: unknown benchmark name, unreadable file,
-    netlist parse failure. *)
+    netlist parse failure, or a fault-tolerant spec whose augmentation is
+    infeasible (the message names the segments left short). *)
 
 val release : t -> entry -> unit
 (** Unpins; every [acquire] must be paired with exactly one [release]. *)

@@ -1,4 +1,5 @@
-(* Tests for the synthesis core: augmentation (ILP and flow solvers),
+(* Tests for the synthesis core: augmentation (min-cost flow against the
+   paper's ILP),
    final synthesis, fault-tolerance metric and area model — the paper's
    pipeline end to end on small networks. *)
 
@@ -47,17 +48,60 @@ let test_demands () =
   check bool_t "every non-root vertex needs a new input" true
     (total_in >= Netlist.num_segments net)
 
+(* Two segments [a] and [b] on one level: [a] takes scan-in or [x], [b]
+   takes [x], and a ScanMux over them feeds [c].  [a]'s scan-in port is
+   used up, so its second input can only come from [b]: the cover needs
+   the same-level edge b -> a, whichever of the two is declared first. *)
+let same_level_pair ~a_first =
+  let b = Ftrsn_rsn.Builder.create (if a_first then "ab" else "ba") in
+  let x =
+    Ftrsn_rsn.Builder.add_segment b ~shadow:1 ~name:"x" ~len:1
+      ~input:Netlist.Scan_in ()
+  in
+  let addr = [ Netlist.Ctrl_shadow { cseg = x; cbit = 0 } ] in
+  let seg_a () =
+    let m =
+      Ftrsn_rsn.Builder.add_mux b ~name:"ma"
+        ~inputs:[ Netlist.Scan_in; Netlist.Seg x ] ~addr ()
+    in
+    Ftrsn_rsn.Builder.add_segment b ~name:"a" ~len:2 ~input:(Netlist.Mux m) ()
+  in
+  let seg_b () =
+    Ftrsn_rsn.Builder.add_segment b ~name:"b" ~len:2 ~input:(Netlist.Seg x) ()
+  in
+  let a, sb =
+    if a_first then
+      let a = seg_a () in
+      (a, seg_b ())
+    else
+      let sb = seg_b () in
+      (seg_a (), sb)
+  in
+  let m =
+    Ftrsn_rsn.Builder.add_mux b ~name:"mab"
+      ~inputs:[ Netlist.Seg a; Netlist.Seg sb ] ~addr ()
+  in
+  let c =
+    Ftrsn_rsn.Builder.add_segment b ~name:"c" ~len:1 ~input:(Netlist.Mux m) ()
+  in
+  Ftrsn_rsn.Builder.finish b ~out:(Netlist.Seg c) ()
+
 let test_ilp_flow_agree () =
   List.iter
     (fun net ->
       let p = Augment.of_netlist net in
-      match (Augment.solve_ilp p, Augment.solve_flow ~window:64 p) with
-      | Some ilp, Some flow ->
+      match Augment_oracle.solve_ilp p with
+      | Some ilp ->
           check int_t
             ("solver costs agree on " ^ net.Netlist.net_name)
-            ilp.Augment.cost flow.Augment.cost
-      | _ -> Alcotest.fail "both solvers must find a solution")
-    [ tiny_sib (); small_sib () ]
+            ilp.Augment.cost (Augment.solve p).Augment.cost
+      | None -> Alcotest.fail "the ILP must find a solution")
+    [
+      tiny_sib ();
+      small_sib ();
+      same_level_pair ~a_first:true;
+      same_level_pair ~a_first:false;
+    ]
 
 let test_augmentation_verified () =
   List.iter
@@ -785,9 +829,9 @@ let test_ablation_mechanisms_load_bearing () =
   check bool_t "select hardening costs area" true
     (area { d with Synthesis.opt_select_hardening = false } < area d)
 
-(* Property: the exact ILP and the min-cost-flow solver agree on the
-   augmentation cost for random small SIB hierarchies (the flow relaxation
-   is integral and the window hides no cheaper edge). *)
+(* Property: [Augment.solve] (min-cost flow) and the exact ILP agree on
+   the augmentation cost for random small SIB hierarchies (the flow
+   relaxation is integral and the window hides no cheaper edge). *)
 let prop_ilp_flow_cost_equal =
   QCheck.Test.make ~name:"ILP cost = flow cost on random SIB nets" ~count:12
     QCheck.(int_range 0 100_000)
@@ -811,9 +855,83 @@ let prop_ilp_flow_cost_equal =
       in
       let net = Sib.build ~name:"rnd" specs in
       let p = Augment.of_netlist net in
-      match (Augment.solve_ilp p, Augment.solve_flow ~window:64 p) with
-      | Some ilp, Some flow -> ilp.Augment.cost = flow.Augment.cost
-      | _ -> false)
+      match Augment_oracle.solve_ilp p with
+      | Some ilp -> ilp.Augment.cost = (Augment.solve p).Augment.cost
+      | None -> false)
+
+(* A chain from scan-in to scan-out whose stages are single segments or
+   a ScanMux between two parallel segments; each mux is addressed by the
+   shadow bit of an earlier single segment.  The two segments of a
+   parallel stage share a topological level.  One of them may also take
+   scan-in or an earlier single segment as input (through a second mux),
+   so the pair is not symmetric, and either may be declared first. *)
+let parallel_chain st =
+  let b = Ftrsn_rsn.Builder.create "parallel" in
+  let stages = 2 + Random.State.int st 5 in
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let ctl singles = Netlist.Ctrl_shadow { cseg = pick singles; cbit = 0 } in
+  let rec build k prev singles =
+    if k = stages then prev
+    else if singles <> [] && Random.State.bool st then begin
+      let seg tag input =
+        Ftrsn_rsn.Builder.add_segment b
+          ~name:(Printf.sprintf "p%d%s" k tag)
+          ~len:(1 + Random.State.int st 3) ~input ()
+      in
+      let wide () =
+        if Random.State.bool st then prev
+        else
+          let extra =
+            if Random.State.bool st then Netlist.Scan_in
+            else Netlist.Seg (pick singles)
+          in
+          Netlist.Mux
+            (Ftrsn_rsn.Builder.add_mux b ~name:(Printf.sprintf "i%d" k)
+               ~inputs:[ prev; extra ] ~addr:[ ctl singles ] ())
+      in
+      let x, y =
+        if Random.State.bool st then
+          let x = seg "a" (wide ()) in
+          (x, seg "b" prev)
+        else
+          let y = seg "b" prev in
+          (seg "a" (wide ()), y)
+      in
+      let m =
+        Ftrsn_rsn.Builder.add_mux b ~name:(Printf.sprintf "m%d" k)
+          ~inputs:[ Netlist.Seg x; Netlist.Seg y ]
+          ~addr:[ ctl singles ] ()
+      in
+      build (k + 1) (Netlist.Mux m) singles
+    end
+    else
+      let s =
+        Ftrsn_rsn.Builder.add_segment b ~shadow:1
+          ~name:(Printf.sprintf "s%d" k)
+          ~len:(1 + Random.State.int st 3) ~input:prev ()
+      in
+      build (k + 1) (Netlist.Seg s) (s :: singles)
+  in
+  Ftrsn_rsn.Builder.finish b ~out:(build 0 Netlist.Scan_in []) ()
+
+(* Property: on nets with several vertices per level, [Augment.solve]
+   and the exact ILP agree on feasibility and cost, and the result
+   verifies. *)
+let prop_ilp_flow_parallel =
+  QCheck.Test.make ~name:"ILP cost = flow cost on parallel-branch chains"
+    ~count:100
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let net = parallel_chain (Random.State.make [| seed |]) in
+      let p = Augment.of_netlist net in
+      match Augment.solve p with
+      | exception Augment.Infeasible _ -> Augment_oracle.solve_ilp p = None
+      | sol -> (
+          Augment.verify p sol.Augment.new_edges = Ok ()
+          &&
+          match Augment_oracle.solve_ilp p with
+          | Some ilp -> ilp.Augment.cost = sol.Augment.cost
+          | None -> false))
 
 (* Property: the level-count demands equal their quadratic definition
    on random DAGs with topological levels; the root and sink are drawn
@@ -894,5 +1012,6 @@ let suite =
       test_ablation_mechanisms_load_bearing;
     Testseed.to_alcotest prop_pipeline_random_sibs;
     Testseed.to_alcotest prop_ilp_flow_cost_equal;
+    Testseed.to_alcotest prop_ilp_flow_parallel;
     Testseed.to_alcotest prop_demands_quadratic;
   ]

@@ -24,7 +24,12 @@ let test_trivial_unsat () =
 let test_empty_clause () =
   let s = Solver.create () in
   Solver.add_clause s [];
-  check bool_t "empty clause" false (is_sat (Solver.solve s))
+  check bool_t "empty clause" false (is_sat (Solver.solve s));
+  check bool_t "zero literal rejected by the solver" true
+    (try
+       Solver.add_clause (Solver.create ()) [ 1; 0; 2 ];
+       false
+     with Invalid_argument _ -> true)
 
 let test_no_clauses () =
   let s = Solver.create () in
@@ -312,38 +317,6 @@ let test_emitter_under_activations () =
   check bool_t "a and b clash" false
     (is_sat (Solver.solve ~assumptions:[ a; b ] s))
 
-(* --- DIMACS --- *)
-
-module Dimacs = Ftrsn_sat.Dimacs
-
-let test_dimacs_roundtrip () =
-  let cnf =
-    { Dimacs.num_vars = 4; clauses = [ [ 1; -2 ]; [ 3; 4; -1 ]; [ -4 ] ] }
-  in
-  match Dimacs.parse (Dimacs.print cnf) with
-  | Error e -> Alcotest.fail e
-  | Ok cnf' ->
-      check bool_t "round trip" true (cnf = cnf');
-      check bool_t "satisfiable" true (Dimacs.solve cnf = Solver.Sat)
-
-let test_dimacs_parse () =
-  let text = "c comment\np cnf 2 2\n1 2 0\n-1 -2 0\n" in
-  (match Dimacs.parse text with
-  | Ok cnf ->
-      check bool_t "2 vars" true (cnf.Dimacs.num_vars = 2);
-      check bool_t "2 clauses" true (List.length cnf.Dimacs.clauses = 2)
-  | Error e -> Alcotest.fail e);
-  check bool_t "garbage rejected" true
-    (match Dimacs.parse "p cnf x y" with Error _ -> true | Ok _ -> false);
-  check bool_t "unterminated clause rejected" true
-    (match Dimacs.parse "p cnf 2 1\n1 2" with Error _ -> true | Ok _ -> false);
-  check bool_t "out-of-range literal rejected" true
-    (match Dimacs.parse "p cnf 1 1\n2 0" with Error _ -> true | Ok _ -> false)
-
-let test_dimacs_unsat () =
-  let cnf = { Dimacs.num_vars = 1; clauses = [ [ 1 ]; [ -1 ] ] } in
-  check bool_t "unsat" true (Dimacs.solve cnf = Solver.Unsat)
-
 (* Brute-force satisfiability of a clause list over n variables. *)
 let brute_force_sat n clauses =
   let rec go mask =
@@ -450,7 +423,12 @@ let test_checker_rup () =
   Checker.add_clause chk [ -2 ];
   check bool_t "contradiction derived" true (Checker.contradiction chk);
   check bool_t "empty clause RUP once contradictory" true
-    (Checker.check_rup chk [])
+    (Checker.check_rup chk []);
+  check bool_t "zero literal rejected by the checker" true
+    (try
+       Checker.add_clause (Checker.create ()) [ 0 ];
+       false
+     with Invalid_argument _ -> true)
 
 let test_checker_deletion () =
   let chk = Checker.create () in
@@ -698,68 +676,20 @@ let test_search_stats_counters () =
     (st.Solver.st_reductions > 0);
   check bool_t "learnt DB size is sane" true (st.Solver.st_learnt_db >= 0)
 
-(* --- DRAT text/binary round trips and malformed input --- *)
+(* --- Proof traces replayed through a fresh checker --- *)
 
-let drat_events_equal a b = a = b
+(* Solves [clauses] with a proof sink that records the trace. *)
+let traced_solve ~num_vars clauses =
+  let s = Solver.create () in
+  let trace = ref [] in
+  Solver.set_proof_sink s (Some (fun ev -> trace := ev :: !trace));
+  Solver.ensure_vars s num_vars;
+  List.iter (Solver.add_clause s) clauses;
+  let r = Solver.solve s in
+  (r, List.rev !trace)
 
-let test_drat_roundtrip () =
-  let events =
-    [
-      Dimacs.Add [ 1; -2; 3 ];
-      Dimacs.Delete [ -1; 2 ];
-      Dimacs.Add [];
-      Dimacs.Add [ -300; 77 ];
-      Dimacs.Delete [];
-    ]
-  in
-  (match Dimacs.parse_drat (Dimacs.print_drat events) with
-  | Error e -> Alcotest.fail ("text: " ^ e)
-  | Ok back -> check bool_t "text round trip" true (drat_events_equal events back));
-  match Dimacs.parse_drat_binary (Dimacs.print_drat_binary events) with
-  | Error e -> Alcotest.fail ("binary: " ^ e)
-  | Ok back -> check bool_t "binary round trip" true (drat_events_equal events back)
-
-let prop_drat_roundtrip =
-  QCheck.Test.make ~name:"DRAT print/parse identity (text and binary)"
-    ~count:100
-    QCheck.(list (pair bool (small_list (int_range (-40) 40))))
-    (fun raw ->
-      let events =
-        List.map
-          (fun (del, lits) ->
-            let lits = List.filter (( <> ) 0) lits in
-            if del then Dimacs.Delete lits else Dimacs.Add lits)
-          raw
-      in
-      Dimacs.parse_drat (Dimacs.print_drat events) = Ok events
-      && Dimacs.parse_drat_binary (Dimacs.print_drat_binary events)
-         = Ok events)
-
-let test_drat_solver_trace () =
-  (* A real refutation's trace survives both wire formats, and replaying
-     it through a fresh checker re-certifies the refutation. *)
-  let v p h = (p * 2) + h + 1 in
-  let clauses =
-    List.init 3 (fun p -> [ v p 0; v p 1 ])
-    @ List.concat_map
-        (fun h ->
-          List.concat_map
-            (fun p1 ->
-              List.filter_map
-                (fun p2 ->
-                  if p2 > p1 then Some [ -(v p1 h); -(v p2 h) ] else None)
-                [ 0; 1; 2 ])
-            [ 0; 1; 2 ])
-        [ 0; 1 ]
-  in
-  let cnf = { Dimacs.num_vars = 6; clauses } in
-  let verdict, trace = Dimacs.solve_certified cnf in
-  check bool_t "PHP(3,2) unsat" true (verdict = Solver.Unsat);
-  let drat = Dimacs.drat_of_proof trace in
-  check bool_t "trace round trips (text)" true
-    (Dimacs.parse_drat (Dimacs.print_drat drat) = Ok drat);
-  check bool_t "trace round trips (binary)" true
-    (Dimacs.parse_drat_binary (Dimacs.print_drat_binary drat) = Ok drat);
+(* Replays a trace through a fresh checker: [(verified, refuted)]. *)
+let replay trace =
   let chk = Checker.create () in
   let ok =
     List.for_all
@@ -774,51 +704,35 @@ let test_drat_solver_trace () =
             true)
       trace
   in
+  (ok, Checker.contradiction chk)
+
+let test_drat_solver_trace () =
+  (* Replaying a real refutation's trace through a fresh checker
+     re-certifies the refutation. *)
+  let v p h = (p * 2) + h + 1 in
+  let clauses =
+    List.init 3 (fun p -> [ v p 0; v p 1 ])
+    @ List.concat_map
+        (fun h ->
+          List.concat_map
+            (fun p1 ->
+              List.filter_map
+                (fun p2 ->
+                  if p2 > p1 then Some [ -(v p1 h); -(v p2 h) ] else None)
+                [ 0; 1; 2 ])
+            [ 0; 1; 2 ])
+        [ 0; 1 ]
+  in
+  let verdict, trace = traced_solve ~num_vars:6 clauses in
+  check bool_t "PHP(3,2) unsat" true (verdict = Solver.Unsat);
+  let ok, refuted = replay trace in
   check bool_t "replayed proof verifies" true ok;
-  check bool_t "replayed proof refutes" true (Checker.contradiction chk)
+  check bool_t "replayed proof refutes" true refuted
 
-let test_drat_malformed () =
-  let bad r = match r with Error _ -> true | Ok _ -> false in
-  check bool_t "missing terminator" true (bad (Dimacs.parse_drat "1 2"));
-  check bool_t "bad token" true (bad (Dimacs.parse_drat "1 x 0"));
-  check bool_t "d inside a clause" true (bad (Dimacs.parse_drat "1 d 2 0"));
-  check bool_t "trailing d" true (bad (Dimacs.parse_drat "1 0\nd"));
-  check bool_t "comments allowed" true
-    (Dimacs.parse_drat "c proof\n1 2 0\nd 1 2 0\n"
-    = Ok [ Dimacs.Add [ 1; 2 ]; Dimacs.Delete [ 1; 2 ] ]);
-  check bool_t "binary: bad prefix" true (bad (Dimacs.parse_drat_binary "q\x00"));
-  check bool_t "binary: missing terminator" true
-    (bad (Dimacs.parse_drat_binary "a\x04"));
-  check bool_t "binary: truncated literal" true
-    (bad (Dimacs.parse_drat_binary "a\x84"));
-  check bool_t "binary: zero literal encoding" true
-    (bad (Dimacs.parse_drat_binary "a\x01\x00"));
-  check bool_t "binary: empty lemma ok" true
-    (Dimacs.parse_drat_binary "a\x00" = Ok [ Dimacs.Add [] ])
-
-let test_dimacs_malformed () =
-  let bad t = match Dimacs.parse t with Error _ -> true | Ok _ -> false in
-  check bool_t "truncated header" true (bad "p cnf 3\n1 0\n");
-  check bool_t "non-numeric header" true (bad "p cnf three 1\n1 0\n");
-  check bool_t "missing terminator" true (bad "p cnf 2 1\n1 2");
-  check bool_t "clause count mismatch" true (bad "p cnf 2 2\n1 2 0\n");
-  check bool_t "zero-literal clause rejected by the solver" true
-    (try
-       let s = Solver.create () in
-       Solver.add_clause s [ 1; 0; 2 ];
-       false
-     with Invalid_argument _ -> true);
-  check bool_t "zero literal rejected by the checker" true
-    (try
-       Checker.add_clause (Checker.create ()) [ 0 ];
-       false
-     with Invalid_argument _ -> true)
-
-let prop_dimacs_roundtrip =
-  QCheck.Test.make ~name:"DIMACS print/parse identity" ~count:100
-    arb_cnf (fun (n, raw) ->
-      let cnf = { Dimacs.num_vars = n; clauses = norm_clauses n raw } in
-      Dimacs.parse (Dimacs.print cnf) = Ok cnf)
+let test_dimacs_unsat () =
+  let verdict, trace = traced_solve ~num_vars:1 [ [ 1 ]; [ -1 ] ] in
+  check bool_t "unsat" true (verdict = Solver.Unsat);
+  check bool_t "replayed trace refutes" true (replay trace = (true, true))
 
 let suite =
   [
@@ -844,8 +758,6 @@ let suite =
     Alcotest.test_case "streaming emitter" `Quick test_streaming_emitter;
     Alcotest.test_case "emitter under activations" `Quick
       test_emitter_under_activations;
-    Alcotest.test_case "dimacs round trip" `Quick test_dimacs_roundtrip;
-    Alcotest.test_case "dimacs parsing" `Quick test_dimacs_parse;
     Alcotest.test_case "dimacs unsat" `Quick test_dimacs_unsat;
     Testseed.to_alcotest prop_random_3sat;
     Testseed.to_alcotest prop_model_is_model;
@@ -854,10 +766,7 @@ let suite =
     Alcotest.test_case "certified pigeonhole" `Quick test_certified_php;
     Alcotest.test_case "certified retirement/revival" `Quick
       test_certified_retirement;
-    Alcotest.test_case "drat round trip" `Quick test_drat_roundtrip;
     Alcotest.test_case "drat solver trace" `Quick test_drat_solver_trace;
-    Alcotest.test_case "drat malformed input" `Quick test_drat_malformed;
-    Alcotest.test_case "dimacs malformed input" `Quick test_dimacs_malformed;
     Alcotest.test_case "duplicate assumptions (trail_lim)" `Quick
       test_duplicate_assumptions;
     Alcotest.test_case "search stats counters" `Quick
@@ -865,6 +774,4 @@ let suite =
     Testseed.to_alcotest prop_fuzz_certified_cnf;
     Testseed.to_alcotest prop_fuzz_certified_assumptions;
     Testseed.to_alcotest prop_fuzz_certified_incremental;
-    Testseed.to_alcotest prop_drat_roundtrip;
-    Testseed.to_alcotest prop_dimacs_roundtrip;
   ]

@@ -813,6 +813,38 @@ let test_serve_transient_pairs_unsupported () =
   check int_t "one response" 1 (List.length out);
   check string_t "serve = exec" (Response.to_string r) (List.hd out)
 
+(* A net whose degree demands force a cycle: [tdr_a] and [tdr_b] share a
+   level behind one ScanMux, and each can gain its second output only
+   into the other.  Synthesis and every fault-tolerant query answer a
+   bad_request that names both segments, with no exception text, and
+   keep exit code 1. *)
+let test_infeasible_augmentation () =
+  let text =
+    "rsn forced_cycle\n\
+     seg ctl len=1 shadow=1 reset=0 hier=1 input=pi\n\
+     seg tdr_a len=4 shadow=0 reset=- hier=1 input=seg:ctl\n\
+     seg tdr_b len=4 shadow=0 reset=- hier=1 input=seg:ctl\n\
+     mux sel inputs=seg:tdr_a,seg:tdr_b addr=shadow:ctl.0\n\
+     out mux:sel\n"
+  in
+  let spec = { Query.ns_source = `Inline text; ns_ft = true } in
+  let expected =
+    "augmentation infeasible: the degree demands of tdr_a, tdr_b stay unmet"
+  in
+  List.iter
+    (fun q ->
+      let r = Exec.run (Pool.create ()) q in
+      (match r with
+      | Response.Error_r (Response.Bad_request, msg) ->
+          check string_t "message names the short segments" expected msg
+      | _ -> Alcotest.fail ("expected bad_request: " ^ Response.to_string r));
+      check int_t "exit code 1" 1 (Response.exit_code r))
+    [
+      Query.Synthesize { Query.sq_net = spec; sq_emit = false };
+      metric_q spec;
+      Query.Netinfo spec;
+    ]
+
 let test_serve_threaded_ids () =
   let qs =
     [
@@ -996,6 +1028,8 @@ let suite =
       `Quick test_serve_transient_pairs_unsupported;
     Alcotest.test_case "serve: threaded mode answers every id" `Quick
       test_serve_threaded_ids;
+    Alcotest.test_case "synthesize: infeasible augmentation names segments"
+      `Quick test_infeasible_augmentation;
     Alcotest.test_case "table I: small SoCs pinned" `Quick test_table1_small;
     Alcotest.test_case "engine: FT cones and pair lanes pinned" `Quick
       test_ft_cones_pinned;
