@@ -37,8 +37,7 @@ type ctx = {
   edges : edge array;
   out_edges : int list array;  (* edge indices by source vertex *)
   in_edges : int list array;   (* edge indices by destination vertex *)
-  mux_consumer : int array;    (* dataflow vertex fed by each mux *)
-  pi_successor : bool array;   (* vertex has a direct edge from scan-in *)
+  port_masked : int -> bool;   (* [Fault.port_mask_table] of the netlist *)
 }
 
 let netlist ctx = ctx.net
@@ -94,16 +93,13 @@ let make_ctx (net : Netlist.t) =
   in
   let out_edges = Array.make nv [] in
   let in_edges = Array.make nv [] in
-  let mux_consumer = Array.make (Netlist.num_muxes net) (-1) in
-  let pi_successor = Array.make nv false in
   Array.iteri
     (fun i e ->
       out_edges.(e.e_src) <- i :: out_edges.(e.e_src);
-      in_edges.(e.e_dst) <- i :: in_edges.(e.e_dst);
-      if e.e_src = 0 then pi_successor.(e.e_dst) <- true;
-      Array.iter (fun (m, _) -> mux_consumer.(m) <- e.e_dst) e.e_muxes)
+      in_edges.(e.e_dst) <- i :: in_edges.(e.e_dst))
     edges;
-  { net; nsegs; nv; edges; out_edges; in_edges; mux_consumer; pi_successor }
+  { net; nsegs; nv; edges; out_edges; in_edges;
+    port_masked = Fault.port_mask_table ~routes net }
 
 type verdict = {
   writable : bool array;
@@ -149,21 +145,6 @@ let no_effects ctx =
     po_dead = false;
   }
 
-(* With duplicated scan ports (§III-E-4), the secondary scan-in is wired to
-   the input of every successor of the primary scan-in, and every
-   predecessor of the primary scan-out is wired to the secondary scan-out.
-   A fault in a mux feeding such a vertex (or feeding the scan-out) is
-   therefore bypassed by the port switch: data can enter the vertex from
-   the secondary scan-in, or be observed at the secondary scan-out,
-   without traversing the faulty mux. *)
-let port_mux_masked ctx m =
-  ctx.net.Netlist.dual_ports
-  &&
-  let c = ctx.mux_consumer.(m) in
-  c = v_po || (c >= 0 && ctx.pi_successor.(c))
-
-let port_masked = port_mux_masked
-
 (* Folds one fault's canonical semantic summary (see {!Fault.summarize} —
    the single place the stuck-at case analysis lives; the BMC engine
    derives its predicates from the same summaries) into [e]; composable,
@@ -187,7 +168,7 @@ let add_summary_effects e (sm : Fault.summary) =
   e
 
 let summarize ctx f =
-  Fault.summarize ~port_masked:(port_mux_masked ctx) ctx.net f
+  Fault.summarize ~port_masked:ctx.port_masked ctx.net f
 
 let add_fault_effects ctx e (f : Fault.t) =
   add_summary_effects e (summarize ctx f)

@@ -35,12 +35,6 @@ type verdict = {
   accessible : bool array;  (** per segment: writable && readable *)
 }
 
-val port_masked : ctx -> int -> bool
-(** Whether faults in the given mux are bypassed by the duplicated scan
-    ports (§III-E-4): the mux feeds the scan-out or a direct successor of
-    the scan-in, and the netlist has [dual_ports].  Exposed so that the
-    BMC engine applies the identical masking rule. *)
-
 val analyze : ctx -> Ftrsn_fault.Fault.t option -> verdict
 (** [analyze ctx fault] computes the per-segment verdicts under the given
     fault ([None] = fault-free). *)

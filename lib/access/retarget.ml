@@ -49,6 +49,11 @@ let primary_names (net : Netlist.t) =
     net.muxes;
   Hashtbl.fold (fun p () acc -> p :: acc) seen []
 
+(* The fault's only view in this module: the simulator injection that the
+   planner plans against and the replay executes.  [Fault.to_injection]
+   already applies the TMR and duplicated-port masking, and is the
+   identity for sites no static override expresses (bridges, voters,
+   glitches). *)
 let injection net = function
   | Some f -> Fault.to_injection net f
   | None -> Sim.no_injection
@@ -58,63 +63,45 @@ let cycles_of_paths net paths =
     (fun acc p -> acc + 2 + Config.path_length net p)
     0 paths
 
+(* The value an injection list pins at [(a, b)], if any. *)
+let stuck_at l a b =
+  List.find_map (fun (x, y, v) -> if x = a && y = b then Some v else None) l
+
 (* Address assignments needed to sensitize the witness path: for every
    (mux, input) pair of the chosen routes, the required value of each
    shadow-driven address bit.  Returns None on conflicting requirements or
-   on requirements contradicting the fault pins. *)
-let assignments_of_witness (net : Netlist.t) fault (w : Engine.witness) =
+   on requirements contradicting the injection's locked addresses and
+   pinned shadows. *)
+let assignments_of_witness (net : Netlist.t) (inj : Sim.injection)
+    (w : Engine.witness) =
   let needed = Hashtbl.create 16 in
   let needed_prim = Hashtbl.create 8 in
   let conflict = ref false in
-  let require seg bit v =
-    match Hashtbl.find_opt needed (seg, bit) with
+  let require tbl key v =
+    match Hashtbl.find_opt tbl key with
     | Some v' when v' <> v -> conflict := true
     | Some _ -> ()
-    | None -> Hashtbl.add needed (seg, bit) v
+    | None -> Hashtbl.add tbl key v
   in
-  let require_prim p v =
-    match Hashtbl.find_opt needed_prim p with
-    | Some v' when v' <> v -> conflict := true
-    | Some _ -> ()
-    | None -> Hashtbl.add needed_prim p v
-  in
+  let must v required = if v <> required then conflict := true in
   List.iter
     (fun route ->
       List.iter
         (fun (m, k) ->
-          let mx = net.Netlist.muxes.(m) in
           Array.iteri
             (fun b ctrl ->
               let required = k land (1 lsl b) <> 0 in
-              let addr_locked =
-                match fault with
-                | Some { Fault.site = Fault.Mux_addr (m', b'); stuck }
-                  when m' = m && b' = b && not (Fault.port_masked_mux net m)
-                  ->
-                    Some stuck
-                | _ -> None
-              in
-              match addr_locked with
-              | Some v -> if v <> required then conflict := true
+              match stuck_at inj.Sim.stuck_mux_addr m b with
+              | Some v -> must v required
               | None -> (
                   match ctrl with
-                  | Netlist.Ctrl_const c ->
-                      if c <> required then conflict := true
-                  | Netlist.Ctrl_primary p -> require_prim p required
+                  | Netlist.Ctrl_const c -> must c required
+                  | Netlist.Ctrl_primary p -> require needed_prim p required
                   | Netlist.Ctrl_shadow { cseg; cbit } -> (
-                      let pinned =
-                        match fault with
-                        | Some
-                            { Fault.site = Fault.Seg_shadow_reg (s, b'); stuck }
-                          when s = cseg && b' = cbit
-                               && not (Fault.tmr_protected_shadow net s b') ->
-                            Some stuck
-                        | _ -> None
-                      in
-                      match pinned with
-                      | Some v -> if v <> required then conflict := true
-                      | None -> require cseg cbit required)))
-            mx.mux_addr)
+                      match stuck_at inj.Sim.stuck_shadow cseg cbit with
+                      | Some v -> must v required
+                      | None -> require needed (cseg, cbit) required)))
+            net.Netlist.muxes.(m).mux_addr)
         route)
     w.Engine.w_routes;
   if !conflict then None
@@ -123,83 +110,120 @@ let assignments_of_witness (net : Netlist.t) fault (w : Engine.witness) =
       ( Hashtbl.fold (fun (s, b) v acc -> (s, b, v) :: acc) needed [],
         Hashtbl.fold (fun p v acc -> (p, v) :: acc) needed_prim [] )
 
-(* Which segments of an element-level trace receive uncorrupted write data
-   under the fault: walks the trace from scan-in, flagging the stream as
-   corrupt once it passes the fault site. *)
-let writable_on_trace (net : Netlist.t) fault trace =
-  let corrupt = ref false in
-  (match fault with
-  | Some { Fault.site = Fault.Primary_in; _ } when not net.Netlist.dual_ports ->
-      corrupt := true
-  | _ -> ());
-  List.filter_map
-    (fun item ->
-      match item with
-      | Sim.T_mux (m, k) ->
-          (match fault with
-          | Some { Fault.site = Fault.Mux_out m'; _ }
-            when m' = m && not (Fault.port_masked_mux net m) ->
-              corrupt := true
-          | Some { Fault.site = Fault.Mux_data_in (m', k'); _ }
-            when m' = m
-                 && Netlist.mux_input_class net m k
-                    = Netlist.mux_input_class net m' k'
-                 && not (Fault.port_masked_mux net m) ->
-              corrupt := true
-          | _ -> ());
-          None
-      | Sim.T_seg s ->
-          (match fault with
-          | Some { Fault.site = Fault.Seg_scan_in s'; _ } when s' = s ->
-              corrupt := true
-          | _ -> ());
-          let ok =
-            (not !corrupt)
-            &&
-            match fault with
-            | Some { Fault.site = Fault.Seg_shift_reg s'; _ } when s' = s ->
-                false
-            | Some { Fault.site = Fault.Seg_update_en s'; stuck = false }
-              when s' = s ->
-                false
-            | Some { Fault.site = Fault.Seg_select s'; stuck = false }
-              when s' = s ->
-                false
-            | _ -> true
-          in
-          (match fault with
-          | Some { Fault.site = Fault.Seg_shift_reg s'; _ } when s' = s ->
-              corrupt := true
-          | Some { Fault.site = Fault.Seg_scan_out s'; _ } when s' = s ->
-              corrupt := true
-          | Some { Fault.site = Fault.Seg_select s'; stuck = false }
-            when s' = s ->
-              (* A non-shifting segment freezes the stream behind it. *)
-              corrupt := true
-          | _ -> ());
-          Some (s, ok))
-    trace
+(* A write needs clean data from the scan-in up to the segment and a latch
+   (update); a read needs a capture and clean data from the segment on to
+   the scan-out. *)
+type direction = Write | Read
 
-(* Whether segment [s] is on the path [ok_list] (from [writable_on_trace] or
-   [readable_on_trace]) and clean there. *)
+(* Which segments of an element-level trace are usable in direction [dir]
+   under the injection, in trace order with their clean flags.  The walk
+   starts at the port the data comes from (scan-in for writes, scan-out
+   for reads) and flags the stream corrupt once it passes a data fault: a
+   stuck port, a mux output or the selected input class, a segment's
+   entry side (its scan-in for writes, scan-out for reads), a shift stage,
+   or a non-shifting segment, which freezes the stream behind it.  A
+   segment is clean if nothing corrupt reaches it and its own shift,
+   select and update (write) or capture (read) work; only stuck-at-0
+   enables block. *)
+let usable_on_trace (net : Netlist.t) (inj : Sim.injection) dir trace =
+  let entry, exit, latch, port, items =
+    match dir with
+    | Write ->
+        (inj.Sim.stuck_seg_in, inj.stuck_seg_out, inj.stuck_update,
+         inj.stuck_pi, trace)
+    | Read ->
+        (inj.stuck_seg_out, inj.stuck_seg_in, inj.stuck_capture,
+         inj.stuck_po, List.rev trace)
+  in
+  let corrupt = ref (port <> None) in
+  let flags =
+    List.fold_left
+      (fun acc -> function
+        | Sim.T_mux (m, k) ->
+            let cls = Netlist.mux_input_class net m in
+            if
+              List.mem_assoc m inj.stuck_mux_out
+              || List.exists
+                   (fun (m', k', _) -> m' = m && cls k' = cls k)
+                   inj.stuck_mux_in
+            then corrupt := true;
+            acc
+        | Sim.T_seg s ->
+            if List.mem_assoc s entry then corrupt := true;
+            let shift = List.exists (fun (s', _, _) -> s' = s) inj.stuck_shift in
+            let frozen = List.mem (s, false) inj.stuck_select in
+            let ok =
+              not (!corrupt || shift || frozen || List.mem (s, false) latch)
+            in
+            if shift || frozen || List.mem_assoc s exit then corrupt := true;
+            (s, ok) :: acc)
+      [] items
+  in
+  match dir with Write -> List.rev flags | Read -> flags
+
+(* Whether segment [s] is on the path [ok_list] (from [usable_on_trace])
+   and clean there. *)
 let clean_on ok_list s = List.exists (fun (s', ok) -> s' = s && ok) ok_list
+
+(* The active path of [cfg] with its clean-write flags; empty for an
+   invalid configuration. *)
+let writable_under net inj cfg =
+  match Sim.active_trace net inj cfg with
+  | None -> []
+  | Some trace -> usable_on_trace net inj Write trace
+
+(* The one greedy configuration loop of the planner: each round writes, as
+   one configuration CSU, every pending bit whose segment is cleanly
+   writable on the active path of [!config], until nothing is pending.
+   When no pending bit is writable, [stall pending] may change [config] or
+   extend the pending list, answering the list to go on with, or [None] to
+   give up.  Returns the CSU steps in order. *)
+let greedy_steps net inj config ~pending ~step_primaries ~stall =
+  let rec go steps pending =
+    if pending = [] then Some (List.rev steps)
+    else
+      let ok_list = writable_under net inj !config in
+      match List.partition (fun (s, _, _) -> clean_on ok_list s) pending with
+      | [], _ -> Option.bind (stall pending) (go steps)
+      | now, later ->
+          List.iter
+            (fun (s, b, v) -> Config.set_shadow !config ~seg:s ~bit:b v)
+            now;
+          let step =
+            { writes = now; path = List.map fst ok_list;
+              step_primaries = step_primaries () }
+          in
+          go (step :: steps) later
+  in
+  go [] pending
+
+let plan_of net steps ~access_path ~target ~requirements ~primaries ~helpers =
+  {
+    steps;
+    access_path;
+    target;
+    cycles =
+      cycles_of_paths net (List.map (fun s -> s.path) steps @ [ access_path ]);
+    requirements;
+    primaries;
+    helpers;
+  }
 
 let plan_with ~witness ctx ?fault ~target () =
   let net = Engine.netlist ctx in
+  let inj = injection net fault in
   match witness ctx fault target with
   | None -> None
   | Some w -> (
-      match assignments_of_witness net fault w with
+      match assignments_of_witness net inj w with
       | None -> None
-      | Some (assignments, primaries) ->
-          let inj = injection net fault in
+      | Some (assignments, primaries) -> (
           let config =
             ref
               (List.fold_left
                  (fun c (p, v) -> Config.set_primary c p v)
                  (Config.reset net) primaries)
           in
-          let steps = ref [] in
           let helpers = ref [] in
           (* Only route-ENABLING bits (required 1) are commitments to
              write; required-0 bits are "keep closed" preferences that hold
@@ -220,7 +244,6 @@ let plan_with ~witness ctx ?fault ~target () =
           let committed = Hashtbl.create 16 in
           List.iter (fun (s, b, v) -> Hashtbl.replace committed (s, b) v)
             enabling;
-          let remaining = ref enabling in
           (* Rescue/port primaries not demanded by the witness can still be
              needed transiently: force-opening a subtree makes a pending
              control bit reachable.  When the greedy write loop stalls, try
@@ -231,197 +254,103 @@ let plan_with ~witness ctx ?fault ~target () =
                  (fun p -> not (List.mem_assoc p primaries))
                  (primary_names net))
           in
-          let writable_now cfg =
-            match Sim.active_trace net inj cfg with
-            | None -> []
-            | Some trace -> writable_on_trace net fault trace
+          let assert_helper p =
+            helpers := (p, true) :: !helpers;
+            helper_candidates := List.filter (fun q -> q <> p) !helper_candidates;
+            config := Config.set_primary !config p true
           in
-          let stuck = ref false in
-          while !remaining <> [] && not !stuck do
-            let ok_list = writable_now !config in
-            let now, later =
-              List.partition (fun (s, _, _) -> clean_on ok_list s) !remaining
+          let stall remaining =
+            (* First look for a helper primary that unlocks a pending
+               segment. *)
+            let helps p =
+              let ok' = writable_under net inj (Config.set_primary !config p true) in
+              List.exists (fun (s, _, _) -> clean_on ok' s) remaining
             in
-            if now = [] then begin
-              (* Stalled: first look for a helper primary that unlocks a
-                 pending segment. *)
-              let helps p =
-                let cfg = Config.set_primary !config p true in
-                let ok' = writable_now cfg in
-                List.exists (fun (s, _, _) -> clean_on ok' s) !remaining
-              in
-              match List.find_opt helps !helper_candidates with
-              | Some p ->
-                  helpers := (p, true) :: !helpers;
-                  helper_candidates :=
-                    List.filter (fun q -> q <> p) !helper_candidates;
-                  config := Config.set_primary !config p true
-              | None ->
-                  (* Expand a pending goal: to write a host segment it may
-                     first need its own access path configured, which can
-                     demand further (lower-rank) control bits.  Merge one
-                     pending segment's own witness requirements into the
-                     goal set, unless they conflict. *)
-                  let expanded = ref false in
-                  List.iter
-                    (fun (s, _, _) ->
-                      if not !expanded then
-                        match Engine.access_witness ctx fault s with
-                        | None -> ()
-                        | Some w' -> (
-                            match assignments_of_witness net fault w' with
-                            | None -> ()
-                            | Some (assigns', prims') ->
-                                (* Merge the subgoal's route-enabling bits;
-                                   keep-closed preferences and
-                                   primary-false requirements are not
-                                   commitments. *)
-                                List.iter
-                                  (fun (s', b', v') ->
-                                    if
-                                      v'
-                                      && (not (Hashtbl.mem committed (s', b')))
-                                      && Config.get_shadow !config ~seg:s'
-                                           ~bit:b'
-                                         <> v'
-                                    then begin
-                                      Hashtbl.add committed (s', b') v';
-                                      remaining := (s', b', v') :: !remaining;
-                                      expanded := true
-                                    end)
-                                  assigns';
-                                List.iter
-                                  (fun (p, v) ->
-                                    (* Helper lines are transient: even a
-                                       primary the final configuration
-                                       needs de-asserted may be asserted
-                                       during configuration. *)
-                                    if v && not (List.mem_assoc p !helpers)
-                                    then begin
-                                      helpers := (p, true) :: !helpers;
-                                      helper_candidates :=
-                                        List.filter (fun q -> q <> p)
-                                          !helper_candidates;
-                                      config :=
-                                        Config.set_primary !config p true;
-                                      expanded := true
-                                    end)
-                                  prims'))
-                    !remaining;
-                  if not !expanded then stuck := true
-            end
-            else begin
-              List.iter
-                (fun (s, b, v) -> Config.set_shadow !config ~seg:s ~bit:b v)
-                now;
-              let path = List.map fst ok_list in
-              steps :=
-                { writes = now; path;
-                  step_primaries = primaries @ List.rev !helpers }
-                :: !steps;
-              remaining := later
-            end
-          done;
-          if !stuck then None
-          else
-            (* The final (access) configuration drops the helper lines and
-               keeps exactly the witness primaries. *)
-            let final_cfg =
-              { !config with Config.primaries = primaries }
-            in
-            match Sim.active_path net inj final_cfg with
-            | Some path when List.mem target path ->
-                let steps = List.rev !steps in
-                let all_paths = List.map (fun s -> s.path) steps @ [ path ] in
-                (* The requirements are exactly the assigned bits: control
-                   bits disturbed as a side effect of a control fault (e.g.
-                   a select stuck-at-1 segment latching passing data) can
-                   only splice subtrees in or out of the path, which the
-                   adaptive executor tolerates as long as the final path
-                   still delivers clean data to the target. *)
-                Some
-                  {
-                    steps;
-                    access_path = path;
-                    target;
-                    cycles = cycles_of_paths net all_paths;
-                    requirements =
-                      Hashtbl.fold
-                        (fun (s, b) v acc -> (s, b, v) :: acc)
-                        committed [];
-                    primaries;
-                    helpers = !helpers;
-                  }
-            | _ -> None)
+            match List.find_opt helps !helper_candidates with
+            | Some p ->
+                assert_helper p;
+                Some remaining
+            | None ->
+                (* Expand a pending goal: to write a host segment it may
+                   first need its own access path configured, which can
+                   demand further (lower-rank) control bits.  Merge one
+                   pending segment's own witness requirements into the
+                   goal set, unless they conflict. *)
+                let pending = ref remaining in
+                let expanded = ref false in
+                List.iter
+                  (fun (s, _, _) ->
+                    if not !expanded then
+                      match Engine.access_witness ctx fault s with
+                      | None -> ()
+                      | Some w' -> (
+                          match assignments_of_witness net inj w' with
+                          | None -> ()
+                          | Some (assigns', prims') ->
+                              (* Merge the subgoal's route-enabling bits;
+                                 keep-closed preferences and primary-false
+                                 requirements are not commitments. *)
+                              List.iter
+                                (fun (s', b', v') ->
+                                  if
+                                    v'
+                                    && (not (Hashtbl.mem committed (s', b')))
+                                    && Config.get_shadow !config ~seg:s'
+                                         ~bit:b'
+                                       <> v'
+                                  then begin
+                                    Hashtbl.add committed (s', b') v';
+                                    pending := (s', b', v') :: !pending;
+                                    expanded := true
+                                  end)
+                                assigns';
+                              (* Helper lines are transient: even a primary
+                                 the final configuration needs de-asserted
+                                 may be asserted during configuration. *)
+                              List.iter
+                                (fun (p, v) ->
+                                  if v && not (List.mem_assoc p !helpers)
+                                  then begin
+                                    assert_helper p;
+                                    expanded := true
+                                  end)
+                                prims'))
+                  remaining;
+                if !expanded then Some !pending else None
+          in
+          match
+            greedy_steps net inj config ~pending:enabling
+              ~step_primaries:(fun () -> primaries @ List.rev !helpers)
+              ~stall
+          with
+          | None -> None
+          | Some steps -> (
+              (* The final (access) configuration drops the helper lines
+                 and keeps exactly the witness primaries. *)
+              let final_cfg = { !config with Config.primaries = primaries } in
+              match Sim.active_path net inj final_cfg with
+              | Some path when List.mem target path ->
+                  (* The requirements are exactly the assigned bits:
+                     control bits disturbed as a side effect of a control
+                     fault (e.g. a select stuck-at-1 segment latching
+                     passing data) can only splice subtrees in or out of
+                     the path, which the adaptive executor tolerates as
+                     long as the final path still delivers clean data to
+                     the target. *)
+                  Some
+                    (plan_of net steps ~access_path:path ~target
+                       ~requirements:
+                         (Hashtbl.fold
+                            (fun (s, b) v acc -> (s, b, v) :: acc)
+                            committed [])
+                       ~primaries ~helpers:!helpers)
+              | _ -> None)))
 
 let plan_write ctx ?fault ~target () =
   plan_with ~witness:Engine.access_witness ctx ?fault ~target ()
 
 let plan_read ctx ?fault ~target () =
   plan_with ~witness:Engine.read_witness ctx ?fault ~target ()
-
-(* Dual of [writable_on_trace]: which segments of a trace can be READ
-   unscathed — no corrupting or non-shifting element between the segment
-   (inclusive) and the scan-out.  Walks the trace from the scan-out side. *)
-let readable_on_trace (net : Netlist.t) fault trace =
-  let corrupt = ref false in
-  (match fault with
-  | Some { Fault.site = Fault.Primary_out; _ } when not net.Netlist.dual_ports
-    ->
-      corrupt := true
-  | _ -> ());
-  let out =
-    List.rev_map
-      (fun item ->
-        match item with
-        | Sim.T_mux (m, k) ->
-            (match fault with
-            | Some { Fault.site = Fault.Mux_out m'; _ }
-              when m' = m && not (Fault.port_masked_mux net m) ->
-                corrupt := true
-            | Some { Fault.site = Fault.Mux_data_in (m', k'); _ }
-              when m' = m
-                   && Netlist.mux_input_class net m k
-                      = Netlist.mux_input_class net m' k'
-                   && not (Fault.port_masked_mux net m) ->
-                corrupt := true
-            | _ -> ());
-            None
-        | Sim.T_seg s ->
-            (* Damage at the segment's output side is seen first when
-               walking backwards. *)
-            (match fault with
-            | Some { Fault.site = Fault.Seg_scan_out s'; _ } when s' = s ->
-                corrupt := true
-            | _ -> ());
-            let ok =
-              (not !corrupt)
-              &&
-              match fault with
-              | Some { Fault.site = Fault.Seg_shift_reg s'; _ } when s' = s ->
-                  false
-              | Some { Fault.site = Fault.Seg_capture_en s'; stuck = false }
-                when s' = s ->
-                  false
-              | Some { Fault.site = Fault.Seg_select s'; stuck = false }
-                when s' = s ->
-                  false
-              | _ -> true
-            in
-            (match fault with
-            | Some { Fault.site = Fault.Seg_shift_reg s'; _ } when s' = s ->
-                corrupt := true
-            | Some { Fault.site = Fault.Seg_scan_in s'; _ } when s' = s ->
-                corrupt := true
-            | Some { Fault.site = Fault.Seg_select s'; stuck = false }
-              when s' = s ->
-                corrupt := true
-            | _ -> ());
-            Some (s, ok))
-      (List.rev trace)
-  in
-  (* rev_map over rev preserves original order but wraps options. *)
-  List.filter_map Fun.id out
 
 (* Build the scan-in stream that leaves each path segment's shift register
    holding the desired contents after [path length] shift cycles.  Bits are
@@ -468,7 +397,6 @@ let stream_for (net : Netlist.t) (state : Sim.state) path ~writes
 
 type replay = {
   net : Netlist.t;
-  fault : Fault.t option;
   inj : Sim.injection;
   mutable state : Sim.state;
   mutable streams : (bool list * bool list) list;
@@ -476,8 +404,7 @@ type replay = {
 }
 
 let replay net fault =
-  { net; fault; inj = injection net fault; state = Sim.initial net;
-    streams = [] }
+  { net; inj = injection net fault; state = Sim.initial net; streams = [] }
 
 let set_primaries r prims =
   r.state <-
@@ -490,13 +417,11 @@ let set_primaries r prims =
           prims;
     }
 
-let active_trace r = Sim.active_trace r.net r.inj r.state.Sim.config
-
 (* The one CSU of every replay: shifts in the stream that leaves [writes]
-   and [patterns] in the segments of the active path [ok_list] (from
-   [writable_on_trace]) and records the (scan-in, scan-out) pair.  Segments
-   receiving corrupted data must not latch it: their update is disabled
-   (the Updis control of the paper's model, eq. 1). *)
+   and [patterns] in the segments of the active path [ok_list] (with the
+   write flags of [usable_on_trace]) and records the (scan-in, scan-out)
+   pair.  Segments receiving corrupted data must not latch it: their
+   update is disabled (the Updis control of the paper's model, eq. 1). *)
 let csu r ok_list ~writes ~patterns =
   let updis =
     List.filter_map (fun (s, ok) -> if ok then None else Some s) ok_list
@@ -520,15 +445,12 @@ let write_pending r bits =
   with
   | [] -> false
   | pending -> (
-      match active_trace r with
-      | None -> false
-      | Some trace -> (
-          let ok_list = writable_on_trace r.net r.fault trace in
-          match List.filter (fun (s, _, _) -> clean_on ok_list s) pending with
-          | [] -> false
-          | writes ->
-              ignore (csu r ok_list ~writes ~patterns:[] : bool list);
-              true))
+      let ok_list = writable_under r.net r.inj r.state.Sim.config in
+      match List.filter (fun (s, _, _) -> clean_on ok_list s) pending with
+      | [] -> false
+      | writes ->
+          ignore (csu r ok_list ~writes ~patterns:[] : bool list);
+          true)
 
 (* Phase 1 replays the planned CSUs under the primary lines each was
    planned with (helper lines activate progressively); writes that fail to
@@ -553,30 +475,31 @@ let configure r plan =
   set_primaries r plan.primaries
 
 (* The access CSU: configures [r] for [plan], checks that every target is
-   on the access configuration's path and clean there ([usable] maps the
-   trace to the path's segments with their writability or readability),
+   on the access configuration's path and clean there in direction [dir],
    then runs [run] on the path's writability list. *)
-let access_csu r plan ~targets ~usable ~unusable ~run =
+let access_csu r plan ~targets dir ~run =
   configure r plan;
-  match active_trace r with
+  match Sim.active_trace r.net r.inj r.state.Sim.config with
   | None -> Error "invalid final configuration"
   | Some trace -> (
-      let path = usable r.net r.fault trace in
+      let path = usable_on_trace r.net r.inj dir trace in
       match List.find_opt (fun t -> not (clean_on path t)) targets with
       | Some t when List.mem_assoc t path ->
-          Error (unusable (Netlist.segment_name r.net t))
+          let name = Netlist.segment_name r.net t in
+          Error
+            (match dir with
+            | Write -> "final path does not deliver clean data to " ^ name
+            | Read -> "final path does not observe " ^ name ^ " unscathed")
       | Some t ->
           Error
             (Printf.sprintf "%s not on the final active path [%s]"
                (Netlist.segment_name r.net t)
                (String.concat ";"
                   (List.map (fun (s, _) -> Netlist.segment_name r.net s) path)))
-      | None -> Ok (run (writable_on_trace r.net r.fault trace)))
+      | None -> Ok (run (usable_on_trace r.net r.inj Write trace)))
 
 let write r plan ~patterns =
-  access_csu r plan ~targets:(List.map fst patterns) ~usable:writable_on_trace
-    ~unusable:(Printf.sprintf "final path does not deliver clean data to %s")
-    ~run:(fun ok_list ->
+  access_csu r plan ~targets:(List.map fst patterns) Write ~run:(fun ok_list ->
       ignore (csu r ok_list ~writes:[] ~patterns : bool list);
       r.state)
 
@@ -598,9 +521,7 @@ let execute_read net ?fault plan ~instrument =
   List.iteri
     (fun j v -> if j < len then r.state.Sim.instrument.(plan.target).(j) <- v)
     instrument;
-  access_csu r plan ~targets:[ plan.target ] ~usable:readable_on_trace
-    ~unusable:(Printf.sprintf "final path does not observe %s unscathed")
-    ~run:(fun ok_list ->
+  access_csu r plan ~targets:[ plan.target ] Read ~run:(fun ok_list ->
       let out = Array.of_list (csu r ok_list ~writes:[] ~patterns:[]) in
       let rec offset acc = function
         | s :: tl when s <> plan.target ->
@@ -644,6 +565,18 @@ let plan_write_merged ctx ?fault ~targets () =
       let sequential_cycles =
         List.fold_left (fun acc (_, p) -> acc + p.cycles) 0 singles
       in
+      (* The union of the members' requirement bits, the first claim on a
+         bit kept. *)
+      let reqs_of members =
+        List.fold_left
+          (fun acc (_, p) ->
+            acc
+            @ List.filter
+                (fun (s, b, _) ->
+                  not (List.exists (fun (s', b', _) -> s = s' && b = b') acc))
+                p.requirements)
+          [] members
+      in
       (* Greedy grouping: fold targets into the current group while their
          requirement bits stay compatible; on conflict, start a new
          group. *)
@@ -653,34 +586,21 @@ let plan_write_merged ctx ?fault ~targets () =
             List.exists (fun (s', b', v') -> s = s' && b = b' && v <> v') reqs')
           reqs
       in
-      let groups = ref [] in
-      let cur = ref [] in
-      let cur_reqs = ref [] in
-      let flush () =
-        if !cur <> [] then begin
-          groups := (List.rev !cur, !cur_reqs) :: !groups;
-          cur := [];
-          cur_reqs := []
-        end
+      let groups =
+        List.rev
+          (List.fold_left
+             (fun groups (t, p) ->
+               match groups with
+               | cur :: rest when not (conflict p.requirements (reqs_of cur)) ->
+                   (cur @ [ (t, p) ]) :: rest
+               | _ -> [ (t, p) ] :: groups)
+             [] singles)
       in
-      List.iter
-        (fun (t, p) ->
-          if conflict p.requirements !cur_reqs then flush ();
-          cur := (t, p) :: !cur;
-          cur_reqs :=
-            !cur_reqs
-            @ List.filter
-                (fun (s, b, _) ->
-                  not
-                    (List.exists (fun (s', b', _) -> s = s' && b = b') !cur_reqs))
-                p.requirements)
-        singles;
-      flush ();
-      let groups = List.rev !groups in
       (* Build one merged plan per group: union of requirements, union of
          primaries/helpers; the access path must deliver clean data to
          every target. *)
-      let build (members, reqs) =
+      let build members =
+        let reqs = reqs_of members in
         let ts = List.map fst members in
         let plans = List.map snd members in
         let union_assoc l =
@@ -696,75 +616,36 @@ let plan_write_merged ctx ?fault ~targets () =
                (fun c (p, v) -> Config.set_primary c p v)
                (Config.reset net) (primaries @ helpers))
         in
-        let steps = ref [] in
-        let remaining =
-          ref
-            (List.filter
-               (fun (s, b, v) -> Config.get_shadow !config ~seg:s ~bit:b <> v)
-               reqs)
+        let pending =
+          List.filter
+            (fun (s, b, v) -> Config.get_shadow !config ~seg:s ~bit:b <> v)
+            reqs
         in
-        let stuck = ref false in
-        while !remaining <> [] && not !stuck do
-          match Sim.active_trace net inj !config with
-          | None -> stuck := true
-          | Some trace ->
-              let ok_list = writable_on_trace net fault trace in
-              let now, later =
-                List.partition (fun (s, _, _) -> clean_on ok_list s) !remaining
-              in
-              if now = [] then stuck := true
-              else begin
-                List.iter
-                  (fun (s, b, v) -> Config.set_shadow !config ~seg:s ~bit:b v)
-                  now;
-                steps :=
-                  { writes = now; path = List.map fst ok_list;
-                    step_primaries = primaries @ helpers }
-                  :: !steps;
-                remaining := later
-              end
-        done;
-        if !stuck then None
-        else
-          (* Every target must receive clean data on the shared access
-             path; otherwise [build_best] splits the group. *)
-          let final_cfg = { !config with Config.primaries } in
-          match
-            Option.map (writable_on_trace net fault)
-              (Sim.active_trace net inj final_cfg)
-          with
-          | Some ok_list when List.for_all (clean_on ok_list) ts ->
-              let path = List.map fst ok_list in
-              let steps = List.rev !steps in
-              let all_paths = List.map (fun s -> s.path) steps @ [ path ] in
+        match
+          greedy_steps net inj config ~pending
+            ~step_primaries:(fun () -> primaries @ helpers)
+            ~stall:(fun _ -> None)
+        with
+        | None -> None
+        | Some steps ->
+            (* Every target must receive clean data on the shared access
+               path; otherwise [build_best] splits the group. *)
+            let ok_list =
+              writable_under net inj { !config with Config.primaries }
+            in
+            if List.for_all (clean_on ok_list) ts then
               Some
-                ( {
-                    steps;
-                    access_path = path;
-                    target = List.hd ts;
-                    cycles = cycles_of_paths net all_paths;
-                    requirements = reqs;
-                    primaries;
-                    helpers;
-                  },
+                ( plan_of net steps ~access_path:(List.map fst ok_list)
+                    ~target:(List.hd ts) ~requirements:reqs ~primaries
+                    ~helpers,
                   ts )
-          | _ -> None
+            else None
       in
       (* Merging is not always a win: a shared access CSU shifts through
          EVERY spliced-in register, so groups dominated by long instrument
          chains can cost more than sequential access.  Recursively split a
          group in half whenever merging it costs more than the sum of its
          parts — converging on per-subtree groupings where those pay. *)
-      let reqs_of members =
-        List.fold_left
-          (fun acc (_, p) ->
-            acc
-            @ List.filter
-                (fun (s, b, _) ->
-                  not (List.exists (fun (s', b', _) -> s = s' && b = b') acc))
-                p.requirements)
-          [] members
-      in
       let rec build_best members =
         match members with
         | [] -> Some []
@@ -773,7 +654,7 @@ let plan_write_merged ctx ?fault ~targets () =
             let solo =
               List.fold_left (fun acc (_, p) -> acc + p.cycles) 0 members
             in
-            let merged = build (members, reqs_of members) in
+            let merged = build members in
             let split () =
               let n = List.length members in
               let left = List.filteri (fun i _ -> i < n / 2) members in
@@ -795,7 +676,7 @@ let plan_write_merged ctx ?fault ~targets () =
                 | None -> Some [ (plan, ts) ])
             | _ -> split ())
       in
-      let built = List.map (fun (members, _) -> build_best members) groups in
+      let built = List.map build_best groups in
       if List.exists (fun g -> g = None) built then None
       else begin
         let groups = List.concat (List.filter_map Fun.id built) in

@@ -5,7 +5,17 @@
     segments on the then-active path) followed by the access CSU whose
     active path contains the target segment.  The access latency is the
     paper's measure: the total number of clock cycles over all CSU
-    operations (capture + shifts + update each). *)
+    operations (capture + shifts + update each).
+
+    Under a fault, the planner and the simulator replay of its plans read
+    the fault the same way, through {!Ftrsn_fault.Fault.to_injection}:
+    locked addresses and pinned shadows constrain the steering bits, and
+    one walk of the active trace (forward from the scan-in for writes,
+    backward from the scan-out for reads) tells which segments get clean
+    data.  One greedy loop writes the pending control bits that are
+    cleanly writable on the current path, one configuration CSU per
+    round.  The engine's witness ({!Engine.access_witness},
+    {!Engine.read_witness}) proposes the route; the replay confirms it. *)
 
 type csu_step = {
   writes : (int * int * bool) list;

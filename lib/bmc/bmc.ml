@@ -1,6 +1,5 @@
 module Netlist = Ftrsn_rsn.Netlist
 module Fault = Ftrsn_fault.Fault
-module Engine = Ftrsn_access.Engine
 module Expr = Ftrsn_boolexpr.Expr
 module Solver = Ftrsn_sat.Solver
 module Checker = Ftrsn_sat.Checker
@@ -82,7 +81,7 @@ type cone = Writable of int | Goal of goal * int
    default session for the thin one-shot-style wrappers. *)
 type t = {
   net : Netlist.t;
-  ectx : Engine.ctx;                      (* for the port-masking rule *)
+  port_masked : int -> bool;              (* [Fault.port_mask_table] *)
   order : int array;                      (* element topological order *)
   consumers : (int * cond) list array;    (* per element id *)
   drivers : int array;                    (* per segment: driver element *)
@@ -190,8 +189,8 @@ let create (net : Netlist.t) =
   done;
   let bit_seg = Array.make (Array.fold_left ( + ) 0 widths) 0 in
   Array.iteri (fun i w -> Array.fill bit_seg bit_off.(i) w i) widths;
-  { net; ectx = Engine.make_ctx net; order; consumers; drivers; bit_off;
-    bit_seg; max_hier = Netlist.max_hier net }
+  { net; port_masked = Fault.port_mask_table net; order; consumers; drivers;
+    bit_off; bit_seg; max_hier = Netlist.max_hier net }
 
 let no_fault =
   {
@@ -291,8 +290,7 @@ let summarize_faults t faults =
         (List.fold_left
            (fun acc f ->
              Fault.summary_union acc
-               (Fault.summarize ~port_masked:(Engine.port_masked t.ectx) t.net
-                  f))
+               (Fault.summarize ~port_masked:t.port_masked t.net f))
            Fault.empty_summary faults)
 
 (* ---- circuits ---- *)

@@ -18,17 +18,22 @@
     A model is immutable and may be shared across domains; each query
     goes to an explicit session.
 
-    Semantics are aligned with {!Ftrsn_access.Engine} (which computes the
-    same verdicts by graph fixpoints): writes through corrupted data are
+    Semantics are aligned with the structural engine
+    ([Ftrsn_access.Engine], which computes the same verdicts by graph
+    fixpoints): both derive a fault's effect from
+    {!Ftrsn_fault.Fault.summarize}, so writes through corrupted data are
     never relied upon (the transition keeps the old value), select
-    stuck-at-1 faults are recoverable and hence benign, TMR replicas and
-    duplicated-port-adjacent mux faults are masked.  The test suite checks
-    the two engines agree on entire fault universes of small networks. *)
+    stuck-at-1 faults are recoverable and hence benign, and TMR replicas
+    and duplicated-port-adjacent mux faults are masked by the one rule
+    {!Ftrsn_fault.Fault.port_mask_table}.  This library does not depend on
+    the structural engine.  The test suite checks the two engines agree
+    on entire fault universes of small networks. *)
 
 type t
 
 val create : Ftrsn_rsn.Netlist.t -> t
-(** Builds the static model data (consumer maps, topological orders). *)
+(** Builds the static model data (consumer maps, topological orders, the
+    port-masking predicate). *)
 
 type verdict =
   | Accessible of int

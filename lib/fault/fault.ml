@@ -242,13 +242,20 @@ let universe ?(model = Stuck) (net : Netlist.t) =
   | Select -> select_universe net
   | Transient -> transient_universe net
 
-(* Consumer dataflow vertex of each mux and the set of scan-in successor
-   vertices, from the collapsed dataflow view.  Mirrors the engine's
-   cached computation. *)
-let port_mask_table (net : Netlist.t) =
+(* The duplicated-scan-port masking rule (§III-E-4), the only copy: with
+   [dual_ports], the secondary scan-in is wired to the input of every
+   successor of the primary scan-in, and every predecessor of the primary
+   scan-out to the secondary scan-out.  A fault in a mux whose consumer
+   dataflow vertex is the scan-out (1) or a direct successor of the
+   scan-in (0) is therefore bypassed by the port switch.  The consumers
+   and successors come from one pass over the edge routes ([routes], when
+   the caller has them already). *)
+let port_mask_table ?routes (net : Netlist.t) =
   if not net.Netlist.dual_ports then fun _ -> false
   else begin
-    let routes = Netlist.edge_routes net in
+    let routes =
+      match routes with Some r -> r | None -> Netlist.edge_routes net
+    in
     let consumer = Array.make (Array.length net.Netlist.muxes) (-1) in
     let pi_succ = Hashtbl.create 8 in
     Hashtbl.iter
@@ -260,8 +267,6 @@ let port_mask_table (net : Netlist.t) =
       routes;
     fun m -> consumer.(m) = 1 || Hashtbl.mem pi_succ consumer.(m)
   end
-
-let port_masked_mux (net : Netlist.t) m = port_mask_table net m
 
 let to_injection (net : Netlist.t) f =
   let v = f.stuck in
@@ -286,14 +291,14 @@ let to_injection (net : Netlist.t) f =
      model the port muxes structurally, so the faithful simulation of the
      switched configuration is the fault-free routing. *)
   | Mux_addr (m, b) ->
-      if port_masked_mux net m then base
+      if port_mask_table net m then base
       else { base with stuck_mux_addr = [ (m, b, v) ] }
   | Mux_addr_replica _ -> base
   | Mux_data_in (m, k) ->
-      if port_masked_mux net m then base
+      if port_mask_table net m then base
       else { base with stuck_mux_in = [ (m, k, v) ] }
   | Mux_out m ->
-      if port_masked_mux net m then base
+      if port_mask_table net m then base
       else { base with stuck_mux_out = [ (m, v) ] }
   | Primary_in ->
       if net.Netlist.dual_ports then base else { base with stuck_pi = Some v }

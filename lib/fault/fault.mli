@@ -85,15 +85,14 @@ val tmr_protected_shadow : Ftrsn_rsn.Netlist.t -> int -> int -> bool
     sees the stuck value (the bit's own write interface is still
     considered broken). *)
 
-val port_masked_mux : Ftrsn_rsn.Netlist.t -> int -> bool
-(** Whether faults in the given mux are bypassed by the duplicated scan
-    ports (paper SIII-E-4): the netlist has [dual_ports] and the mux feeds
-    the primary scan-out or a direct successor of the primary scan-in —
-    the secondary port reaches around it. *)
-
 val to_injection : Ftrsn_rsn.Netlist.t -> t -> Ftrsn_rsn.Sim.injection
-(** Simulator overrides realizing the fault (the identity injection for a
-    masked fault). *)
+(** Simulator overrides realizing the fault: the identity injection for a
+    masked fault (TMR replicas, TMR-protected shadow bits, mux faults
+    bypassed by {!port_mask_table}, primary-port faults under duplicated
+    ports) and for sites no static override expresses (bridges, voters,
+    glitches).  This is the fault's only view in
+    {!Ftrsn_access.Retarget}: its planner and its simulator replay both
+    read the fault through this injection. *)
 
 val weight : Ftrsn_rsn.Netlist.t -> t -> int
 (** Physical multiplicity of the site, used to weight the average of the
@@ -140,10 +139,10 @@ val empty_summary : summary
 
 val summarize :
   ?port_masked:(int -> bool) -> Ftrsn_rsn.Netlist.t -> t -> summary
-(** Canonical semantic summary of a single fault.  [port_masked] overrides
-    the duplicated-scan-port masking predicate (the engines pass their
-    cached {!Ftrsn_access.Engine.port_masked}); by default it is computed
-    from the netlist's edge routes. *)
+(** Canonical semantic summary of a single fault.  [port_masked] is the
+    duplicated-scan-port masking predicate: callers that summarize many
+    faults pass their cached {!port_mask_table}; by default it is computed
+    afresh. *)
 
 val summary_benign : summary -> bool
 (** Whether the summary equals {!empty_summary}: the fault is
@@ -157,9 +156,20 @@ val summary_union : summary -> summary -> summary
     reduction (a pair verdict depends only on the union of the two class
     summaries). *)
 
-val port_mask_table : Ftrsn_rsn.Netlist.t -> int -> bool
-(** Memoized form of {!port_masked_mux}: the returned predicate shares one
-    edge-route computation across all muxes. *)
+val port_mask_table :
+  ?routes:(int * int, (int * int) list list) Hashtbl.t ->
+  Ftrsn_rsn.Netlist.t ->
+  int ->
+  bool
+(** The duplicated-scan-port masking rule (paper §III-E-4), defined here
+    only: [port_mask_table net m] holds iff the netlist has [dual_ports]
+    and mux [m] feeds the primary scan-out or a direct successor of the
+    primary scan-in — the secondary port reaches around it, so faults in
+    the mux are bypassed.  Partially applied, the predicate shares one
+    pass over the edge routes across all muxes; [routes] passes
+    {!Ftrsn_rsn.Netlist.edge_routes} when the caller has it already.
+    {!to_injection}, {!summarize}, {!collapse}, the structural engine and
+    the BMC model all use this rule. *)
 
 type clas = {
   cls_rep : t;          (** representative (first member in input order) *)

@@ -215,9 +215,47 @@ let run_exn pool = function
           st_sessions = Pool.session_stats pool;
         }
 
+(* Ceiling on a request's [domains]: OCaml 5 caps live domains at 128,
+   and the serve loop may run several heavy queries at once. *)
+let max_domains = 64
+
+(* The first count of a query that is out of range, as a message naming
+   its field: every sample stride and limit must be at least 1, and
+   [domains] between 1 and [max_domains]. *)
+let bad_count q =
+  let stride name = function
+    | Some k when k < 1 ->
+        Some (Printf.sprintf "%s must be at least 1, got %d" name k)
+    | _ -> None
+  in
+  let domains d =
+    if d < 1 || d > max_domains then
+      Some
+        (Printf.sprintf "domains must be between 1 and %d, got %d" max_domains
+           d)
+    else None
+  in
+  List.find_map Fun.id
+    (match q with
+    | Query.Metric q ->
+        [ domains q.Query.mq_domains; stride "sample" q.mq_sample ]
+    | Query.Pairs q ->
+        [
+          domains q.Query.pq_domains;
+          stride "fault_sample" q.pq_fault_sample;
+          stride "pair_sample" q.pq_pair_sample;
+        ]
+    | Query.Certify q ->
+        [ domains q.Query.cq_domains; stride "sample" q.cq_sample ]
+    | Query.Diagnose q -> [ stride "limit" q.Query.dq_limit ]
+    | Query.Probe _ | Query.Synthesize _ | Query.Netinfo _ | Query.Stats -> [])
+
 let run pool q =
-  try run_exn pool q with
-  | Bmc.Session.Certification_failed msg ->
-      Response.error Response.Cert_failed msg
-  | Metric.Unsupported msg -> Response.error Response.Unsupported msg
-  | e -> Response.error Response.Internal (Printexc.to_string e)
+  match bad_count q with
+  | Some msg -> Response.error Response.Bad_request msg
+  | None -> (
+      try run_exn pool q with
+      | Bmc.Session.Certification_failed msg ->
+          Response.error Response.Cert_failed msg
+      | Metric.Unsupported msg -> Response.error Response.Unsupported msg
+      | e -> Response.error Response.Internal (Printexc.to_string e))

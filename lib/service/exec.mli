@@ -14,4 +14,8 @@ val classify : Query.t -> [ `Light | `Heavy ]
 val run : Pool.t -> Query.t -> Response.t
 (** Executes one query against pooled warm state.  Deterministic
     response fields are bit-identical to a fresh one-shot evaluation of
-    the same query (see {!Response}). *)
+    the same query (see {!Response}).  The query's counts are checked
+    first, before a pool entry is built or a domain spawned: a sample
+    stride ([sample], [fault_sample], [pair_sample]) or a diagnosis
+    [limit] below 1, or [domains] outside 1..64, answers a [Bad_request]
+    naming the field. *)

@@ -1,46 +1,3 @@
-(* Iterative DFS with tri-colour marking.  Back edges (to a grey vertex)
-   are the removed set: dropping all of them leaves a DAG. *)
-
-type colour = White | Grey | Black
-
-let dfs_back_edges g =
-  let n = Digraph.vertex_count g in
-  let colour = Array.make n White in
-  let back = ref [] in
-  let call = Stack.create () in
-  for root = 0 to n - 1 do
-    if colour.(root) = White then begin
-      colour.(root) <- Grey;
-      Stack.push (root, Digraph.succ g root) call;
-      while not (Stack.is_empty call) do
-        let v, rest = Stack.pop call in
-        match rest with
-        | w :: rest' ->
-            Stack.push (v, rest') call;
-            (match colour.(w) with
-            | White ->
-                colour.(w) <- Grey;
-                Stack.push (w, Digraph.succ g w) call
-            | Grey -> back := (v, w) :: !back
-            | Black -> ())
-        | [] -> colour.(v) <- Black
-      done
-    end
-  done;
-  !back
-
-let break_cycles g =
-  let back = dfs_back_edges g in
-  if back = [] then (Digraph.copy g, [])
-  else begin
-    let dag = Digraph.copy g in
-    List.iter (fun (u, v) -> Digraph.remove_edge dag u v) back;
-    (* A single DFS pass removes all back edges w.r.t. that DFS forest,
-       which is sufficient: the remaining graph admits a DFS with no back
-       edge, hence is acyclic. *)
-    (dag, back)
-  end
-
 let find_cycle g =
   let comps = Scc.components g in
   let non_trivial =

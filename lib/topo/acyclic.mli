@@ -1,12 +1,9 @@
-(** Cycle breaking.  IEEE Std 1687 allows structural cycles in an RSN only
-    if no active scan path can sensitize them, so the dataflow view can
-    always be reduced to a DAG by dropping back edges (§III-B of the
-    paper). *)
-
-val break_cycles : Digraph.t -> Digraph.t * (int * int) list
-(** [break_cycles g] is [(dag, removed)] where [dag] is [g] without the DFS
-    back edges that close cycles and [removed] lists the dropped edges.
-    If [g] is already acyclic, [removed] is empty and [dag] equals [g]. *)
+(** Cycle detection.  IEEE Std 1687 allows structural cycles in an RSN
+    only if no active scan path can sensitize them; this reproduction
+    accepts acyclic element graphs only ([Netlist.validate] rejects a
+    structural cycle), so the dataflow view of a valid netlist is a DAG
+    and no edge is ever dropped.  [find_cycle] serves the lazy
+    acyclicity check (§III-C, eq. 4) of the augmentation's ILP oracle. *)
 
 val find_cycle : Digraph.t -> int list option
 (** [find_cycle g] is [Some vs] with [vs] the vertices of some directed

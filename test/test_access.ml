@@ -697,6 +697,86 @@ let test_vectors_pinned () =
   check Alcotest.string "SVF digest" "77d47cb85f1e014d9d643b99d72a6bb7"
     (Digest.to_hex (Digest.string all))
 
+(* The plans under faults, pinned: every field of [plan_write] and
+   [plan_read] (steps with their writes, paths and primaries, access path,
+   cycles, requirements, primaries, helpers) and the groups of
+   [plan_write_merged], printed and digested.  Covered: every stuck-at
+   fault of [small_sib]'s FT rework on every segment, and on u226-ft every
+   23rd stuck-at, 29th select and 5th bridge and transient fault, each on
+   every 6th segment and merged over the first six writable segments. *)
+let test_fault_plans_pinned () =
+  let buf = Buffer.create (1 lsl 16) in
+  let ints l = String.concat "," (List.map string_of_int l) in
+  let bits l =
+    String.concat ","
+      (List.map (fun (s, b, v) -> Printf.sprintf "%d.%d=%b" s b v) l)
+  in
+  let prims l =
+    String.concat "," (List.map (fun (p, v) -> Printf.sprintf "%s=%b" p v) l)
+  in
+  let add_plan what = function
+    | None -> Printf.bprintf buf "%s none\n" what
+    | Some (p : Retarget.plan) ->
+        Printf.bprintf buf "%s t%d c%d path[%s] req[%s] pr[%s] h[%s]\n" what
+          p.target p.cycles (ints p.access_path) (bits p.requirements)
+          (prims p.primaries) (prims p.helpers);
+        List.iter
+          (fun (st : Retarget.csu_step) ->
+            Printf.bprintf buf " step w[%s] path[%s] pr[%s]\n" (bits st.writes)
+              (ints st.path) (prims st.step_primaries))
+          p.steps
+  in
+  let sweep name net faults ~every_seg =
+    let ctx = Engine.make_ctx net in
+    let n = Netlist.num_segments net in
+    List.iter
+      (fun fault ->
+        Printf.bprintf buf "%s %s\n" name
+          (Option.fold ~none:"-" ~some:(Fault.to_string net) fault);
+        for t = 0 to n - 1 do
+          if t mod every_seg = 0 then begin
+            add_plan "w" (Retarget.plan_write ctx ?fault ~target:t ());
+            add_plan "r" (Retarget.plan_read ctx ?fault ~target:t ())
+          end
+        done;
+        let v = Engine.analyze ctx fault in
+        let targets =
+          List.filteri
+            (fun i _ -> i < 6)
+            (List.filter (fun s -> v.Engine.writable.(s)) (List.init n Fun.id))
+        in
+        match Retarget.plan_write_merged ctx ?fault ~targets () with
+        | None -> Printf.bprintf buf "merged none\n"
+        | Some mp ->
+            Printf.bprintf buf "merged %d %d\n" mp.Retarget.merged_cycles
+              mp.Retarget.sequential_cycles;
+            List.iter
+              (fun (p, ts) -> add_plan ("g[" ^ ints ts ^ "]") (Some p))
+              mp.Retarget.groups)
+      faults
+  in
+  let every k l = List.filteri (fun i _ -> i mod k = 0) l in
+  let small_ft =
+    (Ftrsn_core.Pipeline.synthesize (small_sib ())).Ftrsn_core.Pipeline.ft
+  in
+  sweep "small-ft" small_ft
+    (None :: List.map Option.some (Fault.universe small_ft))
+    ~every_seg:1;
+  let u226_ft =
+    (Ftrsn_core.Pipeline.synthesize (itc02 "u226")).Ftrsn_core.Pipeline.ft
+  in
+  List.iter
+    (fun (model, k) ->
+      sweep
+        ("u226-ft " ^ Fault.model_to_string model)
+        u226_ft
+        (List.map Option.some (every k (Fault.universe ~model u226_ft)))
+        ~every_seg:6)
+    [ (Fault.Stuck, 23); (Fault.Bridge, 5); (Fault.Select, 29);
+      (Fault.Transient, 5) ];
+  check Alcotest.string "plan digest" "ba5ec4cc1abb06b8f5c6d26686b86d1c"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 (* Property: the lane-parallel batch sweep returns, class for class, the
    verdict of the scalar engine — on random nets, which exercise partial
    batches, mixed shapes and the fast paths together. *)
@@ -1229,6 +1309,8 @@ let suite =
       test_vectors_roundtrip_consistent;
     Alcotest.test_case "vectors: SVF bytes pinned (small FT)" `Quick
       test_vectors_pinned;
+    Alcotest.test_case "retarget: plans under faults pinned (small FT, u226-ft)"
+      `Quick test_fault_plans_pinned;
     Testseed.to_alcotest prop_lanes_equal_scalar;
     Testseed.to_alcotest prop_pair_lanes_exact;
     Testseed.to_alcotest prop_union_cone;

@@ -782,6 +782,91 @@ let test_serve_serial_order () =
       | _ -> Alcotest.fail ("expected bad_request: " ^ line))
     (List.filteri (fun i _ -> i >= List.length qs) out)
 
+(* Out-of-range counts are bad requests (exit 1) that name the field,
+   through Exec.run and the serve loop alike, checked before a pool entry
+   is built: a zero pair stride would run the brute pair enumeration, a
+   zero or negative sample the unsampled sweep, zero domains one domain
+   and a negative limit an empty candidate list.  The oversized [domains]
+   goes to a net that does not exist, so a check that came too late would
+   fail on the net before any domain is spawned.  On serve, the valid
+   request after each invalid one keeps its normal answer. *)
+let test_invalid_counts () =
+  let tiny = Lazy.force tiny_spec in
+  let domains d = function
+    | Query.Metric m -> Query.Metric { m with Query.mq_domains = d }
+    | q -> q
+  in
+  let pairs ?fault_sample ?pair_sample () =
+    Query.Pairs
+      {
+        Query.pq_net = tiny;
+        pq_fault_sample = fault_sample;
+        pq_pair_sample = pair_sample;
+        pq_domains = 1;
+        pq_engine = `Structural;
+        pq_model = Fault.Stuck;
+        pq_reduce = true;
+        pq_with_stats = false;
+      }
+  in
+  let cases =
+    [
+      ("sample", metric_q ~sample:0 tiny);
+      ("sample", metric_q ~sample:(-3) tiny);
+      ("domains", domains 0 (metric_q tiny));
+      ( "domains",
+        domains 1000 (metric_q (Query.net_spec_of_cli "itc02:no_such_soc")) );
+      ("pair_sample", pairs ~pair_sample:0 ());
+      ("fault_sample", pairs ~fault_sample:(-1) ());
+      ( "sample",
+        Query.Certify
+          {
+            Query.cq_net = tiny;
+            cq_sample = Some 0;
+            cq_domains = 1;
+            cq_pairs = false;
+            cq_model = Fault.Stuck;
+            cq_with_stats = false;
+          } );
+      ( "limit",
+        Query.Diagnose
+          { Query.dq_net = tiny; dq_signature = None; dq_limit = Some (-2) } );
+    ]
+  in
+  let is_bad field r =
+    match r with
+    | Response.Error_r (Response.Bad_request, msg) ->
+        String.starts_with ~prefix:(field ^ " must") msg
+        && Response.exit_code r = 1
+    | _ -> false
+  in
+  List.iter
+    (fun (field, q) ->
+      let r = Exec.run (Pool.create ()) q in
+      if not (is_bad field r) then
+        Alcotest.fail
+          (Printf.sprintf "%s: expected a bad_request naming %s, got %s"
+             (Query.to_string q) field (Response.to_string r)))
+    cases;
+  let valid = metric_q tiny in
+  let fresh = Response.to_string (Exec.run (Pool.create ()) valid) in
+  let out =
+    serve_batch
+      { Server.default_config with Server.workers = 1 }
+      (List.concat_map
+         (fun (_, q) -> [ Query.to_string q; Query.to_string valid ])
+         cases)
+  in
+  check int_t "one response per request" (2 * List.length cases)
+    (List.length out);
+  List.iteri
+    (fun i (field, _) ->
+      let bad, _ = Response.decode (Json.of_string (List.nth out (2 * i))) in
+      if not (is_bad field bad) then
+        Alcotest.fail ("serve: expected a bad_request naming " ^ field);
+      check string_t "serve: valid answer" fresh (List.nth out ((2 * i) + 1)))
+    cases
+
 (* Transient double faults are rejected with the typed [unsupported]
    error: same wire line through Exec.run and the serve loop, stable
    exit code 5 — not an Internal catch-all. *)
@@ -1026,6 +1111,8 @@ let suite =
       `Quick test_serve_serial_order;
     Alcotest.test_case "serve: transient pairs answer unsupported (exit 5)"
       `Quick test_serve_transient_pairs_unsupported;
+    Alcotest.test_case "query: out-of-range counts are bad requests" `Quick
+      test_invalid_counts;
     Alcotest.test_case "serve: threaded mode answers every id" `Quick
       test_serve_threaded_ids;
     Alcotest.test_case "synthesize: infeasible augmentation names segments"

@@ -1,5 +1,5 @@
 (* Tests for the directed-graph substrate: digraph bookkeeping, topological
-   orders and levels, SCC, cycle breaking, Menger connectivity. *)
+   orders and levels, SCC, cycle finding, Menger connectivity. *)
 
 module Digraph = Ftrsn_topo.Digraph
 module Order = Ftrsn_topo.Order
@@ -96,24 +96,6 @@ let test_scc () =
   Digraph.iter_edges
     (fun u v -> if comp.(u) <> comp.(v) then check bool_t "topo order" true (comp.(u) > comp.(v)))
     g
-
-let test_break_cycles () =
-  let g =
-    Digraph.of_edges ~n:5 [ (0, 1); (1, 2); (2, 1); (2, 3); (3, 4); (4, 0) ]
-  in
-  let dag, removed = Acyclic.break_cycles g in
-  check bool_t "result acyclic" true (Order.is_acyclic dag);
-  check bool_t "removed some edges" true (removed <> []);
-  List.iter
-    (fun (u, v) ->
-      check bool_t "removed edge was in g" true (Digraph.has_edge g u v))
-    removed
-
-let test_break_cycles_noop () =
-  let g = diamond () in
-  let dag, removed = Acyclic.break_cycles g in
-  check (Alcotest.list (Alcotest.pair int_t int_t)) "nothing removed" [] removed;
-  check int_t "same edges" (Digraph.edge_count g) (Digraph.edge_count dag)
 
 let test_find_cycle () =
   let g = Digraph.of_edges ~n:4 [ (0, 1); (1, 2); (2, 0); (2, 3) ] in
@@ -448,8 +430,6 @@ let suite =
     Alcotest.test_case "topological levels" `Quick test_levels;
     Alcotest.test_case "reachability" `Quick test_reachable;
     Alcotest.test_case "strongly connected components" `Quick test_scc;
-    Alcotest.test_case "cycle breaking" `Quick test_break_cycles;
-    Alcotest.test_case "cycle breaking no-op on DAG" `Quick test_break_cycles_noop;
     Alcotest.test_case "find cycle" `Quick test_find_cycle;
     Alcotest.test_case "menger: diamond" `Quick test_menger_diamond;
     Alcotest.test_case "menger: chain" `Quick test_menger_chain;
