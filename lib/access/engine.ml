@@ -99,7 +99,7 @@ let make_ctx (net : Netlist.t) =
       in_edges.(e.e_dst) <- i :: in_edges.(e.e_dst))
     edges;
   { net; nsegs; nv; edges; out_edges; in_edges;
-    port_masked = Fault.port_mask_table ~routes net }
+    port_masked = Fault.port_mask_table net }
 
 type verdict = {
   writable : bool array;
@@ -196,7 +196,7 @@ let edge_corrupt eff edge =
    the current set of writable segments?  A driver not (yet) writable must
    already hold the required value in its reset state (or be pinned to it
    by the fault). *)
-let edge_steerable _ctx eff writable edge =
+let edge_steerable eff writable edge =
   (not edge.e_dead)
   && (eff.locked_addr = []
      ||
@@ -260,114 +260,119 @@ let shiftable eff v = v < 2 || not eff.hard_block.(seg_of_v v)
 (* Vertex passes data through uncorrupted. *)
 let clean_through eff v = v < 2 || not (eff.corrupt_vertex.(seg_of_v v))
 
-(* Forward reachability from scan-in over steerable edges.  [clean] selects
-   whether data integrity is required along the way. *)
-let reach_from_pi ctx eff writable ~clean =
-  let ok = Array.make ctx.nv false in
-  if not (clean && eff.pi_dead) then begin
-    ok.(v_pi) <- true;
-    let q = Queue.create () in
-    Queue.add v_pi q;
-    while not (Queue.is_empty q) do
-      let u = Queue.pop q in
-      List.iter
-        (fun ei ->
-          let e = ctx.edges.(ei) in
-          let v = e.e_dst in
-          if
-            (not ok.(v))
-            && v <> v_po
-            (* Data integrity (and the ability to shift) matter only in
-               clean mode: the non-clean prefix/suffix of an access just
-               has to exist topologically — segments behind the target
-               may hold frozen or corrupted data without affecting it.
-               Membership only needs clean data INTO v; v's own through-
-               corruption is checked when extending beyond v. *)
-            && ((not clean) || shiftable eff v)
-            && (not clean || not (edge_corrupt eff e))
-            && edge_steerable ctx eff writable e
-          then begin
-            (* In clean mode the source must also pass data through
-               uncorrupted (except the scan-in port itself). *)
-            if (not clean) || u = v_pi || clean_through eff u then begin
-              ok.(v) <- true;
-              Queue.add v q
-            end
-          end)
-        ctx.out_edges.(u)
-    done
+(* The one edge-admission rule of the scalar traversals: may a traversal
+   towards scan-out ([fwd]) or towards scan-in cross edge [ei] into its
+   far end?  Every traversal needs the edge steerable.  A [clean] one
+   carries data that must arrive intact: the edge uncorrupted and the far
+   vertex shiftable, and the edge's source passing data through clean —
+   the near vertex forward (membership only needs clean data INTO a
+   vertex; its own through-corruption matters when extending beyond it),
+   the far vertex backward.  The non-clean prefix or suffix of an access
+   only has to exist topologically: segments behind the target may hold
+   frozen or corrupted data without affecting it. *)
+let admits ctx eff writable ~fwd ~clean ei =
+  let e = ctx.edges.(ei) in
+  ((not clean)
+  || (not (edge_corrupt eff e))
+     && shiftable eff (if fwd then e.e_dst else e.e_src)
+     && clean_through eff e.e_src)
+  && edge_steerable eff writable e
+
+(* Depth-first traversal from scan-in ([fwd]) or back from scan-out over
+   the edges [admits] lets through: a stack, adjacency-list order, a
+   vertex marked when pushed.  Forward traversals never enter scan-out,
+   backward ones never scan-in (direct port-to-port edges don't matter
+   for segment access), and a clean one reaches nothing from a dead
+   port.  Returns the reached set and, per vertex, the edge it was
+   reached by (-1 for the root and off-tree). *)
+let traverse ctx eff writable ~fwd ~clean =
+  let seen = Array.make ctx.nv false and parent = Array.make ctx.nv (-1) in
+  let root, skip = if fwd then (v_pi, v_po) else (v_po, v_pi) in
+  let rec go = function
+    | [] -> ()
+    | u :: stack ->
+        go
+          (List.fold_left
+             (fun stack ei ->
+               let e = ctx.edges.(ei) in
+               let v = if fwd then e.e_dst else e.e_src in
+               if (not seen.(v)) && v <> skip
+                  && admits ctx eff writable ~fwd ~clean ei
+               then begin
+                 seen.(v) <- true;
+                 parent.(v) <- ei;
+                 v :: stack
+               end
+               else stack)
+             stack
+             (if fwd then ctx.out_edges.(u) else ctx.in_edges.(u)))
+  in
+  if not (clean && if fwd then eff.pi_dead else eff.po_dead) then begin
+    seen.(root) <- true;
+    go [ root ]
   end;
-  ok
+  (seen, parent)
 
-(* Backward reachability to scan-out over steerable edges. *)
-let coreach_to_po ctx eff writable ~clean =
-  let ok = Array.make ctx.nv false in
-  if not (clean && eff.po_dead) then begin
-    ok.(v_po) <- true;
-    let q = Queue.create () in
-    Queue.add v_po q;
-    while not (Queue.is_empty q) do
-      let v = Queue.pop q in
-      List.iter
-        (fun ei ->
-          let e = ctx.edges.(ei) in
-          let u = e.e_src in
-          if
-            (not ok.(u))
-            && u <> v_pi
-            && ((not clean) || shiftable eff u)
-            && (not clean
-               || ((not (edge_corrupt eff e)) && clean_through eff u))
-            && edge_steerable ctx eff writable e
-          then begin
-            ok.(u) <- true;
-            Queue.add u q
-          end)
-        ctx.in_edges.(v)
-    done
-  end;
-  ok
+let reached ctx eff writable ~fwd ~clean =
+  fst (traverse ctx eff writable ~fwd ~clean)
 
-(* Direct scan-in -> scan-out edges don't matter for segment access, and
-   [reach_from_pi] never enters v_po; symmetric for the co-reach. *)
+(* The writability least fixpoint under [eff], with its founded
+   certificate forest: each round runs a clean forward traversal from
+   scan-in and an any-data backward one to scan-out under the writable
+   set of the PREVIOUS rounds, and promotes every segment both reach
+   (unless its write is killed).  A round's two trees are a concrete
+   clean prefix and any-data suffix for each segment it promotes, and
+   every not-reset-matching steering requirement on a round-k tree edge
+   is hosted by a segment promoted at a round < k — the recursion the
+   pair probe's fragility check relies on is well founded by
+   construction. *)
+type fixpoint = {
+  fp_writable : bool array;
+  fp_round_of : int array;  (* per segment, its round; -1 never writable *)
+  fp_rounds : (int array * int array) array;
+      (* per round, the forward and backward trees: per vertex, the edge
+         into / out of it ([traverse]'s parents) *)
+}
 
-let fixpoint_writable ctx eff =
-  let writable = Array.make ctx.nsegs false in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let rw = reach_from_pi ctx eff writable ~clean:true in
-    let s_any = coreach_to_po ctx eff writable ~clean:false in
-    for i = 0 to ctx.nsegs - 1 do
-      if
-        (not writable.(i))
-        && rw.(v_of_seg i)
-        && s_any.(v_of_seg i)
-        && (not eff.kill_write.(i))
-        && (not eff.pi_dead)
+let fixpoint ctx eff =
+  let w = Array.make ctx.nsegs false in
+  let round_of = Array.make ctx.nsegs (-1) in
+  let rec go round rounds =
+    let rw, pre = traverse ctx eff w ~fwd:true ~clean:true in
+    let s_any, suf = traverse ctx eff w ~fwd:false ~clean:false in
+    let promoted = ref false in
+    for s = 0 to ctx.nsegs - 1 do
+      if (not w.(s)) && (not eff.kill_write.(s))
+         && rw.(v_of_seg s) && s_any.(v_of_seg s)
       then begin
-        writable.(i) <- true;
-        changed := true
+        w.(s) <- true;
+        round_of.(s) <- round;
+        promoted := true
       end
-    done
-  done;
-  writable
+    done;
+    if !promoted then go (round + 1) ((pre, suf) :: rounds)
+    else Array.of_list (List.rev rounds)
+  in
+  let fp_rounds = go 0 [] in
+  { fp_writable = w; fp_round_of = round_of; fp_rounds }
 
-let verdict_of_effects ctx eff =
-  let writable = fixpoint_writable ctx eff in
-  let r_any = reach_from_pi ctx eff writable ~clean:false in
-  let s_clean = coreach_to_po ctx eff writable ~clean:true in
-  let readable = Array.make ctx.nsegs false in
-  for i = 0 to ctx.nsegs - 1 do
-    readable.(i) <-
-      r_any.(v_of_seg i)
-      && s_clean.(v_of_seg i)
-      && (not eff.kill_read.(i))
-      && (not eff.corrupt_vertex.(i))
-      && (not eff.po_dead)
-  done;
+(* Readable: reached by any data from scan-in, a clean path on to
+   scan-out, and the segment's own read and contents intact. *)
+let readable_at eff ~r_any ~s_clean i =
+  r_any.(v_of_seg i) && s_clean.(v_of_seg i)
+  && (not eff.kill_read.(i))
+  && not eff.corrupt_vertex.(i)
+
+let verdict_of ctx eff writable ~r_any ~s_clean =
+  let readable = Array.init ctx.nsegs (readable_at eff ~r_any ~s_clean) in
   let accessible = Array.init ctx.nsegs (fun i -> writable.(i) && readable.(i)) in
   { writable; readable; accessible }
+
+let verdict_of_effects ctx eff =
+  let writable = (fixpoint ctx eff).fp_writable in
+  verdict_of ctx eff writable
+    ~r_any:(reached ctx eff writable ~fwd:true ~clean:false)
+    ~s_clean:(reached ctx eff writable ~fwd:false ~clean:true)
 
 let analyze_multi ctx faults =
   verdict_of_effects ctx (effects_of_faults ctx faults)
@@ -385,10 +390,10 @@ let accessible_bits ctx v =
   !total
 
 (* Dijkstra over dataflow vertices minimizing the scan-bit length of the
-   path (the per-CSU shift-cycle count).  [edge_ok] filters usable edges.
-   Returns the predecessor array, or distances of unreached vertices as
-   max_int. *)
-let shortest_paths ctx ~src ~edge_ok ~vertex_ok =
+   path (the per-CSU shift-cycle count).  [edge_ok] filters usable edges
+   by index.  Returns the predecessor array, or distances of unreached
+   vertices as max_int. *)
+let shortest_paths ctx ~src ~edge_ok =
   let n = ctx.nv in
   (* Detour edges carry a dominating penalty so that witnesses use the
      original routes whenever possible — this keeps fault-free retargeting
@@ -422,7 +427,7 @@ let shortest_paths ctx ~src ~edge_ok ~vertex_ok =
         (fun ei ->
           let e = ctx.edges.(ei) in
           let v = e.e_dst in
-          if (not done_.(v)) && vertex_ok v && edge_ok e then begin
+          if (not done_.(v)) && edge_ok ei then begin
             let d =
               dist.(u) + weight v
               + if e.e_detour then detour_penalty else 0
@@ -444,17 +449,21 @@ type witness = {
 }
 
 (* The witness through [target]: a minimum-bit prefix from scan-in to
-   the target, then a minimum-bit suffix from the target to scan-out,
-   each over the edges and vertices its predicates admit. *)
-let witness_path ctx ~target ~prefix:(prefix_edge_ok, prefix_vertex_ok)
-    ~suffix:(suffix_edge_ok, suffix_vertex_ok) =
+   the target, then a minimum-bit suffix from the target to scan-out.
+   Each leg is [(reached, clean)]: its edges join two vertices of the
+   leg's traversal ([reached], forward for the prefix, backward for the
+   suffix) and pass [admits] with the leg's cleanness. *)
+let witness_path ctx eff writable ~target ~prefix ~suffix =
+  let leg ~fwd (reached, clean) ei =
+    let e = ctx.edges.(ei) in
+    reached.(e.e_src) && reached.(e.e_dst)
+    && admits ctx eff writable ~fwd ~clean ei
+  in
   let _, pre_prev, pre_edge =
-    shortest_paths ctx ~src:v_pi ~edge_ok:prefix_edge_ok
-      ~vertex_ok:prefix_vertex_ok
+    shortest_paths ctx ~src:v_pi ~edge_ok:(leg ~fwd:true prefix)
   in
   let _, suf_prev, suf_edge =
-    shortest_paths ctx ~src:target ~edge_ok:suffix_edge_ok
-      ~vertex_ok:suffix_vertex_ok
+    shortest_paths ctx ~src:target ~edge_ok:(leg ~fwd:false suffix)
   in
   let rec unwind prev prev_e v acc_v acc_e =
     if prev.(v) < 0 then
@@ -470,79 +479,37 @@ let witness_path ctx ~target ~prefix:(prefix_edge_ok, prefix_vertex_ok)
       Some { w_vertices = pre_v @ suf_v; w_routes = pre_r @ suf_r }
   | _ -> None
 
+(* Write witness: a clean prefix into the target and an any-data suffix.
+   It must be realizable BEFORE the target has ever been written, so its
+   routes may not be steered by bits hosted in the target itself.  The
+   fixpoint guarantees such a path exists: the target entered the
+   writable set using only previously-writable hosts. *)
 let access_witness ctx fault s =
   let eff = effects_of_fault ctx fault in
-  let writable = fixpoint_writable ctx eff in
-  let target = v_of_seg s in
-  let feasible =
-    let rw = reach_from_pi ctx eff writable ~clean:true in
-    let s_any = coreach_to_po ctx eff writable ~clean:false in
-    rw.(target) && s_any.(target) && not eff.kill_write.(s)
-  in
-  if not feasible then None
+  let writable = Array.copy (fixpoint ctx eff).fp_writable in
+  if not writable.(s) then None
   else begin
-    (* The witness must be realizable BEFORE the target has ever been
-       written, so its routes may not be steered by bits hosted in the
-       target itself.  The fixpoint guarantees such a path exists: the
-       target entered the writable set using only previously-writable
-       hosts. *)
-    let writable = Array.copy writable in
     writable.(s) <- false;
-    let rw = reach_from_pi ctx eff writable ~clean:true in
-    let s_any = coreach_to_po ctx eff writable ~clean:false in
-    (* Prefix over clean steerable edges, suffix over shiftable steerable
-       edges. *)
-    witness_path ctx ~target
-      ~prefix:
-        ( (fun e ->
-            (not (edge_corrupt eff e))
-            && edge_steerable ctx eff writable e
-            && (e.e_src = v_pi || (rw.(e.e_src) && clean_through eff e.e_src))),
-          fun v -> v = target || (v <> v_po && rw.(v)) )
-      ~suffix:
-        ( (fun e ->
-            edge_steerable ctx eff writable e
-            && (e.e_src = target || s_any.(e.e_src))),
-          fun v -> v = v_po || s_any.(v) )
+    let reach ~fwd ~clean = (reached ctx eff writable ~fwd ~clean, clean) in
+    witness_path ctx eff writable ~target:(v_of_seg s)
+      ~prefix:(reach ~fwd:true ~clean:true)
+      ~suffix:(reach ~fwd:false ~clean:false)
   end
 
-(* Read counterpart: a path through the target whose SUFFIX (target to
-   scan-out) is corruption-free and shiftable, while the prefix only needs
-   to exist topologically.  Unlike the write witness, steering by the
-   target's own bits is allowed here whenever the target is writable: the
-   bit can be pre-written (a write needs no clean suffix), then the read
-   follows.  An unwritable target is already excluded by the fixpoint. *)
+(* Read counterpart: an any-data prefix and a clean suffix.  Unlike the
+   write witness, steering by the target's own bits is allowed here
+   whenever the target is writable: the bit can be pre-written (a write
+   needs no clean suffix), then the read follows.  An unwritable target
+   is already excluded by the fixpoint. *)
 let read_witness ctx fault s =
   let eff = effects_of_fault ctx fault in
-  let writable = fixpoint_writable ctx eff in
-  let target = v_of_seg s in
-  let r_any = reach_from_pi ctx eff writable ~clean:false in
-  let s_clean = coreach_to_po ctx eff writable ~clean:true in
-  if
-    not
-      (r_any.(target) && s_clean.(target)
-      && (not eff.kill_read.(s))
-      && (not eff.corrupt_vertex.(s))
-      && not eff.po_dead)
-  then None
+  let writable = (fixpoint ctx eff).fp_writable in
+  let r_any = reached ctx eff writable ~fwd:true ~clean:false in
+  let s_clean = reached ctx eff writable ~fwd:false ~clean:true in
+  if not (readable_at eff ~r_any ~s_clean s) then None
   else
-    witness_path ctx ~target
-      ~prefix:
-        ( (fun e ->
-            edge_steerable ctx eff writable e
-            && (e.e_src = v_pi || r_any.(e.e_src))),
-          fun v -> v = target || (v <> v_po && r_any.(v)) )
-      ~suffix:
-        ( (fun e ->
-            (not (edge_corrupt eff e))
-            && edge_steerable ctx eff writable e
-            && (e.e_src = target
-               || (s_clean.(e.e_src) && clean_through eff e.e_src))
-            && shiftable eff e.e_src),
-          fun v -> v = v_po || (s_clean.(v) && shiftable eff v) )
-
-let access_path ctx fault s =
-  Option.map (fun w -> w.w_vertices) (access_witness ctx fault s)
+    witness_path ctx eff writable ~target:(v_of_seg s)
+      ~prefix:(r_any, false) ~suffix:(s_clean, true)
 
 (* ---- fault-free baseline and cone-of-influence deltas ----
 
@@ -585,20 +552,11 @@ type baseline = {
          fault-free network nothing is corrupted or blocked, so this is
          simultaneously the clean and the any-data forward traversal. *)
   b_live_coreach : bool array;  (* per vertex: reaches scan-out, ditto *)
-  b_cert_rounds : (int array * int array) array;
-      (* founded canonical writability certificates: per fixpoint round,
-         the forward BFS tree from scan-in (per vertex, the incoming edge
-         of its canonical prefix; -1 off-tree) and the backward BFS tree
-         to scan-out (per vertex, the outgoing edge of its canonical
-         suffix), both over edges enabled by the PREVIOUS rounds' writable
-         set — so every not-reset-matching steering requirement on a
-         certificate edge is hosted by a segment certified at a strictly
-         earlier round.  The probe replays this forest to decide which
-         segments keep their baseline-canonical access under a fault. *)
-  b_cert_round_of : int array;
-      (* per segment: the round at which it entered the writability
-         fixpoint (its certificate lives in [b_cert_rounds] at that
-         index); -1 if never writable *)
+  b_cert : fixpoint;
+      (* the fault-free fixpoint's founded certificate forest: each
+         segment's canonical prefix and suffix live in the trees of its
+         round.  The probe replays it to decide which segments keep
+         their baseline-canonical access under a fault. *)
   b_gain_pins : (int * int * bool, unit) Hashtbl.t;
   b_gain_locks : (int * int * bool, unit) Hashtbl.t;
       (* steering gains: the (segment, bit, value) pins and the (mux,
@@ -610,83 +568,10 @@ type baseline = {
 
 let baseline_verdict b = b.b_verdict
 
-(* Founded certificate forest of the writability fixpoint under [eff]:
-   re-run the fixpoint in rounds, recording for each round a concrete
-   clean scan-in prefix tree and an any-data scan-out suffix tree (per
-   vertex, the tree edge into / out of it; -1 off-tree) over the edges
-   the PREVIOUS rounds enable.  Every hosted not-reset-matching
-   requirement on a round-k tree edge is therefore hosted by a segment
-   certified at a round < k — the recursion the pair probe's fragility
-   check relies on is well founded by construction.  [corrupt] is the
-   per-edge data corruption under [eff].  Returns the rounds, each
-   segment's round (-1 if never writable) and the final writable set,
-   which is the least fixpoint's. *)
-let cert_forest ctx eff corrupt =
-  let nv = ctx.nv in
-  let round_of = Array.make ctx.nsegs (-1) in
-  let rounds = ref [] in
-  let w = Array.make ctx.nsegs false in
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    let enabled = Array.map (edge_steerable ctx eff w) ctx.edges in
-    (* The entry / extension conditions of [reach_from_pi ~clean:true]
-       forward and of [coreach_to_po ~clean:false] backward. *)
-    let tree ~fwd =
-      let root, skip = if fwd then (v_pi, v_po) else (v_po, v_pi) in
-      let parent = Array.make nv (-1) in
-      let seen = Array.make nv false in
-      seen.(root) <- true;
-      let stack = ref [ root ] in
-      while !stack <> [] do
-        match !stack with
-        | [] -> ()
-        | u :: rest ->
-            stack := rest;
-            if (not fwd) || u = v_pi || clean_through eff u then
-              List.iter
-                (fun ei ->
-                  if enabled.(ei) && not (fwd && corrupt.(ei)) then begin
-                    let e = ctx.edges.(ei) in
-                    let v = if fwd then e.e_dst else e.e_src in
-                    if
-                      (not seen.(v)) && v <> skip
-                      && ((not fwd) || shiftable eff v)
-                    then begin
-                      seen.(v) <- true;
-                      parent.(v) <- ei;
-                      stack := v :: !stack
-                    end
-                  end)
-                (if fwd then ctx.out_edges.(u) else ctx.in_edges.(u))
-      done;
-      parent
-    in
-    let pre = tree ~fwd:true in
-    let suf = tree ~fwd:false in
-    let round = List.length !rounds in
-    let promoted = ref false in
-    for s = 0 to ctx.nsegs - 1 do
-      if
-        (not w.(s))
-        && (not eff.kill_write.(s))
-        && pre.(v_of_seg s) >= 0
-        && suf.(v_of_seg s) >= 0
-      then begin
-        w.(s) <- true;
-        round_of.(s) <- round;
-        promoted := true
-      end
-    done;
-    if !promoted then begin
-      rounds := (pre, suf) :: !rounds;
-      progress := true
-    end
-  done;
-  (Array.of_list (List.rev !rounds), round_of, w)
-
 let baseline ctx =
-  let b_verdict = analyze ctx None in
+  let eff0 = no_effects ctx in
+  let b_cert = fixpoint ctx eff0 in
+  let w = b_cert.fp_writable in
   let nv = ctx.nv in
   let b_host_edges_all = Array.make ctx.nsegs [] in
   let b_host_edges_nonreset = Array.make ctx.nsegs [] in
@@ -697,7 +582,7 @@ let baseline ctx =
       let seen_all = ref [] and seen_nr = ref [] in
       Array.iter
         (fun ((m, b), cseg, cbit, required, reset_matches) ->
-          if (not reset_matches) && not b_verdict.writable.(cseg) then begin
+          if (not reset_matches) && not w.(cseg) then begin
             Hashtbl.replace b_gain_pins (cseg, cbit, required) ();
             Hashtbl.replace b_gain_locks (m, b, required) ()
           end;
@@ -790,10 +675,7 @@ let baseline ctx =
          sound): every cone degenerates to the full network. *)
       Array.iter Bitset.fill b_reach;
       Array.iter Bitset.fill b_coreach);
-  let eff0 = no_effects ctx in
-  let b_steer =
-    Array.map (edge_steerable ctx eff0 b_verdict.writable) ctx.edges
-  in
+  let b_steer = Array.map (edge_steerable eff0 w) ctx.edges in
   let b_live_out = Array.make nv [] in
   let b_live_in = Array.make nv [] in
   for ei = Array.length ctx.edges - 1 downto 0 do
@@ -803,39 +685,13 @@ let baseline ctx =
       b_live_in.(e.e_dst) <- ei :: b_live_in.(e.e_dst)
     end
   done;
-  (* Plain reachability over the live subgraph; with no corruption and no
-     blocks these coincide with both the clean and the any-data baseline
-     traversals ([b_verdict] was computed from exactly these edges). *)
-  let bfs adj ~root ~skip =
-    let ok = Array.make nv false in
-    ok.(root) <- true;
-    let stack = ref [ root ] in
-    while !stack <> [] do
-      match !stack with
-      | [] -> ()
-      | u :: rest ->
-          stack := rest;
-          List.iter
-            (fun ei ->
-              let e = ctx.edges.(ei) in
-              let v = if adj == b_live_out then e.e_dst else e.e_src in
-              if (not ok.(v)) && v <> skip then begin
-                ok.(v) <- true;
-                stack := v :: !stack
-              end)
-            adj.(u)
-    done;
-    ok
+  (* With no corruption and no blocks the clean and the any-data
+     traversals coincide, over exactly the live edges. *)
+  let b_live_reach = reached ctx eff0 w ~fwd:true ~clean:false in
+  let b_live_coreach = reached ctx eff0 w ~fwd:false ~clean:false in
+  let b_verdict =
+    verdict_of ctx eff0 w ~r_any:b_live_reach ~s_clean:b_live_coreach
   in
-  let b_live_reach = bfs b_live_out ~root:v_pi ~skip:v_po in
-  let b_live_coreach = bfs b_live_in ~root:v_po ~skip:v_pi in
-  (* The fault-free network has no corruption, blocking or killed
-     interfaces, so its certificate forest's final writable set
-     coincides with [b_verdict.writable]. *)
-  let b_cert_rounds, b_cert_round_of, w =
-    cert_forest ctx eff0 (Array.make (Array.length ctx.edges) false)
-  in
-  assert (w = b_verdict.writable);
   {
     b_verdict;
     b_reach;
@@ -849,8 +705,7 @@ let baseline ctx =
     b_live_in;
     b_live_reach;
     b_live_coreach;
-    b_cert_rounds;
-    b_cert_round_of;
+    b_cert;
     b_gain_pins;
     b_gain_locks;
   }
@@ -1284,9 +1139,9 @@ let lane_fix ctx base (lanes : lane array) =
   let shift v = if v >= 2 then lnot hard_block_w.(seg_of_v v) else -1 in
   let pass v = if v >= 2 then lnot corrupt_vertex_w.(seg_of_v v) else -1 in
   (* The lanes that may leave vertex [u] along a traversal: in clean
-     forward reach ([reach_from_pi ~clean:true]) membership needs clean
-     data INTO the vertex, extension beyond it also its through-
-     cleanness. *)
+     forward reach membership needs clean data INTO the vertex,
+     extension beyond it also its through-cleanness ([admits] lane-wise,
+     split between the near and the far end). *)
   let leaving ~fwd ~clean words u =
     let x = Lanes.get words u in
     if fwd && clean then x land pass u else x
@@ -1295,7 +1150,7 @@ let lane_fix ctx base (lanes : lane array) =
      backward), whose leaving lanes are [x], into its far end.  Forward
      traversals never enter scan-out, backward ones never scan-in; clean
      ones also need the edge uncorrupted and the far vertex shiftable,
-     and backward ([coreach_to_po ~clean:true]) its through-cleanness. *)
+     and backward its through-cleanness. *)
   let relax ~fwd ~clean words x ei =
     let e = ctx.edges.(ei) in
     let v = if fwd then e.e_dst else e.e_src in
@@ -1582,8 +1437,8 @@ let analyze_lanes_stats ctx ?base (classes : Fault.clas array) =
    its four final traversals, i.e. the exact faulty state — so the
    exact set of KILLED live edges (including the ones that died because a
    steering host lost its writability, transitively) is a linear scan,
-   and the four access traversals under the fault need no BFS of their
-   own.
+   and the four access traversals under the fault need no traversal of
+   their own.
 
    The region certifies non-interaction by induction along each
    traversal: for a vertex surviving both faults separately, one of its
@@ -1857,32 +1712,26 @@ let probe_lane ctx base (sm : Fault.summary) fix l =
     (* Fragility: which segments keep their CANONICAL baseline
        certificate under the fault?  Replay the founded forest in round
        order.  [all_w] neutralizes [edge_steerable]'s host-writability
-       fallback so the call checks only the syntactic conditions (dead
-       edge, wrong pins, wrong locks); hosted not-reset-matching
-       requirements are then handled by [hosts_ok] through the founded
-       recursion — the host's own certificate must have survived
-       ([pclass]), unless the fault itself pins or locks the bit to its
-       required value (any pin on the bit is necessarily right here:
-       wrong pins already failed the syntactic check). *)
+       fallback so [admits] checks only the syntactic steering conditions
+       (dead edge, wrong pins, wrong locks) beside data integrity; hosted
+       not-reset-matching requirements are then handled by [hosts_ok]
+       through the founded recursion — the host's own certificate must
+       have survived ([pclass]), unless the fault itself pins or locks
+       the bit to its required value ([exempt]; any pin on the bit of a
+       steerable edge is necessarily right). *)
     let all_w = Array.make ctx.nsegs true in
     let pclass = Array.make ctx.nsegs false in
+    let exempt (port, cseg, cbit, required, _) =
+      List.exists
+        (fun (m, b, vv) -> (m, b) = port && vv = required)
+        eff.locked_addr
+      || List.exists (fun (s', b', _) -> s' = cseg && b' = cbit) eff.stuck_shadow
+    in
     let hosts_ok e =
-      let ok = ref true in
-      Array.iter
-        (fun (port, cseg, cbit, required, reset_matches) ->
-          if (not reset_matches) && not pclass.(cseg) then begin
-            let exempt =
-              List.exists
-                (fun (m, b, vv) -> (m, b) = port && vv = required)
-                eff.locked_addr
-              || List.exists
-                   (fun (s', b', _) -> s' = cseg && b' = cbit)
-                   eff.stuck_shadow
-            in
-            if not exempt then ok := false
-          end)
-        e.e_shadow_reqs;
-      !ok
+      Array.for_all
+        (fun ((_, cseg, _, _, reset_matches) as req) ->
+          reset_matches || pclass.(cseg) || exempt req)
+        e.e_shadow_reqs
     in
     let pre_memo = Array.make ctx.nv 0 (* 0 unknown / 1 ok / 2 bad *) in
     let suf_memo = Array.make ctx.nv 0 in
@@ -1905,53 +1754,41 @@ let probe_lane ctx base (sm : Fault.summary) fix l =
       let ok = ref (!known = Some true) in
       List.iter
         (fun u ->
-          if !ok then ok := edge_ok u parent.(u);
+          if !ok then ok := edge_ok parent.(u);
           memo.(u) <- (if !ok then 1 else 2))
         !chain;
       !ok
     in
-    let nrounds = Array.length base.b_cert_rounds in
-    for round = 0 to nrounds - 1 do
-      Array.fill pre_memo 0 ctx.nv 0;
-      Array.fill suf_memo 0 ctx.nv 0;
-      let pre_tree, suf_tree = base.b_cert_rounds.(round) in
-      (* Prefix edges carry clean data into the target: steerable,
-         uncorrupted, destination shiftable, source passing clean. *)
-      let pre_edge_ok u ei =
-        let e = ctx.edges.(ei) in
-        edge_steerable ctx eff all_w e
-        && hosts_ok e
-        && (not corrupt.(ei))
-        && shiftable eff u
-        && (e.e_src = v_pi || clean_through eff e.e_src)
-      in
-      (* Suffix edges only need to exist topologically: steerable. *)
-      let suf_edge_ok _u ei =
-        let e = ctx.edges.(ei) in
-        edge_steerable ctx eff all_w e && hosts_ok e
-      in
-      for s = 0 to ctx.nsegs - 1 do
-        if
-          base.b_cert_round_of.(s) = round
-          && (not eff.kill_write.(s))
-          && walk pre_memo pre_tree
-               (fun ei -> ctx.edges.(ei).e_src)
-               v_pi pre_edge_ok (v_of_seg s)
-          && walk suf_memo suf_tree
-               (fun ei -> ctx.edges.(ei).e_dst)
-               v_po suf_edge_ok (v_of_seg s)
-        then pclass.(s) <- true
-      done
-    done;
+    (* The prefix carries clean data into the target, the suffix only
+       has to exist: the edge admissions of the fixpoint's two trees. *)
+    let tree_edge_ok ~fwd ~clean ei =
+      admits ctx eff all_w ~fwd ~clean ei && hosts_ok ctx.edges.(ei)
+    in
+    Array.iteri
+      (fun round (pre_tree, suf_tree) ->
+        Array.fill pre_memo 0 ctx.nv 0;
+        Array.fill suf_memo 0 ctx.nv 0;
+        for s = 0 to ctx.nsegs - 1 do
+          if
+            base.b_cert.fp_round_of.(s) = round
+            && (not eff.kill_write.(s))
+            && walk pre_memo pre_tree
+                 (fun ei -> ctx.edges.(ei).e_src)
+                 v_pi (tree_edge_ok ~fwd:true ~clean:true) (v_of_seg s)
+            && walk suf_memo suf_tree
+                 (fun ei -> ctx.edges.(ei).e_dst)
+                 v_po (tree_edge_ok ~fwd:false ~clean:false) (v_of_seg s)
+          then pclass.(s) <- true
+        done)
+      base.b_cert.fp_rounds;
     let fragile = Bitset.create ctx.nsegs in
     for s = 0 to ctx.nsegs - 1 do
       if v.writable.(s) && not pclass.(s) then Bitset.add fragile s
     done;
     (* Re-routed certificates: a fragile segment is still writable, so
        the FAULTY fixpoint owns a founded certificate for it.
-       Materialize one (round-stratified replay of the faulty fixpoint,
-       exactly like the baseline forest but under [eff] and the settled
-       corruption cache) and expose its vertex and edge footprints
+       Materialize one ([fixpoint] under [eff], exactly like the
+       baseline forest) and expose its vertex and edge footprints
        [supp] / [supp_edges] plus the steering hosts [rhosts] it rests
        on.  A partner fault whose exact damage (dead_edges, dmg)
        avoids the footprint and under which every such host keeps both
@@ -1962,56 +1799,38 @@ let probe_lane ctx base (sm : Fault.summary) fix l =
     let supp_edges = Bitset.create nedges in
     let rhosts = Bitset.create ctx.nsegs in
     if not (Bitset.is_empty fragile) then begin
-      let frounds, fround_of, wf = cert_forest ctx eff corrupt in
-      assert (wf = v.writable);
-      let host_edge ei =
-        Array.iter
-          (fun (port, cseg, cbit, required, reset_matches) ->
-            if not reset_matches then begin
-              (* A pin on the bit is necessarily to the required value:
-                 the certificate edge is steerable under the fault. *)
-              let exempt =
-                List.exists
-                  (fun (m, b, vv) -> (m, b) = port && vv = required)
-                  eff.locked_addr
-                || List.exists
-                     (fun (s', b', _) -> s' = cseg && b' = cbit)
-                     eff.stuck_shadow
-              in
-              if not exempt then Bitset.add rhosts cseg
-            end)
-          ctx.edges.(ei).e_shadow_reqs
-      in
+      let fx = fixpoint ctx eff in
+      assert (fx.fp_writable = v.writable);
       let pre_done = Array.make ctx.nv false in
       let suf_done = Array.make ctx.nv false in
-      for round = 0 to Array.length frounds - 1 do
-        Array.fill pre_done 0 ctx.nv false;
-        Array.fill suf_done 0 ctx.nv false;
-        let pre, suf = frounds.(round) in
-        Bitset.iter
-          (fun s ->
-            if fround_of.(s) = round then begin
-              let u = ref (v_of_seg s) in
-              while !u <> v_pi && not pre_done.(!u) do
-                pre_done.(!u) <- true;
-                Bitset.add supp !u;
-                let ei = pre.(!u) in
-                Bitset.add supp_edges ei;
-                host_edge ei;
-                u := ctx.edges.(ei).e_src
-              done;
-              let u = ref (v_of_seg s) in
-              while !u <> v_po && not suf_done.(!u) do
-                suf_done.(!u) <- true;
-                Bitset.add supp !u;
-                let ei = suf.(!u) in
-                Bitset.add supp_edges ei;
-                host_edge ei;
-                u := ctx.edges.(ei).e_dst
-              done
-            end)
-          fragile
-      done
+      (* Climb a tree from segment [s] to its root, footprinting every
+         vertex and edge not yet climbed this round. *)
+      let climb tree climbed root next s =
+        let u = ref (v_of_seg s) in
+        while !u <> root && not climbed.(!u) do
+          climbed.(!u) <- true;
+          Bitset.add supp !u;
+          let ei = tree.(!u) in
+          Bitset.add supp_edges ei;
+          Array.iter
+            (fun ((_, cseg, _, _, reset_matches) as req) ->
+              if not (reset_matches || exempt req) then Bitset.add rhosts cseg)
+            ctx.edges.(ei).e_shadow_reqs;
+          u := next ctx.edges.(ei)
+        done
+      in
+      Array.iteri
+        (fun round (pre, suf) ->
+          Array.fill pre_done 0 ctx.nv false;
+          Array.fill suf_done 0 ctx.nv false;
+          Bitset.iter
+            (fun s ->
+              if fx.fp_round_of.(s) = round then begin
+                climb pre pre_done v_pi (fun e -> e.e_src) s;
+                climb suf suf_done v_po (fun e -> e.e_dst) s
+              end)
+            fragile)
+        fx.fp_rounds
     end;
     {
       pr_verdict = v;

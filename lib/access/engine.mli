@@ -37,7 +37,12 @@ type verdict = {
 
 val analyze : ctx -> Ftrsn_fault.Fault.t option -> verdict
 (** [analyze ctx fault] computes the per-segment verdicts under the given
-    fault ([None] = fault-free). *)
+    fault ([None] = fault-free).  This is the scalar engine, the brute
+    oracle of the lane kernel below: one depth-first traversal over one
+    edge-admission rule (steerable; for clean data also uncorrupted, the
+    far vertex shiftable and the source passing data clean), iterated
+    into the least writability fixpoint.  The same fixpoint builds the
+    certificate forests of {!baseline} and {!probe} and the witnesses. *)
 
 val analyze_multi : ctx -> Ftrsn_fault.Fault.t list -> verdict
 (** Accessibility under a SET of simultaneous stuck-at faults — beyond the
@@ -78,7 +83,9 @@ val baseline : ctx -> baseline
     unions of these tables, exactly the cone the per-fault cascade
     would reach.  The closure is a Kleene iteration of the topological
     reach/co-reach DPs; on cyclic dataflow every table is the full
-    vertex set. *)
+    vertex set.  The baseline also keeps the fault-free fixpoint's
+    certificate forest, one clean prefix tree and one suffix tree per
+    round, which {!probe} replays under a fault. *)
 
 val baseline_verdict : baseline -> verdict
 (** The fault-free verdict ({!analyze}[ ctx None]). *)
@@ -355,9 +362,6 @@ val access_witness : ctx -> Ftrsn_fault.Fault.t option -> int -> witness option
     minimum-shift-length scan path through [s] with a corruption-free
     prefix and steerable muxes, together with the mux route chosen for each
     hop — the witness used for pattern retargeting in the faulty RSN. *)
-
-val access_path : ctx -> Ftrsn_fault.Fault.t option -> int -> int list option
-(** The vertices of {!access_witness}. *)
 
 val read_witness : ctx -> Ftrsn_fault.Fault.t option -> int -> witness option
 (** The read counterpart of {!access_witness}: a scan path through the

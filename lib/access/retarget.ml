@@ -119,13 +119,13 @@ type direction = Write | Read
    under the injection, in trace order with their clean flags.  The walk
    starts at the port the data comes from (scan-in for writes, scan-out
    for reads) and flags the stream corrupt once it passes a data fault: a
-   stuck port, a mux output or the selected input class, a segment's
+   stuck port, a mux output or a stuck selected input, a segment's
    entry side (its scan-in for writes, scan-out for reads), a shift stage,
    or a non-shifting segment, which freezes the stream behind it.  A
    segment is clean if nothing corrupt reaches it and its own shift,
    select and update (write) or capture (read) work; only stuck-at-0
    enables block. *)
-let usable_on_trace (net : Netlist.t) (inj : Sim.injection) dir trace =
+let usable_on_trace (inj : Sim.injection) dir trace =
   let entry, exit, latch, port, items =
     match dir with
     | Write ->
@@ -140,12 +140,9 @@ let usable_on_trace (net : Netlist.t) (inj : Sim.injection) dir trace =
     List.fold_left
       (fun acc -> function
         | Sim.T_mux (m, k) ->
-            let cls = Netlist.mux_input_class net m in
             if
               List.mem_assoc m inj.stuck_mux_out
-              || List.exists
-                   (fun (m', k', _) -> m' = m && cls k' = cls k)
-                   inj.stuck_mux_in
+              || List.exists (fun (m', k', _) -> m' = m && k' = k) inj.stuck_mux_in
             then corrupt := true;
             acc
         | Sim.T_seg s ->
@@ -170,7 +167,7 @@ let clean_on ok_list s = List.exists (fun (s', ok) -> s' = s && ok) ok_list
 let writable_under net inj cfg =
   match Sim.active_trace net inj cfg with
   | None -> []
-  | Some trace -> usable_on_trace net inj Write trace
+  | Some trace -> usable_on_trace inj Write trace
 
 (* The one greedy configuration loop of the planner: each round writes, as
    one configuration CSU, every pending bit whose segment is cleanly
@@ -482,7 +479,7 @@ let access_csu r plan ~targets dir ~run =
   match Sim.active_trace r.net r.inj r.state.Sim.config with
   | None -> Error "invalid final configuration"
   | Some trace -> (
-      let path = usable_on_trace r.net r.inj dir trace in
+      let path = usable_on_trace r.inj dir trace in
       match List.find_opt (fun t -> not (clean_on path t)) targets with
       | Some t when List.mem_assoc t path ->
           let name = Netlist.segment_name r.net t in
@@ -496,7 +493,7 @@ let access_csu r plan ~targets dir ~run =
                (Netlist.segment_name r.net t)
                (String.concat ";"
                   (List.map (fun (s, _) -> Netlist.segment_name r.net s) path)))
-      | None -> Ok (run (usable_on_trace r.net r.inj Write trace)))
+      | None -> Ok (run (usable_on_trace r.inj Write trace)))
 
 let write r plan ~patterns =
   access_csu r plan ~targets:(List.map fst patterns) Write ~run:(fun ok_list ->

@@ -76,9 +76,8 @@ type goal = G_write | G_read
    segment's writability, or a goal on a target. *)
 type cone = Writable of int | Goal of goal * int
 
-(* The static model [t] and the incremental [session] are mutually
-   recursive: a session holds the model it encodes, and the model caches a
-   default session for the thin one-shot-style wrappers. *)
+(* The static model [t] is immutable; an incremental [session] holds the
+   model it encodes, and every BMC query names its session. *)
 type t = {
   net : Netlist.t;
   port_masked : int -> bool;              (* [Fault.port_mask_table] *)

@@ -43,7 +43,6 @@ let var ctx i =
   mk ctx (K_var i) (Var i)
 
 let fresh_var ctx = var ctx ctx.nvars
-let num_vars ctx = ctx.nvars
 let var_index e = match e.node with Var i -> Some i | _ -> None
 let equal a b = a.id = b.id
 let is_true e = match e.node with True -> true | _ -> false
@@ -99,7 +98,6 @@ let or_ ctx a b =
 
 let xor_ ctx a b = or_ ctx (and_ ctx a (not_ ctx b)) (and_ ctx (not_ ctx a) b)
 let iff_ ctx a b = not_ ctx (xor_ ctx a b)
-let implies ctx a b = or_ ctx (not_ ctx a) b
 let ite ctx c t e = or_ ctx (and_ ctx c t) (and_ ctx (not_ ctx c) e)
 let and_list ctx es = List.fold_left (and_ ctx) (etrue ctx) es
 let or_list ctx es = List.fold_left (or_ ctx) (efalse ctx) es
@@ -144,29 +142,10 @@ let iter_nodes f e =
   in
   go e
 
-let size e =
-  let n = ref 0 in
-  iter_nodes (fun _ -> incr n) e;
-  !n
-
 let support e =
   let vs = ref [] in
   iter_nodes (fun e -> match e.node with Var i -> vs := i :: !vs | _ -> ()) e;
   List.sort compare !vs
-
-let rec pp fmt e =
-  match e.node with
-  | True -> Format.pp_print_string fmt "true"
-  | False -> Format.pp_print_string fmt "false"
-  | Var i -> Format.fprintf fmt "v%d" i
-  | Not x -> Format.fprintf fmt "!%a" pp_atom x
-  | And (x, y) -> Format.fprintf fmt "(%a & %a)" pp x pp y
-  | Or (x, y) -> Format.fprintf fmt "(%a | %a)" pp x pp y
-
-and pp_atom fmt e =
-  match e.node with
-  | True | False | Var _ | Not _ -> pp fmt e
-  | And _ | Or _ -> Format.fprintf fmt "(%a)" pp e
 
 module Cnf = struct
   type clause = int list

@@ -25,14 +25,11 @@ val var : ctx -> int -> t
 val var_index : t -> int option
 (** [Some i] if the expression is exactly variable [i]. *)
 
-val num_vars : ctx -> int
-
 val not_ : ctx -> t -> t
 val and_ : ctx -> t -> t -> t
 val or_ : ctx -> t -> t -> t
 val xor_ : ctx -> t -> t -> t
 val iff_ : ctx -> t -> t -> t
-val implies : ctx -> t -> t -> t
 val ite : ctx -> t -> t -> t -> t
 val and_list : ctx -> t list -> t
 val or_list : ctx -> t list -> t
@@ -51,15 +48,10 @@ val evaluator : (int -> bool) -> t -> bool
     shared by every call, so evaluating several expressions over one
     DAG visits each shared node once. *)
 
-val size : t -> int
-(** Number of distinct subexpressions. *)
-
 val support : t -> int list
 (** The variables the expression reads, in increasing order — after
     constant folding, so an expression that folded to a constant has an
     empty support. *)
-
-val pp : Format.formatter -> t -> unit
 
 (** Conjunctive normal form in DIMACS literal convention: variable [i]
     (0-based expression variable) appears as literal [i + 1], negated as

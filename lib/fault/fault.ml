@@ -247,25 +247,24 @@ let universe ?(model = Stuck) (net : Netlist.t) =
    successor of the primary scan-in, and every predecessor of the primary
    scan-out to the secondary scan-out.  A fault in a mux whose consumer
    dataflow vertex is the scan-out (1) or a direct successor of the
-   scan-in (0) is therefore bypassed by the port switch.  The consumers
-   and successors come from one pass over the edge routes ([routes], when
-   the caller has them already). *)
-let port_mask_table ?routes (net : Netlist.t) =
+   scan-in (0) is therefore bypassed by the port switch.  One walk down
+   the mux tree of every consumer's driver finds each mux's consumer and
+   the consumers the scan-in drives. *)
+let port_mask_table (net : Netlist.t) =
   if not net.Netlist.dual_ports then fun _ -> false
   else begin
-    let routes =
-      match routes with Some r -> r | None -> Netlist.edge_routes net
-    in
     let consumer = Array.make (Array.length net.Netlist.muxes) (-1) in
-    let pi_succ = Hashtbl.create 8 in
-    Hashtbl.iter
-      (fun (src, dst) rs ->
-        if src = 0 then Hashtbl.replace pi_succ dst ();
-        List.iter
-          (List.iter (fun (m', _) -> consumer.(m') <- dst))
-          rs)
-      routes;
-    fun m -> consumer.(m) = 1 || Hashtbl.mem pi_succ consumer.(m)
+    let pi_succ = Array.make (2 + Array.length net.Netlist.segs) false in
+    let rec walk v = function
+      | Netlist.Scan_in -> pi_succ.(v) <- true
+      | Netlist.Mux m ->
+          consumer.(m) <- v;
+          Array.iter (walk v) net.Netlist.muxes.(m).Netlist.mux_inputs
+      | Netlist.Seg _ | Netlist.Scan_out -> ()
+    in
+    walk 1 net.Netlist.out_src;
+    Array.iteri (fun i s -> walk (2 + i) s.Netlist.seg_input) net.Netlist.segs;
+    fun m -> consumer.(m) = 1 || (consumer.(m) >= 0 && pi_succ.(consumer.(m)))
   end
 
 let to_injection (net : Netlist.t) f =
@@ -295,8 +294,18 @@ let to_injection (net : Netlist.t) f =
       else { base with stuck_mux_addr = [ (m, b, v) ] }
   | Mux_addr_replica _ -> base
   | Mux_data_in (m, k) ->
+      (* Inputs sharing a driver are one port: the fault reaches data
+         through every index of k's class. *)
       if port_mask_table net m then base
-      else { base with stuck_mux_in = [ (m, k, v) ] }
+      else
+        let inputs = net.muxes.(m).mux_inputs in
+        {
+          base with
+          stuck_mux_in =
+            List.filter_map
+              (fun k' -> if inputs.(k') = inputs.(k) then Some (m, k', v) else None)
+              (List.init (Array.length inputs) Fun.id);
+        }
   | Mux_out m ->
       if port_mask_table net m then base
       else { base with stuck_mux_out = [ (m, v) ] }

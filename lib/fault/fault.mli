@@ -90,7 +90,9 @@ val to_injection : Ftrsn_rsn.Netlist.t -> t -> Ftrsn_rsn.Sim.injection
     masked fault (TMR replicas, TMR-protected shadow bits, mux faults
     bypassed by {!port_mask_table}, primary-port faults under duplicated
     ports) and for sites no static override expresses (bridges, voters,
-    glitches).  This is the fault's only view in
+    glitches).  A stuck mux data input is forced on every input index
+    that shares its driver, the one port the fault model sees.  This
+    is the fault's only view in
     {!Ftrsn_access.Retarget}: its planner and its simulator replay both
     read the fault through this injection. *)
 
@@ -156,18 +158,14 @@ val summary_union : summary -> summary -> summary
     reduction (a pair verdict depends only on the union of the two class
     summaries). *)
 
-val port_mask_table :
-  ?routes:(int * int, (int * int) list list) Hashtbl.t ->
-  Ftrsn_rsn.Netlist.t ->
-  int ->
-  bool
+val port_mask_table : Ftrsn_rsn.Netlist.t -> int -> bool
 (** The duplicated-scan-port masking rule (paper §III-E-4), defined here
     only: [port_mask_table net m] holds iff the netlist has [dual_ports]
     and mux [m] feeds the primary scan-out or a direct successor of the
     primary scan-in — the secondary port reaches around it, so faults in
     the mux are bypassed.  Partially applied, the predicate shares one
-    pass over the edge routes across all muxes; [routes] passes
-    {!Ftrsn_rsn.Netlist.edge_routes} when the caller has it already.
+    walk over the segments' and the scan-out's mux trees across all
+    muxes.
     {!to_injection}, {!summarize}, {!collapse}, the structural engine and
     the BMC model all use this rule. *)
 

@@ -1242,6 +1242,56 @@ let test_lane_counts_equal_verdicts () =
         classes)
     [ "d695"; "u226" ]
 
+(* A mux whose two inputs share one driver: the fault model treats the
+   duplicates as one port, so a data fault on the canonical input must
+   reach the stream through the duplicate too — in the replay injection
+   as in both engines and the planner. *)
+let test_duplicate_mux_input_stuck () =
+  let seg name input =
+    {
+      Netlist.seg_name = name;
+      seg_len = 1;
+      seg_shadow = 0;
+      seg_input = input;
+      seg_reset = [||];
+      seg_hier = 0;
+    }
+  in
+  let net =
+    {
+      Netlist.net_name = "dup";
+      segs = [| seg "s0" Netlist.Scan_in; seg "s1" (Netlist.Mux 0) |];
+      muxes =
+        [|
+          {
+            Netlist.mux_name = "m0";
+            mux_inputs = [| Netlist.Seg 0; Netlist.Seg 0 |];
+            mux_addr = [| Netlist.Ctrl_primary "sel" |];
+            mux_tmr = false;
+            mux_rescue_from = 2;
+          };
+        |];
+      out_src = Netlist.Seg 1;
+      select_hardened = false;
+      dual_ports = false;
+    }
+  in
+  check bool_t "valid" true (Netlist.validate net = Ok ());
+  let s1_after inj =
+    let st = Sim.initial net in
+    let st = { st with Sim.config = Config.set_primary st.Sim.config "sel" true } in
+    check bool_t "duplicate selected" true
+      (Sim.effective_selection net inj st.Sim.config 0 = Some 1);
+    ignore (Sim.csu net ~inj st ~scan_in:[ false; false ]);
+    st.Sim.shift.(1).(0)
+  in
+  check bool_t "fault-free" false (s1_after Sim.no_injection);
+  let inj =
+    Fault.to_injection net
+      { Fault.site = Fault.Mux_data_in (0, 0); stuck = true }
+  in
+  check bool_t "stuck value through the duplicate" true (s1_after inj)
+
 let suite =
   [
     Alcotest.test_case "fault-free: all accessible" `Quick
@@ -1326,4 +1376,6 @@ let suite =
       test_cones_are_probe_cones;
     Alcotest.test_case "probe and stack outputs pinned (u226-ft, d281)" `Quick
       test_probe_stack_pinned;
+    Alcotest.test_case "replay: a stuck mux input reaches its duplicate" `Quick
+      test_duplicate_mux_input_stuck;
   ]

@@ -520,6 +520,55 @@ let test_summary_hash_spread () =
           (Fault.model_to_string model) d n)
     [ Fault.Stuck; Fault.Bridge ]
 
+(* ------------------------------------------------------------------ *)
+(* Port masking against the route-based reference                      *)
+
+(* The duplicated-port masking rule read off the dataflow edge routes:
+   a mux is masked iff the consumer vertex of a route through it is the
+   scan-out (1) or a direct successor of the scan-in (0). *)
+let port_mask_reference net =
+  if not net.Netlist.dual_ports then fun _ -> false
+  else begin
+    let routes = Netlist.edge_routes net in
+    let consumer = Array.make (Netlist.num_muxes net) (-1) in
+    let pi_succ = Hashtbl.create 8 in
+    Hashtbl.iter
+      (fun (src, dst) rs ->
+        if src = 0 then Hashtbl.replace pi_succ dst ();
+        List.iter (List.iter (fun (m, _) -> consumer.(m) <- dst)) rs)
+      routes;
+    fun m -> consumer.(m) = 1 || Hashtbl.mem pi_succ consumer.(m)
+  end
+
+let test_port_mask_reference () =
+  let soc name = Itc02.rsn (Option.get (Itc02.find name)) in
+  let ft net = (Pipeline.synthesize net).Pipeline.ft in
+  let itc =
+    List.map (fun n -> (n ^ "-ft", ft (soc n)))
+      [ "u226"; "d281"; "d695"; "x1331"; "q12710" ]
+  in
+  let random =
+    List.filter_map
+      (fun seed ->
+        let net =
+          Ftrsn_rsn.Random_net.generate ~seed ~segments:(4 + (seed mod 6)) ()
+        in
+        match ft net with
+        | ft -> Some (Printf.sprintf "random %d ft" seed, ft)
+        | exception Ftrsn_core.Augment.Infeasible _ -> None)
+      (List.init 40 Fun.id)
+  in
+  check bool_t "some random nets synthesize" true (List.length random >= 20);
+  List.iter
+    (fun (name, net) ->
+      let rule = Fault.port_mask_table net and reference = port_mask_reference net in
+      for m = 0 to Netlist.num_muxes net - 1 do
+        if rule m <> reference m then
+          Alcotest.failf "%s: mux %d masked %b, reference %b" name m (rule m)
+            (reference m)
+      done)
+    (itc @ random)
+
 let suite =
   [
     Alcotest.test_case "bridge universe sanity" `Quick test_bridge_universe;
@@ -556,4 +605,6 @@ let suite =
       test_collapse_reference;
     Alcotest.test_case "summary hash separates d695-ft classes" `Quick
       test_summary_hash_spread;
+    Alcotest.test_case "port masking = route-based reference (FT, random)"
+      `Quick test_port_mask_reference;
   ]
