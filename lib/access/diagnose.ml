@@ -7,12 +7,33 @@ type stimulus = bool list list
 type signature = bool list list
 
 (* Textual signature format shared by the CLI and the service layer: one
-   0/1 line per diagnostic CSU, blank lines ignored. *)
-let signature_of_lines lines =
-  lines
-  |> List.map String.trim
-  |> List.filter (fun l -> l <> "")
-  |> List.map (fun l -> List.init (String.length l) (fun i -> l.[i] = '1'))
+   0/1 line per diagnostic CSU, blank lines ignored.  The stimulus fixes
+   the shape for every fault: one line per CSU, each as long as that
+   CSU's scan-in stream (a CSU shifts out one bit per bit shifted in). *)
+let signature_of_lines stim lines =
+  let lines = List.filter (fun l -> l <> "") (List.map String.trim lines) in
+  let rec check k = function
+    | [] ->
+        Ok
+          (List.map
+             (fun l -> List.init (String.length l) (fun i -> l.[i] = '1'))
+             lines)
+    | (l, stream) :: rest ->
+        let want = List.length stream in
+        if String.length l <> want then
+          Error
+            (Printf.sprintf "signature line %d must have %d bits, got %d" k
+               want (String.length l))
+        else if String.exists (fun c -> c <> '0' && c <> '1') l then
+          Error (Printf.sprintf "signature line %d must hold only 0 and 1" k)
+        else check (k + 1) rest
+  in
+  if List.length lines <> List.length stim then
+    Error
+      (Printf.sprintf
+         "signature must have %d lines, one per diagnostic CSU, got %d"
+         (List.length stim) (List.length lines))
+  else check 1 (List.combine lines stim)
 
 let lines_of_signature sg =
   List.map

@@ -20,13 +20,17 @@ type stimulus = bool list list
 type signature = bool list list
 (** The scan-out stream observed for each CSU of the stimulus. *)
 
-val signature_of_lines : string list -> signature
+val signature_of_lines : stimulus -> string list -> (signature, string) result
 (** Parses the textual signature format shared by the CLI and the service
-    layer: one 0/1 line per diagnostic CSU ('1' = true, anything else =
-    false); surrounding whitespace and blank lines are ignored. *)
+    layer against the stimulus it answers: one line of ['0']/['1'] per
+    diagnostic CSU, each as long as that CSU's scan-in stream;
+    surrounding whitespace and blank lines are ignored.  [Error] names
+    the expected line count, or the first offending line (counted from
+    1, blank lines skipped) and what is wrong with it. *)
 
 val lines_of_signature : signature -> string list
-(** The inverse of {!signature_of_lines} (modulo dropped blank lines). *)
+(** The inverse of {!signature_of_lines} (modulo dropped blank lines and
+    surrounding whitespace). *)
 
 val stimulus : Ftrsn_rsn.Netlist.t -> stimulus
 (** The deterministic diagnostic stimulus for a netlist: one configuration

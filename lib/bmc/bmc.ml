@@ -105,11 +105,6 @@ type session = {
      every fault's cones hash-cons onto them and only the genuinely
      perturbed deltas live and die with a fault's group. *)
   base : circuits;
-  (* Fault SETS are the encoding unit: [[]] is fault-free, singletons are
-     the classic single-fault queries, two-element lists the double-fault
-     sweep.  List order is the caller's; the metric's pair sweep always
-     passes [rep_i; rep_j] with i < j, so keys stay canonical. *)
-  fenc : (Fault.t list, fault_enc) Hashtbl.t;
   (* Fault-free transition skeleton, shared by every fault and built one
      bit at a time, the first time any fault needs it:
      skeleton.(step).(bit) is the permanent literal of [writable \/ keep]
@@ -123,13 +118,18 @@ type session = {
      ([fe_support]). *)
   bit1 : (int, int) Hashtbl.t;
   base_support : (cone, int array) Hashtbl.t;
-  mutable active : Fault.t list option;  (* last queried fault set *)
+  (* Fault SETS are the encoding unit: [[]] is fault-free, singletons are
+     the classic single-fault queries, two-element lists the double-fault
+     sweep.  Only the last queried set is live; querying another retires
+     it.  List order is the caller's; the metric's pair sweep always
+     passes [rep_i; rep_j] with i < j, so keys stay canonical. *)
+  mutable live : (Fault.t list * fault_enc) option;
   mutable queries : int;
-  (* fault-free verdicts of the last base-target list queried through
+  (* the fault-free verdicts of every segment, from the first
      [check_targets_base]; verdicts are deterministic per model, so a
      long-lived (pooled) session answers repeated baseline sweeps from
-     this cache instead of re-solving one query per segment *)
-  mutable base_cache : (int list * bool array) option;
+     this cache instead of re-solving them *)
+  mutable base_cache : bool array option;
   cert : cert_state option;  (* Some = certified mode *)
 }
 
@@ -472,8 +472,7 @@ module Session = struct
       skeleton = [||];
       bit1 = Hashtbl.create 64;
       base_support = Hashtbl.create 64;
-      fenc = Hashtbl.create 16;
-      active = None;
+      live = None;
       queries = 0;
       base_cache = None;
       cert;
@@ -547,27 +546,16 @@ module Session = struct
        circuits hash-cons onto them. *)
     Cnf.retire_owner sess.em fe.fe_act
 
-  let retire_faults sess faults =
-    match Hashtbl.find_opt sess.fenc faults with
-    | Some fe ->
-        retire_enc sess fe;
-        Hashtbl.remove sess.fenc faults;
-        if sess.active = Some faults then sess.active <- None
-    | None -> ()
-
   (* The per-fault-set encoding.  Switching to a different set retires the
-     previous one, so sequential sweeps over a fault universe keep the
+     live one, so sequential sweeps over a fault universe keep the
      solver's live clause set bounded by one set's encoding (plus the
      Tseitin cones, which are shared across faults by hash-consing and by
      the emitter memo). *)
   let enc sess faults =
-    (match sess.active with
-    | Some prev when prev <> faults -> retire_faults sess prev
-    | _ -> ());
-    sess.active <- Some faults;
-    match Hashtbl.find_opt sess.fenc faults with
-    | Some fe -> fe
-    | None ->
+    match sess.live with
+    | Some (live, fe) when live = faults -> fe
+    | live ->
+        Option.iter (fun (_, fe) -> retire_enc sess fe) live;
         let fs = summarize_faults sess.model faults in
         let taint = step_taint sess.model fs in
         let fe =
@@ -580,7 +568,7 @@ module Session = struct
             fe_support = Hashtbl.create 8;
           }
         in
-        Hashtbl.add sess.fenc faults fe;
+        sess.live <- Some (faults, fe);
         fe
 
   (* The demand-driven circuit builder.  A node is built on its first
@@ -1098,15 +1086,15 @@ module Session = struct
      the kernel over all its targets at once — depth 0, then the bound
      over the targets still unmet — and a whole batch costs at most four
      Unsat answers.  The read goal is decided for the write-met targets
-     only; the static kills take a target out without a solve. *)
-  let check_targets_multi sess ?max_steps ?only ?fallback ~faults targets =
+     only; the static kills take a target out without a solve.  An empty
+     target list encodes nothing. *)
+  let check_targets_multi sess ?max_steps ~faults targets =
     let max_steps = steps_for sess max_steps in
-    let keep = match only with None -> fun _ -> true | Some p -> p in
     let read = Hashtbl.create 16 in
-    (match List.filter keep targets with
+    (match targets with
     | [] -> ()
     | _ when max_steps < 0 -> ()
-    | kept ->
+    | _ ->
         let fe = enc sess faults in
         let fs = fe.fe_fs in
         let decide goal dead pending =
@@ -1119,23 +1107,22 @@ module Session = struct
                 List.rev_append (fst (round sess fe goal max_steps unmet)) met
         in
         let written =
-          decide G_write (fun t -> fs.pi_dead || fs.kill_write t) kept
+          decide G_write (fun t -> fs.pi_dead || fs.kill_write t) targets
         in
         List.iter
           (fun t -> Hashtbl.replace read t ())
           (decide G_read (fun t -> fs.po_dead || fs.kill_read t) written));
-    let skipped = match fallback with None -> fun _ -> false | Some f -> f in
-    Array.of_list
-      (List.map
-         (fun t -> if keep t then Hashtbl.mem read t else skipped t)
-         targets)
+    Array.of_list (List.map (Hashtbl.mem read) targets)
 
-  let check_targets_base sess targets =
+  let check_targets_base sess =
     match sess.base_cache with
-    | Some (ts, vs) when ts = targets -> vs
-    | _ ->
-        let vs = check_targets_multi sess ~faults:[] targets in
-        sess.base_cache <- Some (targets, vs);
+    | Some vs -> vs
+    | None ->
+        let vs =
+          check_targets_multi sess ~faults:[]
+            (List.init (Netlist.num_segments sess.model.net) Fun.id)
+        in
+        sess.base_cache <- Some vs;
         vs
 
   let solver sess = sess.solver

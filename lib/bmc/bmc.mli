@@ -125,35 +125,35 @@ module Session : sig
       emitted. *)
 
   val check_targets_multi :
-    t -> ?max_steps:int -> ?only:(int -> bool) ->
-    ?fallback:(int -> bool) -> faults:Ftrsn_fault.Fault.t list ->
-    int list -> bool array
+    t -> ?max_steps:int -> faults:Ftrsn_fault.Fault.t list -> int list ->
+    bool array
   (** Whether each target is accessible (written and read within
       [max_steps]) under a SET of simultaneous faults ([[]] =
       fault-free) — the same answer as [check_access <> Inaccessible],
-      without the depth.  The faults' canonical summaries are merged
-      with {!Ftrsn_fault.Fault.summary_union} and encoded as one clause
-      group, keyed by the list, so the double-fault sweep reuses
-      encodings like the single-fault sweep does; the list order is the
-      caller's canonical key — pass pairs in a fixed order to maximize
-      reuse.  All targets share that single encoding and are decided in
+      without the depth; the [k]-th entry answers the [k]-th target.
+      The faults' canonical summaries are merged with
+      {!Ftrsn_fault.Fault.summary_union} and encoded as one clause
+      group, keyed by the list: the session keeps the last queried set
+      live, so consecutive calls on one set share its encoding; the
+      list order is the caller's canonical key — pass pairs in a fixed
+      order.  All targets share that single encoding and are decided in
       batches: the write goal by a round of the kernel at depth 0 and
       one at the bound over the targets still unmet, then the read goal
       the same way over the written targets.  A Sat answer settles
       every target its model meets, an Unsat answer every target left,
       so one call certifies at most four Unsat answers however many
-      targets it has.  [only] restricts the SAT queries to the targets
-      it accepts (default: all) — the cone-of-influence restriction of
-      the reduced metric; a filtered-out target gets [fallback target]
-      instead (default [false]), typically the fault-free answer spliced
-      in by the caller. *)
+      targets it has.  Exactly the given targets are decided: the
+      reduced metric passes a fault's cone of influence and splices in
+      the fault-free answers elsewhere.  An empty target list encodes
+      nothing. *)
 
-  val check_targets_base : t -> int list -> bool array
-  (** Fault-free {!check_targets_multi}, memoized on the target list: the
-      answers are deterministic per model, so a long-lived session (e.g.
-      one held in a service pool) answers repeated baseline sweeps from
-      the cache instead of re-solving them.  The returned array is
-      shared — treat it as immutable. *)
+  val check_targets_base : t -> bool array
+  (** Fault-free {!check_targets_multi} over every segment, in segment
+      order, decided once per session: the answers are deterministic
+      per model, so a long-lived session (e.g. one held in a service
+      pool) answers repeated baseline sweeps from the cache instead of
+      re-solving them.  The returned array is shared — treat it as
+      immutable. *)
 
   type cert_stats = {
     cert_unsat : int;    (** [Unsat] verdicts certified *)

@@ -149,59 +149,6 @@ let support e =
 
 module Cnf = struct
   type clause = int list
-  type result = { clauses : clause list; num_sat_vars : int }
-
-  (* Tseitin encoding.  Every And/Or node gets an auxiliary SAT variable;
-     Not maps to literal negation; Var i maps to SAT variable i + 1.
-     Polarity optimization is skipped: full bi-implications keep the
-     encoding straightforwardly invertible, which the tests rely on. *)
-  let of_exprs ctx es =
-    let next = ref (ctx.nvars + 1) in
-    let clauses = ref [] in
-    let memo = Hashtbl.create 256 in
-    let emit c = clauses := c :: !clauses in
-    let rec lit_of e =
-      match Hashtbl.find_opt memo e.id with
-      | Some l -> l
-      | None ->
-          let l =
-            match e.node with
-            | True ->
-                let v = !next in
-                incr next;
-                emit [ v ];
-                v
-            | False ->
-                let v = !next in
-                incr next;
-                emit [ v ];
-                -v
-            | Var i -> i + 1
-            | Not x -> -(lit_of x)
-            | And (x, y) ->
-                let a = lit_of x and b = lit_of y in
-                let v = !next in
-                incr next;
-                emit [ -v; a ];
-                emit [ -v; b ];
-                emit [ v; -a; -b ];
-                v
-            | Or (x, y) ->
-                let a = lit_of x and b = lit_of y in
-                let v = !next in
-                incr next;
-                emit [ -v; a; b ];
-                emit [ v; -a ];
-                emit [ v; -b ];
-                v
-          in
-          Hashtbl.add memo e.id l;
-          l
-    in
-    List.iter (fun e -> emit [ lit_of e ]) es;
-    { clauses = List.rev !clauses; num_sat_vars = !next - 1 }
-
-  (* ---- streaming emission into an existing solver ---- *)
 
   type sink = {
     fresh_var : unit -> int;
@@ -223,12 +170,14 @@ module Cnf = struct
     mutable n_reused : int;
   }
 
-  (* Unlike [of_exprs], the emitter allocates a SAT variable for EVERY
-     node, expression variables included, from the sink's allocator: the
-     context keeps growing fresh expression variables between emissions
-     (one unrolling step at a time), so the fixed "expr var i = SAT var
-     i + 1" layout would collide with earlier auxiliaries.  Model lookup
-     therefore goes through {!find_lit}. *)
+  (* Tseitin encoding: every And/Or node gets a full bi-implication on
+     its own SAT variable, and Not maps to literal negation.  The emitter
+     allocates a SAT variable for EVERY node, expression variables
+     included, from the sink's allocator: the context keeps growing
+     fresh expression variables between emissions (one unrolling step at
+     a time), so a fixed "expr var i = SAT var i + 1" layout would
+     collide with earlier auxiliaries.  Model lookup therefore goes
+     through {!find_lit}. *)
   let make_emitter sink =
     {
       sink;

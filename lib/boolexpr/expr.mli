@@ -53,26 +53,12 @@ val support : t -> int list
     constant folding, so an expression that folded to a constant has an
     empty support. *)
 
-(** Conjunctive normal form in DIMACS literal convention: variable [i]
-    (0-based expression variable) appears as literal [i + 1], negated as
-    [-(i + 1)].  Auxiliary Tseitin variables are numbered after the
-    expression variables. *)
+(** Conjunctive normal form in DIMACS literal convention: a clause is a
+    list of non-zero literals, [-v] the negation of variable [v]. *)
 module Cnf : sig
   type clause = int list
 
-  type result = {
-    clauses : clause list;  (** the CNF, one clause per element *)
-    num_sat_vars : int;     (** total SAT variables incl. auxiliaries *)
-  }
-
-  val of_exprs : ctx -> t list -> result
-  (** [of_exprs ctx es] is an equisatisfiable CNF asserting every
-      expression in [es].  Expression variable [i] is SAT variable
-      [i + 1] in every call, so models translate back directly. *)
-
-  (** {2 Streaming emission}
-
-      A {!emitter} Tseitin-encodes expressions incrementally into an
+  (** A {!emitter} Tseitin-encodes expressions incrementally into an
       existing solver: each DAG node is encoded at most once over the
       emitter's whole lifetime, so consecutive queries that share
       structure (one BMC unrolling step at a time, many faults over one
@@ -80,7 +66,7 @@ module Cnf : sig
       expression context keeps allocating fresh variables between
       emissions, the emitter maps {e every} node — expression variables
       included — through the sink's allocator; translate models back with
-      {!find_lit} rather than the [i + 1] rule of {!of_exprs}. *)
+      {!find_lit}. *)
 
   type sink = {
     fresh_var : unit -> int;   (** allocate the next solver variable *)

@@ -101,10 +101,6 @@ let ratios ~orig ~ft =
     r_area = ft.area /. orig.area;
   }
 
-let pp fmt r =
-  Format.fprintf fmt "mux %d, bits %d, nets %d, area %.1f GE" r.muxes r.bits
-    r.nets r.area
-
 let pp_ratios fmt r =
   Format.fprintf fmt "mux %.2f, bits %.2f, nets %.2f, area %.2f" r.r_mux
     r.r_bits r.r_nets r.r_area

@@ -57,5 +57,4 @@ type ratios = {
 val ratios : orig:report -> ft:report -> ratios
 (** Fault-tolerant over original, the four rightmost Table I columns. *)
 
-val pp : Format.formatter -> report -> unit
 val pp_ratios : Format.formatter -> ratios -> unit

@@ -105,9 +105,8 @@ let merge_lanes a b =
 type part = {
   mutable min_segs : int;
   mutable min_bits : int;
-  mutable sum_segs : int;  (* sum of weight * accessible segments *)
-  mutable sum_bits : int;  (* sum of weight * accessible bits *)
-  mutable weight : int;
+  mutable sum_segs : int;  (* sum over faults of accessible segments *)
+  mutable sum_bits : int;  (* sum over faults of accessible bits *)
   mutable count : int;     (* faults (or fault pairs) represented *)
   mutable cone_sum : int;
   mutable cone_max : int;
@@ -125,7 +124,6 @@ let part () =
     min_bits = max_int;
     sum_segs = 0;
     sum_bits = 0;
-    weight = 0;
     count = 0;
     cone_sum = 0;
     cone_max = 0;
@@ -137,14 +135,13 @@ let part () =
     steals = 0;
   }
 
-(* [n] faults of summed weight [w], each leaving [segs] segments and
-   [bits] bits accessible. *)
-let add p ~w ~n ~segs ~bits =
+(* [n] faults, each leaving [segs] segments and [bits] bits
+   accessible. *)
+let add p ~n ~segs ~bits =
   if segs < p.min_segs then p.min_segs <- segs;
   if bits < p.min_bits then p.min_bits <- bits;
-  p.sum_segs <- p.sum_segs + (w * segs);
-  p.sum_bits <- p.sum_bits + (w * bits);
-  p.weight <- p.weight + w;
+  p.sum_segs <- p.sum_segs + (n * segs);
+  p.sum_bits <- p.sum_bits + (n * bits);
   p.count <- p.count + n
 
 let note_cone p cone =
@@ -162,7 +159,6 @@ let gather partials =
       g.min_bits <- min g.min_bits p.min_bits;
       g.sum_segs <- g.sum_segs + p.sum_segs;
       g.sum_bits <- g.sum_bits + p.sum_bits;
-      g.weight <- g.weight + p.weight;
       g.count <- g.count + p.count;
       g.cone_sum <- g.cone_sum + p.cone_sum;
       g.cone_max <- max g.cone_max p.cone_max;
@@ -183,14 +179,14 @@ let result ~what ~net ?reduction ?pairs g =
   if g.count = 0 then invalid_arg (what ^ ": empty fault list");
   let fsegs = float_of_int (Netlist.num_segments net) in
   let fbits = float_of_int (Netlist.total_bits net) in
-  let fweight = float_of_int g.weight in
+  let fcount = float_of_int g.count in
   {
     worst_segments = float_of_int g.min_segs /. fsegs;
-    avg_segments = float_of_int g.sum_segs /. (fweight *. fsegs);
+    avg_segments = float_of_int g.sum_segs /. (fcount *. fsegs);
     worst_bits = float_of_int g.min_bits /. fbits;
-    avg_bits = float_of_int g.sum_bits /. (fweight *. fbits);
+    avg_bits = float_of_int g.sum_bits /. (fcount *. fbits);
     faults = g.count;
-    total_weight = g.weight;
+    total_weight = g.count;
     steals = g.steals;
     solver = g.solver;
     reduction =
@@ -317,8 +313,6 @@ let solver_of_session sess =
 type pair_class = {
   pc_gate : Engine.gate;
   pc_members : int;
-  pc_weight : int;
-  pc_sq : int;          (* sum of squared member weights *)
   pc_segs : int;        (* accessible segments and bits *)
   pc_bits : int;
   pc_acc : Bitset.t;    (* accessible segments *)
@@ -331,10 +325,12 @@ type pair_class = {
    expensive per-netlist artifacts — structural context, fault-free
    baseline, the full-universe class collapse, the exhaustive-pair
    phase-1 class records, and idle incremental BMC sessions — built once
-   and shared by every subsequent evaluation of the same netlist.  All
-   cached artifacts are deterministic functions of the netlist, so warm
-   results are bit-identical to cold ones; only solver statistics (which
-   accumulate across the queries a reused session served) differ.
+   and shared by every subsequent evaluation of the same netlist.  Every
+   evaluation runs on one: the caller's, or a fresh one for that call
+   only.  All cached artifacts are deterministic functions of the
+   netlist, so results on a reused state are bit-identical to those on
+   a fresh one; only solver statistics (which accumulate across the
+   queries a reused session served) differ.
 
    Thread-safe: one mutex guards construction and the session free list,
    so concurrent evaluations of the same netlist share artifacts instead
@@ -389,17 +385,19 @@ let warm_baseline w =
           w.w_base <- Some b;
           b)
 
-let warm_classes w ~model =
-  locked w (fun () ->
-      match List.assoc_opt model w.w_classes with
-      | Some c -> c
-      | None ->
-          let c =
-            Array.of_list
-              (Fault.collapse w.w_net (Fault.universe ~model w.w_net))
-          in
-          w.w_classes <- (model, c) :: w.w_classes;
-          c)
+(* The classes of a sweep's fault list.  A full universe's are the
+   state's per-model collapse, built from [faults] on first use; a
+   sampled list is collapsed afresh. *)
+let classes w ~full ~model faults =
+  if not full then Array.of_list (Fault.collapse w.w_net faults)
+  else
+    locked w (fun () ->
+        match List.assoc_opt model w.w_classes with
+        | Some c -> c
+        | None ->
+            let c = Array.of_list (Fault.collapse w.w_net faults) in
+            w.w_classes <- (model, c) :: w.w_classes;
+            c)
 
 let warm_model w =
   locked w (fun () ->
@@ -432,32 +430,13 @@ let warm_session_stats w =
   locked w (fun () ->
       List.map (fun (cert, s) -> (cert, Bmc.Session.stats s)) w.w_idle)
 
-(* Resolution of per-evaluation resources against an optional warm state:
-   without one, behave exactly as before (build fresh, discard). *)
-let ctx_of warm net =
-  match warm with Some w -> warm_ctx w | None -> Engine.make_ctx net
-
-let base_of warm ctx =
-  match warm with Some w -> warm_baseline w | None -> Engine.baseline ctx
-
-let classes_of warm ~full ~model net faults =
-  match warm with
-  | Some w when full -> warm_classes w ~model
-  | _ -> Array.of_list (Fault.collapse net faults)
-
-let session_of warm ~certify net =
-  match warm with
-  | Some w -> warm_session w ~certify
-  | None -> Bmc.Session.create ~certify (Bmc.create net)
-
-let release_session warm sess =
-  match warm with Some w -> warm_release w sess | None -> ()
-
-let check_warm warm net what =
-  match warm with
+(* The state an evaluation runs on: the caller's, or a fresh one that
+   dies with the evaluation. *)
+let state_of ~what net = function
+  | None -> warm net
   | Some w when w.w_net != net ->
       invalid_arg (what ^ ": warm state built for a different netlist")
-  | _ -> ()
+  | Some w -> w
 
 let sample_faults sample faults =
   match sample with
@@ -488,51 +467,53 @@ let model_faults ?sample ~model net =
 
 (* A BMC domain's session, checked out for one sweep; closing records
    its solver statistics into the domain's part and returns it. *)
-let open_session ~certify warm net p =
-  let sess = session_of warm ~certify net in
+let open_session ~certify w p =
+  let sess = warm_session w ~certify in
   ( sess,
     fun () ->
       p.solver <- merge_solver p.solver (solver_of_session sess);
-      release_session warm sess )
+      warm_release w sess )
 
 (* The verdict source of a reduced BMC sweep: a session whose
    fault-free verdicts are established first, and [within faults cone],
-   the accessible vector under [faults] decided by batched SAT rounds
-   inside [cone] with the fault-free verdicts spliced in elsewhere
-   ([None], a benign summary: the fault-free vector).  Also returns the
-   fault-free accessible vector and the close action. *)
-let open_bmc ~certify warm net p =
-  let sess, close = open_session ~certify warm net p in
-  let targets = List.init (Netlist.num_segments net) Fun.id in
-  let base_acc = Bmc.Session.check_targets_base sess targets in
+   the accessible vector under [faults]: the cone's segments, in
+   ascending order, decided by one batched call, and the fault-free
+   verdicts spliced in elsewhere ([None], a benign summary: the
+   fault-free vector).  Also returns the fault-free accessible vector
+   and the close action. *)
+let open_bmc ~certify w p =
+  let sess, close = open_session ~certify w p in
+  let base_acc = Bmc.Session.check_targets_base sess in
   let within faults = function
     | None -> base_acc
     | Some cone ->
-        Bmc.Session.check_targets_multi sess ~faults ~only:(Bitset.mem cone)
-          ~fallback:(fun t -> base_acc.(t))
-          targets
+        let segs = Bitset.elements cone in
+        let vs = Bmc.Session.check_targets_multi sess ~faults segs in
+        let acc = Array.copy base_acc in
+        List.iteri (fun k s -> acc.(s) <- vs.(k)) segs;
+        acc
   in
   (within, base_acc, close)
 
 (* ---- the brute sweep (the test oracle) ----
 
-   Every item is a fault set — one fault, or a pair — weighted by the
-   product of its faults' weights.  The structural engine answers it
-   with a full [Engine.analyze_multi] fixpoint (the context is read-only
-   during analysis, so the domains share it), the BMC engine with one
-   batched decision over every segment on the domain's incremental
-   session. *)
-let sweep_brute ~what ~domains ~engine ~certify ?warm net items =
+   Every item is a fault set — one fault, or a pair.  The structural
+   engine answers it with a full [Engine.analyze_multi] fixpoint (the
+   context is read-only during analysis, so the domains share it), the
+   BMC engine with one batched decision over every segment on the
+   domain's incremental session. *)
+let sweep_brute ~what ~domains ~engine ~certify w items =
+  let net = w.w_net in
   let verdicts =
     match engine with
     | `Structural ->
-        let ctx = ctx_of warm net in
+        let ctx = warm_ctx w in
         fun _ ->
           ((fun fs -> (Engine.analyze_multi ctx fs).Engine.accessible), ignore)
     | `Bmc ->
         let targets = List.init (Netlist.num_segments net) Fun.id in
         fun p ->
-          let sess, close = open_session ~certify warm net p in
+          let sess, close = open_session ~certify w p in
           ( (fun faults ->
               Bmc.Session.check_targets_multi sess ~faults targets),
             close )
@@ -540,9 +521,8 @@ let sweep_brute ~what ~domains ~engine ~certify ?warm net items =
   sweep ~domains items (fun p ->
       let verdict, close = verdicts p in
       ( (fun fs ->
-          let w = List.fold_left (fun w f -> w * Fault.weight net f) 1 fs in
           let segs, bits = count net (verdict fs) in
-          add p ~w ~n:1 ~segs ~bits),
+          add p ~n:1 ~segs ~bits),
         close ))
   |> gather |> result ~what ~net
 
@@ -557,8 +537,8 @@ let class_counts classes =
 
 (* ---- the reduced single-fault sweep ----
 
-   Equivalence classes stand in for their members (weights already
-   summed by {!Fault.collapse}) and every class verdict is a cone delta
+   Equivalence classes stand in for their members (each counted once
+   per member) and every class verdict is a cone delta
    against the fault-free baseline.  A steal unit is an array of class
    indices.  On the structural engine the units are [Engine.lane_plan]'s
    batches — up to [Engine.lane_width] classes share one seeded
@@ -569,36 +549,35 @@ let class_counts classes =
    without building its verdict.  On BMC the units
    are the same, and each unit's class cones come from one
    [Engine.cones] call (one lane fixpoint per batch), then each class's
-   cone is decided in one batched call
+   cone's segments are decided in one batched call
    ([Bmc.Session.check_targets_multi]): per goal, one round of the solve
    kernel at depth 0 and one at the bound over all of the cone's targets,
    so a class costs at most four Unsat answers however many segments it
    cuts off.  No depth is computed.  Context and baseline are immutable
    after construction, so all domains share them. *)
 
-(* The fast indices of a lane plan as units of at most [lane_width]:
-   a steal unit never carries more classes than a lane batch. *)
-let fast_units fast =
+(* The steal units of the reduced sweep and of pair phase 1:
+   [Engine.lane_plan]'s batches, then the fast-path classes in units of
+   at most [lane_width], so a unit never carries more classes than a
+   lane batch. *)
+let class_units base sms =
+  let fast, batches = Engine.lane_plan base sms in
   let a = Array.of_list fast and n = Engine.lane_width in
   let len = Array.length a in
-  List.init ((len + n - 1) / n) (fun k ->
-      Array.sub a (k * n) (min n (len - (k * n))))
+  Array.of_list
+    (batches
+    @ List.init ((len + n - 1) / n) (fun k ->
+          Array.sub a (k * n) (min n (len - (k * n)))))
 
-let sweep_reduced ~domains ~engine ~certify ?warm ~full ~model net faults =
-  let ctx = ctx_of warm net in
-  let base = base_of warm ctx in
-  let classes = classes_of warm ~full ~model net faults in
+let sweep_reduced ~domains ~engine ~certify w ~full ~model faults =
+  let net = w.w_net in
+  let ctx = warm_ctx w in
+  let base = warm_baseline w in
+  let classes = classes w ~full ~model faults in
   let sms = Array.map (fun c -> c.Fault.cls_summary) classes in
   let tally p i ~segs ~bits ~cone =
-    let c = classes.(i) in
     note_cone p cone;
-    add p ~w:c.Fault.cls_weight
-      ~n:(List.length c.Fault.cls_members)
-      ~segs ~bits
-  in
-  let units =
-    let fast, batches = Engine.lane_plan base sms in
-    Array.of_list (batches @ fast_units fast)
+    add p ~n:(List.length classes.(i).Fault.cls_members) ~segs ~bits
   in
   let verdicts =
     match engine with
@@ -618,7 +597,7 @@ let sweep_reduced ~domains ~engine ~certify ?warm ~full ~model net faults =
             ignore )
     | `Bmc ->
         fun p ->
-          let within, _, close = open_bmc ~certify warm net p in
+          let within, _, close = open_bmc ~certify w p in
           ( (fun idxs ->
               let cones =
                 Engine.cones ctx base (Array.map (Array.get sms) idxs)
@@ -638,7 +617,7 @@ let sweep_reduced ~domains ~engine ~certify ?warm ~full ~model net faults =
             close )
   in
   let universe, benign = class_counts classes in
-  sweep ~domains units verdicts
+  sweep ~domains (class_units base sms) verdicts
   |> gather
   |> result ~what:"Metric.evaluate" ~net
        ~reduction:(universe, Array.length classes, benign)
@@ -647,24 +626,22 @@ let evaluate ?sample ?(domains = 1) ?(engine = `Structural) ?(reduce = true)
     ?(certify = false) ?(model = Fault.Stuck) ?warm net =
   if certify && engine <> `Bmc then
     invalid_arg "Metric.evaluate: ~certify:true requires ~engine:`Bmc";
-  check_warm warm net "Metric.evaluate";
+  let w = state_of ~what:"Metric.evaluate" net warm in
   let full = match sample with None -> true | Some k -> k <= 1 in
   let faults = model_faults ?sample ~model net in
-  if reduce then
-    sweep_reduced ~domains ~engine ~certify ?warm ~full ~model net faults
+  if reduce then sweep_reduced ~domains ~engine ~certify w ~full ~model faults
   else
-    sweep_brute ~what:"Metric.evaluate" ~domains ~engine ~certify ?warm net
+    sweep_brute ~what:"Metric.evaluate" ~domains ~engine ~certify w
       (Array.of_list (List.map (fun f -> [ f ]) faults))
 
 (* ---- the exhaustive pair sweep ----
 
    A pair verdict depends only on the two faults' canonical summaries, so
-   the exhaustive sweep runs over unordered CLASS pairs with product
-   weights instead of fault pairs.  Phase 1 probes every class: its
-   {!Engine.gate} and its single-fault verdict (the probe's own on the
-   structural engine, a cone-restricted SAT sweep on BMC), kept as a
-   [pair_class] — member count, weight, the sum of squared member
-   weights (for the diagonal pair weight), accessible counts, the
+   the exhaustive sweep runs over unordered CLASS pairs, each counted
+   once per member pair, instead of fault pairs.  Phase 1 probes every
+   class: its {!Engine.gate} and its single-fault verdict (the probe's
+   own on the structural engine, a cone-restricted SAT sweep on BMC),
+   kept as a [pair_class] — member count, accessible counts, the
    accessible set and the lost list (baseline-accessible segments no
    longer accessible; every non-coarse class's accessible set is a
    subset of the baseline's, effects only remove capabilities).  Then,
@@ -705,13 +682,6 @@ let pair_class net (c : Fault.clas) gate ~base_acc acc =
   {
     pc_gate = gate;
     pc_members = List.length c.Fault.cls_members;
-    pc_weight = c.Fault.cls_weight;
-    pc_sq =
-      List.fold_left
-        (fun a f ->
-          let w = Fault.weight net f in
-          a + (w * w))
-        0 c.Fault.cls_members;
     pc_segs = segs;
     pc_bits = bits;
     pc_acc = accs;
@@ -737,27 +707,24 @@ let packer n =
   in
   (push, batches)
 
-let sweep_pairs ~domains ~engine ~certify ?warm ~full ~model net faults =
-  let ctx = ctx_of warm net in
-  let base = base_of warm ctx in
+let sweep_pairs ~domains ~engine ~certify w ~full ~model faults =
+  let net = w.w_net in
+  let ctx = warm_ctx w in
+  let base = warm_baseline w in
   (* The structural phase-1 records are a deterministic function of the
-     netlist and the fault model (for the full universe), so a warm
-     state serves them from a per-model cache and repeated exhaustive
-     sweeps skip phase 1 entirely. *)
-  let cache =
-    match (engine, warm) with
-    | `Structural, Some w when full -> Some w
-    | _ -> None
-  in
+     netlist and the fault model (for the full universe), so the state
+     caches them per model and repeated exhaustive sweeps skip phase 1
+     entirely. *)
+  let cache = engine = `Structural && full in
   let cached =
-    Option.bind cache (fun w ->
-        locked w (fun () -> List.assoc_opt model w.w_pair_classes))
+    if cache then locked w (fun () -> List.assoc_opt model w.w_pair_classes)
+    else None
   in
   let classes, pcs, phase1 =
     match cached with
     | Some (classes, pcs) -> (classes, pcs, [])
     | None ->
-        let classes = classes_of warm ~full ~model net faults in
+        let classes = classes w ~full ~model faults in
         let sms = Array.map (fun c -> c.Fault.cls_summary) classes in
         (* Writes go to disjoint slots, so the domains share the array. *)
         let slots = Array.make (Array.length classes) None in
@@ -772,7 +739,7 @@ let sweep_pairs ~domains ~engine ~certify ?warm ~full ~model net faults =
                   ignore )
           | `Bmc ->
               fun p ->
-                let within, base_acc, close = open_bmc ~certify warm net p in
+                let within, base_acc, close = open_bmc ~certify w p in
                 ( base_acc,
                   (fun (c : Fault.clas) (pr : Engine.probe) ->
                     within [ c.Fault.cls_rep ] (Some pr.Engine.pr_cone)),
@@ -780,12 +747,8 @@ let sweep_pairs ~domains ~engine ~certify ?warm ~full ~model net faults =
         in
         (* The steal units are the single-fault sweep's: a unit's probes
            that need a fixpoint share one lane batch. *)
-        let units =
-          let fast, batches = Engine.lane_plan base sms in
-          Array.of_list (batches @ fast_units fast)
-        in
         let phase1 =
-          sweep ~domains units (fun p ->
+          sweep ~domains (class_units base sms) (fun p ->
               let base_acc, verdict, close = verdicts p in
               ( (fun idxs ->
                   Engine.probes ctx base (Array.map (Array.get sms) idxs)
@@ -799,22 +762,17 @@ let sweep_pairs ~domains ~engine ~certify ?warm ~full ~model net faults =
                 close ))
         in
         let pcs = Array.map Option.get slots in
-        Option.iter
-          (fun w ->
-            locked w (fun () ->
-                if not (List.mem_assoc model w.w_pair_classes) then
-                  w.w_pair_classes <-
-                    (model, (classes, pcs)) :: w.w_pair_classes))
-          cache;
+        if cache then
+          locked w (fun () ->
+              if not (List.mem_assoc model w.w_pair_classes) then
+                w.w_pair_classes <- (model, (classes, pcs)) :: w.w_pair_classes);
         (classes, pcs, phase1)
   in
   let nc = Array.length classes in
   let sm j = classes.(j).Fault.cls_summary in
   let len = Array.init (Netlist.num_segments net) (Netlist.seg_len net) in
   let pair_add p ci cj ~segs ~bits =
-    add p ~w:(ci.pc_weight * cj.pc_weight)
-      ~n:(ci.pc_members * cj.pc_members)
-      ~segs ~bits
+    add p ~n:(ci.pc_members * cj.pc_members) ~segs ~bits
   in
   let interact p ci cj ~segs ~bits =
     p.stacked <- p.stacked + 1;
@@ -849,10 +807,7 @@ let sweep_pairs ~domains ~engine ~certify ?warm ~full ~model net faults =
     let m = ci.pc_members in
     p.diagonal <- p.diagonal + 1;
     if m > 1 then
-      add p
-        ~w:(((ci.pc_weight * ci.pc_weight) - ci.pc_sq) / 2)
-        ~n:(m * (m - 1) / 2)
-        ~segs:ci.pc_segs ~bits:ci.pc_bits;
+      add p ~n:(m * (m - 1) / 2) ~segs:ci.pc_segs ~bits:ci.pc_bits;
     let defer = ref [] and fast = ref 0 in
     for j = nc - 1 downto i + 1 do
       let cj = pcs.(j) in
@@ -946,7 +901,7 @@ let sweep_pairs ~domains ~engine ~certify ?warm ~full ~model net faults =
                (Array.to_list (Array.mapi (fun i js -> (i, js)) inter)))
         in
         sweep ~domains units (fun p ->
-            let within, _, close = open_bmc ~certify warm net p in
+            let within, _, close = open_bmc ~certify w p in
             ( (fun (i, js) ->
                 (* The restriction must be the cone of the MERGED summary:
                    with tight cones the union of the two single-fault
@@ -999,17 +954,17 @@ let evaluate_pairs ?(sample = 37) ?fault_sample ?(domains = 1)
       (Unsupported
          "transient pairs are unsupported (two glitches are not a set-wise \
           union of summaries)");
-  check_warm warm net "Metric.evaluate_pairs";
+  let w = state_of ~what:"Metric.evaluate_pairs" net warm in
   let full = match fault_sample with None -> true | Some k -> k <= 1 in
   let faults = model_faults ?sample:fault_sample ~model net in
   if exhaustive && reduce then
-    sweep_pairs ~domains ~engine ~certify ?warm ~full ~model net faults
+    sweep_pairs ~domains ~engine ~certify w ~full ~model faults
   else begin
     let sample = if exhaustive then 1 else max 1 sample in
     let items = pair_items ~sample (Array.of_list faults) in
     if Array.length items = 0 then invalid_arg "Metric.evaluate_pairs: empty";
-    sweep_brute ~what:"Metric.evaluate_pairs" ~domains ~engine ~certify
-      ?warm net items
+    sweep_brute ~what:"Metric.evaluate_pairs" ~domains ~engine ~certify w
+      items
   end
 
 let pp_solver_stats fmt s =

@@ -3,7 +3,7 @@
     For every single stuck-at-0/1 fault in the netlist's fault universe the
     metric computes the fraction of scan segments, and of scan bits, that
     remain accessible (writable and readable), then reports the worst case
-    and the fault-weighted average — the eight accessibility columns of
+    and the average over faults — the eight accessibility columns of
     Table I.
 
     Verdicts come from one of two engines: the structural fixpoint engine
@@ -14,8 +14,8 @@
     By default the fault universe is reduced before any engine runs:
 
     - faults with the same semantic {!Ftrsn_fault.Fault.summary} are
-      collapsed into one equivalence class (the class carries the summed
-      weight and member count, so the aggregates are unchanged);
+      collapsed into one equivalence class (the class counts once per
+      member, so the aggregates are unchanged);
     - each class verdict is computed as a cone-of-influence delta against
       the fault-free baseline — only segments the fault can disturb are
       re-analyzed, the fault-free verdict is spliced in for the rest.  On
@@ -26,11 +26,13 @@
       {!Ftrsn_access.Engine.lane_plan} sets aside take the O(1) splices
       of {!Ftrsn_access.Engine.analyze_delta} instead (glitch classes
       its full-fixpoint fallback).  The BMC engine restricts its SAT
-      sweep to the cone ([Bmc.Session.check_targets_multi ~only]).
+      sweep to the cone: the cone's segments go to one
+      [Bmc.Session.check_targets_multi] call, and the fault-free verdicts
+      are spliced in for the rest.
 
     Both reductions are exact: the reduced result is bit-identical to the
     brute-force one ([~reduce:false]) in every [result] field.  All
-    accumulation is integer (min / weighted sums), divided to fractions
+    accumulation is integer (min / sums), divided to fractions
     once at the end, so results are also independent of evaluation order —
     which lets a work-stealing scheduler distribute faults dynamically
     over domains instead of static chunking.
@@ -112,11 +114,14 @@ type pair_stats = {
 
 type result = {
   worst_segments : float;  (** min over faults of accessible-segment fraction *)
-  avg_segments : float;    (** weighted average of accessible-segment fraction *)
+  avg_segments : float;    (** average over faults of accessible-segment fraction *)
   worst_bits : float;
   avg_bits : float;
   faults : int;            (** faults represented (class members included) *)
-  total_weight : int;      (** sum of {!Ftrsn_fault.Fault.weight} *)
+  total_weight : int;
+      (** Always [faults]: every fault counts once.  Kept because
+          e2ebench reads this field and the wire carries it as
+          ["weight"]. *)
   steals : int;
       (** work items executed by a different domain than the static
           ceil-chunk split would have assigned (0 when [domains = 1]) *)
@@ -160,11 +165,14 @@ exception Unsupported of string
     phase-1 class records (both keyed per fault model, so evaluations of
     different models never share a slot), and idle incremental BMC
     sessions — built once
-    and shared by every subsequent evaluation of the same netlist.  All
-    cached artifacts are deterministic functions of the netlist, so warm
-    results are bit-identical to cold ones in every verdict-derived
-    field; only [result.solver] differs (a reused session's statistics
-    accumulate over every query it served).
+    and shared by every subsequent evaluation of the same netlist.  Every
+    evaluation runs on one: the [?warm] the caller passes, or, when
+    [?warm] is absent, a fresh state that lives for that evaluation
+    only.  All cached artifacts are deterministic functions of the
+    netlist, so results on a reused state are bit-identical to those on
+    a fresh one in every verdict-derived field; only [result.solver]
+    differs (a reused session's statistics accumulate over every query
+    it served, the phases of one pair sweep included).
 
     Thread-safe: construction and the session free list are guarded by a
     mutex, so concurrent evaluations of the same netlist share artifacts
@@ -173,22 +181,15 @@ exception Unsupported of string
 type warm
 
 val warm : Ftrsn_rsn.Netlist.t -> warm
-(** An empty warm state; artifacts are built lazily on first use. *)
+(** An empty warm state; artifacts are built lazily on first use.
+    [?warm] absent in {!evaluate} and {!evaluate_pairs} means
+    [warm net]. *)
 
 val warm_ctx : warm -> Ftrsn_access.Engine.ctx
 (** The shared structural context (built on first call). *)
 
 val warm_baseline : warm -> Ftrsn_access.Engine.baseline
 (** The shared fault-free baseline (built on first call). *)
-
-val warm_session : warm -> certify:bool -> Ftrsn_bmc.Bmc.Session.t
-(** Checks an idle incremental session out of the free list (sessions
-    created certified are only handed to [certify:true] callers), or
-    creates one against the shared model.  The caller has exclusive use
-    until {!warm_release}. *)
-
-val warm_release : warm -> Ftrsn_bmc.Bmc.Session.t -> unit
-(** Returns a checked-out session to the free list. *)
 
 val warm_session_stats :
   warm -> (bool * Ftrsn_bmc.Bmc.Session.stats) list
@@ -254,8 +255,7 @@ val evaluate_pairs :
     accessibility under PAIRS of simultaneous faults of the given
     [model] (default [Stuck]; [Transient] raises {!Unsupported} —
     two glitches are not the set-wise union of their summaries, which
-    the pair factorization rests on), each pair
-    weighted by the product of its faults' weights.
+    the pair factorization rests on); every pair counts once.
 
     With [exhaustive:true] (and the default [reduce:true]) the FULL pair
     universe is evaluated exactly: faults are collapsed into semantic
@@ -320,10 +320,3 @@ val steal_map :
     sequential fold. *)
 
 val pp : Format.formatter -> result -> unit
-
-val pp_reduction_stats : Format.formatter -> reduction_stats -> unit
-
-val pp_pair_stats : Format.formatter -> pair_stats -> unit
-
-val pp_lane_stats :
-  Format.formatter -> Ftrsn_access.Engine.lane_stats -> unit

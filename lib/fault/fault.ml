@@ -90,6 +90,10 @@ let stuck_universe (net : Netlist.t) =
     (fun site -> [ { site; stuck = false }; { site; stuck = true } ])
     (List.rev !sites)
 
+(* Whether the fault is structurally masked by hardening, so that its
+   summary is empty: the TMR address replica and voter sites.  Other
+   hardening effects (a single select-stem stuck-at-0 under a hardened
+   select network) are left to the accessibility engines. *)
 let is_masked (_net : Netlist.t) f =
   match f.site with
   | Mux_addr_replica _ | Mux_voter _ -> true
@@ -109,6 +113,10 @@ let driven_muxes (net : Netlist.t) seg bit =
     net.muxes;
   !result
 
+(* Whether shadow bit [(seg, bit)] drives only TMR-hardened multiplexer
+   addresses: a single stuck replica is outvoted, so the routing never
+   sees the stuck value (the bit's own write interface is still
+   considered broken). *)
 let tmr_protected_shadow (net : Netlist.t) seg bit =
   let driven = driven_muxes net seg bit in
   driven <> []
@@ -319,8 +327,6 @@ let to_injection (net : Netlist.t) f =
      accessibility engines, which derive them from the summary. *)
   | Bridge_segs _ | Mux_voter _ | Glitch_shadow _ -> base
 
-let weight (_net : Netlist.t) (_f : t) = 1
-
 (* ---- semantic summaries and equivalence collapsing ---- *)
 
 type summary = {
@@ -443,7 +449,6 @@ let summarize ?port_masked (net : Netlist.t) f =
 type clas = {
   cls_rep : t;
   cls_members : t list;
-  cls_weight : int;
   cls_summary : summary;
 }
 
@@ -486,23 +491,16 @@ let collapse (net : Netlist.t) faults =
     (fun f ->
       let sm = summarize ~port_masked:masked net f in
       match Summary_tbl.find_opt tbl sm with
-      | Some (members, w) ->
-          members := f :: !members;
-          w := !w + weight net f
+      | Some members -> members := f :: !members
       | None ->
-          let cell = (ref [ f ], ref (weight net f)) in
-          Summary_tbl.add tbl sm cell;
-          order := (sm, cell) :: !order)
+          let members = ref [ f ] in
+          Summary_tbl.add tbl sm members;
+          order := (sm, members) :: !order)
     faults;
   List.rev_map
-    (fun (sm, (members, w)) ->
+    (fun (sm, members) ->
       let members = List.rev !members in
-      {
-        cls_rep = List.hd members;
-        cls_members = members;
-        cls_weight = !w;
-        cls_summary = sm;
-      })
+      { cls_rep = List.hd members; cls_members = members; cls_summary = sm })
     !order
 
 let pp net fmt f =

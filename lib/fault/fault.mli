@@ -73,18 +73,6 @@ val bridge_adjacencies : Ftrsn_rsn.Netlist.t -> (int * int) list
     order): segments connected by a dataflow edge, or driving data inputs
     of the same multiplexer. *)
 
-val is_masked : Ftrsn_rsn.Netlist.t -> t -> bool
-(** Whether the fault is structurally masked by hardening: TMR address
-    replicas, and single select-stem stuck-at-0 when the select network is
-    hardened are handled by the accessibility engines; [is_masked] covers
-    only the TMR replicas, which have no observable effect at all. *)
-
-val tmr_protected_shadow : Ftrsn_rsn.Netlist.t -> int -> int -> bool
-(** Whether shadow bit [(seg, bit)] drives only TMR-hardened multiplexer
-    addresses: a single stuck replica is outvoted, so the routing never
-    sees the stuck value (the bit's own write interface is still
-    considered broken). *)
-
 val to_injection : Ftrsn_rsn.Netlist.t -> t -> Ftrsn_rsn.Sim.injection
 (** Simulator overrides realizing the fault: the identity injection for a
     masked fault (TMR replicas, TMR-protected shadow bits, mux faults
@@ -95,10 +83,6 @@ val to_injection : Ftrsn_rsn.Netlist.t -> t -> Ftrsn_rsn.Sim.injection
     is the fault's only view in
     {!Ftrsn_access.Retarget}: its planner and its simulator replay both
     read the fault through this injection. *)
-
-val weight : Ftrsn_rsn.Netlist.t -> t -> int
-(** Physical multiplicity of the site, used to weight the average of the
-    fault-tolerance metric.  Port and register sites currently weigh 1. *)
 
 (** {2 Semantic summaries and equivalence collapsing}
 
@@ -172,7 +156,6 @@ val port_mask_table : Ftrsn_rsn.Netlist.t -> int -> bool
 type clas = {
   cls_rep : t;          (** representative (first member in input order) *)
   cls_members : t list; (** all members, in input order *)
-  cls_weight : int;     (** sum of the members' {!weight}s *)
   cls_summary : summary;
 }
 
@@ -183,10 +166,10 @@ val summary_hash : summary -> int
 
 val collapse : Ftrsn_rsn.Netlist.t -> t list -> clas list
 (** Partition a fault list into semantic equivalence classes (equal
-    {!summary}), in order of first appearance.  Exact weight bookkeeping:
-    the class weights sum to the total weight of the input list, so
-    evaluating one representative per class with its class weight
-    reproduces the unreduced metric bit for bit. *)
+    {!summary}), in order of first appearance.  Every fault lands in
+    exactly one class, so evaluating one representative per class,
+    counted once per member, reproduces the unreduced metric bit for
+    bit. *)
 
 val pp : Ftrsn_rsn.Netlist.t -> Format.formatter -> t -> unit
 val to_string : Ftrsn_rsn.Netlist.t -> t -> string

@@ -31,8 +31,6 @@ let create ~n =
     iter = Array.make n 0;
   }
 
-let vertex_count g = g.n
-
 let ensure_arc_room g =
   let len = Array.length g.dst in
   if g.arcs + 2 > len then begin

@@ -11,9 +11,6 @@ type t
 val create : n:int -> t
 (** [create ~n] is an empty network over vertices [0 .. n-1]. *)
 
-val vertex_count : t -> int
-(** Number of vertices of the network. *)
-
 val add_edge : t -> src:int -> dst:int -> cap:int -> int
 (** [add_edge g ~src ~dst ~cap] adds an arc of capacity [cap] and returns its
     edge identifier, usable with {!flow_on} after a [max_flow] run.

@@ -28,6 +28,8 @@ let control_value (_net : Netlist.t) c = function
   | Netlist.Ctrl_primary name ->
       Option.value ~default:false (List.assoc_opt name c.primaries)
 
+(* The input index mux [m] selects under [c], or [None] if the address
+   decodes outside the input range. *)
 let mux_selection (net : Netlist.t) c m =
   let mux = net.muxes.(m) in
   let v = ref 0 in

@@ -26,10 +26,6 @@ val set_primary : t -> string -> bool -> t
 val control_value : Netlist.t -> t -> Netlist.control -> bool
 (** Value of a control source under a configuration. *)
 
-val mux_selection : Netlist.t -> t -> int -> int option
-(** [mux_selection net c m] is the input index selected by mux [m] under
-    [c], or [None] if the address decodes outside the input range. *)
-
 val active_path : Netlist.t -> t -> int list option
 (** [active_path net c] is the list of segment indices on the active scan
     path, ordered from scan-in to scan-out, or [None] if [c] is not a

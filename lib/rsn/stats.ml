@@ -77,12 +77,3 @@ let compute (net : Netlist.t) =
     reset_path_bits;
     full_path_bits;
   }
-
-let pp fmt s =
-  Format.fprintf fmt
-    "@[<v>%d segments (len %d..%d, mean %.1f), %d muxes, %d levels@,\
-     %d scan bits, %d shadow bits (%d control), %d primary controls@,\
-     reset path: %d segments / %d bits; fully-open path: %d bits@]"
-    s.segments s.min_seg_len s.max_seg_len s.mean_seg_len s.muxes s.levels
-    s.scan_bits s.shadow_bits s.control_bits s.primary_controls
-    s.reset_path_segments s.reset_path_bits s.full_path_bits

@@ -20,5 +20,3 @@ type t = {
 }
 
 val compute : Netlist.t -> t
-
-val pp : Format.formatter -> t -> unit

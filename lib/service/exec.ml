@@ -163,16 +163,20 @@ let run_exn pool = function
           let net = Pool.net e in
           let observed =
             match q.Query.dq_signature with
-            | Some lines -> Diagnose.signature_of_lines lines
-            | None -> Diagnose.healthy net
+            | Some lines ->
+                Diagnose.signature_of_lines (Diagnose.stimulus net) lines
+            | None -> Ok (Diagnose.healthy net)
           in
-          let candidates = Diagnose.diagnose net ~observed in
-          let candidates =
-            match q.Query.dq_limit with
-            | Some k -> take k candidates
-            | None -> candidates
-          in
-          Response.Diagnose_r (List.map (Fault.to_string net) candidates))
+          match observed with
+          | Error msg -> Response.error Response.Bad_request msg
+          | Ok observed ->
+              let candidates = Diagnose.diagnose net ~observed in
+              let candidates =
+                match q.Query.dq_limit with
+                | Some k -> take k candidates
+                | None -> candidates
+              in
+              Response.Diagnose_r (List.map (Fault.to_string net) candidates))
   | Query.Synthesize q ->
       let spec = { q.Query.sq_net with Query.ns_ft = true } in
       with_entry pool spec (fun e ->

@@ -6,8 +6,6 @@ let create n =
   if n < 0 then invalid_arg "Bitset.create: negative capacity";
   { n; words = Array.make ((n + bits_per_word - 1) / bits_per_word) 0 }
 
-let capacity s = s.n
-
 let check s i =
   if i < 0 || i >= s.n then invalid_arg "Bitset: index out of range"
 

@@ -5,8 +5,6 @@ type t
 val create : int -> t
 (** [create n] is the empty set with capacity [n]. *)
 
-val capacity : t -> int
-
 val mem : t -> int -> bool
 val add : t -> int -> unit
 val remove : t -> int -> unit

@@ -26,6 +26,7 @@ let grow g =
     g.in_adj <- grow_array g.in_adj
   end
 
+(* Allocates and returns a fresh vertex identifier. *)
 let add_vertex g =
   grow g;
   let v = g.n in
@@ -127,8 +128,3 @@ let sinks g =
     if g.out_adj.(v) = [] then acc := v :: !acc
   done;
   !acc
-
-let pp fmt g =
-  Format.fprintf fmt "@[<v>digraph (%d vertices, %d edges)" g.n g.m;
-  iter_edges (fun u v -> Format.fprintf fmt "@,  %d -> %d" u v) g;
-  Format.fprintf fmt "@]"

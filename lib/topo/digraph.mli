@@ -1,7 +1,7 @@
 (** Mutable directed graphs over dense integer vertices.
 
     Vertices are identifiers [0 .. vertex_count - 1], allocated with
-    {!add_vertex}.  Parallel edges are rejected; self-loops are allowed at
+    {!add_vertices}.  Parallel edges are rejected; self-loops are allowed at
     construction but rejected by the acyclicity-sensitive algorithms of this
     library. *)
 
@@ -9,9 +9,6 @@ type t
 
 val create : ?size_hint:int -> unit -> t
 (** [create ()] is the empty graph. *)
-
-val add_vertex : t -> int
-(** Allocates and returns a fresh vertex identifier. *)
 
 val add_vertices : t -> int -> unit
 (** [add_vertices g k] allocates [k] fresh vertices. *)
@@ -54,5 +51,3 @@ val sources : t -> int list
 
 val sinks : t -> int list
 (** Vertices with no outgoing edge. *)
-
-val pp : Format.formatter -> t -> unit

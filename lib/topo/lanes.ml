@@ -21,10 +21,6 @@ let get v i =
   check v i;
   v.w.(i)
 
-let set v i x =
-  check v i;
-  v.w.(i) <- x
-
 let or_in v i x =
   check v i;
   let old = v.w.(i) in

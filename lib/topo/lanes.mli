@@ -21,7 +21,6 @@ val create : int -> t
 val length : t -> int
 
 val get : t -> int -> int
-val set : t -> int -> int -> unit
 
 val or_in : t -> int -> int -> int
 (** [or_in v i x] ORs [x] into word [i] and returns the NEWLY set bits

@@ -33,25 +33,6 @@ let levels g =
         order;
       lv
 
-let levels_from g ~root =
-  match sort g with
-  | None -> invalid_arg "Order.levels_from: graph is cyclic"
-  | Some order ->
-      let n = Digraph.vertex_count g in
-      let lv = Array.make n 0 in
-      let seen = Bitset.create n in
-      Bitset.add seen root;
-      Array.iter
-        (fun v ->
-          if Bitset.mem seen v then
-            List.iter
-              (fun w ->
-                Bitset.add seen w;
-                if lv.(v) + 1 > lv.(w) then lv.(w) <- lv.(v) + 1)
-              (Digraph.succ g v))
-        order;
-      lv
-
 let bfs_collect next start n =
   let seen = Bitset.create n in
   let q = Queue.create () in

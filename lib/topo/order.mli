@@ -12,10 +12,6 @@ val levels : Digraph.t -> int array
     longest-path depth used by the synthesis cost function.
     @raise Invalid_argument if [g] is cyclic. *)
 
-val levels_from : Digraph.t -> root:int -> int array
-(** Like {!levels} but measured from a designated [root]; vertices not
-    reachable from [root] keep level 0 relative to their own sources. *)
-
 val reachable : Digraph.t -> from:int -> Bitset.t
 (** Vertices reachable from [from] (including [from] itself). *)
 

@@ -1089,6 +1089,30 @@ let test_batched_certificates () =
   done;
   check bool_t "some call lost more than two targets" true !wide
 
+(* A session keeps one fault set live: querying another retires it and
+   coming back re-encodes it under a fresh activation.  Alternating
+   sets on one session must answer every call as a fresh session
+   does. *)
+let test_live_alternation () =
+  let net = small_sib () in
+  let model = Bmc.create net in
+  let sess = Bmc.Session.create model in
+  let targets = List.init (Netlist.num_segments net) Fun.id in
+  let seal = { Fault.site = Fault.Seg_shadow_reg (0, 0); stuck = false } in
+  let cut = { Fault.site = Fault.Seg_scan_in 2; stuck = true } in
+  let a = [ seal ] and b = [ cut; seal ] in
+  List.iteri
+    (fun k faults ->
+      let got = Bmc.Session.check_targets_multi sess ~faults targets in
+      let want =
+        Bmc.Session.check_targets_multi (Bmc.Session.create model) ~faults
+          targets
+      in
+      if got <> want then
+        Alcotest.failf "call %d under [%s]: differs from a fresh session" k
+          (String.concat "; " (List.map (Fault.to_string net) faults)))
+    [ a; b; a; []; a; b; b; a ]
+
 let suite =
   [
     Alcotest.test_case "fault-free depths" `Quick test_fault_free_depths;
@@ -1151,4 +1175,6 @@ let suite =
     Testseed.to_alcotest prop_batched_random_nets;
     Alcotest.test_case "certified Unsat answers per batched call (SIB nests)"
       `Quick test_batched_certificates;
+    Alcotest.test_case "live encoding: A, B, A = fresh sessions" `Quick
+      test_live_alternation;
   ]

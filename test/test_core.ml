@@ -429,8 +429,8 @@ let test_reduction_exact_u226 () =
     (same_result brute (Metric.evaluate ~reduce:false ~domains:3 net));
   check int_t "sequential run steals nothing" 0 red.Metric.steals
 
-let prop_collapse_weights =
-  QCheck.Test.make ~name:"class weights sum to the universe weight" ~count:20
+let prop_collapse_members =
+  QCheck.Test.make ~name:"class members partition the universe" ~count:20
     QCheck.(int_range 0 10_000)
     (fun seed ->
       let net =
@@ -438,14 +438,12 @@ let prop_collapse_weights =
       in
       let universe = Fault.universe net in
       let classes = Fault.collapse net universe in
-      let w = List.fold_left (fun a f -> a + Fault.weight net f) 0 universe in
-      let cw = List.fold_left (fun a c -> a + c.Fault.cls_weight) 0 classes in
-      let members =
-        List.fold_left
-          (fun a c -> a + List.length c.Fault.cls_members)
-          0 classes
-      in
-      cw = w && members = List.length universe)
+      let members = List.concat_map (fun c -> c.Fault.cls_members) classes in
+      List.length members = List.length universe
+      && List.sort compare members = List.sort compare universe
+      && List.for_all
+           (fun c -> List.hd c.Fault.cls_members = c.Fault.cls_rep)
+           classes)
 
 let test_metric_engines_agree () =
   (* The BMC engine, driven through incremental sessions, reproduces the
@@ -989,7 +987,7 @@ let suite =
       test_reduction_exact_bmc_sibs;
     Testseed.to_alcotest prop_reduction_exact_structural;
     Testseed.to_alcotest prop_reduction_exact_bmc;
-    Testseed.to_alcotest prop_collapse_weights;
+    Testseed.to_alcotest prop_collapse_members;
     Alcotest.test_case "metric: engines agree" `Slow test_metric_engines_agree;
     Alcotest.test_case "metric: BMC parallel exact" `Quick
       test_metric_bmc_parallel;

@@ -464,24 +464,17 @@ let collapse_reference net faults =
     List.fold_left
       (fun acc f ->
         let sm = Fault.summarize ~port_masked:masked net f in
-        let w = Fault.weight net f in
-        if List.exists (fun (sm', _, _) -> sm' = sm) acc then
+        if List.exists (fun (sm', _) -> sm' = sm) acc then
           List.map
-            (fun ((sm', fs, w') as c) ->
-              if sm' = sm then (sm', f :: fs, w' + w) else c)
+            (fun ((sm', fs) as c) -> if sm' = sm then (sm', f :: fs) else c)
             acc
-        else (sm, [ f ], w) :: acc)
+        else (sm, [ f ]) :: acc)
       [] faults
   in
   List.rev_map
-    (fun (sm, fs, w) ->
+    (fun (sm, fs) ->
       let members = List.rev fs in
-      {
-        Fault.cls_rep = List.hd members;
-        cls_members = members;
-        cls_weight = w;
-        cls_summary = sm;
-      })
+      { Fault.cls_rep = List.hd members; cls_members = members; cls_summary = sm })
     classes
 
 let u226_ft () = (Pipeline.synthesize (u226 ())).Pipeline.ft

@@ -220,20 +220,34 @@ let test_expr_eval () =
   check bool_t "ite false branch" true (eval false true true);
   check bool_t "ite false branch diff" false (eval false true false)
 
+(* A streaming emitter straight into [s], every clause ungrouped. *)
+let emitter_into s =
+  Expr.Cnf.make_emitter
+    {
+      Expr.Cnf.fresh_var = (fun () -> Solver.new_var s);
+      add_clause = (fun _ c -> Solver.add_clause s c);
+    }
+
+(* The value a model gives an emitted expression variable. *)
+let model_value s em v =
+  match Expr.Cnf.find_lit em v with
+  | Some l -> Solver.value s (abs l) = (l > 0)
+  | None -> Alcotest.fail "variable never reached the solver"
+
 let test_tseitin_roundtrip () =
-  (* CNF of an expression is satisfiable exactly when the expression is,
-     and SAT models evaluate the expression to true. *)
+  (* The emitted CNF of an expression is satisfiable exactly when the
+     expression is, and SAT models, read back through [find_lit],
+     evaluate the expression to true. *)
   let ctx = Expr.create () in
   let x = Expr.var ctx 0 and y = Expr.var ctx 1 and z = Expr.var ctx 2 in
   let e =
     Expr.and_ ctx (Expr.or_ ctx x (Expr.not_ ctx y)) (Expr.xor_ ctx y z)
   in
-  let cnf = Expr.Cnf.of_exprs ctx [ e ] in
   let s = Solver.create () in
-  Solver.ensure_vars s cnf.Expr.Cnf.num_sat_vars;
-  List.iter (Solver.add_clause s) cnf.Expr.Cnf.clauses;
+  let em = emitter_into s in
+  Expr.Cnf.emit em [ e ];
   check bool_t "sat" true (is_sat (Solver.solve s));
-  let env i = Solver.value s (i + 1) in
+  let env i = model_value s em [| x; y; z |].(i) in
   check bool_t "model satisfies expression" true (Expr.eval env e)
 
 let test_tseitin_unsat () =
@@ -248,9 +262,8 @@ let test_tseitin_unsat () =
   check bool_t "constant folding already catches it or CNF is unsat" true
     (Expr.is_false e
     ||
-    let cnf = Expr.Cnf.of_exprs ctx [ e ] in
     let s = Solver.create () in
-    List.iter (Solver.add_clause s) cnf.Expr.Cnf.clauses;
+    Expr.Cnf.emit (emitter_into s) [ e ];
     not (is_sat (Solver.solve s)))
 
 let test_streaming_emitter () =
@@ -260,13 +273,7 @@ let test_streaming_emitter () =
   let x = Expr.fresh_var ctx and y = Expr.fresh_var ctx in
   let shared = Expr.xor_ ctx x y in
   let s = Solver.create () in
-  let em =
-    Expr.Cnf.make_emitter
-      {
-        Expr.Cnf.fresh_var = (fun () -> Solver.new_var s);
-        add_clause = (fun _ c -> Solver.add_clause s c);
-      }
-  in
+  let em = emitter_into s in
   Expr.Cnf.emit em [ shared ];
   let emitted1, _ = Expr.Cnf.emitter_stats em in
   check bool_t "first emission emits" true (emitted1 > 0);
@@ -298,13 +305,7 @@ let test_emitter_under_activations () =
   let x = Expr.fresh_var ctx and y = Expr.fresh_var ctx in
   let e = Expr.and_ ctx x y in
   let s = Solver.create () in
-  let em =
-    Expr.Cnf.make_emitter
-      {
-        Expr.Cnf.fresh_var = (fun () -> Solver.new_var s);
-        add_clause = (fun _ c -> Solver.add_clause s c);
-      }
-  in
+  let em = emitter_into s in
   let a = Solver.new_activation s and b = Solver.new_activation s in
   let le = Expr.Cnf.lit em e in
   Expr.Cnf.emit_clause em [ -a; le ];

@@ -10,6 +10,7 @@ module Itc02 = Ftrsn_itc02.Itc02
 module Fault = Ftrsn_fault.Fault
 module Metric = Ftrsn_core.Metric
 module Engine = Ftrsn_access.Engine
+module Diagnose = Ftrsn_access.Diagnose
 module Json = Ftrsn_service.Json
 module Query = Ftrsn_service.Query
 module Response = Ftrsn_service.Response
@@ -1084,6 +1085,53 @@ let test_ft_cones_pinned () =
       check int_t "u226-ft pair-lane masked" 62 l.Engine.ls_masked
   | r -> Alcotest.fail (Response.to_string r)
 
+(* A signature the stimulus cannot produce — wrong line count, a line of
+   the wrong length, a character other than 0 and 1 — is a bad request
+   (exit 1) naming the expected shape or the offending line, not a
+   silent empty candidate list.  The healthy signature's own lines,
+   padded with blanks and whitespace, diagnose like the self-test. *)
+let test_diagnose_malformed_signature () =
+  let healthy = Diagnose.lines_of_signature (Diagnose.healthy (tiny_net ())) in
+  let q signature =
+    Query.Diagnose
+      {
+        Query.dq_net = Lazy.force tiny_spec;
+        dq_signature = signature;
+        dq_limit = None;
+      }
+  in
+  let first, second, rest =
+    match healthy with
+    | a :: b :: rest -> (a, b, rest)
+    | _ -> Alcotest.fail "the stimulus has fewer than two CSUs"
+  in
+  let cases =
+    [
+      ("signature must have", second :: rest);
+      ("signature must have", healthy @ [ first ]);
+      ( "signature line 1 must have",
+        String.sub first 0 (String.length first - 1) :: second :: rest );
+      ("signature line 2 must have", first :: (second ^ "0") :: rest);
+      ( "signature line 2 must hold only",
+        first :: ("2" ^ String.sub second 1 (String.length second - 1)) :: rest
+      );
+    ]
+  in
+  List.iter
+    (fun (prefix, lines) ->
+      match Exec.run (Pool.create ()) (q (Some lines)) with
+      | Response.Error_r (Response.Bad_request, msg) as r
+        when String.starts_with ~prefix msg && Response.exit_code r = 1 ->
+          ()
+      | r ->
+          Alcotest.failf "[%s]: expected a bad_request starting %S, got %s"
+            (String.concat "; " lines) prefix (Response.to_string r))
+    cases;
+  let padded = "" :: List.map (fun l -> " " ^ l ^ "\t") healthy in
+  check string_t "healthy lines = self-test"
+    (Response.to_string (Exec.run (Pool.create ()) (q None)))
+    (Response.to_string (Exec.run (Pool.create ()) (q (Some padded))))
+
 let suite =
   [
     Alcotest.test_case "json: roundtrip" `Quick test_json_roundtrip;
@@ -1120,4 +1168,6 @@ let suite =
     Alcotest.test_case "table I: small SoCs pinned" `Quick test_table1_small;
     Alcotest.test_case "engine: FT cones and pair lanes pinned" `Quick
       test_ft_cones_pinned;
+    Alcotest.test_case "diagnose: malformed signatures are bad requests"
+      `Quick test_diagnose_malformed_signature;
   ]
